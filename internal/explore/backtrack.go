@@ -11,13 +11,14 @@ import (
 
 // The backtracking engine keeps one live execution per worker for the
 // whole exploration. Process state is held in resumable frames (plain
-// copyable structs, snapshotted per tree node via memsim.CloneResumable)
-// and shared memory is wound back through the machine's undo log, so
-// moving to a sibling schedule retracts one decision instead of replaying
-// the prefix. With dedup enabled, a canonical hash of (machine words, LL
-// reservations, frames, pending calls, script progress) claims each
-// (state, remaining depth budget) pair exactly once across all workers;
-// later arrivals prune their subtree.
+// copyable structs in a memsim.FrameSet, copied into each tree node's
+// snapshot and back) and shared memory is wound back through the
+// machine's undo log, so moving to a sibling schedule retracts one
+// decision instead of replaying the prefix. With dedup enabled, a
+// canonical hash of (machine words, LL reservations, frames, pending
+// calls, script progress) claims each (state, remaining depth budget)
+// pair exactly once across all workers; later arrivals prune their
+// subtree.
 //
 // The engine emits exactly the events the Controller would: its settle
 // order, call bookkeeping and sequence numbering replicate
@@ -70,7 +71,8 @@ type bengine struct {
 	inst     memsim.ResumableInstance
 	n        int
 	scripts  [][]memsim.CallKind // dense per-pid view of Config.Scripts; nil = unscripted
-	frames   []memsim.Resumable
+	tmpl     *memsim.FrameTemplates
+	frames   memsim.FrameSet
 	phase    []bPhase
 	pending  []memsim.Access
 	rets     []memsim.Value
@@ -140,7 +142,8 @@ func newBengine(cfg Config) (*bengine, error) {
 		inst:     ri,
 		n:        cfg.N,
 		scripts:  denseScripts(cfg.N, cfg.Scripts),
-		frames:   make([]memsim.Resumable, cfg.N),
+		tmpl:     memsim.NewFrameTemplates(ri, cfg.N),
+		frames:   memsim.NewFrameSet(cfg.N),
 		phase:    make([]bPhase, cfg.N),
 		pending:  make([]memsim.Access, cfg.N),
 		rets:     make([]memsim.Value, cfg.N),
@@ -182,11 +185,12 @@ func (e *bengine) emit(ev memsim.Event) {
 
 // advance feeds prev into pid's frame and records its next scheduling point.
 func (e *bengine) advance(pid memsim.PID, prev memsim.Result) {
-	if acc, ok := e.frames[pid].Next(prev); ok {
+	f := e.frames.Frame(pid)
+	if acc, ok := f.Next(prev); ok {
 		e.pending[pid] = acc
 		e.phase[pid] = bPending
 	} else {
-		e.rets[pid] = e.frames[pid].Return()
+		e.rets[pid] = f.Return()
 		e.phase[pid] = bDone
 	}
 }
@@ -226,7 +230,7 @@ func (e *bengine) settleInto(choices []choice) []choice {
 				Proc: kind.String(), Ret: e.rets[p],
 			})
 			e.phase[p] = bIdle
-			e.frames[p] = nil
+			e.frames.Drop(p)
 			if kind == memsim.CallSignal {
 				e.sigEnded = true
 			}
@@ -287,7 +291,7 @@ func (e *bengine) apply(c choice, idx int) error {
 			Proc: e.kinds[p].String(), Fault: memsim.FaultCrash,
 		})
 		e.phase[p] = bIdle
-		e.frames[p] = nil
+		e.frames.Drop(p)
 		e.faultsUsed++
 		e.desc = append(e.desc, e.descs[p][2])
 		e.path = append(e.path, idx)
@@ -311,13 +315,11 @@ func (e *bengine) apply(c choice, idx int) error {
 	}
 	if c.start {
 		kind := e.scripts[p][e.progress[p]]
-		r, err := e.inst.ResumableProgram(p, kind)
-		if err != nil {
+		if err := e.frames.Start(e.tmpl, p, kind); err != nil {
 			return fmt.Errorf("explore: start %v on p%d: %w", kind, p, err)
 		}
 		e.progress[p]++
 		e.kinds[p] = kind
-		e.frames[p] = r
 		e.afterSigEnd[p] = e.sigEnded
 		if kind == memsim.CallSignal {
 			e.sigStarted = true
@@ -343,15 +345,15 @@ func (e *bengine) apply(c choice, idx int) error {
 	return nil
 }
 
-// mark is one node's snapshot: cloned frames plus the small per-process
+// mark is one node's snapshot: copied frames plus the small per-process
 // scheduler arrays, and the high-water marks of the append-only logs
 // (events, undo records, choice descriptions). Marks come from the
 // engine's free list: save pops (or allocates) one and copies the engine
 // state into its arrays, release pushes it back, and the retained frame
-// clones become the copy targets of the next save of the slot — so the
+// storage becomes the copy target of the next save of the slot — so the
 // steady-state save/restore/release cycle allocates nothing.
 type mark struct {
-	frames   []memsim.Resumable
+	frames   memsim.FrameSet
 	phase    []bPhase
 	pending  []memsim.Access
 	rets     []memsim.Value
@@ -372,7 +374,7 @@ type mark struct {
 
 func newMark(n int) *mark {
 	return &mark{
-		frames:      make([]memsim.Resumable, n),
+		frames:      memsim.NewFrameSet(n),
 		phase:       make([]bPhase, n),
 		pending:     make([]memsim.Access, n),
 		rets:        make([]memsim.Value, n),
@@ -410,17 +412,14 @@ func (e *bengine) save() *mark {
 	m.sigEnded = e.sigEnded
 	copy(m.afterSigEnd, e.afterSigEnd)
 	m.faultsUsed = e.faultsUsed
-	// Mark-owned frames never alias engine-owned frames: CloneResumableInto
-	// copies content into the mark's retained clone (or makes a fresh one),
-	// so further engine steps cannot disturb the snapshot.
-	for i, f := range e.frames {
-		m.frames[i] = memsim.CloneResumableInto(m.frames[i], f)
-	}
+	// Mark-owned frames never alias engine-owned frames, so further engine
+	// steps cannot disturb the snapshot.
+	m.frames.CopyFrom(&e.frames)
 	return m
 }
 
 // release returns a mark to the engine's free list once no sibling will
-// restore from it again. The retained frame clones are the reuse targets
+// restore from it again. The retained frame storage is the reuse target
 // of the next save.
 func (e *bengine) release(m *mark) {
 	e.markPool = append(e.markPool, m)
@@ -428,16 +427,14 @@ func (e *bengine) release(m *mark) {
 
 // restore winds the engine back to m: machine undos revert in reverse
 // order, the scheduler arrays copy back, and the logs truncate. Frames are
-// re-cloned (into the engine's current frames, reusing their allocations)
-// so the mark stays pristine for further siblings.
+// copied (into the engine's retained frame storage) so the mark stays
+// pristine for further siblings.
 func (e *bengine) restore(m *mark) {
 	for i := len(e.undos) - 1; i >= m.undos; i-- {
 		e.mach.Revert(e.undos[i])
 	}
 	e.undos = e.undos[:m.undos]
-	for i := range m.frames {
-		e.frames[i] = memsim.CloneResumableInto(e.frames[i], m.frames[i])
-	}
+	e.frames.CopyFrom(&m.frames)
 	copy(e.phase, m.phase)
 	copy(e.pending, m.pending)
 	copy(e.rets, m.rets)
@@ -491,7 +488,7 @@ func (e *bengine) stateKey() [16]byte {
 			b = binary.AppendVarint(b, acc.Arg1)
 			b = binary.AppendVarint(b, acc.Arg2)
 		}
-		b = memsim.AppendKeyFrameState(b, e.frames[p])
+		b = memsim.AppendKeyFrameState(b, e.frames.Frame(p))
 	}
 	e.keyBuf = b
 	return memsim.HashKey128(b)
@@ -532,7 +529,7 @@ func (e *bengine) stateKeyLegacy() [16]byte {
 			acc := e.pending[p]
 			fmt.Fprintf(h, "a%d,%d,%d,%d;", acc.Op, acc.Addr, acc.Arg1, acc.Arg2)
 		}
-		if f := e.frames[p]; f != nil {
+		if f := e.frames.Frame(p); f != nil {
 			io.WriteString(h, "f")
 			memsim.EncodeFrameState(h, f)
 			io.WriteString(h, ";")

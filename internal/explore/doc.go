@@ -21,8 +21,9 @@
 //
 // Two engines enumerate the schedule tree. The backtracking engine (the
 // default for algorithms with a resumable tier) keeps one execution alive
-// per worker: process state lives in copyable resumable frames
-// (memsim.CloneResumable snapshots them per tree node) and shared memory
+// per worker: process state lives in copyable resumable frames (a
+// memsim.FrameSet copies them into each tree node's snapshot, recycling
+// frame storage across calls and snapshots) and shared memory
 // reverts through the machine's undo log (memsim.Machine.ApplyLogged and
 // Revert), so moving between adjacent paths retracts a step instead of
 // replaying the whole prefix. The replay engine re-runs the shared prefix

@@ -325,7 +325,7 @@ func (r *reduction) memberBlock(dst []byte, gi, mi int, g memsim.SymGroup, sleep
 	for _, a := range g.Rows[mi] {
 		dst = binary.AppendVarint(dst, e.mach.Load(a))
 	}
-	if f := e.frames[p]; f == nil {
+	if f := e.frames.Frame(p); f == nil {
 		dst = append(dst, 0)
 	} else if na, ok := f.(memsim.NormAppender); ok {
 		dst = append(dst, 1)
@@ -457,7 +457,7 @@ func (r *reduction) stateKey(sleep uint64) (key [16]byte, merged bool) {
 			b = binary.AppendVarint(b, acc.Arg1)
 			b = binary.AppendVarint(b, acc.Arg2)
 		}
-		b = memsim.AppendKeyFrameState(b, e.frames[p])
+		b = memsim.AppendKeyFrameState(b, e.frames.Frame(p))
 	}
 	if r.rank != nil {
 		for pid := range r.rank {

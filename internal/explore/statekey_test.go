@@ -102,8 +102,9 @@ func TestStateKeyPartitionMatchesLegacy(t *testing.T) {
 
 // TestStateKeyZeroAllocs pins the hot path's allocation discipline: one
 // encode+hash of a steady-state node allocates nothing, and one
-// snapshot/restore cycle on a pooled node allocates nothing, once the
-// engine's scratch buffers and free lists are warm.
+// snapshot/restore cycle on a pooled node allocates nothing, with or
+// without a call ending and the next starting in between, once the
+// engine's scratch buffers, free lists and frame storage are warm.
 func TestStateKeyZeroAllocs(t *testing.T) {
 	cfg := partitionConfig(signal.QueueSignal())
 	e, err := newBengine(cfg)
@@ -136,5 +137,33 @@ func TestStateKeyZeroAllocs(t *testing.T) {
 		e.release(m)
 	}); n != 0 {
 		t.Errorf("save/restore/release cycle allocates %v per run, want 0", n)
+	}
+	// The same cycle across a call boundary: p0 finishes its in-flight
+	// call, the engine settles it and starts p0's next call, then the
+	// node is restored. Call ends and starts recycle frame storage, so
+	// this allocates nothing either.
+	if e.phase[0] != bPending || e.progress[0] >= len(e.scripts[0]) {
+		t.Fatal("warm-up must leave p0 mid-call with a call left to start")
+	}
+	callCycle := func() {
+		m := e.save()
+		for e.phase[0] == bPending {
+			if err := e.apply(choice{pid: 0}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.settleAt(4)
+		if e.phase[0] != bIdle {
+			t.Fatal("p0's call did not complete")
+		}
+		if err := e.apply(choice{pid: 0, start: true}, 0); err != nil {
+			t.Fatal(err)
+		}
+		e.restore(m)
+		e.release(m)
+	}
+	callCycle()
+	if n := testing.AllocsPerRun(100, callCycle); n != 0 {
+		t.Errorf("save/complete/start/restore/release cycle allocates %v per run, want 0", n)
 	}
 }

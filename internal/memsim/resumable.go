@@ -42,6 +42,15 @@ type ResumableInstance interface {
 	// ResumableProgram returns the resumable form of one invocation of the
 	// given procedure by pid. It must issue exactly the same access
 	// sequence as the blocking Program for every schedule.
+	//
+	// On a deployed instance the result must be a pure function of
+	// (pid, kind): every call returns a fresh frame in the same state,
+	// whatever the machine holds and however many frames were minted
+	// before. Per-call state belongs in the frame and shared state in
+	// machine words, never in the instance. The engines rely on this:
+	// they mint one template per (pid, kind) (FrameTemplates) and start
+	// every later call from a copy of it, and they never snapshot the
+	// instance.
 	ResumableProgram(pid PID, kind CallKind) (Resumable, error)
 }
 
@@ -53,8 +62,9 @@ type ResumableCloner interface {
 	CloneResumable() Resumable
 }
 
-// CloneResumable copies a frame so the copy can be resumed independently —
-// the snapshot primitive of the backtracking explorer. Frames implementing
+// CloneResumable copies a frame so the copy can be resumed independently.
+// The engines snapshot through CloneResumableInto (via FrameSet), which
+// falls back to this when it has no storage to reuse. Frames implementing
 // ResumableCloner are copied by their own method; all other frames are
 // pointer-to-struct values and get a shallow struct copy, which is correct
 // for the frame discipline this package prescribes (scalar locals in

@@ -164,7 +164,7 @@ func TestBlockingAndResumableInterleave(t *testing.T) {
 }
 
 // TestCloneResumableIndependence: a cloned frame resumes independently of
-// the original — the snapshot primitive of the backtracking explorer.
+// the original.
 func TestCloneResumableIndependence(t *testing.T) {
 	f := &readFrame{addr: 3}
 	if _, ok := f.Next(Result{}); !ok {

@@ -7,10 +7,11 @@
 //
 // Two modes share one Config/Result surface. Exhaustive mode is a
 // branch-and-bound depth-first search over a single live resumable
-// execution: frames snapshot via memsim.CloneResumable, shared memory
-// rewinds through the machine's undo log, and a per-path cost accumulator
-// (model.ForkableAccumulator) is forked at every tree node so the pricing
-// state backtracks with the schedule. A striped memo table keyed by
+// execution: frames live in a memsim.FrameSet whose storage is recycled
+// across calls and snapshots, shared memory rewinds through the machine's
+// undo log, and a per-path cost accumulator (model.ForkableAccumulator)
+// is forked at every tree node so the pricing state backtracks with the
+// schedule. A striped memo table keyed by
 // canonical (machine state, model state, remaining depth budget) stores
 // each subtree's exact maximal tail cost and lexicographically least
 // witness tail; every later arrival at the pair — whatever cost its

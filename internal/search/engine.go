@@ -13,9 +13,9 @@ import (
 
 // The exhaustive engine keeps one live execution per worker for the whole
 // search, exactly like the explorer's backtracking engine: process state
-// lives in resumable frames snapshotted per tree node with
-// memsim.CloneResumable, and shared memory rewinds through the machine's
-// ApplyLogged/Revert undo log. What search adds is the cost dimension — a
+// lives in resumable frames held in a memsim.FrameSet, copied into each
+// tree node's snapshot and back, and shared memory rewinds through the
+// machine's ApplyLogged/Revert undo log. What search adds is the cost dimension — a
 // model accumulator rides along the current path, is fed every access as
 // it is applied, and is forked into each node snapshot so backtracking
 // rewinds the pricing state too.
@@ -60,7 +60,8 @@ type sengine struct {
 	inst     memsim.ResumableInstance
 	n        int
 	scripts  [][]memsim.CallKind // dense per-pid view of Config.Scripts; nil = unscripted
-	frames   []memsim.Resumable
+	tmpl     *memsim.FrameTemplates
+	frames   memsim.FrameSet
 	phase    []sPhase
 	pending  []memsim.Access
 	rets     []memsim.Value
@@ -121,7 +122,8 @@ func newSengine(cfg Config) (*sengine, error) {
 		inst:     ri,
 		n:        cfg.N,
 		scripts:  denseScripts(cfg.N, cfg.Scripts),
-		frames:   make([]memsim.Resumable, cfg.N),
+		tmpl:     memsim.NewFrameTemplates(ri, cfg.N),
+		frames:   memsim.NewFrameSet(cfg.N),
 		phase:    make([]sPhase, cfg.N),
 		pending:  make([]memsim.Access, cfg.N),
 		rets:     make([]memsim.Value, cfg.N),
@@ -153,11 +155,12 @@ func denseScripts(n int, scripts map[memsim.PID][]memsim.CallKind) [][]memsim.Ca
 // advance feeds prev into pid's frame and records its next scheduling
 // point.
 func (e *sengine) advance(pid memsim.PID, prev memsim.Result) {
-	if acc, ok := e.frames[pid].Next(prev); ok {
+	f := e.frames.Frame(pid)
+	if acc, ok := f.Next(prev); ok {
 		e.pending[pid] = acc
 		e.phase[pid] = sPending
 	} else {
-		e.rets[pid] = e.frames[pid].Return()
+		e.rets[pid] = f.Return()
 		e.phase[pid] = sDone
 	}
 }
@@ -196,7 +199,7 @@ func (e *sengine) settleInto(choices []choice) []choice {
 				e.progress[p] = len(script)
 			}
 			e.phase[p] = sIdle
-			e.frames[p] = nil
+			e.frames.Drop(p)
 		}
 		if e.phase[p] == sPending {
 			choices = append(choices, choice{pid: p})
@@ -244,7 +247,7 @@ func (e *sengine) apply(c choice, idx int) (int, error) {
 		e.undos = e.mach.CrashLogged(p, e.fp.Vol, e.undos)
 		e.progress[p]--
 		e.phase[p] = sIdle
-		e.frames[p] = nil
+		e.frames.Drop(p)
 		e.faultsUsed++
 		e.path = append(e.path, idx)
 		return 0, nil
@@ -269,13 +272,11 @@ func (e *sengine) apply(c choice, idx int) (int, error) {
 	}
 	if c.start {
 		kind := e.scripts[p][e.progress[p]]
-		r, err := e.inst.ResumableProgram(p, kind)
-		if err != nil {
+		if err := e.frames.Start(e.tmpl, p, kind); err != nil {
 			return 0, fmt.Errorf("search: start %v on p%d: %w", kind, p, err)
 		}
 		e.progress[p]++
 		e.kinds[p] = kind
-		e.frames[p] = r
 		e.advance(p, memsim.Result{})
 	} else {
 		res, undo := e.mach.ApplyLogged(p, e.pending[p])
@@ -294,15 +295,15 @@ func (e *sengine) apply(c choice, idx int) (int, error) {
 	return step, nil
 }
 
-// mark is one node's snapshot: cloned frames, the small per-process
+// mark is one node's snapshot: copied frames, the small per-process
 // scheduler arrays, the high-water mark of the undo log, and the forked
 // pricing state. Marks come from the engine's free list: save pops (or
 // allocates) one and copies the engine state into its arrays, release
-// pushes it back, and the retained frame clones and accumulator become
+// pushes it back, and the retained frame storage and accumulator become
 // the copy targets of the next save of the slot — so the steady-state
 // save/restore/release cycle allocates nothing.
 type mark struct {
-	frames   []memsim.Resumable
+	frames   memsim.FrameSet
 	phase    []sPhase
 	pending  []memsim.Access
 	rets     []memsim.Value
@@ -337,7 +338,7 @@ func (e *sengine) save() *mark {
 	} else {
 		e.poolMisses++
 		m = &mark{
-			frames:   make([]memsim.Resumable, e.n),
+			frames:   memsim.NewFrameSet(e.n),
 			phase:    make([]sPhase, e.n),
 			pending:  make([]memsim.Access, e.n),
 			rets:     make([]memsim.Value, e.n),
@@ -355,16 +356,12 @@ func (e *sengine) save() *mark {
 	m.acc = forkAcc(e.acc, m.acc)
 	m.cost = e.cost
 	m.faultsUsed = e.faultsUsed
-	// Mark-owned frames never alias engine-owned frames: CloneResumableInto
-	// copies content into the mark's retained clone (or makes a fresh one).
-	for i, f := range e.frames {
-		m.frames[i] = memsim.CloneResumableInto(m.frames[i], f)
-	}
+	m.frames.CopyFrom(&e.frames)
 	return m
 }
 
 // release returns a mark to the engine's free list once no sibling will
-// restore from it again; its frame clones and accumulator are the reuse
+// restore from it again; its frame storage and accumulator are the reuse
 // targets of the next save.
 func (e *sengine) release(m *mark) {
 	e.markPool = append(e.markPool, m)
@@ -380,9 +377,7 @@ func (e *sengine) restore(m *mark) {
 		e.mach.Revert(e.undos[i])
 	}
 	e.undos = e.undos[:m.undos]
-	for i := range m.frames {
-		e.frames[i] = memsim.CloneResumableInto(e.frames[i], m.frames[i])
-	}
+	e.frames.CopyFrom(&m.frames)
 	copy(e.phase, m.phase)
 	copy(e.pending, m.pending)
 	copy(e.rets, m.rets)
@@ -436,7 +431,7 @@ func (e *sengine) stateKey() [16]byte {
 			b = binary.AppendVarint(b, acc.Arg1)
 			b = binary.AppendVarint(b, acc.Arg2)
 		}
-		b = memsim.AppendKeyFrameState(b, e.frames[p])
+		b = memsim.AppendKeyFrameState(b, e.frames.Frame(p))
 	}
 	if app, ok := e.acc.(model.ModelStateAppender); ok {
 		b = app.AppendModelState(b)
@@ -479,7 +474,7 @@ func (e *sengine) stateKeyLegacy() [16]byte {
 			acc := e.pending[p]
 			fmt.Fprintf(h, "a%d,%d,%d,%d;", acc.Op, acc.Addr, acc.Arg1, acc.Arg2)
 		}
-		if f := e.frames[p]; f != nil {
+		if f := e.frames.Frame(p); f != nil {
 			io.WriteString(h, "f")
 			memsim.EncodeFrameState(h, f)
 			io.WriteString(h, ";")

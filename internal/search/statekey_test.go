@@ -102,7 +102,8 @@ func TestSearchStateKeyPartitionMatchesLegacy(t *testing.T) {
 // discipline once scratch and pools are warm: one encode+hash of a
 // steady-state node, and one snapshot/restore cycle (including the
 // accumulator fork, which recycles the discarded fork's backing arrays),
-// both allocate nothing.
+// with or without a call ending and the next starting in between, all
+// allocate nothing.
 func TestSearchStateKeyZeroAllocs(t *testing.T) {
 	for _, m := range []model.Scorer{model.ModelDSM, model.ModelCC, model.ModelCCWriteBack} {
 		t.Run(m.Name(), func(t *testing.T) {
@@ -134,6 +135,33 @@ func TestSearchStateKeyZeroAllocs(t *testing.T) {
 				e.release(mk)
 			}); n != 0 {
 				t.Errorf("save/restore/release cycle allocates %v per run, want 0", n)
+			}
+			// Across a call boundary: p0 finishes its in-flight call (each
+			// step priced by the accumulator), the engine settles it and
+			// starts p0's next call, then the node is restored.
+			if e.phase[0] != sPending || e.progress[0] >= len(e.scripts[0]) {
+				t.Fatal("warm-up must leave p0 mid-call with a call left to start")
+			}
+			callCycle := func() {
+				mk := e.save()
+				for e.phase[0] == sPending {
+					if _, err := e.apply(choice{pid: 0}, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				e.settleAt(4)
+				if e.phase[0] != sIdle {
+					t.Fatal("p0's call did not complete")
+				}
+				if _, err := e.apply(choice{pid: 0, start: true}, 0); err != nil {
+					t.Fatal(err)
+				}
+				e.restore(mk)
+				e.release(mk)
+			}
+			callCycle()
+			if n := testing.AllocsPerRun(100, callCycle); n != 0 {
+				t.Errorf("save/complete/start/restore/release cycle allocates %v per run, want 0", n)
 			}
 		})
 	}

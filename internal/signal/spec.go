@@ -25,35 +25,57 @@ func (v SpecViolation) Error() string {
 
 // SpecChecker verifies Specification 4.1 incrementally: feed it every
 // trace event in order (it is a natural memsim.EventSink) and Violations
-// returns the breaches found so far. Its state is O(number of processes
-// with an open call), so checking does not require retaining the trace.
+// returns the breaches found so far. Its state is O(number of processes),
+// so checking does not require retaining the trace.
 type SpecChecker struct {
-	firstSignalStart int                // Seq of earliest Signal EvCallStart, -1 if none
-	firstSignalEnd   int                // Seq of earliest Signal EvCallEnd, -1 if none
-	open             map[memsim.PID]int // start Seq of each open call
-	out              []SpecViolation
+	firstSignalStart int // Seq of earliest Signal EvCallStart, -1 if none
+	firstSignalEnd   int // Seq of earliest Signal EvCallEnd, -1 if none
+	// The start Seq of each process's open call, indexed by PID: the
+	// first len(inline) processes inline, the rest in more. A process
+	// with no open call reads 0, which is also what a call end without a
+	// start reads. Processes are numbered from 0; a negative PID never
+	// has an open call.
+	inline [8]int
+	more   []int
+	out    []SpecViolation
 }
 
 // NewSpecChecker returns a checker that has observed no events.
 func NewSpecChecker() *SpecChecker {
-	return &SpecChecker{
-		firstSignalStart: -1,
-		firstSignalEnd:   -1,
-		open:             make(map[memsim.PID]int),
+	return &SpecChecker{firstSignalStart: -1, firstSignalEnd: -1}
+}
+
+// openEntry returns p's entry in the open-call table, growing the table
+// to cover p; nil for a negative PID.
+func (c *SpecChecker) openEntry(p memsim.PID) *int {
+	switch {
+	case p < 0:
+		return nil
+	case int(p) < len(c.inline):
+		return &c.inline[p]
 	}
+	i := int(p) - len(c.inline)
+	if i >= len(c.more) {
+		c.more = append(c.more, make([]int, i+1-len(c.more))...)
+	}
+	return &c.more[i]
 }
 
 // Observe folds one event into the checker.
 func (c *SpecChecker) Observe(ev memsim.Event) {
 	switch ev.Kind {
 	case memsim.EvCallStart:
-		c.open[ev.PID] = ev.Seq
+		if e := c.openEntry(ev.PID); e != nil {
+			*e = ev.Seq
+		}
 		if ev.Proc == "Signal" && c.firstSignalStart < 0 {
 			c.firstSignalStart = ev.Seq
 		}
 	case memsim.EvCallEnd:
-		startSeq := c.open[ev.PID]
-		delete(c.open, ev.PID)
+		startSeq := 0
+		if e := c.openEntry(ev.PID); e != nil {
+			startSeq, *e = *e, 0
+		}
 		switch ev.Proc {
 		case "Signal":
 			if c.firstSignalEnd < 0 {
@@ -86,7 +108,9 @@ func (c *SpecChecker) Observe(ev memsim.Event) {
 	case memsim.EvCrash:
 		// A crashed call never returns, so it answers to no clause of the
 		// specification; the restarted attempt opens a fresh call.
-		delete(c.open, ev.PID)
+		if e := c.openEntry(ev.PID); e != nil {
+			*e = 0
+		}
 	}
 }
 
@@ -106,7 +130,7 @@ func (c *SpecChecker) Violations() []SpecViolation { return c.out }
 // violations found; nil means the trace satisfies the specification.
 // It is the batch form of SpecChecker.
 func CheckSpec(events []memsim.Event) []SpecViolation {
-	c := NewSpecChecker()
+	c := SpecChecker{firstSignalStart: -1, firstSignalEnd: -1}
 	for _, ev := range events {
 		c.Observe(ev)
 	}
