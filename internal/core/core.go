@@ -302,9 +302,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// advance collects completed calls and starts new ones; it returns
-	// the set of processes with a pending access.
+	// the set of processes with a pending access, in a buffer reused
+	// across steps.
+	ready := make([]memsim.PID, 0, cfg.N)
 	advance := func() ([]memsim.PID, error) {
-		var ready []memsim.PID
+		ready = ready[:0]
 		for pid := 0; pid < cfg.N; pid++ {
 			p := memsim.PID(pid)
 			if err := harvest(p); err != nil {

@@ -41,9 +41,14 @@ const (
 // live execution positioned at its end, and the Par/Fin/Act bookkeeping of
 // Definition 6.3.
 type builder struct {
-	cfg      Config
-	n        int
-	exec     *memsim.Execution
+	cfg  Config
+	n    int
+	exec *memsim.Execution
+	// spare is a second deployment that erase rewinds and replays onto;
+	// the two executions then trade places. Nil until the first erasure.
+	spare *memsim.Execution
+	// erasing marks, by PID, the victims of the erasure in progress.
+	erasing  []bool
 	active   map[memsim.PID]bool
 	finished map[memsim.PID]bool
 	stable   map[memsim.PID]bool
@@ -67,6 +72,7 @@ func newBuilder(cfg Config) (*builder, error) {
 		cfg:      cfg,
 		n:        cfg.N,
 		exec:     exec,
+		erasing:  make([]bool, cfg.N),
 		active:   make(map[memsim.PID]bool, cfg.N),
 		finished: make(map[memsim.PID]bool),
 		stable:   make(map[memsim.PID]bool),
@@ -85,6 +91,9 @@ func newBuilder(cfg Config) (*builder, error) {
 func (b *builder) close() {
 	if b.exec != nil {
 		b.exec.Close()
+	}
+	if b.spare != nil {
+		b.spare.Close()
 	}
 }
 
@@ -130,82 +139,87 @@ func (b *builder) participants() map[memsim.PID]bool {
 	return parts
 }
 
-// accessSignature extracts one process's access subsequence (ops, addresses
-// and results) for erasure verification.
-func accessSignature(events []memsim.Event, pid memsim.PID) []memsim.Event {
-	var out []memsim.Event
-	for _, ev := range events {
-		if ev.PID == pid && ev.Kind == memsim.EvAccess {
-			ev.Seq = 0 // sequence numbers legitimately shift
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
 // erase removes every process in victims from the history (Lemma 6.7): it
-// filters their actions from the schedule and replays the remainder. When
-// VerifyErasures is set, it asserts that each survivor's access sequence is
-// unchanged — the runtime check that nobody had seen the victims.
+// rewinds the spare execution to its deployment state, re-applies the
+// live schedule without the victims' actions, and makes the result the
+// live execution. When VerifyErasures is set, it asserts that each
+// survivor's access sequence is unchanged — the runtime check that nobody
+// had seen the victims.
 func (b *builder) erase(victims ...memsim.PID) error {
 	if len(victims) == 0 {
 		return nil
 	}
-	set := make(map[memsim.PID]bool, len(victims))
 	for _, v := range victims {
 		if b.finished[v] {
 			return fmt.Errorf("lowerbound: cannot erase finished process %d", v)
 		}
-		set[v] = true
+	}
+	for _, v := range victims {
+		b.erasing[v] = true
 		delete(b.active, v)
 		delete(b.stable, v)
 		delete(b.zeroRuns, v)
 	}
-	oldEvents := b.exec.Events()
-	actions := memsim.FilterActions(b.exec.Actions(), set)
-	replayed, err := memsim.Replay(b.cfg.Algorithm.New, b.n, actions)
-	if err != nil {
-		return fmt.Errorf("erase replay: %w", err)
+	defer func() {
+		for _, v := range victims {
+			b.erasing[v] = false
+		}
+	}()
+	if b.spare == nil {
+		spare, err := b.cfg.Algorithm.Deploy(b.n)
+		if err != nil {
+			return fmt.Errorf("erase replay: %w", err)
+		}
+		b.spare = spare
+	} else {
+		b.spare.Reset()
 	}
-	if b.cfg.VerifyErasures {
-		newEvents := replayed.Events()
-		for p := range b.participantsOf(oldEvents) {
-			if set[p] {
-				continue
-			}
-			before := accessSignature(oldEvents, p)
-			after := accessSignature(newEvents, p)
-			if !sameSignature(before, after) {
-				replayed.Close()
-				return fmt.Errorf("lowerbound: erasing %v changed survivor p%d's trace (algorithm saw an erased process)", victims, p)
-			}
+	for i, a := range b.exec.Actions() {
+		if b.erasing[a.PID] {
+			continue
+		}
+		if err := b.spare.Apply(a); err != nil {
+			return fmt.Errorf("erase replay: replay action %d (%v p%d): %w", i, a.Kind, a.PID, err)
 		}
 	}
-	b.exec.Close()
-	b.exec = replayed
+	if b.cfg.VerifyErasures {
+		if p, changed := b.survivorChanged(b.exec.Events(), b.spare.Events()); changed {
+			return fmt.Errorf("lowerbound: erasing %v changed survivor p%d's trace (algorithm saw an erased process)",
+				append([]memsim.PID(nil), victims...), p)
+		}
+	}
+	b.exec, b.spare = b.spare, b.exec
 	return nil
 }
 
-func (b *builder) participantsOf(events []memsim.Event) map[memsim.PID]bool {
-	parts := make(map[memsim.PID]bool)
-	for _, ev := range events {
-		if ev.Kind == memsim.EvAccess {
-			parts[ev.PID] = true
+// survivorChanged compares the history before an erasure with its replay
+// and reports the first survivor whose accesses (ops, addresses, results,
+// call numbers) differ. Every action emits exactly one event, so the
+// replay's events pair up in order with the old events of the survivors;
+// only sequence numbers legitimately shift.
+func (b *builder) survivorChanged(before, after []memsim.Event) (memsim.PID, bool) {
+	j := 0
+	for _, old := range before {
+		if b.erasing[old.PID] {
+			continue
+		}
+		if j == len(after) {
+			return old.PID, true
+		}
+		ev := after[j]
+		j++
+		if old.Kind != ev.Kind || old.PID != ev.PID {
+			return old.PID, true
+		}
+		if old.Kind == memsim.EvAccess &&
+			(old.Acc != ev.Acc || old.Res != ev.Res || old.CallSeq != ev.CallSeq) {
+			return old.PID, true
 		}
 	}
-	return parts
-}
-
-func sameSignature(a, b []memsim.Event) bool {
-	if len(a) != len(b) {
-		return false
+	if j < len(after) {
+		return after[j].PID, true
 	}
-	for i := range a {
-		if a[i].Acc != b[i].Acc || a[i].Res != b[i].Res || a[i].CallSeq != b[i].CallSeq {
-			return false
-		}
-	}
-	return true
+	return 0, false
 }
 
 // callHadRemote reports whether call callSeq of process p performed any

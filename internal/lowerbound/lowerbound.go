@@ -21,9 +21,11 @@
 //     break regularity (Definition 6.6) are resolved by erasing an
 //     independent set complement of a conflict graph (Turán's theorem), and
 //     same-variable write pile-ups are resolved by rolling one process
-//     forward. Erasure is literal: the adversary deletes the process's
-//     actions from the schedule and replays the rest, asserting that the
-//     survivors' traces are unchanged (Lemma 6.7).
+//     forward. Erasure is literal: the adversary rewinds a second
+//     deployment of the algorithm to its initial state (memsim
+//     Execution.Reset) and replays the schedule onto it without the
+//     erased processes' actions, asserting that the survivors' traces are
+//     unchanged (Lemma 6.7); the replay then becomes the live history.
 //   - Stability (Definition 6.8) is certified constructively: a Poll call
 //     that performs no remote access and leaves the process's memory module
 //     exactly as it found it is a local fixpoint, so the process will never

@@ -179,10 +179,18 @@ func (c *Controller) Pool() *WorkerPool {
 // state machines go through StartResumable instead and need no goroutine
 // at all.
 func (c *Controller) StartCall(pid PID, name string, prog Program) error {
+	if err := c.checkIdle(pid); err != nil {
+		return err
+	}
+	return c.StartResumable(pid, name, c.Pool().FromBlocking(pid, prog))
+}
+
+// checkIdle returns the error a call start on a busy pid reports.
+func (c *Controller) checkIdle(pid PID) error {
 	if st := &c.procs[pid]; st.phase != phaseIdle {
 		return fmt.Errorf("memsim: process %d already has an active %s call", pid, st.name)
 	}
-	return c.StartResumable(pid, name, c.Pool().FromBlocking(pid, prog))
+	return nil
 }
 
 // StartResumable begins an invocation of the resumable program r (named
@@ -191,10 +199,10 @@ func (c *Controller) StartCall(pid PID, name string, prog Program) error {
 // has an active call. This is the engine's fast path: the frame is
 // dispatched inline on the caller's stack.
 func (c *Controller) StartResumable(pid PID, name string, r Resumable) error {
-	st := &c.procs[pid]
-	if st.phase != phaseIdle {
-		return fmt.Errorf("memsim: process %d already has an active %s call", pid, st.name)
+	if err := c.checkIdle(pid); err != nil {
+		return err
 	}
+	st := &c.procs[pid]
 	st.frame = r
 	st.name = name
 	callSeq := st.calls
@@ -332,8 +340,9 @@ func (c *Controller) StepLostCAS(pid PID) (Event, error) {
 
 // Abort kills pid's active call, if any, without applying its pending
 // access. The process returns to idle; no call-end event is recorded. Abort
-// is a runtime cleanup facility (the logical "erasure" of the lower bound
-// is performed by replaying a filtered schedule instead). A native
+// is a runtime cleanup facility behind Close and Reset (the logical
+// "erasure" of the lower bound rewinds an execution with Reset and
+// re-applies the schedule without the erased processes' actions). A native
 // resumable frame is simply dropped; a blocking adapter additionally
 // unwinds its parked program so the handoff goroutine re-pools.
 func (c *Controller) Abort(pid PID) {
@@ -350,6 +359,21 @@ func (c *Controller) Abort(pid PID) {
 	// re-pooled itself after delivering the return value.
 	st.phase = phaseIdle
 	st.frame = nil
+}
+
+// Reset rewinds the controller to its state before the first call: every
+// active call is aborted (blocking adapters re-pool), every process is idle
+// with no calls started, and the trace is empty with sequence numbers
+// restarting at 0. Event storage and the worker pool are kept for the
+// rewound run, as are attached sinks and the retention setting; slices
+// Events returned before the reset are overwritten by later events.
+func (c *Controller) Reset() {
+	for pid := range c.procs {
+		c.Abort(PID(pid))
+	}
+	clear(c.procs)
+	c.events = c.events[:0]
+	c.seq = 0
 }
 
 // Close aborts all active calls and terminates the blocking-adapter worker

@@ -65,6 +65,13 @@ type Action struct {
 // Implementations must be deterministic and must allocate their variables
 // in a deterministic order so that executions can be replayed on a fresh
 // machine.
+//
+// An instance holds nothing but what deployment fixed: the addresses of
+// its shared variables and constants such as n. Every call's state lives
+// in its program (or frame) and all shared state in machine words, never
+// in the instance. That is what lets Execution.Reset keep the instance
+// when it rewinds the machine: the rewound run sees the same instance a
+// fresh deployment would have built.
 type Instance interface {
 	// Program returns the body of one invocation of the given procedure
 	// by pid. It returns an error if the procedure is not supported
@@ -77,13 +84,18 @@ type Instance interface {
 type Factory func(m *Machine, n int) (Instance, error)
 
 // Execution binds a machine, controller and instance and keeps the action
-// log that makes the run replayable.
+// log that makes the run replayable. Resumable calls start from a cached
+// (pid, kind) template copied into per-process storage that outlives the
+// call, so a long run (or a run rewound with Reset and re-applied) mints
+// frames once per (pid, kind) rather than once per call.
 type Execution struct {
 	mach     *Machine
 	ctl      *Controller
 	inst     Instance
 	n        int
 	actions  []Action
+	tmpl     *FrameTemplates // nil until the first resumable start
+	frames   FrameSet
 	blocking bool // force the blocking engine tier (A/B comparisons)
 }
 
@@ -100,6 +112,22 @@ func NewExecution(factory Factory, n int) (*Execution, error) {
 		inst: inst,
 		n:    n,
 	}, nil
+}
+
+// Reset rewinds the execution to its deployment state, as if the instance
+// had just been deployed: the machine's words hold their initial values,
+// every call is aborted, and the trace and action log are empty. The
+// deployed instance, its frame templates and all storage are kept, which
+// is sound because an instance holds only deployment data (see Instance).
+// Replaying a schedule onto a reset execution produces exactly the trace
+// Replay produces on a fresh deployment.
+func (e *Execution) Reset() {
+	e.ctl.Reset()
+	e.mach.Reset()
+	e.actions = e.actions[:0]
+	for p := range e.frames.live {
+		e.frames.Drop(PID(p))
+	}
 }
 
 // N returns the number of processes.
@@ -123,12 +151,10 @@ func (e *Execution) Attach(s EventSink) { e.ctl.Attach(s) }
 // unaffected.
 func (e *Execution) RetainEvents(keep bool) { e.ctl.RetainEvents(keep) }
 
-// Actions returns a copy of the schedule performed so far.
-func (e *Execution) Actions() []Action {
-	out := make([]Action, len(e.actions))
-	copy(out, e.actions)
-	return out
-}
+// Actions returns the schedule performed so far. The returned slice
+// aliases the execution's log: callers must not modify it, and Reset
+// overwrites it.
+func (e *Execution) Actions() []Action { return e.actions }
 
 // Idle reports whether pid has no active call.
 func (e *Execution) Idle(pid PID) bool { return e.ctl.Idle(pid) }
@@ -150,12 +176,19 @@ func (e *Execution) CallEnded(pid PID) (Value, bool) { return e.ctl.CallEnded(pi
 func (e *Execution) ForceBlocking(force bool) { e.blocking = force }
 
 // Start begins a call of the given kind on pid. Instances that provide a
-// native resumable form of the procedure run it inline (no goroutine); all
-// others run their blocking Program through the pooled adapter.
+// native resumable form of the procedure run it inline (no goroutine),
+// starting from a copy of the (pid, kind) template in pid's retained frame
+// storage; all others run their blocking Program through the pooled
+// adapter.
 func (e *Execution) Start(pid PID, kind CallKind) error {
-	if ri, ok := e.inst.(ResumableInstance); ok && !e.blocking {
-		if r, err := ri.ResumableProgram(pid, kind); err == nil {
-			if err := e.ctl.StartResumable(pid, kind.String(), r); err != nil {
+	if !e.blocking && e.resumable() {
+		// pid's storage holds its in-flight frame while it is busy: refuse
+		// before the template copy would overwrite it.
+		if err := e.ctl.checkIdle(pid); err != nil {
+			return err
+		}
+		if err := e.frames.Start(e.tmpl, pid, kind); err == nil {
+			if err := e.ctl.StartResumable(pid, kind.String(), e.frames.Frame(pid)); err != nil {
 				return err
 			}
 			e.actions = append(e.actions, Action{Kind: ActStart, PID: pid, Call: kind})
@@ -192,6 +225,7 @@ func (e *Execution) Crash(pid PID, vol Volatility) (Event, error) {
 	if err != nil {
 		return Event{}, err
 	}
+	e.dropFrame(pid)
 	e.actions = append(e.actions, Action{Kind: ActCrash, PID: pid, Vol: vol})
 	return ev, nil
 }
@@ -213,8 +247,51 @@ func (e *Execution) Finish(pid PID) (Value, error) {
 	if err != nil {
 		return 0, err
 	}
+	e.dropFrame(pid)
 	e.actions = append(e.actions, Action{Kind: ActFinish, PID: pid})
 	return ret, nil
+}
+
+// resumable reports whether the instance provides resumable programs,
+// setting up the frame templates and slots on first use.
+func (e *Execution) resumable() bool {
+	if e.tmpl == nil {
+		ri, ok := e.inst.(ResumableInstance)
+		if !ok {
+			return false
+		}
+		e.tmpl = NewFrameTemplates(ri, e.n)
+		e.frames = NewFrameSet(e.n)
+	}
+	return true
+}
+
+// dropFrame idles pid's frame slot after its call ended or crashed; the
+// storage waits for pid's next start.
+func (e *Execution) dropFrame(pid PID) {
+	if e.tmpl != nil {
+		e.frames.Drop(pid)
+	}
+}
+
+// Apply performs one recorded scheduling decision.
+func (e *Execution) Apply(a Action) error {
+	var err error
+	switch a.Kind {
+	case ActStart:
+		err = e.Start(a.PID, a.Call)
+	case ActStep:
+		_, err = e.Step(a.PID)
+	case ActFinish:
+		_, err = e.Finish(a.PID)
+	case ActCrash:
+		_, err = e.Crash(a.PID, a.Vol)
+	case ActLostCAS:
+		_, err = e.StepLostCAS(a.PID)
+	default:
+		err = fmt.Errorf("unknown action kind %d", a.Kind)
+	}
+	return err
 }
 
 // RunCall drives pid's current call to completion (applying every pending
@@ -258,39 +335,10 @@ func Replay(factory Factory, n int, actions []Action) (*Execution, error) {
 		return nil, err
 	}
 	for i, a := range actions {
-		switch a.Kind {
-		case ActStart:
-			err = e.Start(a.PID, a.Call)
-		case ActStep:
-			_, err = e.Step(a.PID)
-		case ActFinish:
-			_, err = e.Finish(a.PID)
-		case ActCrash:
-			_, err = e.Crash(a.PID, a.Vol)
-		case ActLostCAS:
-			_, err = e.StepLostCAS(a.PID)
-		default:
-			err = fmt.Errorf("unknown action kind %d", a.Kind)
-		}
-		if err != nil {
+		if err := e.Apply(a); err != nil {
 			e.Close()
 			return nil, fmt.Errorf("replay action %d (%v p%d): %w", i, a.Kind, a.PID, err)
 		}
 	}
 	return e, nil
-}
-
-// FilterActions returns the subsequence of actions that do not belong to
-// any process in erase. It is the concrete counterpart of "erasing" a
-// process from a history (Lemma 6.7): if no surviving process saw an erased
-// process, replaying the filtered schedule leaves the survivors' behaviour
-// unchanged.
-func FilterActions(actions []Action, erase map[PID]bool) []Action {
-	out := make([]Action, 0, len(actions))
-	for _, a := range actions {
-		if !erase[a.PID] {
-			out = append(out, a)
-		}
-	}
-	return out
 }

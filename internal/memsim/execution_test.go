@@ -111,25 +111,6 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
-func TestFilterActions(t *testing.T) {
-	actions := []Action{
-		{Kind: ActStart, PID: 0, Call: CallPoll},
-		{Kind: ActStart, PID: 1, Call: CallPoll},
-		{Kind: ActStep, PID: 0},
-		{Kind: ActStep, PID: 1},
-		{Kind: ActStep, PID: 0},
-	}
-	got := FilterActions(actions, map[PID]bool{1: true})
-	if len(got) != 3 {
-		t.Fatalf("filtered length = %d, want 3", len(got))
-	}
-	for _, a := range got {
-		if a.PID == 1 {
-			t.Fatal("erased process survived the filter")
-		}
-	}
-}
-
 func TestRunCallBudget(t *testing.T) {
 	factory := func(m *Machine, n int) (Instance, error) {
 		a := m.Alloc(NoOwner, "x", 1, 0)
@@ -153,4 +134,35 @@ func (in spinInstance) Program(pid PID, kind CallKind) (Program, error) {
 		}
 		return 0
 	}, nil
+}
+
+// TestRefusedStartKeepsInFlightFrame: a busy process's retained frame
+// storage holds its in-flight frame, so a Start refused because the
+// process is busy must leave that frame — and the action log — untouched.
+func TestRefusedStartKeepsInFlightFrame(t *testing.T) {
+	e, err := NewExecution(func(m *Machine, n int) (Instance, error) {
+		m.Alloc(NoOwner, "x", 1, 7)
+		return &readInstance{}, nil
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.Start(0, CallPoll); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(0, CallPoll); err == nil {
+		t.Fatal("Start on a busy process succeeded")
+	}
+	if len(e.Actions()) != 1 {
+		t.Fatalf("refused start was logged: %v", e.Actions())
+	}
+	// A template copy over the in-flight frame would rewind it to its
+	// first access; the intact frame completes on this step.
+	if _, err := e.Step(0); err != nil {
+		t.Fatal(err)
+	}
+	if ret, done := e.CallEnded(0); !done || ret != 7 {
+		t.Fatalf("call ended = %v with %d, want the in-flight read to return 7", done, ret)
+	}
 }

@@ -96,6 +96,18 @@ func (m *Machine) Init(a Addr, v Value) {
 	m.words[a].init = v
 }
 
+// Reset rewinds the machine to its deployment state: every word holds its
+// initial value again with no writer history, and no process holds an LL
+// reservation. The address space, module owners and names are kept, so
+// the addresses a deployed instance recorded stay valid.
+func (m *Machine) Reset() {
+	for i := range m.words {
+		init := m.words[i].init
+		m.words[i] = word{val: init, init: init, lastWriter: NoOwner}
+	}
+	clear(m.links)
+}
+
 // Owner returns the module owner of addr (NoOwner for global words).
 func (m *Machine) Owner(a Addr) PID {
 	if int(a) < 0 || int(a) >= len(m.owner) {

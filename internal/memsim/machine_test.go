@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -210,5 +211,37 @@ func TestMachineQuickAgainstModel(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMachineResetMatchesFreshMachine: Reset rewinds every word (value,
+// version, writer history) and every LL reservation to the state a
+// fresh deployment of the same allocations has, and keeps the address
+// space, owners and names.
+func TestMachineResetMatchesFreshMachine(t *testing.T) {
+	deploy := func() (*Machine, Addr) {
+		m := NewMachine(2)
+		a := m.Alloc(0, "a", 2, 3)
+		m.Init(a+1, 9)
+		m.Alloc(1, "b", 1, 0)
+		m.Alloc(NoOwner, "g", 1, Nil)
+		return m, a
+	}
+	m, a := deploy()
+	m.Apply(0, Access{Op: OpWrite, Addr: a, Arg1: 5})
+	m.Apply(1, Access{Op: OpFetchAdd, Addr: a + 2, Arg1: 1})
+	m.Apply(1, Access{Op: OpCAS, Addr: a + 3, Arg1: Nil, Arg2: 1})
+	m.Crash(0, VolOwned)
+	m.Apply(0, Access{Op: OpLL, Addr: a + 1}) // reservation on a never-written word
+	m.Apply(1, Access{Op: OpLL, Addr: a + 3})
+	m.Reset()
+
+	fresh, _ := deploy()
+	if !reflect.DeepEqual(m.words, fresh.words) || !reflect.DeepEqual(m.links, fresh.links) {
+		t.Fatalf("reset machine differs from a fresh one:\nwords %+v\nwant  %+v\nlinks %+v\nwant  %+v",
+			m.words, fresh.words, m.links, fresh.links)
+	}
+	if !reflect.DeepEqual(m.owner, fresh.owner) || !reflect.DeepEqual(m.names, fresh.names) {
+		t.Fatal("reset changed the address space")
 	}
 }

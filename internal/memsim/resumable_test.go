@@ -222,3 +222,40 @@ func TestMachineUndoLog(t *testing.T) {
 		t.Fatalf("after SC: value = %d, want 77", got)
 	}
 }
+
+// TestControllerResetRepoolsBlockingCalls: Reset aborts parked blocking
+// calls so their handoff goroutines re-pool, idles every process with its
+// call count rewound, and restarts the trace at sequence number 0.
+func TestControllerResetRepoolsBlockingCalls(t *testing.T) {
+	base := runtime.NumGoroutine()
+	m := NewMachine(4)
+	a := m.Alloc(NoOwner, "spin", 1, 0)
+	ctl := NewController(m)
+	for round := 0; round < 50; round++ {
+		for pid := 0; pid < 4; pid++ {
+			if err := ctl.StartCall(PID(pid), "spin", spinProgram(a)); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			if _, err := ctl.Step(PID(pid)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ev := ctl.Events()[0]; ev.Seq != 0 || ev.Kind != EvCallStart || ev.CallSeq != 0 {
+			t.Fatalf("round %d: first event after reset = %+v", round, ev)
+		}
+		ctl.Reset()
+		// Aborted workers re-pool (or exit past the pool's capacity of
+		// one per process) asynchronously; parked programs would not.
+		settleGoroutines(t, base+4)
+		for pid := 0; pid < 4; pid++ {
+			if !ctl.Idle(PID(pid)) || ctl.Calls(PID(pid)) != 0 {
+				t.Fatalf("p%d not rewound by reset", pid)
+			}
+		}
+		if len(ctl.Events()) != 0 {
+			t.Fatal("reset kept the trace")
+		}
+	}
+	ctl.Close()
+	settleGoroutines(t, base)
+}

@@ -12,7 +12,8 @@ import (
 )
 
 // Scheduler picks the next process to step among those that are ready.
-// ready is never empty and is sorted by PID.
+// ready is never empty and is sorted by PID. Callers reuse its storage
+// from step to step, so Next must not retain it.
 type Scheduler interface {
 	Next(ready []memsim.PID) memsim.PID
 }
