@@ -51,7 +51,6 @@ import (
 	"repro/internal/errs"
 	"repro/internal/jobspec"
 	"repro/internal/prof"
-	"repro/internal/progress"
 	"repro/internal/search"
 	"repro/internal/telemetry"
 )
@@ -144,9 +143,9 @@ func run(args []string, out, errOut io.Writer) error {
 		return serveShardUnits(cfg, os.Stdin, out)
 	}
 
-	var meter *progress.Meter
+	var meter *telemetry.Meter
 	if *progressEvery > 0 {
-		meter = progress.NewMeter()
+		meter = telemetry.NewMeter()
 		cfg.Meter = meter
 		stop := meter.Start(errOut, *progressEvery)
 		defer stop()

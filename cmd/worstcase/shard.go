@@ -23,8 +23,8 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/errs"
 	"repro/internal/jobspec"
-	"repro/internal/progress"
 	"repro/internal/search"
+	"repro/internal/telemetry"
 )
 
 // The env hooks that let the coordinator re-execute itself as a worker
@@ -80,7 +80,7 @@ type shardOpts struct {
 	resume     bool
 	stopAfter  int
 	interrupt  <-chan struct{}
-	meter      *progress.Meter
+	meter      *telemetry.Meter
 }
 
 // shardWorker is one live worker process and its two JSON streams.

@@ -63,15 +63,15 @@ type Checkpoint struct {
 // reduction change every counter, so the regimes must never resume into
 // each other.
 func Fingerprint(tag string, cfg Config, shardDepth int, dedup, reduce bool) string {
-	engine := EngineBacktrack
+	eng := EngineBacktrack
 	if reduce {
-		engine = EngineBacktrackDedupPOR
+		eng = EngineBacktrackDedupPOR
 	} else if dedup {
-		engine = EngineBacktrackDedup
+		eng = EngineBacktrackDedup
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "explore|%s|n=%d|depth=%d|engine=%s|shard=%d|scripts=",
-		tag, cfg.N, cfg.MaxDepth, engine, shardDepth)
+		tag, cfg.N, cfg.MaxDepth, eng, shardDepth)
 	if cfg.Faults.Enabled() {
 		// Fault configs must never resume into fault-free snapshots (or
 		// vice versa): the marker is appended only when enabled, keeping
@@ -117,7 +117,6 @@ func xdelta(prev xtally, w *searcher) checkpoint.Counters {
 // and check, internal nodes claim (losing arrivals dedup) — except that
 // a won internal node AT depth d becomes a unit instead of recursing.
 func (w *searcher) shallowPass(d int, units *[][]int) error {
-	por := w.red != nil && w.red.por
 	var walk func(depth int, sleep uint64) error
 	walk = func(depth int, sleep uint64) error {
 		if w.s.stop.Load() {
@@ -126,28 +125,22 @@ func (w *searcher) shallowPass(d int, units *[][]int) error {
 		if depth > w.maxDepth {
 			w.maxDepth = depth
 		}
-		choices := w.e.settleAt(depth)
+		choices := w.e.SettleAt(depth)
 		if len(choices) == 0 || depth >= w.s.cfg.MaxDepth {
 			w.paths++
 			if len(choices) != 0 {
 				w.truncated++
 			}
 			if err := w.s.cfg.Check(w.e.events); err != nil {
-				w.s.recordFailure(w.e.path, w.e.desc, err)
+				w.s.recordFailure(w.e.Path(), w.e.desc, err)
 				return errStopped
 			}
 			return nil
 		}
 		if w.s.table != nil {
-			var key [16]byte
-			if w.red != nil {
-				var permuted bool
-				key, permuted = w.red.stateKey(sleep)
-				if permuted {
-					w.symMerges++
-				}
-			} else {
-				key = w.e.stateKey()
+			key, permuted := w.e.Key(w.red, sleep)
+			if permuted {
+				w.symMerges++
 			}
 			if !w.s.table.claim(key, w.s.cfg.MaxDepth-depth) {
 				w.deduped++
@@ -155,36 +148,27 @@ func (w *searcher) shallowPass(d int, units *[][]int) error {
 			}
 		}
 		if depth == d {
-			*units = append(*units, append([]int(nil), w.e.path...))
+			*units = append(*units, append([]int(nil), w.e.Path()...))
 			return nil
 		}
 		var earlier [64]uint64
-		if por {
-			w.red.earlierMasks(choices, earlier[:len(choices)])
-		}
-		m := w.e.save()
+		w.red.EarlierMasks(choices, &earlier)
+		m := w.e.Save()
 		for i, c := range choices {
-			if por && c.fault == memsim.FaultNone && sleep&(1<<uint(c.pid)) != 0 {
+			if w.red.Asleep(c, sleep) {
 				w.stepsSlept++
 				continue
 			}
-			var cAcc memsim.Access
-			if !c.start {
-				cAcc = w.e.pending[c.pid]
-			}
-			if err := w.e.apply(c, i); err != nil {
+			childSleep, err := w.e.Child(w.red, choices, i, sleep, &earlier)
+			if err != nil {
 				return err
-			}
-			var childSleep uint64
-			if por {
-				childSleep = w.red.childSleep(sleep, earlier[i], choices, i, cAcc)
 			}
 			if err := walk(depth+1, childSleep); err != nil {
 				return err
 			}
-			w.e.restore(m)
+			w.e.Restore(m)
 		}
-		w.e.release(m)
+		w.e.Release(m)
 		return nil
 	}
 	return walk(0, 0)
@@ -194,66 +178,35 @@ func (w *searcher) shallowPass(d int, units *[][]int) error {
 // children. The unit root was counted, claimed and (if failing) checked
 // by the shallow pass, so the expansion starts one level below it.
 func (w *searcher) runUnit(t task) error {
-	w.e.restore(w.root)
-	var sleep uint64
-	for step, idx := range t {
-		choices := w.e.settleAt(step)
-		if idx >= len(choices) {
-			return fmt.Errorf("explore: internal: unit choice %d out of range at depth %d", idx, step)
-		}
-		c := choices[idx]
-		var prefEarlier uint64
-		if w.red != nil && w.red.por {
-			// Refresh the canonical ranks at this node (the key bytes are
-			// discarded) so the recomputed sleep matches the shallow pass's.
-			w.red.stateKey(sleep)
-			var masks [64]uint64
-			w.red.earlierMasks(choices, masks[:len(choices)])
-			prefEarlier = masks[idx]
-		}
-		var cAcc memsim.Access
-		if !c.start {
-			cAcc = w.e.pending[c.pid]
-		}
-		if err := w.e.apply(c, idx); err != nil {
-			return err
-		}
-		if w.red != nil {
-			sleep = w.red.sleepRecompute(sleep, prefEarlier, choices, idx, cAcc)
-		}
+	w.e.Restore(w.root)
+	sleep, err := w.e.Descend(w.red, t)
+	if err != nil {
+		return fmt.Errorf("explore: internal: unit %w", err)
 	}
-	por := w.red != nil && w.red.por
-	choices := w.e.settleAt(len(t))
+	choices := w.e.SettleAt(len(t))
 	var earlier [64]uint64
-	if por {
+	if w.red.POR() {
 		// The unit root was claimed by the shallow pass; recompute its key
 		// here only to refresh the canonical ranks for the child loop.
-		w.red.stateKey(sleep)
-		w.red.earlierMasks(choices, earlier[:len(choices)])
+		w.red.StateKey(sleep)
+		w.red.EarlierMasks(choices, &earlier)
 	}
-	m := w.e.save()
+	m := w.e.Save()
 	for i, c := range choices {
-		if por && c.fault == memsim.FaultNone && sleep&(1<<uint(c.pid)) != 0 {
+		if w.red.Asleep(c, sleep) {
 			w.stepsSlept++
 			continue
 		}
-		var cAcc memsim.Access
-		if !c.start {
-			cAcc = w.e.pending[c.pid]
-		}
-		if err := w.e.apply(c, i); err != nil {
+		childSleep, err := w.e.Child(w.red, choices, i, sleep, &earlier)
+		if err != nil {
 			return err
-		}
-		var childSleep uint64
-		if por {
-			childSleep = w.red.childSleep(sleep, earlier[i], choices, i, cAcc)
 		}
 		if err := w.dfs(len(t)+1, childSleep); err != nil {
 			return err
 		}
-		w.e.restore(m)
+		w.e.Restore(m)
 	}
-	w.e.release(m)
+	w.e.Release(m)
 	return nil
 }
 
@@ -264,11 +217,9 @@ func (w *searcher) runUnit(t task) error {
 // checkpoint; EngineReplay is rejected. Interruption (ck.Interrupt or
 // ck.StopAfter) returns an error classified as errs.ClassInterrupt.
 func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
-	if cfg.Factory == nil || cfg.Check == nil {
-		return nil, errors.New("explore: config requires Factory and Check")
-	}
-	if cfg.MaxDepth <= 0 {
-		cfg.MaxDepth = 12
+	cfg, err := normalize(cfg)
+	if err != nil {
+		return nil, err
 	}
 	if ck.Path == "" {
 		return nil, errs.Failure(errs.CodeInvalid, "explore: checkpoint requires a path")
@@ -295,11 +246,11 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 		return nil, errs.Failure(errs.CodeInvalid,
 			"explore: engine "+cfg.Engine.String()+" cannot checkpoint")
 	}
-	engine := EngineBacktrack
+	eng := EngineBacktrack
 	if reduce {
-		engine = EngineBacktrackDedupPOR
+		eng = EngineBacktrackDedupPOR
 	} else if dedup {
-		engine = EngineBacktrackDedup
+		eng = EngineBacktrackDedup
 	}
 	d := ck.ShardDepth
 	if d <= 0 {
@@ -360,7 +311,7 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 
 	finish := func(err error) (*Result, error) {
 		res := &Result{
-			Engine:          engine,
+			Engine:          eng,
 			Workers:         workers,
 			Paths:           counters.Paths,
 			Truncated:       counters.Truncated,
@@ -435,7 +386,7 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 			return nil, err
 		}
 		counters.Add(xdelta(prev, w))
-		em.addTally(0, prevTel, w.telTally(), w.e.undoMax, w.maxDepth)
+		em.addTally(0, prevTel, w.telTally(), w.e.UndoMax(), w.maxDepth)
 	}
 
 	writeSnap := func() error {
@@ -481,7 +432,7 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 			return nil, err
 		}
 		counters.Add(xdelta(prev, w))
-		em.addTally(0, prevTel, w.telTally(), w.e.undoMax, w.maxDepth)
+		em.addTally(0, prevTel, w.telTally(), w.e.UndoMax(), w.maxDepth)
 		unitNs.Observe(0, time.Since(unitStart).Nanoseconds())
 		doneList = append(doneList, uint32(ui))
 		committed++

@@ -20,13 +20,15 @@
 // # Engines
 //
 // Two engines enumerate the schedule tree. The backtracking engine (the
-// default for algorithms with a resumable tier) keeps one execution alive
-// per worker: process state lives in copyable resumable frames (a
-// memsim.FrameSet copies them into each tree node's snapshot, recycling
-// frame storage across calls and snapshots) and shared memory
+// default for algorithms with a resumable tier) runs on the node-expansion
+// core it shares with internal/search (internal/engine), which keeps one
+// execution alive per worker: process state lives in copyable resumable
+// frames (a memsim.FrameSet copies them into each tree node's snapshot,
+// recycling frame storage across calls and snapshots) and shared memory
 // reverts through the machine's undo log (memsim.Machine.ApplyLogged and
 // Revert), so moving between adjacent paths retracts a step instead of
-// replaying the whole prefix. The replay engine re-runs the shared prefix
+// replaying the whole prefix. The explorer's part is a policy on that
+// core: the event log, call numbers and Specification 4.1 monitor bits. The replay engine re-runs the shared prefix
 // for every path (total work ≈ paths × depth) and drives blocking programs
 // on goroutines; it remains both the fallback for algorithms without
 // resumable forms and the reference enumeration the backtracking engine is
@@ -38,7 +40,7 @@
 // 128-bit hash of everything that determines its future: machine word
 // values, will-succeed LL reservations (memsim.Machine.LLState), each
 // scripted process's frame (encoded by content through
-// memsim.EncodeFrameState — heap addresses never enter the key), pending
+// memsim.AppendKeyFrameState — heap addresses never enter the key), pending
 // access, call count and script position, plus the Specification 4.1
 // monitor bits (whether a Signal has begun/completed, and whether each
 // open call began after the first completed Signal — so two states with

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/memsim"
 	"repro/internal/telemetry"
 )
@@ -149,31 +150,6 @@ type Result struct {
 	Workers int
 }
 
-// choice is one scheduling decision: apply pid's pending access, start
-// pid's next scripted call, or — under an enabled FaultPolicy — inject a
-// fault at pid's pending access (crash the process, or apply its CAS and
-// drop the response).
-type choice struct {
-	pid   memsim.PID
-	start bool
-	fault memsim.FaultKind
-}
-
-// String renders the choice compactly: "p0" step, "p1+" call start,
-// "p0!" crash, "p0?" lost CAS.
-func (c choice) String() string {
-	switch c.fault {
-	case memsim.FaultCrash:
-		return fmt.Sprintf("p%d!", c.pid)
-	case memsim.FaultLostCAS:
-		return fmt.Sprintf("p%d?", c.pid)
-	}
-	if c.start {
-		return fmt.Sprintf("p%d+", c.pid)
-	}
-	return fmt.Sprintf("p%d", c.pid)
-}
-
 // Run exhaustively enumerates schedules on the configured engine (see
 // Engine; the default picks backtracking with state dedup whenever the
 // algorithm has a resumable tier). With one worker the traversal is
@@ -182,11 +158,9 @@ func (c choice) String() string {
 // Check outcome is identical, and a reported counterexample is the
 // lexicographically least among the failures found before the abort.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Factory == nil || cfg.Check == nil {
-		return nil, errors.New("explore: config requires Factory and Check")
-	}
-	if cfg.MaxDepth <= 0 {
-		cfg.MaxDepth = 12
+	cfg, err := normalize(cfg)
+	if err != nil {
+		return nil, err
 	}
 	switch cfg.Engine {
 	case EngineReplay:
@@ -206,6 +180,21 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return runReplay(cfg)
 	}
+}
+
+// normalize validates cfg and resolves its defaults, for the plain and
+// checkpointed run paths alike.
+func normalize(cfg Config) (Config, error) {
+	if cfg.Factory == nil || cfg.Check == nil {
+		return cfg, errors.New("explore: config requires Factory and Check")
+	}
+	if err := engine.CheckScripts(cfg.N, cfg.Scripts); err != nil {
+		return cfg, fmt.Errorf("explore: %w", err)
+	}
+	if cfg.MaxDepth <= 0 {
+		cfg.MaxDepth = 12
+	}
+	return cfg, nil
 }
 
 // runReplay is the legacy engine: enumerate schedules by replaying the
@@ -255,13 +244,13 @@ func runReplay(cfg Config) (*Result, error) {
 // first-choice decisions until the workload quiesces or the bound trips.
 // It returns the execution, the choice set observed at each depth (for
 // sibling enumeration), and whether the bound cut the history short.
-func replayPath(cfg Config, path []int) (*memsim.Execution, [][]choice, bool, error) {
+func replayPath(cfg Config, path []int) (*memsim.Execution, [][]engine.Choice, bool, error) {
 	exec, err := memsim.NewExecution(cfg.Factory, cfg.N)
 	if err != nil {
 		return nil, nil, false, err
 	}
 	progress := make(map[memsim.PID]int, len(cfg.Scripts))
-	var choiceSets [][]choice
+	var choiceSets [][]engine.Choice
 	depth, faultsUsed := 0, 0
 	for {
 		choices, err := settle(exec, cfg.Scripts, progress)
@@ -287,27 +276,27 @@ func replayPath(cfg Config, path []int) (*memsim.Execution, [][]choice, bool, er
 		choiceSets = append(choiceSets, choices)
 		c := choices[idx]
 		switch {
-		case c.fault == memsim.FaultCrash:
-			if _, err := exec.Crash(c.pid, cfg.Faults.Vol); err != nil {
+		case c.Fault == memsim.FaultCrash:
+			if _, err := exec.Crash(c.PID, cfg.Faults.Vol); err != nil {
 				exec.Close()
 				return nil, nil, false, err
 			}
-			progress[c.pid]-- // the crashed call restarts from the top
+			progress[c.PID]-- // the crashed call restarts from the top
 			faultsUsed++
-		case c.fault == memsim.FaultLostCAS:
-			if _, err := exec.StepLostCAS(c.pid); err != nil {
+		case c.Fault == memsim.FaultLostCAS:
+			if _, err := exec.StepLostCAS(c.PID); err != nil {
 				exec.Close()
 				return nil, nil, false, err
 			}
 			faultsUsed++
-		case c.start:
-			if err := exec.Start(c.pid, cfg.Scripts[c.pid][progress[c.pid]]); err != nil {
+		case c.Start:
+			if err := exec.Start(c.PID, cfg.Scripts[c.PID][progress[c.PID]]); err != nil {
 				exec.Close()
 				return nil, nil, false, err
 			}
-			progress[c.pid]++
+			progress[c.PID]++
 		default:
-			if _, err := exec.Step(c.pid); err != nil {
+			if _, err := exec.Step(c.PID); err != nil {
 				exec.Close()
 				return nil, nil, false, err
 			}
@@ -322,7 +311,7 @@ func replayPath(cfg Config, path []int) (*memsim.Execution, [][]choice, bool, er
 // policy), one crash choice per process with a pending access and one
 // lost-CAS choice per process whose pending CAS would succeed, in PID
 // order with the crash before the lost CAS.
-func appendFaultChoices(choices []choice, exec *memsim.Execution, fp memsim.FaultPolicy, faultsUsed int) []choice {
+func appendFaultChoices(choices []engine.Choice, exec *memsim.Execution, fp memsim.FaultPolicy, faultsUsed int) []engine.Choice {
 	if !fp.Enabled() || faultsUsed >= fp.Max {
 		return choices
 	}
@@ -333,11 +322,11 @@ func appendFaultChoices(choices []choice, exec *memsim.Execution, fp memsim.Faul
 			continue
 		}
 		if fp.Kinds.Has(memsim.FaultCrash) {
-			choices = append(choices, choice{pid: p, fault: memsim.FaultCrash})
+			choices = append(choices, engine.Choice{PID: p, Fault: memsim.FaultCrash})
 		}
 		if fp.Kinds.Has(memsim.FaultLostCAS) && acc.Op == memsim.OpCAS &&
 			exec.Machine().Load(acc.Addr) == acc.Arg1 {
-			choices = append(choices, choice{pid: p, fault: memsim.FaultLostCAS})
+			choices = append(choices, engine.Choice{PID: p, Fault: memsim.FaultLostCAS})
 		}
 	}
 	return choices
@@ -346,8 +335,8 @@ func appendFaultChoices(choices []choice, exec *memsim.Execution, fp memsim.Faul
 // settle collects completed calls (eagerly, so call-end events get the
 // earliest consistent position) and returns the open scheduling choices in
 // deterministic order: for each process, a pending step or a call start.
-func settle(exec *memsim.Execution, scripts map[memsim.PID][]memsim.CallKind, progress map[memsim.PID]int) ([]choice, error) {
-	var choices []choice
+func settle(exec *memsim.Execution, scripts map[memsim.PID][]memsim.CallKind, progress map[memsim.PID]int) ([]engine.Choice, error) {
+	var choices []engine.Choice
 	for pid := 0; pid < exec.N(); pid++ {
 		p := memsim.PID(pid)
 		script, ok := scripts[p]
@@ -367,11 +356,11 @@ func settle(exec *memsim.Execution, scripts map[memsim.PID][]memsim.CallKind, pr
 			}
 		}
 		if _, ok := exec.Pending(p); ok {
-			choices = append(choices, choice{pid: p})
+			choices = append(choices, engine.Choice{PID: p})
 			continue
 		}
 		if exec.Idle(p) && progress[p] < len(script) {
-			choices = append(choices, choice{pid: p, start: true})
+			choices = append(choices, engine.Choice{PID: p, Start: true})
 		}
 	}
 	return choices, nil
@@ -388,7 +377,7 @@ func lastCallWasPoll(exec *memsim.Execution, p memsim.PID) bool {
 	return false
 }
 
-func describeSchedule(choiceSets [][]choice, path []int) []string {
+func describeSchedule(choiceSets [][]engine.Choice, path []int) []string {
 	var out []string
 	for i := 0; i < len(choiceSets); i++ {
 		idx := 0

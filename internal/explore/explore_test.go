@@ -3,6 +3,8 @@ package explore
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/memsim"
@@ -176,4 +178,35 @@ func TestExhaustiveMultiSignaler(t *testing.T) {
 		t.Fatalf("explore: %v", err)
 	}
 	t.Logf("multi-signaler: %d interleavings, %d truncated", res.Paths, res.Truncated)
+}
+
+// TestRejectsOutOfRangeScriptPID: a script for a process the machine does
+// not have is a configuration error on every engine and on the
+// checkpointed path, named by its PID — never silently dropped.
+func TestRejectsOutOfRangeScriptPID(t *testing.T) {
+	for _, bad := range []memsim.PID{2, -1} {
+		cfg := Config{
+			Factory: signal.Flag().New,
+			N:       2,
+			Scripts: map[memsim.PID][]memsim.CallKind{
+				0:   {memsim.CallPoll},
+				1:   {memsim.CallSignal},
+				bad: {memsim.CallPoll},
+			},
+			MaxDepth: 6,
+			Check:    specCheck,
+		}
+		want := fmt.Sprintf("p%d", bad)
+		for _, eng := range []Engine{EngineAuto, EngineReplay, EngineBacktrack, EngineBacktrackDedup, EngineBacktrackDedupPOR} {
+			cfg.Engine = eng
+			if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%v with a script for %s: err = %v, want an error naming it", eng, want, err)
+			}
+		}
+		cfg.Engine = EngineBacktrackDedup
+		ck := Checkpoint{Path: filepath.Join(t.TempDir(), "run.rpck")}
+		if _, err := RunCheckpointed(cfg, ck); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("checkpointed with a script for %s: err = %v, want an error naming it", want, err)
+		}
+	}
 }

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/errs"
 	"repro/internal/memsim"
 	"repro/internal/signal"
@@ -191,7 +192,7 @@ func FuzzFaultIndependence(f *testing.F) {
 			fp.Vol = memsim.VolOwned
 		}
 		cfg.Faults = fp
-		e, err := newBengine(cfg)
+		e, err := newMonitor(cfg)
 		if err != nil {
 			t.Fatalf("engine: %v", err)
 		}
@@ -200,22 +201,22 @@ func FuzzFaultIndependence(f *testing.F) {
 			walk = walk[:cfg.MaxDepth]
 		}
 		for _, b := range walk {
-			choices := e.settle()
+			choices := e.Settle()
 			if len(choices) == 0 {
 				return
 			}
-			if err := e.apply(choices[int(b)%len(choices)], 0); err != nil {
+			if err := e.Apply(choices[int(b)%len(choices)], 0); err != nil {
 				t.Fatalf("prefix apply: %v", err)
 			}
 		}
-		choices := e.settle()
+		choices := e.Settle()
 		if len(choices) < 2 {
 			return
 		}
-		reapply := func(u choice, after []choice) bool {
+		reapply := func(u engine.Choice, after []engine.Choice) bool {
 			for i, c := range after {
-				if c.pid == u.pid && c.start == u.start && c.fault == u.fault {
-					if err := e.apply(c, i); err != nil {
+				if c.PID == u.PID && c.Start == u.Start && c.Fault == u.Fault {
+					if err := e.Apply(c, i); err != nil {
 						t.Fatalf("second apply: %v", err)
 					}
 					return true
@@ -223,60 +224,60 @@ func FuzzFaultIndependence(f *testing.F) {
 			}
 			return false
 		}
-		node := e.save()
+		node := e.Save()
 		for ci, c := range choices {
 			for _, u := range choices {
-				if u.pid == c.pid && u.fault == c.fault {
+				if u.PID == c.PID && u.Fault == c.Fault {
 					continue
 				}
 				var cAcc memsim.Access
-				if !c.start && c.fault == memsim.FaultNone {
-					cAcc = e.pending[c.pid]
+				if !c.Start && c.Fault == memsim.FaultNone {
+					cAcc = e.Pending(c.PID)
 				}
-				if err := e.apply(c, ci); err != nil {
+				if err := e.Apply(c, ci); err != nil {
 					t.Fatalf("apply c: %v", err)
 				}
-				claimed := e.indepAfterApply(u, c, cAcc)
-				if (u.fault != memsim.FaultNone || c.fault != memsim.FaultNone) && claimed {
+				claimed := e.Independent(u, c, cAcc)
+				if (u.Fault != memsim.FaultNone || c.Fault != memsim.FaultNone) && claimed {
 					t.Fatalf("oracle claimed independence for a fault pair (p%d fault=%v vs p%d fault=%v)",
-						u.pid, u.fault, c.pid, c.fault)
+						u.PID, u.Fault, c.PID, c.Fault)
 				}
 				if !claimed {
-					e.restore(node)
+					e.Restore(node)
 					continue
 				}
-				if !reapply(u, e.settle()) {
+				if !reapply(u, e.Settle()) {
 					t.Fatalf("oracle claimed p%d's choice independent of applying p%d's, but it is no longer enabled",
-						u.pid, c.pid)
+						u.PID, c.PID)
 				}
-				e.settle()
-				keyCU := e.stateKey()
-				e.restore(node)
+				e.Settle()
+				keyCU := e.StateKey()
+				e.Restore(node)
 
 				ui := -1
 				for i, v := range choices {
-					if v.pid == u.pid && v.start == u.start && v.fault == u.fault {
+					if v.PID == u.PID && v.Start == u.Start && v.Fault == u.Fault {
 						ui = i
 						break
 					}
 				}
-				if err := e.apply(choices[ui], ui); err != nil {
+				if err := e.Apply(choices[ui], ui); err != nil {
 					t.Fatalf("apply u: %v", err)
 				}
-				if !reapply(c, e.settle()) {
-					t.Fatalf("p%d's choice vanished after applying independent p%d's", c.pid, u.pid)
+				if !reapply(c, e.Settle()) {
+					t.Fatalf("p%d's choice vanished after applying independent p%d's", c.PID, u.PID)
 				}
-				e.settle()
-				keyUC := e.stateKey()
-				e.restore(node)
+				e.Settle()
+				keyUC := e.StateKey()
+				e.Restore(node)
 
 				if keyCU != keyUC {
 					t.Fatalf("oracle claimed p%d (start=%v) and p%d (start=%v) commute, but the two orders reach different canonical states",
-						c.pid, c.start, u.pid, u.start)
+						c.PID, c.Start, u.PID, u.Start)
 				}
 			}
 		}
-		e.release(node)
+		e.Release(node)
 	})
 }
 

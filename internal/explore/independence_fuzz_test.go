@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/memsim"
 )
 
@@ -36,7 +37,7 @@ func FuzzIndependence(f *testing.F) {
 			return
 		}
 		cfg := cfgs[names[int(data[0])%len(names)]]
-		e, err := newBengine(cfg)
+		e, err := newMonitor(cfg)
 		if err != nil {
 			t.Fatalf("engine: %v", err)
 		}
@@ -48,24 +49,24 @@ func FuzzIndependence(f *testing.F) {
 			walk = walk[:cfg.MaxDepth]
 		}
 		for _, b := range walk {
-			choices := e.settle()
+			choices := e.Settle()
 			if len(choices) == 0 {
 				return
 			}
-			if err := e.apply(choices[int(b)%len(choices)], 0); err != nil {
+			if err := e.Apply(choices[int(b)%len(choices)], 0); err != nil {
 				t.Fatalf("prefix apply: %v", err)
 			}
 		}
-		choices := e.settle()
+		choices := e.Settle()
 		if len(choices) < 2 {
 			return
 		}
 		// reapply finds u's position in the settled child and applies it,
 		// failing the test if the oracle-claimed-independent u vanished.
-		reapply := func(u choice, after []choice) bool {
+		reapply := func(u engine.Choice, after []engine.Choice) bool {
 			for i, c := range after {
-				if c.pid == u.pid && c.start == u.start {
-					if err := e.apply(c, i); err != nil {
+				if c.PID == u.PID && c.Start == u.Start {
+					if err := e.Apply(c, i); err != nil {
 						t.Fatalf("second apply: %v", err)
 					}
 					return true
@@ -73,54 +74,54 @@ func FuzzIndependence(f *testing.F) {
 			}
 			return false
 		}
-		node := e.save()
+		node := e.Save()
 		for ci, c := range choices {
 			for _, u := range choices {
-				if u.pid == c.pid {
+				if u.PID == c.PID {
 					continue
 				}
 				var cAcc memsim.Access
-				if !c.start {
-					cAcc = e.pending[c.pid]
+				if !c.Start {
+					cAcc = e.Pending(c.PID)
 				}
-				if err := e.apply(c, ci); err != nil {
+				if err := e.Apply(c, ci); err != nil {
 					t.Fatalf("apply c: %v", err)
 				}
-				if !e.indepAfterApply(u, c, cAcc) {
-					e.restore(node)
+				if !e.Independent(u, c, cAcc) {
+					e.Restore(node)
 					continue
 				}
-				if !reapply(u, e.settle()) {
+				if !reapply(u, e.Settle()) {
 					t.Fatalf("oracle claimed p%d's choice independent of applying p%d's, but it is no longer enabled",
-						u.pid, c.pid)
+						u.PID, c.PID)
 				}
-				e.settle()
-				keyCU := e.stateKey()
-				e.restore(node)
+				e.Settle()
+				keyCU := e.StateKey()
+				e.Restore(node)
 
 				ui := -1
 				for i, v := range choices {
-					if v.pid == u.pid && v.start == u.start {
+					if v.PID == u.PID && v.Start == u.Start {
 						ui = i
 						break
 					}
 				}
-				if err := e.apply(choices[ui], ui); err != nil {
+				if err := e.Apply(choices[ui], ui); err != nil {
 					t.Fatalf("apply u: %v", err)
 				}
-				if !reapply(c, e.settle()) {
-					t.Fatalf("p%d's choice vanished after applying independent p%d's", c.pid, u.pid)
+				if !reapply(c, e.Settle()) {
+					t.Fatalf("p%d's choice vanished after applying independent p%d's", c.PID, u.PID)
 				}
-				e.settle()
-				keyUC := e.stateKey()
-				e.restore(node)
+				e.Settle()
+				keyUC := e.StateKey()
+				e.Restore(node)
 
 				if keyCU != keyUC {
 					t.Fatalf("oracle claimed p%d (start=%v) and p%d (start=%v) commute, but the two orders reach different canonical states",
-						c.pid, c.start, u.pid, u.start)
+						c.PID, c.Start, u.PID, u.Start)
 				}
 			}
 		}
-		e.release(node)
+		e.Release(node)
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/engine"
 	"repro/internal/memsim"
 	"repro/internal/worksteal"
 )
@@ -14,7 +15,7 @@ import (
 // Parallel sharded exploration. The schedule tree is embarrassingly
 // parallel at the prefix level: any node is reachable from the root by its
 // choice-index sequence alone, so a subtree can be handed to another
-// worker as a bare []int. Each worker owns a private bengine (its own
+// worker as a bare []int. Each worker owns a private monitor (its own
 // machine, instance, frame snapshots and undo log — nothing mutable is
 // shared between executions) and drives the same backtracking DFS the
 // sequential engine runs. Work distribution is the shared work-stealing
@@ -108,9 +109,9 @@ func lexLess(a, b []int) bool {
 type searcher struct {
 	s    *search
 	id   int
-	e    *bengine
-	red  *reduction // nil unless the search reduces
-	root *mark      // pristine initial state, for resetting between tasks
+	e    *monitor
+	red  *engine.Reduction // nil unless the search reduces
+	root *engine.Mark      // pristine initial state, for resetting between tasks
 
 	paths      int
 	truncated  int
@@ -127,13 +128,13 @@ type searcher struct {
 }
 
 func newSearcher(s *search, id int) (*searcher, error) {
-	e, err := newBengine(s.cfg)
+	e, err := newMonitor(s.cfg)
 	if err != nil {
 		return nil, err
 	}
-	w := &searcher{s: s, id: id, e: e, root: e.save()}
+	w := &searcher{s: s, id: id, e: e, root: e.Save()}
 	if s.reduce {
-		w.red = newReduction(e)
+		w.red = engine.NewReduction(e.Core, true, true)
 	}
 	return w, nil
 }
@@ -144,35 +145,12 @@ func newSearcher(s *search, id int) (*searcher, error) {
 // claimed, split) by the worker that produced the task, so it touches no
 // counters and no claims.
 func (w *searcher) runTask(t task) error {
-	w.e.restore(w.root)
-	var sleep uint64
-	for step, idx := range t {
-		choices := w.e.settleAt(step)
-		if idx >= len(choices) {
-			return fmt.Errorf("explore: internal: task choice %d out of range at depth %d", idx, step)
-		}
-		c := choices[idx]
-		var earlier uint64
-		if w.red != nil && w.red.por {
-			// Refresh the canonical ranks at this node (the key bytes are
-			// discarded) so the recomputed sleep matches the producer's.
-			w.red.stateKey(sleep)
-			var masks [64]uint64
-			w.red.earlierMasks(choices, masks[:len(choices)])
-			earlier = masks[idx]
-		}
-		var cAcc memsim.Access
-		if !c.start {
-			cAcc = w.e.pending[c.pid]
-		}
-		if err := w.e.apply(c, idx); err != nil {
-			return err
-		}
-		if w.red != nil {
-			sleep = w.red.sleepRecompute(sleep, earlier, choices, idx, cAcc)
-		}
+	w.e.Restore(w.root)
+	sleep, err := w.e.Descend(w.red, t)
+	if err != nil {
+		return fmt.Errorf("explore: internal: task %w", err)
 	}
-	err := w.dfs(len(t), sleep)
+	err = w.dfs(len(t), sleep)
 	if w.s.em != nil {
 		w.ticks = 0
 		w.flushTelemetry()
@@ -202,41 +180,32 @@ func (w *searcher) dfs(depth int, sleep uint64) error {
 	if depth > w.maxDepth {
 		w.maxDepth = depth
 	}
-	choices := w.e.settleAt(depth)
+	choices := w.e.SettleAt(depth)
 	if len(choices) == 0 || depth >= w.s.cfg.MaxDepth {
 		w.paths++
 		if len(choices) != 0 {
 			w.truncated++
 		}
 		if err := w.s.cfg.Check(w.e.events); err != nil {
-			w.s.recordFailure(w.e.path, w.e.desc, err)
+			w.s.recordFailure(w.e.Path(), w.e.desc, err)
 			return errStopped
 		}
 		return nil
 	}
 	if w.s.table != nil {
-		var key [16]byte
-		if w.red != nil {
-			var permuted bool
-			key, permuted = w.red.stateKey(sleep)
-			if permuted {
-				w.symMerges++
-			}
-		} else {
-			key = w.e.stateKey()
+		key, permuted := w.e.Key(w.red, sleep)
+		if permuted {
+			w.symMerges++
 		}
 		if !w.s.table.claim(key, w.s.cfg.MaxDepth-depth) {
 			w.deduped++
 			return nil
 		}
 	}
-	por := w.red != nil && w.red.por
-	// The canonical ranks stateKey just computed are captured per node:
+	// The canonical ranks the key just computed are captured per node:
 	// child recursions overwrite the shared rank scratch.
 	var earlier [64]uint64
-	if por {
-		w.red.earlierMasks(choices, earlier[:len(choices)])
-	}
+	w.red.EarlierMasks(choices, &earlier)
 	// Split only internal nodes whose children are not forced leaves (a
 	// leaf task would replay the whole path to do one check) and only
 	// while the frontier is starving.
@@ -245,46 +214,38 @@ func (w *searcher) dfs(depth int, sleep uint64) error {
 	// mark and leaves the engine exactly at this node's post-settle
 	// state, so the mark stays pristine across iterations. The mark
 	// returns to the engine's free list once the last sibling is done.
-	m := w.e.save()
+	m := w.e.Save()
 	first := true
 	for i, c := range choices {
-		if por && c.fault == memsim.FaultNone && sleep&(1<<uint(c.pid)) != 0 {
+		if w.red.Asleep(c, sleep) {
 			// A sleeping process's subtree only contains schedules that
 			// commute into an earlier sibling's subtree; skip it. Counted
-			// at claimed nodes only, so the tally is deterministic. Fault
-			// choices never sleep: a sleep bit argues about the pid's
-			// ordinary step, not about crashing it.
+			// at claimed nodes only, so the tally is deterministic.
 			w.stepsSlept++
 			continue
 		}
 		if split && !first {
-			prefix := make(task, len(w.e.path)+1)
-			copy(prefix, w.e.path)
+			path := w.e.Path()
+			prefix := make(task, len(path)+1)
+			copy(prefix, path)
 			prefix[len(prefix)-1] = i
 			w.s.frontier.Submit(w.id, prefix)
 			continue
 		}
-		if c.fault != memsim.FaultNone {
+		if c.Fault != memsim.FaultNone {
 			w.faultBranches++
 		}
-		var cAcc memsim.Access
-		if !c.start {
-			cAcc = w.e.pending[c.pid]
-		}
-		if err := w.e.apply(c, i); err != nil {
+		childSleep, err := w.e.Child(w.red, choices, i, sleep, &earlier)
+		if err != nil {
 			return err
-		}
-		var childSleep uint64
-		if por {
-			childSleep = w.red.childSleep(sleep, earlier[i], choices, i, cAcc)
 		}
 		if err := w.dfs(depth+1, childSleep); err != nil {
 			return err
 		}
-		w.e.restore(m)
+		w.e.Restore(m)
 		first = false
 	}
-	w.e.release(m)
+	w.e.Release(m)
 	return nil
 }
 
@@ -297,12 +258,12 @@ func runBacktrack(cfg Config, dedup, reduce bool) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	engine := EngineBacktrack
+	eng := EngineBacktrack
 	if reduce {
-		engine = EngineBacktrackDedupPOR
+		eng = EngineBacktrackDedupPOR
 		dedup = true // reduction keys live in the claim table
 	} else if dedup {
-		engine = EngineBacktrackDedup
+		eng = EngineBacktrackDedup
 	}
 	s := &search{cfg: cfg, workers: workers, reduce: reduce, em: newEngineMetrics(cfg.Telemetry)}
 	if dedup {
@@ -324,7 +285,7 @@ func runBacktrack(cfg Config, dedup, reduce bool) (*Result, error) {
 		err := searchers[0].dfs(0, 0)
 		searchers[0].flushTelemetry()
 		if err != nil && !errors.Is(err, errStopped) {
-			return merge(s, engine, searchers), err
+			return merge(s, eng, searchers), err
 		}
 	} else {
 		s.frontier = worksteal.New(workers)
@@ -346,7 +307,7 @@ func runBacktrack(cfg Config, dedup, reduce bool) (*Result, error) {
 		wg.Wait()
 	}
 
-	res := merge(s, engine, searchers)
+	res := merge(s, eng, searchers)
 	if s.err != nil {
 		return res, s.err
 	}
@@ -357,8 +318,8 @@ func runBacktrack(cfg Config, dedup, reduce bool) (*Result, error) {
 }
 
 // merge folds the workers' private tallies into one Result.
-func merge(s *search, engine Engine, searchers []*searcher) *Result {
-	res := &Result{Engine: engine, Workers: s.workers}
+func merge(s *search, eng Engine, searchers []*searcher) *Result {
+	res := &Result{Engine: eng, Workers: s.workers}
 	for _, w := range searchers {
 		res.Paths += w.paths
 		res.Truncated += w.truncated

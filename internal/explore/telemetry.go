@@ -56,6 +56,7 @@ type engineTally struct {
 // telTally snapshots the searcher's counters (including the
 // engine-owned pool and undo statistics).
 func (w *searcher) telTally() engineTally {
+	poolHits, poolMisses := w.e.PoolStats()
 	return engineTally{
 		nodes:         w.nodes,
 		paths:         w.paths,
@@ -64,8 +65,8 @@ func (w *searcher) telTally() engineTally {
 		stepsSlept:    w.stepsSlept,
 		symMerges:     w.symMerges,
 		faultBranches: w.faultBranches,
-		poolHits:      w.e.poolHits,
-		poolMisses:    w.e.poolMisses,
+		poolHits:      poolHits,
+		poolMisses:    poolMisses,
 	}
 }
 
@@ -96,6 +97,6 @@ func (w *searcher) flushTelemetry() {
 		return
 	}
 	cur := w.telTally()
-	em.addTally(w.id, w.flushed, cur, w.e.undoMax, w.maxDepth)
+	em.addTally(w.id, w.flushed, cur, w.e.UndoMax(), w.maxDepth)
 	w.flushed = cur
 }

@@ -109,7 +109,9 @@ type ForkableAccumulator interface {
 // addresses or map iteration order — because searches compare encodings
 // produced by different workers' runs. The future cost of any event
 // sequence is a function of this state, which is what lets a search key
-// memoized subtree results on (machine state, model state, budget).
+// memoized subtree results on (machine state, model state, budget). The
+// search keys through ModelStateAppender; this text encoding is the
+// oracle its differential tests compare against.
 type ModelStateEncoder interface {
 	Accumulator
 	EncodeModelState(w io.Writer)

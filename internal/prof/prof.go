@@ -92,11 +92,3 @@ func writeProfile(profile, path, label string) {
 		fmt.Fprintln(os.Stderr, label+":", err)
 	}
 }
-
-// Start begins CPU profiling to cpuPath and memory profiling to memPath.
-//
-// Deprecated: use StartConfig, which also exposes the block and mutex
-// profiles. Start remains as a thin wrapper for one release.
-func Start(cpuPath, memPath string) (stop func(), err error) {
-	return StartConfig(Config{CPU: cpuPath, Mem: memPath})
-}

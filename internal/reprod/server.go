@@ -26,7 +26,6 @@ import (
 	"repro/internal/errs"
 	"repro/internal/explore"
 	"repro/internal/jobspec"
-	"repro/internal/progress"
 	"repro/internal/search"
 	"repro/internal/signal"
 	"repro/internal/telemetry"
@@ -58,7 +57,7 @@ type job struct {
 	canceled bool          // cancel channel already closed
 	cancel   chan struct{} // closed to interrupt the running engine
 	done     chan struct{} // closed when the current attempt reaches a terminal state
-	meter    *progress.Meter
+	meter    *telemetry.Meter
 	// reg is the attempt's telemetry registry, written by the engines and
 	// read by JobView and GET /metrics. Checkpointed attempts preload it
 	// from the snapshot, so counters stay monotone across cancel/resume.
@@ -259,7 +258,7 @@ func (s *Server) runJob(j *job) {
 func (s *Server) execute(j *job) (json.RawMessage, bool, error) {
 	s.mu.Lock()
 	spec, durable, resume, cancel := j.spec, j.durable, j.resume, j.cancel
-	meter := progress.NewMeter()
+	meter := telemetry.NewMeter()
 	j.meter = meter
 	// A fresh registry per attempt: checkpointed resumes preload it from
 	// the snapshot's telemetry block, so the served counters continue

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/errs"
 	"repro/internal/memsim"
 	"repro/internal/model"
@@ -96,6 +97,13 @@ func Fingerprint(tag string, cfg Config, shardDepth int, sharded bool) string {
 	}
 	if reduceEffective(cfg) {
 		b.WriteString("|reduce")
+		if cfg.Faults.Enabled() {
+			// Reduced keys under faults place the consumed fault budget
+			// after the machine state (the explorer's layout, shared
+			// through the node-expansion core); snapshots written with the
+			// earlier budget-first layout must not resume into this one.
+			b.WriteString("|keys2")
+		}
 	}
 	return b.String()
 }
@@ -149,21 +157,21 @@ func ExpandUnits(cfg Config, shardDepth int) ([][]int, error) {
 }
 
 func expandUnits(cfg Config, d int) ([][]int, error) {
-	e, err := newSengine(cfg)
+	e, err := newPricer(cfg)
 	if err != nil {
 		return nil, err
 	}
 	// The expansion mirrors the reduced tree exactly: a slept child is
 	// never a unit root (the search never walks it), so the unit list —
 	// like everything else — is a pure function of the configuration.
-	var red *reduction
+	var red *engine.Reduction
 	if cfg.Reduce {
 		red = newReduction(e, cfg.Model)
 	}
 	var units [][]int
 	var walk func(depth int, prefix []int, sleep uint64) error
 	walk = func(depth int, prefix []int, sleep uint64) error {
-		choices := e.settle()
+		choices := e.SettleAt(depth)
 		if len(choices) == 0 || cfg.MaxDepth-depth == 0 {
 			return nil
 		}
@@ -172,31 +180,25 @@ func expandUnits(cfg Config, d int) ([][]int, error) {
 			return nil
 		}
 		var earlier [64]uint64
-		if red != nil && red.por {
-			red.stateKey(sleep)
-			red.earlierMasks(choices, earlier[:len(choices)])
+		if red.POR() {
+			red.StateKey(sleep)
+			red.EarlierMasks(choices, &earlier)
 		}
-		m := e.save()
+		m := e.Save()
 		for i, c := range choices {
-			if red != nil && red.por && c.fault == memsim.FaultNone && sleep&(1<<uint(c.pid)) != 0 {
+			if red.Asleep(c, sleep) {
 				continue
 			}
-			var cAcc memsim.Access
-			if red != nil && !c.start {
-				cAcc = e.pending[c.pid]
-			}
-			if _, err := e.apply(c, i); err != nil {
+			childSleep, err := e.Child(red, choices, i, sleep, &earlier)
+			if err != nil {
 				return err
-			}
-			var childSleep uint64
-			if red != nil {
-				childSleep = red.sleepRecompute(sleep, earlier[i], choices, i, cAcc)
 			}
 			if err := walk(depth+1, append(prefix, i), childSleep); err != nil {
 				return err
 			}
-			e.restore(m)
+			e.Restore(m)
 		}
+		e.Release(m)
 		return nil
 	}
 	if err := walk(0, nil, 0); err != nil {
@@ -421,7 +423,7 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 			return nil, err
 		}
 		counters.Add(delta(prev, w))
-		em.addTally(0, prevTel, w.telTally(), w.e.undoMax, w.maxDepth)
+		em.addTally(0, prevTel, w.telTally(), w.e.UndoMax(), w.maxDepth)
 		unitNs.Observe(0, time.Since(unitStart).Nanoseconds())
 		doneList = append(doneList, uint32(ui))
 		committed++
@@ -460,7 +462,7 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 		return nil, err
 	}
 	counters.Add(delta(prev, w))
-	em.addTally(0, prevTel, w.telTally(), w.e.undoMax, w.maxDepth)
+	em.addTally(0, prevTel, w.telTally(), w.e.UndoMax(), w.maxDepth)
 	if !s.rootSet {
 		return nil, errors.New("search: internal: spine pass never answered the root")
 	}

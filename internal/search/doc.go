@@ -7,11 +7,12 @@
 //
 // Two modes share one Config/Result surface. Exhaustive mode is a
 // branch-and-bound depth-first search over a single live resumable
-// execution: frames live in a memsim.FrameSet whose storage is recycled
-// across calls and snapshots, shared memory rewinds through the machine's
-// undo log, and a per-path cost accumulator (model.ForkableAccumulator)
-// is forked at every tree node so the pricing state backtracks with the
-// schedule. A striped memo table keyed by
+// execution, on the node-expansion core it shares with internal/explore
+// (internal/engine): frames live in a memsim.FrameSet whose storage is
+// recycled across calls and snapshots, shared memory rewinds through the
+// machine's undo log, and the search's policy on the core — a per-path
+// cost accumulator (model.ForkableAccumulator) — is forked at every tree
+// node so the pricing state backtracks with the schedule. A striped memo table keyed by
 // canonical (machine state, model state, remaining depth budget) stores
 // each subtree's exact maximal tail cost and lexicographically least
 // witness tail; every later arrival at the pair — whatever cost its

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/engine"
 	"repro/internal/memsim"
+	"repro/internal/model"
 	"repro/internal/worksteal"
 )
 
@@ -309,9 +311,9 @@ func (s *bnb) fatal(err error) {
 type hunter struct {
 	s    *bnb
 	id   int
-	e    *sengine
-	red  *reduction // nil unless the search reduces
-	root *mark      // pristine initial state, for resetting between tasks
+	e    *pricer
+	red  *engine.Reduction // nil unless the search reduces
+	root *engine.Mark      // pristine initial state, for resetting between tasks
 
 	paths      int
 	truncated  int
@@ -331,17 +333,27 @@ type hunter struct {
 }
 
 func newHunter(s *bnb, id int) (*hunter, error) {
-	e, err := newSengine(s.cfg)
+	e, err := newPricer(s.cfg)
 	if err != nil {
 		return nil, err
 	}
-	w := &hunter{s: s, id: id, e: e, root: e.save()}
+	w := &hunter{s: s, id: id, e: e, root: e.Save()}
 	if s.cfg.Reduce {
-		// newReduction degrades to nil when the model asserts neither
-		// reduction capability; the run is then the plain search.
 		w.red = newReduction(e, s.cfg.Model)
 	}
 	return w, nil
+}
+
+// newReduction builds the reduction for e under the model's capabilities:
+// sleep sets when it asserts order-invariant costs, symmetry when it
+// additionally asserts permutation-invariant costs. It returns nil when
+// neither applies; the run is then the plain search.
+func newReduction(e *pricer, scorer model.Scorer) *engine.Reduction {
+	r := engine.NewReduction(e.Core, model.OrderInvariantCost(scorer), model.PermutationInvariantCost(scorer))
+	if !r.POR() && !r.Symmetric() {
+		return nil
+	}
+	return r
 }
 
 // runTask rewinds the worker's engine to the initial state, replays the
@@ -349,33 +361,10 @@ func newHunter(s *bnb, id int) (*hunter, error) {
 // searches the subtree. The empty prefix is the root task; its answer is
 // the search result.
 func (w *hunter) runTask(t task) error {
-	w.e.restore(w.root)
-	var sleep uint64
-	for step, idx := range t {
-		choices := w.e.settleAt(step)
-		if idx >= len(choices) {
-			return fmt.Errorf("search: internal: task choice %d out of range at depth %d", idx, step)
-		}
-		c := choices[idx]
-		var earlier uint64
-		if w.red != nil && w.red.por {
-			// Refresh the canonical ranks at this node (the key bytes are
-			// discarded) so the recomputed sleep matches the producer's.
-			w.red.stateKey(sleep)
-			var masks [64]uint64
-			w.red.earlierMasks(choices, masks[:len(choices)])
-			earlier = masks[idx]
-		}
-		var cAcc memsim.Access
-		if w.red != nil && !c.start {
-			cAcc = w.e.pending[c.pid]
-		}
-		if _, err := w.e.apply(c, idx); err != nil {
-			return err
-		}
-		if w.red != nil {
-			sleep = w.red.sleepRecompute(sleep, earlier, choices, idx, cAcc)
-		}
+	w.e.Restore(w.root)
+	sleep, err := w.e.Descend(w.red, t)
+	if err != nil {
+		return fmt.Errorf("search: internal: task %w", err)
 	}
 	cost, tail, err := w.dfs(len(t), sleep, len(t) == 0)
 	if w.s.live {
@@ -436,7 +425,7 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 	if depth > w.maxDepth {
 		w.maxDepth = depth
 	}
-	choices := w.e.settleAt(depth)
+	choices := w.e.SettleAt(depth)
 	budget := w.s.cfg.MaxDepth - depth
 	if len(choices) == 0 || budget == 0 {
 		// A leaf is scored, not memoized: its answer is trivial and each
@@ -451,16 +440,12 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 		return 0, nil, nil
 	}
 	key := memoKey{budget: budget}
-	if w.red != nil {
-		var merged bool
-		key.state, merged = w.red.stateKey(sleep)
-		if fromEdge && merged {
-			// Counted per edge visit, like paths and prunes, so the tally
-			// is independent of which representative wins the claim race.
-			w.symMerges++
-		}
-	} else {
-		key.state = w.e.stateKey()
+	var merged bool
+	key.state, merged = w.e.Key(w.red, sleep)
+	if fromEdge && merged {
+		// Counted per edge visit, like paths and prunes, so the tally is
+		// independent of which representative wins the claim race.
+		w.symMerges++
 	}
 	entry, won, wasAdopted := w.s.table.claim(key, fromEdge)
 	if won {
@@ -484,58 +469,47 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 		}
 		return entry.cost, entry.tail, nil
 	}
-	por := w.red != nil && w.red.por
-	// The canonical ranks stateKey just computed are captured per node:
+	// The canonical ranks the key just computed are captured per node:
 	// child recursions overwrite the shared rank scratch.
 	var earlier [64]uint64
-	if por {
-		w.red.earlierMasks(choices, earlier[:len(choices)])
-	}
+	w.red.EarlierMasks(choices, &earlier)
 	// Publish sibling subtrees as prefetch tasks only while the frontier
 	// is starving, and never forced leaves (a leaf task would replay the
 	// whole prefix to score one history) or slept children (never walked).
 	split := w.s.workers > 1 && len(choices) > 1 && budget > 1 && w.s.frontier.Hungry()
 	if split {
+		path := w.e.Path()
 		for i := 1; i < len(choices); i++ {
-			if por && choices[i].fault == memsim.FaultNone && sleep&(1<<uint(choices[i].pid)) != 0 {
+			if w.red.Asleep(choices[i], sleep) {
 				continue
 			}
-			prefix := make(task, len(w.e.path)+1)
-			copy(prefix, w.e.path)
+			prefix := make(task, len(path)+1)
+			copy(prefix, path)
 			prefix[len(prefix)-1] = i
 			w.s.frontier.Submit(w.id, prefix)
 		}
 	}
-	m := w.e.save()
+	m := w.e.Save()
 	// Track the winning child by index and published tail — child tails
 	// are immutable once published — and build this node's tail exactly
 	// once after the loop: one allocation per internal node.
 	best, bestIdx, bestChild := -1, -1, []int(nil)
 	for i, c := range choices {
-		if por && c.fault == memsim.FaultNone && sleep&(1<<uint(c.pid)) != 0 {
+		if w.red.Asleep(c, sleep) {
 			// A sleeping process's subtree only contains schedules that
 			// commute into an earlier sibling's subtree; skip it. Counted
-			// once per DAG node (only the claim winner walks children). A
-			// sleeping bit never silences the pid's fault choices: the bit
-			// argues about its ordinary step, not about crashing it.
+			// once per DAG node (only the claim winner walks children).
 			w.stepsSlept++
 			continue
 		}
-		if c.fault != memsim.FaultNone {
+		if c.Fault != memsim.FaultNone {
 			w.faultBranches++
 		}
-		var cAcc memsim.Access
-		if w.red != nil && !c.start {
-			cAcc = w.e.pending[c.pid]
-		}
-		step, err := w.e.apply(c, i)
+		childSleep, err := w.e.Child(w.red, choices, i, sleep, &earlier)
 		if err != nil {
 			return 0, nil, err
 		}
-		var childSleep uint64
-		if por {
-			childSleep = w.red.childSleep(sleep, earlier[i], choices, i, cAcc)
-		}
+		step := w.e.step
 		tailCost, tail, err := w.dfs(depth+1, childSleep, true)
 		if err != nil {
 			return 0, nil, err
@@ -545,9 +519,9 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 				best, bestIdx, bestChild = total, i, tail
 			}
 		}
-		w.e.restore(m)
+		w.e.Restore(m)
 	}
-	w.e.release(m)
+	w.e.Release(m)
 	var bestTail []int
 	if w.red == nil {
 		bestTail = append(append(make([]int, 0, len(bestChild)+1), bestIdx), bestChild...)
@@ -570,13 +544,13 @@ func (w *hunter) reconstructWitness(rootCost int) ([]int, error) {
 	if rootCost < 0 {
 		return nil, fmt.Errorf("search: internal: reduced root cost %d", rootCost)
 	}
-	w.e.restore(w.root)
+	w.e.Restore(w.root)
 	var witness []int
 	var sleep uint64
 	remaining := rootCost
 	depth := 0
 	for {
-		choices := w.e.settleAt(depth)
+		choices := w.e.SettleAt(depth)
 		budget := w.s.cfg.MaxDepth - depth
 		if len(choices) == 0 || budget == 0 {
 			if remaining != 0 {
@@ -584,33 +558,24 @@ func (w *hunter) reconstructWitness(rootCost int) ([]int, error) {
 			}
 			return witness, nil
 		}
-		w.red.stateKey(sleep) // refresh the canonical ranks at this node
+		w.red.StateKey(sleep) // refresh the canonical ranks at this node
 		var earlier [64]uint64
-		if w.red.por {
-			w.red.earlierMasks(choices, earlier[:len(choices)])
-		}
-		m := w.e.save()
+		w.red.EarlierMasks(choices, &earlier)
+		m := w.e.Save()
 		matched := false
 		for i, c := range choices {
-			if w.red.por && c.fault == memsim.FaultNone && sleep&(1<<uint(c.pid)) != 0 {
+			if w.red.Asleep(c, sleep) {
 				continue
 			}
-			var cAcc memsim.Access
-			if !c.start {
-				cAcc = w.e.pending[c.pid]
-			}
-			step, err := w.e.apply(c, i)
+			childSleep, err := w.e.Child(w.red, choices, i, sleep, &earlier)
 			if err != nil {
 				return nil, err
 			}
-			var childSleep uint64
-			if w.red.por {
-				childSleep = w.red.childSleep(sleep, earlier[i], choices, i, cAcc)
-			}
+			step := w.e.step
 			childCost := 0
-			if childChoices := w.e.settleAt(depth + 1); len(childChoices) != 0 && budget > 1 {
+			if childChoices := w.e.SettleAt(depth + 1); len(childChoices) != 0 && budget > 1 {
 				key := memoKey{budget: budget - 1}
-				key.state, _ = w.red.stateKey(childSleep)
+				key.state, _ = w.red.StateKey(childSleep)
 				switch entry := w.s.table.lookup(key); {
 				case entry == nil:
 					fb := &hunter{
@@ -636,9 +601,9 @@ func (w *hunter) reconstructWitness(rootCost int) ([]int, error) {
 				matched = true
 				break
 			}
-			w.e.restore(m)
+			w.e.Restore(m)
 		}
-		w.e.release(m)
+		w.e.Release(m)
 		if !matched {
 			return nil, fmt.Errorf("search: internal: witness reconstruction found no child summing to %d at depth %d", remaining, depth)
 		}

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/errs"
 	"repro/internal/lowerbound"
 	"repro/internal/memsim"
@@ -248,6 +249,31 @@ func TestFaultCheckpointCompat(t *testing.T) {
 		other.Faults = faultPolicy(2, memsim.VolOwned)
 		if _, err := search.RunCheckpointed(other, search.Checkpoint{Path: path, Tag: "flag", Resume: true}); errs.CodeOf(err) != errs.CodeConflict {
 			t.Fatalf("policy-changed resume: %v, want CodeConflict", err)
+		}
+	})
+	t.Run("earlier-reduced-key-layout", func(t *testing.T) {
+		// A reduced fault-enabled snapshot written before the fault budget
+		// moved behind the machine state in reduced keys carries no
+		// "|keys2" marker; resuming it must conflict, not reuse its keys.
+		reduced := faulty
+		reduced.Reduce = true
+		path := tempSnap(t)
+		if _, err := search.RunCheckpointed(reduced, search.Checkpoint{Path: path, Tag: "flag"}); err != nil {
+			t.Fatalf("seed run: %v", err)
+		}
+		snap, err := checkpoint.Read(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasSuffix(snap.Fingerprint, "|reduce|keys2") {
+			t.Fatalf("reduced fault-enabled fingerprint %q lacks the key-layout marker", snap.Fingerprint)
+		}
+		snap.Fingerprint = strings.TrimSuffix(snap.Fingerprint, "|keys2")
+		if err := checkpoint.Write(path, snap); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := search.RunCheckpointed(reduced, search.Checkpoint{Path: path, Tag: "flag", Resume: true}); errs.CodeOf(err) != errs.CodeConflict {
+			t.Fatalf("resume of an earlier-layout snapshot: %v, want CodeConflict", err)
 		}
 	})
 	t.Run("same-policy-resumes", func(t *testing.T) {

@@ -3,6 +3,7 @@ package search
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/memsim"
 	"repro/internal/model"
 )
@@ -85,29 +86,29 @@ func drive(cfg Config, choose func(depth, n int) int) (*ReplayResult, error) {
 				idx, depth, len(choices))
 		}
 		c := choices[idx]
-		switch c.fault {
+		switch c.Fault {
 		case memsim.FaultCrash:
-			if _, err := exec.Crash(c.pid, cfg.Faults.Vol); err != nil {
+			if _, err := exec.Crash(c.PID, cfg.Faults.Vol); err != nil {
 				return nil, err
 			}
 			// The crashed call never completed; the same scripted call
 			// restarts on the process's next start choice.
-			progress[c.pid]--
+			progress[c.PID]--
 			faultsUsed++
 		case memsim.FaultLostCAS:
-			if _, err := exec.StepLostCAS(c.pid); err != nil {
+			if _, err := exec.StepLostCAS(c.PID); err != nil {
 				return nil, err
 			}
 			faultsUsed++
 		default:
-			if c.start {
-				kind := cfg.Scripts[c.pid][progress[c.pid]]
-				if err := exec.Start(c.pid, kind); err != nil {
+			if c.Start {
+				kind := cfg.Scripts[c.PID][progress[c.PID]]
+				if err := exec.Start(c.PID, kind); err != nil {
 					return nil, err
 				}
-				kinds[c.pid] = kind
-				progress[c.pid]++
-			} else if _, err := exec.Step(c.pid); err != nil {
+				kinds[c.PID] = kind
+				progress[c.PID]++
+			} else if _, err := exec.Step(c.PID); err != nil {
 				return nil, err
 			}
 		}
@@ -123,12 +124,12 @@ func drive(cfg Config, choose func(depth, n int) int) (*ReplayResult, error) {
 
 // settleExec collects completed calls (eagerly, with the poll-stop rule)
 // and returns the open scheduling choices in deterministic order — the
-// Execution-based mirror of sengine.settle, fault choice points included
+// Execution-based mirror of the core engine's Settle, fault choice points included
 // (appended after every regular choice: PID order, crash before lost CAS).
 func settleExec(exec *memsim.Execution, scripts map[memsim.PID][]memsim.CallKind,
 	progress map[memsim.PID]int, kinds map[memsim.PID]memsim.CallKind,
-	fp memsim.FaultPolicy, faultsUsed int) ([]choice, error) {
-	var choices []choice
+	fp memsim.FaultPolicy, faultsUsed int) ([]engine.Choice, error) {
+	var choices []engine.Choice
 	for pid := 0; pid < exec.N(); pid++ {
 		p := memsim.PID(pid)
 		script, ok := scripts[p]
@@ -145,11 +146,11 @@ func settleExec(exec *memsim.Execution, scripts map[memsim.PID][]memsim.CallKind
 			}
 		}
 		if _, ok := exec.Pending(p); ok {
-			choices = append(choices, choice{pid: p})
+			choices = append(choices, engine.Choice{PID: p})
 			continue
 		}
 		if exec.Idle(p) && progress[p] < len(script) {
-			choices = append(choices, choice{pid: p, start: true})
+			choices = append(choices, engine.Choice{PID: p, Start: true})
 		}
 	}
 	if fp.Enabled() && faultsUsed < fp.Max {
@@ -160,13 +161,13 @@ func settleExec(exec *memsim.Execution, scripts map[memsim.PID][]memsim.CallKind
 				continue
 			}
 			if fp.Kinds.Has(memsim.FaultCrash) {
-				choices = append(choices, choice{pid: p, fault: memsim.FaultCrash})
+				choices = append(choices, engine.Choice{PID: p, Fault: memsim.FaultCrash})
 			}
 			// A lost CAS is only distinguishable from a plain failed CAS
 			// when the CAS would have succeeded.
 			if fp.Kinds.Has(memsim.FaultLostCAS) && acc.Op == memsim.OpCAS &&
 				exec.Machine().Load(acc.Addr) == acc.Arg1 {
-				choices = append(choices, choice{pid: p, fault: memsim.FaultLostCAS})
+				choices = append(choices, engine.Choice{PID: p, Fault: memsim.FaultLostCAS})
 			}
 		}
 	}

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/engine"
 	"repro/internal/memsim"
 	"repro/internal/model"
-	"repro/internal/progress"
 	"repro/internal/telemetry"
 )
 
@@ -73,7 +73,7 @@ type Config struct {
 	MaxDepth int
 	// Model is the cost model whose RMR total is maximized; nil means the
 	// DSM model. Exhaustive mode requires the model's accumulators to
-	// implement model.ForkableAccumulator and model.ModelStateEncoder
+	// implement model.ForkableAccumulator and model.ModelStateAppender
 	// (all models in this repository do); sample mode accepts any Scorer.
 	Model model.Scorer
 	// Mode selects exhaustive enumeration or Monte Carlo sampling; the
@@ -86,7 +86,7 @@ type Config struct {
 	Workers int
 	// Reduce enables partial-order and symmetry reduction (exhaustive mode
 	// only): sleep-set commutation pruning over the independence relation
-	// of internal/search/reduce.go, and canonicalization of PID-permuted
+	// of internal/engine/reduce.go, and canonicalization of PID-permuted
 	// states for workloads declaring memsim.SymmetricInstance roles.
 	// Reductions are cost-safe only when the model asserts the matching
 	// capability (model.OrderInvariantCost for pruning, additionally
@@ -105,7 +105,7 @@ type Config struct {
 	// Meter, when non-nil, receives batched node-visit ticks from the
 	// exhaustive engine so a CLI can report states/sec on stderr. It has
 	// no effect on the Result.
-	Meter *progress.Meter
+	Meter *telemetry.Meter
 	// Telemetry, when non-nil, receives batched engine, frontier and
 	// checkpoint counters (see docs/ARCHITECTURE.md, "Observability").
 	// It is a monotone write-only side-channel: nothing in the search
@@ -225,6 +225,9 @@ func normalize(cfg Config) (Config, error) {
 	}
 	if cfg.N < 1 {
 		return cfg, fmt.Errorf("search: need at least 1 process, got %d", cfg.N)
+	}
+	if err := engine.CheckScripts(cfg.N, cfg.Scripts); err != nil {
+		return cfg, fmt.Errorf("search: %w", err)
 	}
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 12

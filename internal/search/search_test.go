@@ -11,7 +11,10 @@ package search_test
 // schedule space generous enough to contain adversary-style histories.
 
 import (
+	"fmt"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/memsim"
@@ -318,5 +321,44 @@ func (in blockingOnly) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Pro
 		return func(p *memsim.Proc) memsim.Value { p.Write(in.b, 1); return 0 }, nil
 	default:
 		return nil, memsim.ErrNoProgram
+	}
+}
+
+// TestRejectsOutOfRangeScriptPID: a script for a process the machine does
+// not have is a configuration error in every mode and on the checkpointed
+// and sharded paths, named by its PID — never silently dropped.
+func TestRejectsOutOfRangeScriptPID(t *testing.T) {
+	for _, bad := range []memsim.PID{2, -1} {
+		cfg := search.Config{
+			Factory: signal.Flag().New,
+			N:       2,
+			Scripts: map[memsim.PID][]memsim.CallKind{
+				0:   {memsim.CallPoll},
+				1:   {memsim.CallSignal},
+				bad: {memsim.CallPoll},
+			},
+			MaxDepth: 6,
+		}
+		want := fmt.Sprintf("p%d", bad)
+		check := func(what string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s with a script for %s: err = %v, want an error naming it", what, want, err)
+			}
+		}
+		for _, mode := range []search.Mode{search.ModeExhaustive, search.ModeSample} {
+			c := cfg
+			c.Mode = mode
+			_, err := search.Run(c)
+			check(mode.String(), err)
+		}
+		reduced := cfg
+		reduced.Reduce = true
+		_, err := search.Run(reduced)
+		check("reduced", err)
+		_, err = search.RunCheckpointed(cfg, search.Checkpoint{Path: filepath.Join(t.TempDir(), "run.rpck")})
+		check("checkpointed", err)
+		_, err = search.ExpandUnits(cfg, 2)
+		check("ExpandUnits", err)
 	}
 }

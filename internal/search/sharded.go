@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/errs"
-	"repro/internal/memsim"
 )
 
 // Cross-process sharding: a coordinator partitions the unit list (the
@@ -52,42 +52,20 @@ func ComputeUnit(cfg Config, prefix []int) (*UnitResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sleep uint64
-	for step, idx := range prefix {
-		choices := w.e.settle()
-		if idx < 0 || idx >= len(choices) {
-			return nil, errs.Failuref(errs.CodeInvalid,
-				"search: unit choice %d out of range at depth %d", idx, step)
-		}
-		c := choices[idx]
-		var earlier uint64
-		if w.red != nil && w.red.por {
-			w.red.stateKey(sleep)
-			var masks [64]uint64
-			w.red.earlierMasks(choices, masks[:len(choices)])
-			earlier = masks[idx]
-		}
-		var cAcc memsim.Access
-		if w.red != nil && !c.start {
-			cAcc = w.e.pending[c.pid]
-		}
-		if _, err := w.e.apply(c, idx); err != nil {
-			return nil, err
-		}
-		if w.red != nil {
-			sleep = w.red.sleepRecompute(sleep, earlier, choices, idx, cAcc)
-		}
+	sleep, err := w.e.Descend(w.red, prefix)
+	var bad *engine.PrefixError
+	if errors.As(err, &bad) {
+		return nil, errs.Failuref(errs.CodeInvalid, "search: unit %v", err)
+	}
+	if err != nil {
+		return nil, err
 	}
 	budget := cfg.MaxDepth - len(prefix)
-	if budget <= 0 || len(w.e.settle()) == 0 {
+	if budget <= 0 || len(w.e.SettleAt(len(prefix))) == 0 {
 		return nil, errs.Defectf("search: unit %v is a leaf, not an internal node", prefix)
 	}
 	key := memoKey{budget: budget}
-	if w.red != nil {
-		key.state, _ = w.red.stateKey(sleep)
-	} else {
-		key.state = w.e.stateKey()
-	}
+	key.state, _ = w.e.Key(w.red, sleep)
 	cost, tail, err := w.dfs(len(prefix), sleep, false)
 	if err != nil {
 		return nil, err

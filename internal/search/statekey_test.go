@@ -1,14 +1,18 @@
 package search
 
 import (
+	"fmt"
+	"hash/fnv"
+	"io"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/memsim"
 	"repro/internal/model"
 	"repro/internal/signal"
 )
 
-// Differential state-key tests for the search engine: the binary stateKey
+// Differential state-key tests for the search engine: the binary StateKey
 // and the legacy reflective stateKeyLegacy must partition the reachable
 // engine states identically, for every listed algorithm crossed with
 // every cost model (the model accumulator's state is part of the key, so
@@ -31,20 +35,65 @@ func partitionConfig(alg signal.Algorithm, m model.Scorer) Config {
 	}
 }
 
+// stateKeyLegacy is the original reflective fmt-walk state key, rebuilt
+// from the pricer's state: the oracle of the encoder-equivalence tests.
+// The binary StateKey must merge exactly the states this key merges, for
+// every algorithm and model.
+func stateKeyLegacy(e *pricer) [16]byte {
+	h := fnv.New128a()
+	mach := e.Machine()
+	for a := 0; a < mach.Size(); a++ {
+		fmt.Fprintf(h, "w%d;", mach.Load(memsim.Addr(a)))
+	}
+	for pid := 0; pid < e.N(); pid++ {
+		if addr, ok := mach.LLState(memsim.PID(pid)); ok {
+			fmt.Fprintf(h, "ll%d=%d;", pid, addr)
+		}
+	}
+	if e.Faults().Enabled() {
+		fmt.Fprintf(h, "faults%d;", e.FaultsUsed())
+	}
+	for pid := 0; pid < e.N(); pid++ {
+		p := memsim.PID(pid)
+		if e.Script(p) == nil {
+			continue
+		}
+		kind := memsim.CallKind(0)
+		if e.Phase(p) != engine.Idle {
+			kind = e.Kind(p) // the in-flight call drives the poll-stop rule
+		}
+		fmt.Fprintf(h, "p%d:%d,%d,%d;", pid, e.Phase(p), e.Progress(p), kind)
+		if e.Phase(p) == engine.Pending {
+			acc := e.Pending(p)
+			fmt.Fprintf(h, "a%d,%d,%d,%d;", acc.Op, acc.Addr, acc.Arg1, acc.Arg2)
+		}
+		if f := e.Frame(p); f != nil {
+			io.WriteString(h, "f")
+			memsim.EncodeFrameState(h, f)
+			io.WriteString(h, ";")
+		}
+	}
+	io.WriteString(h, "m")
+	e.acc.(model.ModelStateEncoder).EncodeModelState(h)
+	var key [16]byte
+	copy(key[:], h.Sum(nil))
+	return key
+}
+
 // keyWalk explores the schedule tree to maxDepth and checks at every node
 // that the legacy-key → binary-key relation stays a bijection. The binary
 // side compares the raw encoded key bytes, not just the hash.
-func keyWalk(t *testing.T, e *sengine, maxDepth int) int {
+func keyWalk(t *testing.T, e *pricer, maxDepth int) int {
 	t.Helper()
 	legacyToBin := map[[16]byte]string{}
 	binToLegacy := map[string][16]byte{}
 	nodes := 0
 	var walk func(depth int)
 	walk = func(depth int) {
-		choices := e.settleAt(depth)
-		legacy := e.stateKeyLegacy()
-		e.stateKey()
-		bin := string(e.keyBuf)
+		choices := e.SettleAt(depth)
+		legacy := stateKeyLegacy(e)
+		e.StateKey()
+		bin := string(e.KeyBytes())
 		nodes++
 		if prev, ok := legacyToBin[legacy]; ok {
 			if prev != bin {
@@ -63,15 +112,15 @@ func keyWalk(t *testing.T, e *sengine, maxDepth int) int {
 		if len(choices) == 0 || depth >= maxDepth {
 			return
 		}
-		m := e.save()
+		m := e.Save()
 		for i, c := range choices {
-			if _, err := e.apply(c, i); err != nil {
+			if err := e.Apply(c, i); err != nil {
 				t.Fatalf("apply: %v", err)
 			}
 			walk(depth + 1)
-			e.restore(m)
+			e.Restore(m)
 		}
-		e.release(m)
+		e.Release(m)
 	}
 	walk(0)
 	if len(legacyToBin) < 2 {
@@ -87,7 +136,7 @@ func TestSearchStateKeyPartitionMatchesLegacy(t *testing.T) {
 		for _, m := range []model.Scorer{model.ModelDSM, model.ModelCC, model.ModelCCWriteBack} {
 			alg, m := alg, m
 			t.Run(alg.Name+"/"+m.Name(), func(t *testing.T) {
-				e, err := newSengine(partitionConfig(alg, m))
+				e, err := newPricer(partitionConfig(alg, m))
 				if err != nil {
 					t.Skipf("%s: %v", alg.Name, err)
 				}
@@ -107,57 +156,57 @@ func TestSearchStateKeyPartitionMatchesLegacy(t *testing.T) {
 func TestSearchStateKeyZeroAllocs(t *testing.T) {
 	for _, m := range []model.Scorer{model.ModelDSM, model.ModelCC, model.ModelCCWriteBack} {
 		t.Run(m.Name(), func(t *testing.T) {
-			e, err := newSengine(partitionConfig(signal.QueueSignal(), m))
+			e, err := newPricer(partitionConfig(signal.QueueSignal(), m))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for depth := 0; depth < 3; depth++ {
-				choices := e.settleAt(depth)
+				choices := e.SettleAt(depth)
 				if len(choices) == 0 {
 					break
 				}
-				if _, err := e.apply(choices[0], 0); err != nil {
+				if err := e.Apply(choices[0], 0); err != nil {
 					t.Fatal(err)
 				}
 			}
-			e.settleAt(3)
-			e.stateKey()
-			mk := e.save()
-			e.restore(mk)
-			e.release(mk)
+			e.SettleAt(3)
+			e.StateKey()
+			mk := e.Save()
+			e.Restore(mk)
+			e.Release(mk)
 
-			if n := testing.AllocsPerRun(100, func() { e.stateKey() }); n != 0 {
+			if n := testing.AllocsPerRun(100, func() { e.StateKey() }); n != 0 {
 				t.Errorf("stateKey allocates %v per run, want 0", n)
 			}
 			if n := testing.AllocsPerRun(100, func() {
-				mk := e.save()
-				e.restore(mk)
-				e.release(mk)
+				mk := e.Save()
+				e.Restore(mk)
+				e.Release(mk)
 			}); n != 0 {
 				t.Errorf("save/restore/release cycle allocates %v per run, want 0", n)
 			}
 			// Across a call boundary: p0 finishes its in-flight call (each
 			// step priced by the accumulator), the engine settles it and
 			// starts p0's next call, then the node is restored.
-			if e.phase[0] != sPending || e.progress[0] >= len(e.scripts[0]) {
+			if e.Phase(0) != engine.Pending || e.Progress(0) >= len(e.Script(0)) {
 				t.Fatal("warm-up must leave p0 mid-call with a call left to start")
 			}
 			callCycle := func() {
-				mk := e.save()
-				for e.phase[0] == sPending {
-					if _, err := e.apply(choice{pid: 0}, 0); err != nil {
+				mk := e.Save()
+				for e.Phase(0) == engine.Pending {
+					if err := e.Apply(engine.Choice{PID: 0}, 0); err != nil {
 						t.Fatal(err)
 					}
 				}
-				e.settleAt(4)
-				if e.phase[0] != sIdle {
+				e.SettleAt(4)
+				if e.Phase(0) != engine.Idle {
 					t.Fatal("p0's call did not complete")
 				}
-				if _, err := e.apply(choice{pid: 0, start: true}, 0); err != nil {
+				if err := e.Apply(engine.Choice{PID: 0, Start: true}, 0); err != nil {
 					t.Fatal(err)
 				}
-				e.restore(mk)
-				e.release(mk)
+				e.Restore(mk)
+				e.Release(mk)
 			}
 			callCycle()
 			if n := testing.AllocsPerRun(100, callCycle); n != 0 {

@@ -64,6 +64,7 @@ type engineTally struct {
 // telTally snapshots the hunter's counters (including the engine-owned
 // pool and undo statistics).
 func (w *hunter) telTally() engineTally {
+	poolHits, poolMisses := w.e.PoolStats()
 	return engineTally{
 		nodes:         w.nodes,
 		paths:         w.paths,
@@ -74,8 +75,8 @@ func (w *hunter) telTally() engineTally {
 		stepsSlept:    w.stepsSlept,
 		symMerges:     w.symMerges,
 		faultBranches: w.faultBranches,
-		poolHits:      w.e.poolHits,
-		poolMisses:    w.e.poolMisses,
+		poolHits:      poolHits,
+		poolMisses:    poolMisses,
 	}
 }
 
@@ -108,6 +109,6 @@ func (w *hunter) flushTelemetry() {
 		return
 	}
 	cur := w.telTally()
-	em.addTally(w.id, w.flushed, cur, w.e.undoMax, w.maxDepth)
+	em.addTally(w.id, w.flushed, cur, w.e.UndoMax(), w.maxDepth)
 	w.flushed = cur
 }
