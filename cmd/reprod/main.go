@@ -91,7 +91,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s}
+	// No WriteTimeout: /api/v1/jobs/{id}/stream holds its response open
+	// for as long as the job runs.
+	srv := &http.Server{Handler: s, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 	// The readiness line goes out only after the port is bound, so smoke
 	// scripts can wait on it.
 	fmt.Fprintf(os.Stderr, "reprod: listening on %s\n", ln.Addr())

@@ -11,8 +11,15 @@
 // An engine plugs in its fold through one Policy: what it records when a
 // call starts, an access applies, a call ends or a process crashes; what
 // it snapshots with every node; the bytes it adds to the state key; and
-// when a call start commutes with a sibling. The DFS drivers, dedup and
-// memo tables, checkpointing and telemetry stay with each engine.
+// when a call start commutes with a sibling.
+//
+// Everything around the walk lives here too: the striped claim table
+// (Table, the explorer's dedup and the searcher's memo), the worker pool
+// and its counters and telemetry flush (Pool, Worker, Tally, Metrics),
+// the checkpoint unit loop (RunUnits) and the Execution-based driver of
+// the engines' reference replays (Driver). Each engine keeps only its
+// fold: the DFS over a node's children, the explorer's shallow pass and
+// the searcher's spine pass and witness reconstruction.
 package engine
 
 import (

@@ -86,6 +86,7 @@ const (
 	CodeConflict    = "conflict"    // state does not admit the operation
 	CodeUnavailable = "unavailable" // resource temporarily unavailable
 	CodeBudget      = "budget"      // a step/work budget was exhausted
+	CodeTooLarge    = "too_large"   // input larger than the surface accepts
 )
 
 // Failure returns a new expected error with a machine-readable code.
@@ -166,8 +167,8 @@ func IsInterrupt(err error) bool { return Classify(err) == ClassInterrupt }
 
 // HTTPStatus maps any error in the repository to an HTTP status code —
 // the one translation a JSON service surface needs. Failures map by
-// code (invalid→400, not_found→404, conflict→409, unavailable→503,
-// anything else→400); Interrupts map to 503 (the work was abandoned,
+// code (invalid→400, not_found→404, conflict→409, too_large→413,
+// unavailable→503, anything else→400); Interrupts map to 503 (the work was abandoned,
 // retry later or resume); Defects and unclassified errors map to 500.
 func HTTPStatus(err error) int {
 	switch Classify(err) {
@@ -177,6 +178,8 @@ func HTTPStatus(err error) int {
 			return http.StatusNotFound
 		case CodeConflict:
 			return http.StatusConflict
+		case CodeTooLarge:
+			return http.StatusRequestEntityTooLarge
 		case CodeUnavailable:
 			return http.StatusServiceUnavailable
 		default:

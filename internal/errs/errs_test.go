@@ -83,6 +83,7 @@ func TestHTTPStatus(t *testing.T) {
 		{errs.Failure(errs.CodeInvalid, "x"), http.StatusBadRequest},
 		{errs.Failure(errs.CodeNotFound, "x"), http.StatusNotFound},
 		{errs.Failure(errs.CodeConflict, "x"), http.StatusConflict},
+		{errs.Failure(errs.CodeTooLarge, "x"), http.StatusRequestEntityTooLarge},
 		{errs.Failure(errs.CodeUnavailable, "x"), http.StatusServiceUnavailable},
 		{errs.Failure("something_else", "x"), http.StatusBadRequest},
 		{errs.Defectf("x"), http.StatusInternalServerError},

@@ -245,6 +245,6 @@ func (x *monitor) nextCall(p memsim.PID) memsim.CallKind {
 	return x.Script(p)[x.Progress(p)]
 }
 
-// runBacktrack lives in parallel.go: the backtracking DFS is driven by a
-// worker pool (of size one and up) sharding the schedule tree over a
-// work-stealing frontier.
+// runBacktrack lives in parallel.go: the backtracking DFS is driven by the
+// engine's worker pool (of size one and up) sharding the schedule tree
+// over a work-stealing frontier.

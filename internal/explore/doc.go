@@ -28,7 +28,8 @@
 // reverts through the machine's undo log (memsim.Machine.ApplyLogged and
 // Revert), so moving between adjacent paths retracts a step instead of
 // replaying the whole prefix. The explorer's part is a policy on that
-// core: the event log, call numbers and Specification 4.1 monitor bits. The replay engine re-runs the shared prefix
+// core: the event log, call numbers and Specification 4.1 monitor bits.
+// The replay engine re-runs the shared prefix
 // for every path (total work ≈ paths × depth) and drives blocking programs
 // on goroutines; it remains both the fallback for algorithms without
 // resumable forms and the reference enumeration the backtracking engine is
@@ -70,6 +71,11 @@
 // subtrees). Workers split their current node into stealable prefixes only
 // while the global frontier is starving; once every worker is saturated
 // they recurse privately with zero coordination. The only shared mutable
-// state is the striped claim table and the stop flag, which is why the
-// search scales with cores and runs clean under the race detector.
+// state is the striped claim table and the stop flag, which is why
+// results are identical for every worker count and the exploration runs
+// clean under the race detector. The pool, the claim table
+// (engine.Table), the counters and their telemetry flush, and the
+// checkpoint unit loop all live in internal/engine, shared with
+// internal/search; this package keeps the monitor, the claim-and-check
+// DFS and the shallow pass that plans a checkpointed run's units.
 package explore

@@ -3,6 +3,7 @@ package explore
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
@@ -194,6 +195,9 @@ func normalize(cfg Config) (Config, error) {
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 12
 	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	return cfg, nil
 }
 
@@ -249,16 +253,14 @@ func replayPath(cfg Config, path []int) (*memsim.Execution, [][]engine.Choice, b
 	if err != nil {
 		return nil, nil, false, err
 	}
-	progress := make(map[memsim.PID]int, len(cfg.Scripts))
+	drv := engine.NewDriver(exec, cfg.Scripts, cfg.Faults)
 	var choiceSets [][]engine.Choice
-	depth, faultsUsed := 0, 0
-	for {
-		choices, err := settle(exec, cfg.Scripts, progress)
+	for depth := 0; ; depth++ {
+		choices, err := drv.Settle()
 		if err != nil {
 			exec.Close()
 			return nil, nil, false, err
 		}
-		choices = appendFaultChoices(choices, exec, cfg.Faults, faultsUsed)
 		if len(choices) == 0 {
 			return exec, choiceSets, false, nil
 		}
@@ -274,107 +276,11 @@ func replayPath(cfg Config, path []int) (*memsim.Execution, [][]engine.Choice, b
 			return nil, nil, false, fmt.Errorf("explore: choice %d out of range at depth %d", idx, depth)
 		}
 		choiceSets = append(choiceSets, choices)
-		c := choices[idx]
-		switch {
-		case c.Fault == memsim.FaultCrash:
-			if _, err := exec.Crash(c.PID, cfg.Faults.Vol); err != nil {
-				exec.Close()
-				return nil, nil, false, err
-			}
-			progress[c.PID]-- // the crashed call restarts from the top
-			faultsUsed++
-		case c.Fault == memsim.FaultLostCAS:
-			if _, err := exec.StepLostCAS(c.PID); err != nil {
-				exec.Close()
-				return nil, nil, false, err
-			}
-			faultsUsed++
-		case c.Start:
-			if err := exec.Start(c.PID, cfg.Scripts[c.PID][progress[c.PID]]); err != nil {
-				exec.Close()
-				return nil, nil, false, err
-			}
-			progress[c.PID]++
-		default:
-			if _, err := exec.Step(c.PID); err != nil {
-				exec.Close()
-				return nil, nil, false, err
-			}
-		}
-		depth++
-	}
-}
-
-// appendFaultChoices appends the fault choice points the policy admits
-// in the current state: after every regular choice (so fault-free
-// enumeration is a prefix and k=0 is byte-identical to a disabled
-// policy), one crash choice per process with a pending access and one
-// lost-CAS choice per process whose pending CAS would succeed, in PID
-// order with the crash before the lost CAS.
-func appendFaultChoices(choices []engine.Choice, exec *memsim.Execution, fp memsim.FaultPolicy, faultsUsed int) []engine.Choice {
-	if !fp.Enabled() || faultsUsed >= fp.Max {
-		return choices
-	}
-	for pid := 0; pid < exec.N(); pid++ {
-		p := memsim.PID(pid)
-		acc, ok := exec.Pending(p)
-		if !ok {
-			continue
-		}
-		if fp.Kinds.Has(memsim.FaultCrash) {
-			choices = append(choices, engine.Choice{PID: p, Fault: memsim.FaultCrash})
-		}
-		if fp.Kinds.Has(memsim.FaultLostCAS) && acc.Op == memsim.OpCAS &&
-			exec.Machine().Load(acc.Addr) == acc.Arg1 {
-			choices = append(choices, engine.Choice{PID: p, Fault: memsim.FaultLostCAS})
+		if err := drv.Apply(choices[idx]); err != nil {
+			exec.Close()
+			return nil, nil, false, err
 		}
 	}
-	return choices
-}
-
-// settle collects completed calls (eagerly, so call-end events get the
-// earliest consistent position) and returns the open scheduling choices in
-// deterministic order: for each process, a pending step or a call start.
-func settle(exec *memsim.Execution, scripts map[memsim.PID][]memsim.CallKind, progress map[memsim.PID]int) ([]engine.Choice, error) {
-	var choices []engine.Choice
-	for pid := 0; pid < exec.N(); pid++ {
-		p := memsim.PID(pid)
-		script, ok := scripts[p]
-		if !ok {
-			continue
-		}
-		if _, done := exec.CallEnded(p); done {
-			wasPoll := lastCallWasPoll(exec, p)
-			ret, err := exec.Finish(p)
-			if err != nil {
-				return nil, err
-			}
-			if wasPoll && ret != 0 {
-				// The waiter observed the signal; the problem statement
-				// says it stops polling.
-				progress[p] = len(script)
-			}
-		}
-		if _, ok := exec.Pending(p); ok {
-			choices = append(choices, engine.Choice{PID: p})
-			continue
-		}
-		if exec.Idle(p) && progress[p] < len(script) {
-			choices = append(choices, engine.Choice{PID: p, Start: true})
-		}
-	}
-	return choices, nil
-}
-
-// lastCallWasPoll reports whether p's just-completed call was a Poll.
-func lastCallWasPoll(exec *memsim.Execution, p memsim.PID) bool {
-	events := exec.Events()
-	for i := len(events) - 1; i >= 0; i-- {
-		if events[i].PID == p && events[i].Kind == memsim.EvCallStart {
-			return events[i].Proc == "Poll"
-		}
-	}
-	return false
 }
 
 func describeSchedule(choiceSets [][]engine.Choice, path []int) []string {

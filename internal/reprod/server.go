@@ -401,9 +401,19 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	writeErr(w, errs.Failuref(errs.CodeNotFound, "reprod: no experiment %q", id))
 }
 
+// maxJobBody caps a submitted job body. A job spec is a few hundred
+// bytes of JSON; the cap only has to stop one request from exhausting
+// the server's memory.
+const maxJobBody = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec jobspec.Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody)).Decode(&spec); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeErr(w, errs.Failuref(errs.CodeTooLarge, "reprod: job body exceeds %d bytes", maxJobBody))
+			return
+		}
 		writeErr(w, errs.Failuref(errs.CodeInvalid, "reprod: bad job body: %v", err))
 		return
 	}

@@ -89,6 +89,34 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestOversizedJobBodyRejected: a job body past the cap is refused with
+// a typed too_large failure, and the server keeps taking valid jobs.
+func TestOversizedJobBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t, "")
+	body := `{"kind":"worstcase","alg":"` + strings.Repeat("x", maxJobBody) + `"}`
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&failed); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(failed["error"], "exceeds") {
+		t.Fatalf("oversized body: status %d, body %v", resp.StatusCode, failed)
+	}
+
+	spec := jobspec.Spec{Kind: jobspec.KindWorstcase, Alg: "flag", Waiters: 2, Polls: 2, Depth: 8}
+	var created JobView
+	if code := postJSON(t, ts.URL+"/api/v1/jobs", spec, &created); code != http.StatusAccepted {
+		t.Fatalf("submit after oversized body: status %d", code)
+	}
+	if v := awaitTerminal(t, ts.URL, created.ID); v.Status != JobDone {
+		t.Fatalf("job after oversized body ended %s: %s", v.Status, v.Error)
+	}
+}
+
 // TestWorstcaseJobEndToEnd: a queued worstcase job completes, its result
 // document is byte-identical to the CLI's -json output for the same spec,
 // and it is served only after the independent replay re-verification.

@@ -12,8 +12,9 @@
 // recycled across calls and snapshots, shared memory rewinds through the
 // machine's undo log, and the search's policy on the core — a per-path
 // cost accumulator (model.ForkableAccumulator) — is forked at every tree
-// node so the pricing state backtracks with the schedule. A striped memo table keyed by
-// canonical (machine state, model state, remaining depth budget) stores
+// node so the pricing state backtracks with the schedule. The striped
+// claim table of internal/engine, keyed by canonical (machine state,
+// model state, remaining depth budget), serves as the memo and stores
 // each subtree's exact maximal tail cost and lexicographically least
 // witness tail; every later arrival at the pair — whatever cost its
 // prefix accumulated — is cut and reuses the stored result. Work-stealing
@@ -22,6 +23,12 @@
 // runs N independent seeded random walks for configurations beyond
 // exhaustive reach and reports max, mean and quantiles, with the seed in
 // the Result so every number reproduces.
+//
+// The worker pool, the counters and their telemetry flush, and the
+// checkpoint unit loop come from internal/engine as well; this package
+// keeps the branch-and-bound DFS, the spine pass that finishes a
+// checkpointed or sharded run, and the witness reconstruction of
+// reduced runs.
 //
 // Replay re-executes a witness (a choice-index sequence) on a fresh
 // memsim.Execution and re-prices it through the streaming accumulator — an

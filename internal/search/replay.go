@@ -65,11 +65,9 @@ func drive(cfg Config, choose func(depth, n int) int) (*ReplayResult, error) {
 	exec.Attach(func(ev memsim.Event) { acc.Add(ev) })
 
 	res := &ReplayResult{}
-	progress := make(map[memsim.PID]int, len(cfg.Scripts))
-	kinds := make(map[memsim.PID]memsim.CallKind, len(cfg.Scripts))
-	depth, faultsUsed := 0, 0
-	for {
-		choices, err := settleExec(exec, cfg.Scripts, progress, kinds, cfg.Faults, faultsUsed)
+	drv := engine.NewDriver(exec, cfg.Scripts, cfg.Faults)
+	for depth := 0; ; depth++ {
+		choices, err := drv.Settle()
 		if err != nil {
 			return nil, err
 		}
@@ -85,91 +83,14 @@ func drive(cfg Config, choose func(depth, n int) int) (*ReplayResult, error) {
 			return nil, fmt.Errorf("search: witness choice %d out of range at depth %d (have %d choices)",
 				idx, depth, len(choices))
 		}
-		c := choices[idx]
-		switch c.Fault {
-		case memsim.FaultCrash:
-			if _, err := exec.Crash(c.PID, cfg.Faults.Vol); err != nil {
-				return nil, err
-			}
-			// The crashed call never completed; the same scripted call
-			// restarts on the process's next start choice.
-			progress[c.PID]--
-			faultsUsed++
-		case memsim.FaultLostCAS:
-			if _, err := exec.StepLostCAS(c.PID); err != nil {
-				return nil, err
-			}
-			faultsUsed++
-		default:
-			if c.Start {
-				kind := cfg.Scripts[c.PID][progress[c.PID]]
-				if err := exec.Start(c.PID, kind); err != nil {
-					return nil, err
-				}
-				kinds[c.PID] = kind
-				progress[c.PID]++
-			} else if _, err := exec.Step(c.PID); err != nil {
-				return nil, err
-			}
+		if err := drv.Apply(choices[idx]); err != nil {
+			return nil, err
 		}
 		res.Path = append(res.Path, idx)
-		res.Schedule = append(res.Schedule, c.String())
+		res.Schedule = append(res.Schedule, choices[idx].String())
 		res.ChoiceCounts = append(res.ChoiceCounts, len(choices))
-		depth++
 	}
 	res.Events = exec.Events()
 	res.Cost = model.FinalReport(acc)
 	return res, nil
-}
-
-// settleExec collects completed calls (eagerly, with the poll-stop rule)
-// and returns the open scheduling choices in deterministic order — the
-// Execution-based mirror of the core engine's Settle, fault choice points included
-// (appended after every regular choice: PID order, crash before lost CAS).
-func settleExec(exec *memsim.Execution, scripts map[memsim.PID][]memsim.CallKind,
-	progress map[memsim.PID]int, kinds map[memsim.PID]memsim.CallKind,
-	fp memsim.FaultPolicy, faultsUsed int) ([]engine.Choice, error) {
-	var choices []engine.Choice
-	for pid := 0; pid < exec.N(); pid++ {
-		p := memsim.PID(pid)
-		script, ok := scripts[p]
-		if !ok {
-			continue
-		}
-		if _, done := exec.CallEnded(p); done {
-			ret, err := exec.Finish(p)
-			if err != nil {
-				return nil, err
-			}
-			if kinds[p] == memsim.CallPoll && ret != 0 {
-				progress[p] = len(script)
-			}
-		}
-		if _, ok := exec.Pending(p); ok {
-			choices = append(choices, engine.Choice{PID: p})
-			continue
-		}
-		if exec.Idle(p) && progress[p] < len(script) {
-			choices = append(choices, engine.Choice{PID: p, Start: true})
-		}
-	}
-	if fp.Enabled() && faultsUsed < fp.Max {
-		for pid := 0; pid < exec.N(); pid++ {
-			p := memsim.PID(pid)
-			acc, ok := exec.Pending(p)
-			if !ok {
-				continue
-			}
-			if fp.Kinds.Has(memsim.FaultCrash) {
-				choices = append(choices, engine.Choice{PID: p, Fault: memsim.FaultCrash})
-			}
-			// A lost CAS is only distinguishable from a plain failed CAS
-			// when the CAS would have succeeded.
-			if fp.Kinds.Has(memsim.FaultLostCAS) && acc.Op == memsim.OpCAS &&
-				exec.Machine().Load(acc.Addr) == acc.Arg1 {
-				choices = append(choices, engine.Choice{PID: p, Fault: memsim.FaultLostCAS})
-			}
-		}
-	}
-	return choices, nil
 }

@@ -2,6 +2,7 @@ package search
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -99,7 +100,7 @@ func runSample(cfg Config) (*Result, error) {
 		if i == 0 || o.cost > res.WorstCost {
 			res.WorstCost = o.cost
 			res.Witness = o.path
-		} else if o.cost == res.WorstCost && lexLess(o.path, res.Witness) {
+		} else if o.cost == res.WorstCost && slices.Compare(o.path, res.Witness) < 0 {
 			res.Witness = o.path
 		}
 	}

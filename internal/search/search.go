@@ -268,15 +268,3 @@ func auditResult(cfg Config, res *Result) error {
 	res.WitnessTruncated = rep.Truncated
 	return nil
 }
-
-// lexLess orders schedules by their choice-index sequences. Two distinct
-// maximal schedules are never prefixes of one another, so element-wise
-// comparison decides.
-func lexLess(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}

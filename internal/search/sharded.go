@@ -2,7 +2,6 @@ package search
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
@@ -47,12 +46,11 @@ func ComputeUnit(cfg Config, prefix []int) (*UnitResult, error) {
 	if cfg.Mode != ModeExhaustive {
 		return nil, errs.Failure(errs.CodeInvalid, "search: only exhaustive mode shards")
 	}
-	s := &bnb{cfg: cfg, workers: 1, table: newMemoTable(), abort: make(chan struct{})}
-	w, err := newHunter(s, 0)
+	w, err := newHunter(newBnb(cfg), engine.NewPool(checkpoint.KindSearch, 1, nil, nil), 0)
 	if err != nil {
 		return nil, err
 	}
-	sleep, err := w.e.Descend(w.red, prefix)
+	sleep, err := w.e.Descend(w.Red, prefix)
 	var bad *engine.PrefixError
 	if errors.As(err, &bad) {
 		return nil, errs.Failuref(errs.CodeInvalid, "search: unit %v", err)
@@ -64,8 +62,7 @@ func ComputeUnit(cfg Config, prefix []int) (*UnitResult, error) {
 	if budget <= 0 || len(w.e.SettleAt(len(prefix))) == 0 {
 		return nil, errs.Defectf("search: unit %v is a leaf, not an internal node", prefix)
 	}
-	key := memoKey{budget: budget}
-	key.state, _ = w.e.Key(w.red, sleep)
+	key, _ := w.e.Key(w.Red, sleep)
 	cost, tail, err := w.dfs(len(prefix), sleep, false)
 	if err != nil {
 		return nil, err
@@ -73,7 +70,7 @@ func ComputeUnit(cfg Config, prefix []int) (*UnitResult, error) {
 	return &UnitResult{
 		Prefix: append([]int(nil), prefix...),
 		Entry: checkpoint.Entry{
-			State:  key.state,
+			State:  key,
 			Budget: budget,
 			Cost:   cost,
 			Tail:   tail,
@@ -81,14 +78,7 @@ func ComputeUnit(cfg Config, prefix []int) (*UnitResult, error) {
 			// sibling-unit) edge visit adopts the entry, exactly as a
 			// prefetch-computed entry behaves in-process.
 		},
-		Counters: checkpoint.Counters{
-			Paths:           w.paths,
-			Truncated:       w.truncated,
-			Pruned:          w.pruned,
-			StepsSlept:      w.stepsSlept,
-			SymmetryMerges:  w.symMerges,
-			MaxDepthReached: w.maxDepth,
-		},
+		Counters: w.Counters,
 	}, nil
 }
 
@@ -113,53 +103,29 @@ func MergeUnits(cfg Config, results []*UnitResult) (*Result, error) {
 // MergeShardedState is MergeUnits on pre-accumulated state: the union of
 // unit-root entries and the summed unit counters, as a resumable sharded
 // coordinator persists them. Entry values are pure functions of their
-// (state, budget) keys, so duplicate entries (two units rooted at the
-// same pair) collapse harmlessly.
+// (state, budget) keys, so a pair listed twice (two units rooted at the
+// same pair) loads once, from its first entry.
 func MergeShardedState(cfg Config, entries []checkpoint.Entry, counters checkpoint.Counters) (*Result, error) {
 	cfg, err := normalize(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &bnb{cfg: cfg, workers: 1, table: newMemoTable(), abort: make(chan struct{})}
-	s.table.preload(entries)
-	w, err := newHunter(s, 0)
+	s := newBnb(cfg)
+	s.preload(entries)
+	w, err := newHunter(s, engine.NewPool(checkpoint.KindSearch, 1, nil, nil), 0)
 	if err != nil {
 		return nil, err
 	}
-	prev := grab(w)
-	if err := w.runTask(task{}); err != nil {
-		if errors.Is(err, errStopped) {
-			return nil, errs.Interrupted("search: merge interrupted")
-		}
+	if err := w.runTask(nil); err != nil {
 		return nil, err
 	}
-	counters.Add(delta(prev, w))
-	if !s.rootSet {
-		return nil, fmt.Errorf("search: internal: merge spine pass never answered the root")
-	}
-	res := &Result{
-		Mode:            ModeExhaustive,
-		Model:           cfg.Model.Name(),
-		WorstCost:       s.rootCost,
-		Witness:         s.rootTail,
-		Workers:         cfg.Workers,
-		Paths:           counters.Paths,
-		Truncated:       counters.Truncated,
-		Pruned:          counters.Pruned,
-		StepsSlept:      counters.StepsSlept,
-		SymmetryMerges:  counters.SymmetryMerges,
-		MaxDepthReached: counters.MaxDepthReached,
-	}
-	if w.red != nil {
-		// Only unit-root entries were shipped, so the descent recomputes
-		// the interior of whichever units the witness threads through
-		// (bounded by one subtree per level; tallies are not counted).
-		res.Reduced = true
-		witness, err := w.reconstructWitness(s.rootCost)
-		if err != nil {
-			return nil, err
-		}
-		res.Witness = witness
+	counters.Add(w.Counters)
+	// Under reduction only unit-root entries were shipped, so the witness
+	// descent recomputes the interior of whichever units it threads
+	// through (bounded by one subtree per level; tallies are not counted).
+	res, err := s.result(w, counters)
+	if err != nil {
+		return nil, err
 	}
 	if err := auditResult(cfg, res); err != nil {
 		return nil, err
