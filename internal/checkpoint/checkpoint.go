@@ -80,14 +80,13 @@ func (c *Counters) Add(o Counters) {
 
 // Entry is one table record: a claimed (canonical state, remaining
 // budget) pair. Search entries additionally carry the subtree's exact
-// answer (maximal tail cost, lexicographically least tail) and the
-// adoption bit of the prune accounting; exploration entries are bare
-// claims.
+// answer (its maximal tail cost; the witness is rebuilt from costs by a
+// descent, so no tail is stored) and the adoption bit of the prune
+// accounting; exploration entries are bare claims.
 type Entry struct {
 	State   [16]byte `json:"state"`
 	Budget  int      `json:"budget"`
 	Cost    int      `json:"cost"`
-	Tail    []int    `json:"tail"`
 	Adopted bool     `json:"adopted"`
 }
 
@@ -166,7 +165,11 @@ const (
 	// observability — resumption correctness never reads it — so
 	// version 2 and 3 snapshots stay readable and simply decode an
 	// empty block.
-	version = 4
+	// version 5: drops the per-entry witness tail (search rebuilds its
+	// witness from entry costs). Versions 2-4 stay readable: each old
+	// tail is skipped unread, and their costs and adoption bits mean
+	// exactly what they do in version 5.
+	version = 5
 	// minReadVersion is the oldest format this build still decodes.
 	minReadVersion = 2
 	// headerSize is magic + u16 version + u32 crc + u64 body length.
@@ -177,26 +180,17 @@ const (
 // in the same directory, fsync, rename. The previous snapshot at path
 // survives any crash before the rename commits.
 func Write(path string, s *Snapshot) error {
-	body, err := encodeBody(s)
+	raw, err := marshal(s)
 	if err != nil {
 		return err
 	}
-	var hdr [headerSize]byte
-	copy(hdr[:4], magic)
-	binary.LittleEndian.PutUint16(hdr[4:6], version)
-	binary.LittleEndian.PutUint32(hdr[6:10], crc32.ChecksumIEEE(body))
-	binary.LittleEndian.PutUint64(hdr[10:18], uint64(len(body)))
-
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(hdr[:]); err == nil {
-		_, err = tmp.Write(body)
-	}
-	if err != nil {
+	if _, err := tmp.Write(raw); err != nil {
 		tmp.Close()
 		return fmt.Errorf("checkpoint: write %s: %w", path, err)
 	}
@@ -213,9 +207,26 @@ func Write(path string, s *Snapshot) error {
 	return nil
 }
 
+// marshal renders the bytes of a current-version snapshot file: the
+// header, then the body.
+func marshal(s *Snapshot) ([]byte, error) {
+	var b bytes.Buffer
+	b.Write(make([]byte, headerSize))
+	if err := encodeBody(&b, s); err != nil {
+		return nil, err
+	}
+	raw := b.Bytes()
+	body := raw[headerSize:]
+	copy(raw[:4], magic)
+	binary.LittleEndian.PutUint16(raw[4:6], version)
+	binary.LittleEndian.PutUint32(raw[6:10], crc32.ChecksumIEEE(body))
+	binary.LittleEndian.PutUint64(raw[10:18], uint64(len(body)))
+	return raw, nil
+}
+
 // Read loads and validates the snapshot at path. A missing file, a wrong
-// magic, an unsupported version, a truncated body and a CRC mismatch are
-// all distinct Failures.
+// magic, an unsupported version, a truncated body, a CRC mismatch and an
+// undecodable body are all distinct Failures.
 func Read(path string) (*Snapshot, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -224,6 +235,12 @@ func Read(path string) (*Snapshot, error) {
 		}
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
+	return parse(path, raw)
+}
+
+// parse validates and decodes the bytes of a snapshot file; path only
+// names it in failures.
+func parse(path string, raw []byte) (*Snapshot, error) {
 	if len(raw) < headerSize || string(raw[:4]) != magic {
 		return nil, errs.Failuref(errs.CodeInvalid, "checkpoint: %s is not a snapshot (bad magic)", path)
 	}
@@ -260,52 +277,48 @@ func Read(path string) (*Snapshot, error) {
 // prefixed with a u32 count. Field order is fixed by these two
 // functions; any change bumps the format version.
 
-func encodeBody(s *Snapshot) ([]byte, error) {
-	var b bytes.Buffer
+func encodeBody(b *bytes.Buffer, s *Snapshot) error {
 	b.WriteByte(byte(s.Kind))
-	if err := putString(&b, s.Fingerprint); err != nil {
-		return nil, err
+	if err := putString(b, s.Fingerprint); err != nil {
+		return err
 	}
-	putI64(&b, int64(s.ShardDepth))
-	putU32(&b, uint32(len(s.Units)))
+	putI64(b, int64(s.ShardDepth))
+	putU32(b, uint32(len(s.Units)))
 	for _, u := range s.Units {
-		if err := putIntSlice(&b, u); err != nil {
-			return nil, err
+		if err := putIntSlice(b, u); err != nil {
+			return err
 		}
 	}
-	putU32(&b, uint32(len(s.Done)))
+	putU32(b, uint32(len(s.Done)))
 	for _, d := range s.Done {
-		putU32(&b, d)
+		putU32(b, d)
 	}
-	putI64(&b, int64(s.Counters.Paths))
-	putI64(&b, int64(s.Counters.Truncated))
-	putI64(&b, int64(s.Counters.Pruned))
-	putI64(&b, int64(s.Counters.Deduped))
-	putI64(&b, int64(s.Counters.MaxDepthReached))
-	putI64(&b, int64(s.Counters.StepsSlept))
-	putI64(&b, int64(s.Counters.SymmetryMerges))
-	putU32(&b, uint32(len(s.Entries)))
+	putI64(b, int64(s.Counters.Paths))
+	putI64(b, int64(s.Counters.Truncated))
+	putI64(b, int64(s.Counters.Pruned))
+	putI64(b, int64(s.Counters.Deduped))
+	putI64(b, int64(s.Counters.MaxDepthReached))
+	putI64(b, int64(s.Counters.StepsSlept))
+	putI64(b, int64(s.Counters.SymmetryMerges))
+	putU32(b, uint32(len(s.Entries)))
 	for _, e := range s.Entries {
 		b.Write(e.State[:])
-		putI64(&b, int64(e.Budget))
-		putI64(&b, int64(e.Cost))
-		if err := putIntSlice(&b, e.Tail); err != nil {
-			return nil, err
-		}
+		putI64(b, int64(e.Budget))
+		putI64(b, int64(e.Cost))
 		if e.Adopted {
 			b.WriteByte(1)
 		} else {
 			b.WriteByte(0)
 		}
 	}
-	putU32(&b, uint32(len(s.Telemetry)))
+	putU32(b, uint32(len(s.Telemetry)))
 	for _, c := range s.Telemetry {
-		if err := putString(&b, c.Name); err != nil {
-			return nil, err
+		if err := putString(b, c.Name); err != nil {
+			return err
 		}
-		putI64(&b, c.Value)
+		putI64(b, c.Value)
 	}
-	return b.Bytes(), nil
+	return nil
 }
 
 func decodeBody(r *bytes.Reader, v uint16) (*Snapshot, error) {
@@ -323,7 +336,7 @@ func decodeBody(r *bytes.Reader, v uint16) (*Snapshot, error) {
 		return nil, err
 	}
 	s.ShardDepth = int(sd)
-	nUnits, err := getU32(r)
+	nUnits, err := getCount(r, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +346,7 @@ func decodeBody(r *bytes.Reader, v uint16) (*Snapshot, error) {
 			return nil, err
 		}
 	}
-	nDone, err := getU32(r)
+	nDone, err := getCount(r, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -357,7 +370,13 @@ func decodeBody(r *bytes.Reader, v uint16) (*Snapshot, error) {
 		}
 		*dst = int(c)
 	}
-	nEntries, err := getU32(r)
+	// An entry is state, budget, cost and the adoption byte; versions
+	// before 5 add at least a tail's u32 count.
+	entrySize := 16 + 8 + 8 + 1
+	if v < 5 {
+		entrySize += 4
+	}
+	nEntries, err := getCount(r, entrySize)
 	if err != nil {
 		return nil, err
 	}
@@ -377,8 +396,10 @@ func decodeBody(r *bytes.Reader, v uint16) (*Snapshot, error) {
 			return nil, err
 		}
 		e.Cost = int(co)
-		if e.Tail, err = getIntSlice(r); err != nil {
-			return nil, err
+		if v < 5 {
+			if err := skipIntSlice(r); err != nil {
+				return nil, err
+			}
 		}
 		ad, err := r.ReadByte()
 		if err != nil {
@@ -387,7 +408,7 @@ func decodeBody(r *bytes.Reader, v uint16) (*Snapshot, error) {
 		e.Adopted = ad != 0
 	}
 	if v >= 4 {
-		nTel, err := getU32(r)
+		nTel, err := getCount(r, 4+8)
 		if err != nil {
 			return nil, err
 		}
@@ -477,13 +498,24 @@ func getString(r *bytes.Reader) (string, error) {
 	return string(buf), nil
 }
 
-func getIntSlice(r *bytes.Reader) ([]int, error) {
+// getCount reads a sequence count whose elements each encode to at least
+// minSize bytes, rejecting one the remaining body cannot hold — so a
+// crafted count can never size an allocation beyond the body itself.
+func getCount(r *bytes.Reader, minSize int) (int, error) {
 	n, err := getU32(r)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if uint64(n)*4 > uint64(r.Len()) {
-		return nil, fmt.Errorf("slice length %d exceeds remaining %d bytes", n, r.Len())
+	if uint64(n)*uint64(minSize) > uint64(r.Len()) {
+		return 0, fmt.Errorf("count %d of %d-byte elements exceeds remaining %d bytes", n, minSize, r.Len())
+	}
+	return int(n), nil
+}
+
+func getIntSlice(r *bytes.Reader) ([]int, error) {
+	n, err := getCount(r, 4)
+	if err != nil {
+		return nil, err
 	}
 	if n == 0 {
 		return nil, nil
@@ -497,4 +529,15 @@ func getIntSlice(r *bytes.Reader) ([]int, error) {
 		out[i] = int(int32(v))
 	}
 	return out, nil
+}
+
+// skipIntSlice steps over an encoded int slice without decoding it: the
+// witness tail of a pre-version-5 entry.
+func skipIntSlice(r *bytes.Reader) error {
+	n, err := getCount(r, 4)
+	if err != nil {
+		return err
+	}
+	_, err = r.Seek(int64(n)*4, io.SeekCurrent)
+	return err
 }

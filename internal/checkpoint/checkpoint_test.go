@@ -23,17 +23,16 @@ func sample() *checkpoint.Snapshot {
 			Paths: 120, Truncated: 7, Pruned: 451, Deduped: 0, MaxDepthReached: 8,
 		},
 		Entries: []checkpoint.Entry{
-			{State: [16]byte{1, 2, 3}, Budget: 5, Cost: 9, Tail: []int{0, 2, 1}, Adopted: true},
-			{State: [16]byte{1, 2, 3}, Budget: 7, Cost: 2, Tail: nil, Adopted: false},
-			{State: [16]byte{0xff}, Budget: 0, Cost: 0, Tail: []int{}, Adopted: false},
+			{State: [16]byte{1, 2, 3}, Budget: 5, Cost: 9, Adopted: true},
+			{State: [16]byte{1, 2, 3}, Budget: 7, Cost: 2, Adopted: false},
+			{State: [16]byte{0xff}, Budget: 0, Cost: 0, Adopted: false},
 		},
 	}
 	return s
 }
 
-// TestRoundTrip: write→read reproduces every field, including empty vs
-// nil tails (both read back as empty) and the adoption bits the prune
-// accounting depends on.
+// TestRoundTrip: write→read reproduces every field, including the
+// adoption bits the prune accounting depends on.
 func TestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.rpck")
 	want := sample()
@@ -44,17 +43,6 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	// nil and empty tails both serialize to length 0; normalize to nil
-	// before comparing.
-	norm := func(s *checkpoint.Snapshot) {
-		for i := range s.Entries {
-			if len(s.Entries[i].Tail) == 0 {
-				s.Entries[i].Tail = nil
-			}
-		}
-	}
-	norm(want)
-	norm(got)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}

@@ -34,11 +34,11 @@ func encodeBodyV2(s *Snapshot) []byte {
 	putI64(&b, int64(s.Counters.Deduped))
 	putI64(&b, int64(s.Counters.MaxDepthReached))
 	putU32(&b, uint32(len(s.Entries)))
-	for _, e := range s.Entries {
+	for i, e := range s.Entries {
 		b.Write(e.State[:])
 		putI64(&b, int64(e.Budget))
 		putI64(&b, int64(e.Cost))
-		putIntSlice(&b, e.Tail)
+		putIntSlice(&b, oldTail(i))
 		if e.Adopted {
 			b.WriteByte(1)
 		} else {
@@ -52,14 +52,32 @@ func encodeBodyV2(s *Snapshot) []byte {
 // Write's pinning to the current version.
 func writeRaw(t *testing.T, path string, v uint16, body []byte) {
 	t.Helper()
+	if err := os.WriteFile(path, frame(v, body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// frame prefixes a body with a valid header under version v.
+func frame(v uint16, body []byte) []byte {
 	var hdr [headerSize]byte
 	copy(hdr[:4], magic)
 	binary.LittleEndian.PutUint16(hdr[4:6], v)
 	binary.LittleEndian.PutUint32(hdr[6:10], crc32.ChecksumIEEE(body))
 	binary.LittleEndian.PutUint64(hdr[10:18], uint64(len(body)))
-	if err := os.WriteFile(path, append(hdr[:], body...), 0o644); err != nil {
-		t.Fatal(err)
+	return append(hdr[:], body...)
+}
+
+// compatTails are the witness tails a pre-version-5 build stored with
+// compatSnapshot's entries, one per entry. Entry has no tail field any
+// more, so the old-version encoders take them from here.
+var compatTails = [][]int{{1, 0, 2}, nil}
+
+// oldTail is the tail the old-version encoders write for entry i.
+func oldTail(i int) []int {
+	if i < len(compatTails) {
+		return compatTails[i]
 	}
+	return nil
 }
 
 // compatSnapshot is a representative unreduced snapshot: exactly what a
@@ -76,8 +94,8 @@ func compatSnapshot() *Snapshot {
 			Paths: 120, Truncated: 7, Pruned: 33, MaxDepthReached: 14,
 		},
 		Entries: []Entry{
-			{State: [16]byte{1, 2, 3}, Budget: 5, Cost: 4, Tail: []int{1, 0, 2}, Adopted: true},
-			{State: [16]byte{9}, Budget: 2, Cost: 0, Tail: nil},
+			{State: [16]byte{1, 2, 3}, Budget: 5, Cost: 4, Adopted: true},
+			{State: [16]byte{9}, Budget: 2, Cost: 0},
 		},
 	}
 }

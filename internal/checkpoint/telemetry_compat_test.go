@@ -32,11 +32,11 @@ func encodeBodyV3(s *Snapshot) []byte {
 	putI64(&b, int64(s.Counters.StepsSlept))
 	putI64(&b, int64(s.Counters.SymmetryMerges))
 	putU32(&b, uint32(len(s.Entries)))
-	for _, e := range s.Entries {
+	for i, e := range s.Entries {
 		b.Write(e.State[:])
 		putI64(&b, int64(e.Budget))
 		putI64(&b, int64(e.Cost))
-		putIntSlice(&b, e.Tail)
+		putIntSlice(&b, oldTail(i))
 		if e.Adopted {
 			b.WriteByte(1)
 		} else {

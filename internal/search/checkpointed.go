@@ -42,8 +42,8 @@ type Checkpoint = engine.Checkpoint
 // sharded (fresh-table-per-unit) counter regime is marked distinctly so
 // its snapshots cannot resume into a shared-table run or vice versa. A
 // reduced run (Config.Reduce with a capable model) is likewise marked:
-// its memo entries key (state, sleep) pairs and carry no tails, so they
-// must never seed an unreduced table or vice versa.
+// its memo entries key (state, sleep) pairs and may hold the blocked
+// sentinel, so they must never seed an unreduced table or vice versa.
 func Fingerprint(tag string, cfg Config, shardDepth int, sharded bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "search|%s|n=%d|depth=%d|model=%s|shard=%d|scripts=",

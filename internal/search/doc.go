@@ -15,9 +15,12 @@
 // node so the pricing state backtracks with the schedule. The striped
 // claim table of internal/engine, keyed by canonical (machine state,
 // model state, remaining depth budget), serves as the memo and stores
-// each subtree's exact maximal tail cost and lexicographically least
-// witness tail; every later arrival at the pair — whatever cost its
-// prefix accumulated — is cut and reuses the stored result. Work-stealing
+// each subtree's exact maximal tail cost, and nothing else; every later
+// arrival at the pair — whatever cost its prefix accumulated — is cut
+// and reuses the stored cost. The witness is rebuilt afterwards by one
+// descent from the root that takes, at each node, the lowest-index child
+// whose step cost plus memo cost equals the remaining cost: unreduced,
+// the lexicographically least worst-case schedule. Work-stealing
 // workers on the explorer's prefix-handoff pattern share the table, and
 // every Result field is deterministic for any worker count. Sample mode
 // runs N independent seeded random walks for configurations beyond
@@ -27,8 +30,7 @@
 // The worker pool, the counters and their telemetry flush, and the
 // checkpoint unit loop come from internal/engine as well; this package
 // keeps the branch-and-bound DFS, the spine pass that finishes a
-// checkpointed or sharded run, and the witness reconstruction of
-// reduced runs.
+// checkpointed or sharded run, and the witness descent.
 //
 // Replay re-executes a witness (a choice-index sequence) on a fresh
 // memsim.Execution and re-prices it through the streaming accumulator — an

@@ -20,19 +20,24 @@ import (
 //
 // The cut is a memo table over the search DAG: each (canonical state,
 // remaining budget) pair is claimed by its first visitor, which computes
-// and publishes the subtree's exact answer — the maximal tail cost and
-// the lexicographically least tail achieving it. Both are functions of
-// the pair alone (the canonical state includes the pricing state, and
-// per-step costs are state-determined), so every later arrival reuses the
-// entry regardless of the cost its own prefix accumulated. That is a
-// strictly stronger cut than classic (cost so far, budget) dominance: a
-// dominance rule must re-explore a state reached with higher prefix cost,
-// and its equal-cost corner is unsound for lexicographically-least
-// witnesses (see docs/ARCHITECTURE.md). Because an entry is exact, a
-// parent combines children as max(step cost + child tail cost), breaking
-// ties toward the smallest choice index — which makes the root answer the
-// global maximum with its lexicographically least witness, for any worker
+// and publishes the subtree's exact answer — the maximal tail cost. It is
+// a function of the pair alone (the canonical state includes the pricing
+// state, and per-step costs are state-determined), so every later arrival
+// reuses the entry regardless of the cost its own prefix accumulated.
+// That is a strictly stronger cut than classic (cost so far, budget)
+// dominance: a dominance rule must re-explore a state reached with higher
+// prefix cost, and its equal-cost corner is unsound for
+// lexicographically-least witnesses (see docs/ARCHITECTURE.md). Because
+// an entry is exact, a parent combines children as max(step cost + child
+// tail cost), and the root answer is the global maximum for any worker
 // count and any claim-race outcome.
+//
+// Entries hold cost only; the witness comes from one descent after the
+// search (reconstructWitness): from the root, take the lowest-index child
+// whose step cost plus memo cost equals the remaining cost. Unreduced,
+// that is exactly the lexicographically least worst-case schedule — the
+// lowest index achieving the maximum at every node — with no tail stored
+// per node.
 //
 // Unlike the explorer, a parent cannot skip a handed-off sibling: it
 // needs the child's answer to take the max. Handoff therefore publishes
@@ -50,17 +55,16 @@ import (
 // subtree root from the initial state.
 type task = worksteal.Task
 
-// memoEntry is one claimed subtree. The claimer fills cost and tail, then
-// flips complete (and closes done, if some waiter materialized it); after
-// that both fields are immutable and any worker may read them.
+// memoEntry is one claimed subtree. The claimer fills cost, then flips
+// complete (and closes done, if some waiter materialized it); after that
+// cost is immutable and any worker may read it.
 type memoEntry struct {
-	cost int   // maximal tail cost from the pair
-	tail []int // lexicographically least tail achieving cost
+	cost int // maximal tail cost from the pair
 	// done is materialized lazily, under the stripe lock, by the first
 	// waiter that finds the entry incomplete — so the common case (claims
 	// that never block, and every single-worker run) allocates no channel.
 	done chan struct{}
-	// complete flips once cost/tail are published. Readers fast-path on
+	// complete flips once cost is published. Readers fast-path on
 	// it; the atomic store/load pair orders the field writes before any
 	// reader that observes true.
 	complete atomic.Bool
@@ -95,7 +99,6 @@ type bnb struct {
 
 	mu       sync.Mutex
 	rootCost int
-	rootTail []int
 	rootSet  bool
 }
 
@@ -106,8 +109,8 @@ func newBnb(cfg Config) *bnb {
 // publish installs a claimed entry's answer and wakes any waiters. The
 // atomic flip is ordered after the field writes; the lock round-trip
 // pairs with wait's waiter registration.
-func (s *bnb) publish(state [16]byte, e *memoEntry, cost int, tail []int) {
-	e.cost, e.tail = cost, tail
+func (s *bnb) publish(state [16]byte, e *memoEntry, cost int) {
+	e.cost = cost
 	e.complete.Store(true)
 	mu := s.table.Mutex(state)
 	mu.Lock()
@@ -149,7 +152,7 @@ func (s *bnb) wait(state [16]byte, e *memoEntry, abort <-chan struct{}) bool {
 // complete, which holds between units: no worker is running).
 func (s *bnb) export() []checkpoint.Entry {
 	return s.table.Export(func(en *checkpoint.Entry, e *memoEntry) {
-		en.Cost, en.Tail, en.Adopted = e.cost, append([]int(nil), e.tail...), e.adopted.Load()
+		en.Cost, en.Adopted = e.cost, e.adopted.Load()
 	})
 }
 
@@ -160,7 +163,7 @@ func (s *bnb) preload(entries []checkpoint.Entry) {
 	var sl slab
 	s.table.Preload(entries, func(en checkpoint.Entry) *memoEntry {
 		e := sl.next()
-		e.cost, e.tail = en.Cost, append([]int(nil), en.Tail...)
+		e.cost = en.Cost
 		e.adopted.Store(en.Adopted)
 		e.complete.Store(true)
 		return e
@@ -168,18 +171,23 @@ func (s *bnb) preload(entries []checkpoint.Entry) {
 }
 
 // result assembles the Result from the root answer and the merged
-// counters. A reduced run reconstructs its witness from the table on w —
-// after the counters are merged: the reconstruction may recompute
-// subtrees, and its tallies must not count.
+// counters, reconstructing the witness from the table on w — after the
+// counters are merged: the reconstruction may recompute subtrees, and
+// its tallies must not count.
 func (s *bnb) result(w *hunter, c checkpoint.Counters) (*Result, error) {
 	if !s.rootSet {
 		return nil, errors.New("search: internal: root subtree never completed")
 	}
-	res := &Result{
+	witness, err := w.reconstructWitness(s.rootCost)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
 		Mode:            ModeExhaustive,
 		Model:           s.cfg.Model.Name(),
 		WorstCost:       s.rootCost,
-		Witness:         s.rootTail,
+		Witness:         witness,
+		Reduced:         w.Red != nil,
 		Workers:         s.cfg.Workers,
 		Paths:           c.Paths,
 		Truncated:       c.Truncated,
@@ -187,16 +195,7 @@ func (s *bnb) result(w *hunter, c checkpoint.Counters) (*Result, error) {
 		StepsSlept:      c.StepsSlept,
 		SymmetryMerges:  c.SymmetryMerges,
 		MaxDepthReached: c.MaxDepthReached,
-	}
-	if w.Red != nil {
-		res.Reduced = true
-		witness, err := w.reconstructWitness(s.rootCost)
-		if err != nil {
-			return nil, err
-		}
-		res.Witness = witness
-	}
-	return res, nil
+	}, nil
 }
 
 // hunter is one worker: a private pricer on the engine's worker state,
@@ -240,42 +239,38 @@ func (w *hunter) runTask(t task) error {
 	if err != nil {
 		return err
 	}
-	cost, tail, err := w.dfs(len(t), sleep, len(t) == 0)
+	cost, err := w.dfs(len(t), sleep, len(t) == 0)
 	w.Ship()
 	if err != nil {
 		return err
 	}
 	if len(t) == 0 {
 		w.s.mu.Lock()
-		w.s.rootCost, w.s.rootTail, w.s.rootSet = cost, tail, true
+		w.s.rootCost, w.s.rootSet = cost, true
 		w.s.mu.Unlock()
 	}
 	return nil
 }
 
 // dfs computes the exact answer for the subtree at the engine's current
-// position: the maximal tail cost and the lexicographically least tail
-// achieving it. fromEdge marks visits that arrive by a parent walking its
-// child (plus the root), the only visits that touch counters; prefetch
-// task roots pass false.
+// position: the maximal tail cost. fromEdge marks visits that arrive by a
+// parent walking its child (plus the root), the only visits that touch
+// counters; prefetch task roots pass false.
 //
-// Under reduction (w.Red != nil) three things change. The memo key is the
+// Under reduction (w.Red != nil) two things change. The memo key is the
 // reduced canonical key over (state, sleep) — sleep bits are part of the
-// state because the explored subtree is a function of both. Children
+// state because the explored subtree is a function of both. And children
 // whose process sleeps are skipped entirely: their subtrees contain only
 // schedules that commute, access by access, into an earlier sibling's
 // subtree, so under an order-invariant model their bills are duplicates.
-// And entries publish cost only (tail nil): a tail's choice indices are
-// meaningful only at the representative that computed them, so the
-// witness is reconstructed from the table afterwards. A node whose every
-// child is asleep (or transitively so) publishes the blocked sentinel -1
-// — its schedules are all accounted elsewhere — and parents skip blocked
-// children when maximizing, so every non-negative published cost is
-// realized by a schedule inside its own (state, sleep) subtree, which is
-// what makes the reconstruction descent sound.
-func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error) {
+// A node whose every child is asleep (or transitively so) publishes the
+// blocked sentinel -1 — its schedules are all accounted elsewhere — and
+// parents skip blocked children when maximizing, so every non-negative
+// published cost is realized by a schedule inside its own (state, sleep)
+// subtree, which is what makes the witness descent sound.
+func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, error) {
 	if err := w.Enter(depth); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	choices := w.e.SettleAt(depth)
 	budget := w.s.cfg.MaxDepth - depth
@@ -289,7 +284,7 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 				w.Truncated++
 			}
 		}
-		return 0, nil, nil
+		return 0, nil
 	}
 	key, merged := w.e.Key(w.Red, sleep)
 	if fromEdge && merged {
@@ -308,16 +303,16 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 			// is already covered and runTask discards a prefetch task's
 			// answer, so return to the frontier instead of idling on the
 			// racing worker's computation.
-			return 0, nil, nil
+			return 0, nil
 		}
 		w.MemoHits++
 		if entry.adopted.Swap(true) {
 			w.Pruned++
 		}
 		if !w.s.wait(key, entry, w.Pool.Abort()) {
-			return 0, nil, engine.ErrStopped
+			return 0, engine.ErrStopped
 		}
-		return entry.cost, entry.tail, nil
+		return entry.cost, nil
 	}
 	w.spare = nil
 	w.MemoMisses++
@@ -335,10 +330,7 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 		}
 	}
 	m := w.e.Save()
-	// Track the winning child by index and published tail — child tails
-	// are immutable once published — and build this node's tail exactly
-	// once after the loop: one allocation per internal node.
-	best, bestIdx, bestChild := -1, -1, []int(nil)
+	best := -1
 	for i, c := range choices {
 		if w.Red.Asleep(c, sleep) {
 			// A sleeping process's subtree only contains schedules that
@@ -352,42 +344,40 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, []int, error)
 		}
 		childSleep, err := w.e.Child(w.Red, choices, i, sleep, &earlier)
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		step := w.e.step
-		tailCost, tail, err := w.dfs(depth+1, childSleep, true)
+		tailCost, err := w.dfs(depth+1, childSleep, true)
 		if err != nil {
-			return 0, nil, err
+			return 0, err
 		}
 		if tailCost >= 0 { // skip blocked children (reduction only)
-			if total := step + tailCost; total > best {
-				best, bestIdx, bestChild = total, i, tail
-			}
+			best = max(best, step+tailCost)
 		}
 		w.e.Restore(m)
 	}
 	w.e.Release(m)
-	var bestTail []int
-	if w.Red == nil {
-		bestTail = append(append(make([]int, 0, len(bestChild)+1), bestIdx), bestChild...)
-	}
-	w.s.publish(key, entry, best, bestTail)
-	return best, bestTail, nil
+	w.s.publish(key, entry, best)
+	return best, nil
 }
 
 // reconstructWitness materializes a worst-case schedule from a completed
-// reduced search by descending the memo table from the root: at each node
-// it applies, in order, the first non-slept child whose step cost plus
-// memoized tail cost accounts exactly for the remainder — blocked entries
-// (cost -1) never match, so the descent follows only costs realized by
-// real schedules and terminates at a maximal history replaying to exactly
-// rootCost. When a child's entry is absent (a sharded merge ships only
-// unit-root entries), the subtree is recomputed into the shared table on
-// a single-worker shadow whose tallies are discarded — callers therefore
-// reconstruct only after folding the hunters' counters into the Result.
+// search by descending the memo table from the root: at each node it
+// applies, in order, the first non-slept child whose step cost plus
+// memoized tail cost accounts exactly for the remainder. Unreduced, every
+// entry is the exact subtree maximum, so the lowest matching index is the
+// lowest index achieving the maximum and the descent yields the
+// lexicographically least worst-case schedule. Under reduction blocked
+// entries (cost -1) never match, so the descent follows only costs
+// realized by real schedules and terminates at a maximal history
+// replaying to exactly rootCost. When a child's entry is absent (a
+// sharded merge ships only unit-root entries), the subtree is recomputed
+// into the shared table on a single-worker shadow whose tallies are
+// discarded — callers therefore reconstruct only after folding the
+// hunters' counters into the Result.
 func (w *hunter) reconstructWitness(rootCost int) ([]int, error) {
 	if rootCost < 0 {
-		return nil, fmt.Errorf("search: internal: reduced root cost %d", rootCost)
+		return nil, fmt.Errorf("search: internal: root cost %d", rootCost)
 	}
 	sleep, err := w.Start(nil)
 	if err != nil {
@@ -405,7 +395,9 @@ func (w *hunter) reconstructWitness(rootCost int) ([]int, error) {
 			}
 			return witness, nil
 		}
-		w.Red.StateKey(sleep) // refresh the canonical ranks at this node
+		if w.Red != nil {
+			w.Red.StateKey(sleep) // refresh the canonical ranks at this node
+		}
 		var earlier [64]uint64
 		w.Red.EarlierMasks(choices, &earlier)
 		m := w.e.Save()
@@ -421,13 +413,13 @@ func (w *hunter) reconstructWitness(rootCost int) ([]int, error) {
 			step := w.e.step
 			childCost := 0
 			if childChoices := w.e.SettleAt(depth + 1); len(childChoices) != 0 && budget > 1 {
-				key, _ := w.Red.StateKey(childSleep)
+				key, _ := w.e.Key(w.Red, childSleep)
 				switch entry, ok := w.s.table.Lookup(key, budget-1); {
 				case !ok:
 					fb := &hunter{s: w.s, e: w.e, Worker: engine.Worker{
 						Pool: engine.NewPool(checkpoint.KindSearch, 1, nil, nil), Core: w.Core, Red: w.Red,
 					}}
-					cost, _, err := fb.dfs(depth+1, childSleep, false)
+					cost, err := fb.dfs(depth+1, childSleep, false)
 					if err != nil {
 						return nil, err
 					}

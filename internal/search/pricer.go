@@ -115,7 +115,7 @@ func (x *pricer) AppendKeyProc(b []byte, p memsim.PID) []byte {
 // AppendKeyTail adds the cost model's canonical mutable state (the CC
 // cache contents), because the maximal tail cost from a node is a
 // function of machine state AND pricing state. The accumulated path cost
-// stays out: a memoized tail is exact for any prefix cost — that is the
+// stays out: a memoized tail cost is exact for any prefix cost — that is the
 // cut's whole power.
 func (x *pricer) AppendKeyTail(b []byte) []byte {
 	return x.acc.(model.ModelStateAppender).AppendModelState(b)

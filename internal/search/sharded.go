@@ -19,7 +19,8 @@ import (
 // the unit-root entries and runs the ordinary spine pass, so the merged
 // WorstCost and lexicographically least Witness are exactly the
 // single-process answers (each memo entry is the exact subtree optimum,
-// however it was computed). The Paths/Pruned tallies form their own
+// however it was computed; the witness descent recomputes the interior
+// of the units it threads through). The Paths/Pruned tallies form their own
 // deterministic regime: units no longer share interior states with each
 // other, so cross-unit dedup that the shared table would have counted as
 // prunes is recomputed instead. Snapshots of a sharded run carry a
@@ -63,7 +64,7 @@ func ComputeUnit(cfg Config, prefix []int) (*UnitResult, error) {
 		return nil, errs.Defectf("search: unit %v is a leaf, not an internal node", prefix)
 	}
 	key, _ := w.e.Key(w.Red, sleep)
-	cost, tail, err := w.dfs(len(prefix), sleep, false)
+	cost, err := w.dfs(len(prefix), sleep, false)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +74,6 @@ func ComputeUnit(cfg Config, prefix []int) (*UnitResult, error) {
 			State:  key,
 			Budget: budget,
 			Cost:   cost,
-			Tail:   tail,
 			// Adopted stays false: in the merged table the first spine (or
 			// sibling-unit) edge visit adopts the entry, exactly as a
 			// prefetch-computed entry behaves in-process.
@@ -120,9 +120,9 @@ func MergeShardedState(cfg Config, entries []checkpoint.Entry, counters checkpoi
 		return nil, err
 	}
 	counters.Add(w.Counters)
-	// Under reduction only unit-root entries were shipped, so the witness
-	// descent recomputes the interior of whichever units it threads
-	// through (bounded by one subtree per level; tallies are not counted).
+	// Only unit-root entries were shipped, so the witness descent
+	// recomputes the interior of whichever unit it threads through
+	// (tallies are not counted).
 	res, err := s.result(w, counters)
 	if err != nil {
 		return nil, err
