@@ -2,13 +2,15 @@
 // signaling algorithm on the simulator, drives waiters and a signaler under
 // a scheduler, scores the resulting trace under the RMR cost models of both
 // architectures, and checks Specification 4.1 — everything needed to
-// regenerate the paper's claims (see DESIGN.md's experiment index).
+// regenerate the paper's claims (see DESIGN.md's experiment index). Run is
+// a thin layer over the generic harness: it validates its Config, builds
+// the signal.Workload call policy and attaches the online spec checker;
+// harness.Run owns the drive loop, the budget and the scoring pipeline.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"reflect"
 
 	"repro/internal/harness"
 	"repro/internal/memsim"
@@ -86,10 +88,9 @@ type Config struct {
 	// engine-equivalence tests and BenchmarkEngineStep. Traces are
 	// identical either way.
 	ForceBlocking bool
-	// Telemetry, when non-nil, receives call start/completion and
-	// budget-exhaustion counters (the same families the workload
-	// harness ticks). Write-only: the Result is identical with or
-	// without it.
+	// Telemetry, when non-nil, receives the harness's call
+	// start/completion and budget-exhaustion counters. Write-only: the
+	// Result is identical with or without it.
 	Telemetry *telemetry.Registry
 }
 
@@ -117,6 +118,12 @@ func (c *Config) normalize() error {
 	if c.Signalers == nil {
 		c.Signalers = []memsim.PID{c.Signaler}
 	}
+	if err := checkPIDs(c.N, "waiter", c.Waiters); err != nil {
+		return err
+	}
+	if err := checkPIDs(c.N, "signaler", c.Signalers); err != nil {
+		return err
+	}
 	if c.MaxSteps == 0 {
 		c.MaxSteps = 200_000
 	}
@@ -126,91 +133,30 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// Result is the outcome of a simulated history.
+// checkPIDs rejects the first of pids outside the machine's processes.
+func checkPIDs(n int, role string, pids []memsim.PID) error {
+	for _, p := range pids {
+		if int(p) < 0 || int(p) >= n {
+			return fmt.Errorf("core: %s p%d outside the machine's processes [0, %d)", role, p, n)
+		}
+	}
+	return nil
+}
+
+// Result is the outcome of a simulated history. The embedded harness
+// result carries the trace (if retained), the streaming reports, the step
+// count and the truncation flags.
 type Result struct {
-	// Events is the full execution trace; nil unless Config.KeepEvents
-	// was set.
-	Events []memsim.Event
-	// Reports are the streaming reports of the attached Config.Scorers,
-	// in the same order.
-	Reports []*model.Report
+	*harness.Result
 	// Returns maps each process to the return values of its completed
 	// calls, in order.
 	Returns map[memsim.PID][]memsim.Value
 	// Signaled reports whether the Signal call completed.
 	Signaled bool
-	// Steps is the number of shared-memory accesses performed.
-	Steps int
-	// Truncated reports whether the run stopped on the step budget.
-	Truncated bool
-	// Interrupted reports whether the run stopped on Config.Interrupt.
-	Interrupted bool
 	// Violations are breaches of Specification 4.1 (empty for correct
 	// algorithms).
 	Violations []signal.SpecViolation
-
-	ownerFn func(memsim.Addr) memsim.PID
-	n       int
-	// scorers mirrors Reports: the attached scorer that produced each
-	// report, for exact model matching in Score.
-	scorers []model.Scorer
 }
-
-// Report returns the streaming report whose model name matches name, or
-// nil if no such scorer was attached. Note that a CC model's name does not
-// encode its Limit, EvictEvery or StrictInvalidate knobs; attach at most
-// one variant per name if you look reports up this way (Score matches by
-// model value instead and has no such ambiguity).
-func (r *Result) Report(name string) *model.Report {
-	for _, rep := range r.Reports {
-		if rep.Model == name {
-			return rep
-		}
-	}
-	return nil
-}
-
-// Score prices the run under the given cost model. If the trace was
-// retained (Config.KeepEvents) it is scored in a batch pass; otherwise
-// Score falls back to the streaming report of the attached scorer that is
-// exactly this model (value equality, so two CC variants differing only
-// in Limit or EvictEvery never answer for each other), and returns nil if
-// there is none. New code should attach Scorers and read Result.Reports
-// directly; Score is kept for the trace-retaining path and for
-// compatibility.
-func (r *Result) Score(cm model.CostModel) *model.Report {
-	if r.Events != nil {
-		return cm.Score(r.Events, r.ownerFn, r.n)
-	}
-	for i, s := range r.scorers {
-		if scorerIs(s, cm) {
-			return r.Reports[i]
-		}
-	}
-	return nil
-}
-
-// scorerIs reports whether the attached scorer s is exactly the model cm:
-// value equality for comparable model types (every model in this
-// repository), name equality as a fallback for custom non-comparable
-// scorer types.
-func scorerIs(s model.Scorer, cm model.CostModel) bool {
-	ts, tc := reflect.TypeOf(s), reflect.TypeOf(cm)
-	if ts != tc {
-		return false
-	}
-	if ts.Comparable() {
-		return any(s) == any(cm)
-	}
-	return s.Name() == cm.Name()
-}
-
-// OwnerFunc exposes the machine's module-ownership mapping, for callers
-// that annotate the trace themselves (e.g. cmd/tracedump).
-func (r *Result) OwnerFunc() func(memsim.Addr) memsim.PID { return r.ownerFn }
-
-// N returns the number of processes in the run.
-func (r *Result) N() int { return r.n }
 
 // Run simulates one history of cfg and returns its result. Attached
 // Scorers price every event as it is generated (one pass, no retained
@@ -223,173 +169,47 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	exec, err := cfg.Algorithm.Deploy(cfg.N)
-	if err != nil {
+	p := signal.Policy{
+		Waiters:     cfg.Waiters,
+		Signalers:   cfg.Signalers,
+		Blocking:    cfg.Blocking,
+		MaxPolls:    cfg.MaxPolls,
+		SignalAfter: cfg.SignalAfter,
+	}
+	if cfg.NoSignaler {
+		p.Signalers = nil
+	}
+	w := signal.NewWorkload(cfg.Algorithm, cfg.N, p)
+	// The online spec checker and any extra sink observe each event after
+	// the attached scorers; the trace itself is retained only on request.
+	spec := signal.NewSpecChecker()
+	hres, err := harness.Run(harness.Config{
+		Workload:   w,
+		Scheduler:  cfg.Scheduler,
+		MaxSteps:   cfg.MaxSteps,
+		Scorers:    cfg.Scorers,
+		KeepEvents: cfg.KeepEvents,
+		Sink: func(ev memsim.Event) {
+			w.Observe(ev)
+			spec.Observe(ev)
+			if cfg.Sink != nil {
+				cfg.Sink(ev)
+			}
+		},
+		Interrupt:     cfg.Interrupt,
+		ForceBlocking: cfg.ForceBlocking || forceBlockingDefault,
+		Telemetry:     cfg.Telemetry,
+	})
+	if hres == nil {
 		return nil, err
 	}
-	defer exec.Close()
-	exec.ForceBlocking(cfg.ForceBlocking || forceBlockingDefault)
-
-	res := &Result{Returns: make(map[memsim.PID][]memsim.Value, cfg.N)}
-
-	// Streaming consumers: attached scorers, the online spec checker, and
-	// any extra sink observe each event as it is emitted; the trace
-	// itself is retained only on request.
-	exec.RetainEvents(cfg.KeepEvents)
-	owner := exec.Machine().Owner
-	accs := make([]model.Accumulator, len(cfg.Scorers))
-	for i, s := range cfg.Scorers {
-		accs[i] = s.Begin(cfg.N, owner)
+	if werr := w.Err(); werr != nil {
+		return nil, werr
 	}
-	spec := signal.NewSpecChecker()
-	exec.Attach(func(ev memsim.Event) {
-		for _, a := range accs {
-			a.Add(ev)
-		}
-		spec.Observe(ev)
-		if cfg.Sink != nil {
-			cfg.Sink(ev)
-		}
-	})
-
-	waiterKind := memsim.CallPoll
-	if cfg.Blocking {
-		waiterKind = memsim.CallWait
-	}
-	type wstate struct {
-		polls int
-		done  bool
-	}
-	waiters := make(map[memsim.PID]*wstate, len(cfg.Waiters))
-	for _, w := range cfg.Waiters {
-		waiters[w] = &wstate{}
-	}
-	isSignaler := make(map[memsim.PID]bool, len(cfg.Signalers))
-	for _, s := range cfg.Signalers {
-		isSignaler[s] = true
-	}
-	signalStarted := make(map[memsim.PID]bool, len(cfg.Signalers))
-	signalDone := false
-
-	// The telemetry counters no-op on a nil registry (nil handles).
-	started := cfg.Telemetry.Counter("repro_harness_calls_started_total")
-	completed := cfg.Telemetry.Counter("repro_harness_calls_completed_total")
-	exhausted := cfg.Telemetry.Counter("repro_harness_budget_exhausted_total")
-
-	// harvest collects p's completed call, if any.
-	harvest := func(p memsim.PID) error {
-		ret, ended := exec.CallEnded(p)
-		if !ended {
-			return nil
-		}
-		if _, err := exec.Finish(p); err != nil {
-			return err
-		}
-		completed.Inc(int(p))
-		res.Returns[p] = append(res.Returns[p], ret)
-		if isSignaler[p] && signalStarted[p] {
-			signalDone = true
-		}
-		if ws, ok := waiters[p]; ok {
-			ws.polls++
-			if cfg.Blocking || ret != 0 {
-				ws.done = true
-			} else if cfg.MaxPolls > 0 && ws.polls >= cfg.MaxPolls {
-				ws.done = true
-			}
-		}
-		return nil
-	}
-
-	// advance collects completed calls and starts new ones; it returns
-	// the set of processes with a pending access, in a buffer reused
-	// across steps.
-	ready := make([]memsim.PID, 0, cfg.N)
-	advance := func() ([]memsim.PID, error) {
-		ready = ready[:0]
-		for pid := 0; pid < cfg.N; pid++ {
-			p := memsim.PID(pid)
-			if err := harvest(p); err != nil {
-				return nil, err
-			}
-			if exec.Idle(p) {
-				if ws, ok := waiters[p]; ok && !ws.done {
-					if err := exec.Start(p, waiterKind); err != nil {
-						return nil, err
-					}
-					started.Inc(int(p))
-				} else if isSignaler[p] && !cfg.NoSignaler && !signalStarted[p] &&
-					res.Steps >= cfg.SignalAfter {
-					if err := exec.Start(p, memsim.CallSignal); err != nil {
-						return nil, err
-					}
-					started.Inc(int(p))
-					signalStarted[p] = true
-				}
-			}
-			if _, ok := exec.Pending(p); ok {
-				ready = append(ready, p)
-			}
-		}
-		return ready, nil
-	}
-
-	for {
-		if cfg.Interrupt != nil {
-			select {
-			case <-cfg.Interrupt:
-				res.Interrupted = true
-			default:
-			}
-			if res.Interrupted {
-				break
-			}
-		}
-		ready, err := advance()
-		if err != nil {
-			return nil, err
-		}
-		if len(ready) == 0 {
-			break
-		}
-		if res.Steps >= cfg.MaxSteps {
-			res.Truncated = true
-			exhausted.Inc(0)
-			break
-		}
-		pid := cfg.Scheduler.Next(ready)
-		if _, err := exec.Step(pid); err != nil {
-			return nil, err
-		}
-		res.Steps++
-	}
-	// Harvest once more: a call that completed on the final applied step
-	// is collected even when the interrupt check broke the loop before
-	// advance could run (mirroring the workload harness, which fixes the
-	// same truncation under-count for locks).
-	for pid := 0; pid < cfg.N; pid++ {
-		if err := harvest(memsim.PID(pid)); err != nil {
-			return nil, err
-		}
-	}
-
-	res.Signaled = signalDone
-	if cfg.KeepEvents {
-		res.Events = exec.Events()
-	}
-	res.Reports = make([]*model.Report, len(accs))
-	for i, a := range accs {
-		res.Reports[i] = model.FinalReport(a)
-	}
-	res.scorers = cfg.Scorers
-	res.ownerFn = owner
-	res.n = cfg.N
-	res.Violations = spec.Violations()
-	if res.Interrupted {
-		return res, fmt.Errorf("%w after %d steps", ErrInterrupted, res.Steps)
-	}
-	if res.Truncated {
-		return res, fmt.Errorf("%w after %d steps", ErrBudget, res.Steps)
-	}
-	return res, nil
+	return &Result{
+		Result:     hres,
+		Returns:    w.Returns(),
+		Signaled:   w.Signaled(),
+		Violations: spec.Violations(),
+	}, err
 }

@@ -178,6 +178,38 @@ func TestRunConfigValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOutOfRangePIDs: a waiter or signaler outside [0, N) is a
+// configuration error, not a process silently left out of the run.
+func TestRunRejectsOutOfRangePIDs(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"waiter", Config{Waiters: []memsim.PID{0, 5}, Signaler: 2},
+			"core: waiter p5 outside the machine's processes [0, 3)"},
+		{"negative waiter", Config{Waiters: []memsim.PID{-1}, Signaler: 2},
+			"core: waiter p-1 outside the machine's processes [0, 3)"},
+		{"signaler", Config{Waiters: []memsim.PID{0, 1}, Signaler: 7},
+			"core: signaler p7 outside the machine's processes [0, 3)"},
+		{"signalers", Config{Waiters: []memsim.PID{0}, Signalers: []memsim.PID{2, 9}},
+			"core: signaler p9 outside the machine's processes [0, 3)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Algorithm, cfg.N, cfg.MaxSteps = signal.Flag(), 3, 1000
+			res, err := Run(cfg)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+			if res != nil {
+				t.Fatalf("result %+v alongside a config error", res)
+			}
+		})
+	}
+}
+
 // TestRunBudgetTruncation: with no signaler and unbounded polls the run
 // must stop at the step budget and report truncation.
 func TestRunBudgetTruncation(t *testing.T) {

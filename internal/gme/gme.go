@@ -233,19 +233,12 @@ func (w *Workload) SessionSafe() bool { return !w.violated }
 func (w *Workload) MaxConcurrent() int { return w.maxConcurrent }
 
 // Run drives the workload on the streaming harness (unpriced runs without
-// KeepEvents retain the trace, the legacy behavior; RunStreaming opts
-// out). It returns ErrBudget or ErrInterrupted (wrapped) together with a
-// valid truncated RunResult.
+// KeepEvents retain the trace, the legacy behavior). It returns ErrBudget
+// or ErrInterrupted (wrapped) together with a valid truncated RunResult.
 func Run(cfg RunConfig) (*RunResult, error) {
 	if !cfg.KeepEvents && len(cfg.Scorers) == 0 {
 		cfg.KeepEvents = true // legacy: unpriced runs keep the trace scoreable
 	}
-	return RunStreaming(cfg)
-}
-
-// RunStreaming drives the workload applying cfg exactly as given: no
-// legacy trace-retention fallback.
-func RunStreaming(cfg RunConfig) (*RunResult, error) {
 	if cfg.N < 1 || cfg.Sessions < 1 {
 		return nil, fmt.Errorf("gme: need processes and sessions, got N=%d S=%d", cfg.N, cfg.Sessions)
 	}

@@ -137,9 +137,8 @@ type Result struct {
 }
 
 // Report returns the streaming report whose model name matches name, or
-// nil if no such scorer was attached. As with core.Result.Report, a CC
-// model's name does not encode its knobs; Score matches by model value and
-// has no such ambiguity.
+// nil if no such scorer was attached. A CC model's name does not encode
+// its knobs; Score matches by model value and has no such ambiguity.
 func (r *Result) Report(name string) *model.Report {
 	for _, rep := range r.Reports {
 		if rep.Model == name {

@@ -7,7 +7,8 @@
 // exceeds the bound while the adversary suspends it mid-call and lets
 // other processes run; it is supported (not proven — the checker is a
 // falsifier) by failing to find such a schedule across adversarial
-// strategies. Termination is checked by driving fair schedules and
+// strategies. Termination is checked by running the signaling workload
+// (signal.Workload) on the generic harness under fair schedules and
 // verifying that no call is starved of completion.
 package progress
 
@@ -15,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/harness"
 	"repro/internal/memsim"
 	"repro/internal/sched"
 	"repro/internal/signal"
@@ -193,61 +195,34 @@ func CheckTerminating(alg signal.Algorithm, n, maxSteps int, blocking bool) (*Te
 	return &TerminationReport{Terminating: true}, nil
 }
 
+// terminationRun drives every waiter (p0..p(n-2)) to a true Poll or a
+// returned Wait and the signaler p(n-1) through one Signal, started once n
+// accesses have been applied, under s within maxSteps accesses.
 func terminationRun(alg signal.Algorithm, n, maxSteps int, blocking bool, s sched.Scheduler) (bool, string, error) {
-	exec, err := alg.Deploy(n)
-	if err != nil {
+	waiters := make([]memsim.PID, n-1)
+	for i := range waiters {
+		waiters[i] = memsim.PID(i)
+	}
+	w := signal.NewWorkload(alg, n, signal.Policy{
+		Waiters:     waiters,
+		Signalers:   []memsim.PID{memsim.PID(n - 1)},
+		Blocking:    blocking,
+		SignalAfter: n,
+	})
+	_, err := harness.Run(harness.Config{
+		Workload:  w,
+		Scheduler: s,
+		MaxSteps:  maxSteps,
+		Sink:      w.Observe,
+	})
+	if err != nil && !errors.Is(err, harness.ErrBudget) {
 		return false, "", err
 	}
-	defer exec.Close()
-
-	kind := memsim.CallPoll
-	if blocking {
-		kind = memsim.CallWait
-	}
-	signaler := memsim.PID(n - 1)
-	done := make(map[memsim.PID]bool)
-	signalStarted := false
-
-	for steps := 0; steps < maxSteps; steps++ {
-		var ready []memsim.PID
-		for i := 0; i < n; i++ {
-			pid := memsim.PID(i)
-			if ret, ended := exec.CallEnded(pid); ended {
-				if _, err := exec.Finish(pid); err != nil {
-					return false, "", err
-				}
-				if pid == signaler || ret != 0 || blocking {
-					done[pid] = true
-				}
-			}
-			if exec.Idle(pid) && !done[pid] {
-				if pid == signaler {
-					if steps >= n && !signalStarted {
-						signalStarted = true
-						if err := exec.Start(pid, memsim.CallSignal); err != nil {
-							return false, "", err
-						}
-					}
-				} else if err := exec.Start(pid, kind); err != nil {
-					return false, "", err
-				}
-			}
-			if _, ok := exec.Pending(pid); ok {
-				ready = append(ready, pid)
-			}
-		}
-		if len(ready) == 0 {
-			if len(done) == n {
-				return true, "", nil
-			}
-			continue
-		}
-		if _, err := exec.Step(s.Next(ready)); err != nil {
-			return false, "", err
-		}
+	if err := w.Err(); err != nil {
+		return false, "", err
 	}
 	for i := 0; i < n; i++ {
-		if !done[memsim.PID(i)] {
+		if !w.Finished(memsim.PID(i)) {
 			return false, fmt.Sprintf("p%d did not complete within %d fair steps", i, maxSteps), nil
 		}
 	}

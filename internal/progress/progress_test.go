@@ -125,3 +125,38 @@ func TestTerminatingAlgorithms(t *testing.T) {
 		})
 	}
 }
+
+// TestTerminationBudgetCountsFinalStep: a call that completes on the last
+// budgeted step counts as completed, so each budget below is the smallest
+// under which all three fair schedules finish (n=4, Signal after 4
+// accesses), and one step fewer starves a named process.
+func TestTerminationBudgetCountsFinalStep(t *testing.T) {
+	cases := []struct {
+		alg     signal.Algorithm
+		budget  int
+		witness string
+	}{
+		{signal.Flag(), 15, "p1 did not complete within 14 fair steps"},
+		{signal.QueueSignal(), 25, "p3 did not complete within 24 fair steps"},
+		{signal.FixedWaiters(), 19, "p2 did not complete within 18 fair steps"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.alg.Name, func(t *testing.T) {
+			rep, err := CheckTerminating(tc.alg, 4, tc.budget, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Terminating {
+				t.Fatalf("budget %d: not terminating: %s", tc.budget, rep.Witness)
+			}
+			rep, err = CheckTerminating(tc.alg, 4, tc.budget-1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Terminating || rep.Witness != tc.witness {
+				t.Fatalf("budget %d: terminating=%v witness %q, want %q",
+					tc.budget-1, rep.Terminating, rep.Witness, tc.witness)
+			}
+		})
+	}
+}

@@ -223,18 +223,12 @@ func (w *Workload) Next(pid memsim.PID) (string, memsim.Program, bool) {
 
 // Run drives N processes through Fischer-guarded critical sections on the
 // streaming harness (unpriced runs without KeepEvents retain the trace,
-// the legacy behavior; RunStreaming opts out). It returns ErrBudget or
-// ErrInterrupted (wrapped) together with a valid truncated RunResult.
+// the legacy behavior). It returns ErrBudget or ErrInterrupted (wrapped)
+// together with a valid truncated RunResult.
 func Run(cfg RunConfig) (*RunResult, error) {
 	if !cfg.KeepEvents && len(cfg.Scorers) == 0 {
 		cfg.KeepEvents = true // legacy: unpriced runs keep the trace scoreable
 	}
-	return RunStreaming(cfg)
-}
-
-// RunStreaming drives the workload applying cfg exactly as given: no
-// legacy trace-retention fallback.
-func RunStreaming(cfg RunConfig) (*RunResult, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("semisync: need processes, got %d", cfg.N)
 	}

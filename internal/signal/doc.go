@@ -15,6 +15,10 @@
 // benchmarks run on; equivalence tests drive both forms under identical
 // seeded schedules and assert byte-identical traces.
 //
+// Workload runs an algorithm under a call Policy on the generic streaming
+// harness (internal/harness); core.Run and the termination check in
+// internal/progress drive every signaling history through it.
+//
 // CheckSpec verifies Specification 4.1 on a complete trace; SpecChecker
 // verifies it online, event by event, and is what core.Run attaches. The specification's interesting clause is
 // prefix-sensitive: a Poll that began after some Signal completed must not
