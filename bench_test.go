@@ -309,27 +309,43 @@ type jammerInstance struct {
 	b memsim.Addr
 }
 
-func (in jammerInstance) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Program, error) {
+// ResumableProgram: process 0's Poll is one CAS(B, 99, 100), which always
+// fails (B is never 99); everyone else's Poll reads B; Signal writes 1.
+func (in jammerInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	switch kind {
 	case memsim.CallPoll:
 		if pid == 0 {
-			return func(p *memsim.Proc) memsim.Value {
-				p.CAS(in.b, 99, 100) // always fails: flag is never 99
-				return 0
-			}, nil
+			return &accessFrame{acc: memsim.AccCAS(in.b, 99, 100), ret: false}, nil
 		}
-		return func(p *memsim.Proc) memsim.Value {
-			return p.Read(in.b)
-		}, nil
+		return &accessFrame{acc: memsim.AccRead(in.b), ret: true}, nil
 	case memsim.CallSignal:
-		return func(p *memsim.Proc) memsim.Value {
-			p.Write(in.b, 1)
-			return 0
-		}, nil
+		return &accessFrame{acc: memsim.AccWrite(in.b, 1)}, nil
 	default:
 		return nil, memsim.ErrNoProgram
 	}
 }
+
+// accessFrame performs one access and returns the value it read when ret
+// is set, 0 otherwise.
+type accessFrame struct {
+	acc  memsim.Access
+	ret  bool
+	done bool
+	val  memsim.Value
+}
+
+func (f *accessFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	if f.done {
+		if f.ret {
+			f.val = prev.Val
+		}
+		return memsim.Access{}, false
+	}
+	f.done = true
+	return f.acc, true
+}
+
+func (f *accessFrame) Return() memsim.Value { return f.val }
 
 // BenchmarkAblationCacheRule — design ablation: the Section 2 CC rule
 // (invalidate only on nontrivial operations) vs a strict rule that also
@@ -514,14 +530,14 @@ func BenchmarkAblationEviction(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineStep contrasts the two engine tiers on identical
-// workloads: "resumable" dispatches explicit state machines inline (zero
-// goroutines, zero channel operations per step); "blocking" drives the
-// same algorithms' blocking programs through the pooled FromBlocking
-// adapter (two channel handshakes per step, as before the migration). The
-// signaling pair is a contended flag workload through core.Run; the lock
-// pair a contended MCS workload through the harness. ns/step, ns/op and
-// allocs/op are the paper-relevant metrics; the resumable tier must be
+// BenchmarkEngineStep measures the engine per step. "signal/resumable" is
+// a contended flag workload through core.Run, whose calls dispatch frames
+// inline. The lock pair contrasts the two engine tiers on a contended MCS
+// workload through the harness: "resumable" dispatches explicit state
+// machines inline (zero goroutines, zero channel operations per step);
+// "blocking" drives the locks' blocking programs through the pooled
+// FromBlocking adapter (two channel handshakes per step). ns/step, ns/op
+// and allocs/op are the paper-relevant metrics; the resumable tier must be
 // strictly faster on all of them.
 func BenchmarkEngineStep(b *testing.B) {
 	sigBase := core.Config{
@@ -531,19 +547,14 @@ func BenchmarkEngineStep(b *testing.B) {
 		SignalAfter: 4_000,
 		MaxSteps:    2_000_000,
 	}
-	runSig := func(b *testing.B, force bool) {
+	b.Run("signal/resumable", func(b *testing.B) {
 		b.ReportAllocs()
 		steps := 0
 		for i := 0; i < b.N; i++ {
-			cfg := sigBase
-			cfg.ForceBlocking = force
-			res := runSignaling(b, cfg)
-			steps = res.Steps
+			steps = runSignaling(b, sigBase).Steps
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
-	}
-	b.Run("signal/resumable", func(b *testing.B) { runSig(b, false) })
-	b.Run("signal/blocking", func(b *testing.B) { runSig(b, true) })
+	})
 
 	lockBase := mutex.RunConfig{
 		Lock:     mutex.MCS(),

@@ -11,8 +11,8 @@
 //
 // The backtracking engine shards the schedule tree across -workers
 // work-stealing workers (0 means one per core); results are identical for
-// every worker count. -dedup=false forces the sequential legacy replay
-// enumeration for A/B checks. -reduce layers partial-order and symmetry
+// every worker count. -dedup=false runs plain backtracking, which visits
+// every history, for A/B checks. -reduce layers partial-order and symmetry
 // reduction on the dedup engine: sleep sets skip schedules that are
 // permutations-by-commuting-swaps of explored ones, and PID-permuted
 // states of interchangeable waiters merge into one canonical state; the
@@ -57,7 +57,7 @@ func run(args []string, out io.Writer) error {
 	polls := fs.Int("polls", 2, "polls per waiter")
 	depth := fs.Int("depth", 10, "scheduling-choice depth bound")
 	dedup := fs.Bool("dedup", true,
-		"backtracking engine with state dedup; false forces the legacy replay enumeration (A/B checks)")
+		"backtracking engine with state dedup; false runs plain backtracking, which visits every history (A/B checks)")
 	reduce := fs.Bool("reduce", false,
 		"layer partial-order + symmetry reduction on the dedup engine (same verdict, fewer states visited)")
 	workers := fs.Int("workers", 0,

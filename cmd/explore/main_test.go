@@ -28,16 +28,15 @@ func TestRunExplore(t *testing.T) {
 	}
 }
 
+// TestRunExploreLegacyEngine: -dedup=false, the flag that once selected
+// the replay enumeration, runs plain backtracking.
 func TestRunExploreLegacyEngine(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-alg", "flag", "-waiters", "2", "-polls", "2", "-depth", "8", "-dedup=false"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "engine: replay") {
-		t.Fatalf("-dedup=false should force the replay engine: %s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "workers: 1,") {
-		t.Fatalf("replay engine should report one worker: %s", buf.String())
+	if !strings.Contains(buf.String(), "engine: backtracking, states deduped: 0,") {
+		t.Fatalf("-dedup=false should run plain backtracking: %s", buf.String())
 	}
 }
 
@@ -222,13 +221,20 @@ func TestExploreStopAfterResume(t *testing.T) {
 	}
 }
 
-// TestExploreCheckpointRejectsReplayEngine: the replay engine has no unit
-// decomposition; asking it to checkpoint is an invalid-input Failure.
-func TestExploreCheckpointRejectsReplayEngine(t *testing.T) {
+// TestExploreCheckpointWithoutDedup: -dedup=false checkpoints like every
+// other engine, to the summary of a plain run.
+func TestExploreCheckpointWithoutDedup(t *testing.T) {
+	args := []string{"-alg", "flag", "-waiters", "2", "-polls", "2", "-depth", "8", "-dedup=false", "-workers", "1"}
+	var plain, durable bytes.Buffer
+	if err := run(args, &plain); err != nil {
+		t.Fatal(err)
+	}
 	ck := filepath.Join(t.TempDir(), "run.rpck")
-	err := run([]string{"-dedup=false", "-checkpoint", ck}, io.Discard)
-	if !errs.IsFailure(err) || errs.CodeOf(err) != errs.CodeInvalid {
-		t.Fatalf("got %v, want invalid Failure", err)
+	if err := run(append(args, "-checkpoint", ck), &durable); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := summary(t, durable.String()), summary(t, plain.String()); got != want {
+		t.Fatalf("checkpointed summary drifted:\n got:\n%s want:\n%s", got, want)
 	}
 }
 

@@ -5,8 +5,8 @@
 //
 // The example composes three substrates of this repository inside one
 // simulated program: the MCS lock (internal/mutex), the registered-waiters
-// signaling algorithm (internal/signal), and the cost models
-// (internal/model).
+// signaling algorithm (internal/signal, run through the memsim.Blocking
+// adapter), and the cost models (internal/model).
 //
 //	go run ./examples/resourcepool
 package main
@@ -48,7 +48,7 @@ func main() {
 	// The holder works on the resource, releases it, and announces the
 	// release through Signal().
 	holder := memsim.PID(nprocs - 1)
-	signalProg, err := inst.Program(holder, memsim.CallSignal)
+	signal, err := inst.ResumableProgram(holder, memsim.CallSignal)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,18 +56,18 @@ func main() {
 		lock.Acquire(p)
 		p.Write(resource, 42) // produce
 		lock.Release(p)
-		return signalProg(p) // announce the release
+		return memsim.Blocking(signal)(p) // announce the release
 	}
 
 	// Consumers poll for the announcement, then take the lock and read
 	// the resource.
 	consumerProg := func(pid memsim.PID) memsim.Program {
-		pollProg, err := inst.Program(pid, memsim.CallPoll)
+		poll, err := inst.ResumableProgram(pid, memsim.CallPoll)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return func(p *memsim.Proc) memsim.Value {
-			if pollProg(p) == 0 {
+			if memsim.Blocking(poll)(p) == 0 {
 				return 0 // not released yet; call again later
 			}
 			lock.Acquire(p)

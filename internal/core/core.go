@@ -83,22 +83,11 @@ type Config struct {
 	// truncated Result. Runner wires a context.Context's Done channel
 	// here.
 	Interrupt <-chan struct{}
-	// ForceBlocking pins the run to the blocking engine tier even when
-	// the algorithm has native resumable programs — the A/B knob behind
-	// engine-equivalence tests and BenchmarkEngineStep. Traces are
-	// identical either way.
-	ForceBlocking bool
 	// Telemetry, when non-nil, receives the harness's call
 	// start/completion and budget-exhaustion counters. Write-only: the
 	// Result is identical with or without it.
 	Telemetry *telemetry.Registry
 }
-
-// forceBlockingDefault flips every core.Run onto the blocking engine tier;
-// the experiments equivalence test uses it to regenerate E1–E8 and the
-// ablations on the compatibility path without threading a knob through
-// every experiment constructor.
-var forceBlockingDefault = false
 
 // normalize fills defaults and validates.
 func (c *Config) normalize() error {
@@ -196,9 +185,8 @@ func Run(cfg Config) (*Result, error) {
 				cfg.Sink(ev)
 			}
 		},
-		Interrupt:     cfg.Interrupt,
-		ForceBlocking: cfg.ForceBlocking || forceBlockingDefault,
-		Telemetry:     cfg.Telemetry,
+		Interrupt: cfg.Interrupt,
+		Telemetry: cfg.Telemetry,
 	})
 	if hres == nil {
 		return nil, err

@@ -61,19 +61,3 @@ func TestExperimentTablesGolden(t *testing.T) {
 	}
 	diffLines(t, renderTables(t), readGolden(t), "resumable engine")
 }
-
-// TestExperimentTablesGoldenBlockingEngine regenerates the suite with
-// every core.Run pinned to the blocking engine tier and compares against
-// the same fixture: both engine paths must produce byte-identical tables.
-// (The lock tables exercise the harness engine switch instead; their
-// equivalence is pinned per lock and per seed by the trace-identity tests
-// in internal/mutex, and the adversary tables drive memsim.Execution
-// directly, covered by internal/signal's trace-identity harness.)
-func TestExperimentTablesGoldenBlockingEngine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment suite")
-	}
-	forceBlockingDefault = true
-	t.Cleanup(func() { forceBlockingDefault = false })
-	diffLines(t, renderTables(t), readGolden(t), "blocking engine")
-}

@@ -22,17 +22,16 @@ func settleGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestNoGoroutineLeakOnBudget: a blocking-tier run cut off by ErrBudget —
-// processes parked mid-access when the budget trips — leaves no process
-// goroutines behind once Run returns.
+// TestNoGoroutineLeakOnBudget: a run cut off by ErrBudget — processes
+// parked mid-access when the budget trips — leaves no goroutines behind
+// once Run returns.
 func TestNoGoroutineLeakOnBudget(t *testing.T) {
 	base := runtime.NumGoroutine()
 	res, err := Run(Config{
-		Algorithm:     signal.Flag(),
-		N:             8,
-		NoSignaler:    true, // waiters poll into the void: budget is the only exit
-		MaxSteps:      64,
-		ForceBlocking: true,
+		Algorithm:  signal.Flag(),
+		N:          8,
+		NoSignaler: true, // waiters poll into the void: budget is the only exit
+		MaxSteps:   64,
 	})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("want ErrBudget, got %v", err)
@@ -49,12 +48,11 @@ func TestNoGoroutineLeakOnInterrupt(t *testing.T) {
 	interrupt := make(chan struct{})
 	close(interrupt)
 	res, err := Run(Config{
-		Algorithm:     signal.Flag(),
-		N:             8,
-		NoSignaler:    true,
-		MaxSteps:      1_000_000,
-		Interrupt:     interrupt,
-		ForceBlocking: true,
+		Algorithm:  signal.Flag(),
+		N:          8,
+		NoSignaler: true,
+		MaxSteps:   1_000_000,
+		Interrupt:  interrupt,
 	})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted, got %v", err)

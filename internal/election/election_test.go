@@ -17,9 +17,8 @@ func runElection(t *testing.T, n int, seed int64) map[memsim.PID]memsim.PID {
 	results := make(map[memsim.PID]memsim.PID, n)
 	for i := 0; i < n; i++ {
 		pid := memsim.PID(i)
-		if err := ctl.StartCall(pid, "elect", func(p *memsim.Proc) memsim.Value {
-			return memsim.Value(e.Elect(p))
-		}); err != nil {
+		f := e.Elect(pid)
+		if err := ctl.StartResumable(pid, "elect", &f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,9 +77,7 @@ func runSplitter(t *testing.T, n int, seed int64) map[memsim.PID]SplitterOutcome
 	results := make(map[memsim.PID]SplitterOutcome, n)
 	for i := 0; i < n; i++ {
 		pid := memsim.PID(i)
-		if err := ctl.StartCall(pid, "split", func(p *memsim.Proc) memsim.Value {
-			return memsim.Value(s.Run(p))
-		}); err != nil {
+		if err := ctl.StartResumable(pid, "split", s.Run(pid)); err != nil {
 			t.Fatal(err)
 		}
 	}

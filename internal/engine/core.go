@@ -24,7 +24,6 @@ package engine
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"repro/internal/memsim"
@@ -119,10 +118,6 @@ type Config struct {
 	Faults  memsim.FaultPolicy
 }
 
-// ErrNotResumable reports an instance without a resumable tier, which the
-// core cannot run.
-var ErrNotResumable = errors.New("no resumable tier")
-
 // CheckScripts rejects a script for a PID outside [0, n): such a process
 // does not exist on the machine.
 func CheckScripts(n int, scripts map[memsim.PID][]memsim.CallKind) error {
@@ -144,7 +139,7 @@ func CheckScripts(n int, scripts map[memsim.PID][]memsim.CallKind) error {
 type Core struct {
 	name     string
 	mach     *memsim.Machine
-	inst     memsim.ResumableInstance
+	inst     memsim.Instance
 	n        int
 	scripts  [][]memsim.CallKind // dense per-pid view of Config.Scripts; nil = unscripted
 	tmpl     *memsim.FrameTemplates
@@ -190,17 +185,13 @@ func New(cfg Config, policy func(*Core) (Policy, error)) (*Core, error) {
 	if err != nil {
 		return nil, fmt.Errorf("deploy instance: %w", err)
 	}
-	ri, ok := inst.(memsim.ResumableInstance)
-	if !ok {
-		return nil, fmt.Errorf("%s: %T has %w", cfg.Name, inst, ErrNotResumable)
-	}
 	e := &Core{
 		name:     cfg.Name,
 		mach:     m,
-		inst:     ri,
+		inst:     inst,
 		n:        cfg.N,
 		scripts:  denseScripts(cfg.N, cfg.Scripts),
-		tmpl:     memsim.NewFrameTemplates(ri, cfg.N),
+		tmpl:     memsim.NewFrameTemplates(inst, cfg.N),
 		frames:   memsim.NewFrameSet(cfg.N),
 		phase:    make([]Phase, cfg.N),
 		pending:  make([]memsim.Access, cfg.N),

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"repro/internal/engine"
@@ -21,38 +20,10 @@ import (
 //
 // What the explorer adds to the core is the monitor below. It emits
 // exactly the events the Controller would: its call bookkeeping and
-// sequence numbering replicate memsim.Controller and the replay engine's
+// sequence numbering replicate memsim.Controller and engine.Driver's
 // drive loop, which the engine-equivalence tests pin down (same Paths,
-// Truncated and Check outcomes as EngineReplay when dedup is off).
-
-// backtrackable reports whether every scripted (process, call) pair of cfg
-// resolves to a resumable program, i.e. whether the backtracking engine can
-// run the workload. Probing mints frames without executing them, so it has
-// no side effects on a fresh deployment.
-func backtrackable(cfg Config) bool {
-	e, err := memsim.NewExecution(cfg.Factory, cfg.N)
-	if err != nil {
-		return false // let the replay engine surface the deployment error
-	}
-	defer e.Close()
-	ri, ok := e.Instance().(memsim.ResumableInstance)
-	if !ok {
-		return false
-	}
-	for pid, script := range cfg.Scripts {
-		probed := map[memsim.CallKind]bool{}
-		for _, kind := range script {
-			if probed[kind] {
-				continue
-			}
-			probed[kind] = true
-			if _, err := ri.ResumableProgram(pid, kind); err != nil {
-				return false
-			}
-		}
-	}
-	return true
-}
+// Truncated and Check outcomes as a replay enumeration on memsim.Execution
+// when dedup is off).
 
 // monitor is the explorer's policy on the core: the event log the Check
 // runs on, per-process call numbers, the applied choices' descriptions
@@ -103,9 +74,6 @@ func newMonitor(cfg Config) (*monitor, error) {
 	core, err := engine.New(engine.Config{
 		Name: "explore", Factory: cfg.Factory, N: cfg.N, Scripts: cfg.Scripts, Faults: cfg.Faults,
 	}, func(*engine.Core) (engine.Policy, error) { return x, nil })
-	if errors.Is(err, engine.ErrNotResumable) {
-		err = fmt.Errorf("%w; use EngineReplay", err)
-	}
 	if err != nil {
 		return nil, err
 	}

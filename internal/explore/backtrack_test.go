@@ -44,10 +44,21 @@ func seedConfigs() map[string]Config {
 			MaxDepth: 10,
 			Check:    specCheck,
 		},
+		"leader-blocking": {
+			Factory: signal.LeaderBlocking().New,
+			N:       4,
+			Scripts: map[memsim.PID][]memsim.CallKind{
+				0: {memsim.CallWait},
+				1: {memsim.CallWait},
+				3: {memsim.CallSignal},
+			},
+			MaxDepth: 10,
+			Check:    specCheck,
+		},
 	}
 	for _, alg := range []signal.Algorithm{
 		signal.FixedWaiters(), signal.RegisteredWaiters(), signal.QueueSignal(),
-		signal.CASRegister(), signal.LLSCRegister(),
+		signal.CASRegister(), signal.CASRegisterRW(), signal.LLSCRegister(), signal.LLSCRegisterRW(),
 	} {
 		cfgs[alg.Name] = Config{
 			Factory: alg.New,
@@ -70,9 +81,7 @@ func seedConfigs() map[string]Config {
 func TestBacktrackMatchesReplay(t *testing.T) {
 	for name, cfg := range seedConfigs() {
 		t.Run(name, func(t *testing.T) {
-			replayCfg := cfg
-			replayCfg.Engine = EngineReplay
-			replayRes, replayErr := Run(replayCfg)
+			replayRes, replayErr := replayRun(cfg)
 			backCfg := cfg
 			backCfg.Engine = EngineBacktrack
 			backRes, backErr := Run(backCfg)
@@ -112,8 +121,31 @@ func TestDedupHoldsOnSeedConfigs(t *testing.T) {
 	}
 }
 
-// TestAutoEngineSelection: EngineAuto picks backtracking+dedup for
-// resumable instances and falls back to replay for blocking-only ones.
+// TestBacktrackMatchesRecordedReplay: on the algorithms that ran only as
+// blocking programs before their frames existed, the backtracking engine
+// reports exactly what the replay engine reported on those programs (the
+// figures below were recorded from it): the frames explore the same
+// schedule tree.
+func TestBacktrackMatchesRecordedReplay(t *testing.T) {
+	recorded := map[string][3]int{ // Paths, Truncated, MaxDepthReached
+		"cas-register-rw":  {12800, 12800, 9},
+		"llsc-register-rw": {12800, 12800, 9},
+		"leader-blocking":  {39272, 39272, 10},
+	}
+	for name, want := range recorded {
+		cfg := seedConfigs()[name]
+		cfg.Engine = EngineBacktrack
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := [3]int{res.Paths, res.Truncated, res.MaxDepthReached}; got != want {
+			t.Errorf("%s: paths/truncated/depth %v, recorded replay %v", name, got, want)
+		}
+	}
+}
+
+// TestAutoEngineSelection: EngineAuto picks backtracking+dedup.
 func TestAutoEngineSelection(t *testing.T) {
 	cfg := seedConfigs()["flag-2proc"]
 	res, err := Run(cfg)
@@ -123,38 +155,15 @@ func TestAutoEngineSelection(t *testing.T) {
 	if res.Engine != EngineBacktrackDedup {
 		t.Fatalf("resumable instance ran on engine %d, want backtracking+dedup", res.Engine)
 	}
-
-	blocking := cfg
-	blocking.Factory = func(m *memsim.Machine, n int) (memsim.Instance, error) {
-		b := m.Alloc(memsim.NoOwner, "B", 1, 0)
-		return brokenInstance{b: b}, nil // blocking-only Instance
-	}
-	blocking.Check = func([]memsim.Event) error { return nil }
-	blocking.Scripts = map[memsim.PID][]memsim.CallKind{
-		0: {memsim.CallPoll},
-		1: {memsim.CallSignal},
-	}
-	res, err = Run(blocking)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Engine != EngineReplay {
-		t.Fatalf("blocking-only instance ran on engine %d, want replay", res.Engine)
-	}
 }
 
-// brokenResumable is the resumable counterpart of brokenInstance: Poll
-// claims the signal unconditionally. Both backtracking engines must find
-// the planted violation.
-type brokenResumable struct {
+// brokenInstance is a deliberately broken algorithm: Poll claims the
+// signal unconditionally. Every engine must find the planted violation.
+type brokenInstance struct {
 	b memsim.Addr
 }
 
-func (in brokenResumable) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Program, error) {
-	return brokenInstance(in).Program(pid, kind)
-}
-
-func (in brokenResumable) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+func (in brokenInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	switch kind {
 	case memsim.CallPoll:
 		return &brokenPollFrame{b: in.b}, nil
@@ -201,7 +210,7 @@ func TestBacktrackDetectsViolation(t *testing.T) {
 	for _, engine := range []Engine{EngineBacktrack, EngineBacktrackDedup} {
 		_, err := Run(Config{
 			Factory: func(m *memsim.Machine, n int) (memsim.Instance, error) {
-				return brokenResumable{b: m.Alloc(memsim.NoOwner, "B", 1, 0)}, nil
+				return brokenInstance{b: m.Alloc(memsim.NoOwner, "B", 1, 0)}, nil
 			},
 			N: 2,
 			Scripts: map[memsim.PID][]memsim.CallKind{
@@ -226,17 +235,6 @@ func TestBacktrackDetectsViolation(t *testing.T) {
 // engine must not merge those two pasts.
 type deafPollInstance struct {
 	b memsim.Addr
-}
-
-func (in deafPollInstance) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Program, error) {
-	switch kind {
-	case memsim.CallPoll:
-		return func(p *memsim.Proc) memsim.Value { p.Read(in.b); return 0 }, nil
-	case memsim.CallSignal:
-		return func(p *memsim.Proc) memsim.Value { p.Write(in.b, 1); return 0 }, nil
-	default:
-		return nil, memsim.ErrNoProgram
-	}
 }
 
 func (in deafPollInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
@@ -284,7 +282,10 @@ func TestDedupKeepsPrefixSensitiveViolations(t *testing.T) {
 		MaxDepth: 8,
 		Check:    specCheck,
 	}
-	for _, engine := range []Engine{EngineReplay, EngineBacktrack, EngineBacktrackDedup} {
+	if _, err := replayRun(cfg); err == nil {
+		t.Error("the replay enumeration missed the prefix-sensitive poll-false violation")
+	}
+	for _, engine := range []Engine{EngineBacktrack, EngineBacktrackDedup} {
 		c := cfg
 		c.Engine = engine
 		if _, err := Run(c); err == nil {

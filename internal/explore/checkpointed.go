@@ -71,9 +71,9 @@ func (w *searcher) runUnit(t task) error {
 // RunCheckpointed runs a backtracking exploration durably: a shallow
 // pass enumerates units, units commit in order with snapshots between
 // commits, and a killed run resumes to the byte-identical Result of an
-// uninterrupted (or plain) run. Only the backtracking engines
-// checkpoint; EngineReplay is rejected. Interruption (ck.Interrupt or
-// ck.StopAfter) returns an error classified as errs.ClassInterrupt.
+// uninterrupted (or plain) run. Every engine checkpoints. Interruption
+// (ck.Interrupt or ck.StopAfter) returns an error classified as
+// errs.ClassInterrupt.
 func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 	cfg, err := normalize(cfg)
 	if err != nil {
@@ -82,27 +82,7 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 	if ck.Path == "" {
 		return nil, errs.Failure(errs.CodeInvalid, "explore: checkpoint requires a path")
 	}
-	var dedup, reduce bool
-	switch cfg.Engine {
-	case EngineBacktrack:
-	case EngineBacktrackDedup:
-		dedup = true
-	case EngineBacktrackDedupPOR:
-		if !backtrackable(cfg) {
-			return nil, errs.Failure(errs.CodeInvalid,
-				"explore: EngineBacktrackDedupPOR requires a resumable instance")
-		}
-		dedup, reduce = true, true
-	case EngineAuto:
-		if !backtrackable(cfg) {
-			return nil, errs.Failure(errs.CodeInvalid,
-				"explore: checkpointing needs a resumable algorithm tier (replay engine cannot checkpoint)")
-		}
-		dedup = true
-	default:
-		return nil, errs.Failure(errs.CodeInvalid,
-			"explore: engine "+cfg.Engine.String()+" cannot checkpoint")
-	}
+	dedup, reduce := cfg.Engine != EngineBacktrack, cfg.Engine == EngineBacktrackDedupPOR
 	d := engine.ClampShardDepth(ck.ShardDepth, cfg.MaxDepth)
 
 	s := newSearch(cfg, engine.NewPool(checkpoint.KindExplore, 1, nil, nil), dedup)

@@ -106,14 +106,3 @@ func TestExploreResumeRejectsMismatch(t *testing.T) {
 		t.Fatalf("engine-changed resume: %v", err)
 	}
 }
-
-// TestCheckpointedExploreRejectsReplay: the replay engine cannot
-// checkpoint and says so as an invalid-input Failure.
-func TestCheckpointedExploreRejectsReplay(t *testing.T) {
-	cfg := seedConfigs()["flag-2proc"]
-	cfg.Engine = EngineReplay
-	_, err := RunCheckpointed(cfg, Checkpoint{Path: filepath.Join(t.TempDir(), "x")})
-	if errs.CodeOf(err) != errs.CodeInvalid {
-		t.Fatalf("replay checkpoint: %v", err)
-	}
-}

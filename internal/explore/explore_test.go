@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -110,27 +109,6 @@ func TestExploreDetectsViolation(t *testing.T) {
 	}
 }
 
-type brokenInstance struct {
-	b memsim.Addr
-}
-
-func (in brokenInstance) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Program, error) {
-	switch kind {
-	case memsim.CallPoll:
-		return func(p *memsim.Proc) memsim.Value {
-			p.Read(in.b)
-			return 1 // broken: claims the signal unconditionally
-		}, nil
-	case memsim.CallSignal:
-		return func(p *memsim.Proc) memsim.Value {
-			p.Write(in.b, 1)
-			return 0
-		}, nil
-	default:
-		return nil, errors.New("unsupported")
-	}
-}
-
 func specCheck(events []memsim.Event) error {
 	if vs := signal.CheckSpec(events); len(vs) > 0 {
 		return fmt.Errorf("%d violations, first: %s", len(vs), vs[0].Error())
@@ -151,6 +129,7 @@ func TestExhaustiveLeaderBlocking(t *testing.T) {
 			3: {memsim.CallSignal},
 		},
 		MaxDepth: 10,
+		Engine:   EngineBacktrackDedup,
 		Check:    specCheck,
 	})
 	if err != nil {
@@ -197,7 +176,7 @@ func TestRejectsOutOfRangeScriptPID(t *testing.T) {
 			Check:    specCheck,
 		}
 		want := fmt.Sprintf("p%d", bad)
-		for _, eng := range []Engine{EngineAuto, EngineReplay, EngineBacktrack, EngineBacktrackDedup, EngineBacktrackDedupPOR} {
+		for _, eng := range []Engine{EngineAuto, EngineBacktrack, EngineBacktrackDedup, EngineBacktrackDedupPOR} {
 			cfg.Engine = eng
 			if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%v with a script for %s: err = %v, want an error naming it", eng, want, err)

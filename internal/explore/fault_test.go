@@ -39,7 +39,7 @@ func TestFaultZeroIdentity(t *testing.T) {
 		{Kinds: memsim.SetCrash},       // budget zero
 		{Max: 0, Vol: memsim.VolOwned}, // volatility alone changes nothing
 	}
-	engines := []Engine{EngineReplay, EngineBacktrackDedup, EngineBacktrackDedupPOR}
+	engines := []Engine{EngineBacktrack, EngineBacktrackDedup, EngineBacktrackDedupPOR}
 	for name, cfg := range seedConfigs() {
 		for _, engine := range engines {
 			for _, workers := range []int{1, 2, 8} {
@@ -94,25 +94,26 @@ const (
 	pinnedCrashViolation = "spec violation (poll-false) by p1 call 0: Poll returned false but a Signal call completed at seq 11 before the poll began at seq 13"
 )
 
-// TestCrashCounterexamplePinned: both independent engines find the
-// violation and report the identical lexicographically least schedule.
+// TestCrashCounterexamplePinned: the dedup engine and the independent
+// replay enumeration both find the violation and report the identical
+// lexicographically least schedule.
 func TestCrashCounterexamplePinned(t *testing.T) {
-	for _, engine := range []Engine{EngineReplay, EngineBacktrackDedup} {
+	for name, run := range map[string]func(Config) (*Result, error){"replay": replayRun, "dedup": Run} {
 		cfg := pinnedCrashConfig()
-		cfg.Engine = engine
+		cfg.Engine = EngineBacktrackDedup
 		cfg.Workers = 1
-		_, err := Run(cfg)
+		_, err := run(cfg)
 		if err == nil {
-			t.Fatalf("engine %v: crash-induced violation not found", engine)
+			t.Fatalf("%s: crash-induced violation not found", name)
 		}
 		msg := err.Error()
 		if !strings.Contains(msg, pinnedCrashSchedule) {
-			t.Errorf("engine %v: schedule not the pinned lex-least one:\n got %s\nwant substring %s",
-				engine, msg, pinnedCrashSchedule)
+			t.Errorf("%s: schedule not the pinned lex-least one:\n got %s\nwant substring %s",
+				name, msg, pinnedCrashSchedule)
 		}
 		if !strings.Contains(msg, pinnedCrashViolation) {
-			t.Errorf("engine %v: violation differs:\n got %s\nwant substring %s",
-				engine, msg, pinnedCrashViolation)
+			t.Errorf("%s: violation differs:\n got %s\nwant substring %s",
+				name, msg, pinnedCrashViolation)
 		}
 	}
 }

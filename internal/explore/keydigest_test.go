@@ -115,19 +115,27 @@ var exploreKeyDigests = []struct {
 	{"cas-register", false, 1, "4162/f407452c1268576f4f4b77e5"},
 	{"cas-register", true, 0, "165/d730ef2749de62d1d57d0094"},
 	{"cas-register", true, 1, "1083/5d365f4ed0c1c4da8a42ff35"},
+	{"cas-register-rw", false, 0, "1008/3660f9aed7ba167dc971b87b"},
+	{"cas-register-rw", false, 1, "3994/5fc4c85c297af41bcc4b8283"},
+	{"cas-register-rw", true, 0, "165/2403854d2259ee464b830702"},
+	{"cas-register-rw", true, 1, "1017/95d96f36bac510e91add0f26"},
 	{"llsc-register", false, 0, "1008/56f5c28c05718fb9a20448f9"},
 	{"llsc-register", false, 1, "3994/5fc05b99457b63ecabef5c82"},
 	{"llsc-register", true, 0, "165/a0e913217525c9ed8ebe96f1"},
 	{"llsc-register", true, 1, "1017/19c489144b8daf70a5fae3ec"},
+	{"llsc-register-rw", false, 0, "1008/0ac9001c93a2bbe3afc09e25"},
+	{"llsc-register-rw", false, 1, "3994/ff2a3659f5ad0d5b5310a44d"},
+	{"llsc-register-rw", true, 0, "165/483a558f78691b877083367c"},
+	{"llsc-register-rw", true, 1, "1017/11b4eab4a8aff1f834e856a6"},
 	{"multi-signaler", false, 0, "1092/89f07a892b057e61b8f83a09"},
 	{"multi-signaler", false, 1, "4208/20c6ae47e0a10bce5b805846"},
 	{"multi-signaler", true, 0, "161/8e36402b22a8573fa4b6abbe"},
 	{"multi-signaler", true, 1, "1025/01ed139701d446517f41e02e"},
 }
 
-// TestStateKeyDigest: for every polling algorithm with a resumable tier,
-// plain and reduced, with and without faults, the explorer's key stream
-// is byte-identical to the pinned digest.
+// TestStateKeyDigest: for every polling algorithm, plain and reduced, with
+// and without faults, the explorer's key stream is byte-identical to the
+// pinned digest.
 func TestStateKeyDigest(t *testing.T) {
 	want := map[string]string{}
 	for _, d := range exploreKeyDigests {
@@ -141,12 +149,6 @@ func TestStateKeyDigest(t *testing.T) {
 			for _, faults := range []int{0, 1} {
 				name := fmt.Sprintf("%s/reduced=%v/faults=%d", alg.Name, reduced, faults)
 				cfg := digestConfig(alg, faults)
-				if !backtrackable(cfg) {
-					if _, ok := want[name]; ok {
-						t.Errorf("%s: pinned but no longer backtrackable", name)
-					}
-					continue
-				}
 				e, err := newMonitor(cfg)
 				if err != nil {
 					t.Fatal(err)

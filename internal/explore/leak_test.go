@@ -22,12 +22,12 @@ func settleGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestNoGoroutineLeakAfterReplayTruncation: the replay engine spawns
-// (pooled) process goroutines and truncates thousands of histories at the
-// depth bound, aborting parked calls each time; none may outlive the run.
+// TestNoGoroutineLeakAfterReplayTruncation: the replay enumeration
+// truncates thousands of histories at the depth bound, closing an
+// execution with parked calls each time; nothing may outlive the run.
 func TestNoGoroutineLeakAfterReplayTruncation(t *testing.T) {
 	base := runtime.NumGoroutine()
-	res, err := Run(Config{
+	res, err := replayRun(Config{
 		Factory: signal.QueueSignal().New,
 		N:       4,
 		Scripts: map[memsim.PID][]memsim.CallKind{
@@ -36,7 +36,6 @@ func TestNoGoroutineLeakAfterReplayTruncation(t *testing.T) {
 			3: {memsim.CallSignal},
 		},
 		MaxDepth: 7,
-		Engine:   EngineReplay,
 		Check:    specCheck,
 	})
 	if err != nil {
@@ -91,7 +90,7 @@ func TestNoGoroutineLeakParallel(t *testing.T) {
 	}
 	failing := Config{
 		Factory: func(m *memsim.Machine, n int) (memsim.Instance, error) {
-			return brokenResumable{b: m.Alloc(memsim.NoOwner, "B", 1, 0)}, nil
+			return brokenInstance{b: m.Alloc(memsim.NoOwner, "B", 1, 0)}, nil
 		},
 		N: 2,
 		Scripts: map[memsim.PID][]memsim.CallKind{

@@ -72,15 +72,13 @@ func TestWorkersEquivalent(t *testing.T) {
 }
 
 // TestParallelBacktrackMatchesReplay: with dedup off, the sharded
-// backtracking engine still visits exactly the replay engine's histories —
-// the full schedule tree — at any worker count.
+// backtracking engine still visits exactly the replay enumeration's
+// histories — the full schedule tree — at any worker count.
 func TestParallelBacktrackMatchesReplay(t *testing.T) {
 	for _, name := range []string{"flag-2proc", "multi-signaler"} {
 		cfg := seedConfigs()[name]
 		t.Run(name, func(t *testing.T) {
-			replayCfg := cfg
-			replayCfg.Engine = EngineReplay
-			want, err := Run(replayCfg)
+			want, err := replayRun(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +128,7 @@ func TestParallelDeterministicRepeat(t *testing.T) {
 func TestParallelDetectsViolation(t *testing.T) {
 	broken := Config{
 		Factory: func(m *memsim.Machine, n int) (memsim.Instance, error) {
-			return brokenResumable{b: m.Alloc(memsim.NoOwner, "B", 1, 0)}, nil
+			return brokenInstance{b: m.Alloc(memsim.NoOwner, "B", 1, 0)}, nil
 		},
 		N: 2,
 		Scripts: map[memsim.PID][]memsim.CallKind{

@@ -92,7 +92,7 @@ func TestReduceAgreesWithDedup(t *testing.T) {
 func TestReduceFindsPlantedViolation(t *testing.T) {
 	broken := Config{
 		Factory: func(m *memsim.Machine, n int) (memsim.Instance, error) {
-			return brokenResumable{b: m.Alloc(memsim.NoOwner, "B", 1, 0)}, nil
+			return brokenInstance{b: m.Alloc(memsim.NoOwner, "B", 1, 0)}, nil
 		},
 		N: 2,
 		Scripts: map[memsim.PID][]memsim.CallKind{

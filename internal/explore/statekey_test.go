@@ -19,18 +19,18 @@ import (
 // after the encoder swap.
 
 // partitionConfig builds the per-algorithm workload the partition walk
-// quantifies over: two pollers, one signaler, bounded depth.
+// quantifies over: two pollers (waiters for an algorithm without Poll), one
+// signaler, bounded depth.
 func partitionConfig(alg signal.Algorithm) Config {
-	return Config{
-		Factory: alg.New,
-		N:       4,
-		Scripts: map[memsim.PID][]memsim.CallKind{
-			0: {memsim.CallPoll, memsim.CallPoll},
-			1: {memsim.CallPoll},
-			3: {memsim.CallSignal},
-		},
-		MaxDepth: 7,
+	scripts := map[memsim.PID][]memsim.CallKind{
+		0: {memsim.CallPoll, memsim.CallPoll},
+		1: {memsim.CallPoll},
+		3: {memsim.CallSignal},
 	}
+	if !alg.Variant.Polling {
+		scripts[0], scripts[1] = []memsim.CallKind{memsim.CallWait}, []memsim.CallKind{memsim.CallWait}
+	}
+	return Config{Factory: alg.New, N: 4, Scripts: scripts, MaxDepth: 7}
 }
 
 // stateKeyLegacy is the original reflective fmt-walk state key, rebuilt
@@ -132,9 +132,6 @@ func TestStateKeyPartitionMatchesLegacy(t *testing.T) {
 	for _, alg := range signal.All() {
 		t.Run(alg.Name, func(t *testing.T) {
 			cfg := partitionConfig(alg)
-			if !backtrackable(cfg) {
-				t.Skipf("%s has no resumable tier for this script", alg.Name)
-			}
 			e, err := newMonitor(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -51,7 +51,8 @@ type Spec struct {
 	Seed  int64 `json:"seed,omitempty"`
 	Walks int   `json:"walks,omitempty"`
 	// Dedup selects the explorer engine; nil means true (backtracking
-	// with state dedup), false forces the legacy replay enumeration.
+	// with state dedup), false runs plain backtracking, which visits every
+	// history.
 	Dedup *bool `json:"dedup,omitempty"`
 	// Reduce enables partial-order and symmetry reduction: explore jobs
 	// run EngineBacktrackDedupPOR, worstcase jobs set search Config.Reduce
@@ -267,7 +268,7 @@ func (s *Spec) ExploreConfig() (explore.Config, error) {
 	}
 	engine := explore.EngineAuto
 	if s.Dedup != nil && !*s.Dedup {
-		engine = explore.EngineReplay
+		engine = explore.EngineBacktrack
 	}
 	if s.Reduce {
 		engine = explore.EngineBacktrackDedupPOR

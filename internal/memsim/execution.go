@@ -68,35 +68,45 @@ type Action struct {
 //
 // An instance holds nothing but what deployment fixed: the addresses of
 // its shared variables and constants such as n. Every call's state lives
-// in its program (or frame) and all shared state in machine words, never
-// in the instance. That is what lets Execution.Reset keep the instance
-// when it rewinds the machine: the rewound run sees the same instance a
-// fresh deployment would have built.
+// in its frame and all shared state in machine words, never in the
+// instance. That is what lets Execution.Reset keep the instance when it
+// rewinds the machine: the rewound run sees the same instance a fresh
+// deployment would have built.
 type Instance interface {
-	// Program returns the body of one invocation of the given procedure
-	// by pid. It returns an error if the procedure is not supported
-	// (e.g. Wait on a polling-only algorithm).
-	Program(pid PID, kind CallKind) (Program, error)
+	// ResumableProgram returns one invocation of the given procedure by
+	// pid as a resumable frame. It returns an error if the procedure is
+	// not supported (e.g. Wait on a polling-only algorithm).
+	//
+	// On a deployed instance the result must be a pure function of
+	// (pid, kind): every call returns a fresh frame in the same state,
+	// whatever the machine holds and however many frames were minted
+	// before. The engines rely on this: they mint one template per
+	// (pid, kind) (FrameTemplates) and start every later call from a copy
+	// of it, and they never snapshot the instance.
+	ResumableProgram(pid PID, kind CallKind) (Resumable, error)
 }
+
+// ResumableInstance is the name the engines' callers know Instance by;
+// every instance is resumable.
+type ResumableInstance = Instance
 
 // Factory builds a fresh instance of an algorithm for n processes on
 // machine m, allocating all shared variables. It must be deterministic.
 type Factory func(m *Machine, n int) (Instance, error)
 
 // Execution binds a machine, controller and instance and keeps the action
-// log that makes the run replayable. Resumable calls start from a cached
-// (pid, kind) template copied into per-process storage that outlives the
-// call, so a long run (or a run rewound with Reset and re-applied) mints
-// frames once per (pid, kind) rather than once per call.
+// log that makes the run replayable. Calls start from a cached (pid, kind)
+// frame template copied into per-process storage that outlives the call,
+// so a long run (or a run rewound with Reset and re-applied) mints frames
+// once per (pid, kind) rather than once per call.
 type Execution struct {
-	mach     *Machine
-	ctl      *Controller
-	inst     Instance
-	n        int
-	actions  []Action
-	tmpl     *FrameTemplates // nil until the first resumable start
-	frames   FrameSet
-	blocking bool // force the blocking engine tier (A/B comparisons)
+	mach    *Machine
+	ctl     *Controller
+	inst    Instance
+	n       int
+	actions []Action
+	tmpl    *FrameTemplates // nil until the first start
+	frames  FrameSet
 }
 
 // NewExecution deploys factory on a fresh machine for n processes.
@@ -169,39 +179,23 @@ func (e *Execution) Pending(pid PID) (Access, bool) { return e.ctl.Pending(pid) 
 // value (without collecting it).
 func (e *Execution) CallEnded(pid PID) (Value, bool) { return e.ctl.CallEnded(pid) }
 
-// ForceBlocking pins the execution to the blocking engine tier even when
-// the instance provides native resumable programs — the A/B knob behind
-// engine-equivalence tests and the BenchmarkEngineStep contrast. Both
-// tiers produce identical traces for identical schedules.
-func (e *Execution) ForceBlocking(force bool) { e.blocking = force }
-
-// Start begins a call of the given kind on pid. Instances that provide a
-// native resumable form of the procedure run it inline (no goroutine),
-// starting from a copy of the (pid, kind) template in pid's retained frame
-// storage; all others run their blocking Program through the pooled
-// adapter.
+// Start begins a call of the given kind on pid. The call runs inline (no
+// goroutine), starting from a copy of the (pid, kind) template in pid's
+// retained frame storage.
 func (e *Execution) Start(pid PID, kind CallKind) error {
-	if !e.blocking && e.resumable() {
-		// pid's storage holds its in-flight frame while it is busy: refuse
-		// before the template copy would overwrite it.
-		if err := e.ctl.checkIdle(pid); err != nil {
-			return err
-		}
-		if err := e.frames.Start(e.tmpl, pid, kind); err == nil {
-			if err := e.ctl.StartResumable(pid, kind.String(), e.frames.Frame(pid)); err != nil {
-				return err
-			}
-			e.actions = append(e.actions, Action{Kind: ActStart, PID: pid, Call: kind})
-			return nil
-		}
-		// Fall through: the blocking Program owns this procedure (and its
-		// error reporting) for kinds without a resumable form.
+	if e.tmpl == nil {
+		e.tmpl = NewFrameTemplates(e.inst, e.n)
+		e.frames = NewFrameSet(e.n)
 	}
-	prog, err := e.inst.Program(pid, kind)
-	if err != nil {
+	// pid's storage holds its in-flight frame while it is busy: refuse
+	// before the template copy would overwrite it.
+	if err := e.ctl.checkIdle(pid); err != nil {
 		return err
 	}
-	if err := e.ctl.StartCall(pid, kind.String(), prog); err != nil {
+	if err := e.frames.Start(e.tmpl, pid, kind); err != nil {
+		return err
+	}
+	if err := e.ctl.StartResumable(pid, kind.String(), e.frames.Frame(pid)); err != nil {
 		return err
 	}
 	e.actions = append(e.actions, Action{Kind: ActStart, PID: pid, Call: kind})
@@ -250,20 +244,6 @@ func (e *Execution) Finish(pid PID) (Value, error) {
 	e.dropFrame(pid)
 	e.actions = append(e.actions, Action{Kind: ActFinish, PID: pid})
 	return ret, nil
-}
-
-// resumable reports whether the instance provides resumable programs,
-// setting up the frame templates and slots on first use.
-func (e *Execution) resumable() bool {
-	if e.tmpl == nil {
-		ri, ok := e.inst.(ResumableInstance)
-		if !ok {
-			return false
-		}
-		e.tmpl = NewFrameTemplates(ri, e.n)
-		e.frames = NewFrameSet(e.n)
-	}
-	return true
 }
 
 // dropFrame idles pid's frame slot after its call ended or crashed; the

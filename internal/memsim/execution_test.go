@@ -15,22 +15,45 @@ func counterFactory(m *Machine, n int) (Instance, error) {
 
 type counterInstance struct{ c, f Addr }
 
-func (in counterInstance) Program(pid PID, kind CallKind) (Program, error) {
+func (in counterInstance) ResumableProgram(pid PID, kind CallKind) (Resumable, error) {
 	switch kind {
-	case CallPoll:
-		return func(p *Proc) Value {
-			v := p.Read(in.c)
-			p.Write(in.c, v+1)
-			return v + 1
-		}, nil
+	case CallPoll: // v := read(c); write(c, v+1); return v+1
+		return &testFrame{step: func(f *testFrame, prev Result) (Access, bool) {
+			switch f.pc++; f.pc {
+			case 1:
+				return AccRead(in.c), true
+			case 2:
+				f.ret = prev.Val + 1
+				return AccWrite(in.c, f.ret), true
+			}
+			return Access{}, false
+		}}, nil
 	case CallSignal:
-		return func(p *Proc) Value {
-			p.Write(in.f, 1)
-			return 0
-		}, nil
+		return writeOnce(in.f, 1), nil
 	default:
 		return nil, ErrNoProgram
 	}
+}
+
+// testFrame is a frame given by a step function over its own fields: all
+// call state lives in pc and ret, so a shallow copy is an independent
+// continuation.
+type testFrame struct {
+	step func(f *testFrame, prev Result) (Access, bool)
+	pc   int
+	ret  Value
+}
+
+func (f *testFrame) Next(prev Result) (Access, bool) { return f.step(f, prev) }
+
+func (f *testFrame) Return() Value { return f.ret }
+
+// writeOnce is a frame that writes v to a and returns 0.
+func writeOnce(a Addr, v Value) *testFrame {
+	return &testFrame{step: func(f *testFrame, _ Result) (Access, bool) {
+		f.pc++
+		return AccWrite(a, v), f.pc == 1
+	}}
 }
 
 func TestExecutionInvoke(t *testing.T) {
@@ -128,12 +151,12 @@ func TestRunCallBudget(t *testing.T) {
 
 type spinInstance struct{ a Addr }
 
-func (in spinInstance) Program(pid PID, kind CallKind) (Program, error) {
-	return func(p *Proc) Value {
-		for p.Read(in.a) == 0 {
-		}
-		return 0
-	}, nil
+// ResumableProgram spins until a reads nonzero.
+func (in spinInstance) ResumableProgram(pid PID, kind CallKind) (Resumable, error) {
+	return &testFrame{step: func(f *testFrame, prev Result) (Access, bool) {
+		f.pc++
+		return AccRead(in.a), f.pc == 1 || prev.Val == 0
+	}}, nil
 }
 
 // TestRefusedStartKeepsInFlightFrame: a busy process's retained frame

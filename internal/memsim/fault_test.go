@@ -65,13 +65,21 @@ type crashProbeInstance struct {
 	owned, shared Addr
 }
 
-func (in crashProbeInstance) Program(pid PID, kind CallKind) (Program, error) {
-	return func(p *Proc) Value {
-		p.Write(in.owned, 7)
-		p.Write(in.shared, 9)
-		p.Read(in.shared)
-		return 1
-	}, nil
+// ResumableProgram: write(owned, 7); write(shared, 9); read(shared);
+// return 1.
+func (in crashProbeInstance) ResumableProgram(pid PID, kind CallKind) (Resumable, error) {
+	return &testFrame{step: func(f *testFrame, _ Result) (Access, bool) {
+		switch f.pc++; f.pc {
+		case 1:
+			return AccWrite(in.owned, 7), true
+		case 2:
+			return AccWrite(in.shared, 9), true
+		case 3:
+			return AccRead(in.shared), true
+		}
+		f.ret = 1
+		return Access{}, false
+	}}, nil
 }
 
 func newCrashProbe(t *testing.T) (*Execution, crashProbeInstance) {
@@ -145,13 +153,18 @@ type casProbeInstance struct {
 	slot Addr
 }
 
-func (in casProbeInstance) Program(pid PID, kind CallKind) (Program, error) {
-	return func(p *Proc) Value {
-		if p.CAS(in.slot, 0, Value(pid)+1) {
-			return 1
+// ResumableProgram: return CAS(slot, 0, pid+1).
+func (in casProbeInstance) ResumableProgram(pid PID, kind CallKind) (Resumable, error) {
+	return &testFrame{step: func(f *testFrame, prev Result) (Access, bool) {
+		f.pc++
+		if f.pc == 1 {
+			return AccCAS(in.slot, 0, Value(pid)+1), true
 		}
-		return 0
-	}, nil
+		if prev.OK {
+			f.ret = 1
+		}
+		return Access{}, false
+	}}, nil
 }
 
 // TestLostCASSemantics: the lost CAS takes effect in memory while the

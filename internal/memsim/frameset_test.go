@@ -6,8 +6,6 @@ import "testing"
 // often it is asked; every other kind is unsupported.
 type readInstance struct{ minted int }
 
-func (in *readInstance) Program(PID, CallKind) (Program, error) { return nil, ErrNoProgram }
-
 func (in *readInstance) ResumableProgram(pid PID, kind CallKind) (Resumable, error) {
 	if kind != CallPoll {
 		return nil, ErrNoProgram

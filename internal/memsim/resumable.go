@@ -13,7 +13,9 @@ import (
 // handshakes per step), a Resumable is advanced by plain method calls —
 // zero goroutines, zero channel operations, and its entire call-local state
 // lives in a plain struct (a "frame") that can be copied, which is what the
-// backtracking explorer's undo machinery relies on.
+// backtracking explorer's undo machinery relies on. Every Instance
+// procedure exists only in this form; Blocking adapts a frame for callers
+// that compose calls over Proc.
 //
 // Protocol: the controller calls Next with the result of the previously
 // granted access (the zero Result on the first invocation). Next returns
@@ -31,27 +33,6 @@ type Resumable interface {
 	Next(prev Result) (acc Access, ok bool)
 	// Return is the call's response, valid once Next reported completion.
 	Return() Value
-}
-
-// ResumableInstance is an Instance whose procedures also exist in native
-// resumable form. The Execution starts calls through ResumableProgram when
-// available (falling back to the blocking Program on error), so instances
-// migrate procedure by procedure without breaking anything.
-type ResumableInstance interface {
-	Instance
-	// ResumableProgram returns the resumable form of one invocation of the
-	// given procedure by pid. It must issue exactly the same access
-	// sequence as the blocking Program for every schedule.
-	//
-	// On a deployed instance the result must be a pure function of
-	// (pid, kind): every call returns a fresh frame in the same state,
-	// whatever the machine holds and however many frames were minted
-	// before. Per-call state belongs in the frame and shared state in
-	// machine words, never in the instance. The engines rely on this:
-	// they mint one template per (pid, kind) (FrameTemplates) and start
-	// every later call from a copy of it, and they never snapshot the
-	// instance.
-	ResumableProgram(pid PID, kind CallKind) (Resumable, error)
 }
 
 // ResumableCloner is implemented by resumable frames that need custom
@@ -199,6 +180,24 @@ func encodeCanonical(w io.Writer, v reflect.Value) {
 		// chan, func, map and unsafe pointers are outside the frame
 		// discipline; their type is all that can be said canonically.
 		fmt.Fprintf(w, "<%s>,", v.Type().String())
+	}
+}
+
+// Blocking adapts frame r into a blocking Program: the program loops on
+// r.Next and issues each access through its Proc, then returns r's
+// response. It is the one bridge from the resumable form to callers that
+// compose procedures over Proc (the goroutine tier). r is consumed: a
+// frame runs once.
+func Blocking(r Resumable) Program {
+	return func(p *Proc) Value {
+		var res Result
+		for {
+			acc, ok := r.Next(res)
+			if !ok {
+				return r.Return()
+			}
+			res = p.access(acc)
+		}
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 // sinkInstance is a two-process toy: Poll reads a word, Signal writes it.
 type sinkInstance struct{ a Addr }
 
-func (in sinkInstance) Program(pid PID, kind CallKind) (Program, error) {
+func (in sinkInstance) ResumableProgram(pid PID, kind CallKind) (Resumable, error) {
 	switch kind {
 	case CallPoll:
-		return func(p *Proc) Value { return p.Read(in.a) }, nil
+		return &readFrame{addr: in.a}, nil
 	case CallSignal:
-		return func(p *Proc) Value { p.Write(in.a, 1); return 0 }, nil
+		return writeOnce(in.a, 1), nil
 	default:
 		return nil, ErrNoProgram
 	}

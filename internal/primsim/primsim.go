@@ -1,9 +1,9 @@
-// Package primsim emulates comparison primitives (CAS) from atomic reads
-// and writes, the mechanism behind Corollary 6.14: any algorithm using
-// reads, writes and CAS/LL-SC can be transformed into a read/write-only
-// algorithm with bounded RMRs per emulated operation, so an O(1)-amortized
-// CAS-based signaling algorithm would yield an O(1)-amortized read/write
-// algorithm — contradicting Theorem 6.2.
+// Package primsim emulates comparison primitives (CAS, LL/SC) from atomic
+// reads and writes, the mechanism behind Corollary 6.14: any algorithm
+// using reads, writes and CAS/LL-SC can be transformed into a
+// read/write-only algorithm with bounded RMRs per emulated operation, so
+// an O(1)-amortized CAS-based signaling algorithm would yield an
+// O(1)-amortized read/write algorithm — contradicting Theorem 6.2.
 //
 // The paper cites the constant-RMR locally-accessible implementations of
 // Golab et al. [11, 12]. Reproducing those constructions in full is a
@@ -15,67 +15,50 @@
 // property the paper itself highlights ("in such implementations every
 // operation incurs RMRs") — and both are preserved. DESIGN.md records the
 // substitution.
+//
+// Every emulated operation is a resumable Frame that composes the lock's
+// acquire and release sections (mutex.ResumableLock); callers embed a
+// Frame in their own frame and drive it. An emulated read is one atomic
+// read of the word's address and needs no frame.
 package primsim
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/memsim"
 	"repro/internal/mutex"
 )
 
-// tournamentFactory deploys the read/write lock shared by all emulations.
-func tournamentFactory(m *memsim.Machine, n int) (mutex.Lock, error) {
-	return mutex.PetersonTournament().New(m, n)
+// emuLock is the read/write tournament lock of one emulated object, with
+// every process's acquire and release sections minted at deployment. The
+// minted sections are never run: an operation runs copies of them.
+type emuLock struct {
+	acq, rel []memsim.Resumable // pristine sections, by pid
 }
 
-// EmuCAS is a shared word supporting read and CAS, implemented from atomic
-// reads and writes only: the read-modify-write cycle is made atomic by a
-// read/write mutual-exclusion lock.
-type EmuCAS struct {
-	lock mutex.Lock
-	val  memsim.Addr
-}
-
-// NewEmuCAS allocates an emulated CAS word initialized to init. The
-// tournament lock is sized for n processes.
-func NewEmuCAS(m *memsim.Machine, n int, name string, init memsim.Value) (*EmuCAS, error) {
+func newEmuLock(m *memsim.Machine, n int) (*emuLock, error) {
 	lk, err := mutex.PetersonTournament().New(m, n)
 	if err != nil {
 		return nil, fmt.Errorf("deploy emulation lock: %w", err)
 	}
-	return &EmuCAS{
-		lock: lk,
-		val:  m.Alloc(memsim.NoOwner, name, 1, init),
-	}, nil
-}
-
-// Read returns the current value. A single atomic read is already
-// linearizable against the locked read-modify-write cycles, so no lock is
-// taken.
-func (e *EmuCAS) Read(p *memsim.Proc) memsim.Value {
-	return p.Read(e.val)
-}
-
-// Write stores v. It takes the lock so that a concurrent CAS cannot be
-// split by the write.
-func (e *EmuCAS) Write(p *memsim.Proc, v memsim.Value) {
-	e.lock.Acquire(p)
-	p.Write(e.val, v)
-	e.lock.Release(p)
-}
-
-// CAS atomically (under the emulation lock) replaces the value with new if
-// it equals old, reporting whether it did.
-func (e *EmuCAS) CAS(p *memsim.Proc, old, new memsim.Value) bool {
-	e.lock.Acquire(p)
-	v := p.Read(e.val)
-	ok := v == old
-	if ok {
-		p.Write(e.val, new)
+	rl := lk.(mutex.ResumableLock)
+	l := &emuLock{acq: make([]memsim.Resumable, n), rel: make([]memsim.Resumable, n)}
+	for i := 0; i < n; i++ {
+		l.acq[i] = rl.AcquireFrame(memsim.PID(i))
+		l.rel[i] = rl.ReleaseFrame(memsim.PID(i))
 	}
-	e.lock.Release(p)
-	return ok
+	return l, nil
+}
+
+// frame returns pid's frame with both lock sections in their starting
+// state.
+func (l *emuLock) frame(pid memsim.PID) Frame {
+	return Frame{
+		lock: l, pid: pid,
+		acq: memsim.CloneResumable(l.acq[pid]),
+		rel: memsim.CloneResumable(l.rel[pid]),
+	}
 }
 
 // EmuCASArray is a fixed-size array of emulated CAS words sharing one
@@ -83,16 +66,17 @@ func (e *EmuCAS) CAS(p *memsim.Proc, old, new memsim.Value) bool {
 // linear. Sharing the lock is safe (coarser atomicity than per-word locks)
 // and mirrors footnote-level freedom in the transformation.
 type EmuCASArray struct {
-	lock mutex.Lock
+	lock *emuLock
 	base memsim.Addr
 	size int
 }
 
-// NewEmuCASArray allocates size emulated words initialized to init.
+// NewEmuCASArray allocates size emulated words initialized to init. The
+// tournament lock is sized for n processes.
 func NewEmuCASArray(m *memsim.Machine, n, size int, name string, init memsim.Value) (*EmuCASArray, error) {
-	lk, err := mutex.PetersonTournament().New(m, n)
+	lk, err := newEmuLock(m, n)
 	if err != nil {
-		return nil, fmt.Errorf("deploy emulation lock: %w", err)
+		return nil, err
 	}
 	return &EmuCASArray{
 		lock: lk,
@@ -104,20 +88,259 @@ func NewEmuCASArray(m *memsim.Machine, n, size int, name string, init memsim.Val
 // Size returns the number of words.
 func (e *EmuCASArray) Size() int { return e.size }
 
-// Read returns word j.
-func (e *EmuCASArray) Read(p *memsim.Proc, j int) memsim.Value {
-	return p.Read(e.base + memsim.Addr(j))
+// Addr returns word j's address. A single atomic read of it is already
+// linearizable against the locked read-modify-write cycles, so an emulated
+// read takes no lock.
+func (e *EmuCASArray) Addr(j int) memsim.Addr { return e.base + memsim.Addr(j) }
+
+// NewFrame returns pid's frame for emulated operations on e.
+func (e *EmuCASArray) NewFrame(pid memsim.PID) Frame { return e.lock.frame(pid) }
+
+// CAS starts in f an emulated compare-and-swap of word j by f's process:
+// under the emulation lock, replace the value with new if it equals old.
+// f returns 1 if it did.
+//
+//	acquire; v := read(word j); if v = old { write(word j, new) }; release
+//	return v = old
+func (e *EmuCASArray) CAS(f *Frame, j int, old, new memsim.Value) {
+	f.start(e.lock, opCAS, pcLock)
+	f.w, f.arg, f.arg2 = e.Addr(j), old, new
 }
 
-// CAS performs an emulated compare-and-swap on word j.
-func (e *EmuCASArray) CAS(p *memsim.Proc, j int, old, new memsim.Value) bool {
-	e.lock.Acquire(p)
-	a := e.base + memsim.Addr(j)
-	v := p.Read(a)
-	ok := v == old
-	if ok {
-		p.Write(a, new)
+// EmuLLSC is a shared word supporting Load-Linked/Store-Conditional,
+// implemented from atomic reads and writes only (plus the read/write
+// tournament lock), completing the Corollary 6.14 primitive set alongside
+// EmuCASArray. A version counter serializes nontrivial operations: LL
+// snapshots (value, version) under the lock and parks the version in the
+// calling process's own memory module; SC succeeds only if the version is
+// unchanged.
+type EmuLLSC struct {
+	lock *emuLock
+	val  memsim.Addr
+	ver  memsim.Addr
+	// link[i] holds process i's linked version (in i's module); Nil
+	// means no outstanding reservation.
+	link []memsim.Addr
+}
+
+// NewEmuLLSC allocates an emulated LL/SC word initialized to init.
+func NewEmuLLSC(m *memsim.Machine, n int, name string, init memsim.Value) (*EmuLLSC, error) {
+	lk, err := newEmuLock(m, n)
+	if err != nil {
+		return nil, err
 	}
-	e.lock.Release(p)
-	return ok
+	e := &EmuLLSC{
+		lock: lk,
+		val:  m.Alloc(memsim.NoOwner, name, 1, init),
+		ver:  m.Alloc(memsim.NoOwner, name+".ver", 1, 0),
+		link: make([]memsim.Addr, n),
+	}
+	for i := 0; i < n; i++ {
+		e.link[i] = m.Alloc(memsim.PID(i), name+".link", 1, memsim.Nil)
+	}
+	return e, nil
+}
+
+// Addr returns the word's address; an emulated read is one atomic read
+// of it (values are single atomic words).
+func (e *EmuLLSC) Addr() memsim.Addr { return e.val }
+
+// NewFrame returns pid's frame for emulated operations on e (and on any
+// other EmuLLSC word of the same machine).
+func (e *EmuLLSC) NewFrame(pid memsim.PID) Frame { return e.lock.frame(pid) }
+
+// LL starts in f a load-link of the word by f's process p: f returns the
+// current value and records the version for p.
+//
+//	acquire; v := read(val); ver := read(ver); release
+//	write(link[p], ver); return v
+func (e *EmuLLSC) LL(f *Frame) {
+	f.start(e.lock, opLL, pcLock)
+	f.w, f.ver, f.link = e.val, e.ver, e.link[f.pid]
+}
+
+// SC starts in f a store-conditional of v by f's process p: it succeeds
+// (f returns 1) only if no nontrivial operation intervened since p's last
+// LL. The reservation is consumed either way.
+//
+//	linked := read(link[p]); write(link[p], NIL); if linked = NIL { return false }
+//	acquire; ok := read(ver) = linked; if ok { write(val, v); write(ver, linked+1) }; release
+//	return ok
+func (e *EmuLLSC) SC(f *Frame, v memsim.Value) {
+	f.start(e.lock, opSC, pcLink)
+	f.w, f.ver, f.link, f.arg = e.val, e.ver, e.link[f.pid], v
+}
+
+// The emulated operations.
+const (
+	opCAS uint8 = iota + 1
+	opLL
+	opSC
+)
+
+// Frame program counters: SC's reservation check, the acquire section,
+// the operation's accesses under the lock, the release section and LL's
+// link write.
+const (
+	pcLink uint8 = iota
+	pcUnlink
+	pcLock
+	pcAcquire
+	pcBody
+	pcBody1
+	pcBody2
+	pcRelease
+	pcReleasing
+	pcPost
+	pcDone
+)
+
+// Frame runs emulated operations for one process: NewFrame makes it, an
+// operation (EmuCASArray.CAS, EmuLLSC.LL, EmuLLSC.SC) starts in it, and
+// Next drives it like any frame. It is a value the caller embeds in its own
+// frame. Its lock sections are allocated by NewFrame and copied into from
+// then on, so operations allocate nothing, and a frame's encoding never
+// depends on what its storage held before.
+type Frame struct {
+	lock     *emuLock
+	pid      memsim.PID
+	acq, rel memsim.Resumable // lock sections, never nil
+	op, pc   uint8
+	w        memsim.Addr // the word: CAS target, LL/SC value
+	ver      memsim.Addr
+	link     memsim.Addr
+	arg      memsim.Value // CAS old, SC value
+	arg2     memsim.Value // CAS new
+	val      memsim.Value // value read (LL), linked version (SC)
+	seen     memsim.Value // version read (LL)
+	ok       bool
+}
+
+var _ memsim.Resumable = (*Frame)(nil)
+
+func (f *Frame) start(l *emuLock, op, pc uint8) {
+	f.lock, f.op, f.pc = l, op, pc
+	f.val, f.seen, f.ok = 0, 0, false
+}
+
+// Next implements memsim.Resumable.
+func (f *Frame) Next(prev memsim.Result) (memsim.Access, bool) {
+	for {
+		switch f.pc {
+		case pcLink: // SC: read the reservation
+			f.pc = pcUnlink
+			return memsim.AccRead(f.link), true
+		case pcUnlink: // SC: consume it
+			f.val = prev.Val
+			if f.val == memsim.Nil {
+				f.pc = pcDone
+			} else {
+				f.pc = pcLock
+			}
+			return memsim.AccWrite(f.link, memsim.Nil), true
+		case pcLock: // enter the acquire section
+			f.acq = memsim.CloneResumableInto(f.acq, f.lock.acq[f.pid])
+			prev = memsim.Result{}
+			f.pc = pcAcquire
+		case pcAcquire:
+			if acc, ok := f.acq.Next(prev); ok {
+				return acc, true
+			}
+			f.pc = pcBody
+			if f.op == opCAS || f.op == opLL {
+				return memsim.AccRead(f.w), true
+			}
+			return memsim.AccRead(f.ver), true
+		case pcBody: // first read under the lock
+			switch f.op {
+			case opCAS:
+				f.ok = prev.Val == f.arg
+				if !f.ok {
+					f.pc = pcRelease
+					continue
+				}
+				f.pc = pcRelease
+				return memsim.AccWrite(f.w, f.arg2), true
+			case opLL:
+				f.val = prev.Val
+				f.pc = pcBody1
+				return memsim.AccRead(f.ver), true
+			default: // SC: version check
+				f.ok = prev.Val == f.val
+				if !f.ok {
+					f.pc = pcRelease
+					continue
+				}
+				f.pc = pcBody2
+				return memsim.AccWrite(f.w, f.arg), true
+			}
+		case pcBody1: // LL: version read
+			f.seen = prev.Val
+			f.pc = pcRelease
+		case pcBody2: // SC: bump the version
+			f.pc = pcRelease
+			return memsim.AccWrite(f.ver, f.val+1), true
+		case pcRelease: // enter the release section
+			f.rel = memsim.CloneResumableInto(f.rel, f.lock.rel[f.pid])
+			prev = memsim.Result{}
+			f.pc = pcReleasing
+		case pcReleasing:
+			if acc, ok := f.rel.Next(prev); ok {
+				return acc, true
+			}
+			if f.op != opLL {
+				f.pc = pcDone
+				continue
+			}
+			f.pc = pcPost
+			return memsim.AccWrite(f.link, f.seen), true
+		default:
+			f.pc = pcDone
+			return memsim.Access{}, false
+		}
+	}
+}
+
+// Return implements memsim.Resumable: LL's value, or 1 for a successful
+// CAS or SC and 0 otherwise.
+func (f *Frame) Return() memsim.Value {
+	switch {
+	case f.op == opLL:
+		return f.val
+	case f.ok:
+		return 1
+	}
+	return 0
+}
+
+// OK reports whether a completed CAS or SC succeeded.
+func (f *Frame) OK() bool { return f.ok }
+
+// CopyInto makes dst an independent copy of f, reusing dst's lock-section
+// storage.
+func (f *Frame) CopyInto(dst *Frame) {
+	acq, rel := dst.acq, dst.rel
+	*dst = *f
+	dst.acq = memsim.CloneResumableInto(acq, f.acq)
+	dst.rel = memsim.CloneResumableInto(rel, f.rel)
+}
+
+// AppendState appends f's canonical state: the operation, its arguments
+// and progress, and both lock sections by content. Fields left over from
+// a finished operation are included too: they follow from the caller's
+// path within the call, so equal states still encode equally, and at
+// worst states that could merge are kept apart.
+func (f *Frame) AppendState(dst []byte) []byte {
+	dst = append(dst, f.op, f.pc)
+	if f.ok {
+		dst = append(dst, 1)
+	} else {
+		dst = append(dst, 0)
+	}
+	for _, v := range [...]int64{int64(f.pid), int64(f.w), int64(f.ver), int64(f.link),
+		int64(f.arg), int64(f.arg2), int64(f.val), int64(f.seen)} {
+		dst = binary.AppendVarint(dst, v)
+	}
+	dst = memsim.AppendFrameState(dst, f.acq)
+	return memsim.AppendFrameState(dst, f.rel)
 }

@@ -8,12 +8,19 @@ import (
 	"repro/internal/model"
 )
 
+// do runs one emulated operation, started in f by begin, on p through
+// the blocking adapter and returns its response.
+func do(p *memsim.Proc, f Frame, begin func(f *Frame)) memsim.Value {
+	begin(&f)
+	return memsim.Blocking(&f)(p)
+}
+
 // driveCAS has n processes each attempt CAS(0 -> pid+1) on one emulated
 // word under a random schedule and returns the winners.
 func driveCAS(t *testing.T, n int, seed int64) (winners []memsim.PID, final memsim.Value, events []memsim.Event, owner func(memsim.Addr) memsim.PID) {
 	t.Helper()
 	m := memsim.NewMachine(n)
-	emu, err := NewEmuCAS(m, n, "X", 0)
+	emu, err := NewEmuCASArray(m, n, 1, "X", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,10 +29,7 @@ func driveCAS(t *testing.T, n int, seed int64) (winners []memsim.PID, final mems
 	for i := 0; i < n; i++ {
 		pid := memsim.PID(i)
 		if err := ctl.StartCall(pid, "cas", func(p *memsim.Proc) memsim.Value {
-			if emu.CAS(p, 0, memsim.Value(p.ID())+1) {
-				return 1
-			}
-			return 0
+			return do(p, emu.NewFrame(p.ID()), func(f *Frame) { emu.CAS(f, 0, 0, memsim.Value(p.ID())+1) })
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +60,7 @@ func driveCAS(t *testing.T, n int, seed int64) (winners []memsim.PID, final mems
 	}
 	// Fetch the final value through a solo read program.
 	if err := ctl.StartCall(0, "read", func(p *memsim.Proc) memsim.Value {
-		return emu.Read(p)
+		return p.Read(emu.Addr(0))
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -117,16 +121,19 @@ func TestEmuCASArray(t *testing.T) {
 	defer ctl.Close()
 	var got []memsim.Value
 	if err := ctl.StartCall(0, "seq", func(p *memsim.Proc) memsim.Value {
-		if !arr.CAS(p, 0, memsim.Nil, 7) {
+		cas := func(j int, v memsim.Value) memsim.Value {
+			return do(p, arr.NewFrame(p.ID()), func(f *Frame) { arr.CAS(f, j, memsim.Nil, v) })
+		}
+		if cas(0, 7) != 1 {
 			return -100
 		}
-		if arr.CAS(p, 0, memsim.Nil, 8) {
+		if cas(0, 8) != 0 {
 			return -101 // second CAS on same slot must fail
 		}
-		if !arr.CAS(p, 1, memsim.Nil, 9) {
+		if cas(1, 9) != 1 {
 			return -102
 		}
-		got = append(got, arr.Read(p, 0), arr.Read(p, 1), arr.Read(p, 2))
+		got = append(got, p.Read(arr.Addr(0)), p.Read(arr.Addr(1)), p.Read(arr.Addr(2)))
 		return 0
 	}); err != nil {
 		t.Fatal(err)

@@ -7,17 +7,13 @@
 package queue
 
 import (
-	"errors"
-
 	"repro/internal/memsim"
 )
 
-// ErrFull is returned by TryRegister when the registry is at capacity.
-var ErrFull = errors.New("queue: registry full")
-
 // Registry is a grow-only set of values registered by concurrent processes.
-// Register performs exactly two interconnect operations (one F&I, one
-// write), so insertion is O(1) RMRs in both the CC and DSM models.
+// Registration (RegisterResumable) performs exactly two interconnect
+// operations (one F&I, one write), so insertion is O(1) RMRs in both the
+// CC and DSM models; SnapshotResumable reads the registered values.
 type Registry struct {
 	tail memsim.Addr
 	slot memsim.Addr
@@ -39,57 +35,3 @@ func NewRegistry(m *memsim.Machine, capacity int, name string) *Registry {
 
 // Cap returns the registry's capacity.
 func (r *Registry) Cap() int { return r.cap }
-
-// Register appends v to the registry: a Fetch-And-Increment claims a slot
-// and a write publishes the value. It panics via the machine if the
-// registry overflows (callers size it to the process count); use
-// TryRegister for a checked variant.
-func (r *Registry) Register(p *memsim.Proc, v memsim.Value) {
-	t := p.FetchAdd(r.tail, 1)
-	p.Write(r.slot+memsim.Addr(t), v)
-}
-
-// TryRegister appends v if capacity permits, reporting whether it did.
-// A failed attempt still consumes a ticket (F&I cannot be undone), which
-// matches the wait-free flavor of the underlying primitive.
-func (r *Registry) TryRegister(p *memsim.Proc, v memsim.Value) error {
-	t := p.FetchAdd(r.tail, 1)
-	if int(t) >= r.cap {
-		return ErrFull
-	}
-	p.Write(r.slot+memsim.Addr(t), v)
-	return nil
-}
-
-// Len reads the number of claimed slots (registered or mid-registration).
-func (r *Registry) Len(p *memsim.Proc) int {
-	n := int(p.Read(r.tail))
-	if n > r.cap {
-		n = r.cap
-	}
-	return n
-}
-
-// Get returns the value in slot j, busy-waiting through the short window
-// between a registrant's F&I and its slot write. The wait is bounded by
-// the registrant's two-step registration under any fair schedule.
-func (r *Registry) Get(p *memsim.Proc, j int) memsim.Value {
-	for {
-		v := p.Read(r.slot + memsim.Addr(j))
-		if v != memsim.Nil {
-			return v
-		}
-	}
-}
-
-// Snapshot reads all currently registered values: the length first, then
-// each slot. The caller sequences it after any happens-before barrier it
-// needs (the signaling algorithm writes its global flag first).
-func (r *Registry) Snapshot(p *memsim.Proc) []memsim.Value {
-	n := r.Len(p)
-	out := make([]memsim.Value, 0, n)
-	for j := 0; j < n; j++ {
-		out = append(out, r.Get(p, j))
-	}
-	return out
-}

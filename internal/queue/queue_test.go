@@ -1,7 +1,6 @@
 package queue
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -21,10 +20,7 @@ func runConcurrentRegistrations(t *testing.T, n int, seed int64) ([]memsim.Value
 
 	for i := 0; i < n; i++ {
 		pid := memsim.PID(i)
-		if err := ctl.StartCall(pid, "register", func(p *memsim.Proc) memsim.Value {
-			reg.Register(p, memsim.Value(p.ID()))
-			return 0
-		}); err != nil {
+		if err := ctl.StartResumable(pid, "register", reg.RegisterResumable(memsim.Value(pid))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,11 +47,8 @@ func runConcurrentRegistrations(t *testing.T, n int, seed int64) ([]memsim.Value
 	}
 
 	reader := memsim.PID(n)
-	var snap []memsim.Value
-	if err := ctl.StartCall(reader, "snapshot", func(p *memsim.Proc) memsim.Value {
-		snap = reg.Snapshot(p)
-		return 0
-	}); err != nil {
+	snapshot := reg.SnapshotResumable()
+	if err := ctl.StartResumable(reader, "snapshot", snapshot); err != nil {
 		t.Fatal(err)
 	}
 	for {
@@ -69,7 +62,7 @@ func runConcurrentRegistrations(t *testing.T, n int, seed int64) ([]memsim.Value
 			t.Fatal(err)
 		}
 	}
-	return snap, ctl.Events(), m.Owner
+	return snapshot.Vals(), ctl.Events(), m.Owner
 }
 
 func TestRegistryAllRegistrantsVisible(t *testing.T) {
@@ -103,36 +96,6 @@ func TestRegistryO1RMRInsertion(t *testing.T) {
 		if dsm.PerProc[pid] != 2 {
 			t.Fatalf("registrant %d paid %d DSM RMRs, want 2", pid, dsm.PerProc[pid])
 		}
-	}
-}
-
-func TestTryRegisterFull(t *testing.T) {
-	m := memsim.NewMachine(2)
-	reg := NewRegistry(m, 1, "R")
-	ctl := memsim.NewController(m)
-	defer ctl.Close()
-
-	var err1, err2 error
-	if err := ctl.StartCall(0, "r", func(p *memsim.Proc) memsim.Value {
-		err1 = reg.TryRegister(p, 10)
-		err2 = reg.TryRegister(p, 11)
-		return 0
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, done := ctl.CallEnded(0); done {
-			break
-		}
-		if _, err := ctl.Step(0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err1 != nil {
-		t.Fatalf("first TryRegister: %v", err1)
-	}
-	if !errors.Is(err2, ErrFull) {
-		t.Fatalf("second TryRegister = %v, want ErrFull", err2)
 	}
 }
 

@@ -8,11 +8,13 @@ import (
 	"repro/internal/memsim"
 )
 
-// RegisterFrame is the resumable form of Registry.Register: one
-// Fetch-And-Increment to claim a slot, one write to publish the value.
-// Frames over the registry compose into larger resumable programs (the
-// Section 7 signaling algorithms delegate to it), mirroring how the
-// blocking helpers compose over *memsim.Proc.
+// RegisterFrame appends a value to the registry: one Fetch-And-Increment
+// to claim a slot, one write to publish the value. It panics via the
+// machine if the registry overflows (callers size it to the process
+// count). Frames over the registry compose into larger resumable programs
+// (the Section 7 signaling algorithms delegate to it).
+//
+//	t := F&I(tail, 1); write(slot[t], v)
 type RegisterFrame struct {
 	reg *Registry
 	v   memsim.Value
@@ -62,10 +64,13 @@ var (
 	_ memsim.StateAppender = (*RegisterFrame)(nil)
 )
 
-// SnapshotFrame is the resumable form of Registry.Snapshot: read the claimed
-// length, then each slot in order, busy-waiting through the short window
-// between a registrant's F&I and its slot write. Once complete, Vals holds
-// the registered values.
+// SnapshotFrame reads all currently registered values: the claimed length
+// first (clamped to the capacity), then each slot in order, busy-waiting
+// through the short window between a registrant's F&I and its slot write;
+// that wait is bounded by the registrant's two-step registration under any
+// fair schedule. Once complete, Vals holds the registered values. The
+// caller sequences it after any happens-before barrier it needs (the
+// signaling algorithm writes its global flag first).
 //
 // The collected slice is written strictly append-at-index below the frame's
 // cursor, so a shallow frame copy (sharing the backing array) is a valid

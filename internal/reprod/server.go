@@ -200,17 +200,10 @@ func (s *Server) viewLocked(j *job) JobView {
 }
 
 // durableSpec reports whether a spec's engine supports checkpointed,
-// interruptible execution: exhaustive search and deduped exploration do;
-// sample walks and the legacy replay enumeration are cheap or
-// undecomposable and just rerun.
+// interruptible execution: every exploration and exhaustive search do;
+// sample walks are cheap and just rerun.
 func durableSpec(spec *jobspec.Spec) bool {
-	switch spec.Kind {
-	case jobspec.KindWorstcase:
-		return spec.Mode == "exhaustive"
-	case jobspec.KindExplore:
-		return spec.Dedup == nil || *spec.Dedup
-	}
-	return false
+	return spec.Kind == jobspec.KindExplore || spec.Mode == "exhaustive"
 }
 
 func (s *Server) checkpointPath(id string) string {

@@ -90,9 +90,6 @@ func TestFaultSandwich(t *testing.T) {
 				cfg.Faults = faultPolicy(k, memsim.VolStable)
 				res, err := search.Run(cfg)
 				if err != nil {
-					if _, ok := mustDeploy(t, alg); !ok {
-						t.Skipf("no resumable tier: %v", err)
-					}
 					t.Fatal(err)
 				}
 				if cert.TotalRMRs > res.WorstCost {

@@ -6,8 +6,8 @@ package search_test
 //	sampled maximum               ≤  exhaustive worst case,
 //
 // with the worst case searched over a schedule space generous enough (3
-// waiters × 3 polls, depth 14) to contain adversary-style histories at
-// the certificate's process count.
+// waiters × 3 polls, depth 14, or 28 for llsc-register-rw) to contain
+// adversary-style histories at the certificate's process count.
 
 import (
 	"testing"
@@ -20,8 +20,15 @@ import (
 
 // adversarial is the search space the certificate comparison runs in: the
 // certificate's own process count, every non-signaler polling, and a
-// depth bound that dominates the certificate's short n=4 histories.
+// depth bound that dominates the certificate's short n=4 histories. The
+// emulated LL/SC of llsc-register-rw spends about a dozen accesses per
+// operation, so its certificate takes 28 scheduling choices and its space
+// is searched that deep.
 func adversarial(alg signal.Algorithm) search.Config {
+	depth := 14
+	if alg.Name == signal.LLSCRegisterRW().Name {
+		depth = 28
+	}
 	return search.Config{
 		Factory: alg.New,
 		N:       4,
@@ -31,7 +38,7 @@ func adversarial(alg signal.Algorithm) search.Config {
 			2: {memsim.CallPoll, memsim.CallPoll, memsim.CallPoll},
 			3: {memsim.CallSignal},
 		},
-		MaxDepth: 14,
+		MaxDepth: depth,
 	}
 }
 
@@ -58,9 +65,6 @@ func TestCertificateBelowWorstCase(t *testing.T) {
 			cfg := adversarial(alg)
 			res, err := search.Run(cfg)
 			if err != nil {
-				if _, ok := mustDeploy(t, alg); !ok {
-					t.Skipf("no resumable tier: %v", err)
-				}
 				t.Fatal(err)
 			}
 			if cert.TotalRMRs > res.WorstCost {
@@ -82,18 +86,4 @@ func TestCertificateBelowWorstCase(t *testing.T) {
 				cert.TotalRMRs, sam.WorstCost, res.WorstCost, res.Schedule)
 		})
 	}
-}
-
-// mustDeploy reports whether the algorithm's instance has a resumable
-// tier (exhaustive search needs one; blocking-only algorithms are
-// legitimately skipped).
-func mustDeploy(t *testing.T, alg signal.Algorithm) (memsim.ResumableInstance, bool) {
-	t.Helper()
-	exec, err := alg.Deploy(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exec.Close()
-	ri, ok := exec.Instance().(memsim.ResumableInstance)
-	return ri, ok
 }

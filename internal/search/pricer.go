@@ -1,7 +1,6 @@
 package search
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/engine"
@@ -43,9 +42,6 @@ func newPricer(cfg Config) (*pricer, error) {
 		}
 		return x, nil
 	})
-	if errors.Is(err, engine.ErrNotResumable) {
-		err = fmt.Errorf("%w; exhaustive search needs one (use ModeSample)", err)
-	}
 	if err != nil {
 		return nil, err
 	}

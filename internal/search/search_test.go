@@ -280,47 +280,39 @@ func TestSampleDeterministic(t *testing.T) {
 	}
 }
 
-// TestExhaustiveRequiresResumable: blocking-only instances are rejected
-// with a pointer at sample mode, which accepts them.
-func TestExhaustiveRequiresResumable(t *testing.T) {
-	blocking := search.Config{
-		Factory: func(m *memsim.Machine, n int) (memsim.Instance, error) {
-			return blockingOnly{b: m.Alloc(memsim.NoOwner, "B", 1, 0)}, nil
-		},
-		N: 2,
-		Scripts: map[memsim.PID][]memsim.CallKind{
-			0: {memsim.CallPoll},
-			1: {memsim.CallSignal},
-		},
-		MaxDepth: 6,
-	}
-	if _, err := search.Run(blocking); err == nil {
-		t.Fatal("exhaustive search accepted a blocking-only instance")
-	}
-	blocking.Mode = search.ModeSample
-	blocking.Walks = 16
-	res, err := search.Run(blocking)
-	if err != nil {
-		t.Fatalf("sample mode rejected a blocking-only instance: %v", err)
-	}
-	if res.WorstCost < 1 {
-		t.Fatalf("blocking-only workload sampled zero cost: %+v", res)
-	}
-}
-
-// blockingOnly is a minimal Instance with no resumable tier.
-type blockingOnly struct {
-	b memsim.Addr
-}
-
-func (in blockingOnly) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Program, error) {
-	switch kind {
-	case memsim.CallPoll:
-		return func(p *memsim.Proc) memsim.Value { return p.Read(in.b) }, nil
-	case memsim.CallSignal:
-		return func(p *memsim.Proc) memsim.Value { p.Write(in.b, 1); return 0 }, nil
-	default:
-		return nil, memsim.ErrNoProgram
+// TestExhaustiveWitnessReplaysPortedAlgorithms: exhaustive search runs
+// the read/write transformations of Corollary 6.14 and the Section 7
+// blocking algorithm, and each worst-case witness replays to the reported
+// cost on the independent Execution path.
+func TestExhaustiveWitnessReplaysPortedAlgorithms(t *testing.T) {
+	for _, alg := range []signal.Algorithm{signal.CASRegisterRW(), signal.LLSCRegisterRW(), signal.LeaderBlocking()} {
+		kind := memsim.CallPoll
+		if !alg.Variant.Polling {
+			kind = memsim.CallWait
+		}
+		cfg := search.Config{
+			Factory: alg.New,
+			N:       4,
+			Scripts: map[memsim.PID][]memsim.CallKind{
+				0: {kind},
+				1: {kind},
+				3: {memsim.CallSignal},
+			},
+			MaxDepth: 12,
+			Model:    model.ModelDSM,
+		}
+		res, err := search.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", alg.Name, err)
+		}
+		rep, err := search.Replay(cfg, res.Witness)
+		if err != nil {
+			t.Fatalf("%s: %v", alg.Name, err)
+		}
+		if res.WorstCost == 0 || rep.Cost.Total != res.WorstCost {
+			t.Fatalf("%s: witness replays to %d, reported %d", alg.Name, rep.Cost.Total, res.WorstCost)
+		}
+		t.Logf("%s: worst %d DSM RMRs over %d paths, witness %v", alg.Name, res.WorstCost, res.Paths, res.Schedule)
 	}
 }
 

@@ -20,14 +20,18 @@ import (
 // coherence models' flattened sharer/owner/residue sections).
 
 func partitionConfig(alg signal.Algorithm, m model.Scorer) Config {
+	scripts := map[memsim.PID][]memsim.CallKind{
+		0: {memsim.CallPoll, memsim.CallPoll},
+		1: {memsim.CallPoll},
+		3: {memsim.CallSignal},
+	}
+	if !alg.Variant.Polling {
+		scripts[0], scripts[1] = []memsim.CallKind{memsim.CallWait}, []memsim.CallKind{memsim.CallWait}
+	}
 	return Config{
-		Factory: alg.New,
-		N:       4,
-		Scripts: map[memsim.PID][]memsim.CallKind{
-			0: {memsim.CallPoll, memsim.CallPoll},
-			1: {memsim.CallPoll},
-			3: {memsim.CallSignal},
-		},
+		Factory:  alg.New,
+		N:        4,
+		Scripts:  scripts,
 		MaxDepth: 6,
 		Model:    m,
 		Mode:     ModeExhaustive,
@@ -138,7 +142,7 @@ func TestSearchStateKeyPartitionMatchesLegacy(t *testing.T) {
 			t.Run(alg.Name+"/"+m.Name(), func(t *testing.T) {
 				e, err := newPricer(partitionConfig(alg, m))
 				if err != nil {
-					t.Skipf("%s: %v", alg.Name, err)
+					t.Fatal(err)
 				}
 				nodes := keyWalk(t, e, 6)
 				t.Logf("%d nodes walked", nodes)

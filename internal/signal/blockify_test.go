@@ -101,8 +101,8 @@ func TestBlockifiedPreservesPollAndSignal(t *testing.T) {
 	}
 }
 
-// TestBlockifiedRejectsNonPolling: the wrapper requires Poll; Wait on a
-// blockified non-polling algorithm errors at the base Program level.
+// TestBlockifiedRejectsNonPolling: the wrapper requires Poll; Poll on a
+// blockified non-polling algorithm errors at the base algorithm.
 func TestBlockifiedRejectsNonPolling(t *testing.T) {
 	alg := Blockified(LeaderBlocking()) // has Wait but no Poll
 	exec, err := alg.Deploy(4)
@@ -110,7 +110,22 @@ func TestBlockifiedRejectsNonPolling(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer exec.Close()
-	if _, err := exec.Instance().Program(0, memsim.CallPoll); !errors.Is(err, ErrUnsupported) {
+	if _, err := exec.Instance().ResumableProgram(0, memsim.CallPoll); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("Poll on non-polling base: err = %v, want ErrUnsupported", err)
+	}
+}
+
+// TestBlockifiedWaitNeedsPoll: a blockified algorithm without Poll has no
+// Wait to derive. Starting one is refused with ErrUnsupported; it must not
+// start a Wait that returns at once with no access and no Signal, which
+// Specification 4.1 forbids.
+func TestBlockifiedWaitNeedsPoll(t *testing.T) {
+	exec, err := Blockified(LeaderBlocking()).Deploy(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exec.Close()
+	if err := exec.Start(0, memsim.CallWait); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("Wait on blockified leader-blocking: err = %v, want ErrUnsupported", err)
 	}
 }

@@ -1,6 +1,8 @@
 package signal
 
 import (
+	"encoding/binary"
+
 	"repro/internal/memsim"
 	"repro/internal/primsim"
 )
@@ -55,35 +57,14 @@ type casRegisterInstance struct {
 
 var _ memsim.Instance = (*casRegisterInstance)(nil)
 
-// Program implements memsim.Instance.
-func (in *casRegisterInstance) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Program, error) {
+// ResumableProgram implements memsim.Instance.
+func (in *casRegisterInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	i := int(pid)
 	switch kind {
 	case memsim.CallPoll:
-		return func(p *memsim.Proc) memsim.Value {
-			if p.Read(in.fst[i]) == 1 {
-				p.Write(in.fst[i], 0)
-				for j := 0; j < in.n; j++ {
-					if p.CAS(in.q+memsim.Addr(j), memsim.Nil, memsim.Value(i)) {
-						break
-					}
-				}
-				return p.Read(in.s)
-			}
-			return p.Read(in.v[i])
-		}, nil
+		return &casPollFrame{in: in, i: i}, nil
 	case memsim.CallSignal:
-		return func(p *memsim.Proc) memsim.Value {
-			p.Write(in.s, 1)
-			for j := 0; j < in.n; j++ {
-				q := p.Read(in.q + memsim.Addr(j))
-				if q == memsim.Nil {
-					break
-				}
-				p.Write(in.v[q], 1)
-			}
-			return 0
-		}, nil
+		return &slotScanSignalFrame{s: in.s, q: in.q, n: in.n, v: in.v}, nil
 	default:
 		return nil, ErrUnsupported
 	}
@@ -134,36 +115,106 @@ type casRegisterRWInstance struct {
 
 var _ memsim.Instance = (*casRegisterRWInstance)(nil)
 
-// Program implements memsim.Instance.
-func (in *casRegisterRWInstance) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Program, error) {
-	i := int(pid)
+// ResumableProgram implements memsim.Instance. An emulated read is one
+// atomic read of the word, so Signal is cas-register's slot scan over the
+// emulated array.
+func (in *casRegisterRWInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	switch kind {
 	case memsim.CallPoll:
-		return func(p *memsim.Proc) memsim.Value {
-			if p.Read(in.fst[i]) == 1 {
-				p.Write(in.fst[i], 0)
-				for j := 0; j < in.n; j++ {
-					if in.q.CAS(p, j, memsim.Nil, memsim.Value(i)) {
-						break
-					}
-				}
-				return p.Read(in.s)
-			}
-			return p.Read(in.v[i])
-		}, nil
+		return &casRWPollFrame{in: in, i: int(pid), cas: in.q.NewFrame(pid)}, nil
 	case memsim.CallSignal:
-		return func(p *memsim.Proc) memsim.Value {
-			p.Write(in.s, 1)
-			for j := 0; j < in.n; j++ {
-				q := in.q.Read(p, j)
-				if q == memsim.Nil {
-					break
-				}
-				p.Write(in.v[q], 1)
-			}
-			return 0
-		}, nil
+		return &slotScanSignalFrame{s: in.s, q: in.q.Addr(0), n: in.n, v: in.v}, nil
 	default:
 		return nil, ErrUnsupported
 	}
 }
+
+// casRWPollFrame is cas-register's Poll with every CAS run as the
+// read/write emulation's locked read-modify-write (a primsim.Frame):
+//
+//	Poll() by p_i, first call:  first := 0; j := min j with EmuCAS(Q[j], NIL, i); return S
+//	Poll() by p_i, later calls: return V[i]
+type casRWPollFrame struct {
+	in  *casRegisterRWInstance
+	i   int
+	j   int
+	cas primsim.Frame
+	pc  uint8
+	ret memsim.Value
+}
+
+func (f *casRWPollFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	for {
+		switch f.pc {
+		case 0:
+			f.pc = 1
+			return memsim.AccRead(f.in.fst[f.i]), true
+		case 1:
+			if prev.Val == 1 {
+				f.pc = 2
+				return memsim.AccWrite(f.in.fst[f.i], 0), true
+			}
+			f.pc = 4
+			return memsim.AccRead(f.in.v[f.i]), true
+		case 2: // slot scan loop head: start the emulated CAS on Q[j]
+			if f.j >= f.in.n {
+				f.pc = 4
+				return memsim.AccRead(f.in.s), true
+			}
+			f.in.q.CAS(&f.cas, f.j, memsim.Nil, memsim.Value(f.i))
+			f.pc = 3
+			prev = memsim.Result{}
+		case 3: // drive the emulated CAS
+			if acc, ok := f.cas.Next(prev); ok {
+				return acc, true
+			}
+			if f.cas.OK() {
+				f.pc = 4
+				return memsim.AccRead(f.in.s), true
+			}
+			f.j++
+			f.pc = 2
+		default:
+			f.ret = prev.Val
+			return memsim.Access{}, false
+		}
+	}
+}
+
+func (f *casRWPollFrame) Return() memsim.Value { return f.ret }
+
+// CloneResumable implements memsim.ResumableCloner: the emulated CAS's
+// lock sections are copied, not shared.
+func (f *casRWPollFrame) CloneResumable() memsim.Resumable {
+	c := new(casRWPollFrame)
+	f.CopyResumableInto(c)
+	return c
+}
+
+// CopyResumableInto implements memsim.ResumableCopier, reusing dst's lock
+// section storage.
+func (f *casRWPollFrame) CopyResumableInto(dst memsim.Resumable) bool {
+	d, ok := dst.(*casRWPollFrame)
+	if !ok {
+		return false
+	}
+	cas := d.cas
+	*d = *f
+	f.cas.CopyInto(&cas)
+	d.cas = cas
+	return true
+}
+
+// AppendState implements memsim.StateAppender.
+func (f *casRWPollFrame) AppendState(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, int64(f.i))
+	dst = binary.AppendVarint(dst, int64(f.j))
+	dst = append(dst, f.pc)
+	dst = binary.AppendVarint(dst, int64(f.ret))
+	return f.cas.AppendState(dst)
+}
+
+var (
+	_ memsim.StateAppender   = (*casRWPollFrame)(nil)
+	_ memsim.ResumableCopier = (*casRWPollFrame)(nil)
+)

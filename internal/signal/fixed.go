@@ -38,27 +38,16 @@ type fixedWaitersInstance struct {
 
 var _ memsim.Instance = (*fixedWaitersInstance)(nil)
 
-// Program implements memsim.Instance.
-func (in *fixedWaitersInstance) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Program, error) {
+// ResumableProgram implements memsim.Instance.
+func (in *fixedWaitersInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	i := int(pid)
 	switch kind {
 	case memsim.CallPoll:
-		return func(p *memsim.Proc) memsim.Value {
-			return p.Read(in.v[i])
-		}, nil
+		return &readRetFrame{addr: in.v[i]}, nil
 	case memsim.CallSignal:
-		return func(p *memsim.Proc) memsim.Value {
-			for j := 0; j < len(in.v)-1; j++ { // waiters are 0..N-2
-				p.Write(in.v[j], 1)
-			}
-			return 0
-		}, nil
+		return &writeFanFrame{addrs: in.v[:len(in.v)-1]}, nil
 	case memsim.CallWait:
-		return func(p *memsim.Proc) memsim.Value {
-			for p.Read(in.v[i]) == 0 { // local spin
-			}
-			return 0
-		}, nil
+		return &spinNonzeroFrame{addr: in.v[i]}, nil
 	default:
 		return nil, ErrUnsupported
 	}
@@ -109,30 +98,20 @@ type fixedTermInstance struct {
 
 var _ memsim.Instance = (*fixedTermInstance)(nil)
 
-// Program implements memsim.Instance.
-func (in *fixedTermInstance) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Program, error) {
+// ResumableProgram implements memsim.Instance.
+func (in *fixedTermInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	i := int(pid)
 	switch kind {
 	case memsim.CallPoll:
-		return func(p *memsim.Proc) memsim.Value {
-			if p.Read(in.first[i]) == 1 {
-				p.Write(in.first[i], 0)
-				p.Write(in.present[i], 1) // one RMR: announce participation
-			}
-			return p.Read(in.v[i])
+		return &announcePollFrame{
+			fst: in.first[i], ann: in.present[i], annVal: 1,
+			then: in.v[i], els: in.v[i],
 		}, nil
 	case memsim.CallSignal:
 		if pid != in.sig {
 			return nil, ErrWrongSignaler
 		}
-		return func(p *memsim.Proc) memsim.Value {
-			for j := 0; j < len(in.v)-1; j++ {
-				for p.Read(in.present[j]) == 0 { // local spin in signaler's module
-				}
-				p.Write(in.v[j], 1)
-			}
-			return 0
-		}, nil
+		return &ftSignalFrame{in: in}, nil
 	default:
 		return nil, ErrUnsupported
 	}

@@ -33,24 +33,15 @@ type flagInstance struct {
 
 var _ memsim.Instance = (*flagInstance)(nil)
 
-// Program implements memsim.Instance.
-func (in *flagInstance) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Program, error) {
+// ResumableProgram implements memsim.Instance.
+func (in *flagInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	switch kind {
 	case memsim.CallPoll:
-		return func(p *memsim.Proc) memsim.Value {
-			return p.Read(in.b)
-		}, nil
+		return &readRetFrame{addr: in.b}, nil
 	case memsim.CallSignal:
-		return func(p *memsim.Proc) memsim.Value {
-			p.Write(in.b, 1)
-			return 0
-		}, nil
+		return &writeOneFrame{addr: in.b, val: 1}, nil
 	case memsim.CallWait:
-		return func(p *memsim.Proc) memsim.Value {
-			for p.Read(in.b) == 0 {
-			}
-			return 0
-		}, nil
+		return &spinNonzeroFrame{addr: in.b}, nil
 	default:
 		return nil, ErrUnsupported
 	}

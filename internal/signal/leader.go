@@ -1,6 +1,8 @@
 package signal
 
 import (
+	"encoding/binary"
+
 	"repro/internal/election"
 	"repro/internal/memsim"
 )
@@ -66,48 +68,119 @@ type leaderInstance struct {
 
 var _ memsim.Instance = (*leaderInstance)(nil)
 
-// Program implements memsim.Instance.
-func (in *leaderInstance) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Program, error) {
-	i := int(pid)
+// ResumableProgram implements memsim.Instance. Signal is the
+// single-waiter Signal against the elected leader's announcement.
+func (in *leaderInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	switch kind {
 	case memsim.CallWait:
-		return func(p *memsim.Proc) memsim.Value {
-			leader := in.elect.Elect(p) == p.ID()
-			if leader {
-				p.Write(in.w, memsim.Value(i))
-				if p.Read(in.s) == 0 {
-					for p.Read(in.v[i]) == 0 { // local spin
-					}
-				}
-				p.Write(in.done, 1)
-				for j := range in.f {
-					if j == i {
-						continue
-					}
-					if p.Read(in.reg+memsim.Addr(j)) == 1 {
-						p.Write(in.f[j], 1)
-					}
-				}
-				return 0
-			}
-			p.Write(in.reg+memsim.Addr(i), 1)
-			if p.Read(in.done) == 1 {
-				return 0
-			}
-			for p.Read(in.f[i]) == 0 { // local spin
-			}
-			return 0
-		}, nil
+		return &leaderWaitFrame{in: in, i: int(pid), elect: in.elect.Elect(pid)}, nil
 	case memsim.CallSignal:
-		return func(p *memsim.Proc) memsim.Value {
-			p.Write(in.s, 1)
-			w := p.Read(in.w)
-			if w != memsim.Nil {
-				p.Write(in.v[w], 1)
-			}
-			return 0
-		}, nil
+		return &swSignalFrame{s: in.s, w: in.w, v: in.v}, nil
 	default:
 		return nil, ErrUnsupported
 	}
 }
+
+// leaderWaitFrame is LeaderBlocking's Wait: the election step (an
+// election.ElectFrame), then the leader's or the follower's branch.
+//
+//	if Elect() = i:                       // leader
+//	  W := i; if !S { spin on V[i] }
+//	  Done := true
+//	  for each j ≠ i: if Reg[j] { F[j] := true }
+//	else:                                 // follower
+//	  Reg[i] := true; if Done { return }; spin on F[i]
+type leaderWaitFrame struct {
+	in    *leaderInstance
+	i     int
+	j     int
+	elect election.ElectFrame
+	pc    uint8
+}
+
+func (f *leaderWaitFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	for {
+		switch f.pc {
+		case 0: // enter the election step
+			acc, _ := f.elect.Next(memsim.Result{})
+			f.pc = 1
+			return acc, true
+		case 1: // drive the election step, then branch
+			if acc, ok := f.elect.Next(prev); ok {
+				return acc, true
+			}
+			if f.elect.Return() == memsim.Value(f.i) {
+				f.pc = 2
+				return memsim.AccWrite(f.in.w, memsim.Value(f.i)), true
+			}
+			f.pc = 7
+			return memsim.AccWrite(f.in.reg+memsim.Addr(f.i), 1), true
+		case 2: // leader: W announced; check S
+			f.pc = 3
+			return memsim.AccRead(f.in.s), true
+		case 3: // leader: S read, or local spin on V[i]
+			if prev.Val == 0 {
+				return memsim.AccRead(f.in.v[f.i]), true
+			}
+			f.pc = 4
+			return memsim.AccWrite(f.in.done, 1), true
+		case 4: // leader: propagation loop head
+			if f.j == f.i {
+				f.j++
+			}
+			if f.j >= len(f.in.f) {
+				return memsim.Access{}, false
+			}
+			f.pc = 5
+			return memsim.AccRead(f.in.reg + memsim.Addr(f.j)), true
+		case 5: // leader: Reg[j] read
+			f.pc = 4
+			if prev.Val == 1 {
+				f.pc = 6
+				return memsim.AccWrite(f.in.f[f.j], 1), true
+			}
+			f.j++
+		case 6: // leader: F[j] written
+			f.j++
+			f.pc = 4
+		case 7: // follower: registered; check Done
+			f.pc = 8
+			return memsim.AccRead(f.in.done), true
+		case 8: // follower: Done read
+			if prev.Val == 1 {
+				return memsim.Access{}, false
+			}
+			f.pc = 9
+			return memsim.AccRead(f.in.f[f.i]), true
+		default: // follower: local spin on F[i]
+			if prev.Val == 0 {
+				return memsim.AccRead(f.in.f[f.i]), true
+			}
+			return memsim.Access{}, false
+		}
+	}
+}
+
+func (f *leaderWaitFrame) Return() memsim.Value { return 0 }
+
+func (f *leaderWaitFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
+
+func (f *leaderWaitFrame) AppendState(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, int64(f.i))
+	dst = binary.AppendVarint(dst, int64(f.j))
+	dst = append(dst, f.pc)
+	return f.elect.AppendState(dst)
+}
+
+func (f *leaderWaitFrame) CopyResumableInto(dst memsim.Resumable) bool {
+	d, ok := dst.(*leaderWaitFrame)
+	if ok {
+		*d = *f
+	}
+	return ok
+}
+
+var (
+	_ memsim.StateAppender   = (*leaderWaitFrame)(nil)
+	_ memsim.ResumableCopier = (*leaderWaitFrame)(nil)
+)

@@ -1,6 +1,8 @@
 package signal
 
 import (
+	"encoding/binary"
+
 	"repro/internal/memsim"
 	"repro/internal/primsim"
 )
@@ -54,40 +56,14 @@ type llscRegisterInstance struct {
 
 var _ memsim.Instance = (*llscRegisterInstance)(nil)
 
-// Program implements memsim.Instance.
-func (in *llscRegisterInstance) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Program, error) {
+// ResumableProgram implements memsim.Instance.
+func (in *llscRegisterInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	i := int(pid)
 	switch kind {
 	case memsim.CallPoll:
-		return func(p *memsim.Proc) memsim.Value {
-			if p.Read(in.fst[i]) == 1 {
-				p.Write(in.fst[i], 0)
-				for j := 0; j < in.n; {
-					if p.LL(in.q+memsim.Addr(j)) != memsim.Nil {
-						j++ // slot taken: advance
-						continue
-					}
-					if p.SC(in.q+memsim.Addr(j), memsim.Value(i)) {
-						break // claimed
-					}
-					// SC lost a race: re-examine the same slot.
-				}
-				return p.Read(in.s)
-			}
-			return p.Read(in.v[i])
-		}, nil
+		return &llscPollFrame{in: in, i: i}, nil
 	case memsim.CallSignal:
-		return func(p *memsim.Proc) memsim.Value {
-			p.Write(in.s, 1)
-			for j := 0; j < in.n; j++ {
-				q := p.Read(in.q + memsim.Addr(j))
-				if q == memsim.Nil {
-					break
-				}
-				p.Write(in.v[q], 1)
-			}
-			return 0
-		}, nil
+		return &slotScanSignalFrame{s: in.s, q: in.q, n: in.n, v: in.v}, nil
 	default:
 		return nil, ErrUnsupported
 	}
@@ -138,40 +114,168 @@ type llscRegisterRWInstance struct {
 
 var _ memsim.Instance = (*llscRegisterRWInstance)(nil)
 
-// Program implements memsim.Instance.
-func (in *llscRegisterRWInstance) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Program, error) {
-	i := int(pid)
+// ResumableProgram implements memsim.Instance.
+func (in *llscRegisterRWInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	switch kind {
 	case memsim.CallPoll:
-		return func(p *memsim.Proc) memsim.Value {
-			if p.Read(in.fst[i]) == 1 {
-				p.Write(in.fst[i], 0)
-				for j := 0; j < in.n; {
-					if in.q[j].LL(p) != memsim.Nil {
-						j++
-						continue
-					}
-					if in.q[j].SC(p, memsim.Value(i)) {
-						break
-					}
-				}
-				return p.Read(in.s)
-			}
-			return p.Read(in.v[i])
-		}, nil
+		return &llscRWPollFrame{in: in, i: int(pid), op: in.q[0].NewFrame(pid)}, nil
 	case memsim.CallSignal:
-		return func(p *memsim.Proc) memsim.Value {
-			p.Write(in.s, 1)
-			for j := 0; j < in.n; j++ {
-				q := in.q[j].Read(p)
-				if q == memsim.Nil {
-					break
-				}
-				p.Write(in.v[q], 1)
-			}
-			return 0
-		}, nil
+		return &llscRWSignalFrame{in: in}, nil
 	default:
 		return nil, ErrUnsupported
 	}
 }
+
+// llscRWPollFrame is llsc-register's Poll with LL and SC run as the
+// read/write emulation's locked operations (a primsim.Frame):
+//
+//	Poll() by p_i, first call:  first := 0
+//	                            for j < n: if EmuLL(Q[j]) != NIL { j++ }
+//	                                       else if EmuSC(Q[j], i) { break }
+//	                            return S
+//	Poll() by p_i, later calls: return V[i]
+type llscRWPollFrame struct {
+	in  *llscRegisterRWInstance
+	i   int
+	j   int
+	op  primsim.Frame
+	pc  uint8
+	ret memsim.Value
+}
+
+func (f *llscRWPollFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	for {
+		switch f.pc {
+		case 0:
+			f.pc = 1
+			return memsim.AccRead(f.in.fst[f.i]), true
+		case 1:
+			if prev.Val == 1 {
+				f.pc = 2
+				return memsim.AccWrite(f.in.fst[f.i], 0), true
+			}
+			f.pc = 5
+			return memsim.AccRead(f.in.v[f.i]), true
+		case 2: // claim loop head: start the emulated LL of Q[j]
+			if f.j >= f.in.n {
+				f.pc = 5
+				return memsim.AccRead(f.in.s), true
+			}
+			f.in.q[f.j].LL(&f.op)
+			f.pc = 3
+			prev = memsim.Result{}
+		case 3: // drive the LL; a taken slot advances the scan
+			if acc, ok := f.op.Next(prev); ok {
+				return acc, true
+			}
+			if f.op.Return() != memsim.Nil {
+				f.j++
+				f.pc = 2
+				continue
+			}
+			f.in.q[f.j].SC(&f.op, memsim.Value(f.i))
+			f.pc = 4
+			prev = memsim.Result{}
+		case 4: // drive the SC; a lost race re-examines the same slot
+			if acc, ok := f.op.Next(prev); ok {
+				return acc, true
+			}
+			if f.op.OK() {
+				f.pc = 5
+				return memsim.AccRead(f.in.s), true
+			}
+			f.pc = 2
+		default:
+			f.ret = prev.Val
+			return memsim.Access{}, false
+		}
+	}
+}
+
+func (f *llscRWPollFrame) Return() memsim.Value { return f.ret }
+
+// CloneResumable implements memsim.ResumableCloner: the emulated
+// operation's lock sections are copied, not shared.
+func (f *llscRWPollFrame) CloneResumable() memsim.Resumable {
+	c := new(llscRWPollFrame)
+	f.CopyResumableInto(c)
+	return c
+}
+
+// CopyResumableInto implements memsim.ResumableCopier, reusing dst's lock
+// section storage.
+func (f *llscRWPollFrame) CopyResumableInto(dst memsim.Resumable) bool {
+	d, ok := dst.(*llscRWPollFrame)
+	if !ok {
+		return false
+	}
+	op := d.op
+	*d = *f
+	f.op.CopyInto(&op)
+	d.op = op
+	return true
+}
+
+// AppendState implements memsim.StateAppender.
+func (f *llscRWPollFrame) AppendState(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, int64(f.i))
+	dst = binary.AppendVarint(dst, int64(f.j))
+	dst = append(dst, f.pc)
+	dst = binary.AppendVarint(dst, int64(f.ret))
+	return f.op.AppendState(dst)
+}
+
+// llscRWSignalFrame is llsc-register's Signal over the emulated words; an
+// emulated read is one atomic read of the word.
+//
+//	Signal(): S := true; for j until Q[j] = NIL: V[Q[j]] := true
+type llscRWSignalFrame struct {
+	in *llscRegisterRWInstance
+	j  int
+	pc uint8
+}
+
+func (f *llscRWSignalFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	switch f.pc {
+	case 0:
+		f.pc = 1
+		return memsim.AccWrite(f.in.s, 1), true
+	case 1: // scan loop head
+		if f.j >= f.in.n {
+			return memsim.Access{}, false
+		}
+		f.pc = 2
+		return memsim.AccRead(f.in.q[f.j].Addr()), true
+	default: // slot read
+		if prev.Val == memsim.Nil {
+			return memsim.Access{}, false
+		}
+		f.j++
+		f.pc = 1
+		return memsim.AccWrite(f.in.v[prev.Val], 1), true
+	}
+}
+
+func (f *llscRWSignalFrame) Return() memsim.Value { return 0 }
+
+func (f *llscRWSignalFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
+
+func (f *llscRWSignalFrame) AppendState(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, int64(f.j))
+	return append(dst, f.pc)
+}
+
+func (f *llscRWSignalFrame) CopyResumableInto(dst memsim.Resumable) bool {
+	d, ok := dst.(*llscRWSignalFrame)
+	if ok {
+		*d = *f
+	}
+	return ok
+}
+
+var (
+	_ memsim.StateAppender   = (*llscRWPollFrame)(nil)
+	_ memsim.ResumableCopier = (*llscRWPollFrame)(nil)
+	_ memsim.StateAppender   = (*llscRWSignalFrame)(nil)
+	_ memsim.ResumableCopier = (*llscRWSignalFrame)(nil)
+)

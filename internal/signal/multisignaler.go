@@ -57,36 +57,19 @@ type multiSignalerInstance struct {
 
 var _ memsim.Instance = (*multiSignalerInstance)(nil)
 
-// Program implements memsim.Instance.
-func (in *multiSignalerInstance) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Program, error) {
+// ResumableProgram implements memsim.Instance.
+func (in *multiSignalerInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	i := int(pid)
 	switch kind {
 	case memsim.CallPoll:
-		return func(p *memsim.Proc) memsim.Value {
-			if p.Read(in.fst[i]) == 1 {
-				p.Write(in.fst[i], 0)
-				in.reg.Register(p, memsim.Value(i))
-				return p.Read(in.s)
-			}
-			return p.Read(in.v[i])
+		return &registerPollFrame{
+			fst: in.fst[i], vi: in.v[i], s: in.s,
+			sub: in.reg.RegisterResumable(memsim.Value(i)),
 		}, nil
 	case memsim.CallSignal:
-		return func(p *memsim.Proc) memsim.Value {
-			if p.TestAndSet(in.elect) {
-				// Elected: perform the actual signal.
-				p.Write(in.s, 1)
-				for _, q := range in.reg.Snapshot(p) {
-					p.Write(in.v[q], 1)
-				}
-				p.Write(in.done, 1)
-				return 0
-			}
-			// Lost the election: wait until the winner's signal is
-			// fully delivered before completing this call.
-			for p.Read(in.done) == 0 {
-			}
-			return 0
-		}, nil
+		return &msSignalFrame{in: in, deliver: registrySignalFrame{
+			s: in.s, v: in.v, snap: in.reg.SnapshotResumable(),
+		}}, nil
 	default:
 		return nil, ErrUnsupported
 	}

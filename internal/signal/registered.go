@@ -57,35 +57,20 @@ type registeredInstance struct {
 
 var _ memsim.Instance = (*registeredInstance)(nil)
 
-// Program implements memsim.Instance.
-func (in *registeredInstance) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Program, error) {
+// ResumableProgram implements memsim.Instance.
+func (in *registeredInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	i := int(pid)
 	switch kind {
 	case memsim.CallPoll:
-		return func(p *memsim.Proc) memsim.Value {
-			if p.Read(in.fst[i]) == 1 {
-				p.Write(in.fst[i], 0)
-				p.Write(in.r[i], 1) // register with the signaler
-				return p.Read(in.s)
-			}
-			return p.Read(in.v[i])
+		return &announcePollFrame{
+			fst: in.fst[i], ann: in.r[i], annVal: 1,
+			then: in.s, els: in.v[i],
 		}, nil
 	case memsim.CallSignal:
 		if pid != in.sig {
 			return nil, ErrWrongSignaler
 		}
-		return func(p *memsim.Proc) memsim.Value {
-			p.Write(in.s, 1)
-			for j := range in.r {
-				if memsim.PID(j) == in.sig {
-					continue
-				}
-				if p.Read(in.r[j]) == 1 { // local read in signaler's module
-					p.Write(in.v[j], 1)
-				}
-			}
-			return 0
-		}, nil
+		return &regSignalFrame{in: in}, nil
 	default:
 		return nil, ErrUnsupported
 	}

@@ -236,39 +236,7 @@ func (f *announcePollFrame) CopyResumableInto(dst memsim.Resumable) bool {
 
 // ---- flag (Section 5) ----
 
-// ResumableProgram implements memsim.ResumableInstance.
-func (in *flagInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
-	switch kind {
-	case memsim.CallPoll:
-		return &readRetFrame{addr: in.b}, nil
-	case memsim.CallSignal:
-		return &writeOneFrame{addr: in.b, val: 1}, nil
-	case memsim.CallWait:
-		return &spinNonzeroFrame{addr: in.b}, nil
-	default:
-		return nil, ErrUnsupported
-	}
-}
-
 // ---- single waiter (Section 7) ----
-
-// ResumableProgram implements memsim.ResumableInstance.
-func (in *singleWaiterInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
-	i := int(pid)
-	switch kind {
-	case memsim.CallPoll:
-		return &announcePollFrame{
-			fst: in.first[i], ann: in.w, annVal: memsim.Value(i),
-			then: in.s, els: in.v[i],
-		}, nil
-	case memsim.CallSignal:
-		return &swSignalFrame{s: in.s, w: in.w, v: in.v}, nil
-	case memsim.CallWait:
-		return &swWaitFrame{in: in, i: i}, nil
-	default:
-		return nil, ErrUnsupported
-	}
-}
 
 // swSignalFrame: S := true; w := W; if w != NIL { V[w] := true }.
 type swSignalFrame struct {
@@ -383,41 +351,7 @@ func (f *swWaitFrame) CopyResumableInto(dst memsim.Resumable) bool {
 
 // ---- fixed waiters (Section 7) ----
 
-// ResumableProgram implements memsim.ResumableInstance.
-func (in *fixedWaitersInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
-	i := int(pid)
-	switch kind {
-	case memsim.CallPoll:
-		return &readRetFrame{addr: in.v[i]}, nil
-	case memsim.CallSignal:
-		return &writeFanFrame{addrs: in.v[:len(in.v)-1]}, nil
-	case memsim.CallWait:
-		return &spinNonzeroFrame{addr: in.v[i]}, nil
-	default:
-		return nil, ErrUnsupported
-	}
-}
-
 // ---- fixed waiters, terminating refinement (Section 7) ----
-
-// ResumableProgram implements memsim.ResumableInstance.
-func (in *fixedTermInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
-	i := int(pid)
-	switch kind {
-	case memsim.CallPoll:
-		return &announcePollFrame{
-			fst: in.first[i], ann: in.present[i], annVal: 1,
-			then: in.v[i], els: in.v[i],
-		}, nil
-	case memsim.CallSignal:
-		if pid != in.sig {
-			return nil, ErrWrongSignaler
-		}
-		return &ftSignalFrame{in: in}, nil
-	default:
-		return nil, ErrUnsupported
-	}
-}
 
 // ftSignalFrame: for each fixed waiter j, busy-wait (locally) for its
 // participation flag, then write its V[j].
@@ -467,25 +401,6 @@ func (f *ftSignalFrame) CopyResumableInto(dst memsim.Resumable) bool {
 }
 
 // ---- registered waiters (Section 7) ----
-
-// ResumableProgram implements memsim.ResumableInstance.
-func (in *registeredInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
-	i := int(pid)
-	switch kind {
-	case memsim.CallPoll:
-		return &announcePollFrame{
-			fst: in.fst[i], ann: in.r[i], annVal: 1,
-			then: in.s, els: in.v[i],
-		}, nil
-	case memsim.CallSignal:
-		if pid != in.sig {
-			return nil, ErrWrongSignaler
-		}
-		return &regSignalFrame{in: in}, nil
-	default:
-		return nil, ErrUnsupported
-	}
-}
 
 // regSignalFrame: S := true; for each i: if R[i] (local) { V[i] := true }.
 type regSignalFrame struct {
@@ -541,22 +456,6 @@ func (f *regSignalFrame) CopyResumableInto(dst memsim.Resumable) bool {
 }
 
 // ---- F&I queue (Section 7) ----
-
-// ResumableProgram implements memsim.ResumableInstance.
-func (in *queueInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
-	i := int(pid)
-	switch kind {
-	case memsim.CallPoll:
-		return &registerPollFrame{
-			fst: in.fst[i], vi: in.v[i], s: in.s,
-			sub: in.reg.RegisterResumable(memsim.Value(i)),
-		}, nil
-	case memsim.CallSignal:
-		return &registrySignalFrame{s: in.s, v: in.v, snap: in.reg.SnapshotResumable()}, nil
-	default:
-		return nil, ErrUnsupported
-	}
-}
 
 // registerPollFrame is the F&I-registration Poll shared by the queue and
 // multi-signaler algorithms: first call registers through the registry
@@ -747,19 +646,6 @@ func (f *registrySignalFrame) CopyResumableInto(dst memsim.Resumable) bool {
 
 // ---- CAS slot registration (Corollary 6.14 subject) ----
 
-// ResumableProgram implements memsim.ResumableInstance.
-func (in *casRegisterInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
-	i := int(pid)
-	switch kind {
-	case memsim.CallPoll:
-		return &casPollFrame{in: in, i: i}, nil
-	case memsim.CallSignal:
-		return &slotScanSignalFrame{s: in.s, q: in.q, n: in.n, v: in.v}, nil
-	default:
-		return nil, ErrUnsupported
-	}
-}
-
 // casPollFrame: first call CAS-claims the first free slot (O(k) for the
 // k-th registrant), then returns S; later calls return the local V[i].
 type casPollFrame struct {
@@ -882,19 +768,6 @@ func (f *slotScanSignalFrame) CopyResumableInto(dst memsim.Resumable) bool {
 
 // ---- LL/SC slot registration (Corollary 6.14 subject) ----
 
-// ResumableProgram implements memsim.ResumableInstance.
-func (in *llscRegisterInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
-	i := int(pid)
-	switch kind {
-	case memsim.CallPoll:
-		return &llscPollFrame{in: in, i: i}, nil
-	case memsim.CallSignal:
-		return &slotScanSignalFrame{s: in.s, q: in.q, n: in.n, v: in.v}, nil
-	default:
-		return nil, ErrUnsupported
-	}
-}
-
 // llscPollFrame mirrors the LL/SC slot claim: LL a slot; advance past
 // non-NIL slots; SC to claim; a failed SC re-examines the same slot.
 type llscPollFrame struct {
@@ -966,24 +839,6 @@ func (f *llscPollFrame) CopyResumableInto(dst memsim.Resumable) bool {
 }
 
 // ---- multi-signaler (Section 7, TAS election) ----
-
-// ResumableProgram implements memsim.ResumableInstance.
-func (in *multiSignalerInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
-	i := int(pid)
-	switch kind {
-	case memsim.CallPoll:
-		return &registerPollFrame{
-			fst: in.fst[i], vi: in.v[i], s: in.s,
-			sub: in.reg.RegisterResumable(memsim.Value(i)),
-		}, nil
-	case memsim.CallSignal:
-		return &msSignalFrame{in: in, deliver: registrySignalFrame{
-			s: in.s, v: in.v, snap: in.reg.SnapshotResumable(),
-		}}, nil
-	default:
-		return nil, ErrUnsupported
-	}
-}
 
 // msSignalFrame: one TAS elects the delivering signaler; the winner runs
 // the registry delivery and raises Done; losers busy-wait on Done.
@@ -1065,105 +920,6 @@ func (f *msSignalFrame) CopyResumableInto(dst memsim.Resumable) bool {
 	return true
 }
 
-// ---- blockified wrapper (Section 7's derived Wait) ----
-
-// ResumableProgram implements memsim.ResumableInstance: Poll and Signal
-// delegate to the inner algorithm's resumable form; Wait is synthesized as
-// repeated Poll frames within one call, exactly like the blocking wrapper.
-// When the inner instance has no resumable tier the error sends the
-// Execution down the blocking path.
-func (b *blockifiedInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
-	ri, ok := b.inner.(memsim.ResumableInstance)
-	if !ok {
-		return nil, ErrUnsupported
-	}
-	if kind != memsim.CallWait {
-		return ri.ResumableProgram(pid, kind)
-	}
-	return &blockifiedWaitFrame{inner: ri, pid: pid}, nil
-}
-
-// blockifiedWaitFrame executes poll frame after poll frame until one
-// returns nonzero. Each iteration mints a fresh frame, so per-call state
-// transitions (first-call registration) occur exactly once overall — the
-// instance, not the call, carries that state.
-type blockifiedWaitFrame struct {
-	inner memsim.ResumableInstance
-	pid   memsim.PID
-	cur   memsim.Resumable
-	dead  bool // inner has no Poll: degrade to an immediate return
-}
-
-var _ memsim.ResumableCloner = (*blockifiedWaitFrame)(nil)
-
-func (f *blockifiedWaitFrame) Next(prev memsim.Result) (memsim.Access, bool) {
-	for {
-		if f.dead {
-			return memsim.Access{}, false
-		}
-		if f.cur == nil {
-			r, err := f.inner.ResumableProgram(f.pid, memsim.CallPoll)
-			if err != nil {
-				// Unsupported Poll cannot be blockified; mirror the
-				// blocking wrapper's no-step immediate return.
-				f.dead = true
-				return memsim.Access{}, false
-			}
-			f.cur = r
-			prev = memsim.Result{} // fresh frame: first Next sees zero
-		}
-		if acc, ok := f.cur.Next(prev); ok {
-			return acc, true
-		}
-		signaled := f.cur.Return() != 0
-		f.cur = nil
-		if signaled {
-			return memsim.Access{}, false
-		}
-		prev = memsim.Result{}
-	}
-}
-
-func (f *blockifiedWaitFrame) Return() memsim.Value { return 0 }
-
-// CloneResumable implements memsim.ResumableCloner.
-func (f *blockifiedWaitFrame) CloneResumable() memsim.Resumable {
-	c := *f
-	c.cur = memsim.CloneResumable(f.cur)
-	return &c
-}
-
-// EncodeState implements memsim.StateEncoder: the in-flight poll frame
-// encodes by content, never by pointer.
-func (f *blockifiedWaitFrame) EncodeState(w io.Writer) {
-	fmt.Fprintf(w, "%d,%v,", f.pid, f.dead)
-	memsim.EncodeFrameState(w, f.cur)
-}
-
-// AppendState implements memsim.StateAppender.
-func (f *blockifiedWaitFrame) AppendState(dst []byte) []byte {
-	dst = binary.AppendVarint(dst, int64(f.pid))
-	if f.dead {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	return memsim.AppendFrameState(dst, f.cur)
-}
-
-// CopyResumableInto implements memsim.ResumableCopier, recycling dst's
-// in-flight poll frame when the types line up.
-func (f *blockifiedWaitFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*blockifiedWaitFrame)
-	if !ok {
-		return false
-	}
-	cur := d.cur
-	*d = *f
-	d.cur = memsim.CloneResumableInto(cur, f.cur)
-	return true
-}
-
 // Static checks: every custom-encoded frame has the binary fast path and
 // the pooled copy path.
 var (
@@ -1173,8 +929,6 @@ var (
 	_ memsim.ResumableCopier = (*registrySignalFrame)(nil)
 	_ memsim.StateAppender   = (*msSignalFrame)(nil)
 	_ memsim.ResumableCopier = (*msSignalFrame)(nil)
-	_ memsim.StateAppender   = (*blockifiedWaitFrame)(nil)
-	_ memsim.ResumableCopier = (*blockifiedWaitFrame)(nil)
 	_ memsim.StateAppender   = (*readRetFrame)(nil)
 	_ memsim.ResumableCopier = (*readRetFrame)(nil)
 	_ memsim.StateAppender   = (*writeOneFrame)(nil)
@@ -1199,19 +953,4 @@ var (
 	_ memsim.ResumableCopier = (*slotScanSignalFrame)(nil)
 	_ memsim.StateAppender   = (*llscPollFrame)(nil)
 	_ memsim.ResumableCopier = (*llscPollFrame)(nil)
-)
-
-// Static checks: every algorithm listed as hot in the engine migration has
-// a native resumable tier.
-var (
-	_ memsim.ResumableInstance = (*flagInstance)(nil)
-	_ memsim.ResumableInstance = (*singleWaiterInstance)(nil)
-	_ memsim.ResumableInstance = (*fixedWaitersInstance)(nil)
-	_ memsim.ResumableInstance = (*fixedTermInstance)(nil)
-	_ memsim.ResumableInstance = (*registeredInstance)(nil)
-	_ memsim.ResumableInstance = (*queueInstance)(nil)
-	_ memsim.ResumableInstance = (*casRegisterInstance)(nil)
-	_ memsim.ResumableInstance = (*llscRegisterInstance)(nil)
-	_ memsim.ResumableInstance = (*multiSignalerInstance)(nil)
-	_ memsim.ResumableInstance = (*blockifiedInstance)(nil)
 )

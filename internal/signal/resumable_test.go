@@ -9,19 +9,21 @@ import (
 )
 
 // driveScripted runs factory's processes through their scripts under a
-// deterministic seeded schedule on the chosen engine tier and returns the
-// trace. It is the equivalence harness of the engine migration: the same
-// (factory, scripts, seed) must yield byte-identical traces on the
-// blocking and resumable tiers.
+// deterministic seeded schedule on a Controller and returns the trace.
+// Every call's frame is minted by the instance and runs either inline
+// (StartResumable) or, with blocking, through the blocking adapter
+// (memsim.Blocking) on the controller's goroutine tier: the same
+// (factory, scripts, seed) must yield byte-identical traces both ways.
 func driveScripted(t *testing.T, factory memsim.Factory, n int,
 	scripts map[memsim.PID][]memsim.CallKind, seed int64, blocking bool, maxSteps int) []memsim.Event {
 	t.Helper()
-	exec, err := memsim.NewExecution(factory, n)
+	m := memsim.NewMachine(n)
+	inst, err := factory(m, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer exec.Close()
-	exec.ForceBlocking(blocking)
+	ctl := memsim.NewController(m)
+	defer ctl.Close()
 	rng := rand.New(rand.NewSource(seed))
 	progress := make(map[memsim.PID]int, len(scripts))
 	current := make(map[memsim.PID]memsim.CallKind, len(scripts))
@@ -33,8 +35,8 @@ func driveScripted(t *testing.T, factory memsim.Factory, n int,
 			if !ok {
 				continue
 			}
-			if _, done := exec.CallEnded(p); done {
-				ret, err := exec.Finish(p)
+			if _, done := ctl.CallEnded(p); done {
+				ret, err := ctl.FinishCall(p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -42,26 +44,32 @@ func driveScripted(t *testing.T, factory memsim.Factory, n int,
 					progress[p] = len(script) // signal observed: stop polling
 				}
 			}
-			if exec.Idle(p) && progress[p] < len(script) {
+			if ctl.Idle(p) && progress[p] < len(script) {
 				kind := script[progress[p]]
-				if err := exec.Start(p, kind); err != nil {
+				r, err := inst.ResumableProgram(p, kind)
+				if err == nil && blocking {
+					err = ctl.StartCall(p, kind.String(), memsim.Blocking(r))
+				} else if err == nil {
+					err = ctl.StartResumable(p, kind.String(), r)
+				}
+				if err != nil {
 					t.Fatalf("start %v on p%d: %v", kind, p, err)
 				}
 				progress[p]++
 				current[p] = kind
 			}
-			if _, ok := exec.Pending(p); ok {
+			if _, ok := ctl.Pending(p); ok {
 				ready = append(ready, p)
 			}
 		}
 		if len(ready) == 0 || steps >= maxSteps {
 			break
 		}
-		if _, err := exec.Step(ready[rng.Intn(len(ready))]); err != nil {
+		if _, err := ctl.Step(ready[rng.Intn(len(ready))]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return append([]memsim.Event(nil), exec.Events()...)
+	return append([]memsim.Event(nil), ctl.Events()...)
 }
 
 // scriptsFor builds a representative contended workload for alg on 4 (or 5)
@@ -91,11 +99,10 @@ func scriptsFor(alg Algorithm, kind memsim.CallKind) (int, map[memsim.PID][]mems
 	return n, scripts
 }
 
-// TestEngineTraceEquivalence drives every algorithm's blocking and
-// resumable forms under identical schedules and asserts byte-identical
-// traces — for polling and (where provided) blocking semantics, across
-// several seeds. Algorithms without a resumable tier run the blocking
-// engine twice, which keeps them covered as trivially equivalent.
+// TestEngineTraceEquivalence drives every algorithm's frames inline and
+// through the blocking adapter under identical schedules and asserts
+// byte-identical traces — for polling and (where provided) blocking
+// semantics, across several seeds.
 func TestEngineTraceEquivalence(t *testing.T) {
 	algs := All()
 	for _, a := range All() {
@@ -143,10 +150,9 @@ func eventAt(events []memsim.Event, i int) any {
 	return "<missing>"
 }
 
-// TestResumableReturnsMatchBlocking re-drives each polling algorithm and
-// checks the per-call return values agree between tiers (the trace check
-// covers this via EvCallEnd, but return plumbing through Finish is a
-// separate path).
+// TestResumableReturnsMatchBlocking checks return plumbing through
+// Execution.Finish on a solo history (the trace check covers return
+// values via EvCallEnd, but Finish is a separate path).
 func TestResumableReturnsMatchBlocking(t *testing.T) {
 	alg := SingleWaiter()
 	exec, err := memsim.NewExecution(alg.New, 2)

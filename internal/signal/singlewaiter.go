@@ -46,43 +46,19 @@ type singleWaiterInstance struct {
 
 var _ memsim.Instance = (*singleWaiterInstance)(nil)
 
-// Program implements memsim.Instance.
-func (in *singleWaiterInstance) Program(pid memsim.PID, kind memsim.CallKind) (memsim.Program, error) {
+// ResumableProgram implements memsim.Instance.
+func (in *singleWaiterInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	i := int(pid)
 	switch kind {
 	case memsim.CallPoll:
-		return func(p *memsim.Proc) memsim.Value {
-			if p.Read(in.first[i]) == 1 {
-				p.Write(in.first[i], 0)
-				p.Write(in.w, memsim.Value(i))
-				return p.Read(in.s)
-			}
-			return p.Read(in.v[i])
+		return &announcePollFrame{
+			fst: in.first[i], ann: in.w, annVal: memsim.Value(i),
+			then: in.s, els: in.v[i],
 		}, nil
 	case memsim.CallSignal:
-		return func(p *memsim.Proc) memsim.Value {
-			p.Write(in.s, 1)
-			w := p.Read(in.w)
-			if w != memsim.Nil {
-				p.Write(in.v[w], 1)
-			}
-			return 0
-		}, nil
+		return &swSignalFrame{s: in.s, w: in.w, v: in.v}, nil
 	case memsim.CallWait:
-		return func(p *memsim.Proc) memsim.Value {
-			if p.Read(in.first[i]) == 1 {
-				p.Write(in.first[i], 0)
-				p.Write(in.w, memsim.Value(i))
-				if p.Read(in.s) == 1 {
-					return 0
-				}
-			} else if p.Read(in.v[i]) == 1 {
-				return 0
-			}
-			for p.Read(in.v[i]) == 0 { // local spin
-			}
-			return 0
-		}, nil
+		return &swWaitFrame{in: in, i: i}, nil
 	default:
 		return nil, ErrUnsupported
 	}

@@ -35,18 +35,14 @@ func TestFrameTemplatesMatchFreshFrames(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ri, ok := inst.(memsim.ResumableInstance)
-			if !ok {
-				t.Skipf("%s has no resumable tier", alg.Name)
-			}
-			tmpl := memsim.NewFrameTemplates(ri, n)
+			tmpl := memsim.NewFrameTemplates(inst, n)
 			set := memsim.NewFrameSet(n)
 			rng := rand.New(rand.NewSource(1))
 			pairs := 0
 			for pid := memsim.PID(0); pid < n; pid++ {
 				for _, kind := range kinds {
 					for round := 0; round < 2; round++ {
-						fresh, err := ri.ResumableProgram(pid, kind)
+						fresh, err := inst.ResumableProgram(pid, kind)
 						if err != nil {
 							if serr := set.Start(tmpl, pid, kind); serr == nil {
 								t.Fatalf("p%d %v: template start succeeded where ResumableProgram fails: %v", pid, kind, err)

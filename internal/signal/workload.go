@@ -21,9 +21,8 @@ type Policy struct {
 }
 
 // Workload runs an Algorithm under a Policy on the generic streaming
-// harness. Calls start in native resumable form when the instance
-// provides every call the policy makes, and as blocking programs
-// otherwise. Observe must see every event of the run (attach it as the
+// harness. Calls start in resumable form, or through the blocking adapter
+// when the harness is pinned to its blocking tier. Observe must see every event of the run (attach it as the
 // harness sink): it counts the applied accesses SignalAfter waits for. A
 // Workload is bound to a single run.
 type Workload struct {
@@ -88,26 +87,13 @@ func (w *Workload) Deploy(m *memsim.Machine) error {
 	return nil
 }
 
-// CanResume implements harness.ResumableWorkload. It probes every
-// (pid, kind) pair the policy starts, so one missing resumable form puts
-// the whole run on the blocking tier; the probes mint the templates and
-// frame storage the run then reuses.
+// CanResume implements harness.ResumableWorkload: every algorithm runs
+// in resumable form. It sets up the frame templates and storage the run
+// reuses.
 func (w *Workload) CanResume() bool {
-	ri, ok := w.inst.(memsim.ResumableInstance)
-	if !ok {
-		return false
-	}
-	w.tmpl = memsim.NewFrameTemplates(ri, w.N())
+	w.tmpl = memsim.NewFrameTemplates(w.inst, w.N())
 	w.frames = memsim.NewFrameSet(w.N())
-	probe := func(pids []memsim.PID, kind memsim.CallKind) bool {
-		for _, pid := range pids {
-			if w.frames.Start(w.tmpl, pid, kind) != nil {
-				return false
-			}
-		}
-		return true
-	}
-	return probe(w.policy.Signalers, memsim.CallSignal) && probe(w.policy.Waiters, w.kind)
+	return true
 }
 
 // nextKind picks pid's next call: its waiter calls first, then its Signal.
@@ -125,19 +111,20 @@ func (w *Workload) nextKind(pid memsim.PID) (memsim.CallKind, bool) {
 	return 0, false
 }
 
-// Next implements harness.Workload. A procedure the algorithm does not
+// Next implements harness.Workload: the call's frame runs through the
+// blocking adapter (memsim.Blocking). A procedure the algorithm does not
 // provide ends the run's calls; Err reports it.
 func (w *Workload) Next(pid memsim.PID) (string, memsim.Program, bool) {
 	kind, ok := w.nextKind(pid)
 	if !ok {
 		return "", nil, false
 	}
-	prog, err := w.inst.Program(pid, kind)
+	r, err := w.inst.ResumableProgram(pid, kind)
 	if err != nil {
 		w.err = err
 		return "", nil, false
 	}
-	return kind.String(), prog, true
+	return kind.String(), memsim.Blocking(r), true
 }
 
 // NextResumable implements harness.ResumableWorkload: the call starts from
