@@ -283,7 +283,7 @@ func (e *Core) advance(pid memsim.PID, prev memsim.Result) {
 }
 
 // Settle collects completed calls (eagerly, so call-end events get the
-// earliest consistent position, exactly like the replay engine) and
+// earliest consistent position, exactly like Driver) and
 // returns the open scheduling choices in deterministic order.
 func (e *Core) Settle() []Choice {
 	return e.settleInto(nil)

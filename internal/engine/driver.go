@@ -5,8 +5,7 @@ import "repro/internal/memsim"
 // Driver runs schedules on a memsim.Execution under the core's
 // scheduling rules — the Execution-based mirror of Core.Settle and
 // Core.Apply, for the engines' independent reference paths (the
-// explorer's replay engine and the searcher's witness replay). It works
-// on any engine tier, blocking programs included.
+// searcher's witness replay and the explorer tests' replay enumeration).
 type Driver struct {
 	Exec     *memsim.Execution
 	scripts  map[memsim.PID][]memsim.CallKind

@@ -19,9 +19,8 @@
 //
 // # Engines
 //
-// Two engines enumerate the schedule tree. The backtracking engine (the
-// default for algorithms with a resumable tier) runs on the node-expansion
-// core it shares with internal/search (internal/engine), which keeps one
+// The backtracking engines (plain, with dedup, and with dedup plus
+// reduction) enumerate the schedule tree on the node-expansion core it shares with internal/search (internal/engine), which keeps one
 // execution alive per worker: process state lives in copyable resumable
 // frames (a memsim.FrameSet copies them into each tree node's snapshot,
 // recycling frame storage across calls and snapshots) and shared memory
@@ -29,11 +28,9 @@
 // Revert), so moving between adjacent paths retracts a step instead of
 // replaying the whole prefix. The explorer's part is a policy on that
 // core: the event log, call numbers and Specification 4.1 monitor bits.
-// The replay engine re-runs the shared prefix
-// for every path (total work ≈ paths × depth) and drives blocking programs
-// on goroutines; it remains both the fallback for algorithms without
-// resumable forms and the reference enumeration the backtracking engine is
-// equivalence-tested against.
+// The tests keep an independent reference enumeration, which replays every
+// path on a fresh memsim.Execution (total work ≈ paths × depth): plain
+// backtracking must visit exactly its histories.
 //
 // # State deduplication
 //
@@ -56,8 +53,8 @@
 //
 // Pruning is sound for properties that are a function of the canonical
 // state plus the continuation (CheckSpec is, via the monitor bits); a
-// Check that conditions on other prefix details should use EngineBacktrack
-// or EngineReplay, which visit every history.
+// Check that conditions on other prefix details should use EngineBacktrack,
+// which visits every history.
 //
 // # Parallel sharding
 //

@@ -115,18 +115,18 @@ var exploreKeyDigests = []struct {
 	{"cas-register", false, 1, "4162/f407452c1268576f4f4b77e5"},
 	{"cas-register", true, 0, "165/d730ef2749de62d1d57d0094"},
 	{"cas-register", true, 1, "1083/5d365f4ed0c1c4da8a42ff35"},
-	{"cas-register-rw", false, 0, "1008/3660f9aed7ba167dc971b87b"},
-	{"cas-register-rw", false, 1, "3994/5fc4c85c297af41bcc4b8283"},
-	{"cas-register-rw", true, 0, "165/2403854d2259ee464b830702"},
-	{"cas-register-rw", true, 1, "1017/95d96f36bac510e91add0f26"},
+	{"cas-register-rw", false, 0, "1008/2ac663a242fd2dd3fbeb2615"},
+	{"cas-register-rw", false, 1, "3994/6a71bf8d86db4d65e7f76006"},
+	{"cas-register-rw", true, 0, "165/604c3dc010c1a6537f1fe495"},
+	{"cas-register-rw", true, 1, "1017/38c677c97fe7069b462d4001"},
 	{"llsc-register", false, 0, "1008/56f5c28c05718fb9a20448f9"},
 	{"llsc-register", false, 1, "3994/5fc05b99457b63ecabef5c82"},
 	{"llsc-register", true, 0, "165/a0e913217525c9ed8ebe96f1"},
 	{"llsc-register", true, 1, "1017/19c489144b8daf70a5fae3ec"},
-	{"llsc-register-rw", false, 0, "1008/0ac9001c93a2bbe3afc09e25"},
-	{"llsc-register-rw", false, 1, "3994/ff2a3659f5ad0d5b5310a44d"},
-	{"llsc-register-rw", true, 0, "165/483a558f78691b877083367c"},
-	{"llsc-register-rw", true, 1, "1017/11b4eab4a8aff1f834e856a6"},
+	{"llsc-register-rw", false, 0, "1008/23bad45689293dcfd2421f9d"},
+	{"llsc-register-rw", false, 1, "3994/6a67bda13ecfad04038f2f03"},
+	{"llsc-register-rw", true, 0, "165/9fef732b9aba8e946889b131"},
+	{"llsc-register-rw", true, 1, "1017/f97e4aae90970e9287b678ca"},
 	{"multi-signaler", false, 0, "1092/89f07a892b057e61b8f83a09"},
 	{"multi-signaler", false, 1, "4208/20c6ae47e0a10bce5b805846"},
 	{"multi-signaler", true, 0, "161/8e36402b22a8573fa4b6abbe"},

@@ -21,5 +21,6 @@
 // enforce Δ-deadlines — and those that implement ResumableWorkload start
 // their calls on the goroutine-free resumable engine tier (see
 // internal/memsim), falling back to blocking programs otherwise.
-// Config.ForceBlocking pins the blocking tier for A/B comparisons.
+// Config.ForceBlocking pins the blocking tier for A/B comparisons (the
+// lock runner exposes it).
 package harness

@@ -76,6 +76,14 @@ type Spec struct {
 	FaultVol string `json:"faultVol,omitempty"`
 }
 
+// The largest workload shape a spec may ask for. A machine holds at most
+// 64 processes (waiters plus two), the width of the engines' process
+// masks; the poll cap keeps a spec's compiled scripts small.
+const (
+	maxWaiters = 62
+	maxPolls   = 1 << 16
+)
+
 // Normalize validates s and fills every defaulted field in place. It is
 // idempotent; every compile method calls it first. Errors are
 // errs.CodeInvalid Failures, ready for an HTTP 400.
@@ -102,6 +110,11 @@ func (s *Spec) Normalize() error {
 	}
 	if s.Polls <= 0 {
 		s.Polls = 2
+	}
+	if s.Waiters > maxWaiters || s.Polls > maxPolls {
+		return errs.Failuref(errs.CodeInvalid,
+			"jobspec: at most %d waiters and %d polls per waiter, got %d and %d",
+			maxWaiters, maxPolls, s.Waiters, s.Polls)
 	}
 	if s.Depth <= 0 {
 		s.Depth = 10

@@ -107,9 +107,8 @@ type EventSink func(Event)
 // needs: start a procedure call on a process, inspect the process's pending
 // access before it is applied, grant one step, and observe call completion.
 //
-// Calls run on one of two engine tiers. Native Resumable programs
-// (StartResumable, or an Instance implementing ResumableInstance) are
-// dispatched inline: advancing a process is a plain method call with zero
+// Calls run on one of two engine tiers. Resumable programs
+// (StartResumable, and every Instance procedure) are dispatched inline: advancing a process is a plain method call with zero
 // goroutines and zero channel operations. Blocking Programs (StartCall)
 // keep working through the FromBlocking adapter, which relays scheduling
 // points over channels from a pooled handoff goroutine. Both tiers produce

@@ -32,22 +32,23 @@
 //
 // # The two program tiers
 //
-// Algorithm procedures exist in one or both of two representations:
+// Procedures run in one of two representations:
 //
-//   - Blocking: an ordinary Go function, Program func(*Proc) Value. Every
-//     shared-memory access suspends its goroutine until the controller
-//     grants it (two channel handshakes per step). WorkerPool.FromBlocking
-//     runs these on pooled, reusable handoff goroutines.
 //   - Resumable: an explicit state machine, Resumable, whose
 //     Next(prev Result) (Access, bool) the controller dispatches inline —
 //     zero goroutines and zero channel operations per step, ~5–11× faster
-//     (BenchmarkEngineStep). Call-local state lives in a plain copyable
-//     struct (a "frame").
+//     (BenchmarkEngineStep/mcs). Call-local state lives in a plain
+//     copyable struct (a "frame"). An Instance provides its procedures in
+//     this form only, and Execution runs every call this way.
+//   - Blocking: an ordinary Go function, Program func(*Proc) Value, for
+//     code that composes calls over Proc (lock sections, the examples).
+//     Every shared-memory access suspends its goroutine until the
+//     controller grants it (two channel handshakes per step).
+//     WorkerPool.FromBlocking runs these on pooled, reusable handoff
+//     goroutines, and Blocking adapts a frame into such a program.
 //
-// Instances implementing ResumableInstance get the fast tier automatically
-// wherever a call is started; both tiers produce byte-identical traces for
-// identical schedules, pinned by equivalence tests across every algorithm
-// in this repository.
+// Both produce byte-identical traces for identical schedules, pinned by
+// equivalence tests for every algorithm and lock in this repository.
 //
 // # Frame discipline
 //

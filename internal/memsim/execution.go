@@ -86,8 +86,8 @@ type Instance interface {
 	ResumableProgram(pid PID, kind CallKind) (Resumable, error)
 }
 
-// ResumableInstance is the name the engines' callers know Instance by;
-// every instance is resumable.
+// ResumableInstance is Instance under its earlier name: every instance is
+// resumable.
 type ResumableInstance = Instance
 
 // Factory builds a fresh instance of an algorithm for n processes on

@@ -15,14 +15,14 @@ package memsim
 // instance, minted by ResumableProgram on first use. A template is never
 // run: calls start from a copy of it. That is sound because
 // ResumableProgram is a pure function of (pid, kind) on a deployed
-// instance (see ResumableInstance).
+// instance (see Instance).
 type FrameTemplates struct {
-	inst ResumableInstance
+	inst Instance
 	tmpl [][]Resumable // [pid][kind]; nil until first minted
 }
 
 // NewFrameTemplates returns an empty template cache for inst's n processes.
-func NewFrameTemplates(inst ResumableInstance, n int) *FrameTemplates {
+func NewFrameTemplates(inst Instance, n int) *FrameTemplates {
 	return &FrameTemplates{inst: inst, tmpl: make([][]Resumable, n)}
 }
 

@@ -27,6 +27,18 @@ type ResumableLock interface {
 	ReleaseFrame(pid memsim.PID) memsim.Resumable
 }
 
+// SectionRestarter is a ResumableLock whose section frames restart in
+// place: Restart turns f, a section frame of this lock's kind (minted for
+// any process, by any lock of the kind), into pid's fresh acquire section
+// (acquire) or release section of this lock, without allocating. It
+// reports false when f is of another kind. Frames that run many critical
+// sections (the primitive emulations of internal/primsim) keep one frame
+// per section this way.
+type SectionRestarter interface {
+	ResumableLock
+	Restart(f memsim.Resumable, pid memsim.PID, acquire bool) bool
+}
+
 // ---- test-and-set ----
 
 // AcquireFrame implements ResumableLock: loop on TAS(flag) until it wins.
@@ -336,6 +348,25 @@ func (k *petersonLock) AcquireFrame(pid memsim.PID) memsim.Resumable {
 func (k *petersonLock) ReleaseFrame(pid memsim.PID) memsim.Resumable {
 	return &petersonReleaseFrame{k: k, i: int(pid), l: k.height - 1}
 }
+
+// Restart implements SectionRestarter.
+func (k *petersonLock) Restart(f memsim.Resumable, pid memsim.PID, acquire bool) bool {
+	switch s := f.(type) {
+	case *petersonAcquireFrame:
+		if acquire {
+			*s = petersonAcquireFrame{k: k, i: int(pid)}
+			return true
+		}
+	case *petersonReleaseFrame:
+		if !acquire {
+			*s = petersonReleaseFrame{k: k, i: int(pid), l: k.height - 1}
+			return true
+		}
+	}
+	return false
+}
+
+var _ SectionRestarter = (*petersonLock)(nil)
 
 type petersonAcquireFrame struct {
 	k  *petersonLock

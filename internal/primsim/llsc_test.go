@@ -21,10 +21,10 @@ func driveLLSC(t *testing.T, n int, seed int64) (winners []memsim.PID, final mem
 	for i := 0; i < n; i++ {
 		pid := memsim.PID(i)
 		if err := ctl.StartCall(pid, "llsc", func(p *memsim.Proc) memsim.Value {
-			if do(p, w.NewFrame(p.ID()), func(f *Frame) { w.LL(f) }) != 0 {
+			if do(p, func(f *Frame) { w.LL(f, p.ID()) }) != 0 {
 				return 0
 			}
-			return do(p, w.NewFrame(p.ID()), func(f *Frame) { w.SC(f, memsim.Value(p.ID())+1) })
+			return do(p, func(f *Frame) { w.SC(f, p.ID(), memsim.Value(p.ID())+1) })
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -100,8 +100,8 @@ func TestEmuLLSCSequential(t *testing.T) {
 	ctl := memsim.NewController(m)
 	defer ctl.Close()
 	if err := ctl.StartCall(0, "seq", func(p *memsim.Proc) memsim.Value {
-		ll := func() memsim.Value { return do(p, w.NewFrame(0), func(f *Frame) { w.LL(f) }) }
-		sc := func(v memsim.Value) memsim.Value { return do(p, w.NewFrame(0), func(f *Frame) { w.SC(f, v) }) }
+		ll := func() memsim.Value { return do(p, func(f *Frame) { w.LL(f, 0) }) }
+		sc := func(v memsim.Value) memsim.Value { return do(p, func(f *Frame) { w.SC(f, 0, v) }) }
 		if sc(1) != 0 {
 			return -1 // SC without LL must fail
 		}

@@ -25,40 +25,20 @@ package primsim
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"repro/internal/memsim"
 	"repro/internal/mutex"
 )
 
-// emuLock is the read/write tournament lock of one emulated object, with
-// every process's acquire and release sections minted at deployment. The
-// minted sections are never run: an operation runs copies of them.
-type emuLock struct {
-	acq, rel []memsim.Resumable // pristine sections, by pid
-}
-
-func newEmuLock(m *memsim.Machine, n int) (*emuLock, error) {
+// newEmuLock deploys the read/write tournament lock of one emulated
+// object.
+func newEmuLock(m *memsim.Machine, n int) (mutex.SectionRestarter, error) {
 	lk, err := mutex.PetersonTournament().New(m, n)
 	if err != nil {
 		return nil, fmt.Errorf("deploy emulation lock: %w", err)
 	}
-	rl := lk.(mutex.ResumableLock)
-	l := &emuLock{acq: make([]memsim.Resumable, n), rel: make([]memsim.Resumable, n)}
-	for i := 0; i < n; i++ {
-		l.acq[i] = rl.AcquireFrame(memsim.PID(i))
-		l.rel[i] = rl.ReleaseFrame(memsim.PID(i))
-	}
-	return l, nil
-}
-
-// frame returns pid's frame with both lock sections in their starting
-// state.
-func (l *emuLock) frame(pid memsim.PID) Frame {
-	return Frame{
-		lock: l, pid: pid,
-		acq: memsim.CloneResumable(l.acq[pid]),
-		rel: memsim.CloneResumable(l.rel[pid]),
-	}
+	return lk.(mutex.SectionRestarter), nil
 }
 
 // EmuCASArray is a fixed-size array of emulated CAS words sharing one
@@ -66,7 +46,7 @@ func (l *emuLock) frame(pid memsim.PID) Frame {
 // linear. Sharing the lock is safe (coarser atomicity than per-word locks)
 // and mirrors footnote-level freedom in the transformation.
 type EmuCASArray struct {
-	lock *emuLock
+	lock mutex.SectionRestarter
 	base memsim.Addr
 	size int
 }
@@ -93,17 +73,14 @@ func (e *EmuCASArray) Size() int { return e.size }
 // read takes no lock.
 func (e *EmuCASArray) Addr(j int) memsim.Addr { return e.base + memsim.Addr(j) }
 
-// NewFrame returns pid's frame for emulated operations on e.
-func (e *EmuCASArray) NewFrame(pid memsim.PID) Frame { return e.lock.frame(pid) }
-
-// CAS starts in f an emulated compare-and-swap of word j by f's process:
-// under the emulation lock, replace the value with new if it equals old.
-// f returns 1 if it did.
+// CAS starts in f an emulated compare-and-swap of word j by pid: under
+// the emulation lock, replace the value with new if it equals old. f
+// returns 1 if it did.
 //
 //	acquire; v := read(word j); if v = old { write(word j, new) }; release
 //	return v = old
-func (e *EmuCASArray) CAS(f *Frame, j int, old, new memsim.Value) {
-	f.start(e.lock, opCAS, pcLock)
+func (e *EmuCASArray) CAS(f *Frame, pid memsim.PID, j int, old, new memsim.Value) {
+	f.start(e.lock, pid, opCAS, pcLock)
 	f.w, f.arg, f.arg2 = e.Addr(j), old, new
 }
 
@@ -115,7 +92,7 @@ func (e *EmuCASArray) CAS(f *Frame, j int, old, new memsim.Value) {
 // calling process's own memory module; SC succeeds only if the version is
 // unchanged.
 type EmuLLSC struct {
-	lock *emuLock
+	lock mutex.SectionRestarter
 	val  memsim.Addr
 	ver  memsim.Addr
 	// link[i] holds process i's linked version (in i's module); Nil
@@ -145,30 +122,26 @@ func NewEmuLLSC(m *memsim.Machine, n int, name string, init memsim.Value) (*EmuL
 // of it (values are single atomic words).
 func (e *EmuLLSC) Addr() memsim.Addr { return e.val }
 
-// NewFrame returns pid's frame for emulated operations on e (and on any
-// other EmuLLSC word of the same machine).
-func (e *EmuLLSC) NewFrame(pid memsim.PID) Frame { return e.lock.frame(pid) }
-
-// LL starts in f a load-link of the word by f's process p: f returns the
-// current value and records the version for p.
+// LL starts in f pid's load-link of the word: f returns the current value
+// and records the version for pid.
 //
 //	acquire; v := read(val); ver := read(ver); release
 //	write(link[p], ver); return v
-func (e *EmuLLSC) LL(f *Frame) {
-	f.start(e.lock, opLL, pcLock)
-	f.w, f.ver, f.link = e.val, e.ver, e.link[f.pid]
+func (e *EmuLLSC) LL(f *Frame, pid memsim.PID) {
+	f.start(e.lock, pid, opLL, pcLock)
+	f.w, f.ver, f.link = e.val, e.ver, e.link[pid]
 }
 
-// SC starts in f a store-conditional of v by f's process p: it succeeds
-// (f returns 1) only if no nontrivial operation intervened since p's last
-// LL. The reservation is consumed either way.
+// SC starts in f pid's store-conditional of v: it succeeds (f returns 1)
+// only if no nontrivial operation intervened since pid's last LL. The
+// reservation is consumed either way.
 //
 //	linked := read(link[p]); write(link[p], NIL); if linked = NIL { return false }
 //	acquire; ok := read(ver) = linked; if ok { write(val, v); write(ver, linked+1) }; release
 //	return ok
-func (e *EmuLLSC) SC(f *Frame, v memsim.Value) {
-	f.start(e.lock, opSC, pcLink)
-	f.w, f.ver, f.link, f.arg = e.val, e.ver, e.link[f.pid], v
+func (e *EmuLLSC) SC(f *Frame, pid memsim.PID, v memsim.Value) {
+	f.start(e.lock, pid, opSC, pcLink)
+	f.w, f.ver, f.link, f.arg = e.val, e.ver, e.link[pid], v
 }
 
 // The emulated operations.
@@ -195,16 +168,16 @@ const (
 	pcDone
 )
 
-// Frame runs emulated operations for one process: NewFrame makes it, an
-// operation (EmuCASArray.CAS, EmuLLSC.LL, EmuLLSC.SC) starts in it, and
-// Next drives it like any frame. It is a value the caller embeds in its own
-// frame. Its lock sections are allocated by NewFrame and copied into from
-// then on, so operations allocate nothing, and a frame's encoding never
-// depends on what its storage held before.
+// Frame runs emulated operations: an operation (EmuCASArray.CAS,
+// EmuLLSC.LL, EmuLLSC.SC) starts in it, and Next drives it like any frame.
+// It is a value the caller embeds in its own frame; the zero value is
+// ready. Its lock sections are minted by the first operation and restarted
+// in place by every later one (mutex.SectionRestarter), so operations
+// allocate nothing once the frame's storage is warm.
 type Frame struct {
-	lock     *emuLock
+	lock     mutex.SectionRestarter
 	pid      memsim.PID
-	acq, rel memsim.Resumable // lock sections, never nil
+	acq, rel memsim.Resumable // lock sections; live only in their phase
 	op, pc   uint8
 	w        memsim.Addr // the word: CAS target, LL/SC value
 	ver      memsim.Addr
@@ -218,8 +191,8 @@ type Frame struct {
 
 var _ memsim.Resumable = (*Frame)(nil)
 
-func (f *Frame) start(l *emuLock, op, pc uint8) {
-	f.lock, f.op, f.pc = l, op, pc
+func (f *Frame) start(l mutex.SectionRestarter, pid memsim.PID, op, pc uint8) {
+	f.lock, f.pid, f.op, f.pc = l, pid, op, pc
 	f.val, f.seen, f.ok = 0, 0, false
 }
 
@@ -239,7 +212,9 @@ func (f *Frame) Next(prev memsim.Result) (memsim.Access, bool) {
 			}
 			return memsim.AccWrite(f.link, memsim.Nil), true
 		case pcLock: // enter the acquire section
-			f.acq = memsim.CloneResumableInto(f.acq, f.lock.acq[f.pid])
+			if !f.lock.Restart(f.acq, f.pid, true) {
+				f.acq = f.lock.AcquireFrame(f.pid)
+			}
 			prev = memsim.Result{}
 			f.pc = pcAcquire
 		case pcAcquire:
@@ -254,21 +229,18 @@ func (f *Frame) Next(prev memsim.Result) (memsim.Access, bool) {
 		case pcBody: // first read under the lock
 			switch f.op {
 			case opCAS:
-				f.ok = prev.Val == f.arg
+				f.ok, f.pc = prev.Val == f.arg, pcRelease
 				if !f.ok {
-					f.pc = pcRelease
 					continue
 				}
-				f.pc = pcRelease
 				return memsim.AccWrite(f.w, f.arg2), true
 			case opLL:
 				f.val = prev.Val
 				f.pc = pcBody1
 				return memsim.AccRead(f.ver), true
 			default: // SC: version check
-				f.ok = prev.Val == f.val
+				f.ok, f.pc = prev.Val == f.val, pcRelease
 				if !f.ok {
-					f.pc = pcRelease
 					continue
 				}
 				f.pc = pcBody2
@@ -281,7 +253,9 @@ func (f *Frame) Next(prev memsim.Result) (memsim.Access, bool) {
 			f.pc = pcRelease
 			return memsim.AccWrite(f.ver, f.val+1), true
 		case pcRelease: // enter the release section
-			f.rel = memsim.CloneResumableInto(f.rel, f.lock.rel[f.pid])
+			if !f.lock.Restart(f.rel, f.pid, false) {
+				f.rel = f.lock.ReleaseFrame(f.pid)
+			}
 			prev = memsim.Result{}
 			f.pc = pcReleasing
 		case pcReleasing:
@@ -313,23 +287,38 @@ func (f *Frame) Return() memsim.Value {
 	return 0
 }
 
-// OK reports whether a completed CAS or SC succeeded.
-func (f *Frame) OK() bool { return f.ok }
-
 // CopyInto makes dst an independent copy of f, reusing dst's lock-section
-// storage.
+// storage. A section f has not minted yet leaves dst's storage as it was:
+// outside its phase a section's content is never read.
 func (f *Frame) CopyInto(dst *Frame) {
 	acq, rel := dst.acq, dst.rel
 	*dst = *f
-	dst.acq = memsim.CloneResumableInto(acq, f.acq)
-	dst.rel = memsim.CloneResumableInto(rel, f.rel)
+	dst.acq, dst.rel = acq, rel
+	if f.acq != nil {
+		dst.acq = memsim.CloneResumableInto(acq, f.acq)
+	}
+	if f.rel != nil {
+		dst.rel = memsim.CloneResumableInto(rel, f.rel)
+	}
+}
+
+// section is the lock section in its phase, or nil: a section outside its
+// phase is restarted before it runs again, so its content is not state.
+func (f *Frame) section() memsim.Resumable {
+	switch f.pc {
+	case pcAcquire:
+		return f.acq
+	case pcReleasing:
+		return f.rel
+	}
+	return nil
 }
 
 // AppendState appends f's canonical state: the operation, its arguments
-// and progress, and both lock sections by content. Fields left over from
-// a finished operation are included too: they follow from the caller's
-// path within the call, so equal states still encode equally, and at
-// worst states that could merge are kept apart.
+// and progress, and the lock section in its phase by content. Fields left
+// over from a finished operation are included too: they follow from the
+// caller's path within the call, so equal states still encode equally,
+// and at worst states that could merge are kept apart.
 func (f *Frame) AppendState(dst []byte) []byte {
 	dst = append(dst, f.op, f.pc)
 	if f.ok {
@@ -341,6 +330,13 @@ func (f *Frame) AppendState(dst []byte) []byte {
 		int64(f.arg), int64(f.arg2), int64(f.val), int64(f.seen)} {
 		dst = binary.AppendVarint(dst, v)
 	}
-	dst = memsim.AppendFrameState(dst, f.acq)
-	return memsim.AppendFrameState(dst, f.rel)
+	return memsim.AppendFrameState(dst, f.section())
+}
+
+// EncodeState writes the text form of AppendState's state, for the
+// engines' reflective key oracles.
+func (f *Frame) EncodeState(w io.Writer) {
+	fmt.Fprintf(w, "%d,%d,%v,%d,%d,%d,%d,%d,%d,%d,%d,", f.op, f.pc, f.ok, f.pid,
+		f.w, f.ver, f.link, f.arg, f.arg2, f.val, f.seen)
+	memsim.EncodeFrameState(w, f.section())
 }

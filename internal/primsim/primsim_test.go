@@ -8,9 +8,10 @@ import (
 	"repro/internal/model"
 )
 
-// do runs one emulated operation, started in f by begin, on p through
-// the blocking adapter and returns its response.
-func do(p *memsim.Proc, f Frame, begin func(f *Frame)) memsim.Value {
+// do runs one emulated operation, started in a fresh frame by begin, on
+// p through the blocking adapter and returns its response.
+func do(p *memsim.Proc, begin func(f *Frame)) memsim.Value {
+	var f Frame
 	begin(&f)
 	return memsim.Blocking(&f)(p)
 }
@@ -29,7 +30,7 @@ func driveCAS(t *testing.T, n int, seed int64) (winners []memsim.PID, final mems
 	for i := 0; i < n; i++ {
 		pid := memsim.PID(i)
 		if err := ctl.StartCall(pid, "cas", func(p *memsim.Proc) memsim.Value {
-			return do(p, emu.NewFrame(p.ID()), func(f *Frame) { emu.CAS(f, 0, 0, memsim.Value(p.ID())+1) })
+			return do(p, func(f *Frame) { emu.CAS(f, p.ID(), 0, 0, memsim.Value(p.ID())+1) })
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func TestEmuCASArray(t *testing.T) {
 	var got []memsim.Value
 	if err := ctl.StartCall(0, "seq", func(p *memsim.Proc) memsim.Value {
 		cas := func(j int, v memsim.Value) memsim.Value {
-			return do(p, arr.NewFrame(p.ID()), func(f *Frame) { arr.CAS(f, j, memsim.Nil, v) })
+			return do(p, func(f *Frame) { arr.CAS(f, p.ID(), j, memsim.Nil, v) })
 		}
 		if cas(0, 7) != 1 {
 			return -100

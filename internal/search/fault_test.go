@@ -67,7 +67,10 @@ func TestFaultZeroSearchIdentity(t *testing.T) {
 // and 2, the adversarial-space worst case dominates both the Section 6
 // lower-bound certificate (a fault-free history, so any budget's space
 // contains it) and the sampled maximum under the same budget; and the
-// worst case is monotone nondecreasing in the budget.
+// worst case is monotone nondecreasing in the budget. The depth-28 space
+// of llsc-register-rw stops at budget 1: two faults there take seconds
+// (minutes under the race detector), and one already exercises the fault
+// dimension.
 func TestFaultSandwich(t *testing.T) {
 	for _, alg := range signal.All() {
 		if !alg.Variant.Polling {
@@ -85,7 +88,11 @@ func TestFaultSandwich(t *testing.T) {
 				t.Fatal(err)
 			}
 			prev := -1
-			for _, k := range []int{0, 1, 2} {
+			budgets := []int{0, 1, 2}
+			if adversarial(alg).MaxDepth > 14 {
+				budgets = budgets[:2]
+			}
+			for _, k := range budgets {
 				cfg := adversarial(alg)
 				cfg.Faults = faultPolicy(k, memsim.VolStable)
 				res, err := search.Run(cfg)

@@ -156,14 +156,14 @@ var searchKeyDigests = []struct {
 	{"cas-register", "CC-WT/bus", false, 1, "4162/5f432edde6fb375b673475ff"},
 	{"cas-register", "CC-WT/bus", true, 0, "74/ce98a5700e68f5e49cee1221"},
 	{"cas-register", "CC-WT/bus", true, 1, "705/b7f27f9687f46c2aedeb97f0"}, // keys2
-	{"cas-register-rw", "DSM", false, 0, "1008/9b4caaa2c589b31fd08aff83"},
-	{"cas-register-rw", "DSM", false, 1, "3994/614833b02fded3c262fe485d"},
-	{"cas-register-rw", "DSM", true, 0, "74/05f3cae977e8988329b51c81"},
-	{"cas-register-rw", "DSM", true, 1, "665/e2ec406e8e89b6ddb1ebbee9"}, // keys2
-	{"cas-register-rw", "CC-WT/bus", false, 0, "1008/faac48f985178def32986389"},
-	{"cas-register-rw", "CC-WT/bus", false, 1, "3994/29d571abfb077c89d86a8560"},
-	{"cas-register-rw", "CC-WT/bus", true, 0, "74/1bf805725d93d56c7629e726"},
-	{"cas-register-rw", "CC-WT/bus", true, 1, "665/2d84d6909d3c460854417779"}, // keys2
+	{"cas-register-rw", "DSM", false, 0, "1008/1b99fd050b327ad0187c6754"},
+	{"cas-register-rw", "DSM", false, 1, "3994/dc30fbaf6b7ad47d785d7372"},
+	{"cas-register-rw", "DSM", true, 0, "74/6940f47cb077a44b84dbd1a9"},
+	{"cas-register-rw", "DSM", true, 1, "665/cec6fc8e464bf27cc0b09568"}, // keys2
+	{"cas-register-rw", "CC-WT/bus", false, 0, "1008/6571dc684613194d84708c1c"},
+	{"cas-register-rw", "CC-WT/bus", false, 1, "3994/c66aa0b4dbdca36b30d7cdc4"},
+	{"cas-register-rw", "CC-WT/bus", true, 0, "74/4b1450ece48ee89a7540e2a0"},
+	{"cas-register-rw", "CC-WT/bus", true, 1, "665/b7fd9148a8fb8427faeebd8b"}, // keys2
 	{"llsc-register", "DSM", false, 0, "1008/ff19585ca6b374bb5eaea8f5"},
 	{"llsc-register", "DSM", false, 1, "3994/7f042c7d83715f546fd23e25"},
 	{"llsc-register", "DSM", true, 0, "74/e2d7692388221ec7dd04a61f"},
@@ -172,14 +172,14 @@ var searchKeyDigests = []struct {
 	{"llsc-register", "CC-WT/bus", false, 1, "3994/03597f44033615921cd65a14"},
 	{"llsc-register", "CC-WT/bus", true, 0, "74/32fd951c5444805ecc87de07"},
 	{"llsc-register", "CC-WT/bus", true, 1, "665/c7bdb73dd850dcf69255f669"}, // keys2
-	{"llsc-register-rw", "DSM", false, 0, "1008/9f159dc790e0966143d71940"},
-	{"llsc-register-rw", "DSM", false, 1, "3994/e8ff8551248951540c6fd6c5"},
-	{"llsc-register-rw", "DSM", true, 0, "74/1625830218b7fe3ac8b952b6"},
-	{"llsc-register-rw", "DSM", true, 1, "665/f33383a1e81916e54e97c128"}, // keys2
-	{"llsc-register-rw", "CC-WT/bus", false, 0, "1008/53a62303b7a1565c4a324058"},
-	{"llsc-register-rw", "CC-WT/bus", false, 1, "3994/57b5cd045ac55ede65d7ebba"},
-	{"llsc-register-rw", "CC-WT/bus", true, 0, "74/4650c25404ab703634f1fe96"},
-	{"llsc-register-rw", "CC-WT/bus", true, 1, "665/027f2370bd24e55ee554856e"}, // keys2
+	{"llsc-register-rw", "DSM", false, 0, "1008/db4852496ca86319da4ba2d2"},
+	{"llsc-register-rw", "DSM", false, 1, "3994/a89e37ad5162cf9d8e3fc0ce"},
+	{"llsc-register-rw", "DSM", true, 0, "74/c2ef06a07aaceacf7164e86b"},
+	{"llsc-register-rw", "DSM", true, 1, "665/d2fb50e54b83c7ab45cab563"}, // keys2
+	{"llsc-register-rw", "CC-WT/bus", false, 0, "1008/a0d1bff9ef52f26316ee841d"},
+	{"llsc-register-rw", "CC-WT/bus", false, 1, "3994/3c98faf68d08ae6c655bc22e"},
+	{"llsc-register-rw", "CC-WT/bus", true, 0, "74/7a3fd43611348f134211b5ad"},
+	{"llsc-register-rw", "CC-WT/bus", true, 1, "665/fc13448be051f3996cb05f24"}, // keys2
 	{"multi-signaler", "DSM", false, 0, "1092/ce74a353fae059130d0331c9"},
 	{"multi-signaler", "DSM", false, 1, "4208/261b5caca5eb3d22a25580b0"},
 	{"multi-signaler", "DSM", true, 0, "83/1910e553637e00356c076585"},

@@ -2,6 +2,8 @@ package signal
 
 import (
 	"encoding/binary"
+	"fmt"
+	"io"
 
 	"repro/internal/memsim"
 	"repro/internal/primsim"
@@ -121,7 +123,7 @@ var _ memsim.Instance = (*casRegisterRWInstance)(nil)
 func (in *casRegisterRWInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	switch kind {
 	case memsim.CallPoll:
-		return &casRWPollFrame{in: in, i: int(pid), cas: in.q.NewFrame(pid)}, nil
+		return &casRWPollFrame{in: in, i: int(pid)}, nil
 	case memsim.CallSignal:
 		return &slotScanSignalFrame{s: in.s, q: in.q.Addr(0), n: in.n, v: in.v}, nil
 	default:
@@ -161,14 +163,14 @@ func (f *casRWPollFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 				f.pc = 4
 				return memsim.AccRead(f.in.s), true
 			}
-			f.in.q.CAS(&f.cas, f.j, memsim.Nil, memsim.Value(f.i))
+			f.in.q.CAS(&f.cas, memsim.PID(f.i), f.j, memsim.Nil, memsim.Value(f.i))
 			f.pc = 3
 			prev = memsim.Result{}
 		case 3: // drive the emulated CAS
 			if acc, ok := f.cas.Next(prev); ok {
 				return acc, true
 			}
-			if f.cas.OK() {
+			if f.cas.Return() == 1 {
 				f.pc = 4
 				return memsim.AccRead(f.in.s), true
 			}
@@ -203,6 +205,13 @@ func (f *casRWPollFrame) CopyResumableInto(dst memsim.Resumable) bool {
 	f.cas.CopyInto(&cas)
 	d.cas = cas
 	return true
+}
+
+// EncodeState implements memsim.StateEncoder: the emulated CAS encodes
+// its lock section only in its phase.
+func (f *casRWPollFrame) EncodeState(w io.Writer) {
+	fmt.Fprintf(w, "%d,%d,%d,%d,", f.i, f.j, f.pc, f.ret)
+	f.cas.EncodeState(w)
 }
 
 // AppendState implements memsim.StateAppender.

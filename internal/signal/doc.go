@@ -9,11 +9,15 @@
 //
 // Algorithms are catalogued as Algorithm values (name, problem Variant,
 // deployment factory); All enumerates them and ByName resolves CLI names.
-// Each algorithm exists in blocking form (ordinary Go against
-// memsim.Proc) and — for every hot algorithm — in native resumable form
-// (resumable.go), the goroutine-free engine tier the explorer and
-// benchmarks run on; equivalence tests drive both forms under identical
-// seeded schedules and assert byte-identical traces.
+// Each algorithm exists once, in resumable form: its instance's
+// ResumableProgram mints memsim.Resumable frames, the goroutine-free
+// engine tier every engine runs on, and the frames' doc comments carry
+// the paper's pseudocode. Frames shared by several algorithms live in
+// resumable.go; the read/write transformations compose primsim's emulated
+// CAS and LL/SC frames, and leader-blocking composes election's. Callers
+// that compose calls over memsim.Proc run frames through memsim.Blocking.
+// framegolden_test.go pins every algorithm's traces and final memory on
+// seeded schedules with faults.
 //
 // Workload runs an algorithm under a call Policy on the generic streaming
 // harness (internal/harness); core.Run and the termination check in

@@ -2,6 +2,8 @@ package signal
 
 import (
 	"encoding/binary"
+	"fmt"
+	"io"
 
 	"repro/internal/memsim"
 	"repro/internal/primsim"
@@ -118,7 +120,7 @@ var _ memsim.Instance = (*llscRegisterRWInstance)(nil)
 func (in *llscRegisterRWInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	switch kind {
 	case memsim.CallPoll:
-		return &llscRWPollFrame{in: in, i: int(pid), op: in.q[0].NewFrame(pid)}, nil
+		return &llscRWPollFrame{in: in, i: int(pid)}, nil
 	case memsim.CallSignal:
 		return &llscRWSignalFrame{in: in}, nil
 	default:
@@ -161,7 +163,7 @@ func (f *llscRWPollFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 				f.pc = 5
 				return memsim.AccRead(f.in.s), true
 			}
-			f.in.q[f.j].LL(&f.op)
+			f.in.q[f.j].LL(&f.op, memsim.PID(f.i))
 			f.pc = 3
 			prev = memsim.Result{}
 		case 3: // drive the LL; a taken slot advances the scan
@@ -173,14 +175,14 @@ func (f *llscRWPollFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 				f.pc = 2
 				continue
 			}
-			f.in.q[f.j].SC(&f.op, memsim.Value(f.i))
+			f.in.q[f.j].SC(&f.op, memsim.PID(f.i), memsim.Value(f.i))
 			f.pc = 4
 			prev = memsim.Result{}
 		case 4: // drive the SC; a lost race re-examines the same slot
 			if acc, ok := f.op.Next(prev); ok {
 				return acc, true
 			}
-			if f.op.OK() {
+			if f.op.Return() == 1 {
 				f.pc = 5
 				return memsim.AccRead(f.in.s), true
 			}
@@ -214,6 +216,13 @@ func (f *llscRWPollFrame) CopyResumableInto(dst memsim.Resumable) bool {
 	f.op.CopyInto(&op)
 	d.op = op
 	return true
+}
+
+// EncodeState implements memsim.StateEncoder: the emulated operation
+// encodes its lock section only in its phase.
+func (f *llscRWPollFrame) EncodeState(w io.Writer) {
+	fmt.Fprintf(w, "%d,%d,%d,%d,", f.i, f.j, f.pc, f.ret)
+	f.op.EncodeState(w)
 }
 
 // AppendState implements memsim.StateAppender.

@@ -9,13 +9,11 @@ import (
 	"repro/internal/queue"
 )
 
-// This file is the native resumable tier of every signaling algorithm the
-// engine runs hot: each procedure also exists as an explicit state machine
-// (a memsim.Resumable "frame") that the controller dispatches inline with
-// zero goroutines and zero channel operations. Every frame issues exactly
-// the access sequence of its blocking counterpart, so traces are
-// byte-identical under identical schedules — resumable_test.go enforces
-// that for every algorithm and procedure.
+// This file holds the frames several algorithms share, and the frames of
+// the algorithms whose files only declare them: each procedure is an
+// explicit state machine (a memsim.Resumable "frame") that the controller
+// dispatches inline with zero goroutines and zero channel operations.
+// framegolden_test.go pins the traces they produce.
 //
 // Frame discipline (see memsim.Resumable): all mutable call-local state
 // lives in frame fields; pointers reference only immutable deployment data

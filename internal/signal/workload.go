@@ -22,9 +22,9 @@ type Policy struct {
 
 // Workload runs an Algorithm under a Policy on the generic streaming
 // harness. Calls start in resumable form, or through the blocking adapter
-// when the harness is pinned to its blocking tier. Observe must see every event of the run (attach it as the
-// harness sink): it counts the applied accesses SignalAfter waits for. A
-// Workload is bound to a single run.
+// when the harness is pinned to its blocking tier. Observe must see every
+// event of the run (attach it as the harness sink): it counts the applied
+// accesses SignalAfter waits for. A Workload is bound to a single run.
 type Workload struct {
 	alg    Algorithm
 	policy Policy
