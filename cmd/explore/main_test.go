@@ -28,8 +28,7 @@ func TestRunExplore(t *testing.T) {
 	}
 }
 
-// TestRunExploreLegacyEngine: -dedup=false, the flag that once selected
-// the replay enumeration, runs plain backtracking.
+// TestRunExploreLegacyEngine: -dedup=false runs plain backtracking.
 func TestRunExploreLegacyEngine(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-alg", "flag", "-waiters", "2", "-polls", "2", "-depth", "8", "-dedup=false"}, &buf); err != nil {

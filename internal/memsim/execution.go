@@ -86,7 +86,7 @@ type Instance interface {
 	ResumableProgram(pid PID, kind CallKind) (Resumable, error)
 }
 
-// ResumableInstance is Instance under its earlier name: every instance is
+// ResumableInstance is another name for Instance: every instance is
 // resumable.
 type ResumableInstance = Instance
 

@@ -31,13 +31,14 @@ func Blockified(alg Algorithm) Algorithm {
 		if err != nil {
 			return nil, err
 		}
-		return &blockifiedInstance{inner: in}, nil
+		return &blockifiedInstance{inner: in, polling: alg.Variant.Polling}, nil
 	}
 	return out
 }
 
 type blockifiedInstance struct {
-	inner memsim.Instance
+	inner   memsim.Instance
+	polling bool // the inner algorithm has Poll
 }
 
 // ResumableProgram implements memsim.Instance: Poll and Signal delegate to
@@ -48,8 +49,8 @@ func (b *blockifiedInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKi
 	if kind != memsim.CallWait {
 		return b.inner.ResumableProgram(pid, kind)
 	}
-	if _, err := b.inner.ResumableProgram(pid, memsim.CallPoll); err != nil {
-		return nil, err
+	if !b.polling {
+		return nil, ErrUnsupported
 	}
 	return &blockifiedWaitFrame{inner: b.inner, pid: pid}, nil
 }
@@ -69,8 +70,7 @@ var _ memsim.ResumableCloner = (*blockifiedWaitFrame)(nil)
 func (f *blockifiedWaitFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 	for {
 		if f.cur == nil {
-			// ResumableProgram checked at the call's start that the
-			// inner algorithm has a Poll.
+			// The inner algorithm has Poll (ResumableProgram checked).
 			f.cur, _ = f.inner.ResumableProgram(f.pid, memsim.CallPoll)
 			prev = memsim.Result{} // fresh frame: first Next sees zero
 		}

@@ -9,11 +9,13 @@ import (
 	"repro/internal/queue"
 )
 
-// This file holds the frames several algorithms share, and the frames of
-// the algorithms whose files only declare them: each procedure is an
-// explicit state machine (a memsim.Resumable "frame") that the controller
-// dispatches inline with zero goroutines and zero channel operations.
-// framegolden_test.go pins the traces they produce.
+// This file holds the frames of the flag, single-waiter, fixed-waiters,
+// registered-waiters, queue, CAS and LL/SC registration and multi-signaler
+// algorithms, several of which share a frame type; each algorithm's
+// ResumableProgram, in its own file, picks them. A frame is an explicit
+// state machine (a memsim.Resumable) that the controller dispatches inline
+// with zero goroutines and zero channel operations. framegolden_test.go
+// pins the traces they produce.
 //
 // Frame discipline (see memsim.Resumable): all mutable call-local state
 // lives in frame fields; pointers reference only immutable deployment data
