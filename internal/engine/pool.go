@@ -37,6 +37,7 @@ type Pool struct {
 	metrics *engineMetrics   // live telemetry; nil when off
 	meter   *telemetry.Meter // live node ticks; nil when off
 	steal   worksteal.Metrics
+	table   tableSize // the run's claim table, for its gauges; nil when none
 
 	stop  atomic.Bool
 	abort chan struct{} // nil with one worker, which never blocks on a claim
@@ -63,6 +64,17 @@ func NewPool(kind checkpoint.Kind, workers int, reg *telemetry.Registry, meter *
 	}
 	return p
 }
+
+// tableSize is what the table gauges read: a Table of any value type.
+type tableSize interface {
+	Len() int
+	Bytes() int
+}
+
+// WatchTable names the run's claim table, whose entries and bytes the
+// telemetry gauges report once per run (at the end of Drive) or per
+// committed unit.
+func (p *Pool) WatchTable(t tableSize) { p.table = t }
 
 // Stop halts every worker at its next node.
 func (p *Pool) Stop() {
@@ -98,6 +110,7 @@ func (p *Pool) Err() error { return p.err }
 // one goroutine per worker, sharing the frontier. run explores one task on
 // worker id; an error other than ErrStopped stops the run through Fatal.
 func (p *Pool) Drive(run func(id int, t worksteal.Task) error) {
+	defer p.metrics.setTable(p.table)
 	if p.workers == 1 {
 		if err := run(0, nil); err != nil && !errors.Is(err, ErrStopped) {
 			p.Fatal(err)
@@ -242,6 +255,7 @@ func (w *Worker) commit(c *checkpoint.Counters, m *engineMetrics) {
 		MaxDepthReached: cur.MaxDepthReached,
 	})
 	w.flush(m, 0)
+	m.setTable(w.Pool.table)
 }
 
 // engineMetrics is an engine's telemetry family bundle; nil means
@@ -251,7 +265,7 @@ func (w *Worker) commit(c *checkpoint.Counters, m *engineMetrics) {
 type engineMetrics struct {
 	nodes, paths, truncated, deduped, pruned, memoHits, memoMisses,
 	sleepPrunes, symMerges, faultBranches, poolHits, poolMisses *telemetry.Counter
-	undoDepth, maxDepth *telemetry.Gauge
+	undoDepth, maxDepth, tableEntries, tableBytes *telemetry.Gauge
 }
 
 // newEngineMetrics registers kind's engine families on reg; nil reg
@@ -271,6 +285,8 @@ func newEngineMetrics(reg *telemetry.Registry, kind checkpoint.Kind) *engineMetr
 		poolMisses:    reg.Counter("repro_engine_pool_misses_total"),
 		undoDepth:     reg.Gauge("repro_engine_undo_depth_max"),
 		maxDepth:      reg.Gauge("repro_engine_max_depth"),
+		tableEntries:  reg.Gauge("repro_engine_table_entries"),
+		tableBytes:    reg.Gauge("repro_engine_table_bytes"),
 	}
 	if kind == checkpoint.KindSearch {
 		m.pruned = reg.Counter("repro_engine_pruned_total")
@@ -301,4 +317,13 @@ func (m *engineMetrics) add(shard int, prev, cur *Tally, undoMax int) {
 	m.poolMisses.Add(shard, int64(cur.poolMisses-prev.poolMisses))
 	m.undoDepth.Max(int64(undoMax))
 	m.maxDepth.Max(int64(cur.MaxDepthReached))
+}
+
+// setTable sets the table gauges to t's size. No-op on nil m or t.
+func (m *engineMetrics) setTable(t tableSize) {
+	if m == nil || t == nil {
+		return
+	}
+	m.tableEntries.Set(int64(t.Len()))
+	m.tableBytes.Set(int64(t.Bytes()))
 }

@@ -2,9 +2,13 @@ package engine
 
 import (
 	"encoding/binary"
+	"math"
+	"math/bits"
 	"sync"
+	"unsafe"
 
 	"repro/internal/checkpoint"
+	"repro/internal/errs"
 )
 
 // Table is the striped claim table both engines share. Each (canonical
@@ -16,9 +20,11 @@ import (
 // function of the configuration alone, whichever worker wins which race
 // — the property behind the worker-count independence of every counter.
 //
-// The value is what a claim carries: nothing for the explorer's
-// claim-once dedup (V = struct{}), the published subtree answer for the
-// searcher's memo (a pointer into its entry slab).
+// The value is what a claim carries, stored inline in the slot: nothing
+// for the explorer's claim-once dedup (V = struct{}), the subtree answer
+// and its flags for the searcher's memo. A value that changes after its
+// claim is read and written under the stripe lock (Mutex, ClaimLocked,
+// FindLocked).
 //
 // Claims hash to one of tableStripes independently locked stripes, so
 // workers contend only when their states collide on a stripe. Within a
@@ -27,13 +33,32 @@ import (
 // second half (the stripe index consumes the first), power-of-two
 // growth at 75% load — no per-claim allocation and no re-hashing of the
 // already-hashed key.
+//
+// A stripe's slot array is a fixed directory of segments: segs[0] and
+// segs[1] hold segMin slots each, segs[k] holds segMin·2^(k−1), so the
+// first k+1 segments are one logical array of segMin·2^k slots. A
+// doubling allocates one segment as large as the current capacity and
+// re-inserts the live slots, in index order, through a scratch buffer
+// the whole table shares; no slot array is ever discarded. Slot positions
+// are those of a single array grown by copying, so Export order does not
+// depend on the segmenting.
 type Table[V any] struct {
 	stripes [tableStripes]stripe[V]
+
+	growMu  sync.Mutex // guards scratch; taken under a stripe lock
+	scratch []slot[V]  // a growing stripe's live slots, reused by every stripe
 }
 
 // tableStripes only needs to comfortably exceed any plausible worker
 // count: contention on a stripe is about workers/tableStripes.
 const tableStripes = 64
+
+// segMin is the size of a stripe's first two segments; maxSegs bounds
+// a stripe at segMin·2^(maxSegs−1) slots.
+const (
+	segMin  = 64
+	maxSegs = 32
+)
 
 // slot is one open-addressed slot. The value comes first: a trailing
 // zero-size field would pad the empty-value slot from 20 to 24 bytes.
@@ -44,17 +69,23 @@ type slot[V any] struct {
 	budget int32
 }
 
+// stripe keeps its lock and counts ahead of the segment directory, so
+// they share a cache line with the first segment's header.
 type stripe[V any] struct {
-	mu    sync.Mutex
-	slots []slot[V] // power-of-two length
-	used  int
+	mu   sync.Mutex
+	mask uint64 // capacity − 1; the capacity is a power of two
+	used int
+	segs [maxSegs][]slot[V]
 }
 
-// NewTable returns an empty table.
+// NewTable returns an empty table. Every stripe's first segment comes
+// from one allocation.
 func NewTable[V any]() *Table[V] {
 	t := &Table[V]{}
+	first := make([]slot[V], tableStripes*segMin)
 	for i := range t.stripes {
-		t.stripes[i].slots = make([]slot[V], 64)
+		t.stripes[i].segs[0] = first[i*segMin : (i+1)*segMin : (i+1)*segMin]
+		t.stripes[i].mask = segMin - 1
 	}
 	return t
 }
@@ -63,25 +94,48 @@ func (t *Table[V]) stripe(state [16]byte) *stripe[V] {
 	return &t.stripes[binary.LittleEndian.Uint64(state[:8])%tableStripes]
 }
 
-// Mutex is the lock of state's stripe, for a value's own
-// synchronisation (the memo's lazily made wait channel).
+// Mutex is the lock of state's stripe, which ClaimLocked and FindLocked
+// require held.
 func (t *Table[V]) Mutex(state [16]byte) *sync.Mutex { return &t.stripe(state).mu }
+
+// ClaimLocked claims (state, budget) with value v, under state's stripe
+// lock, which the caller holds. It returns the pair's value in the
+// table — v, when won reports that the caller inserted the pair, and
+// the earlier claim's value otherwise. The pointer is valid until the
+// lock is released: a later insert may move the slot.
+func (t *Table[V]) ClaimLocked(state [16]byte, budget int, v V) (val *V, won bool) {
+	s, b := t.stripe(state), int32(budget)+1
+	sl := s.probe(state, b)
+	if sl.budget != 0 {
+		return &sl.val, false
+	}
+	return t.insert(s, sl, state, b, v), true
+}
+
+// FindLocked returns the value claimed for (state, budget), or nil, under
+// state's stripe lock, which the caller holds. The pointer is valid until
+// the lock is released.
+func (t *Table[V]) FindLocked(state [16]byte, budget int) *V {
+	if sl := t.stripe(state).probe(state, int32(budget)+1); sl.budget != 0 {
+		return &sl.val
+	}
+	return nil
+}
 
 // Claim atomically claims (state, budget) with value v. won reports
 // that the caller inserted the pair; otherwise got is the value of the
 // earlier claim.
 func (t *Table[V]) Claim(state [16]byte, budget int, v V) (got V, won bool) {
-	s := t.stripe(state)
+	s, b := t.stripe(state), int32(budget)+1
 	s.mu.Lock()
-	sl := s.probe(state, int32(budget)+1)
-	if sl.budget != 0 {
+	if sl := s.probe(state, b); sl.budget != 0 {
 		got = sl.val
-		s.mu.Unlock()
-		return got, false
+	} else {
+		t.insert(s, sl, state, b, v)
+		got, won = v, true
 	}
-	s.fill(sl, state, int32(budget)+1, v)
 	s.mu.Unlock()
-	return v, true
+	return got, won
 }
 
 // Lookup returns the value claimed for (state, budget), if any.
@@ -95,6 +149,34 @@ func (t *Table[V]) Lookup(state [16]byte, budget int) (v V, ok bool) {
 	return v, ok
 }
 
+// Len is the number of claimed pairs.
+func (t *Table[V]) Len() int {
+	n := 0
+	for i := range t.stripes {
+		s := &t.stripes[i]
+		s.mu.Lock()
+		n += s.used
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// Bytes is the table's slot storage: every allocated segment plus the
+// shared scratch buffer.
+func (t *Table[V]) Bytes() int {
+	slots := 0
+	for i := range t.stripes {
+		s := &t.stripes[i]
+		s.mu.Lock()
+		slots += s.capacity()
+		s.mu.Unlock()
+	}
+	t.growMu.Lock()
+	slots += cap(t.scratch)
+	t.growMu.Unlock()
+	return slots * int(unsafe.Sizeof(slot[V]{}))
+}
+
 // Export drains the table into checkpoint entries; fill, when non-nil,
 // copies a value's payload into its entry. Call it between units, when
 // no worker is claiming.
@@ -104,10 +186,12 @@ func (t *Table[V]) Export(fill func(*checkpoint.Entry, V)) []checkpoint.Entry {
 	for i := range t.stripes {
 		s := &t.stripes[i]
 		s.mu.Lock()
-		for _, sl := range s.slots {
-			if sl.budget != 0 {
-				out = append(out, checkpoint.Entry{State: sl.state, Budget: int(sl.budget) - 1})
-				vals = append(vals, sl.val)
+		for _, seg := range s.segments() {
+			for _, sl := range seg {
+				if sl.budget != 0 {
+					out = append(out, checkpoint.Entry{State: sl.state, Budget: int(sl.budget) - 1})
+					vals = append(vals, sl.val)
+				}
 			}
 		}
 		s.mu.Unlock()
@@ -122,9 +206,15 @@ func (t *Table[V]) Export(fill func(*checkpoint.Entry, V)) []checkpoint.Entry {
 
 // Preload claims every entry's pair, with the value load builds from
 // the entry (the zero value when load is nil). A pair listed twice is
-// loaded once: the first entry wins, as a claim race would. Call it
-// before any worker claims.
-func (t *Table[V]) Preload(entries []checkpoint.Entry, load func(checkpoint.Entry) V) {
+// loaded once: the first entry wins, as a claim race would. A budget the
+// table cannot hold fails with errs.CodeInvalid before anything loads.
+// Call it before any worker claims.
+func (t *Table[V]) Preload(entries []checkpoint.Entry, load func(checkpoint.Entry) V) error {
+	for _, en := range entries {
+		if en.Budget < 0 || en.Budget >= math.MaxInt32 {
+			return errs.Failuref(errs.CodeInvalid, "table entry budget %d outside [0, %d)", en.Budget, math.MaxInt32)
+		}
+	}
 	for _, en := range entries {
 		if _, ok := t.Lookup(en.State, en.Budget); ok {
 			continue
@@ -135,40 +225,69 @@ func (t *Table[V]) Preload(entries []checkpoint.Entry, load func(checkpoint.Entr
 		}
 		t.Claim(en.State, en.Budget, v)
 	}
+	return nil
+}
+
+func (s *stripe[V]) capacity() int { return int(s.mask + 1) }
+
+// segments is the allocated part of the directory.
+func (s *stripe[V]) segments() [][]slot[V] { return s.segs[:bits.Len64(s.mask/segMin)+1] }
+
+// at is logical slot i: segment k = bits.Len64(i/segMin) starts at
+// segMin·2^(k−1), and clearing the segMin/2 bit of that makes segment
+// 0 start at 0.
+func (s *stripe[V]) at(i uint64) *slot[V] {
+	k := bits.Len64(i / segMin)
+	return &s.segs[k][i-(segMin<<k>>1)&^(segMin>>1)]
 }
 
 // probe returns the slot holding (state, b), or the empty slot where it
-// would go. Called with the stripe lock held.
+// would go. It is small enough to inline into the claim and lookup
+// paths. Called with the stripe lock held.
 func (s *stripe[V]) probe(state [16]byte, b int32) *slot[V] {
-	mask := uint64(len(s.slots) - 1)
-	i := binary.LittleEndian.Uint64(state[8:16]) & mask
-	for {
-		sl := &s.slots[i]
-		if sl.budget == 0 || (sl.budget == b && sl.state == state) {
+	for i := binary.LittleEndian.Uint64(state[8:16]); ; i++ {
+		sl := s.at(i & s.mask)
+		if sl.budget == 0 || sl.budget == b && sl.state == state {
 			return sl
 		}
-		i = (i + 1) & mask
 	}
 }
 
-// fill stores a new pair in the empty slot probe returned, growing the
-// stripe at 75% load. Called with the stripe lock held.
-func (s *stripe[V]) fill(sl *slot[V], state [16]byte, b int32, v V) {
+// insert stores a new pair in the empty slot probe returned, growing the
+// stripe at 75% load, and returns the pair's value. Called with the
+// stripe lock held.
+func (t *Table[V]) insert(s *stripe[V], sl *slot[V], state [16]byte, b int32, v V) *V {
 	*sl = slot[V]{val: v, state: state, budget: b}
-	if s.used++; s.used*4 < len(s.slots)*3 {
-		return
+	if s.used++; s.used*4 < s.capacity()*3 {
+		return &sl.val
 	}
-	old := s.slots
-	s.slots = make([]slot[V], 2*len(old))
-	mask := uint64(len(s.slots) - 1)
-	for _, o := range old {
-		if o.budget == 0 {
-			continue
+	t.grow(s)
+	return &s.probe(state, b).val
+}
+
+// grow doubles s: it stages the live slots in index order in the shared
+// scratch buffer, clears the segments, adds one segment as large as the
+// current capacity and re-inserts. Called with the stripe lock held.
+func (t *Table[V]) grow(s *stripe[V]) {
+	t.growMu.Lock()
+	defer t.growMu.Unlock()
+	if cap(t.scratch) < s.used {
+		// Twice the capacity covers this doubling and the next one.
+		t.scratch = make([]slot[V], 0, 2*s.capacity())
+	}
+	live := t.scratch[:0]
+	segs := s.segments()
+	for _, seg := range segs {
+		for _, sl := range seg {
+			if sl.budget != 0 {
+				live = append(live, sl)
+			}
 		}
-		i := binary.LittleEndian.Uint64(o.state[8:16]) & mask
-		for s.slots[i].budget != 0 {
-			i = (i + 1) & mask
-		}
-		s.slots[i] = o
+		clear(seg)
+	}
+	s.segs[len(segs)] = make([]slot[V], s.capacity())
+	s.mask = s.mask<<1 | 1
+	for _, o := range live {
+		*s.probe(o.state, o.budget) = o
 	}
 }

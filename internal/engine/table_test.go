@@ -2,12 +2,17 @@ package engine
 
 import (
 	"encoding/binary"
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
 
 	"repro/internal/checkpoint"
+	"repro/internal/errs"
+	"repro/internal/telemetry"
+	"repro/internal/worksteal"
 )
 
 // stateOf spreads i over both key halves, like a hashed state: the
@@ -159,4 +164,183 @@ func TestPreloadDuplicatesLoadOnce(t *testing.T) {
 	if v, _ := tab.Lookup(stateOf(1), 4); v != 7 {
 		t.Fatalf("duplicate pair holds %d, want the first entry's 7", v)
 	}
+}
+
+// TestTableBytesBound: claiming 100k pairs allocates at most 1.1× the
+// final Bytes(). Growth adds a segment and keeps the old ones, so the
+// only allocation besides the live slots is the table header and the
+// shared scratch buffer (which Bytes counts).
+func TestTableBytesBound(t *testing.T) {
+	const n = 100_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tab := NewTable[int32]()
+	for i := 0; i < n; i++ {
+		tab.Claim(stateOf(i), i%5, int32(i))
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	if got := tab.Len(); got != n {
+		t.Fatalf("Len = %d, want %d", got, n)
+	}
+	bytes := uint64(tab.Bytes())
+	if allocated*10 > bytes*11 {
+		t.Fatalf("claiming %d pairs allocated %d bytes, more than 1.1 × Bytes() = %d", n, allocated, bytes)
+	}
+	// Every slot counted, at most 75% full (plus one insert) per stripe.
+	if slots := bytes / uint64(unsafe.Sizeof(slot[int32]{})); slots*3 < uint64(n)*4-tableStripes*4 {
+		t.Fatalf("%d slots for %d pairs: below the 75%% load bound", slots, n)
+	}
+}
+
+// TestTableGauges: a telemetry run of a pool that watches a table
+// reports its entries and bytes on the table gauges when Drive returns.
+func TestTableGauges(t *testing.T) {
+	reg := telemetry.New()
+	p := NewPool(checkpoint.KindExplore, 1, reg, nil)
+	tab := NewTable[struct{}]()
+	p.WatchTable(tab)
+	p.Drive(func(int, worksteal.Task) error {
+		for i := 0; i < 5000; i++ {
+			tab.Claim(stateOf(i), i%2, struct{}{})
+		}
+		return nil
+	})
+	want := map[string]int64{
+		"repro_engine_table_entries": int64(tab.Len()),
+		"repro_engine_table_bytes":   int64(tab.Bytes()),
+	}
+	if want["repro_engine_table_entries"] != 5000 {
+		t.Fatalf("Len = %d, want 5000", tab.Len())
+	}
+	seen := 0
+	for _, m := range reg.Gather() {
+		if v, ok := want[m.Name]; ok {
+			seen++
+			if m.Kind != "gauge" || m.Value != v {
+				t.Fatalf("%s = %s %d, want gauge %d", m.Name, m.Kind, m.Value, v)
+			}
+		}
+	}
+	if seen != len(want) {
+		t.Fatalf("gathered %d of the %d table gauges", seen, len(want))
+	}
+}
+
+// TestPreloadRejectsBudget: a budget the int32 slot cannot hold (or the
+// empty-slot sentinel's −1) fails with CodeInvalid and loads nothing.
+func TestPreloadRejectsBudget(t *testing.T) {
+	for _, b := range []int{-1, math.MaxInt32, math.MaxInt32 + 5} {
+		tab := NewTable[int]()
+		err := tab.Preload([]checkpoint.Entry{{State: stateOf(1), Budget: 2}, {State: stateOf(2), Budget: b}}, nil)
+		if errs.CodeOf(err) != errs.CodeInvalid {
+			t.Fatalf("budget %d: err = %v, want a %s failure", b, err, errs.CodeInvalid)
+		}
+		if tab.Len() != 0 {
+			t.Fatalf("budget %d: %d entries loaded before the refusal", b, tab.Len())
+		}
+	}
+}
+
+// fuzzState maps a fuzz key onto three stripes, so a few thousand
+// claims drive a stripe through several doublings; the second half
+// spreads the probe starts.
+func fuzzState(k uint16) [16]byte {
+	var s [16]byte
+	binary.LittleEndian.PutUint64(s[:8], uint64(k%3))
+	x := uint64(k)*0x9E3779B97F4A7C15 + 1
+	binary.LittleEndian.PutUint64(s[8:], x^(x>>31))
+	return s
+}
+
+// FuzzTable runs random claim, lookup and locked-update sequences
+// against a map oracle, then checks Len, Bytes and an Export→Preload
+// round trip. Each op is five bytes: kind, key (two), budget and value.
+// The bulk op claims 64 consecutive keys, so short inputs still grow
+// stripes through several segments.
+func FuzzTable(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 3, 0, 1, 0, 1, 1, 2, 9, 0, 1, 2, 3})
+	f.Add([]byte{3, 0, 0, 1, 3, 64, 0, 1, 3, 128, 0, 1, 3, 192, 0, 2, 2, 5, 0, 1, 1, 70, 0, 1})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		type key struct {
+			k uint16
+			b int
+		}
+		tab := NewTable[int32]()
+		oracle := map[key]int32{}
+		claim := func(k uint16, b int, v int32) {
+			got, won := tab.Claim(fuzzState(k), b, v)
+			want, had := oracle[key{k, b}]
+			switch {
+			case won == had:
+				t.Fatalf("claim (%d, %d): won = %v with the pair already claimed = %v", k, b, won, had)
+			case had && got != want:
+				t.Fatalf("claim (%d, %d) lost to %d, want %d", k, b, got, want)
+			case !had:
+				oracle[key{k, b}] = v
+			}
+		}
+		for ; len(ops) >= 5; ops = ops[5:] {
+			k := binary.LittleEndian.Uint16(ops[1:3])
+			b, v := int(ops[3]%4), int32(ops[4])
+			switch ops[0] % 4 {
+			case 0:
+				claim(k, b, v)
+			case 1:
+				got, ok := tab.Lookup(fuzzState(k), b)
+				want, had := oracle[key{k, b}]
+				if ok != had || got != want {
+					t.Fatalf("lookup (%d, %d) = %d, %v; want %d, %v", k, b, got, ok, want, had)
+				}
+			case 2:
+				st := fuzzState(k)
+				mu := tab.Mutex(st)
+				mu.Lock()
+				p := tab.FindLocked(st, b)
+				if _, had := oracle[key{k, b}]; (p != nil) != had {
+					mu.Unlock()
+					t.Fatalf("find (%d, %d) = %v, want present %v", k, b, p != nil, had)
+				}
+				if p != nil {
+					*p = v
+					oracle[key{k, b}] = v
+				}
+				mu.Unlock()
+			case 3:
+				for i := uint16(0); i < 64; i++ {
+					claim(k+i, b, v)
+				}
+			}
+		}
+		if tab.Len() != len(oracle) {
+			t.Fatalf("Len = %d, want %d", tab.Len(), len(oracle))
+		}
+		if min := len(oracle) * int(unsafe.Sizeof(slot[int32]{})); tab.Bytes() < min {
+			t.Fatalf("Bytes = %d, below %d live slots' %d", tab.Bytes(), len(oracle), min)
+		}
+		fill := func(en *checkpoint.Entry, v int32) { en.Cost = int(v) }
+		entries := tab.Export(fill)
+		if len(entries) != len(oracle) {
+			t.Fatalf("export holds %d entries, want %d", len(entries), len(oracle))
+		}
+		dst := NewTable[int32]()
+		if err := dst.Preload(entries, func(en checkpoint.Entry) int32 { return int32(en.Cost) }); err != nil {
+			t.Fatal(err)
+		}
+		for kb, want := range oracle {
+			if got, ok := dst.Lookup(fuzzState(kb.k), kb.b); !ok || got != want {
+				t.Fatalf("preloaded (%d, %d) = %d, %v; want %d", kb.k, kb.b, got, ok, want)
+			}
+		}
+		src := &checkpoint.Snapshot{Entries: entries}
+		again := &checkpoint.Snapshot{Entries: dst.Export(fill)}
+		src.SortEntries()
+		again.SortEntries()
+		for i := range src.Entries {
+			if again.Entries[i] != src.Entries[i] {
+				t.Fatalf("re-export entry %d = %+v, want %+v", i, again.Entries[i], src.Entries[i])
+			}
+		}
+	})
 }

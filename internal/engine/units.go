@@ -93,9 +93,10 @@ type Durable struct {
 	Worker      *Worker // counts what commits; its pool carries the stop signal
 
 	// Export and Preload move the table to and from a snapshot; both nil
-	// when the run keeps no table.
+	// when the run keeps no table. Preload refuses entries the table
+	// cannot hold with a Failure.
 	Export  func() []checkpoint.Entry
-	Preload func([]checkpoint.Entry)
+	Preload func([]checkpoint.Entry) error
 
 	// Plan returns the unit list. A fresh run passes nil; a resumed run
 	// passes its snapshot, whose unit list the engine adopts or checks.
@@ -163,7 +164,9 @@ func RunUnits(ck Checkpoint, d Durable) (counters checkpoint.Counters, err error
 		}
 		counters, done, doneSet = snap.Counters, snap.Done, snap.DoneSet()
 		if d.Preload != nil {
-			d.Preload(snap.Entries)
+			if err := d.Preload(snap.Entries); err != nil {
+				return counters, err
+			}
 		}
 		// Continue the telemetry counters from the killed run's last
 		// commit, so totals stay monotone across resumes. A pre-v4

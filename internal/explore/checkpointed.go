@@ -113,7 +113,7 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 	}
 	if s.table != nil {
 		run.Export = func() []checkpoint.Entry { return s.table.Export(nil) }
-		run.Preload = func(entries []checkpoint.Entry) { s.table.Preload(entries, nil) }
+		run.Preload = func(entries []checkpoint.Entry) error { return s.table.Preload(entries, nil) }
 	}
 	counters, err := engine.RunUnits(ck, run)
 	res := result(engineOf(dedup, reduce), cfg.Workers, counters)

@@ -204,6 +204,7 @@ func newSearch(cfg Config, pool *engine.Pool, dedup bool) *search {
 	s := &search{Pool: pool, cfg: cfg}
 	if dedup {
 		s.table = engine.NewTable[struct{}]()
+		pool.WatchTable(s.table)
 	}
 	return s
 }

@@ -108,3 +108,53 @@ func TestRegistryCap(t *testing.T) {
 		t.Fatalf("Cap = %d, want 7", got)
 	}
 }
+
+// runFrame drives f on m as process pid until it completes, starting
+// from prev (the result of the access f issued last, or zero).
+func runFrame(m *memsim.Machine, pid memsim.PID, f memsim.Resumable, prev memsim.Result) {
+	for {
+		acc, ok := f.Next(prev)
+		if !ok {
+			return
+		}
+		prev = m.Apply(pid, acc)
+	}
+}
+
+// TestSnapshotCopiesOwnBuffer: a snapshot frame reuses its value buffer
+// for its next snapshot, so a copy saved mid-snapshot must not share it.
+// Save mid-snapshot, let the original start a new snapshot over changed
+// slots, restore the saved copy into it and finish: the restored
+// snapshot still holds the values collected before the save.
+func TestSnapshotCopiesOwnBuffer(t *testing.T) {
+	m := memsim.NewMachine(3)
+	reg := NewRegistry(m, 2, "R")
+	runFrame(m, 0, reg.RegisterResumable(7), memsim.Result{})
+	runFrame(m, 1, reg.RegisterResumable(9), memsim.Result{})
+
+	f := reg.SnapshotResumable()
+	var prev memsim.Result
+	for i := 0; i < 3; i++ { // read tail, read slot 0, issue the read of slot 1
+		acc, _ := f.Next(prev)
+		prev = m.Apply(2, acc)
+	}
+	saved := memsim.CloneResumable(f)
+	savedPrev := prev
+
+	// The sibling: restart f from a fresh frame and snapshot slot 0 = 5.
+	m.Apply(0, memsim.AccWrite(reg.slot, 5))
+	if got := memsim.CloneResumableInto(f, reg.SnapshotResumable()); got != memsim.Resumable(f) {
+		t.Fatal("restart did not reuse the frame")
+	}
+	runFrame(m, 2, f, memsim.Result{})
+	if got := f.Vals(); len(got) != 2 || got[0] != 5 || got[1] != 9 {
+		t.Fatalf("sibling snapshot = %v, want [5 9]", got)
+	}
+
+	// Restore the saved copy into f and finish it.
+	memsim.CloneResumableInto(f, saved)
+	runFrame(m, 2, f, savedPrev)
+	if got := f.Vals(); len(got) != 2 || got[0] != 7 || got[1] != 9 {
+		t.Fatalf("restored snapshot = %v, want [7 9]", got)
+	}
+}

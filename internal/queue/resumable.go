@@ -72,9 +72,10 @@ var (
 // caller sequences it after any happens-before barrier it needs (the
 // signaling algorithm writes its global flag first).
 //
-// The collected slice is written strictly append-at-index below the frame's
-// cursor, so a shallow frame copy (sharing the backing array) is a valid
-// continuation point for the backtracking explorer.
+// Each frame owns the buffer it collects into and reuses it for its next
+// snapshot, so a copy must not share it: CloneResumable and
+// CopyResumableInto (and CopyInto, for frames that embed one) copy the
+// collected values into the destination's own buffer.
 type SnapshotFrame struct {
 	reg *Registry
 	n   int
@@ -102,7 +103,10 @@ func (f *SnapshotFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 			if f.n > f.reg.cap {
 				f.n = f.reg.cap
 			}
-			f.out = make([]memsim.Value, f.n)
+			if cap(f.out) < f.n {
+				f.out = make([]memsim.Value, f.reg.cap)
+			}
+			f.out = f.out[:f.n]
 			f.j = 0
 			f.pc = 2
 		case 2: // issue the next slot read, or finish
@@ -152,4 +156,34 @@ var (
 )
 
 // Vals returns the snapshot, valid once Next has reported completion.
+// It aliases the frame's buffer.
 func (f *SnapshotFrame) Vals() []memsim.Value { return f.out }
+
+// CopyInto copies f into dst, reusing dst's buffer, and returns dst: a
+// new frame when dst is nil.
+func (f *SnapshotFrame) CopyInto(dst *SnapshotFrame) *SnapshotFrame {
+	if dst == nil {
+		dst = new(SnapshotFrame)
+	}
+	out := dst.out
+	*dst = *f
+	if cap(out) < len(f.out) {
+		out = make([]memsim.Value, 0, f.reg.cap)
+	}
+	dst.out = append(out[:0], f.out...)
+	return dst
+}
+
+// CloneResumable implements memsim.ResumableCloner.
+func (f *SnapshotFrame) CloneResumable() memsim.Resumable { return f.CopyInto(nil) }
+
+// CopyResumableInto implements memsim.ResumableCopier.
+func (f *SnapshotFrame) CopyResumableInto(dst memsim.Resumable) bool {
+	d, ok := dst.(*SnapshotFrame)
+	if ok {
+		f.CopyInto(d)
+	}
+	return ok
+}
+
+var _ memsim.ResumableCopier = (*SnapshotFrame)(nil)

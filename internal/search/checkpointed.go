@@ -175,7 +175,9 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 	}
 	d := engine.ClampShardDepth(ck.ShardDepth, cfg.MaxDepth)
 	s := newBnb(cfg)
-	w, err := newHunter(s, engine.NewPool(checkpoint.KindSearch, 1, nil, cfg.Meter), 0)
+	pool := engine.NewPool(checkpoint.KindSearch, 1, nil, cfg.Meter)
+	pool.WatchTable(s.table)
+	w, err := newHunter(s, pool, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -9,13 +9,16 @@ package search_test
 
 import (
 	"encoding/json"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/errs"
 	"repro/internal/model"
 	"repro/internal/search"
+	"repro/internal/telemetry"
 )
 
 // ckModels is the model axis of the durability properties (per the
@@ -184,6 +187,68 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	}
 	if _, err := search.RunCheckpointed(cfg, search.Checkpoint{Path: path, Tag: "other", Resume: true}); errs.CodeOf(err) != errs.CodeConflict {
 		t.Fatalf("tag-changed resume: %v", err)
+	}
+}
+
+// TestCraftedCostRejected: a memo cost outside [-1, MaxInt32] from
+// outside bytes — a .rpck snapshot entry or a shard merge entry — fails
+// with CodeInvalid instead of being truncated into the table's int32
+// slot.
+func TestCraftedCostRejected(t *testing.T) {
+	cfg := seedConfigs()["flag-2proc"]
+	path := filepath.Join(t.TempDir(), "run.rpck")
+	if _, err := search.RunCheckpointed(cfg, search.Checkpoint{Path: path, Tag: "flag", StopAfter: 1}); !errs.IsInterrupt(err) {
+		t.Fatalf("seed run: %v, want an interrupt", err)
+	}
+	snap, err := checkpoint.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Entries) == 0 {
+		t.Fatal("seed snapshot holds no entries")
+	}
+	for _, cost := range []int{-2, math.MaxInt32 + 1, math.MinInt64} {
+		crafted := *snap
+		crafted.Entries = append([]checkpoint.Entry(nil), snap.Entries...)
+		crafted.Entries[0].Cost = cost
+		if err := checkpoint.Write(path, &crafted); err != nil {
+			t.Fatal(err)
+		}
+		_, err := search.RunCheckpointed(cfg, search.Checkpoint{Path: path, Tag: "flag", Resume: true})
+		if errs.CodeOf(err) != errs.CodeInvalid {
+			t.Fatalf("resume with cost %d: %v, want a %s failure", cost, err, errs.CodeInvalid)
+		}
+		_, err = search.MergeShardedState(cfg, crafted.Entries, checkpoint.Counters{})
+		if errs.CodeOf(err) != errs.CodeInvalid {
+			t.Fatalf("merge with cost %d: %v, want a %s failure", cost, err, errs.CodeInvalid)
+		}
+	}
+}
+
+// TestTableGauges: a telemetry run, in memory or checkpointed, leaves
+// the table gauges at the memo table's size: one entry per won claim.
+func TestTableGauges(t *testing.T) {
+	cfg := seedConfigs()["flag-2proc"]
+	for _, checkpointed := range []bool{false, true} {
+		reg := telemetry.New()
+		cfg.Telemetry = reg
+		var err error
+		if checkpointed {
+			_, err = search.RunCheckpointed(cfg, search.Checkpoint{Path: filepath.Join(t.TempDir(), "run.rpck"), Tag: "flag"})
+		} else {
+			_, err = search.Run(cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := reg.Gauge("repro_engine_table_entries").Value()
+		misses := reg.Counter("repro_engine_memo_misses_total").Value()
+		if entries == 0 || entries != misses {
+			t.Fatalf("checkpointed=%v: table entries gauge %d, want the %d memo misses", checkpointed, entries, misses)
+		}
+		if bytes := reg.Gauge("repro_engine_table_bytes").Value(); bytes < 20*entries {
+			t.Fatalf("checkpointed=%v: table bytes gauge %d for %d entries", checkpointed, bytes, entries)
+		}
 	}
 }
 

@@ -3,11 +3,12 @@ package search
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/checkpoint"
 	"repro/internal/engine"
+	"repro/internal/errs"
 	"repro/internal/memsim"
 	"repro/internal/model"
 	"repro/internal/worksteal"
@@ -55,39 +56,30 @@ import (
 // subtree root from the initial state.
 type task = worksteal.Task
 
-// memoEntry is one claimed subtree. The claimer fills cost, then flips
-// complete (and closes done, if some waiter materialized it); after that
-// cost is immutable and any worker may read it.
-type memoEntry struct {
-	cost int // maximal tail cost from the pair
-	// done is materialized lazily, under the stripe lock, by the first
-	// waiter that finds the entry incomplete — so the common case (claims
-	// that never block, and every single-worker run) allocates no channel.
-	done chan struct{}
-	// complete flips once cost is published. Readers fast-path on
-	// it; the atomic store/load pair orders the field writes before any
-	// reader that observes true.
-	complete atomic.Bool
+// memo is one claimed subtree's value, inline in its table slot and
+// read and written only under the slot's stripe lock. The claimer
+// publishes cost and flips complete; after that cost is immutable. A
+// tail cost counts at most one RMR per step, so it never exceeds the
+// budget, which the table itself stores as an int32.
+type memo struct {
+	cost int32 // maximal tail cost from the pair
+	// complete flips once cost is published.
+	complete bool
 	// adopted marks that an edge visit has taken responsibility for the
 	// entry. The first edge visit to arrive (claimer or not) adopts it
 	// silently; each further edge visit counts one prune — bookkeeping
 	// that makes Pruned independent of which visitor won the claim race
 	// (prefetch task roots never adopt and never count).
-	adopted atomic.Bool
+	adopted bool
+	// waited marks that a worker blocked on the unpublished entry and
+	// left a channel in the waiter set for publish to close.
+	waited bool
 }
 
-// slab hands out pointer-stable zeroed entries: they are appended within
-// one 256-entry backing array, and a full array is replaced by a fresh
-// one (never reallocated), staying alive through the table slots that
-// point into it.
-type slab []memoEntry
-
-func (s *slab) next() *memoEntry {
-	if len(*s) == cap(*s) {
-		*s = make([]memoEntry, 0, 256)
-	}
-	*s = (*s)[:len(*s)+1]
-	return &(*s)[len(*s)-1]
+// pair names a (state, budget) table pair in the waiter set.
+type pair struct {
+	state  [16]byte
+	budget int
 }
 
 // bnb is the state shared by all workers of one exhaustive search: the
@@ -95,7 +87,13 @@ func (s *slab) next() *memoEntry {
 // answer.
 type bnb struct {
 	cfg   Config
-	table *engine.Table[*memoEntry]
+	table *engine.Table[memo]
+
+	// waiters holds a channel per unpublished pair some worker blocks
+	// on, made only when a multi-worker claim actually blocks. Its lock
+	// is taken under a stripe lock.
+	waitMu  sync.Mutex
+	waiters map[pair]chan struct{}
 
 	mu       sync.Mutex
 	rootCost int
@@ -103,70 +101,105 @@ type bnb struct {
 }
 
 func newBnb(cfg Config) *bnb {
-	return &bnb{cfg: cfg, table: engine.NewTable[*memoEntry]()}
+	return &bnb{cfg: cfg, table: engine.NewTable[memo]()}
 }
 
-// publish installs a claimed entry's answer and wakes any waiters. The
-// atomic flip is ordered after the field writes; the lock round-trip
-// pairs with wait's waiter registration.
-func (s *bnb) publish(state [16]byte, e *memoEntry, cost int) {
-	e.cost = cost
-	e.complete.Store(true)
+// arrive claims (state, budget) for a visit. won reports that the
+// caller must compute the subtree and publish it. A losing prefetch
+// task root returns at once: the subtree is already covered, and
+// runTask discards a prefetch task's answer, so it returns to the
+// frontier instead of idling on the racing worker's computation. A
+// losing edge visit adopts the entry and returns its answer, waiting
+// for it if it is unpublished. A visitor only ever waits on entries of
+// strictly smaller budget than its own claim, so waits cannot cycle —
+// and a single-worker run never waits at all (every claim it loses is
+// one its own traversal already published).
+func (w *hunter) arrive(state [16]byte, budget int, fromEdge bool) (cost int, won bool, err error) {
+	s := w.s
 	mu := s.table.Mutex(state)
 	mu.Lock()
-	if e.done != nil {
-		close(e.done)
-	}
-	mu.Unlock()
-}
-
-// wait blocks until e is published or abort closes; it reports whether the
-// entry completed. A visitor only ever waits on entries of strictly
-// smaller budget than its own claim, so waits cannot cycle — and a
-// single-worker run never waits at all (every claim it loses is one its
-// own traversal already published).
-func (s *bnb) wait(state [16]byte, e *memoEntry, abort <-chan struct{}) bool {
-	if e.complete.Load() {
-		return true
-	}
-	mu := s.table.Mutex(state)
-	mu.Lock()
-	if e.complete.Load() {
+	m, won := s.table.ClaimLocked(state, budget, memo{adopted: fromEdge})
+	if won || !fromEdge {
 		mu.Unlock()
-		return true
+		return 0, won, nil
 	}
-	if e.done == nil {
-		e.done = make(chan struct{})
+	w.MemoHits++
+	if m.adopted {
+		w.Pruned++
 	}
-	done := e.done
+	m.adopted = true
+	if m.complete {
+		cost = int(m.cost)
+		mu.Unlock()
+		return cost, false, nil
+	}
+	m.waited = true
+	done := s.waiter(pair{state, budget})
 	mu.Unlock()
 	select {
 	case <-done:
-		return true
-	case <-abort:
-		return false
+	case <-w.Pool.Abort():
+		return 0, false, engine.ErrStopped
 	}
+	mu.Lock()
+	cost = int(s.table.FindLocked(state, budget).cost)
+	mu.Unlock()
+	return cost, false, nil
+}
+
+// waiter returns the channel publish closes for p, making it on the
+// first wait. Called under p's stripe lock.
+func (s *bnb) waiter(p pair) chan struct{} {
+	s.waitMu.Lock()
+	defer s.waitMu.Unlock()
+	if s.waiters == nil {
+		s.waiters = make(map[pair]chan struct{})
+	}
+	done, ok := s.waiters[p]
+	if !ok {
+		done = make(chan struct{})
+		s.waiters[p] = done
+	}
+	return done
+}
+
+// publish installs a claimed pair's answer and wakes any waiters.
+func (s *bnb) publish(state [16]byte, budget, cost int) {
+	mu := s.table.Mutex(state)
+	mu.Lock()
+	m := s.table.FindLocked(state, budget)
+	m.cost, m.complete = int32(cost), true
+	if m.waited {
+		p := pair{state, budget}
+		s.waitMu.Lock()
+		close(s.waiters[p])
+		delete(s.waiters, p)
+		s.waitMu.Unlock()
+	}
+	mu.Unlock()
 }
 
 // export drains the table into checkpoint entries (every entry must be
 // complete, which holds between units: no worker is running).
 func (s *bnb) export() []checkpoint.Entry {
-	return s.table.Export(func(en *checkpoint.Entry, e *memoEntry) {
-		en.Cost, en.Adopted = e.cost, e.adopted.Load()
+	return s.table.Export(func(en *checkpoint.Entry, m memo) {
+		en.Cost, en.Adopted = int(m.cost), m.adopted
 	})
 }
 
 // preload seeds the table with persisted entries, born complete, so
-// arrivals read them like any other finished claim (no waiter ever
-// materializes their done channel).
-func (s *bnb) preload(entries []checkpoint.Entry) {
-	var sl slab
-	s.table.Preload(entries, func(en checkpoint.Entry) *memoEntry {
-		e := sl.next()
-		e.cost = en.Cost
-		e.adopted.Store(en.Adopted)
-		e.complete.Store(true)
-		return e
+// arrivals read them like any other finished claim. The entries come
+// from outside bytes (a snapshot, the shard protocol): a cost outside
+// [-1, MaxInt32], which no search publishes, fails with
+// errs.CodeInvalid instead of being truncated into the slot.
+func (s *bnb) preload(entries []checkpoint.Entry) error {
+	for _, en := range entries {
+		if en.Cost < -1 || en.Cost > math.MaxInt32 {
+			return errs.Failuref(errs.CodeInvalid, "search: memo entry cost %d outside [-1, %d]", en.Cost, math.MaxInt32)
+		}
+	}
+	return s.table.Preload(entries, func(en checkpoint.Entry) memo {
+		return memo{cost: int32(en.Cost), complete: true, adopted: en.Adopted}
 	})
 }
 
@@ -198,14 +231,11 @@ func (s *bnb) result(w *hunter, c checkpoint.Counters) (*Result, error) {
 	}, nil
 }
 
-// hunter is one worker: a private pricer on the engine's worker state,
-// with its own entry slab and the spare entry its next claim offers.
+// hunter is one worker: a private pricer on the engine's worker state.
 type hunter struct {
 	engine.Worker
-	s     *bnb
-	e     *pricer
-	slab  slab
-	spare *memoEntry
+	s *bnb
+	e *pricer
 }
 
 func newHunter(s *bnb, pool *engine.Pool, id int) (*hunter, error) {
@@ -292,29 +322,10 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, error) {
 		// independent of which representative wins the claim race.
 		w.SymmetryMerges++
 	}
-	if w.spare == nil {
-		w.spare = w.slab.next()
-	}
-	w.spare.adopted.Store(fromEdge)
-	entry, won := w.s.table.Claim(key, budget, w.spare)
+	cost, won, err := w.arrive(key, budget, fromEdge)
 	if !won {
-		if !fromEdge {
-			// A prefetch task root that lost the claim race: the subtree
-			// is already covered and runTask discards a prefetch task's
-			// answer, so return to the frontier instead of idling on the
-			// racing worker's computation.
-			return 0, nil
-		}
-		w.MemoHits++
-		if entry.adopted.Swap(true) {
-			w.Pruned++
-		}
-		if !w.s.wait(key, entry, w.Pool.Abort()) {
-			return 0, engine.ErrStopped
-		}
-		return entry.cost, nil
+		return cost, err
 	}
-	w.spare = nil
 	w.MemoMisses++
 	// The canonical ranks the key just computed are captured per node:
 	// child recursions overwrite the shared rank scratch.
@@ -357,7 +368,7 @@ func (w *hunter) dfs(depth int, sleep uint64, fromEdge bool) (int, error) {
 		w.e.Restore(m)
 	}
 	w.e.Release(m)
-	w.s.publish(key, entry, best)
+	w.s.publish(key, budget, best)
 	return best, nil
 }
 
@@ -424,10 +435,10 @@ func (w *hunter) reconstructWitness(rootCost int) ([]int, error) {
 						return nil, err
 					}
 					childCost = cost
-				case !entry.complete.Load():
+				case !entry.complete:
 					return nil, fmt.Errorf("search: internal: witness reconstruction found an unpublished entry at depth %d", depth+1)
 				default:
-					childCost = entry.cost
+					childCost = int(entry.cost)
 				}
 			}
 			if childCost >= 0 && step+childCost == remaining {
@@ -453,6 +464,7 @@ func (w *hunter) reconstructWitness(rootCost int) ([]int, error) {
 func runExhaustive(cfg Config) (*Result, error) {
 	s := newBnb(cfg)
 	pool := engine.NewPool(checkpoint.KindSearch, cfg.Workers, cfg.Telemetry, cfg.Meter)
+	pool.WatchTable(s.table)
 	hunters := make([]*hunter, cfg.Workers)
 	for i := range hunters {
 		w, err := newHunter(s, pool, i)

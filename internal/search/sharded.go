@@ -111,7 +111,9 @@ func MergeShardedState(cfg Config, entries []checkpoint.Entry, counters checkpoi
 		return nil, err
 	}
 	s := newBnb(cfg)
-	s.preload(entries)
+	if err := s.preload(entries); err != nil {
+		return nil, err
+	}
 	w, err := newHunter(s, engine.NewPool(checkpoint.KindSearch, 1, nil, nil), 0)
 	if err != nil {
 		return nil, err

@@ -56,13 +56,19 @@ func (b *blockifiedInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKi
 }
 
 // blockifiedWaitFrame executes poll frame after poll frame until one
-// returns nonzero. Each iteration mints a fresh frame, so per-call state
-// transitions (first-call registration) occur exactly once overall — the
-// instance, not the call, carries that state.
+// returns nonzero. The inner Poll frame is minted once, as a template
+// that never runs, and each poll restarts it into storage the frame
+// keeps, so a spinning Wait allocates nothing after its first poll.
+// Restarting from a template is minting afresh because ResumableProgram
+// is a pure function of (pid, kind): per-call state transitions
+// (first-call registration) occur exactly once overall — the instance's
+// memory, not the call, carries that state.
 type blockifiedWaitFrame struct {
 	inner memsim.Instance
 	pid   memsim.PID
-	cur   memsim.Resumable
+	tmpl  memsim.Resumable // the pristine Poll frame; shared by clones, never run
+	cur   memsim.Resumable // the running poll; nil between polls
+	spare memsim.Resumable // the finished poll's storage, owned by this frame
 }
 
 var _ memsim.ResumableCloner = (*blockifiedWaitFrame)(nil)
@@ -70,15 +76,18 @@ var _ memsim.ResumableCloner = (*blockifiedWaitFrame)(nil)
 func (f *blockifiedWaitFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 	for {
 		if f.cur == nil {
-			// The inner algorithm has Poll (ResumableProgram checked).
-			f.cur, _ = f.inner.ResumableProgram(f.pid, memsim.CallPoll)
+			if f.tmpl == nil {
+				// The inner algorithm has Poll (ResumableProgram checked).
+				f.tmpl, _ = f.inner.ResumableProgram(f.pid, memsim.CallPoll)
+			}
+			f.cur, f.spare = memsim.CloneResumableInto(f.spare, f.tmpl), nil
 			prev = memsim.Result{} // fresh frame: first Next sees zero
 		}
 		if acc, ok := f.cur.Next(prev); ok {
 			return acc, true
 		}
 		signaled := f.cur.Return() != 0
-		f.cur = nil
+		f.cur, f.spare = nil, f.cur
 		if signaled {
 			return memsim.Access{}, false
 		}
@@ -92,6 +101,7 @@ func (f *blockifiedWaitFrame) Return() memsim.Value { return 0 }
 func (f *blockifiedWaitFrame) CloneResumable() memsim.Resumable {
 	c := *f
 	c.cur = memsim.CloneResumable(f.cur)
+	c.spare = nil
 	return &c
 }
 
@@ -109,15 +119,21 @@ func (f *blockifiedWaitFrame) AppendState(dst []byte) []byte {
 }
 
 // CopyResumableInto implements memsim.ResumableCopier, recycling dst's
-// in-flight poll frame when the types line up.
+// poll frame storage (in flight or spare) when the types line up.
 func (f *blockifiedWaitFrame) CopyResumableInto(dst memsim.Resumable) bool {
 	d, ok := dst.(*blockifiedWaitFrame)
 	if !ok {
 		return false
 	}
-	cur := d.cur
+	store := d.cur
+	if store == nil {
+		store = d.spare
+	}
 	*d = *f
-	d.cur = memsim.CloneResumableInto(cur, f.cur)
+	d.cur, d.spare = nil, store
+	if f.cur != nil {
+		d.cur, d.spare = memsim.CloneResumableInto(store, f.cur), nil
+	}
 	return true
 }
 

@@ -129,3 +129,38 @@ func TestBlockifiedWaitNeedsPoll(t *testing.T) {
 		t.Fatalf("Wait on blockified leader-blocking: err = %v, want ErrUnsupported", err)
 	}
 }
+
+// TestBlockifiedWaitPollAllocs: once registered, a spinning blockified
+// Wait restarts its inner Poll frame in place, so its polling steps
+// allocate nothing.
+func TestBlockifiedWaitPollAllocs(t *testing.T) {
+	const n = 3
+	m := memsim.NewMachine(n)
+	inst, err := Blockified(QueueSignal()).New(m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait, err := inst.ResumableProgram(0, memsim.CallWait)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev memsim.Result
+	step := func() {
+		acc, ok := wait.Next(prev)
+		if !ok {
+			t.Fatal("Wait returned with no signal")
+		}
+		prev = m.Apply(0, acc)
+	}
+	// Registration, then a few polls to mint the template and storage.
+	for i := 0; i < 20; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 10; i++ {
+			step()
+		}
+	}); allocs != 0 {
+		t.Fatalf("10 polling steps allocate %v times, want 0", allocs)
+	}
+}

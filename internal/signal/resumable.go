@@ -594,12 +594,23 @@ func (f *registrySignalFrame) Return() memsim.Value { return 0 }
 
 // CloneResumable implements memsim.ResumableCloner.
 func (f *registrySignalFrame) CloneResumable() memsim.Resumable {
-	c := *f
+	c := new(registrySignalFrame)
+	c.copyFrom(f)
+	return c
+}
+
+// copyFrom copies f into d, reusing d's snapshot sub-frame and its value
+// buffer. vals aliases the snapshot's buffer, so it is re-aliased to d's
+// copy.
+func (d *registrySignalFrame) copyFrom(f *registrySignalFrame) {
+	snap := d.snap
+	*d = *f
 	if f.snap != nil {
-		snap := *f.snap
-		c.snap = &snap
+		d.snap = f.snap.CopyInto(snap)
+		if f.vals != nil {
+			d.vals = d.snap.Vals()
+		}
 	}
-	return &c
 }
 
 // EncodeState implements memsim.StateEncoder. vals is fully populated the
@@ -624,24 +635,13 @@ func (f *registrySignalFrame) AppendState(dst []byte) []byte {
 }
 
 // CopyResumableInto implements memsim.ResumableCopier, reusing dst's
-// snapshot sub-frame allocation. vals stays shared with the source, as in
-// CloneResumable (it is append-at-index below the cursor, so a shallow
-// copy is a valid continuation).
+// snapshot sub-frame and its value buffer.
 func (f *registrySignalFrame) CopyResumableInto(dst memsim.Resumable) bool {
 	d, ok := dst.(*registrySignalFrame)
-	if !ok {
-		return false
+	if ok {
+		d.copyFrom(f)
 	}
-	snap := d.snap
-	*d = *f
-	if f.snap != nil {
-		if snap == nil {
-			snap = new(queue.SnapshotFrame)
-		}
-		*snap = *f.snap
-		d.snap = snap
-	}
-	return true
+	return ok
 }
 
 // ---- CAS slot registration (Corollary 6.14 subject) ----
@@ -883,11 +883,17 @@ func (f *msSignalFrame) Return() memsim.Value { return 0 }
 
 // CloneResumable implements memsim.ResumableCloner.
 func (f *msSignalFrame) CloneResumable() memsim.Resumable {
-	c := *f
-	if d, ok := f.deliver.CloneResumable().(*registrySignalFrame); ok {
-		c.deliver = *d
-	}
-	return &c
+	c := new(msSignalFrame)
+	c.copyFrom(f)
+	return c
+}
+
+// copyFrom copies f into d, reusing d's delivery storage.
+func (d *msSignalFrame) copyFrom(f *msSignalFrame) {
+	deliver := d.deliver
+	*d = *f
+	d.deliver = deliver
+	d.deliver.copyFrom(&f.deliver)
 }
 
 // EncodeState implements memsim.StateEncoder.
@@ -905,19 +911,10 @@ func (f *msSignalFrame) AppendState(dst []byte) []byte {
 // CopyResumableInto implements memsim.ResumableCopier.
 func (f *msSignalFrame) CopyResumableInto(dst memsim.Resumable) bool {
 	d, ok := dst.(*msSignalFrame)
-	if !ok {
-		return false
+	if ok {
+		d.copyFrom(f)
 	}
-	snap := d.deliver.snap
-	*d = *f
-	if f.deliver.snap != nil {
-		if snap == nil {
-			snap = new(queue.SnapshotFrame)
-		}
-		*snap = *f.deliver.snap
-		d.deliver.snap = snap
-	}
-	return true
+	return ok
 }
 
 // Static checks: every custom-encoded frame has the binary fast path and
