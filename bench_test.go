@@ -530,15 +530,11 @@ func BenchmarkAblationEviction(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineStep measures the engine per step. "signal/resumable" is
-// a contended flag workload through core.Run, whose calls dispatch frames
-// inline. The lock pair contrasts the two engine tiers on a contended MCS
-// workload through the harness: "resumable" dispatches explicit state
-// machines inline (zero goroutines, zero channel operations per step);
-// "blocking" drives the locks' blocking programs through the pooled
-// FromBlocking adapter (two channel handshakes per step). ns/step, ns/op
-// and allocs/op are the paper-relevant metrics; the resumable tier must be
-// strictly faster on all of them.
+// BenchmarkEngineStep measures the engine per step, with every call a
+// frame the controller dispatches inline. "signal/resumable" is a
+// contended flag workload through core.Run; "mcs/resumable" is a
+// contended MCS passage workload through the harness. ns/step, ns/op and
+// allocs/op are the paper-relevant metrics.
 func BenchmarkEngineStep(b *testing.B) {
 	sigBase := core.Config{
 		Algorithm:   signal.Flag(),
@@ -562,12 +558,11 @@ func BenchmarkEngineStep(b *testing.B) {
 		Passages: 64,
 		MaxSteps: 4_000_000,
 	}
-	runLock := func(b *testing.B, force bool) {
+	b.Run("mcs/resumable", func(b *testing.B) {
 		b.ReportAllocs()
 		steps := 0
 		for i := 0; i < b.N; i++ {
 			cfg := lockBase
-			cfg.ForceBlocking = force
 			cfg.Scheduler = sched.NewRandom(1)
 			res, err := mutex.RunStreaming(cfg)
 			if err != nil && !errors.Is(err, mutex.ErrBudget) {
@@ -579,9 +574,7 @@ func BenchmarkEngineStep(b *testing.B) {
 			steps = res.Steps
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
-	}
-	b.Run("mcs/resumable", func(b *testing.B) { runLock(b, false) })
-	b.Run("mcs/blocking", func(b *testing.B) { runLock(b, true) })
+	})
 }
 
 // BenchmarkScoringAllocs contrasts the two scoring paths on identical

@@ -4,9 +4,10 @@
 // the release announcement, then briefly acquires the resource themselves.
 //
 // The example composes three substrates of this repository inside one
-// simulated program: the MCS lock (internal/mutex), the registered-waiters
-// signaling algorithm (internal/signal, run through the memsim.Blocking
-// adapter), and the cost models (internal/model).
+// simulated procedure: the MCS lock's section frames (internal/mutex), the
+// registered-waiters signaling frames (internal/signal), and the cost
+// models (internal/model), all driven by the workload harness
+// (internal/harness).
 //
 //	go run ./examples/resourcepool
 package main
@@ -14,125 +15,182 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
+	"repro/internal/harness"
 	"repro/internal/memsim"
 	"repro/internal/model"
 	"repro/internal/mutex"
+	"repro/internal/sched"
 	"repro/internal/signal"
 )
 
 const (
 	consumers = 6
 	nprocs    = consumers + 1 // process 6 is the holder/signaler
+	holder    = memsim.PID(nprocs - 1)
 )
 
 func main() {
-	m := memsim.NewMachine(nprocs)
-
-	lockAlg := mutex.MCS()
-	lock, err := lockAlg.New(m, nprocs)
+	w := &pool{got: make(map[memsim.PID]memsim.Value)}
+	res, err := harness.Run(harness.Config{
+		Workload:  w,
+		Scheduler: sched.NewRandom(3),
+		MaxSteps:  1_000_000,
+		Scorers:   []model.Scorer{model.ModelCC, model.ModelDSM},
+		Sink:      w.observe,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sigAlg := signal.RegisteredWaiters()
-	inst, err := sigAlg.New(m, nprocs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	resource := m.Alloc(memsim.NoOwner, "resource", 1, 0)
 
-	ctl := memsim.NewController(m)
-	defer ctl.Close()
-
-	// The holder works on the resource, releases it, and announces the
-	// release through Signal().
-	holder := memsim.PID(nprocs - 1)
-	signal, err := inst.ResumableProgram(holder, memsim.CallSignal)
-	if err != nil {
-		log.Fatal(err)
-	}
-	holderProg := func(p *memsim.Proc) memsim.Value {
-		lock.Acquire(p)
-		p.Write(resource, 42) // produce
-		lock.Release(p)
-		return memsim.Blocking(signal)(p) // announce the release
-	}
-
-	// Consumers poll for the announcement, then take the lock and read
-	// the resource.
-	consumerProg := func(pid memsim.PID) memsim.Program {
-		poll, err := inst.ResumableProgram(pid, memsim.CallPoll)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return func(p *memsim.Proc) memsim.Value {
-			if memsim.Blocking(poll)(p) == 0 {
-				return 0 // not released yet; call again later
-			}
-			lock.Acquire(p)
-			v := p.Read(resource)
-			lock.Release(p)
-			return v
-		}
-	}
-
-	// Drive everything under a seeded random scheduler.
-	got := make(map[memsim.PID]memsim.Value)
-	started := map[memsim.PID]bool{}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < consumers; i++ {
-		pid := memsim.PID(i)
-		if err := ctl.StartCall(pid, "consume", consumerProg(pid)); err != nil {
-			log.Fatal(err)
-		}
-	}
-	steps := 0
-	for len(got) < consumers && steps < 1_000_000 {
-		var ready []memsim.PID
-		for i := 0; i < nprocs; i++ {
-			pid := memsim.PID(i)
-			if ret, done := ctl.CallEnded(pid); done {
-				if _, err := ctl.FinishCall(pid); err != nil {
-					log.Fatal(err)
-				}
-				if pid != holder {
-					if ret != 0 {
-						got[pid] = ret
-					} else if err := ctl.StartCall(pid, "consume", consumerProg(pid)); err != nil {
-						log.Fatal(err)
-					}
-				}
-			}
-			if ctl.Idle(pid) && pid == holder && !started[holder] && steps > 30 {
-				started[holder] = true
-				if err := ctl.StartCall(holder, "release", holderProg); err != nil {
-					log.Fatal(err)
-				}
-			}
-			if _, ok := ctl.Pending(pid); ok {
-				ready = append(ready, pid)
-			}
-		}
-		if len(ready) == 0 {
-			continue
-		}
-		if _, err := ctl.Step(ready[rng.Intn(len(ready))]); err != nil {
-			log.Fatal(err)
-		}
-		steps++
-	}
-
-	for pid, v := range got {
+	for pid, v := range w.got {
 		if v != 42 {
 			log.Fatalf("consumer %d read %d, want 42", pid, v)
 		}
 	}
 	fmt.Printf("all %d consumers observed the released resource after %d steps\n",
-		len(got), steps)
-	for _, cm := range []model.CostModel{model.ModelCC, model.ModelDSM} {
-		rep := cm.Score(ctl.Events(), m.Owner, nprocs)
+		len(w.got), res.Steps)
+	for _, rep := range res.Reports {
 		fmt.Printf("%-10s total RMRs %-5d worst-case/process %-4d amortized %.2f\n",
-			cm.Name(), rep.Total, rep.Max(), rep.Amortized())
+			rep.Model, rep.Total, rep.Max(), rep.Amortized())
 	}
 }
+
+// pool is the workload: each consumer calls "consume" until a call
+// returns the resource, and the holder calls "release" once, after 30
+// steps.
+type pool struct {
+	lock     mutex.Lock
+	inst     memsim.Instance
+	resource memsim.Addr
+	steps    int  // applied accesses, counted by observe
+	released bool // the holder's call has started
+	got      map[memsim.PID]memsim.Value
+}
+
+func (w *pool) N() int { return nprocs }
+
+func (w *pool) Deploy(m *memsim.Machine) error {
+	var err error
+	if w.lock, err = mutex.MCS().New(m, nprocs); err != nil {
+		return err
+	}
+	if w.inst, err = signal.RegisteredWaiters().New(m, nprocs); err != nil {
+		return err
+	}
+	w.resource = m.Alloc(memsim.NoOwner, "resource", 1, 0)
+	return nil
+}
+
+func (w *pool) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
+	if pid == holder {
+		if w.released || w.steps <= 30 {
+			return "", nil, false
+		}
+		w.released = true
+		sig, err := w.inst.ResumableProgram(pid, memsim.CallSignal)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return "release", &holderFrame{w: w, sig: sig}, true
+	}
+	if _, ok := w.got[pid]; ok {
+		return "", nil, false
+	}
+	poll, err := w.inst.ResumableProgram(pid, memsim.CallPoll)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return "consume", &consumerFrame{w: w, pid: pid, poll: poll}, true
+}
+
+func (w *pool) Done(pid memsim.PID, ret memsim.Value) {
+	if pid != holder && ret != 0 {
+		w.got[pid] = ret
+	}
+}
+
+func (w *pool) observe(ev memsim.Event) {
+	if ev.Kind == memsim.EvAccess {
+		w.steps++
+	}
+}
+
+// holderFrame works on the resource, releases it, and announces the
+// release through Signal():
+//
+//	acquire; write(resource, 42); release; return Signal()
+type holderFrame struct {
+	w   *pool
+	sec memsim.Resumable // the lock section in its phase
+	sig memsim.Resumable
+	pc  uint8
+}
+
+func (f *holderFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	for {
+		switch f.pc {
+		case 0:
+			f.sec, prev, f.pc = f.w.lock.AcquireFrame(holder), memsim.Result{}, 1
+		case 1:
+			if acc, ok := f.sec.Next(prev); ok {
+				return acc, true
+			}
+			f.pc = 2
+			return memsim.AccWrite(f.w.resource, 42), true // produce
+		case 2:
+			f.sec, prev, f.pc = f.w.lock.ReleaseFrame(holder), memsim.Result{}, 3
+		case 3:
+			if acc, ok := f.sec.Next(prev); ok {
+				return acc, true
+			}
+			prev, f.pc = memsim.Result{}, 4
+		default: // announce the release
+			return f.sig.Next(prev)
+		}
+	}
+}
+
+func (f *holderFrame) Return() memsim.Value { return f.sig.Return() }
+
+// consumerFrame polls for the announcement, then takes the lock and reads
+// the resource:
+//
+//	if !Poll() { return 0 }  // not released yet; call again later
+//	acquire; v := read(resource); release; return v
+type consumerFrame struct {
+	w    *pool
+	pid  memsim.PID
+	poll memsim.Resumable
+	sec  memsim.Resumable // the lock section in its phase
+	v    memsim.Value
+	pc   uint8
+}
+
+func (f *consumerFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	for {
+		switch f.pc {
+		case 0:
+			if acc, ok := f.poll.Next(prev); ok {
+				return acc, true
+			}
+			if f.poll.Return() == 0 {
+				return memsim.Access{}, false
+			}
+			f.sec, prev, f.pc = f.w.lock.AcquireFrame(f.pid), memsim.Result{}, 1
+		case 1:
+			if acc, ok := f.sec.Next(prev); ok {
+				return acc, true
+			}
+			f.pc = 2
+			return memsim.AccRead(f.w.resource), true
+		case 2:
+			f.v = prev.Val
+			f.sec, prev, f.pc = f.w.lock.ReleaseFrame(f.pid), memsim.Result{}, 3
+		default:
+			return f.sec.Next(prev)
+		}
+	}
+}
+
+func (f *consumerFrame) Return() memsim.Value { return f.v }

@@ -2,32 +2,31 @@ package core
 
 import (
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/signal"
 )
 
-func settleGoroutines(t *testing.T, base int) {
+// runLabelled runs cfg under a leakcheck probe and fails t if a goroutine
+// the run started outlives a grace period for unwinding.
+func runLabelled(t *testing.T, cfg Config) (*Result, error) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: %d > %d\n%s", runtime.NumGoroutine(), base, buf[:n])
-		}
-		time.Sleep(time.Millisecond)
+	var res *Result
+	var err error
+	probe := leakcheck.Run(func() { res, err = Run(cfg) })
+	if n, stacks := probe.Settle(5 * time.Second); n != 0 {
+		t.Fatalf("%d goroutines leaked:\n%s", n, stacks)
 	}
+	return res, err
 }
 
 // TestNoGoroutineLeakOnBudget: a run cut off by ErrBudget — processes
-// parked mid-access when the budget trips — leaves no goroutines behind
-// once Run returns.
+// mid-call when the budget trips — leaves no goroutines behind once Run
+// returns.
 func TestNoGoroutineLeakOnBudget(t *testing.T) {
-	base := runtime.NumGoroutine()
-	res, err := Run(Config{
+	res, err := runLabelled(t, Config{
 		Algorithm:  signal.Flag(),
 		N:          8,
 		NoSignaler: true, // waiters poll into the void: budget is the only exit
@@ -39,15 +38,13 @@ func TestNoGoroutineLeakOnBudget(t *testing.T) {
 	if !res.Truncated {
 		t.Fatal("result should be truncated")
 	}
-	settleGoroutines(t, base)
 }
 
 // TestNoGoroutineLeakOnInterrupt: same for the ErrInterrupted path.
 func TestNoGoroutineLeakOnInterrupt(t *testing.T) {
-	base := runtime.NumGoroutine()
 	interrupt := make(chan struct{})
 	close(interrupt)
-	res, err := Run(Config{
+	res, err := runLabelled(t, Config{
 		Algorithm:  signal.Flag(),
 		N:          8,
 		NoSignaler: true,
@@ -60,5 +57,28 @@ func TestNoGoroutineLeakOnInterrupt(t *testing.T) {
 	if !res.Interrupted {
 		t.Fatal("result should be interrupted")
 	}
-	settleGoroutines(t, base)
+}
+
+// TestLockExperimentsStartNoGoroutines: no simulated process runs on a
+// goroutine. The lock landscape (E9), the GME room (E10) and Fischer's
+// timed lock (E11) run every process as a frame, so their runs start no
+// goroutine at all.
+func TestLockExperimentsStartNoGoroutines(t *testing.T) {
+	for _, e := range []struct {
+		id  string
+		run func([]int) (*Table, error)
+	}{
+		{"E9", ExperimentE9},
+		{"E10", ExperimentE10},
+		{"E11", ExperimentE11},
+	} {
+		var err error
+		probe := leakcheck.Run(func() { _, err = e.run([]int{2, 4}) })
+		if err != nil {
+			t.Fatalf("%s: %v", e.id, err)
+		}
+		if n, stacks := probe.Alive(); n != 0 {
+			t.Fatalf("%s left %d goroutines running:\n%s", e.id, n, stacks)
+		}
+	}
 }

@@ -12,7 +12,6 @@ func runElection(t *testing.T, n int, seed int64) map[memsim.PID]memsim.PID {
 	m := memsim.NewMachine(n)
 	e := New(m, "L")
 	ctl := memsim.NewController(m)
-	defer ctl.Close()
 
 	results := make(map[memsim.PID]memsim.PID, n)
 	for i := 0; i < n; i++ {
@@ -72,7 +71,6 @@ func runSplitter(t *testing.T, n int, seed int64) map[memsim.PID]SplitterOutcome
 	m := memsim.NewMachine(n)
 	s := NewSplitter(m, "S")
 	ctl := memsim.NewController(m)
-	defer ctl.Close()
 
 	results := make(map[memsim.PID]SplitterOutcome, n)
 	for i := 0; i < n; i++ {

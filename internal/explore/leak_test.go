@@ -1,78 +1,72 @@
 package explore
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/memsim"
 	"repro/internal/signal"
 )
 
-func settleGoroutines(t *testing.T, base int) {
+// settled fails t if goroutines started under probe outlive a grace
+// period for unwinding.
+func settled(t *testing.T, probe leakcheck.Probe) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: %d > %d\n%s", runtime.NumGoroutine(), base, buf[:n])
-		}
-		time.Sleep(time.Millisecond)
+	if n, stacks := probe.Settle(5 * time.Second); n != 0 {
+		t.Fatalf("%d goroutines leaked:\n%s", n, stacks)
+	}
+}
+
+// leakConfig is the queue algorithm with two polling waiters and a
+// signaler, truncated at depth 7.
+func leakConfig() Config {
+	return Config{
+		Factory: signal.QueueSignal().New,
+		N:       4,
+		Scripts: map[memsim.PID][]memsim.CallKind{
+			0: {memsim.CallPoll, memsim.CallPoll},
+			1: {memsim.CallPoll, memsim.CallPoll},
+			3: {memsim.CallSignal},
+		},
+		MaxDepth: 7,
+		Check:    specCheck,
 	}
 }
 
 // TestNoGoroutineLeakAfterReplayTruncation: the replay enumeration
-// truncates thousands of histories at the depth bound, closing an
-// execution with parked calls each time; nothing may outlive the run.
+// truncates thousands of histories at the depth bound, leaving an
+// execution mid-call each time; nothing may outlive the run.
 func TestNoGoroutineLeakAfterReplayTruncation(t *testing.T) {
-	base := runtime.NumGoroutine()
-	res, err := replayRun(Config{
-		Factory: signal.QueueSignal().New,
-		N:       4,
-		Scripts: map[memsim.PID][]memsim.CallKind{
-			0: {memsim.CallPoll, memsim.CallPoll},
-			1: {memsim.CallPoll, memsim.CallPoll},
-			3: {memsim.CallSignal},
-		},
-		MaxDepth: 7,
-		Check:    specCheck,
-	})
+	var res *Result
+	var err error
+	probe := leakcheck.Run(func() { res, err = replayRun(leakConfig()) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Truncated == 0 {
 		t.Fatal("expected truncated histories at depth 7")
 	}
-	settleGoroutines(t, base)
+	settled(t, probe)
 }
 
 // TestNoGoroutineLeakBacktracking: the single-worker backtracking engine
-// must not touch the goroutine count at all, however many histories it
-// truncates.
+// starts no goroutine at all, however many histories it truncates.
 func TestNoGoroutineLeakBacktracking(t *testing.T) {
-	base := runtime.NumGoroutine()
-	res, err := Run(Config{
-		Factory: signal.QueueSignal().New,
-		N:       4,
-		Scripts: map[memsim.PID][]memsim.CallKind{
-			0: {memsim.CallPoll, memsim.CallPoll},
-			1: {memsim.CallPoll, memsim.CallPoll},
-			3: {memsim.CallSignal},
-		},
-		MaxDepth: 7,
-		Engine:   EngineBacktrackDedup,
-		Workers:  1,
-		Check:    specCheck,
-	})
+	cfg := leakConfig()
+	cfg.Engine = EngineBacktrackDedup
+	cfg.Workers = 1
+	var res *Result
+	var err error
+	probe := leakcheck.Run(func() { res, err = Run(cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Truncated == 0 {
 		t.Fatal("expected truncated histories at depth 7")
 	}
-	if got := runtime.NumGoroutine(); got != base {
-		t.Fatalf("backtracking engine changed goroutine count: %d -> %d", base, got)
+	if n, stacks := probe.Alive(); n != 0 {
+		t.Fatalf("backtracking engine left %d goroutines running:\n%s", n, stacks)
 	}
 }
 
@@ -80,14 +74,8 @@ func TestNoGoroutineLeakBacktracking(t *testing.T) {
 // worker pool before returning — no worker goroutine survives the run,
 // even when the property fails mid-search and the pool aborts.
 func TestNoGoroutineLeakParallel(t *testing.T) {
-	base := runtime.NumGoroutine()
-	res, err := Run(queue33Config(10, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Truncated == 0 {
-		t.Fatal("expected truncated histories at depth 10")
-	}
+	var res *Result
+	var err, failErr error
 	failing := Config{
 		Factory: func(m *memsim.Machine, n int) (memsim.Instance, error) {
 			return brokenInstance{b: m.Alloc(memsim.NoOwner, "B", 1, 0)}, nil
@@ -101,8 +89,18 @@ func TestNoGoroutineLeakParallel(t *testing.T) {
 		Workers:  8,
 		Check:    specCheck,
 	}
-	if _, err := Run(failing); err == nil {
+	probe := leakcheck.Run(func() {
+		res, err = Run(queue33Config(10, 8))
+		_, failErr = Run(failing)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Truncated == 0 {
+		t.Fatal("expected truncated histories at depth 10")
+	}
+	if failErr == nil {
 		t.Fatal("planted violation not found")
 	}
-	settleGoroutines(t, base)
+	settled(t, probe)
 }

@@ -33,10 +33,8 @@ func replayRun(cfg Config) (*Result, error) {
 		}
 		if err := cfg.Check(exec.Events()); err != nil {
 			schedule := describeSchedule(choiceSets, path)
-			exec.Close()
 			return res, fmt.Errorf("explore: property failed on schedule %v: %w", schedule, err)
 		}
-		exec.Close()
 		// Advance to the lexicographically next path. The replay extended
 		// the explicit path with implicit first choices, so siblings may
 		// exist at any depth up to len(choiceSets).
@@ -70,7 +68,6 @@ func replayPath(cfg Config, path []int) (*memsim.Execution, [][]engine.Choice, b
 	for depth := 0; ; depth++ {
 		choices, err := drv.Settle()
 		if err != nil {
-			exec.Close()
 			return nil, nil, false, err
 		}
 		if len(choices) == 0 {
@@ -84,12 +81,10 @@ func replayPath(cfg Config, path []int) (*memsim.Execution, [][]engine.Choice, b
 			idx = path[depth]
 		}
 		if idx >= len(choices) {
-			exec.Close()
 			return nil, nil, false, fmt.Errorf("explore: choice %d out of range at depth %d", idx, depth)
 		}
 		choiceSets = append(choiceSets, choices)
 		if err := drv.Apply(choices[idx]); err != nil {
-			exec.Close()
 			return nil, nil, false, err
 		}
 	}

@@ -27,13 +27,16 @@ import (
 	"repro/internal/sched"
 )
 
-// GME is a deployed group-mutual-exclusion object.
+// GME is a deployed group-mutual-exclusion object. Its sections are
+// resumable frames that a larger frame drives inside one procedure call.
 type GME interface {
-	// Enter blocks (in simulated steps) until the caller may occupy the
-	// resource under the given session.
-	Enter(p *memsim.Proc, session memsim.Value)
-	// Exit relinquishes the caller's occupancy of the session.
-	Exit(p *memsim.Proc, session memsim.Value)
+	// Enter returns pid's entry section for the given session: it
+	// busy-waits (in simulated steps) until pid may occupy the resource
+	// under that session.
+	Enter(pid memsim.PID, session memsim.Value) memsim.Resumable
+	// Exit returns pid's exit section, relinquishing its occupancy of
+	// the session.
+	Exit(pid memsim.PID, session memsim.Value) memsim.Resumable
 }
 
 // RoomLock is the mutex-guarded GME: session state and occupancy count are
@@ -60,31 +63,119 @@ func NewRoomLock(m *memsim.Machine, n int) (*RoomLock, error) {
 	}, nil
 }
 
-// Enter implements GME.
-func (g *RoomLock) Enter(p *memsim.Proc, session memsim.Value) {
+// Enter implements GME:
+//
+//	repeat
+//	  acquire; cur := read(session)
+//	  if cur = NIL or cur = s { write(session, s); write(count, read(count)+1) }
+//	  release
+//	until the room was entered
+func (g *RoomLock) Enter(pid memsim.PID, session memsim.Value) memsim.Resumable {
+	return &roomFrame{g: g, pid: pid, session: session}
+}
+
+// Exit implements GME:
+//
+//	acquire; c := read(count)-1; write(count, c)
+//	if c = 0 { write(session, NIL) }
+//	release
+func (g *RoomLock) Exit(pid memsim.PID, session memsim.Value) memsim.Resumable {
+	return &roomFrame{g: g, pid: pid, session: session, exit: true}
+}
+
+// Room frame program counters: the acquire section, the accesses under
+// the lock, and the release section.
+const (
+	roomLock uint8 = iota
+	roomAcquire
+	roomSession // Enter: session word read
+	roomClaimed // Enter: session word written
+	roomCount   // count read
+	roomUpdated // Exit: count written
+	roomRelease
+	roomReleasing
+)
+
+// roomFrame is RoomLock's entry or exit section. sec is the lock section
+// in its phase.
+type roomFrame struct {
+	g       *RoomLock
+	pid     memsim.PID
+	session memsim.Value
+	exit    bool
+	entered bool
+	sec     memsim.Resumable
+	count   memsim.Value // Exit: the decremented count
+	pc      uint8
+}
+
+var _ memsim.ResumableCloner = (*roomFrame)(nil)
+
+func (f *roomFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 	for {
-		g.lock.Acquire(p)
-		cur := p.Read(g.session)
-		if cur == memsim.Nil || cur == session {
-			p.Write(g.session, session)
-			p.Write(g.count, p.Read(g.count)+1)
-			g.lock.Release(p)
-			return
+		switch f.pc {
+		case roomLock:
+			f.sec = f.g.lock.AcquireFrame(f.pid)
+			prev = memsim.Result{}
+			f.pc = roomAcquire
+		case roomAcquire:
+			if acc, ok := f.sec.Next(prev); ok {
+				return acc, true
+			}
+			if f.exit {
+				f.pc = roomCount
+				return memsim.AccRead(f.g.count), true
+			}
+			f.pc = roomSession
+			return memsim.AccRead(f.g.session), true
+		case roomSession:
+			if cur := prev.Val; cur != memsim.Nil && cur != f.session {
+				f.pc = roomRelease // conflicting session: retry through the lock
+				continue
+			}
+			f.entered = true
+			f.pc = roomClaimed
+			return memsim.AccWrite(f.g.session, f.session), true
+		case roomClaimed:
+			f.pc = roomCount
+			return memsim.AccRead(f.g.count), true
+		case roomCount:
+			if !f.exit {
+				f.pc = roomRelease
+				return memsim.AccWrite(f.g.count, prev.Val+1), true
+			}
+			f.count = prev.Val - 1
+			f.pc = roomUpdated
+			return memsim.AccWrite(f.g.count, f.count), true
+		case roomUpdated:
+			f.pc = roomRelease
+			if f.count == 0 {
+				return memsim.AccWrite(f.g.session, memsim.Nil), true
+			}
+		case roomRelease:
+			f.sec = f.g.lock.ReleaseFrame(f.pid)
+			prev = memsim.Result{}
+			f.pc = roomReleasing
+		default:
+			if acc, ok := f.sec.Next(prev); ok {
+				return acc, true
+			}
+			if f.exit || f.entered {
+				return memsim.Access{}, false
+			}
+			f.pc = roomLock
 		}
-		g.lock.Release(p)
-		// Conflicting session active: retry (busy-wait through the lock).
 	}
 }
 
-// Exit implements GME.
-func (g *RoomLock) Exit(p *memsim.Proc, session memsim.Value) {
-	g.lock.Acquire(p)
-	c := p.Read(g.count) - 1
-	p.Write(g.count, c)
-	if c == 0 {
-		p.Write(g.session, memsim.Nil)
-	}
-	g.lock.Release(p)
+func (f *roomFrame) Return() memsim.Value { return 0 }
+
+// CloneResumable implements memsim.ResumableCloner: the lock section must
+// be copied, not shared.
+func (f *roomFrame) CloneResumable() memsim.Resumable {
+	c := *f
+	c.sec = memsim.CloneResumable(f.sec)
+	return &c
 }
 
 // ErrBudget is returned when a GME run exhausts its step budget. It is the
@@ -182,35 +273,103 @@ func (w *Workload) Deploy(m *memsim.Machine) error {
 }
 
 // Next implements harness.Workload.
-func (w *Workload) Next(pid memsim.PID) (string, memsim.Program, bool) {
+func (w *Workload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 	if w.remaining[pid] <= 0 {
 		return "", nil, false
 	}
 	w.remaining[pid]--
-	return "gme", w.entry(pid), true
+	return "gme", &entryFrame{w: w, pid: pid, session: memsim.Value(int(pid) % w.sessions)}, true
 }
 
-func (w *Workload) entry(pid memsim.PID) memsim.Program {
-	session := memsim.Value(int(pid) % w.sessions)
-	return func(p *memsim.Proc) memsim.Value {
-		w.room.Enter(p, session)
-		mine := p.FetchAdd(w.probes+memsim.Addr(session), 1) + 1
-		violation := false
-		for s := 0; s < w.sessions; s++ {
-			if memsim.Value(s) == session {
-				continue
+// Entry frame program counters.
+const (
+	entEnter uint8 = iota
+	entEntering
+	entProbed
+	entScan
+	entScanned
+	entLeave
+	entExiting
+)
+
+// entryFrame is one GME critical section with its safety probe:
+//
+//	Enter(s); mine := FAA(probe[s], 1) + 1
+//	for every other session s': violation |= read(probe[s']) != 0
+//	FAA(probe[s], -1); Exit(s)
+//	return -1 on a violation, else mine (the same-session occupancy seen)
+type entryFrame struct {
+	w         *Workload
+	pid       memsim.PID
+	session   memsim.Value
+	sec       memsim.Resumable // the room section in its phase
+	mine      memsim.Value
+	s         int // session being scanned
+	violation bool
+	pc        uint8
+}
+
+var _ memsim.ResumableCloner = (*entryFrame)(nil)
+
+func (f *entryFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	probe := f.w.probes + memsim.Addr(f.session)
+	for {
+		switch f.pc {
+		case entEnter:
+			f.sec = f.w.room.Enter(f.pid, f.session)
+			prev = memsim.Result{}
+			f.pc = entEntering
+		case entEntering:
+			if acc, ok := f.sec.Next(prev); ok {
+				return acc, true
 			}
-			if p.Read(w.probes+memsim.Addr(s)) != 0 {
-				violation = true
+			f.pc = entProbed
+			return memsim.AccFetchAdd(probe, 1), true
+		case entProbed:
+			f.mine = prev.Val + 1
+			f.pc = entScan
+		case entScan:
+			if memsim.Value(f.s) == f.session {
+				f.s++
 			}
+			if f.s >= f.w.sessions {
+				f.pc = entLeave
+				return memsim.AccFetchAdd(probe, -1), true
+			}
+			f.pc = entScanned
+			return memsim.AccRead(f.w.probes + memsim.Addr(f.s)), true
+		case entScanned:
+			if prev.Val != 0 {
+				f.violation = true
+			}
+			f.s++
+			f.pc = entScan
+		case entLeave:
+			f.sec = f.w.room.Exit(f.pid, f.session)
+			prev = memsim.Result{}
+			f.pc = entExiting
+		default:
+			if acc, ok := f.sec.Next(prev); ok {
+				return acc, true
+			}
+			return memsim.Access{}, false
 		}
-		p.FetchAdd(w.probes+memsim.Addr(session), -1)
-		w.room.Exit(p, session)
-		if violation {
-			return -1
-		}
-		return mine // same-session occupancy observed at entry
 	}
+}
+
+func (f *entryFrame) Return() memsim.Value {
+	if f.violation {
+		return -1
+	}
+	return f.mine
+}
+
+// CloneResumable implements memsim.ResumableCloner: the room section must
+// be copied, not shared.
+func (f *entryFrame) CloneResumable() memsim.Resumable {
+	c := *f
+	c.sec = memsim.CloneResumable(f.sec)
+	return &c
 }
 
 // Done implements harness.Workload.

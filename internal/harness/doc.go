@@ -4,7 +4,7 @@
 // signal.Workload) and every contended workload (mutual exclusion, group
 // mutual exclusion, the semi-synchronous timed lock).
 //
-// A Workload supplies deployment, per-process program minting and
+// A Workload supplies deployment, per-process frame minting and
 // completion accounting; the harness owns everything else — scheduling,
 // the step budget, interruption, and the streaming measurement pipeline.
 // Attached model.Scorer accumulators price every shared-memory event in a
@@ -16,11 +16,9 @@
 // more after the drive loop exits so a call completing on the final
 // budgeted or interrupting step is always counted.
 //
-// Workloads that also implement SteppedWorkload receive a callback after
-// every applied step — the hook the semi-synchronous runner uses to
-// enforce Δ-deadlines — and those that implement ResumableWorkload start
-// their calls on the goroutine-free resumable engine tier (see
-// internal/memsim), falling back to blocking programs otherwise.
-// Config.ForceBlocking pins the blocking tier for A/B comparisons (the
-// lock runner exposes it).
+// Every call is a memsim.Resumable frame that the controller advances
+// inline, one shared-memory access per step, so a run starts no
+// goroutine. Workloads that also implement SteppedWorkload receive a
+// callback after every applied step — the hook the semi-synchronous
+// runner uses to enforce Δ-deadlines.
 package harness

@@ -32,30 +32,14 @@ type Workload interface {
 	// Deploy allocates the workload's shared state on m. It is called
 	// exactly once, before the first call starts.
 	Deploy(m *memsim.Machine) error
-	// Next mints the name and program of pid's next procedure call.
+	// Next mints the name and frame of pid's next procedure call.
 	// ok=false means pid has no further work; Next may be called again
 	// for the same pid on later rounds (and must keep answering false
 	// once the process is done).
-	Next(pid memsim.PID) (name string, prog memsim.Program, ok bool)
+	Next(pid memsim.PID) (name string, r memsim.Resumable, ok bool)
 	// Done observes one completed call's return value — the workload's
 	// completion accounting (passages finished, safety verdicts, ...).
 	Done(pid memsim.PID, ret memsim.Value)
-}
-
-// ResumableWorkload is a Workload that can mint its procedure calls in
-// native resumable form (explicit state machines the controller dispatches
-// inline, with zero goroutines and zero channel operations). The harness
-// asks CanResume once after Deploy; when true, every call starts through
-// NextResumable instead of Next. Both forms must issue identical access
-// sequences, so the engine tier never changes a trace.
-type ResumableWorkload interface {
-	Workload
-	// CanResume reports whether the deployed workload supports the
-	// resumable tier (e.g. the lock under test provides frames).
-	CanResume() bool
-	// NextResumable mirrors Next, minting a resumable frame instead of a
-	// blocking program. It performs the same per-process accounting.
-	NextResumable(pid memsim.PID) (name string, r memsim.Resumable, ok bool)
 }
 
 // Verifier is implemented by workloads with a final whole-machine check
@@ -102,11 +86,6 @@ type Config struct {
 	// closed (or receives), the run stops and returns ErrInterrupted
 	// with the truncated Result.
 	Interrupt <-chan struct{}
-	// ForceBlocking pins the run to the blocking engine tier even when
-	// the workload supports resumable dispatch — the A/B knob behind
-	// engine-equivalence tests and benchmarks. Traces are identical
-	// either way.
-	ForceBlocking bool
 	// Telemetry, when non-nil, receives call start/completion and
 	// budget-exhaustion counters. Write-only: it never influences
 	// scheduling and the Result is identical with or without it.
@@ -213,7 +192,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	ctl := memsim.NewController(m)
-	defer ctl.Close()
 
 	// Streaming consumers observe each event as it is emitted; the trace
 	// itself is retained only on request.
@@ -234,29 +212,13 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 
-	// Pick the engine tier once: workloads with resumable frames run
-	// inline (no goroutines); everything else goes through the pooled
-	// blocking adapter.
-	var resumable ResumableWorkload
-	if rw, ok := w.(ResumableWorkload); ok && !cfg.ForceBlocking && rw.CanResume() {
-		resumable = rw
-	}
 	// The telemetry counters no-op on a nil registry (nil handles).
 	started := cfg.Telemetry.Counter("repro_harness_calls_started_total")
 	completed := cfg.Telemetry.Counter("repro_harness_calls_completed_total")
 	exhausted := cfg.Telemetry.Counter("repro_harness_budget_exhausted_total")
 	start := func(pid memsim.PID) error {
-		if resumable != nil {
-			if name, r, ok := resumable.NextResumable(pid); ok {
-				if err := ctl.StartResumable(pid, name, r); err != nil {
-					return err
-				}
-				started.Inc(int(pid))
-			}
-			return nil
-		}
-		if name, prog, ok := w.Next(pid); ok {
-			if err := ctl.StartCall(pid, name, prog); err != nil {
+		if name, r, ok := w.Next(pid); ok {
+			if err := ctl.StartResumable(pid, name, r); err != nil {
 				return err
 			}
 			started.Inc(int(pid))

@@ -39,15 +39,31 @@ func (w *countWorkload) Deploy(m *memsim.Machine) error {
 	return nil
 }
 
-func (w *countWorkload) Next(pid memsim.PID) (string, memsim.Program, bool) {
+func (w *countWorkload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 	if w.remaining[pid] == 0 {
 		return "", nil, false
 	}
 	w.remaining[pid]--
-	return "inc", func(p *memsim.Proc) memsim.Value {
-		return p.FetchAdd(w.counter, 1)
-	}, true
+	return "inc", &incFrame{counter: w.counter}, true
 }
+
+// incFrame is one FetchAdd on the counter, returning the old value.
+type incFrame struct {
+	counter memsim.Addr
+	ret     memsim.Value
+	done    bool
+}
+
+func (f *incFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	if f.done {
+		f.ret = prev.Val
+		return memsim.Access{}, false
+	}
+	f.done = true
+	return memsim.AccFetchAdd(f.counter, 1), true
+}
+
+func (f *incFrame) Return() memsim.Value { return f.ret }
 
 func (w *countWorkload) Done(pid memsim.PID, ret memsim.Value) {
 	w.done++
@@ -85,20 +101,39 @@ func (w *pingWorkload) Deploy(m *memsim.Machine) error {
 	return nil
 }
 
-func (w *pingWorkload) Next(pid memsim.PID) (string, memsim.Program, bool) {
+func (w *pingWorkload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 	if w.remaining[pid] == 0 {
 		return "", nil, false
 	}
 	w.remaining[pid]--
-	peer := w.cells[(int(pid)+1)%w.n]
-	own := w.cells[pid]
-	return "ping", func(p *memsim.Proc) memsim.Value {
-		v := p.Read(peer)
-		p.Write(peer, v+1)
-		p.Write(own, v)
-		return v
-	}, true
+	return "ping", &pingFrame{peer: w.cells[(int(pid)+1)%w.n], own: w.cells[pid]}, true
 }
+
+// pingFrame reads the peer's cell, increments it, and copies the value
+// read into its own cell, returning it.
+type pingFrame struct {
+	peer, own memsim.Addr
+	v         memsim.Value
+	pc        uint8
+}
+
+func (f *pingFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	switch f.pc {
+	case 0:
+		f.pc = 1
+		return memsim.AccRead(f.peer), true
+	case 1:
+		f.v, f.pc = prev.Val, 2
+		return memsim.AccWrite(f.peer, f.v+1), true
+	case 2:
+		f.pc = 3
+		return memsim.AccWrite(f.own, f.v), true
+	default:
+		return memsim.Access{}, false
+	}
+}
+
+func (f *pingFrame) Return() memsim.Value { return f.v }
 
 func (w *pingWorkload) Done(memsim.PID, memsim.Value) {}
 

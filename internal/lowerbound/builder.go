@@ -88,15 +88,6 @@ func newBuilder(cfg Config) (*builder, error) {
 	return b, nil
 }
 
-func (b *builder) close() {
-	if b.exec != nil {
-		b.exec.Close()
-	}
-	if b.spare != nil {
-		b.spare.Close()
-	}
-}
-
 func (b *builder) logf(format string, args ...any) {
 	fmt.Fprintf(b.cfg.Log, format+"\n", args...)
 }

@@ -22,7 +22,6 @@ func TestEraseAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.close()
 	for _, p := range b.activeSorted() {
 		status, err := b.advance(p)
 		if err != nil {

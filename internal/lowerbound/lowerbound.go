@@ -220,7 +220,6 @@ func Run(cfg Config) (*Certificate, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer b.close()
 	return b.run()
 }
 

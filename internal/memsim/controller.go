@@ -4,79 +4,6 @@ import (
 	"fmt"
 )
 
-// Program is the body of one procedure call (e.g. one invocation of Poll or
-// Signal). It runs as a sequential thread of control and performs shared
-// memory accesses through p. It must be deterministic: given the same
-// sequence of access results it must issue the same accesses and return the
-// same value. The returned Value is the call's response (0/1 for Boolean
-// procedures).
-type Program func(p *Proc) Value
-
-// Proc is the handle through which a program accesses shared memory. Every
-// method is a scheduling point: the calling goroutine blocks until the
-// controller grants the step.
-type Proc struct {
-	pid   PID
-	req   chan Access
-	res   chan Result
-	abort chan struct{}
-}
-
-// ID returns the process ID executing the current call.
-func (p *Proc) ID() PID { return p.pid }
-
-type procAborted struct{}
-
-// access submits one atomic operation and waits for the controller.
-func (p *Proc) access(acc Access) Result {
-	select {
-	case p.req <- acc:
-	case <-p.abort:
-		panic(procAborted{})
-	}
-	select {
-	case r := <-p.res:
-		return r
-	case <-p.abort:
-		panic(procAborted{})
-	}
-}
-
-// Read returns the value of a.
-func (p *Proc) Read(a Addr) Value { return p.access(Access{Op: OpRead, Addr: a}).Val }
-
-// Write stores v into a.
-func (p *Proc) Write(a Addr, v Value) { p.access(Access{Op: OpWrite, Addr: a, Arg1: v}) }
-
-// CAS atomically replaces the value of a with new if it equals old,
-// reporting whether it did.
-func (p *Proc) CAS(a Addr, old, new Value) bool {
-	return p.access(Access{Op: OpCAS, Addr: a, Arg1: old, Arg2: new}).OK
-}
-
-// LL load-links a and returns its value.
-func (p *Proc) LL(a Addr) Value { return p.access(Access{Op: OpLL, Addr: a}).Val }
-
-// SC store-conditionally writes v to a, reporting success.
-func (p *Proc) SC(a Addr, v Value) bool {
-	return p.access(Access{Op: OpSC, Addr: a, Arg1: v}).OK
-}
-
-// FetchAdd atomically adds delta to a and returns the previous value.
-func (p *Proc) FetchAdd(a Addr, delta Value) Value {
-	return p.access(Access{Op: OpFetchAdd, Addr: a, Arg1: delta}).Val
-}
-
-// FetchStore atomically stores v into a and returns the previous value.
-func (p *Proc) FetchStore(a Addr, v Value) Value {
-	return p.access(Access{Op: OpFetchStore, Addr: a, Arg1: v}).Val
-}
-
-// TestAndSet atomically sets a to 1 and reports whether it was 0 before.
-func (p *Proc) TestAndSet(a Addr) bool {
-	return p.access(Access{Op: OpTestAndSet, Addr: a}).OK
-}
-
 // procPhase is the controller's view of one process.
 type procPhase uint8
 
@@ -107,12 +34,9 @@ type EventSink func(Event)
 // needs: start a procedure call on a process, inspect the process's pending
 // access before it is applied, grant one step, and observe call completion.
 //
-// Calls run on one of two engine tiers. Resumable programs
-// (StartResumable, and every Instance procedure) are dispatched inline: advancing a process is a plain method call with zero
-// goroutines and zero channel operations. Blocking Programs (StartCall)
-// keep working through the FromBlocking adapter, which relays scheduling
-// points over channels from a pooled handoff goroutine. Both tiers produce
-// identical traces for identical schedules.
+// Every call is a Resumable frame (StartResumable, and every Instance
+// procedure), dispatched inline: advancing a process is a plain method
+// call on the caller's stack, with no goroutine and no channel operation.
 //
 // Controller records the full execution trace (accesses and call
 // boundaries) by default, for cost models that score after the fact;
@@ -126,7 +50,6 @@ type Controller struct {
 	seq     int
 	sinks   []EventSink
 	discard bool
-	pool    *WorkerPool
 }
 
 // NewController returns a controller over m with no active calls. Event
@@ -161,29 +84,6 @@ func (c *Controller) Idle(pid PID) bool { return c.procs[pid].phase == phaseIdle
 // Calls returns how many procedure calls pid has started.
 func (c *Controller) Calls(pid PID) int { return c.procs[pid].calls }
 
-// Pool returns the controller's worker pool for blocking-program adapters,
-// creating it on first use. The pool is sized to the machine's process
-// count — at most one call per process is ever active.
-func (c *Controller) Pool() *WorkerPool {
-	if c.pool == nil {
-		c.pool = NewWorkerPool(len(c.procs))
-	}
-	return c.pool
-}
-
-// StartCall begins an invocation of prog (named name, e.g. "Poll") on
-// process pid and runs the process until it either submits its first
-// shared-memory access or completes. It returns an error if pid already has
-// an active call. The program runs on a pooled handoff goroutine; native
-// state machines go through StartResumable instead and need no goroutine
-// at all.
-func (c *Controller) StartCall(pid PID, name string, prog Program) error {
-	if err := c.checkIdle(pid); err != nil {
-		return err
-	}
-	return c.StartResumable(pid, name, c.Pool().FromBlocking(pid, prog))
-}
-
 // checkIdle returns the error a call start on a busy pid reports.
 func (c *Controller) checkIdle(pid PID) error {
 	if st := &c.procs[pid]; st.phase != phaseIdle {
@@ -195,8 +95,7 @@ func (c *Controller) checkIdle(pid PID) error {
 // StartResumable begins an invocation of the resumable program r (named
 // name) on process pid and advances it until it either submits its first
 // shared-memory access or completes. It returns an error if pid already
-// has an active call. This is the engine's fast path: the frame is
-// dispatched inline on the caller's stack.
+// has an active call.
 func (c *Controller) StartResumable(pid PID, name string, r Resumable) error {
 	if err := c.checkIdle(pid); err != nil {
 		return err
@@ -293,9 +192,6 @@ func (c *Controller) Crash(pid PID, vol Volatility) (Event, error) {
 	if st.phase != phasePending {
 		return Event{}, fmt.Errorf("memsim: process %d has no pending access to crash at", pid)
 	}
-	if a, ok := st.frame.(frameAborter); ok {
-		a.abortFrame()
-	}
 	st.phase = phaseIdle
 	st.frame = nil
 	st.calls--
@@ -338,52 +234,26 @@ func (c *Controller) StepLostCAS(pid PID) (Event, error) {
 }
 
 // Abort kills pid's active call, if any, without applying its pending
-// access. The process returns to idle; no call-end event is recorded. Abort
-// is a runtime cleanup facility behind Close and Reset (the logical
-// "erasure" of the lower bound rewinds an execution with Reset and
-// re-applies the schedule without the erased processes' actions). A native
-// resumable frame is simply dropped; a blocking adapter additionally
-// unwinds its parked program so the handoff goroutine re-pools.
+// access: the frame is dropped and the process returns to idle, keeping
+// its call count; no call-end event is recorded.
 func (c *Controller) Abort(pid PID) {
 	st := &c.procs[pid]
-	if st.phase == phaseIdle {
-		return
-	}
-	if st.phase == phasePending {
-		if a, ok := st.frame.(frameAborter); ok {
-			a.abortFrame()
-		}
-	}
-	// A phaseDone frame holds no goroutine: the blocking adapter's worker
-	// re-pooled itself after delivering the return value.
 	st.phase = phaseIdle
 	st.frame = nil
 }
 
 // Reset rewinds the controller to its state before the first call: every
-// active call is aborted (blocking adapters re-pool), every process is idle
-// with no calls started, and the trace is empty with sequence numbers
-// restarting at 0. Event storage and the worker pool are kept for the
-// rewound run, as are attached sinks and the retention setting; slices
-// Events returned before the reset are overwritten by later events.
+// active call is dropped, every process is idle with no calls started,
+// and the trace is empty with sequence numbers restarting at 0 (the
+// logical "erasure" of the lower bound rewinds an execution this way and
+// re-applies the schedule without the erased processes' actions). Event
+// storage is kept for the rewound run, as are attached sinks and the
+// retention setting; slices Events returned before the reset are
+// overwritten by later events.
 func (c *Controller) Reset() {
-	for pid := range c.procs {
-		c.Abort(PID(pid))
-	}
 	clear(c.procs)
 	c.events = c.events[:0]
 	c.seq = 0
-}
-
-// Close aborts all active calls and terminates the blocking-adapter worker
-// pool. The controller must not be used afterward.
-func (c *Controller) Close() {
-	for pid := range c.procs {
-		c.Abort(PID(pid))
-	}
-	if c.pool != nil {
-		c.pool.Close()
-	}
 }
 
 func (c *Controller) emit(ev Event) {

@@ -4,24 +4,62 @@ import (
 	"testing"
 )
 
-// testProgram increments a shared word twice and returns its final value.
-func testProgram(a Addr) Program {
-	return func(p *Proc) Value {
-		v := p.Read(a)
-		p.Write(a, v+1)
-		v = p.Read(a)
-		p.Write(a, v+1)
-		return p.Read(a)
+// incFrame increments a shared word times times (read it, write the value
+// plus one) and returns the value of a final read.
+type incFrame struct {
+	a     Addr
+	times int
+	done  int
+	ret   Value
+	pc    uint8
+}
+
+func (f *incFrame) Next(prev Result) (Access, bool) {
+	switch f.pc {
+	case 0:
+		f.pc = 1
+		return AccRead(f.a), true
+	case 1: // read result
+		if f.done == f.times {
+			f.ret = prev.Val
+			return Access{}, false
+		}
+		f.done++
+		f.pc = 2
+		return AccWrite(f.a, prev.Val+1), true
+	default: // written
+		f.pc = 1
+		return AccRead(f.a), true
 	}
 }
+
+func (f *incFrame) Return() Value { return f.ret }
+
+// testProgram increments a shared word twice and returns its final value.
+func testProgram(a Addr) Resumable { return &incFrame{a: a, times: 2} }
+
+// spinFrame reads a until it is nonzero.
+type spinFrame struct {
+	a       Addr
+	started bool
+}
+
+func (f *spinFrame) Next(prev Result) (Access, bool) {
+	if f.started && prev.Val != 0 {
+		return Access{}, false
+	}
+	f.started = true
+	return AccRead(f.a), true
+}
+
+func (f *spinFrame) Return() Value { return 0 }
 
 func TestControllerStepGranularity(t *testing.T) {
 	m := NewMachine(2)
 	a := m.Alloc(NoOwner, "x", 1, 0)
 	ctl := NewController(m)
-	defer ctl.Close()
 
-	if err := ctl.StartCall(0, "inc", testProgram(a)); err != nil {
+	if err := ctl.StartResumable(0, "inc", testProgram(a)); err != nil {
 		t.Fatal(err)
 	}
 	acc, ok := ctl.Pending(0)
@@ -59,15 +97,13 @@ func TestControllerInterleaving(t *testing.T) {
 	m := NewMachine(2)
 	a := m.Alloc(NoOwner, "x", 1, 0)
 	ctl := NewController(m)
-	defer ctl.Close()
 
 	// Interleave two increment programs to lose an update: both read 0,
 	// both write 1.
-	read := func(p *Proc) Value { v := p.Read(a); p.Write(a, v+1); return v }
-	if err := ctl.StartCall(0, "inc", read); err != nil {
+	if err := ctl.StartResumable(0, "inc", &incFrame{a: a, times: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctl.StartCall(1, "inc", read); err != nil {
+	if err := ctl.StartResumable(1, "inc", &incFrame{a: a, times: 1}); err != nil {
 		t.Fatal(err)
 	}
 	mustStep := func(pid PID) {
@@ -89,12 +125,11 @@ func TestControllerDoubleStartFails(t *testing.T) {
 	m := NewMachine(1)
 	a := m.Alloc(NoOwner, "x", 1, 0)
 	ctl := NewController(m)
-	defer ctl.Close()
-	if err := ctl.StartCall(0, "p", testProgram(a)); err != nil {
+	if err := ctl.StartResumable(0, "p", testProgram(a)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctl.StartCall(0, "p", testProgram(a)); err == nil {
-		t.Fatal("second StartCall should fail while a call is active")
+	if err := ctl.StartResumable(0, "p", testProgram(a)); err == nil {
+		t.Fatal("second StartResumable should fail while a call is active")
 	}
 }
 
@@ -102,11 +137,7 @@ func TestControllerAbort(t *testing.T) {
 	m := NewMachine(1)
 	a := m.Alloc(NoOwner, "x", 1, 0)
 	ctl := NewController(m)
-	if err := ctl.StartCall(0, "spin", func(p *Proc) Value {
-		for p.Read(a) == 0 {
-		}
-		return 0
-	}); err != nil {
+	if err := ctl.StartResumable(0, "spin", &spinFrame{a: a}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ctl.Step(0); err != nil {
@@ -117,18 +148,16 @@ func TestControllerAbort(t *testing.T) {
 		t.Fatal("process should be idle after Abort")
 	}
 	// The machine must be reusable.
-	if err := ctl.StartCall(0, "again", testProgram(a)); err != nil {
+	if err := ctl.StartResumable(0, "again", testProgram(a)); err != nil {
 		t.Fatal(err)
 	}
-	ctl.Close()
 }
 
 func TestControllerEvents(t *testing.T) {
 	m := NewMachine(1)
 	a := m.Alloc(NoOwner, "x", 1, 0)
 	ctl := NewController(m)
-	defer ctl.Close()
-	if err := ctl.StartCall(0, "inc", testProgram(a)); err != nil {
+	if err := ctl.StartResumable(0, "inc", testProgram(a)); err != nil {
 		t.Fatal(err)
 	}
 	for {

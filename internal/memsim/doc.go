@@ -30,25 +30,15 @@
 // capability the paper's erasing/rolling-forward proof strategy requires,
 // and the explorer's reference enumeration.
 //
-// # The two program tiers
+// # Frames
 //
-// Procedures run in one of two representations:
-//
-//   - Resumable: an explicit state machine, Resumable, whose
-//     Next(prev Result) (Access, bool) the controller dispatches inline —
-//     zero goroutines and zero channel operations per step, ~5–11× faster
-//     (BenchmarkEngineStep/mcs). Call-local state lives in a plain
-//     copyable struct (a "frame"). An Instance provides its procedures in
-//     this form only, and Execution runs every call this way.
-//   - Blocking: an ordinary Go function, Program func(*Proc) Value, for
-//     code that composes calls over Proc (lock sections, the examples).
-//     Every shared-memory access suspends its goroutine until the
-//     controller grants it (two channel handshakes per step).
-//     WorkerPool.FromBlocking runs these on pooled, reusable handoff
-//     goroutines, and Blocking adapts a frame into such a program.
-//
-// Both produce byte-identical traces for identical schedules, pinned by
-// equivalence tests for every algorithm and lock in this repository.
+// Every procedure call is a Resumable: an explicit state machine whose
+// Next(prev Result) (Access, bool) the controller dispatches inline, one
+// shared-memory access per call, with no goroutine and no channel
+// operation per step. Call-local state lives in a plain copyable struct
+// (a "frame"). An Instance mints its procedures in this form, and larger
+// procedures (lock passages, the GME room, the examples) compose by
+// driving sub-frames from their own Next.
 //
 // # Frame discipline
 //

@@ -301,9 +301,6 @@ func (e *Execution) Invoke(pid PID, kind CallKind, maxSteps int) (Value, error) 
 	return e.RunCall(pid, maxSteps)
 }
 
-// Close aborts all active calls.
-func (e *Execution) Close() { e.ctl.Close() }
-
 // Replay deploys a fresh copy of factory and re-applies the given actions.
 // Because instances are deterministic, the resulting execution's trace is a
 // function of the action sequence alone. Replay returns an error if an
@@ -316,7 +313,6 @@ func Replay(factory Factory, n int, actions []Action) (*Execution, error) {
 	}
 	for i, a := range actions {
 		if err := e.Apply(a); err != nil {
-			e.Close()
 			return nil, fmt.Errorf("replay action %d (%v p%d): %w", i, a.Kind, a.PID, err)
 		}
 	}

@@ -61,7 +61,6 @@ func TestExecutionInvoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	for i := 1; i <= 3; i++ {
 		ret, err := e.Invoke(0, CallPoll, 100)
 		if err != nil {
@@ -129,8 +128,6 @@ func TestReplayDeterminism(t *testing.T) {
 				t.Fatalf("seed %d: event %d differs: %+v vs %+v", seed, i, got[i], want[i])
 			}
 		}
-		replayed.Close()
-		e.Close()
 	}
 }
 
@@ -143,7 +140,6 @@ func TestRunCallBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	if _, err := e.Invoke(0, CallPoll, 10); err == nil {
 		t.Fatal("Invoke should fail when the budget trips")
 	}
@@ -170,7 +166,6 @@ func TestRefusedStartKeepsInFlightFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	if err := e.Start(0, CallPoll); err != nil {
 		t.Fatal(err)
 	}

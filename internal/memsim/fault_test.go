@@ -135,7 +135,6 @@ func TestCrashSemantics(t *testing.T) {
 		if err := exec.Start(0, CallPoll); err != nil {
 			t.Fatalf("vol=%v: restart: %v", vol, err)
 		}
-		exec.Close()
 	}
 }
 
@@ -143,7 +142,6 @@ func TestCrashSemantics(t *testing.T) {
 // accesses only.
 func TestCrashRequiresPending(t *testing.T) {
 	exec, _ := newCrashProbe(t)
-	defer exec.Close()
 	if _, err := exec.Crash(0, VolStable); err == nil {
 		t.Fatal("crash of an idle process accepted")
 	}
@@ -178,7 +176,6 @@ func TestLostCASSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer exec.Close()
 	if err := exec.Start(0, CallPoll); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +232,6 @@ func TestFaultActionsReplay(t *testing.T) {
 	}
 	actions := exec.Actions()
 	events := exec.Events()
-	exec.Close()
 
 	re, err := Replay(func(m *Machine, n int) (Instance, error) {
 		m.Alloc(0, "OWN", 1, 0)
@@ -245,7 +241,6 @@ func TestFaultActionsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replaying fault actions: %v", err)
 	}
-	defer re.Close()
 	got := re.Events()
 	if len(got) != len(events) {
 		t.Fatalf("replay produced %d events, want %d", len(got), len(events))

@@ -4,18 +4,16 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"sync"
 )
 
-// Resumable is the goroutine-free program representation: an explicit state
-// machine that the Controller dispatches inline. Where a blocking Program
-// suspends its goroutine at every shared-memory access (two channel
-// handshakes per step), a Resumable is advanced by plain method calls —
-// zero goroutines, zero channel operations, and its entire call-local state
-// lives in a plain struct (a "frame") that can be copied, which is what the
-// backtracking explorer's undo machinery relies on. Every Instance
-// procedure exists only in this form; Blocking adapts a frame for callers
-// that compose calls over Proc.
+// Resumable is the program representation of every procedure call: an
+// explicit state machine that the Controller dispatches inline. Each
+// Next is one scheduling point (one shared-memory access), advanced by a
+// plain method call, and the call's entire local state lives in a plain
+// struct (a "frame") that can be copied, which is what the backtracking
+// explorer's undo machinery relies on. Procedures compose by driving
+// sub-frames from their own Next (lock sections inside a passage, Poll
+// inside a blockified Wait).
 //
 // Protocol: the controller calls Next with the result of the previously
 // granted access (the zero Result on the first invocation). Next returns
@@ -182,182 +180,3 @@ func encodeCanonical(w io.Writer, v reflect.Value) {
 		fmt.Fprintf(w, "<%s>,", v.Type().String())
 	}
 }
-
-// Blocking adapts frame r into a blocking Program: the program loops on
-// r.Next and issues each access through its Proc, then returns r's
-// response. It is the one bridge from the resumable form to callers that
-// compose procedures over Proc (the goroutine tier). r is consumed: a
-// frame runs once.
-func Blocking(r Resumable) Program {
-	return func(p *Proc) Value {
-		var res Result
-		for {
-			acc, ok := r.Next(res)
-			if !ok {
-				return r.Return()
-			}
-			res = p.access(acc)
-		}
-	}
-}
-
-// blockJob is one blocking program handed to a pool worker.
-type blockJob struct {
-	prog Program
-	proc *Proc
-	done chan Value
-}
-
-// worker is a reusable handoff goroutine: it runs blocking programs one at
-// a time and parks itself back in its pool between calls, so a run with
-// thousands of procedure calls spawns at most max-concurrency goroutines
-// instead of one per call.
-type worker struct {
-	pool *WorkerPool
-	jobs chan blockJob
-}
-
-func (w *worker) loop() {
-	for job := range w.jobs {
-		w.run(job)
-		if !w.pool.release(w) {
-			return
-		}
-	}
-}
-
-// run executes one blocking program, delivering its return value on the
-// job's done channel. An aborted program unwinds with procAborted and
-// delivers nothing; the worker survives and returns to the pool.
-func (w *worker) run(job blockJob) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(procAborted); ok {
-				return
-			}
-			panic(r)
-		}
-	}()
-	job.done <- job.prog(job.proc)
-}
-
-// WorkerPool owns the handoff goroutines behind FromBlocking adapters. It
-// exists so the blocking compatibility path reuses goroutines instead of
-// spawning one per procedure call; Close terminates every idle worker,
-// which is what makes goroutine-leak assertions possible after a run.
-type WorkerPool struct {
-	mu     sync.Mutex
-	free   []*worker
-	max    int
-	closed bool
-}
-
-// NewWorkerPool returns a pool retaining up to max idle workers (a
-// non-positive max keeps 8). Workers are spawned on demand.
-func NewWorkerPool(max int) *WorkerPool {
-	if max <= 0 {
-		max = 8
-	}
-	return &WorkerPool{max: max}
-}
-
-// get pops an idle worker or spawns a fresh one.
-func (p *WorkerPool) get() *worker {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		w := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return w
-	}
-	p.mu.Unlock()
-	w := &worker{pool: p, jobs: make(chan blockJob)}
-	go w.loop()
-	return w
-}
-
-// release parks w back in the pool; false tells the worker to exit (pool
-// closed or at capacity).
-func (p *WorkerPool) release(w *worker) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || len(p.free) >= p.max {
-		return false
-	}
-	p.free = append(p.free, w)
-	return true
-}
-
-// Close terminates every idle worker and makes busy workers exit as they
-// finish. The pool must not be used afterward.
-func (p *WorkerPool) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return
-	}
-	p.closed = true
-	for _, w := range p.free {
-		close(w.jobs)
-	}
-	p.free = nil
-}
-
-// FromBlocking adapts a blocking Program into a Resumable: the program runs
-// on a pooled handoff goroutine and every scheduling point is relayed
-// through the adapter's channels. This is the compatibility tier of the
-// engine — per step it still pays the two channel handshakes the blocking
-// representation requires, but call start-up no longer spawns a goroutine
-// when an idle worker is available. Native Resumable implementations skip
-// all of it.
-func (p *WorkerPool) FromBlocking(pid PID, prog Program) Resumable {
-	proc := &Proc{
-		pid:   pid,
-		req:   make(chan Access),
-		res:   make(chan Result),
-		abort: make(chan struct{}),
-	}
-	f := &blockingFrame{proc: proc, done: make(chan Value, 1)}
-	w := p.get()
-	w.jobs <- blockJob{prog: prog, proc: proc, done: f.done}
-	return f
-}
-
-// blockingFrame drives one blocking program call through the worker's
-// channels, presenting the Resumable interface to the controller.
-type blockingFrame struct {
-	proc    *Proc
-	done    chan Value
-	started bool
-	ret     Value
-}
-
-var _ Resumable = (*blockingFrame)(nil)
-
-// Next implements Resumable: deliver the previous result to the parked
-// program (except on the first call) and wait for its next access or its
-// completion.
-func (f *blockingFrame) Next(prev Result) (Access, bool) {
-	if !f.started {
-		f.started = true
-	} else {
-		f.proc.res <- prev
-	}
-	select {
-	case acc := <-f.proc.req:
-		return acc, true
-	case ret := <-f.done:
-		f.ret = ret
-		return Access{}, false
-	}
-}
-
-// Return implements Resumable.
-func (f *blockingFrame) Return() Value { return f.ret }
-
-// abortFrame kills the parked program; the worker survives and re-pools.
-func (f *blockingFrame) abortFrame() { close(f.proc.abort) }
-
-// frameAborter is what Controller.Abort looks for: only the blocking
-// adapter has a goroutine to kill; native frames are simply dropped.
-type frameAborter interface{ abortFrame() }

@@ -1,113 +1,36 @@
 package memsim
 
 import (
-	"runtime"
 	"testing"
-	"time"
+
+	"repro/internal/leakcheck"
 )
 
-// settleGoroutines waits for the goroutine count to return to base,
-// failing the test with a full stack dump if it does not.
-func settleGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: %d > %d\n%s", runtime.NumGoroutine(), base, buf[:n])
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// spinProgram blocks forever on a (the worst case for abort cleanup).
-func spinProgram(a Addr) Program {
-	return func(p *Proc) Value {
-		for p.Read(a) == 0 {
-		}
-		return 0
-	}
-}
-
-// TestNoGoroutineLeakAfterAbort: aborting mid-call blocking programs and
-// closing the controller returns the goroutine count to its baseline —
-// the abort/interrupt cleanup path of the engine.
-func TestNoGoroutineLeakAfterAbort(t *testing.T) {
-	base := runtime.NumGoroutine()
-	m := NewMachine(4)
-	a := m.Alloc(NoOwner, "spin", 1, 0)
-	ctl := NewController(m)
-	for pid := 0; pid < 4; pid++ {
-		if err := ctl.StartCall(PID(pid), "spin", spinProgram(a)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ctl.Step(PID(pid)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctl.Abort(0)
-	ctl.Abort(1)
-	ctl.Close() // aborts the rest and closes the worker pool
-	settleGoroutines(t, base)
-}
-
-// TestWorkerPoolReusesGoroutines: a long sequence of blocking calls on the
-// same controller runs on a bounded set of pooled handoff goroutines
-// instead of one goroutine per call.
-func TestWorkerPoolReusesGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
-	m := NewMachine(2)
-	a := m.Alloc(NoOwner, "x", 1, 1)
-	ctl := NewController(m)
-	prog := func(p *Proc) Value { return p.Read(a) }
-	for call := 0; call < 200; call++ {
-		for pid := 0; pid < 2; pid++ {
-			if err := ctl.StartCall(PID(pid), "read", prog); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ctl.Step(PID(pid)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ctl.FinishCall(PID(pid)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// While the controller is open, at most the pool's parked workers (one
-	// per process here) plus scheduling slack may be alive.
-	if got := runtime.NumGoroutine(); got > base+4 {
-		t.Fatalf("worker pool not reusing goroutines: %d alive after 400 calls (baseline %d)", got, base)
-	}
-	ctl.Close()
-	settleGoroutines(t, base)
-}
-
-// TestStartResumableSpawnsNoGoroutines: the resumable tier never touches
-// the goroutine count, even across many calls.
+// TestStartResumableSpawnsNoGoroutines: dispatching frames starts no
+// goroutine, however many calls run.
 func TestStartResumableSpawnsNoGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
-	m := NewMachine(2)
-	a := m.Alloc(NoOwner, "x", 1, 7)
-	ctl := NewController(m)
-	defer ctl.Close()
-	for call := 0; call < 100; call++ {
-		if err := ctl.StartResumable(0, "read", &readFrame{addr: a}); err != nil {
-			t.Fatal(err)
+	probe := leakcheck.Run(func() {
+		m := NewMachine(2)
+		a := m.Alloc(NoOwner, "x", 1, 7)
+		ctl := NewController(m)
+		for call := 0; call < 100; call++ {
+			if err := ctl.StartResumable(0, "read", &readFrame{addr: a}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ctl.Step(0); err != nil {
+				t.Fatal(err)
+			}
+			ret, err := ctl.FinishCall(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ret != 7 {
+				t.Fatalf("ret = %d, want 7", ret)
+			}
 		}
-		if _, err := ctl.Step(0); err != nil {
-			t.Fatal(err)
-		}
-		ret, err := ctl.FinishCall(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ret != 7 {
-			t.Fatalf("ret = %d, want 7", ret)
-		}
-	}
-	if got := runtime.NumGoroutine(); got != base {
-		t.Fatalf("resumable dispatch changed goroutine count: %d -> %d", base, got)
+	})
+	if n, stacks := probe.Alive(); n != 0 {
+		t.Fatalf("frame dispatch left %d goroutines running:\n%s", n, stacks)
 	}
 }
 
@@ -128,40 +51,6 @@ func (f *readFrame) Next(prev Result) (Access, bool) {
 }
 
 func (f *readFrame) Return() Value { return f.ret }
-
-// TestBlockingAndResumableInterleave: the two tiers coexist on one
-// controller — a blocking call and a resumable call interleave correctly.
-func TestBlockingAndResumableInterleave(t *testing.T) {
-	m := NewMachine(2)
-	a := m.Alloc(NoOwner, "x", 1, 0)
-	ctl := NewController(m)
-	defer ctl.Close()
-	if err := ctl.StartCall(0, "write", func(p *Proc) Value {
-		p.Write(a, 41)
-		return 0
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctl.StartResumable(1, "read", &readFrame{addr: a}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctl.Step(0); err != nil { // apply the write
-		t.Fatal(err)
-	}
-	if _, err := ctl.Step(1); err != nil { // apply the read
-		t.Fatal(err)
-	}
-	if _, err := ctl.FinishCall(0); err != nil {
-		t.Fatal(err)
-	}
-	ret, err := ctl.FinishCall(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ret != 41 {
-		t.Fatalf("resumable read returned %d, want 41", ret)
-	}
-}
 
 // TestCloneResumableIndependence: a cloned frame resumes independently of
 // the original.
@@ -223,17 +112,16 @@ func TestMachineUndoLog(t *testing.T) {
 	}
 }
 
-// TestControllerResetRepoolsBlockingCalls: Reset aborts parked blocking
-// calls so their handoff goroutines re-pool, idles every process with its
-// call count rewound, and restarts the trace at sequence number 0.
-func TestControllerResetRepoolsBlockingCalls(t *testing.T) {
-	base := runtime.NumGoroutine()
+// TestControllerResetRewindsCalls: Reset drops every active call, idles
+// every process with its call count rewound, and restarts the trace at
+// sequence number 0, round after round.
+func TestControllerResetRewindsCalls(t *testing.T) {
 	m := NewMachine(4)
 	a := m.Alloc(NoOwner, "spin", 1, 0)
 	ctl := NewController(m)
 	for round := 0; round < 50; round++ {
 		for pid := 0; pid < 4; pid++ {
-			if err := ctl.StartCall(PID(pid), "spin", spinProgram(a)); err != nil {
+			if err := ctl.StartResumable(PID(pid), "spin", &spinFrame{a: a}); err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
 			if _, err := ctl.Step(PID(pid)); err != nil {
@@ -244,18 +132,16 @@ func TestControllerResetRepoolsBlockingCalls(t *testing.T) {
 			t.Fatalf("round %d: first event after reset = %+v", round, ev)
 		}
 		ctl.Reset()
-		// Aborted workers re-pool (or exit past the pool's capacity of
-		// one per process) asynchronously; parked programs would not.
-		settleGoroutines(t, base+4)
 		for pid := 0; pid < 4; pid++ {
 			if !ctl.Idle(PID(pid)) || ctl.Calls(PID(pid)) != 0 {
 				t.Fatalf("p%d not rewound by reset", pid)
+			}
+			if _, ok := ctl.Pending(PID(pid)); ok {
+				t.Fatalf("p%d kept its pending access across reset", pid)
 			}
 		}
 		if len(ctl.Events()) != 0 {
 			t.Fatal("reset kept the trace")
 		}
 	}
-	ctl.Close()
-	settleGoroutines(t, base)
 }

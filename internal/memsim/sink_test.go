@@ -43,7 +43,6 @@ func TestSinkSeesRetainedEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	var seen []Event
 	e.Attach(func(ev Event) { seen = append(seen, ev) })
 	driveSinkRun(t, e)
@@ -62,7 +61,6 @@ func TestRetainEventsOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	e.RetainEvents(false)
 	var seen []Event
 	e.Attach(func(ev Event) { seen = append(seen, ev) })
@@ -85,7 +83,6 @@ func TestRetainEventsOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
 	if !reflect.DeepEqual(seen, ref.Events()) {
 		t.Fatal("streamed events differ from the retained replay")
 	}

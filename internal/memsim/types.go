@@ -97,7 +97,7 @@ func (a Access) String() string {
 }
 
 // Access constructors, the vocabulary of resumable frames: one per atomic
-// primitive, mirroring the Proc methods of the blocking representation.
+// primitive.
 
 // AccRead builds a read access.
 func AccRead(a Addr) Access { return Access{Op: OpRead, Addr: a} }

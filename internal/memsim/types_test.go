@@ -1,10 +1,10 @@
 package memsim
 
 import (
-	"runtime"
 	"strings"
 	"testing"
-	"time"
+
+	"repro/internal/leakcheck"
 )
 
 func TestOpString(t *testing.T) {
@@ -66,32 +66,26 @@ func TestCallKindString(t *testing.T) {
 	}
 }
 
-// TestNoGoroutineLeaks: creating and closing many executions (including
-// aborted mid-call spinners) must not leak process goroutines.
+// TestNoGoroutineLeaks: many executions, each left with every process
+// mid-call, start no goroutine.
 func TestNoGoroutineLeaks(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		e, err := NewExecution(counterFactory, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pid := 0; pid < 4; pid++ {
-			if err := e.Start(PID(pid), CallPoll); err != nil {
+	probe := leakcheck.Run(func() {
+		for i := 0; i < 50; i++ {
+			e, err := NewExecution(counterFactory, 4)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := e.Step(PID(pid)); err != nil {
-				t.Fatal(err)
+			for pid := 0; pid < 4; pid++ {
+				if err := e.Start(PID(pid), CallPoll); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.Step(PID(pid)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		e.Close() // aborts all four mid-call
+	})
+	if n, stacks := probe.Alive(); n != 0 {
+		t.Fatalf("executions left %d goroutines running:\n%s", n, stacks)
 	}
-	// Give aborted goroutines a moment to unwind.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }

@@ -43,40 +43,91 @@ type bakeryLock struct {
 
 var _ Lock = (*bakeryLock)(nil)
 
-// Acquire implements Lock.
-func (l *bakeryLock) Acquire(p *memsim.Proc) {
-	i := int(p.ID())
-	// Doorway: pick a ticket larger than every ticket seen.
-	p.Write(l.choosing[i], 1)
-	max := memsim.Value(0)
-	for j := 0; j < l.n; j++ {
-		if v := p.Read(l.number[j]); v > max {
-			max = v
-		}
-	}
-	p.Write(l.number[i], max+1)
-	p.Write(l.choosing[i], 0)
-	// Wait section: defer to every process with a smaller (ticket, ID).
-	for j := 0; j < l.n; j++ {
-		if j == i {
-			continue
-		}
-		for p.Read(l.choosing[j]) == 1 {
-		}
-		for {
-			nj := p.Read(l.number[j])
-			if nj == 0 {
-				break
+// AcquireFrame implements Lock: the doorway (scan every ticket,
+// take max+1) followed by the wait section's per-process defer loops.
+func (l *bakeryLock) AcquireFrame(pid memsim.PID) memsim.Resumable {
+	return &bakeryAcquireFrame{l: l, i: int(pid)}
+}
+
+// ReleaseFrame implements Lock.
+func (l *bakeryLock) ReleaseFrame(pid memsim.PID) memsim.Resumable {
+	return &writeFrame{addr: l.number[pid], val: 0}
+}
+
+type bakeryAcquireFrame struct {
+	l   *bakeryLock
+	i   int
+	j   int
+	max memsim.Value
+	nj  memsim.Value
+	pc  uint8
+}
+
+func (f *bakeryAcquireFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	for {
+		switch f.pc {
+		case 0: // doorway: announce choosing
+			f.pc = 1
+			return memsim.AccWrite(f.l.choosing[f.i], 1), true
+		case 1: // doorway scan head
+			f.j = 0
+			f.max = 0
+			f.pc = 2
+		case 2: // issue next ticket read, or take the ticket
+			if f.j >= f.l.n {
+				f.pc = 4
+				return memsim.AccWrite(f.l.number[f.i], f.max+1), true
 			}
-			ni := p.Read(l.number[i])
-			if nj > ni || (nj == ni && j > i) {
-				break
+			f.pc = 3
+			return memsim.AccRead(f.l.number[f.j]), true
+		case 3: // ticket read
+			if prev.Val > f.max {
+				f.max = prev.Val
 			}
+			f.j++
+			f.pc = 2
+		case 4: // ticket taken; leave the doorway
+			f.pc = 5
+			return memsim.AccWrite(f.l.choosing[f.i], 0), true
+		case 5: // wait section loop head
+			f.j = 0
+			f.pc = 6
+		case 6: // next process to defer to
+			if f.j >= f.l.n {
+				return memsim.Access{}, false // acquired
+			}
+			if f.j == f.i {
+				f.j++
+				continue
+			}
+			f.pc = 7
+			return memsim.AccRead(f.l.choosing[f.j]), true
+		case 7: // spin until j is out of its doorway
+			if prev.Val == 1 {
+				return memsim.AccRead(f.l.choosing[f.j]), true
+			}
+			f.pc = 8
+			return memsim.AccRead(f.l.number[f.j]), true
+		case 8: // j's ticket read
+			if prev.Val == 0 {
+				f.j++
+				f.pc = 6
+				continue
+			}
+			f.nj = prev.Val
+			f.pc = 9
+			return memsim.AccRead(f.l.number[f.i]), true
+		default: // own ticket re-read: defer or pass
+			ni := prev.Val
+			if f.nj > ni || (f.nj == ni && f.j > f.i) {
+				f.j++
+				f.pc = 6
+				continue
+			}
+			f.pc = 8
+			return memsim.AccRead(f.l.number[f.j]), true
 		}
 	}
 }
 
-// Release implements Lock.
-func (l *bakeryLock) Release(p *memsim.Proc) {
-	p.Write(l.number[p.ID()], 0)
-}
+func (f *bakeryAcquireFrame) Return() memsim.Value { return 0 }

@@ -15,10 +15,10 @@
 //     passage in the CC model (the read/write bound of [30, 22, 10, 5]);
 //   - bakery lock: the classic reads/writes-only doorway algorithm.
 //
-// Locks are program fragments over memsim.Proc — Acquire/Release compose
-// with larger simulated programs — and every lock also implements
-// ResumableLock, the frame-based form the goroutine-free engine tier
-// dispatches inline (see internal/memsim). CSProbe is the shared
+// A lock's acquire and release sections are resumable frames
+// (memsim.Resumable) that compose into larger frames: a passage drives
+// them around its critical section, and the GME room, the primitive
+// emulations and the examples drive them the same way. CSProbe is the shared
 // critical-section passage probe (lost-update detection, completion
 // accounting) embedded by both this package's workload and the
 // semi-synchronous one.

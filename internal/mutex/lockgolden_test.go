@@ -138,9 +138,6 @@ func goldenRow(t *testing.T, name string, w harness.Workload, s sched.Scheduler,
 		Scheduler:  s,
 		MaxSteps:   maxSteps,
 		KeepEvents: true,
-		// The reference rows come from the blocking tier; the public Run
-		// below takes the resumable tier wherever the workload has one.
-		ForceBlocking: true,
 	})
 	events := runEvents(t, res, err)
 	trace := goldenTraceSum(events)

@@ -39,35 +39,87 @@ type mcsLock struct {
 
 var _ Lock = (*mcsLock)(nil)
 
-// Acquire implements Lock.
-func (l *mcsLock) Acquire(p *memsim.Proc) {
-	i := int(p.ID())
-	p.Write(l.next[i], memsim.Nil)
-	p.Write(l.locked[i], 1)
-	pred := p.FetchStore(l.tail, memsim.Value(i))
-	if pred == memsim.Nil {
-		return // lock was free
-	}
-	p.Write(l.next[pred], memsim.Value(i)) // link behind predecessor
-	for p.Read(l.locked[i]) == 1 {         // local spin
+// AcquireFrame implements Lock: enqueue with F&S, link behind the
+// predecessor, spin locally on the own node's flag.
+func (l *mcsLock) AcquireFrame(pid memsim.PID) memsim.Resumable {
+	return &mcsAcquireFrame{l: l, i: int(pid)}
+}
+
+// ReleaseFrame implements Lock: hand over to the successor,
+// resolving the enqueue race through CAS on the tail.
+func (l *mcsLock) ReleaseFrame(pid memsim.PID) memsim.Resumable {
+	return &mcsReleaseFrame{l: l, i: int(pid)}
+}
+
+type mcsAcquireFrame struct {
+	l  *mcsLock
+	i  int
+	pc uint8
+}
+
+func (f *mcsAcquireFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	switch f.pc {
+	case 0:
+		f.pc = 1
+		return memsim.AccWrite(f.l.next[f.i], memsim.Nil), true
+	case 1:
+		f.pc = 2
+		return memsim.AccWrite(f.l.locked[f.i], 1), true
+	case 2:
+		f.pc = 3
+		return memsim.AccFetchStore(f.l.tail, memsim.Value(f.i)), true
+	case 3: // predecessor known
+		if prev.Val == memsim.Nil {
+			return memsim.Access{}, false // lock was free
+		}
+		f.pc = 4
+		return memsim.AccWrite(f.l.next[prev.Val], memsim.Value(f.i)), true
+	case 4: // linked; enter the local spin
+		f.pc = 5
+		return memsim.AccRead(f.l.locked[f.i]), true
+	default: // local spin on locked[i]
+		if prev.Val == 1 {
+			return memsim.AccRead(f.l.locked[f.i]), true
+		}
+		return memsim.Access{}, false
 	}
 }
 
-// Release implements Lock.
-func (l *mcsLock) Release(p *memsim.Proc) {
-	i := int(p.ID())
-	succ := p.Read(l.next[i])
-	if succ == memsim.Nil {
-		if p.CAS(l.tail, memsim.Value(i), memsim.Nil) {
-			return // no successor; lock is free
-		}
-		// A successor is enqueueing: wait for the link.
-		for {
-			succ = p.Read(l.next[i]) // local spin in own module
-			if succ != memsim.Nil {
-				break
-			}
-		}
-	}
-	p.Write(l.locked[succ], 0) // hand over
+func (f *mcsAcquireFrame) Return() memsim.Value { return 0 }
+
+type mcsReleaseFrame struct {
+	l  *mcsLock
+	i  int
+	pc uint8
 }
+
+func (f *mcsReleaseFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	switch f.pc {
+	case 0:
+		f.pc = 1
+		return memsim.AccRead(f.l.next[f.i]), true
+	case 1: // successor read
+		if prev.Val != memsim.Nil {
+			f.pc = 4
+			return memsim.AccWrite(f.l.locked[prev.Val], 0), true
+		}
+		f.pc = 2
+		return memsim.AccCAS(f.l.tail, memsim.Value(f.i), memsim.Nil), true
+	case 2: // CAS result
+		if prev.OK {
+			return memsim.Access{}, false // no successor; lock is free
+		}
+		f.pc = 3
+		return memsim.AccRead(f.l.next[f.i]), true
+	case 3: // a successor is enqueueing: wait for the link (local spin)
+		if prev.Val == memsim.Nil {
+			return memsim.AccRead(f.l.next[f.i]), true
+		}
+		f.pc = 4
+		return memsim.AccWrite(f.l.locked[prev.Val], 0), true
+	default:
+		return memsim.Access{}, false
+	}
+}
+
+func (f *mcsReleaseFrame) Return() memsim.Value { return 0 }

@@ -6,12 +6,28 @@ import (
 	"repro/internal/memsim"
 )
 
-// Lock is a deployed mutual-exclusion instance. Acquire blocks (busy-waits
-// in simulated steps) until the calling process holds the lock; Release
-// relinquishes it. Both run inside the calling process's program.
+// Lock is a deployed mutual-exclusion instance. Its acquire and release
+// sections are resumable frames that a larger frame drives inside one
+// procedure call: the acquire section busy-waits (in simulated steps)
+// until the calling process holds the lock, and the release section
+// relinquishes it.
 type Lock interface {
-	Acquire(p *memsim.Proc)
-	Release(p *memsim.Proc)
+	// AcquireFrame returns the acquire section for pid.
+	AcquireFrame(pid memsim.PID) memsim.Resumable
+	// ReleaseFrame returns the release section for pid.
+	ReleaseFrame(pid memsim.PID) memsim.Resumable
+}
+
+// SectionRestarter is a Lock whose section frames restart in place:
+// Restart turns f, a section frame of this lock's kind (minted for any
+// process, by any lock of the kind), into pid's fresh acquire section
+// (acquire) or release section of this lock, without allocating. It
+// reports false when f is of another kind. Frames that run many critical
+// sections (the primitive emulations of internal/primsim) keep one frame
+// per section this way.
+type SectionRestarter interface {
+	Lock
+	Restart(f memsim.Resumable, pid memsim.PID, acquire bool) bool
 }
 
 // Algorithm is a named lock construction.

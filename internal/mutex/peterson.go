@@ -66,28 +66,100 @@ func (k *petersonLock) node(i, l int) int {
 	return offset + (i >> (l + 1))
 }
 
-// Acquire implements Lock.
-func (k *petersonLock) Acquire(p *memsim.Proc) {
-	i := int(p.ID())
-	for l := 0; l < k.height; l++ {
-		n := k.node(i, l)
-		side := (i >> l) & 1
-		me := memsim.Addr(2*n + side)
-		rival := memsim.Addr(2*n + (1 - side))
-		turn := memsim.Addr(n)
-		p.Write(k.flags+me, 1)
-		p.Write(k.turns+turn, memsim.Value(side))
-		for p.Read(k.flags+rival) == 1 && p.Read(k.turns+turn) == memsim.Value(side) {
+// AcquireFrame implements Lock: ascend the arbitration tree,
+// acquiring each two-process Peterson node.
+func (k *petersonLock) AcquireFrame(pid memsim.PID) memsim.Resumable {
+	return &petersonAcquireFrame{k: k, i: int(pid)}
+}
+
+// ReleaseFrame implements Lock: descend, clearing each node flag.
+func (k *petersonLock) ReleaseFrame(pid memsim.PID) memsim.Resumable {
+	return &petersonReleaseFrame{k: k, i: int(pid), l: k.height - 1}
+}
+
+// Restart implements SectionRestarter.
+func (k *petersonLock) Restart(f memsim.Resumable, pid memsim.PID, acquire bool) bool {
+	switch s := f.(type) {
+	case *petersonAcquireFrame:
+		if acquire {
+			*s = petersonAcquireFrame{k: k, i: int(pid)}
+			return true
+		}
+	case *petersonReleaseFrame:
+		if !acquire {
+			*s = petersonReleaseFrame{k: k, i: int(pid), l: k.height - 1}
+			return true
+		}
+	}
+	return false
+}
+
+var _ SectionRestarter = (*petersonLock)(nil)
+
+type petersonAcquireFrame struct {
+	k  *petersonLock
+	i  int
+	l  int // current tree level
+	pc uint8
+}
+
+func (f *petersonAcquireFrame) side() int { return (f.i >> f.l) & 1 }
+
+func (f *petersonAcquireFrame) node() int { return f.k.node(f.i, f.l) }
+
+func (f *petersonAcquireFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	for {
+		n := f.node()
+		side := f.side()
+		switch f.pc {
+		case 0: // level entry, or done past the root
+			if f.l >= f.k.height {
+				return memsim.Access{}, false
+			}
+			f.pc = 1
+			return memsim.AccWrite(f.k.flags+memsim.Addr(2*n+side), 1), true
+		case 1:
+			f.pc = 2
+			return memsim.AccWrite(f.k.turns+memsim.Addr(n), memsim.Value(side)), true
+		case 2: // spin head: read the rival's flag
+			f.pc = 3
+			return memsim.AccRead(f.k.flags + memsim.Addr(2*n+(1-side))), true
+		case 3: // rival flag read (short-circuit of the && condition)
+			if prev.Val != 1 {
+				f.l++
+				f.pc = 0
+				continue // level acquired
+			}
+			f.pc = 4
+			return memsim.AccRead(f.k.turns + memsim.Addr(n)), true
+		default: // turn read
+			if prev.Val != memsim.Value(side) {
+				f.l++
+				f.pc = 0
+				continue // level acquired
+			}
+			f.pc = 3
+			return memsim.AccRead(f.k.flags + memsim.Addr(2*n+(1-side))), true
 		}
 	}
 }
 
-// Release implements Lock.
-func (k *petersonLock) Release(p *memsim.Proc) {
-	i := int(p.ID())
-	for l := k.height - 1; l >= 0; l-- {
-		n := k.node(i, l)
-		side := (i >> l) & 1
-		p.Write(k.flags+memsim.Addr(2*n+side), 0)
-	}
+func (f *petersonAcquireFrame) Return() memsim.Value { return 0 }
+
+type petersonReleaseFrame struct {
+	k *petersonLock
+	i int
+	l int // current tree level, descending
 }
+
+func (f *petersonReleaseFrame) Next(memsim.Result) (memsim.Access, bool) {
+	if f.l < 0 {
+		return memsim.Access{}, false
+	}
+	n := f.k.node(f.i, f.l)
+	side := (f.i >> f.l) & 1
+	f.l--
+	return memsim.AccWrite(f.k.flags+memsim.Addr(2*n+side), 0), true
+}
+
+func (f *petersonReleaseFrame) Return() memsim.Value { return 0 }

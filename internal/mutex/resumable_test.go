@@ -1,61 +1,108 @@
 package mutex
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/memsim"
 	"repro/internal/sched"
 )
 
-// TestLockEngineTraceEquivalence runs every lock's contended workload on
-// both engine tiers under identical schedules and asserts byte-identical
-// traces and identical verdicts — the lock half of the engine-migration
-// equivalence harness.
+// TestLockEngineTraceEquivalence runs every lock's contended workload
+// twice under identical schedules: once on plain passage frames, and once
+// with each passage frame copied (memsim.CloneResumableInto) at every
+// scheduling point and both copies advanced. The copy must issue the
+// original's access at every step and return its value, and the two runs
+// must produce byte-identical traces and verdicts — the frame discipline
+// the backtracking engines' snapshots rely on, checked on every lock's
+// sections.
 func TestLockEngineTraceEquivalence(t *testing.T) {
 	for _, alg := range All() {
 		t.Run(alg.Name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				run := func(forceBlocking bool) *RunResult {
-					res, err := RunStreaming(RunConfig{
-						Lock:          alg,
-						N:             4,
-						Passages:      3,
-						Scheduler:     sched.NewRandom(seed),
-						MaxSteps:      200_000,
-						KeepEvents:    true,
-						ForceBlocking: forceBlocking,
+				run := func(fork bool) (*harness.Result, *Workload) {
+					w := NewWorkload(alg, 4, 3)
+					var hw harness.Workload = w
+					if fork {
+						hw = forkingWorkload{w, t}
+					}
+					res, err := harness.Run(harness.Config{
+						Workload:   hw,
+						Scheduler:  sched.NewRandom(seed),
+						MaxSteps:   200_000,
+						KeepEvents: true,
 					})
-					if err != nil && !errors.Is(err, ErrBudget) {
+					if err != nil {
 						t.Fatal(err)
 					}
-					return res
+					return res, w
 				}
-				blocking := run(true)
-				resumable := run(false)
-				if !reflect.DeepEqual(blocking.Events, resumable.Events) {
-					for i := range blocking.Events {
-						if i >= len(resumable.Events) || blocking.Events[i] != resumable.Events[i] {
-							t.Fatalf("seed %d: traces diverge at event %d:\n blocking:  %+v\n resumable: %+v",
-								seed, i, blocking.Events[i], resumable.Events[i])
+				plain, pw := run(false)
+				forked, fw := run(true)
+				if !reflect.DeepEqual(plain.Events, forked.Events) {
+					for i := range plain.Events {
+						if i >= len(forked.Events) || plain.Events[i] != forked.Events[i] {
+							t.Fatalf("seed %d: traces diverge at event %d:\n plain:  %+v\n forked: %+v",
+								seed, i, plain.Events[i], forked.Events[i])
 						}
 					}
 					t.Fatalf("seed %d: trace lengths differ (%d vs %d)",
-						seed, len(blocking.Events), len(resumable.Events))
+						seed, len(plain.Events), len(forked.Events))
 				}
-				if blocking.Passages != resumable.Passages ||
-					blocking.MutualExclusion != resumable.MutualExclusion {
-					t.Fatalf("seed %d: verdicts differ: blocking %d/%v, resumable %d/%v",
-						seed, blocking.Passages, blocking.MutualExclusion,
-						resumable.Passages, resumable.MutualExclusion)
+				if pw.CompletedPassages() != fw.CompletedPassages() ||
+					pw.MutualExclusion() != fw.MutualExclusion() {
+					t.Fatalf("seed %d: verdicts differ: plain %d/%v, forked %d/%v",
+						seed, pw.CompletedPassages(), pw.MutualExclusion(),
+						fw.CompletedPassages(), fw.MutualExclusion())
 				}
-				if !resumable.MutualExclusion {
-					t.Fatalf("seed %d: mutual exclusion violated", seed)
+				if !pw.MutualExclusion() || pw.CompletedPassages() != 12 {
+					t.Fatalf("seed %d: %d passages, mutual exclusion %v", seed, pw.CompletedPassages(), pw.MutualExclusion())
 				}
 			}
 		})
 	}
+}
+
+// forkingWorkload wraps every passage frame in a forkingFrame.
+type forkingWorkload struct {
+	*Workload
+	t *testing.T
+}
+
+func (w forkingWorkload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
+	name, r, ok := w.Workload.Next(pid)
+	if !ok {
+		return "", nil, false
+	}
+	return name, &forkingFrame{t: w.t, r: r}, true
+}
+
+// forkingFrame copies its frame into spare before each step, advances
+// both with the same result, checks that they agree, and continues from
+// the copy. Copies that shared state with the original (a sub-frame
+// reached through both) would advance it twice and diverge.
+type forkingFrame struct {
+	t        *testing.T
+	r, spare memsim.Resumable
+}
+
+func (f *forkingFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	f.spare = memsim.CloneResumableInto(f.spare, f.r)
+	acc, ok := f.r.Next(prev)
+	cacc, cok := f.spare.Next(prev)
+	if acc != cacc || ok != cok {
+		f.t.Errorf("copy issued %v/%v, original %v/%v", cacc, cok, acc, ok)
+	}
+	f.r, f.spare = f.spare, f.r
+	return acc, ok
+}
+
+func (f *forkingFrame) Return() memsim.Value {
+	if a, b := f.r.Return(), f.spare.Return(); a != b {
+		f.t.Errorf("copy returned %d, original %d", a, b)
+	}
+	return f.r.Return()
 }
 
 // TestPassageFrameSolo drives a single-process passage frame to completion
@@ -70,11 +117,7 @@ func TestPassageFrameSolo(t *testing.T) {
 	var pr CSProbe
 	pr.DeployProbe(m, lock)
 	ctl := memsim.NewController(m)
-	defer ctl.Close()
-	frame, ok := pr.PassageFrame(0)
-	if !ok {
-		t.Fatal("MCS lock should have a resumable tier")
-	}
+	frame := pr.PassageFrame(0)
 	if err := ctl.StartResumable(0, "passage", frame); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package mutex
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 
 	"repro/internal/harness"
@@ -44,10 +46,6 @@ type RunConfig struct {
 	Sink memsim.EventSink
 	// Interrupt, when non-nil, stops the run between steps once it fires.
 	Interrupt <-chan struct{}
-	// ForceBlocking pins the run to the blocking engine tier even though
-	// every lock in this package has resumable frames (A/B comparisons;
-	// traces are identical either way).
-	ForceBlocking bool
 }
 
 // RunResult is the outcome of a lock workload. The embedded harness result
@@ -96,23 +94,132 @@ func (pr *CSProbe) DeployProbe(m *memsim.Machine, lock Lock) {
 	pr.csCount = m.Alloc(memsim.NoOwner, "csCount", 1, 0)
 }
 
-// Passage returns pid's next critical-section program: acquire, stamp and
-// re-read the owner word, increment the unprotected counter, release. It
-// returns 1 if the passage observed exclusive occupancy.
-func (pr *CSProbe) Passage(pid memsim.PID) memsim.Program {
-	return func(p *memsim.Proc) memsim.Value {
-		pr.lock.Acquire(p)
-		p.Write(pr.csOwner, memsim.Value(pid))
-		ok := p.Read(pr.csOwner) == memsim.Value(pid)
-		c := p.Read(pr.csCount)
-		p.Write(pr.csCount, c+1)
-		pr.lock.Release(p)
-		if ok {
-			return 1
-		}
-		return 0
+// PassageFrame returns pid's next critical-section passage: the lock's
+// acquire section, stamp and re-read the owner word, increment the
+// unprotected counter, the release section. It returns 1 if the passage
+// observed exclusive occupancy.
+func (pr *CSProbe) PassageFrame(pid memsim.PID) memsim.Resumable {
+	return &passageFrame{
+		pr:  pr,
+		pid: pid,
+		acq: pr.lock.AcquireFrame(pid),
+		rel: pr.lock.ReleaseFrame(pid),
 	}
 }
+
+// passageFrame is the CSProbe passage; see PassageFrame.
+type passageFrame struct {
+	pr  *CSProbe
+	pid memsim.PID
+	acq memsim.Resumable
+	rel memsim.Resumable
+	ok  bool
+	pc  uint8
+}
+
+var _ memsim.ResumableCloner = (*passageFrame)(nil)
+
+func (f *passageFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	for {
+		switch f.pc {
+		case 0: // enter the acquire section
+			f.pc = 1
+			if acc, ok := f.acq.Next(memsim.Result{}); ok {
+				return acc, true
+			}
+			f.pc = 2
+		case 1: // drive the acquire section
+			if acc, ok := f.acq.Next(prev); ok {
+				return acc, true
+			}
+			f.pc = 2
+		case 2: // lock held: stamp the owner word
+			f.pc = 3
+			return memsim.AccWrite(f.pr.csOwner, memsim.Value(f.pid)), true
+		case 3: // re-read the stamp
+			f.pc = 4
+			return memsim.AccRead(f.pr.csOwner), true
+		case 4: // exclusive-occupancy verdict; read the counter
+			f.ok = prev.Val == memsim.Value(f.pid)
+			f.pc = 5
+			return memsim.AccRead(f.pr.csCount), true
+		case 5: // unprotected increment
+			f.pc = 6
+			return memsim.AccWrite(f.pr.csCount, prev.Val+1), true
+		case 6: // enter the release section
+			f.pc = 7
+			if acc, ok := f.rel.Next(memsim.Result{}); ok {
+				return acc, true
+			}
+			return memsim.Access{}, false
+		case 7: // drive the release section
+			if acc, ok := f.rel.Next(prev); ok {
+				return acc, true
+			}
+			return memsim.Access{}, false
+		default:
+			return memsim.Access{}, false
+		}
+	}
+}
+
+func (f *passageFrame) Return() memsim.Value {
+	if f.ok {
+		return 1
+	}
+	return 0
+}
+
+// CloneResumable implements memsim.ResumableCloner: the lock sub-frames
+// must be copied, not shared.
+func (f *passageFrame) CloneResumable() memsim.Resumable {
+	c := *f
+	c.acq = memsim.CloneResumable(f.acq)
+	c.rel = memsim.CloneResumable(f.rel)
+	return &c
+}
+
+// EncodeState implements memsim.StateEncoder: the lock sub-frames encode
+// by content, never by pointer.
+func (f *passageFrame) EncodeState(w io.Writer) {
+	fmt.Fprintf(w, "%d,%v,%d,", f.pid, f.ok, f.pc)
+	memsim.EncodeFrameState(w, f.acq)
+	io.WriteString(w, ",")
+	memsim.EncodeFrameState(w, f.rel)
+}
+
+// AppendState implements memsim.StateAppender: the binary mirror of
+// EncodeState, both lock sub-frames by content.
+func (f *passageFrame) AppendState(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, int64(f.pid))
+	if f.ok {
+		dst = append(dst, 1)
+	} else {
+		dst = append(dst, 0)
+	}
+	dst = binary.AppendUvarint(dst, uint64(f.pc))
+	dst = memsim.AppendFrameState(dst, f.acq)
+	return memsim.AppendFrameState(dst, f.rel)
+}
+
+// CopyResumableInto implements memsim.ResumableCopier, recycling dst's
+// lock sub-frames when the types line up.
+func (f *passageFrame) CopyResumableInto(dst memsim.Resumable) bool {
+	d, ok := dst.(*passageFrame)
+	if !ok {
+		return false
+	}
+	acq, rel := d.acq, d.rel
+	*d = *f
+	d.acq = memsim.CloneResumableInto(acq, f.acq)
+	d.rel = memsim.CloneResumableInto(rel, f.rel)
+	return true
+}
+
+var (
+	_ memsim.StateAppender   = (*passageFrame)(nil)
+	_ memsim.ResumableCopier = (*passageFrame)(nil)
+)
 
 // Done implements harness.Workload's completion accounting.
 func (pr *CSProbe) Done(_ memsim.PID, ret memsim.Value) {
@@ -176,12 +283,12 @@ func (w *Workload) Deploy(m *memsim.Machine) error {
 }
 
 // Next implements harness.Workload.
-func (w *Workload) Next(pid memsim.PID) (string, memsim.Program, bool) {
+func (w *Workload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 	if w.remaining[pid] <= 0 {
 		return "", nil, false
 	}
 	w.remaining[pid]--
-	return "passage", w.Passage(pid), true
+	return "passage", w.PassageFrame(pid), true
 }
 
 // Run drives the contended workload on the streaming harness. Attached
@@ -221,14 +328,13 @@ func RunStreaming(cfg RunConfig) (*RunResult, error) {
 
 	w := NewWorkload(cfg.Lock, cfg.N, cfg.Passages)
 	hres, err := harness.Run(harness.Config{
-		Workload:      w,
-		Scheduler:     cfg.Scheduler,
-		MaxSteps:      cfg.MaxSteps,
-		Scorers:       cfg.Scorers,
-		KeepEvents:    cfg.KeepEvents,
-		Sink:          cfg.Sink,
-		Interrupt:     cfg.Interrupt,
-		ForceBlocking: cfg.ForceBlocking,
+		Workload:   w,
+		Scheduler:  cfg.Scheduler,
+		MaxSteps:   cfg.MaxSteps,
+		Scorers:    cfg.Scorers,
+		KeepEvents: cfg.KeepEvents,
+		Sink:       cfg.Sink,
+		Interrupt:  cfg.Interrupt,
 	})
 	if hres == nil {
 		return nil, err

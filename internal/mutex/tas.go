@@ -25,16 +25,47 @@ type tasLock struct {
 
 var _ Lock = (*tasLock)(nil)
 
-// Acquire implements Lock.
-func (l *tasLock) Acquire(p *memsim.Proc) {
-	for !p.TestAndSet(l.flag) {
-	}
+// AcquireFrame implements Lock: loop on TAS(flag) until it wins.
+func (l *tasLock) AcquireFrame(memsim.PID) memsim.Resumable {
+	return &tasAcquireFrame{flag: l.flag}
 }
 
-// Release implements Lock.
-func (l *tasLock) Release(p *memsim.Proc) {
-	p.Write(l.flag, 0)
+// ReleaseFrame implements Lock.
+func (l *tasLock) ReleaseFrame(memsim.PID) memsim.Resumable {
+	return &writeFrame{addr: l.flag, val: 0}
 }
+
+type tasAcquireFrame struct {
+	flag memsim.Addr
+	pc   uint8
+}
+
+func (f *tasAcquireFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	if f.pc == 1 && prev.OK {
+		return memsim.Access{}, false
+	}
+	f.pc = 1
+	return memsim.AccTAS(f.flag), true
+}
+
+func (f *tasAcquireFrame) Return() memsim.Value { return 0 }
+
+// writeFrame performs one write — the release section of the simple locks.
+type writeFrame struct {
+	addr memsim.Addr
+	val  memsim.Value
+	pc   uint8
+}
+
+func (f *writeFrame) Next(memsim.Result) (memsim.Access, bool) {
+	if f.pc == 1 {
+		return memsim.Access{}, false
+	}
+	f.pc = 1
+	return memsim.AccWrite(f.addr, f.val), true
+}
+
+func (f *writeFrame) Return() memsim.Value { return 0 }
 
 // TTAS returns the test-and-test-and-set lock: spin reading the flag until
 // it appears free, then attempt TAS. In the CC model the read spin is
@@ -58,18 +89,40 @@ type ttasLock struct {
 
 var _ Lock = (*ttasLock)(nil)
 
-// Acquire implements Lock.
-func (l *ttasLock) Acquire(p *memsim.Proc) {
-	for {
-		for p.Read(l.flag) != 0 {
+// AcquireFrame implements Lock: read-spin until the flag appears
+// free, then attempt TAS; on failure, back to the read spin.
+func (l *ttasLock) AcquireFrame(memsim.PID) memsim.Resumable {
+	return &ttasAcquireFrame{flag: l.flag}
+}
+
+// ReleaseFrame implements Lock.
+func (l *ttasLock) ReleaseFrame(memsim.PID) memsim.Resumable {
+	return &writeFrame{addr: l.flag, val: 0}
+}
+
+type ttasAcquireFrame struct {
+	flag memsim.Addr
+	pc   uint8
+}
+
+func (f *ttasAcquireFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	switch f.pc {
+	case 0: // enter the read spin
+		f.pc = 1
+		return memsim.AccRead(f.flag), true
+	case 1: // read result
+		if prev.Val != 0 {
+			return memsim.AccRead(f.flag), true
 		}
-		if p.TestAndSet(l.flag) {
-			return
+		f.pc = 2
+		return memsim.AccTAS(f.flag), true
+	default: // TAS result
+		if prev.OK {
+			return memsim.Access{}, false
 		}
+		f.pc = 1
+		return memsim.AccRead(f.flag), true
 	}
 }
 
-// Release implements Lock.
-func (l *ttasLock) Release(p *memsim.Proc) {
-	p.Write(l.flag, 0)
-}
+func (f *ttasAcquireFrame) Return() memsim.Value { return 0 }

@@ -30,20 +30,61 @@ type ticketLock struct {
 
 var _ Lock = (*ticketLock)(nil)
 
-// Acquire implements Lock.
-func (l *ticketLock) Acquire(p *memsim.Proc) {
-	t := p.FetchAdd(l.next, 1)
-	for p.Read(l.serving) != t {
+// AcquireFrame implements Lock: F&I a ticket, spin on now-serving.
+func (l *ticketLock) AcquireFrame(memsim.PID) memsim.Resumable {
+	return &ticketAcquireFrame{next: l.next, serving: l.serving}
+}
+
+// ReleaseFrame implements Lock: read then advance now-serving.
+func (l *ticketLock) ReleaseFrame(memsim.PID) memsim.Resumable {
+	return &ticketReleaseFrame{serving: l.serving}
+}
+
+type ticketAcquireFrame struct {
+	next    memsim.Addr
+	serving memsim.Addr
+	t       memsim.Value
+	pc      uint8
+}
+
+func (f *ticketAcquireFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	switch f.pc {
+	case 0:
+		f.pc = 1
+		return memsim.AccFetchAdd(f.next, 1), true
+	case 1: // ticket drawn
+		f.t = prev.Val
+		f.pc = 2
+		return memsim.AccRead(f.serving), true
+	default: // shared spin on now-serving
+		if prev.Val != f.t {
+			return memsim.AccRead(f.serving), true
+		}
+		return memsim.Access{}, false
 	}
 }
 
-// Release implements Lock.
-func (l *ticketLock) Release(p *memsim.Proc) {
-	// Only the lock holder advances the counter, so read-then-write is
-	// atomic enough.
-	s := p.Read(l.serving)
-	p.Write(l.serving, s+1)
+func (f *ticketAcquireFrame) Return() memsim.Value { return 0 }
+
+type ticketReleaseFrame struct {
+	serving memsim.Addr
+	pc      uint8
 }
+
+func (f *ticketReleaseFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	switch f.pc {
+	case 0:
+		f.pc = 1
+		return memsim.AccRead(f.serving), true
+	case 1:
+		f.pc = 2
+		return memsim.AccWrite(f.serving, prev.Val+1), true
+	default:
+		return memsim.Access{}, false
+	}
+}
+
+func (f *ticketReleaseFrame) Return() memsim.Value { return 0 }
 
 // Anderson returns Anderson's array-based queue lock [4]: Fetch-And-
 // Increment assigns each process a distinct slot of a Boolean array and
@@ -83,19 +124,68 @@ type andersonLock struct {
 
 var _ Lock = (*andersonLock)(nil)
 
-// Acquire implements Lock.
-func (l *andersonLock) Acquire(p *memsim.Proc) {
-	t := p.FetchAdd(l.next, 1)
-	slot := memsim.Addr(int(t) % l.n)
-	p.Write(l.mine[p.ID()], memsim.Value(slot))
-	for p.Read(l.slots+slot) == 0 {
-	}
-	p.Write(l.slots+slot, 0) // consume the grant for reuse
+// AcquireFrame implements Lock: F&I assigns a slot, remember it,
+// spin on the slot, consume the grant.
+func (l *andersonLock) AcquireFrame(pid memsim.PID) memsim.Resumable {
+	return &andersonAcquireFrame{l: l, pid: pid}
 }
 
-// Release implements Lock.
-func (l *andersonLock) Release(p *memsim.Proc) {
-	slot := p.Read(l.mine[p.ID()])
-	nextSlot := memsim.Addr((int(slot) + 1) % l.n)
-	p.Write(l.slots+nextSlot, 1)
+// ReleaseFrame implements Lock: read the remembered slot, grant
+// the next one.
+func (l *andersonLock) ReleaseFrame(pid memsim.PID) memsim.Resumable {
+	return &andersonReleaseFrame{l: l, pid: pid}
 }
+
+type andersonAcquireFrame struct {
+	l    *andersonLock
+	pid  memsim.PID
+	slot memsim.Addr
+	pc   uint8
+}
+
+func (f *andersonAcquireFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	switch f.pc {
+	case 0:
+		f.pc = 1
+		return memsim.AccFetchAdd(f.l.next, 1), true
+	case 1: // slot assigned
+		f.slot = memsim.Addr(int(prev.Val) % f.l.n)
+		f.pc = 2
+		return memsim.AccWrite(f.l.mine[f.pid], memsim.Value(f.slot)), true
+	case 2: // remembered; enter the slot spin
+		f.pc = 3
+		return memsim.AccRead(f.l.slots + f.slot), true
+	case 3: // slot read
+		if prev.Val == 0 {
+			return memsim.AccRead(f.l.slots + f.slot), true
+		}
+		f.pc = 4
+		return memsim.AccWrite(f.l.slots+f.slot, 0), true
+	default:
+		return memsim.Access{}, false
+	}
+}
+
+func (f *andersonAcquireFrame) Return() memsim.Value { return 0 }
+
+type andersonReleaseFrame struct {
+	l   *andersonLock
+	pid memsim.PID
+	pc  uint8
+}
+
+func (f *andersonReleaseFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	switch f.pc {
+	case 0:
+		f.pc = 1
+		return memsim.AccRead(f.l.mine[f.pid]), true
+	case 1:
+		nextSlot := memsim.Addr((int(prev.Val) + 1) % f.l.n)
+		f.pc = 2
+		return memsim.AccWrite(f.l.slots+nextSlot, 1), true
+	default:
+		return memsim.Access{}, false
+	}
+}
+
+func (f *andersonReleaseFrame) Return() memsim.Value { return 0 }

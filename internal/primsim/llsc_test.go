@@ -1,7 +1,6 @@
 package primsim
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/memsim"
@@ -17,60 +16,48 @@ func driveLLSC(t *testing.T, n int, seed int64) (winners []memsim.PID, final mem
 		t.Fatal(err)
 	}
 	ctl := memsim.NewController(m)
-	defer ctl.Close()
-	for i := 0; i < n; i++ {
-		pid := memsim.PID(i)
-		if err := ctl.StartCall(pid, "llsc", func(p *memsim.Proc) memsim.Value {
-			if do(p, func(f *Frame) { w.LL(f, p.ID()) }) != 0 {
-				return 0
-			}
-			return do(p, func(f *Frame) { w.SC(f, p.ID(), memsim.Value(p.ID())+1) })
-		}); err != nil {
-			t.Fatal(err)
-		}
+	frames := make([]memsim.Resumable, n)
+	for i := range frames {
+		frames[i] = &llscFrame{w: w, pid: memsim.PID(i)}
 	}
-	rng := rand.New(rand.NewSource(seed))
-	for {
-		var ready []memsim.PID
-		for i := 0; i < n; i++ {
-			pid := memsim.PID(i)
-			if ret, done := ctl.CallEnded(pid); done {
-				if _, err := ctl.FinishCall(pid); err != nil {
-					t.Fatal(err)
-				}
-				if ret == 1 {
-					winners = append(winners, pid)
-				}
-			}
-			if _, ok := ctl.Pending(pid); ok {
-				ready = append(ready, pid)
-			}
-		}
-		if len(ready) == 0 {
-			break
-		}
-		if _, err := ctl.Step(ready[rng.Intn(len(ready))]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ctl.StartCall(0, "read", func(p *memsim.Proc) memsim.Value {
-		return p.Read(w.Addr())
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if ret, done := ctl.CallEnded(0); done {
-			if _, err := ctl.FinishCall(0); err != nil {
-				t.Fatal(err)
-			}
-			final = ret
-			break
-		}
-		if _, err := ctl.Step(0); err != nil {
-			t.Fatal(err)
-		}
-	}
+	winners = race(t, ctl, frames, seed)
+	final = solo(t, ctl, 0, &readFrame{a: w.Addr()})
 	return winners, final
+}
+
+// llscFrame runs LL and, if it returned 0, SC(pid+1); it returns 1 if the
+// SC succeeded.
+type llscFrame struct {
+	w       *EmuLLSC
+	pid     memsim.PID
+	f       Frame
+	started bool
+	sc      bool // the SC has started
+}
+
+func (f *llscFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	if !f.started {
+		f.started = true
+		f.w.LL(&f.f, f.pid)
+	}
+	for {
+		if acc, ok := f.f.Next(prev); ok {
+			return acc, true
+		}
+		if f.sc || f.f.Return() != 0 {
+			return memsim.Access{}, false
+		}
+		f.sc = true
+		f.w.SC(&f.f, f.pid, memsim.Value(f.pid)+1)
+		prev = memsim.Result{}
+	}
+}
+
+func (f *llscFrame) Return() memsim.Value {
+	if f.sc {
+		return f.f.Return()
+	}
+	return 0
 }
 
 // TestEmuLLSCAtMostOneWinner: with every process LL-ing value 0 and trying
@@ -98,38 +85,25 @@ func TestEmuLLSCSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctl := memsim.NewController(m)
-	defer ctl.Close()
-	if err := ctl.StartCall(0, "seq", func(p *memsim.Proc) memsim.Value {
-		ll := func() memsim.Value { return do(p, func(f *Frame) { w.LL(f, 0) }) }
-		sc := func(v memsim.Value) memsim.Value { return do(p, func(f *Frame) { w.SC(f, 0, v) }) }
-		if sc(1) != 0 {
-			return -1 // SC without LL must fail
-		}
-		if ll() != 7 {
-			return -2
-		}
-		if sc(8) != 1 {
-			return -3 // LL then SC must succeed
-		}
-		if sc(9) != 0 {
-			return -4 // reservation consumed
-		}
-		if ll() != 8 {
-			return -5
-		}
-		return p.Read(w.Addr())
-	}); err != nil {
-		t.Fatal(err)
+	var f Frame
+	ll := func() memsim.Value { w.LL(&f, 0); return solo(t, ctl, 0, &f) }
+	sc := func(v memsim.Value) memsim.Value { w.SC(&f, 0, v); return solo(t, ctl, 0, &f) }
+	if sc(1) != 0 {
+		t.Fatal("SC without LL must fail")
 	}
-	for {
-		if ret, done := ctl.CallEnded(0); done {
-			if ret != 8 {
-				t.Fatalf("sequence failed with code %d", ret)
-			}
-			break
-		}
-		if _, err := ctl.Step(0); err != nil {
-			t.Fatal(err)
-		}
+	if ll() != 7 {
+		t.Fatal("LL did not return the initial value")
+	}
+	if sc(8) != 1 {
+		t.Fatal("LL then SC must succeed")
+	}
+	if sc(9) != 0 {
+		t.Fatal("SC must fail once the reservation is consumed")
+	}
+	if ll() != 8 {
+		t.Fatal("LL did not return the stored value")
+	}
+	if got := solo(t, ctl, 0, &readFrame{a: w.Addr()}); got != 8 {
+		t.Fatalf("word holds %d, want 8", got)
 	}
 }

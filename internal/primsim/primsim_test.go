@@ -8,37 +8,59 @@ import (
 	"repro/internal/model"
 )
 
-// do runs one emulated operation, started in a fresh frame by begin, on
-// p through the blocking adapter and returns its response.
-func do(p *memsim.Proc, begin func(f *Frame)) memsim.Value {
-	var f Frame
-	begin(&f)
-	return memsim.Blocking(&f)(p)
-}
-
-// driveCAS has n processes each attempt CAS(0 -> pid+1) on one emulated
-// word under a random schedule and returns the winners.
-func driveCAS(t *testing.T, n int, seed int64) (winners []memsim.PID, final memsim.Value, events []memsim.Event, owner func(memsim.Addr) memsim.PID) {
+// solo runs the call f on pid alone to completion and returns its
+// response.
+func solo(t *testing.T, ctl *memsim.Controller, pid memsim.PID, f memsim.Resumable) memsim.Value {
 	t.Helper()
-	m := memsim.NewMachine(n)
-	emu, err := NewEmuCASArray(m, n, 1, "X", 0)
-	if err != nil {
+	if err := ctl.StartResumable(pid, "solo", f); err != nil {
 		t.Fatal(err)
 	}
-	ctl := memsim.NewController(m)
-	defer ctl.Close()
-	for i := 0; i < n; i++ {
-		pid := memsim.PID(i)
-		if err := ctl.StartCall(pid, "cas", func(p *memsim.Proc) memsim.Value {
-			return do(p, func(f *Frame) { emu.CAS(f, p.ID(), 0, 0, memsim.Value(p.ID())+1) })
-		}); err != nil {
+	for {
+		if _, done := ctl.CallEnded(pid); done {
+			ret, err := ctl.FinishCall(pid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ret
+		}
+		if _, err := ctl.Step(pid); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// readFrame reads one word and returns its value.
+type readFrame struct {
+	a    memsim.Addr
+	ret  memsim.Value
+	read bool
+}
+
+func (f *readFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	if f.read {
+		f.ret = prev.Val
+		return memsim.Access{}, false
+	}
+	f.read = true
+	return memsim.AccRead(f.a), true
+}
+
+func (f *readFrame) Return() memsim.Value { return f.ret }
+
+// race starts frames[pid] on every process, runs them to completion under
+// a seeded random schedule, and returns the processes whose call returned
+// 1.
+func race(t *testing.T, ctl *memsim.Controller, frames []memsim.Resumable, seed int64) (winners []memsim.PID) {
+	t.Helper()
+	for pid, f := range frames {
+		if err := ctl.StartResumable(memsim.PID(pid), "race", f); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for {
 		var ready []memsim.PID
-		for i := 0; i < n; i++ {
+		for i := range frames {
 			pid := memsim.PID(i)
 			if ret, done := ctl.CallEnded(pid); done {
 				if _, err := ctl.FinishCall(pid); err != nil {
@@ -53,30 +75,33 @@ func driveCAS(t *testing.T, n int, seed int64) (winners []memsim.PID, final mems
 			}
 		}
 		if len(ready) == 0 {
-			break
+			return winners
 		}
 		if _, err := ctl.Step(ready[rng.Intn(len(ready))]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Fetch the final value through a solo read program.
-	if err := ctl.StartCall(0, "read", func(p *memsim.Proc) memsim.Value {
-		return p.Read(emu.Addr(0))
-	}); err != nil {
+}
+
+// driveCAS has n processes each attempt CAS(0 -> pid+1) on one emulated
+// word under a random schedule and returns the winners.
+func driveCAS(t *testing.T, n int, seed int64) (winners []memsim.PID, final memsim.Value, events []memsim.Event, owner func(memsim.Addr) memsim.PID) {
+	t.Helper()
+	m := memsim.NewMachine(n)
+	emu, err := NewEmuCASArray(m, n, 1, "X", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if ret, done := ctl.CallEnded(0); done {
-			if _, err := ctl.FinishCall(0); err != nil {
-				t.Fatal(err)
-			}
-			final = ret
-			break
-		}
-		if _, err := ctl.Step(0); err != nil {
-			t.Fatal(err)
-		}
+	ctl := memsim.NewController(m)
+	frames := make([]memsim.Resumable, n)
+	for i := range frames {
+		var f Frame
+		emu.CAS(&f, memsim.PID(i), 0, 0, memsim.Value(i)+1)
+		frames[i] = &f
 	}
+	winners = race(t, ctl, frames, seed)
+	// Fetch the final value through a solo read.
+	final = solo(t, ctl, 0, &readFrame{a: emu.Addr(0)})
 	return winners, final, ctl.Events(), m.Owner
 }
 
@@ -119,36 +144,25 @@ func TestEmuCASArray(t *testing.T) {
 		t.Fatalf("Size = %d", arr.Size())
 	}
 	ctl := memsim.NewController(m)
-	defer ctl.Close()
-	var got []memsim.Value
-	if err := ctl.StartCall(0, "seq", func(p *memsim.Proc) memsim.Value {
-		cas := func(j int, v memsim.Value) memsim.Value {
-			return do(p, func(f *Frame) { arr.CAS(f, p.ID(), j, memsim.Nil, v) })
-		}
-		if cas(0, 7) != 1 {
-			return -100
-		}
-		if cas(0, 8) != 0 {
-			return -101 // second CAS on same slot must fail
-		}
-		if cas(1, 9) != 1 {
-			return -102
-		}
-		got = append(got, p.Read(arr.Addr(0)), p.Read(arr.Addr(1)), p.Read(arr.Addr(2)))
-		return 0
-	}); err != nil {
-		t.Fatal(err)
+	// One frame runs every operation, restarting its lock sections in
+	// place.
+	var f Frame
+	cas := func(j int, v memsim.Value) memsim.Value {
+		arr.CAS(&f, 0, j, memsim.Nil, v)
+		return solo(t, ctl, 0, &f)
 	}
-	for {
-		if ret, done := ctl.CallEnded(0); done {
-			if ret != 0 {
-				t.Fatalf("sequence failed with code %d", ret)
-			}
-			break
-		}
-		if _, err := ctl.Step(0); err != nil {
-			t.Fatal(err)
-		}
+	if cas(0, 7) != 1 {
+		t.Fatal("first CAS on slot 0 failed")
+	}
+	if cas(0, 8) != 0 {
+		t.Fatal("second CAS on the same slot must fail")
+	}
+	if cas(1, 9) != 1 {
+		t.Fatal("first CAS on slot 1 failed")
+	}
+	var got []memsim.Value
+	for j := 0; j < 3; j++ {
+		got = append(got, solo(t, ctl, 0, &readFrame{a: arr.Addr(j)}))
 	}
 	if got[0] != 7 || got[1] != 9 || got[2] != memsim.Nil {
 		t.Fatalf("array contents = %v", got)

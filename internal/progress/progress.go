@@ -82,7 +82,6 @@ func probeCall(alg signal.Algorithm, n, bound int, kind memsim.CallKind, strat s
 	if err != nil {
 		return 0, err
 	}
-	defer exec.Close()
 	const interferenceBudget = 10_000
 
 	subject := memsim.PID(0)

@@ -16,7 +16,6 @@ func runConcurrentRegistrations(t *testing.T, n int, seed int64) ([]memsim.Value
 	m := memsim.NewMachine(n + 1)
 	reg := NewRegistry(m, n, "R")
 	ctl := memsim.NewController(m)
-	defer ctl.Close()
 
 	for i := 0; i < n; i++ {
 		pid := memsim.PID(i)

@@ -60,7 +60,6 @@ func drive(cfg Config, choose func(depth, n int) int) (*ReplayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer exec.Close()
 	acc := cfg.Model.Begin(cfg.N, exec.Machine().Owner)
 	exec.Attach(func(ev memsim.Event) { acc.Add(ev) })
 

@@ -48,30 +48,80 @@ func NewFischer(m *memsim.Machine, n, delta int) *Fischer {
 	return l
 }
 
-// delay performs Δ+1 local steps, advancing the global clock past every
-// rival's deadline.
-func (l *Fischer) delay(p *memsim.Proc) {
-	s := l.scratch[p.ID()]
-	for k := 0; k <= l.delta; k++ {
-		p.Read(s)
+// AcquireFrame implements mutex.Lock.
+func (l *Fischer) AcquireFrame(pid memsim.PID) memsim.Resumable {
+	return &fischerAcquireFrame{l: l, me: memsim.Value(pid), scratch: l.scratch[pid]}
+}
+
+// ReleaseFrame implements mutex.Lock: X := NIL.
+func (l *Fischer) ReleaseFrame(memsim.PID) memsim.Resumable {
+	return &fischerReleaseFrame{x: l.x}
+}
+
+// Fischer acquire frame program counters.
+const (
+	fischerAwait   uint8 = iota // await X = NIL
+	fischerSpin                 // X read
+	fischerWritten              // X := i written
+	fischerDelay                // scratch read
+	fischerCheck                // X re-read
+)
+
+// fischerAcquireFrame is the entry section; the delay is Δ+1 reads of
+// the caller's own scratch word, counted in k.
+type fischerAcquireFrame struct {
+	l       *Fischer
+	me      memsim.Value
+	scratch memsim.Addr
+	k       int
+	pc      uint8
+}
+
+func (f *fischerAcquireFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	switch f.pc {
+	case fischerAwait:
+		f.pc = fischerSpin
+		return memsim.AccRead(f.l.x), true
+	case fischerSpin:
+		if prev.Val != memsim.Nil {
+			return memsim.AccRead(f.l.x), true
+		}
+		f.pc = fischerWritten
+		return memsim.AccWrite(f.l.x, f.me), true
+	case fischerWritten:
+		f.k = 1
+		f.pc = fischerDelay
+		return memsim.AccRead(f.scratch), true
+	case fischerDelay:
+		if f.k <= f.l.delta {
+			f.k++
+			return memsim.AccRead(f.scratch), true
+		}
+		f.pc = fischerCheck
+		return memsim.AccRead(f.l.x), true
+	default:
+		if prev.Val == f.me {
+			return memsim.Access{}, false
+		}
+		f.pc = fischerSpin // lost the race: await X = NIL again
+		return memsim.AccRead(f.l.x), true
 	}
 }
 
-// Acquire implements mutex.Lock.
-func (l *Fischer) Acquire(p *memsim.Proc) {
-	me := memsim.Value(p.ID())
-	for {
-		for p.Read(l.x) != memsim.Nil {
-		}
-		p.Write(l.x, me)
-		l.delay(p)
-		if p.Read(l.x) == me {
-			return
-		}
-	}
+func (f *fischerAcquireFrame) Return() memsim.Value { return 0 }
+
+// fischerReleaseFrame is the exit section: one write of NIL to X.
+type fischerReleaseFrame struct {
+	x    memsim.Addr
+	done bool
 }
 
-// Release implements mutex.Lock.
-func (l *Fischer) Release(p *memsim.Proc) {
-	p.Write(l.x, memsim.Nil)
+func (f *fischerReleaseFrame) Next(memsim.Result) (memsim.Access, bool) {
+	if f.done {
+		return memsim.Access{}, false
+	}
+	f.done = true
+	return memsim.AccWrite(f.x, memsim.Nil), true
 }
+
+func (f *fischerReleaseFrame) Return() memsim.Value { return 0 }

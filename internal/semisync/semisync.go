@@ -213,12 +213,12 @@ func (w *Workload) Stepper(ctl *memsim.Controller, pick sched.Scheduler) harness
 }
 
 // Next implements harness.Workload.
-func (w *Workload) Next(pid memsim.PID) (string, memsim.Program, bool) {
+func (w *Workload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 	if w.remaining[pid] <= 0 {
 		return "", nil, false
 	}
 	w.remaining[pid]--
-	return "passage", w.Passage(pid), true
+	return "passage", w.PassageFrame(pid), true
 }
 
 // Run drives N processes through Fischer-guarded critical sections on the

@@ -46,20 +46,8 @@ func TestFischerAsyncViolation(t *testing.T) {
 	inCS := m.Alloc(memsim.NoOwner, "inCS", 1, 0)
 
 	ctl := memsim.NewController(m)
-	defer ctl.Close()
-
-	prog := func(p *memsim.Proc) memsim.Value {
-		lock.Acquire(p)
-		c := p.Read(inCS)
-		p.Write(inCS, c+1)
-		// Stay in the CS: read the occupancy once more before leaving.
-		occ := p.Read(inCS)
-		p.Write(inCS, p.Read(inCS)-1)
-		lock.Release(p)
-		return occ
-	}
 	for pid := 0; pid < 2; pid++ {
-		if err := ctl.StartCall(memsim.PID(pid), "cs", prog); err != nil {
+		if err := ctl.StartResumable(memsim.PID(pid), "cs", &csFrame{lock: lock, pid: memsim.PID(pid), inCS: inCS}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,6 +84,51 @@ func TestFischerAsyncViolation(t *testing.T) {
 	}
 	t.Fatal("expected an asynchronous mutual-exclusion violation, none occurred")
 }
+
+// csFrame acquires the lock, occupies the critical section (increment
+// inCS, re-read it, decrement it) and releases; it returns the occupancy
+// it saw.
+type csFrame struct {
+	lock *Fischer
+	pid  memsim.PID
+	inCS memsim.Addr
+	sec  memsim.Resumable
+	occ  memsim.Value
+	pc   uint8
+}
+
+func (f *csFrame) Next(prev memsim.Result) (memsim.Access, bool) {
+	for {
+		switch f.pc {
+		case 0:
+			f.sec, prev, f.pc = f.lock.AcquireFrame(f.pid), memsim.Result{}, 1
+		case 1:
+			if acc, ok := f.sec.Next(prev); ok {
+				return acc, true
+			}
+			f.pc = 2
+			return memsim.AccRead(f.inCS), true
+		case 2:
+			f.pc = 3
+			return memsim.AccWrite(f.inCS, prev.Val+1), true
+		case 3: // stay in the CS: read the occupancy once more
+			f.pc = 4
+			return memsim.AccRead(f.inCS), true
+		case 4:
+			f.occ, f.pc = prev.Val, 5
+			return memsim.AccRead(f.inCS), true
+		case 5:
+			f.pc = 6
+			return memsim.AccWrite(f.inCS, prev.Val-1), true
+		case 6:
+			f.sec, prev, f.pc = f.lock.ReleaseFrame(f.pid), memsim.Result{}, 7
+		default:
+			return f.sec.Next(prev)
+		}
+	}
+}
+
+func (f *csFrame) Return() memsim.Value { return f.occ }
 
 // TestFischerO1Writes: the lock issues a constant number of writes per
 // uncontended acquisition (the property the semi-synchronous literature

@@ -32,7 +32,6 @@ func TestBlockifiedWaitReturnsAfterSignal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer exec.Close()
 
 			waiter := memsim.PID(0)
 			signaler := memsim.PID(n - 1)
@@ -81,7 +80,6 @@ func TestBlockifiedPreservesPollAndSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer exec.Close()
 	ret, err := exec.Invoke(0, memsim.CallPoll, 10_000)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +107,6 @@ func TestBlockifiedRejectsNonPolling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer exec.Close()
 	if _, err := exec.Instance().ResumableProgram(0, memsim.CallPoll); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("Poll on non-polling base: err = %v, want ErrUnsupported", err)
 	}
@@ -124,7 +121,6 @@ func TestBlockifiedWaitNeedsPoll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer exec.Close()
 	if err := exec.Start(0, memsim.CallWait); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("Wait on blockified leader-blocking: err = %v, want ErrUnsupported", err)
 	}

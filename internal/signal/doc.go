@@ -9,13 +9,13 @@
 //
 // Algorithms are catalogued as Algorithm values (name, problem Variant,
 // deployment factory); All enumerates them and ByName resolves CLI names.
-// Each algorithm exists once, in resumable form: its instance's
-// ResumableProgram mints memsim.Resumable frames, the goroutine-free
-// engine tier every engine runs on, and the frames' doc comments carry
-// the paper's pseudocode. Frames shared by several algorithms live in
-// resumable.go; the read/write transformations compose primsim's emulated
-// CAS and LL/SC frames, and leader-blocking composes election's. Callers
-// that compose calls over memsim.Proc run frames through memsim.Blocking.
+// Each algorithm exists once, as frames: its instance's ResumableProgram
+// mints memsim.Resumable frames, the one program form every engine runs,
+// and the frames' doc comments carry the paper's pseudocode. Frames shared
+// by several algorithms live in resumable.go; the read/write
+// transformations compose primsim's emulated CAS and LL/SC frames, and
+// leader-blocking composes election's. Callers that compose calls (the
+// resourcepool example) drive these frames from their own.
 // framegolden_test.go pins every algorithm's traces and final memory on
 // seeded schedules with faults.
 //

@@ -107,7 +107,6 @@ func goldenRow(t *testing.T, alg Algorithm, kind memsim.CallKind, seed int64) st
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer exec.Close()
 	rng := rand.New(rand.NewSource(seed))
 	progress := make([]int, n)
 	current := make([]memsim.CallKind, n)

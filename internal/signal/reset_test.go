@@ -11,26 +11,33 @@ import (
 // TestResetReplayMatchesFreshDeployment pins the contract erasure by
 // rewind rests on: an execution that has run, Reset, and re-applied a
 // schedule is indistinguishable from memsim.Replay of that schedule on a
-// fresh deployment. For every algorithm, on both engine tiers (frames
-// inline on a memsim.Execution, or through the blocking adapter on a
-// Controller's goroutine tier, see adapterRun), a seeded random schedule
-// with crashes and lost CASes is recorded; then, for several victim sets,
-// the same used execution is rewound and fed the schedule without the
-// victims' actions. Trace (sequence numbers
-// included), memory, address space and every process's state must match
-// the fresh replay, or both must refuse the same action.
+// fresh deployment. For every algorithm, under polling and under blocking
+// semantics (blocking=true runs Wait: the algorithm's own, or Blockified's
+// for a polling algorithm), a seeded random schedule with crashes and lost
+// CASes is recorded; then, for several victim sets, the same used
+// execution is rewound and fed the schedule without the victims' actions.
+// Trace (sequence numbers included), memory, address space and every
+// process's state must match the fresh replay, or both must refuse the
+// same action.
 func TestResetReplayMatchesFreshDeployment(t *testing.T) {
 	const n = 5
 	victimSets := [][]memsim.PID{nil, {0}, {n - 1}, {1, 3}, {0, 2, n - 1}}
 	for _, alg := range All() {
 		for _, blocking := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/blocking=%v", alg.Name, blocking), func(t *testing.T) {
+				a, kind := alg, memsim.CallPoll
+				switch {
+				case !alg.Variant.Polling:
+					kind = memsim.CallWait
+				case blocking:
+					a, kind = Blockified(alg), memsim.CallWait
+				}
 				for seed := int64(1); seed <= 3; seed++ {
-					used, err := deployTier(alg, n, blocking)
+					used, err := a.Deploy(n)
 					if err != nil {
 						t.Fatal(err)
 					}
-					log := recordSchedule(t, used, alg, rand.New(rand.NewSource(seed)))
+					log := recordSchedule(t, used, kind, rand.New(rand.NewSource(seed)))
 					for _, victims := range victimSets {
 						erased := make([]bool, n)
 						for _, v := range victims {
@@ -44,7 +51,7 @@ func TestResetReplayMatchesFreshDeployment(t *testing.T) {
 						}
 						used.Reset()
 						gotErr := applyAll(used, kept)
-						fresh, wantErr := replayTier(alg, n, blocking, kept)
+						fresh, wantErr := memsim.Replay(a.New, n, kept)
 						if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 							t.Fatalf("seed %d, victims %v: rewound replay error %v, fresh replay error %v",
 								seed, victims, gotErr, wantErr)
@@ -64,26 +71,24 @@ func TestResetReplayMatchesFreshDeployment(t *testing.T) {
 						if diff := executionDiff(used, fresh); diff != "" {
 							t.Fatalf("seed %d, victims %v: rewound replay differs from a fresh one: %s", seed, victims, diff)
 						}
-						fresh.Close()
 					}
-					used.Close()
 				}
 			})
 		}
 	}
 }
 
-// recordSchedule drives e through a random schedule: waiters 0..n-2 poll
-// up to five times (or, without Poll, Wait once), p(n-1) signals once
-// after a few steps, and pending processes occasionally crash or lose a
-// CAS response. It returns a copy of the recorded action log.
-func recordSchedule(t *testing.T, e runner, alg Algorithm, rng *rand.Rand) []memsim.Action {
+// recordSchedule drives e through a random schedule: waiters 0..n-2 make
+// up to five Polls (kind Poll) or one Wait (kind Wait), p(n-1) signals
+// once after a few steps, and pending processes occasionally crash or
+// lose a CAS response. It returns a copy of the recorded action log.
+func recordSchedule(t *testing.T, e *memsim.Execution, kind memsim.CallKind, rng *rand.Rand) []memsim.Action {
 	t.Helper()
 	n := e.N()
 	sig := memsim.PID(n - 1)
-	kind, calls := memsim.CallPoll, 5
-	if !alg.Variant.Polling {
-		kind, calls = memsim.CallWait, 1
+	calls := 5
+	if kind == memsim.CallWait {
+		calls = 1
 	}
 	for step := 0; step < 300; step++ {
 		var ready []memsim.PID
@@ -135,7 +140,7 @@ func recordSchedule(t *testing.T, e runner, alg Algorithm, rng *rand.Rand) []mem
 
 // applyAll applies actions in order, reporting a refused action the way
 // memsim.Replay does.
-func applyAll(e runner, actions []memsim.Action) error {
+func applyAll(e *memsim.Execution, actions []memsim.Action) error {
 	for i, a := range actions {
 		if err := e.Apply(a); err != nil {
 			return fmt.Errorf("replay action %d (%v p%d): %w", i, a.Kind, a.PID, err)
@@ -144,127 +149,9 @@ func applyAll(e runner, actions []memsim.Action) error {
 	return nil
 }
 
-// runner is the part of memsim.Execution the Reset contract is checked
-// on; adapterRun provides it on the goroutine tier.
-type runner interface {
-	N() int
-	Machine() *memsim.Machine
-	Events() []memsim.Event
-	Actions() []memsim.Action
-	Idle(memsim.PID) bool
-	Calls(memsim.PID) int
-	Pending(memsim.PID) (memsim.Access, bool)
-	CallEnded(memsim.PID) (memsim.Value, bool)
-	Start(memsim.PID, memsim.CallKind) error
-	Step(memsim.PID) (memsim.Event, error)
-	Finish(memsim.PID) (memsim.Value, error)
-	Crash(memsim.PID, memsim.Volatility) (memsim.Event, error)
-	StepLostCAS(memsim.PID) (memsim.Event, error)
-	Apply(memsim.Action) error
-	Reset()
-	Close()
-}
-
-// adapterRun runs an algorithm's frames through the blocking adapter
-// (memsim.Blocking) on a Controller's goroutine tier, keeping the action
-// log a memsim.Execution keeps.
-type adapterRun struct {
-	*memsim.Controller
-	inst    memsim.Instance
-	n       int
-	actions []memsim.Action
-}
-
-func (e *adapterRun) N() int                   { return e.n }
-func (e *adapterRun) Actions() []memsim.Action { return e.actions }
-
-func (e *adapterRun) log(a memsim.Action, err error) error {
-	if err == nil {
-		e.actions = append(e.actions, a)
-	}
-	return err
-}
-
-func (e *adapterRun) Start(pid memsim.PID, kind memsim.CallKind) error {
-	r, err := e.inst.ResumableProgram(pid, kind)
-	if err == nil {
-		err = e.StartCall(pid, kind.String(), memsim.Blocking(r))
-	}
-	return e.log(memsim.Action{Kind: memsim.ActStart, PID: pid, Call: kind}, err)
-}
-
-func (e *adapterRun) Step(pid memsim.PID) (memsim.Event, error) {
-	ev, err := e.Controller.Step(pid)
-	return ev, e.log(memsim.Action{Kind: memsim.ActStep, PID: pid}, err)
-}
-
-func (e *adapterRun) Finish(pid memsim.PID) (memsim.Value, error) {
-	ret, err := e.FinishCall(pid)
-	return ret, e.log(memsim.Action{Kind: memsim.ActFinish, PID: pid}, err)
-}
-
-func (e *adapterRun) Crash(pid memsim.PID, vol memsim.Volatility) (memsim.Event, error) {
-	ev, err := e.Controller.Crash(pid, vol)
-	return ev, e.log(memsim.Action{Kind: memsim.ActCrash, PID: pid, Vol: vol}, err)
-}
-
-func (e *adapterRun) StepLostCAS(pid memsim.PID) (memsim.Event, error) {
-	ev, err := e.Controller.StepLostCAS(pid)
-	return ev, e.log(memsim.Action{Kind: memsim.ActLostCAS, PID: pid}, err)
-}
-
-func (e *adapterRun) Apply(a memsim.Action) error {
-	var err error
-	switch a.Kind {
-	case memsim.ActStart:
-		err = e.Start(a.PID, a.Call)
-	case memsim.ActStep:
-		_, err = e.Step(a.PID)
-	case memsim.ActFinish:
-		_, err = e.Finish(a.PID)
-	case memsim.ActCrash:
-		_, err = e.Crash(a.PID, a.Vol)
-	default:
-		_, err = e.StepLostCAS(a.PID)
-	}
-	return err
-}
-
-func (e *adapterRun) Reset() {
-	e.Controller.Reset()
-	e.Machine().Reset()
-	e.actions = e.actions[:0]
-}
-
-// deployTier deploys alg for n processes on the given engine tier.
-func deployTier(alg Algorithm, n int, blocking bool) (runner, error) {
-	if !blocking {
-		return alg.Deploy(n)
-	}
-	m := memsim.NewMachine(n)
-	inst, err := alg.New(m, n)
-	if err != nil {
-		return nil, err
-	}
-	return &adapterRun{Controller: memsim.NewController(m), inst: inst, n: n}, nil
-}
-
-// replayTier is memsim.Replay on the given engine tier.
-func replayTier(alg Algorithm, n int, blocking bool, actions []memsim.Action) (runner, error) {
-	e, err := deployTier(alg, n, blocking)
-	if err != nil {
-		return nil, err
-	}
-	if err := applyAll(e, actions); err != nil {
-		e.Close()
-		return nil, err
-	}
-	return e, nil
-}
-
 // executionDiff describes the first observable difference between two
 // executions, or returns "" when they agree.
-func executionDiff(got, want runner) string {
+func executionDiff(got, want *memsim.Execution) string {
 	ge, we := got.Events(), want.Events()
 	if len(ge) != len(we) {
 		return fmt.Sprintf("%d events, want %d", len(ge), len(we))

@@ -8,22 +8,59 @@ import (
 	"repro/internal/memsim"
 )
 
-// driveScripted runs factory's processes through their scripts under a
-// deterministic seeded schedule on a Controller and returns the trace.
-// Every call's frame is minted by the instance and runs either inline
-// (StartResumable) or, with blocking, through the blocking adapter
-// (memsim.Blocking) on the controller's goroutine tier: the same
-// (factory, scripts, seed) must yield byte-identical traces both ways.
-func driveScripted(t *testing.T, factory memsim.Factory, n int,
-	scripts map[memsim.PID][]memsim.CallKind, seed int64, blocking bool, maxSteps int) []memsim.Event {
-	t.Helper()
-	m := memsim.NewMachine(n)
-	inst, err := factory(m, n)
+// driver is what driveScripted needs of an execution: *memsim.Execution
+// provides it, and freshRun provides it on a bare Controller.
+type driver interface {
+	Idle(memsim.PID) bool
+	Pending(memsim.PID) (memsim.Access, bool)
+	CallEnded(memsim.PID) (memsim.Value, bool)
+	Start(memsim.PID, memsim.CallKind) error
+	Step(memsim.PID) (memsim.Event, error)
+	Finish(memsim.PID) (memsim.Value, error)
+	Events() []memsim.Event
+}
+
+// freshRun starts every call from a frame the instance mints anew
+// (ResumableProgram) on a bare Controller, where a memsim.Execution
+// copies it from a cached template into retained storage.
+type freshRun struct {
+	*memsim.Controller
+	inst memsim.Instance
+}
+
+func (r freshRun) Start(p memsim.PID, kind memsim.CallKind) error {
+	f, err := r.inst.ResumableProgram(p, kind)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	ctl := memsim.NewController(m)
-	defer ctl.Close()
+	return r.StartResumable(p, kind.String(), f)
+}
+
+func (r freshRun) Finish(p memsim.PID) (memsim.Value, error) { return r.FinishCall(p) }
+
+// driveScripted runs factory's processes through their scripts under a
+// deterministic seeded schedule and returns the trace. With fresh, calls
+// run on a bare Controller from freshly minted frames (freshRun);
+// otherwise on a memsim.Execution: the same (factory, scripts, seed) must
+// yield byte-identical traces both ways.
+func driveScripted(t *testing.T, factory memsim.Factory, n int,
+	scripts map[memsim.PID][]memsim.CallKind, seed int64, fresh bool, maxSteps int) []memsim.Event {
+	t.Helper()
+	var e driver
+	if fresh {
+		m := memsim.NewMachine(n)
+		inst, err := factory(m, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e = freshRun{memsim.NewController(m), inst}
+	} else {
+		exec, err := memsim.NewExecution(factory, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e = exec
+	}
 	rng := rand.New(rand.NewSource(seed))
 	progress := make(map[memsim.PID]int, len(scripts))
 	current := make(map[memsim.PID]memsim.CallKind, len(scripts))
@@ -35,8 +72,8 @@ func driveScripted(t *testing.T, factory memsim.Factory, n int,
 			if !ok {
 				continue
 			}
-			if _, done := ctl.CallEnded(p); done {
-				ret, err := ctl.FinishCall(p)
+			if _, done := e.CallEnded(p); done {
+				ret, err := e.Finish(p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -44,32 +81,26 @@ func driveScripted(t *testing.T, factory memsim.Factory, n int,
 					progress[p] = len(script) // signal observed: stop polling
 				}
 			}
-			if ctl.Idle(p) && progress[p] < len(script) {
+			if e.Idle(p) && progress[p] < len(script) {
 				kind := script[progress[p]]
-				r, err := inst.ResumableProgram(p, kind)
-				if err == nil && blocking {
-					err = ctl.StartCall(p, kind.String(), memsim.Blocking(r))
-				} else if err == nil {
-					err = ctl.StartResumable(p, kind.String(), r)
-				}
-				if err != nil {
+				if err := e.Start(p, kind); err != nil {
 					t.Fatalf("start %v on p%d: %v", kind, p, err)
 				}
 				progress[p]++
 				current[p] = kind
 			}
-			if _, ok := ctl.Pending(p); ok {
+			if _, ok := e.Pending(p); ok {
 				ready = append(ready, p)
 			}
 		}
 		if len(ready) == 0 || steps >= maxSteps {
 			break
 		}
-		if _, err := ctl.Step(ready[rng.Intn(len(ready))]); err != nil {
+		if _, err := e.Step(ready[rng.Intn(len(ready))]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return append([]memsim.Event(nil), ctl.Events()...)
+	return append([]memsim.Event(nil), e.Events()...)
 }
 
 // scriptsFor builds a representative contended workload for alg on 4 (or 5)
@@ -99,10 +130,11 @@ func scriptsFor(alg Algorithm, kind memsim.CallKind) (int, map[memsim.PID][]mems
 	return n, scripts
 }
 
-// TestEngineTraceEquivalence drives every algorithm's frames inline and
-// through the blocking adapter under identical schedules and asserts
-// byte-identical traces — for polling and (where provided) blocking
-// semantics, across several seeds.
+// TestEngineTraceEquivalence drives every algorithm under identical
+// schedules twice, from freshly minted frames on a bare Controller and
+// from template copies on a memsim.Execution, and asserts byte-identical
+// traces — for polling and (where provided) blocking semantics, across
+// several seeds.
 func TestEngineTraceEquivalence(t *testing.T) {
 	algs := All()
 	for _, a := range All() {
@@ -122,20 +154,20 @@ func TestEngineTraceEquivalence(t *testing.T) {
 			for _, kind := range kinds {
 				n, scripts := scriptsFor(alg, kind)
 				for seed := int64(1); seed <= 4; seed++ {
-					blockingTrace := driveScripted(t, alg.New, n, scripts, seed, true, 20000)
-					resumableTrace := driveScripted(t, alg.New, n, scripts, seed, false, 20000)
-					if len(blockingTrace) == 0 {
+					freshTrace := driveScripted(t, alg.New, n, scripts, seed, true, 20000)
+					execTrace := driveScripted(t, alg.New, n, scripts, seed, false, 20000)
+					if len(freshTrace) == 0 {
 						t.Fatalf("%v seed %d: empty trace", kind, seed)
 					}
-					if !reflect.DeepEqual(blockingTrace, resumableTrace) {
-						for i := range blockingTrace {
-							if i >= len(resumableTrace) || blockingTrace[i] != resumableTrace[i] {
-								t.Fatalf("%v seed %d: traces diverge at event %d:\n blocking:  %+v\n resumable: %+v",
-									kind, seed, i, blockingTrace[i], eventAt(resumableTrace, i))
+					if !reflect.DeepEqual(freshTrace, execTrace) {
+						for i := range freshTrace {
+							if i >= len(execTrace) || freshTrace[i] != execTrace[i] {
+								t.Fatalf("%v seed %d: traces diverge at event %d:\n fresh:     %+v\n execution: %+v",
+									kind, seed, i, freshTrace[i], eventAt(execTrace, i))
 							}
 						}
-						t.Fatalf("%v seed %d: resumable trace longer (%d vs %d events)",
-							kind, seed, len(resumableTrace), len(blockingTrace))
+						t.Fatalf("%v seed %d: execution trace longer (%d vs %d events)",
+							kind, seed, len(execTrace), len(freshTrace))
 					}
 				}
 			}
@@ -159,7 +191,6 @@ func TestResumableReturnsMatchBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer exec.Close()
 	// Solo run: Poll (false), Signal, Poll (true).
 	if ret, err := exec.Invoke(0, memsim.CallPoll, 100); err != nil || ret != 0 {
 		t.Fatalf("first poll: ret=%d err=%v", ret, err)

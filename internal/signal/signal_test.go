@@ -58,7 +58,6 @@ func TestProgramSupportMatchesVariant(t *testing.T) {
 		if !a.Variant.Blocking && waitErr == nil {
 			t.Errorf("%s: Wait supported but not declared", a.Name)
 		}
-		exec.Close()
 	}
 }
 
@@ -77,7 +76,6 @@ func TestFixedSignalerEnforced(t *testing.T) {
 		if _, err := exec.Instance().ResumableProgram(3, memsim.CallSignal); err != nil {
 			t.Errorf("%s: Signal by the designated process failed: %v", a.Name, err)
 		}
-		exec.Close()
 	}
 }
 
@@ -96,7 +94,6 @@ func TestSequentialSignalThenPoll(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer exec.Close()
 			waiters := []memsim.PID{0, 1}
 			if a.Variant.Waiters == 1 {
 				waiters = waiters[:1]
@@ -159,6 +156,5 @@ func TestPollBeforeAnySignal(t *testing.T) {
 				t.Fatalf("%s: poll %d returned true with no signal", a.Name, i)
 			}
 		}
-		exec.Close()
 	}
 }

@@ -12,8 +12,8 @@ import (
 // recycling rests on: ResumableProgram is a pure function of (pid, kind)
 // on a deployed instance, so a call started from the cached template into
 // recycled storage (memsim.FrameSet.Start) is indistinguishable from a
-// freshly minted frame. For every algorithm with a resumable tier, both
-// frames must encode identically at start and after every step when both
+// freshly minted frame. For every algorithm, both frames must encode
+// identically at start and after every step when both
 // are fed the same Results, issue the same accesses, complete together and
 // return the same value. Each (pid, kind) is started twice into the same
 // slot: once into storage left by another kind's frame, once into its own

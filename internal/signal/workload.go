@@ -21,8 +21,8 @@ type Policy struct {
 }
 
 // Workload runs an Algorithm under a Policy on the generic streaming
-// harness. Calls start in resumable form, or through the blocking adapter
-// when the harness is pinned to its blocking tier. Observe must see every
+// harness. Each call starts from a copy of its (pid, kind) frame template
+// in the process's retained frame storage. Observe must see every
 // event of the run (attach it as the harness sink): it counts the applied
 // accesses SignalAfter waits for. A Workload is bound to a single run.
 type Workload struct {
@@ -30,7 +30,6 @@ type Workload struct {
 	policy Policy
 	kind   memsim.CallKind // the waiters' call
 
-	inst   memsim.Instance
 	tmpl   *memsim.FrameTemplates
 	frames memsim.FrameSet
 
@@ -50,7 +49,7 @@ type proc struct {
 	signalDone       bool
 }
 
-var _ harness.ResumableWorkload = (*Workload)(nil)
+var _ harness.Workload = (*Workload)(nil)
 
 // NewWorkload returns the workload of alg for n processes under p. Every
 // PID p lists must lie in [0, n).
@@ -83,17 +82,9 @@ func (w *Workload) Deploy(m *memsim.Machine) error {
 	if err != nil {
 		return fmt.Errorf("deploy instance: %w", err)
 	}
-	w.inst = inst
-	return nil
-}
-
-// CanResume implements harness.ResumableWorkload: every algorithm runs
-// in resumable form. It sets up the frame templates and storage the run
-// reuses.
-func (w *Workload) CanResume() bool {
-	w.tmpl = memsim.NewFrameTemplates(w.inst, w.N())
+	w.tmpl = memsim.NewFrameTemplates(inst, w.N())
 	w.frames = memsim.NewFrameSet(w.N())
-	return true
+	return nil
 }
 
 // nextKind picks pid's next call: its waiter calls first, then its Signal.
@@ -111,25 +102,10 @@ func (w *Workload) nextKind(pid memsim.PID) (memsim.CallKind, bool) {
 	return 0, false
 }
 
-// Next implements harness.Workload: the call's frame runs through the
-// blocking adapter (memsim.Blocking). A procedure the algorithm does not
-// provide ends the run's calls; Err reports it.
-func (w *Workload) Next(pid memsim.PID) (string, memsim.Program, bool) {
-	kind, ok := w.nextKind(pid)
-	if !ok {
-		return "", nil, false
-	}
-	r, err := w.inst.ResumableProgram(pid, kind)
-	if err != nil {
-		w.err = err
-		return "", nil, false
-	}
-	return kind.String(), memsim.Blocking(r), true
-}
-
-// NextResumable implements harness.ResumableWorkload: the call starts from
-// a copy of the (pid, kind) template in pid's retained frame storage.
-func (w *Workload) NextResumable(pid memsim.PID) (string, memsim.Resumable, bool) {
+// Next implements harness.Workload: the call starts from a copy of the
+// (pid, kind) template in pid's retained frame storage. A procedure the
+// algorithm does not provide ends the run's calls; Err reports it.
+func (w *Workload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 	kind, ok := w.nextKind(pid)
 	if !ok {
 		return "", nil, false

@@ -3,8 +3,10 @@
 #
 # Asserts that every internal/* package carries a package-level godoc
 # comment ("// Package <name> ...") of at least three comment lines, so a
-# package can't silently regress to an undocumented stub. Run from the
-# repository root.
+# package can't silently regress to an undocumented stub, and that no Go
+# or Markdown file names an identifier of the retired goroutine-per-process
+# program form (CHANGES.md records history and ISSUE.md the work order, so
+# both are exempt). Run from the repository root.
 set -eu
 
 fail=0
@@ -25,7 +27,16 @@ for dir in internal/*/; do
     fi
 done
 
+retired='memsim\.Proc\b|memsim\.Program\b|StartCall|FromBlocking|WorkerPool|memsim\.Blocking\b|ForceBlocking|ResumableWorkload|CanResume'
+stale=$(grep -rnE "$retired" --include='*.go' --include='*.md' --exclude=CHANGES.md --exclude=ISSUE.md . || true)
+if [ -n "$stale" ]; then
+    echo "FAIL: retired identifiers still named:" >&2
+    echo "$stale" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
+echo "retired identifiers: none named"
 echo "package comments ok ($(ls -d internal/*/ | wc -l | tr -d ' ') packages)"
