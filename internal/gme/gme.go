@@ -43,7 +43,7 @@ type GME interface {
 // read and updated inside short critical sections of an MCS lock; entry
 // for a conflicting session busy-waits by re-acquiring.
 type RoomLock struct {
-	lock    mutex.Lock
+	lock    mutex.SectionRestarter
 	session memsim.Addr // current session or Nil
 	count   memsim.Addr // occupants of the current session
 }
@@ -57,7 +57,7 @@ func NewRoomLock(m *memsim.Machine, n int) (*RoomLock, error) {
 		return nil, fmt.Errorf("deploy inner lock: %w", err)
 	}
 	return &RoomLock{
-		lock:    lk,
+		lock:    lk.(mutex.SectionRestarter),
 		session: m.Alloc(memsim.NoOwner, "gme.session", 1, memsim.Nil),
 		count:   m.Alloc(memsim.NoOwner, "gme.count", 1, 0),
 	}, nil
@@ -71,7 +71,9 @@ func NewRoomLock(m *memsim.Machine, n int) (*RoomLock, error) {
 //	  release
 //	until the room was entered
 func (g *RoomLock) Enter(pid memsim.PID, session memsim.Value) memsim.Resumable {
-	return &roomFrame{g: g, pid: pid, session: session}
+	f := new(roomFrame)
+	f.start(g, pid, session, false)
+	return f
 }
 
 // Exit implements GME:
@@ -80,7 +82,9 @@ func (g *RoomLock) Enter(pid memsim.PID, session memsim.Value) memsim.Resumable 
 //	if c = 0 { write(session, NIL) }
 //	release
 func (g *RoomLock) Exit(pid memsim.PID, session memsim.Value) memsim.Resumable {
-	return &roomFrame{g: g, pid: pid, session: session, exit: true}
+	f := new(roomFrame)
+	f.start(g, pid, session, true)
+	return f
 }
 
 // Room frame program counters: the acquire section, the accesses under
@@ -96,30 +100,39 @@ const (
 	roomReleasing
 )
 
-// roomFrame is RoomLock's entry or exit section. sec is the lock section
-// in its phase.
+// roomFrame is RoomLock's entry or exit section. Its lock sections are
+// minted by the first attempt and restarted in place by every later one
+// (mutex.SectionRestarter), so retries allocate nothing.
 type roomFrame struct {
-	g       *RoomLock
-	pid     memsim.PID
-	session memsim.Value
-	exit    bool
-	entered bool
-	sec     memsim.Resumable
-	count   memsim.Value // Exit: the decremented count
-	pc      uint8
+	g        *RoomLock
+	pid      memsim.PID
+	session  memsim.Value
+	exit     bool
+	entered  bool
+	acq, rel memsim.Resumable
+	count    memsim.Value // Exit: the decremented count
+	pc       uint8
 }
 
 var _ memsim.ResumableCloner = (*roomFrame)(nil)
+
+// start makes f g's entry (exit false) or exit section for pid, keeping
+// f's lock-section storage.
+func (f *roomFrame) start(g *RoomLock, pid memsim.PID, session memsim.Value, exit bool) {
+	*f = roomFrame{g: g, pid: pid, session: session, exit: exit, acq: f.acq, rel: f.rel}
+}
 
 func (f *roomFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 	for {
 		switch f.pc {
 		case roomLock:
-			f.sec = f.g.lock.AcquireFrame(f.pid)
+			if !f.g.lock.Restart(f.acq, f.pid, true) {
+				f.acq = f.g.lock.AcquireFrame(f.pid)
+			}
 			prev = memsim.Result{}
 			f.pc = roomAcquire
 		case roomAcquire:
-			if acc, ok := f.sec.Next(prev); ok {
+			if acc, ok := f.acq.Next(prev); ok {
 				return acc, true
 			}
 			if f.exit {
@@ -153,11 +166,13 @@ func (f *roomFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 				return memsim.AccWrite(f.g.session, memsim.Nil), true
 			}
 		case roomRelease:
-			f.sec = f.g.lock.ReleaseFrame(f.pid)
+			if !f.g.lock.Restart(f.rel, f.pid, false) {
+				f.rel = f.g.lock.ReleaseFrame(f.pid)
+			}
 			prev = memsim.Result{}
 			f.pc = roomReleasing
 		default:
-			if acc, ok := f.sec.Next(prev); ok {
+			if acc, ok := f.rel.Next(prev); ok {
 				return acc, true
 			}
 			if f.exit || f.entered {
@@ -170,12 +185,18 @@ func (f *roomFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *roomFrame) Return() memsim.Value { return 0 }
 
-// CloneResumable implements memsim.ResumableCloner: the lock section must
-// be copied, not shared.
+// CloneResumable implements memsim.ResumableCloner: the lock sections
+// must be copied, not shared.
 func (f *roomFrame) CloneResumable() memsim.Resumable {
-	c := *f
-	c.sec = memsim.CloneResumable(f.sec)
+	c := f.clone()
 	return &c
+}
+
+func (f *roomFrame) clone() roomFrame {
+	c := *f
+	c.acq = memsim.CloneResumable(f.acq)
+	c.rel = memsim.CloneResumable(f.rel)
+	return c
 }
 
 // ErrBudget is returned when a GME run exhausts its step budget. It is the
@@ -302,7 +323,7 @@ type entryFrame struct {
 	w         *Workload
 	pid       memsim.PID
 	session   memsim.Value
-	sec       memsim.Resumable // the room section in its phase
+	room      roomFrame // the Enter section, then the Exit section
 	mine      memsim.Value
 	s         int // session being scanned
 	violation bool
@@ -316,11 +337,11 @@ func (f *entryFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 	for {
 		switch f.pc {
 		case entEnter:
-			f.sec = f.w.room.Enter(f.pid, f.session)
+			f.room.start(f.w.room, f.pid, f.session, false)
 			prev = memsim.Result{}
 			f.pc = entEntering
 		case entEntering:
-			if acc, ok := f.sec.Next(prev); ok {
+			if acc, ok := f.room.Next(prev); ok {
 				return acc, true
 			}
 			f.pc = entProbed
@@ -345,11 +366,11 @@ func (f *entryFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 			f.s++
 			f.pc = entScan
 		case entLeave:
-			f.sec = f.w.room.Exit(f.pid, f.session)
+			f.room.start(f.w.room, f.pid, f.session, true)
 			prev = memsim.Result{}
 			f.pc = entExiting
 		default:
-			if acc, ok := f.sec.Next(prev); ok {
+			if acc, ok := f.room.Next(prev); ok {
 				return acc, true
 			}
 			return memsim.Access{}, false
@@ -364,11 +385,11 @@ func (f *entryFrame) Return() memsim.Value {
 	return f.mine
 }
 
-// CloneResumable implements memsim.ResumableCloner: the room section must
-// be copied, not shared.
+// CloneResumable implements memsim.ResumableCloner: the room's lock
+// sections must be copied, not shared.
 func (f *entryFrame) CloneResumable() memsim.Resumable {
 	c := *f
-	c.sec = memsim.CloneResumable(f.sec)
+	c.room = f.room.clone()
 	return &c
 }
 

@@ -18,10 +18,10 @@
 // A lock's acquire and release sections are resumable frames
 // (memsim.Resumable) that compose into larger frames: a passage drives
 // them around its critical section, and the GME room, the primitive
-// emulations and the examples drive them the same way. CSProbe is the shared
-// critical-section passage probe (lost-update detection, completion
-// accounting) embedded by both this package's workload and the
-// semi-synchronous one.
+// emulations and the examples drive them the same way. CSProbe is the
+// shared critical-section passage probe (lost-update detection,
+// completion accounting) embedded by this package's Workload, which the
+// semi-synchronous workload reuses over Fischer's lock.
 //
 // Run and RunStreaming drive a contended passage workload on the generic
 // harness (internal/harness): Run without KeepEvents retains the trace for

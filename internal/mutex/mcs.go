@@ -37,7 +37,7 @@ type mcsLock struct {
 	locked []memsim.Addr // locked[i]: i's spin flag (in i's module)
 }
 
-var _ Lock = (*mcsLock)(nil)
+var _ SectionRestarter = (*mcsLock)(nil)
 
 // AcquireFrame implements Lock: enqueue with F&S, link behind the
 // predecessor, spin locally on the own node's flag.
@@ -49,6 +49,23 @@ func (l *mcsLock) AcquireFrame(pid memsim.PID) memsim.Resumable {
 // resolving the enqueue race through CAS on the tail.
 func (l *mcsLock) ReleaseFrame(pid memsim.PID) memsim.Resumable {
 	return &mcsReleaseFrame{l: l, i: int(pid)}
+}
+
+// Restart implements SectionRestarter.
+func (l *mcsLock) Restart(f memsim.Resumable, pid memsim.PID, acquire bool) bool {
+	switch s := f.(type) {
+	case *mcsAcquireFrame:
+		if acquire {
+			*s = mcsAcquireFrame{l: l, i: int(pid)}
+			return true
+		}
+	case *mcsReleaseFrame:
+		if !acquire {
+			*s = mcsReleaseFrame{l: l, i: int(pid)}
+			return true
+		}
+	}
+	return false
 }
 
 type mcsAcquireFrame struct {

@@ -160,42 +160,32 @@ func (r *RunResult) PerPassage(cm model.CostModel) float64 {
 }
 
 // Workload drives Fischer-guarded critical sections on the generic
-// streaming harness, instrumented with the shared mutex.CSProbe (Fischer
-// is a mutex.Lock, so the violation-detection logic exists once). In
+// streaming harness: it is the mutex passage workload (mutex.Workload,
+// instrumented with the shared mutex.CSProbe) over Fischer's lock. In
 // timed mode it imposes the Δ-gap discipline through the harness's
 // Stepper hook (the tie-break scheduler chooses freely within it);
 // untimed it exposes Fischer's lock to unrestricted asynchrony.
 type Workload struct {
-	mutex.CSProbe
-	n, delta  int
-	timed     bool
-	remaining []int
+	*mutex.Workload
+	delta int
+	timed bool
 }
 
-var (
-	_ harness.Workload        = (*Workload)(nil)
-	_ harness.Verifier        = (*Workload)(nil)
-	_ harness.SteppedWorkload = (*Workload)(nil)
-)
+var _ harness.SteppedWorkload = (*Workload)(nil)
 
 // NewWorkload returns the workload for n processes, each performing the
 // given number of passages under Fischer's lock with the given Δ. timed
 // selects the Δ-respecting schedule discipline.
 func NewWorkload(n, delta, passages int, timed bool) *Workload {
-	w := &Workload{n: n, delta: delta, timed: timed, remaining: make([]int, n)}
-	for i := range w.remaining {
-		w.remaining[i] = passages
+	fischer := mutex.Algorithm{
+		Name:       "fischer",
+		Primitives: "read/write",
+		Comment:    "O(1) writes per acquisition; correct only under the Δ-gap discipline",
+		New: func(m *memsim.Machine, n int) (mutex.Lock, error) {
+			return NewFischer(m, n, delta), nil
+		},
 	}
-	return w
-}
-
-// N implements harness.Workload.
-func (w *Workload) N() int { return w.n }
-
-// Deploy implements harness.Workload.
-func (w *Workload) Deploy(m *memsim.Machine) error {
-	w.DeployProbe(m, NewFischer(m, w.n, w.delta))
-	return nil
+	return &Workload{Workload: mutex.NewWorkload(fischer, n, passages), delta: delta, timed: timed}
 }
 
 // Stepper implements harness.SteppedWorkload: in timed mode, steps are
@@ -210,15 +200,6 @@ func (w *Workload) Stepper(ctl *memsim.Controller, pick sched.Scheduler) harness
 		_, err := r.Step(ready)
 		return err
 	}
-}
-
-// Next implements harness.Workload.
-func (w *Workload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
-	if w.remaining[pid] <= 0 {
-		return "", nil, false
-	}
-	w.remaining[pid]--
-	return "passage", w.PassageFrame(pid), true
 }
 
 // Run drives N processes through Fischer-guarded critical sections on the
