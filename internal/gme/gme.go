@@ -71,9 +71,7 @@ func NewRoomLock(m *memsim.Machine, n int) (*RoomLock, error) {
 //	  release
 //	until the room was entered
 func (g *RoomLock) Enter(pid memsim.PID, session memsim.Value) memsim.Resumable {
-	f := new(roomFrame)
-	f.start(g, pid, session, false)
-	return f
+	return &roomFrame{g: g, pid: pid, session: session}
 }
 
 // Exit implements GME:
@@ -82,9 +80,7 @@ func (g *RoomLock) Enter(pid memsim.PID, session memsim.Value) memsim.Resumable 
 //	if c = 0 { write(session, NIL) }
 //	release
 func (g *RoomLock) Exit(pid memsim.PID, session memsim.Value) memsim.Resumable {
-	f := new(roomFrame)
-	f.start(g, pid, session, true)
-	return f
+	return &roomFrame{g: g, pid: pid, session: session, exit: true}
 }
 
 // Room frame program counters: the acquire section, the accesses under
@@ -117,7 +113,8 @@ type roomFrame struct {
 var _ memsim.ResumableCloner = (*roomFrame)(nil)
 
 // start makes f g's entry (exit false) or exit section for pid, keeping
-// f's lock-section storage.
+// f's lock-section storage: the GME entry frame runs Enter and then Exit
+// in one roomFrame.
 func (f *roomFrame) start(g *RoomLock, pid memsim.PID, session memsim.Value, exit bool) {
 	*f = roomFrame{g: g, pid: pid, session: session, exit: exit, acq: f.acq, rel: f.rel}
 }

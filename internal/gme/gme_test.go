@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/memsim"
 	"repro/internal/model"
 	"repro/internal/sched"
 )
@@ -125,5 +126,64 @@ func TestPerEntryNaN(t *testing.T) {
 	}
 	if pe := res.PerEntry(model.ModelCC); !math.IsNaN(pe) {
 		t.Fatalf("PerEntry = %v, want NaN", pe)
+	}
+}
+
+// TestRoomSectionsExclude drives RoomLock's Enter and Exit sections
+// directly: while p0 occupies session 0, p1's Enter for session 1 keeps
+// retrying through the lock and never completes; once p0's Exit has run,
+// p1 enters and the room holds session 1 with one occupant.
+func TestRoomSectionsExclude(t *testing.T) {
+	m := memsim.NewMachine(2)
+	g, err := NewRoomLock(m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := memsim.NewController(m)
+	// drive steps the processes with a pending access round-robin until
+	// target's call ends (collecting it) or limit steps have run.
+	drive := func(target memsim.PID, limit int) bool {
+		t.Helper()
+		for steps := 0; steps < limit; {
+			for pid := memsim.PID(0); pid < 2; pid++ {
+				if _, done := ctl.CallEnded(target); done {
+					if _, err := ctl.FinishCall(target); err != nil {
+						t.Fatal(err)
+					}
+					return true
+				}
+				if _, ok := ctl.Pending(pid); ok {
+					if _, err := ctl.Step(pid); err != nil {
+						t.Fatal(err)
+					}
+					steps++
+				}
+			}
+		}
+		return false
+	}
+	start := func(pid memsim.PID, f memsim.Resumable) {
+		t.Helper()
+		if err := ctl.StartResumable(pid, "room", f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start(0, g.Enter(0, 0))
+	if !drive(0, 100) {
+		t.Fatal("p0 did not enter the empty room")
+	}
+	start(1, g.Enter(1, 1))
+	if drive(1, 200) {
+		t.Fatal("p1 entered session 1 while p0 occupies session 0")
+	}
+	start(0, g.Exit(0, 0))
+	if !drive(0, 400) {
+		t.Fatal("p0 did not leave")
+	}
+	if !drive(1, 400) {
+		t.Fatal("p1 did not enter after p0 left")
+	}
+	if s, c := m.Load(g.session), m.Load(g.count); s != 1 || c != 1 {
+		t.Fatalf("room holds session %d with %d occupants, want session 1 with 1", s, c)
 	}
 }

@@ -45,6 +45,12 @@ var _ Lock = (*bakeryLock)(nil)
 
 // AcquireFrame implements Lock: the doorway (scan every ticket,
 // take max+1) followed by the wait section's per-process defer loops.
+//
+//	choosing[i] := 1; number[i] := 1 + max_j number[j]; choosing[i] := 0
+//	for j != i {
+//	  await choosing[j] = 0
+//	  await number[j] = 0 or (number[j], j) > (number[i], i)
+//	}
 func (l *bakeryLock) AcquireFrame(pid memsim.PID) memsim.Resumable {
 	return &bakeryAcquireFrame{l: l, i: int(pid)}
 }

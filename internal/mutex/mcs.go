@@ -41,12 +41,23 @@ var _ SectionRestarter = (*mcsLock)(nil)
 
 // AcquireFrame implements Lock: enqueue with F&S, link behind the
 // predecessor, spin locally on the own node's flag.
+//
+//	next[i] := NIL; locked[i] := 1
+//	pred := FAS(tail, i)
+//	if pred != NIL { next[pred] := i; await locked[i] = 0 }
 func (l *mcsLock) AcquireFrame(pid memsim.PID) memsim.Resumable {
 	return &mcsAcquireFrame{l: l, i: int(pid)}
 }
 
 // ReleaseFrame implements Lock: hand over to the successor,
 // resolving the enqueue race through CAS on the tail.
+//
+//	succ := next[i]
+//	if succ = NIL {
+//	  if CAS(tail, i, NIL) { return }
+//	  await (succ := next[i]) != NIL   // a successor is enqueueing
+//	}
+//	locked[succ] := 0
 func (l *mcsLock) ReleaseFrame(pid memsim.PID) memsim.Resumable {
 	return &mcsReleaseFrame{l: l, i: int(pid)}
 }

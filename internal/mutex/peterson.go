@@ -68,11 +68,16 @@ func (k *petersonLock) node(i, l int) int {
 
 // AcquireFrame implements Lock: ascend the arbitration tree,
 // acquiring each two-process Peterson node.
+//
+//	for each level l, node n, side s = bit l of i:
+//	  flag[n][s] := 1; turn[n] := s
+//	  await flag[n][1-s] != 1 or turn[n] != s
 func (k *petersonLock) AcquireFrame(pid memsim.PID) memsim.Resumable {
 	return &petersonAcquireFrame{k: k, i: int(pid)}
 }
 
-// ReleaseFrame implements Lock: descend, clearing each node flag.
+// ReleaseFrame implements Lock: descend, clearing each node flag
+// (flag[n][s] := 0 from the root down).
 func (k *petersonLock) ReleaseFrame(pid memsim.PID) memsim.Resumable {
 	return &petersonReleaseFrame{k: k, i: int(pid), l: k.height - 1}
 }
