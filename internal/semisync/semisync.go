@@ -178,9 +178,7 @@ var _ harness.SteppedWorkload = (*Workload)(nil)
 // selects the Δ-respecting schedule discipline.
 func NewWorkload(n, delta, passages int, timed bool) *Workload {
 	fischer := mutex.Algorithm{
-		Name:       "fischer",
-		Primitives: "read/write",
-		Comment:    "O(1) writes per acquisition; correct only under the Δ-gap discipline",
+		Name: "fischer",
 		New: func(m *memsim.Machine, n int) (mutex.Lock, error) {
 			return NewFischer(m, n, delta), nil
 		},
