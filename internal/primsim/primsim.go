@@ -17,7 +17,7 @@
 // substitution.
 //
 // Every emulated operation is a resumable Frame that composes the lock's
-// acquire and release sections (mutex.ResumableLock); callers embed a
+// acquire and release sections (mutex.SectionRestarter); callers embed a
 // Frame in their own frame and drive it. An emulated read is one atomic
 // read of the word's address and needs no frame.
 package primsim
