@@ -3,7 +3,6 @@ package explore
 import (
 	"fmt"
 	"hash/fnv"
-	"io"
 	"testing"
 
 	"repro/internal/engine"
@@ -11,12 +10,11 @@ import (
 	"repro/internal/signal"
 )
 
-// Differential state-key tests: the binary StateKey and the legacy
-// reflective stateKeyLegacy must induce the same partition over engine
-// states, for every listed algorithm — equal legacy keys if and only if
-// equal binary keys, across every node of a bounded exploration tree.
-// This is the property the dedup table's claim-once determinism rests on
-// after the encoder swap.
+// Differential state-key tests: the binary StateKey and stateKeyLegacy
+// must induce the same partition over engine states, for every listed
+// algorithm — equal legacy keys if and only if equal binary keys, across
+// every node of a bounded exploration tree. This is the property the
+// dedup table's claim-once determinism rests on.
 
 // partitionConfig builds the per-algorithm workload the partition walk
 // quantifies over: two pollers (waiters for an algorithm without Poll), one
@@ -33,10 +31,12 @@ func partitionConfig(alg signal.Algorithm) Config {
 	return Config{Factory: alg.New, N: 4, Scripts: scripts, MaxDepth: 7}
 }
 
-// stateKeyLegacy is the original reflective fmt-walk state key, rebuilt
-// from the monitor's state. It is the oracle of the encoder-equivalence
-// tests: the binary StateKey must merge exactly the states this key
-// merges, for every algorithm.
+// stateKeyLegacy is the original fmt-rendered state key, rebuilt from the
+// monitor's state. It is the oracle of the encoder-equivalence tests: the
+// binary StateKey must merge exactly the states this key merges, for every
+// algorithm. It re-derives the key's framing on its own (memory words, LL
+// reservations, monitor bits, phases, pending accesses, frame type names);
+// only the frame content comes from memsim.AppendFrameState.
 func stateKeyLegacy(e *monitor) [16]byte {
 	h := fnv.New128a()
 	mach := e.Machine()
@@ -64,9 +64,7 @@ func stateKeyLegacy(e *monitor) [16]byte {
 			fmt.Fprintf(h, "a%d,%d,%d,%d;", acc.Op, acc.Addr, acc.Arg1, acc.Arg2)
 		}
 		if f := e.Frame(p); f != nil {
-			io.WriteString(h, "f")
-			memsim.EncodeFrameState(h, f)
-			io.WriteString(h, ";")
+			fmt.Fprintf(h, "f%x;", memsim.AppendFrameState(nil, f))
 		}
 	}
 	var key [16]byte

@@ -233,15 +233,6 @@ func (c *Controller) StepLostCAS(pid PID) (Event, error) {
 	return ev, nil
 }
 
-// Abort kills pid's active call, if any, without applying its pending
-// access: the frame is dropped and the process returns to idle, keeping
-// its call count; no call-end event is recorded.
-func (c *Controller) Abort(pid PID) {
-	st := &c.procs[pid]
-	st.phase = phaseIdle
-	st.frame = nil
-}
-
 // Reset rewinds the controller to its state before the first call: every
 // active call is dropped, every process is idle with no calls started,
 // and the trace is empty with sequence numbers restarting at 0 (the

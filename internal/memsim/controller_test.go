@@ -133,26 +133,6 @@ func TestControllerDoubleStartFails(t *testing.T) {
 	}
 }
 
-func TestControllerAbort(t *testing.T) {
-	m := NewMachine(1)
-	a := m.Alloc(NoOwner, "x", 1, 0)
-	ctl := NewController(m)
-	if err := ctl.StartResumable(0, "spin", &spinFrame{a: a}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctl.Step(0); err != nil {
-		t.Fatal(err)
-	}
-	ctl.Abort(0)
-	if !ctl.Idle(0) {
-		t.Fatal("process should be idle after Abort")
-	}
-	// The machine must be reusable.
-	if err := ctl.StartResumable(0, "again", testProgram(a)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestControllerEvents(t *testing.T) {
 	m := NewMachine(1)
 	a := m.Alloc(NoOwner, "x", 1, 0)

@@ -47,9 +47,9 @@
 // through pointers, and write slices only append-at-index below a
 // frame-held cursor. Under that discipline CloneResumable's shallow copy
 // is an independent continuation point (frames holding sub-frames
-// implement ResumableCloner instead), and EncodeFrameState can render a
+// implement ResumableCloner instead), and AppendFrameState can encode a
 // frame's canonical state by content — identically across different
-// executions, which the parallel explorer's shared dedup table relies on.
-// Frames whose state the canonical walk cannot see (per-call allocations,
-// cursor-written slices) implement StateEncoder.
+// executions, which the engines' shared dedup and memo tables rely on.
+// Frames whose state the field walk cannot see (per-call allocations,
+// cursor-written slices) implement StateAppender.
 package memsim

@@ -8,35 +8,52 @@ import (
 	"unsafe"
 )
 
-// Binary state encoding: the hot-path replacement for EncodeFrameState's
-// reflective fmt walk. AppendFrameState writes a frame's canonical mutable
+// State encoding: AppendFrameState writes a frame's canonical mutable
 // state into a caller-owned scratch buffer — varint integers, raw float
 // bits, length-prefixed strings and slices, no text formatting — and the
 // per-type encoding plan (field kinds and offsets, resolved once per
 // reflect.Type) is replayed with raw pointer reads per node, so the
 // steady-state encode allocates nothing.
 //
-// The encoding carries exactly the information the legacy walk carries:
-// frame type names by content (never per-process identities, because keys
-// are compared across OS processes by the sharded search and checkpoint
-// resume), sub-frames by content, other pointers by nil-ness alone (their
-// type is fixed by the field), and every component self-delimiting so
-// concatenations stay injective. Two frames of one type encode equally
-// under AppendFrameState if and only if they encode equally under the
-// legacy EncodeFrameState walk — the partition equality the explorer's
-// dedup keys rest on, pinned by the differential tests in encode_test.go
-// and by the per-algorithm partition suites in internal/explore and
-// internal/search.
+// The plain field walk renders scalars by value, slices and nested
+// structs element-wise, sub-frames (pointers to other Resumables) by
+// content, and any other pointer by nil-ness alone — under the frame
+// discipline those reference immutable deployment data (the instance,
+// address tables) whose identity is fixed by the deterministic deployment
+// and whose type is fixed by the field. Frame type names are written by
+// content, never as per-process identities, and heap addresses never
+// enter the encoding, because keys are compared across executions and OS
+// processes (the parallel explorer's shared dedup table, the sharded
+// search, checkpoint resume). Every component is self-delimiting, so
+// concatenations stay injective. The planned walk and its reflective
+// fallback (appendCanonicalValue) must induce the same state partition,
+// pinned by the differential tests in encode_test.go; the per-algorithm
+// partition suites in internal/explore and internal/search check the
+// engines' keys against an independently derived framing.
 
-// StateAppender is the allocation-free counterpart of StateEncoder: frames
-// whose canonical encoding differs from the plain field walk append their
-// state to dst and return the extended buffer. Implementations must mirror
-// the frame's EncodeState exactly — equal logical states must produce
-// equal bytes, different states different bytes — so the binary and the
-// legacy text encodings induce the same state partition.
+// StateAppender is implemented by resumable frames whose canonical state
+// encoding differs from the plain field walk: frames holding sub-frames in
+// unexported fields (which the walk renders field by field, skipping the
+// sub-frame's own StateAppender), or slices written below a cursor (whose
+// tails hold branch-dependent garbage). AppendState appends the state to
+// dst and returns the extended buffer. Equal logical states must produce
+// equal bytes and different states different bytes — the contract the
+// engines' state dedup rests on — and the bytes must be engine-independent
+// (derived from machine addresses and frame values, never from heap
+// addresses). Frames must implement it for any mutable state the walk
+// cannot see canonically: per-call allocations, cursor-written slice
+// tails, and any pointer whose IDENTITY varies at runtime (e.g. a cursor
+// into a linked structure — the walk encodes non-frame pointers by
+// nil-ness alone, so states differing only in which same-typed object is
+// referenced would wrongly merge).
 type StateAppender interface {
 	AppendState(dst []byte) []byte
 }
+
+// resumableType is the interface frames are checked against when the
+// walk meets a pointer: frame pointers encode by content, everything else
+// is deployment data and encodes by nil-ness.
+var resumableType = reflect.TypeOf((*Resumable)(nil)).Elem()
 
 // Frame tags of the binary encoding. Every frame rendering starts with one
 // tag byte; the content after the type name is length-prefixed, so frame
@@ -44,7 +61,7 @@ type StateAppender interface {
 const (
 	tagNil     = 0 // nil frame
 	tagFrame   = 1 // type name + length-prefixed content follows
-	tagCustom  = 2 // content from StateAppender / StateEncoder
+	tagCustom  = 2 // content from StateAppender
 	tagWalk    = 3 // content from the planned field walk
 	tagNilPtr  = 4 // nil pointer (canonical walk)
 	tagPtr     = 5 // non-nil non-frame pointer (type is static)
@@ -54,11 +71,9 @@ const (
 	tagSubWalk = 9 // unexported sub-frame: type name + plain walk content
 )
 
-// AppendFrameState appends r's canonical mutable state to dst: the frame's
-// own StateAppender when implemented, its legacy StateEncoder rendered
-// into the buffer next, and the planned binary field walk otherwise. It is
-// the binary counterpart of EncodeFrameState and induces the same state
-// partition (equal states under one encoder are equal under the other).
+// AppendFrameState appends r's canonical mutable state to dst: the type
+// name, then the frame's own StateAppender content when implemented and
+// the planned field walk otherwise.
 func AppendFrameState(dst []byte, r Resumable) []byte {
 	if r == nil {
 		return append(dst, tagNil)
@@ -78,8 +93,8 @@ func AppendFrameState(dst []byte, r Resumable) []byte {
 // using AppendFrameState: a field like the blockified waiter's in-flight
 // frame changes type from state to state, and only the name separates
 // same-bytes states of different types there. The per-algorithm partition
-// suites exercise the engine keys end to end, so the equivalence with the
-// name-carrying legacy walk stays differentially pinned.
+// suites exercise the engine keys end to end against an oracle framing
+// that keeps the names.
 func AppendKeyFrameState(dst []byte, r Resumable) []byte {
 	if r == nil {
 		return append(dst, tagNil)
@@ -98,14 +113,6 @@ func appendFrameContent(dst []byte, r Resumable) []byte {
 	case StateAppender:
 		dst = append(dst, tagCustom)
 		dst = enc.AppendState(dst)
-	case StateEncoder:
-		dst = append(dst, tagCustom)
-		w := appendWriterPool.Get().(*appendWriter)
-		w.buf = dst
-		enc.EncodeState(w)
-		dst = w.buf
-		w.buf = nil
-		appendWriterPool.Put(w)
 	default:
 		dst = append(dst, tagWalk)
 		v := reflect.ValueOf(r)
@@ -118,17 +125,6 @@ func appendFrameContent(dst []byte, r Resumable) []byte {
 	binary.LittleEndian.PutUint32(dst[start-4:start], uint32(len(dst)-start))
 	return dst
 }
-
-// appendWriter adapts a grow-in-place byte buffer to io.Writer so legacy
-// StateEncoder implementations render into the scratch buffer directly.
-type appendWriter struct{ buf []byte }
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-var appendWriterPool = sync.Pool{New: func() any { return new(appendWriter) }}
 
 // appendTypeName appends t's content-based identity: the length-prefixed
 // type name string. Names, not per-process interned IDs, because state
@@ -236,8 +232,8 @@ func buildPlan(t reflect.Type) *plan {
 
 // addStruct flattens t's fields (declaration order, nested structs inline)
 // into ops at base-relative offsets. Flattening does not change the
-// partition: for a fixed frame type the structural wrappers the legacy
-// walk writes are constants.
+// partition: for a fixed frame type the structural wrappers the
+// reflective walk writes are constants.
 func (p *plan) addStruct(t reflect.Type, base uintptr) {
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
@@ -260,8 +256,8 @@ func (p *plan) addStruct(t reflect.Type, base uintptr) {
 			}
 		case reflect.Pointer:
 			if ft.Implements(resumableType) {
-				// Mirror the legacy walk's split: exported sub-frames go
-				// through the full encoder (custom encoders honored),
+				// Mirror the reflective walk's split: exported sub-frames
+				// go through the full encoder (custom encoders honored),
 				// unexported ones through the plain field walk.
 				if f.IsExported() {
 					p.ops = append(p.ops, planOp{code: opPtrFrame, off: off, ft: ft})
@@ -371,10 +367,16 @@ func appendScalar(dst []byte, code uint8, p unsafe.Pointer) []byte {
 	panic("memsim: unknown scalar code")
 }
 
-// appendCanonicalValue is the reflective fallback of the binary encoder:
-// a 1:1 mirror of encodeCanonical (same traversal, same nil/pointer/
-// interface decisions, therefore the same discriminating power), emitting
-// self-delimiting binary instead of text.
+// appendCanonicalValue is the reflective walk: the planned walk's
+// fallback for fields it has no op for (interfaces, arrays, slices of
+// strings or composites), and the oracle the planned walk is tested
+// against. Struct fields are walked in declaration order (including
+// unexported fields, which is where frames keep their state), with scalar
+// kinds read through reflect's value accessors so no Interface() call —
+// forbidden on unexported fields — is needed. Exported sub-frames go
+// through AppendFrameState so a StateAppender is honored; unexported ones
+// fall back to the plain walk (frames needing more must implement
+// StateAppender at the level the engines see).
 func appendCanonicalValue(dst []byte, v reflect.Value) []byte {
 	switch v.Kind() {
 	case reflect.Bool:
@@ -425,7 +427,8 @@ func appendCanonicalValue(dst []byte, v reflect.Value) []byte {
 		}
 		return appendCanonicalValue(dst, v.Elem())
 	default:
-		// chan, func, map: constant per field type, like the legacy walk.
+		// chan, func, map and unsafe pointers are outside the frame
+		// discipline: constant per field type.
 		return append(dst, tagOpaque)
 	}
 }
@@ -444,9 +447,9 @@ const (
 
 // HashKey128 is FNV-128a over b, inlined so the per-node key hash skips
 // the hash.Hash interface round trip (Reset, Write dispatch, Sum copy-out)
-// of hash/fnv. It produces the exact digest of fnv.New128a — the legacy
-// stateKey oracles still use the stdlib and the differential suites compare
-// the two — with the big-endian byte order of Sum.
+// of hash/fnv. It produces the exact digest of fnv.New128a — the
+// stateKeyLegacy oracles use the stdlib — with the big-endian byte order
+// of Sum.
 func HashKey128(b []byte) [16]byte {
 	lo, hi := uint64(fnvOffset128Low), uint64(fnvOffset128High)
 	for _, c := range b {
@@ -462,46 +465,4 @@ func HashKey128(b []byte) [16]byte {
 	binary.BigEndian.PutUint64(key[:8], hi)
 	binary.BigEndian.PutUint64(key[8:], lo)
 	return key
-}
-
-// ResumableCopier is implemented by ResumableCloner frames that can
-// additionally copy their state into a previously cloned frame, reusing
-// its allocations. CopyResumableInto reports success; on a shape mismatch
-// the caller falls back to CloneResumable.
-type ResumableCopier interface {
-	ResumableCloner
-	CopyResumableInto(dst Resumable) bool
-}
-
-// CloneResumableInto copies src's state into dst when dst is a reusable
-// frame of src's concrete type (the pooled-snapshot fast path: no
-// allocation), and falls back to CloneResumable otherwise. dst must be a
-// frame the caller owns exclusively — typically the same mark slot's
-// previous occupant.
-func CloneResumableInto(dst, src Resumable) Resumable {
-	if src == nil {
-		return nil
-	}
-	if c, ok := src.(ResumableCopier); ok {
-		if dst != nil && c.CopyResumableInto(dst) {
-			return dst
-		}
-		return c.CloneResumable()
-	}
-	if c, ok := src.(ResumableCloner); ok {
-		return c.CloneResumable()
-	}
-	sv := reflect.ValueOf(src)
-	if sv.Kind() != reflect.Pointer || sv.IsNil() {
-		return src // value frames copy by interface assignment already
-	}
-	if dst != nil {
-		if dv := reflect.ValueOf(dst); dv.Kind() == reflect.Pointer && !dv.IsNil() && dv.Type() == sv.Type() {
-			dv.Elem().Set(sv.Elem())
-			return dst
-		}
-	}
-	c := reflect.New(sv.Elem().Type())
-	c.Elem().Set(sv.Elem())
-	return c.Interface().(Resumable)
 }

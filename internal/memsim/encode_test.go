@@ -1,10 +1,8 @@
 package memsim_test
 
 import (
-	"bytes"
-	"fmt"
+	"encoding/binary"
 	"hash/fnv"
-	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,10 +10,10 @@ import (
 	"repro/internal/memsim"
 )
 
-// Differential tests of the binary state encoder against the legacy
-// reflective text walk: the two encoders must induce the same partition
-// over frame states — two frames encode equally under AppendFrameState if
-// and only if they encode equally under EncodeFrameState. The corpus
+// Differential tests of the planned state walk against the reflective
+// walk: the two must induce the same partition over frame states — two
+// frames encode equally under AppendFrameState if and only if they encode
+// equally under the reflective AppendFrameStateReflect. The corpus
 // exercises every plan path: all scalar widths, strings, scalar slices,
 // nested structs, arrays, interfaces, exported sub-frames with custom
 // encoders, unexported sub-frames (plain walk), non-frame pointers
@@ -32,7 +30,7 @@ type encSubFrame struct {
 func (f *encSubFrame) Next(memsim.Result) (memsim.Access, bool) { return memsim.Access{}, false }
 func (f *encSubFrame) Return() memsim.Value                     { return 0 }
 
-// encCustomFrame carries a StateEncoder, honored when reached through an
+// encCustomFrame carries a StateAppender, honored when reached through an
 // exported field or at top level.
 type encCustomFrame struct {
 	X      int
@@ -42,8 +40,10 @@ type encCustomFrame struct {
 
 func (f *encCustomFrame) Next(memsim.Result) (memsim.Access, bool) { return memsim.Access{}, false }
 func (f *encCustomFrame) Return() memsim.Value                     { return 0 }
-func (f *encCustomFrame) EncodeState(w io.Writer) {
-	fmt.Fprintf(w, "%d|%q", f.X, f.Y)
+func (f *encCustomFrame) AppendState(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, int64(f.X))
+	dst = binary.AppendUvarint(dst, uint64(len(f.Y)))
+	return append(dst, f.Y...)
 }
 
 // encWalkFrame exercises the full planned walk.
@@ -73,32 +73,30 @@ type encWalkFrame struct {
 func (f *encWalkFrame) Next(memsim.Result) (memsim.Access, bool) { return memsim.Access{}, false }
 func (f *encWalkFrame) Return() memsim.Value                     { return 0 }
 
-func textEncoding(r memsim.Resumable) string {
-	var b bytes.Buffer
-	memsim.EncodeFrameState(&b, r)
-	return b.String()
+func reflectEncoding(r memsim.Resumable) string {
+	return string(memsim.AppendFrameStateReflect(nil, r))
 }
 
-func binaryEncoding(r memsim.Resumable) string {
+func plannedEncoding(r memsim.Resumable) string {
 	return string(memsim.AppendFrameState(nil, r))
 }
 
 // checkPartition asserts the partition property over every pair of the
-// corpus: text-equal ⇔ binary-equal.
+// corpus: reflective-equal ⇔ planned-equal.
 func checkPartition(t *testing.T, frames []memsim.Resumable) {
 	t.Helper()
-	texts := make([]string, len(frames))
-	bins := make([]string, len(frames))
+	refls := make([]string, len(frames))
+	plans := make([]string, len(frames))
 	for i, f := range frames {
-		texts[i] = textEncoding(f)
-		bins[i] = binaryEncoding(f)
+		refls[i] = reflectEncoding(f)
+		plans[i] = plannedEncoding(f)
 	}
 	for i := range frames {
 		for j := i + 1; j < len(frames); j++ {
-			tEq, bEq := texts[i] == texts[j], bins[i] == bins[j]
-			if tEq != bEq {
-				t.Errorf("partition mismatch between corpus[%d] and corpus[%d]: text equal=%v, binary equal=%v\n text i: %q\n text j: %q",
-					i, j, tEq, bEq, texts[i], texts[j])
+			rEq, pEq := refls[i] == refls[j], plans[i] == plans[j]
+			if rEq != pEq {
+				t.Errorf("partition mismatch between corpus[%d] and corpus[%d]: reflective equal=%v, planned equal=%v\n reflective i: %q\n reflective j: %q",
+					i, j, rEq, pEq, refls[i], refls[j])
 			}
 		}
 	}
@@ -161,13 +159,13 @@ func walkCorpus() []memsim.Resumable {
 }
 
 // TestEncoderPartitionWalkFrames: the synthetic corpus covering every
-// plan path partitions identically under both encoders.
+// plan path partitions identically under both walks.
 func TestEncoderPartitionWalkFrames(t *testing.T) {
 	checkPartition(t, walkCorpus())
 }
 
 // TestEncoderPartitionMixedTypes: frames of different types never encode
-// equally under either encoder (the type name is part of both renderings).
+// equally under either walk (the type name is part of both renderings).
 func TestEncoderPartitionMixedTypes(t *testing.T) {
 	frames := []memsim.Resumable{
 		&encSubFrame{A: 1},
@@ -178,7 +176,7 @@ func TestEncoderPartitionMixedTypes(t *testing.T) {
 	checkPartition(t, frames)
 	for i, a := range frames {
 		for j := i + 1; j < len(frames); j++ {
-			if binaryEncoding(a) == binaryEncoding(frames[j]) {
+			if plannedEncoding(a) == plannedEncoding(frames[j]) {
 				t.Errorf("frames of distinct types %d and %d encode equally", i, j)
 			}
 		}
@@ -190,7 +188,7 @@ func TestEncoderPartitionMixedTypes(t *testing.T) {
 // that lets one scratch buffer serve every node).
 func TestEncoderDeterministic(t *testing.T) {
 	for i, f := range walkCorpus() {
-		a, b := binaryEncoding(f), binaryEncoding(f)
+		a, b := plannedEncoding(f), plannedEncoding(f)
 		if a != b {
 			t.Fatalf("corpus[%d]: two encodings differ", i)
 		}
@@ -199,9 +197,10 @@ func TestEncoderDeterministic(t *testing.T) {
 
 // FuzzEncoderPartition drives the partition property over fuzzed pairs of
 // frame states: build two frames from the two halves of the input, then
-// require text-equal ⇔ binary-equal. NaN floats are canonicalized away —
-// the text walk's %g collapses all NaN payloads to one rendering while
-// raw bits keep them apart, and frames never hold NaN.
+// require reflective-equal ⇔ planned-equal. NaN floats are canonicalized
+// away — the reflective walk widens float32 to float64, which can merge
+// NaN payloads the planned walk's raw bits keep apart, and frames never
+// hold NaN.
 func FuzzEncoderPartition(f *testing.F) {
 	f.Add(int64(1), uint64(2), "a", []byte{1, 2}, 1.5, true, int64(1), uint64(2), "a", []byte{1, 2}, 1.5, true)
 	f.Add(int64(1), uint64(2), "a", []byte{1, 2}, 1.5, true, int64(2), uint64(2), "a", []byte{1, 2}, 1.5, true)
@@ -234,18 +233,18 @@ func FuzzEncoderPartition(f *testing.F) {
 		i1 int64, u1 uint64, s1 string, r1 []byte, f1 float64, w1 bool,
 		i2 int64, u2 uint64, s2 string, r2 []byte, f2 float64, w2 bool) {
 		fa, fb := build(i1, u1, s1, r1, f1, w1), build(i2, u2, s2, r2, f2, w2)
-		tEq := textEncoding(fa) == textEncoding(fb)
-		bEq := binaryEncoding(fa) == binaryEncoding(fb)
-		if tEq != bEq {
-			t.Fatalf("partition mismatch: text equal=%v, binary equal=%v\n a: %q\n b: %q",
-				tEq, bEq, textEncoding(fa), textEncoding(fb))
+		rEq := reflectEncoding(fa) == reflectEncoding(fb)
+		pEq := plannedEncoding(fa) == plannedEncoding(fb)
+		if rEq != pEq {
+			t.Fatalf("partition mismatch: reflective equal=%v, planned equal=%v\n a: %q\n b: %q",
+				rEq, pEq, reflectEncoding(fa), reflectEncoding(fb))
 		}
 	})
 }
 
 // TestHashKey128MatchesStdlib pins the inlined key hash to the stdlib
 // FNV-128a digest: dedup and memo keys computed by memsim.HashKey128 must
-// equal the ones the legacy stateKey oracles compute with fnv.New128a,
+// equal the ones the stateKeyLegacy oracles compute with fnv.New128a,
 // byte for byte, or the differential partition suites would compare
 // incompatible hash spaces.
 func TestHashKey128MatchesStdlib(t *testing.T) {

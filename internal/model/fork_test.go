@@ -2,12 +2,11 @@ package model_test
 
 // Properties of the search-facing accumulator capabilities: Fork must
 // produce an independent mid-run copy (same future costs, no sharing), and
-// EncodeModelState must be canonical (equal pricing states encode equally,
+// AppendModelState must be canonical (equal pricing states encode equally,
 // different states differently, forks encode like their originals).
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/memsim"
@@ -18,13 +17,11 @@ import (
 // test if the accumulator does not support encoding.
 func encodeState(t *testing.T, a model.Accumulator) string {
 	t.Helper()
-	enc, ok := a.(model.ModelStateEncoder)
+	enc, ok := a.(model.ModelStateAppender)
 	if !ok {
-		t.Fatalf("%T does not implement ModelStateEncoder", a)
+		t.Fatalf("%T does not implement ModelStateAppender", a)
 	}
-	var sb strings.Builder
-	enc.EncodeModelState(&sb)
-	return sb.String()
+	return string(enc.AppendModelState(nil))
 }
 
 // TestForkMatchesOriginal: fork an accumulator mid-trace and feed both the
@@ -95,11 +92,11 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
-// TestEncodeModelStateCanonical: accumulators fed identical event
+// TestAppendModelStateCanonical: accumulators fed identical event
 // sequences encode identically; a state with an extra invalidation
 // encodes differently for cache-carrying models and identically for the
 // stateless DSM rule.
-func TestEncodeModelStateCanonical(t *testing.T) {
+func TestAppendModelStateCanonical(t *testing.T) {
 	traces := randomTraces(t)
 	for _, v := range variants() {
 		for _, tr := range traces[:4] {

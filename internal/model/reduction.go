@@ -14,9 +14,9 @@ type ReductionScorer interface {
 	// distinct processes that either touch disjoint addresses or are both
 	// read-class accesses to the same address (a) leaves each access's
 	// individual RMR verdict unchanged and (b) leaves the scorer's canonical
-	// pricing state (AppendModelState / EncodeModelState) identical after the
-	// pair. The guarantee covers the RMR objective only; secondary tallies
-	// such as message or invalidation counts may still be order-sensitive.
+	// pricing state (AppendModelState) identical after the pair. The
+	// guarantee covers the RMR objective only; secondary tallies such as
+	// message or invalidation counts may still be order-sensitive.
 	OrderInvariantCost() bool
 
 	// PermutationInvariantCost reports whether the pricing rule is invariant

@@ -2,8 +2,6 @@ package model
 
 import (
 	"encoding/binary"
-	"fmt"
-	"io"
 	"math/bits"
 
 	"repro/internal/memsim"
@@ -100,23 +98,6 @@ type ForkableAccumulator interface {
 	Fork() Accumulator
 }
 
-// ModelStateEncoder is an Accumulator that can write a canonical encoding
-// of its mutable pricing state (for CC: the simulated cache contents; for
-// DSM: nothing, the rule is stateless). The contract mirrors
-// memsim.StateEncoder: equal pricing states must encode equally, different
-// states differently, and the encoding must be engine-independent — a
-// function of machine addresses, process IDs and counters, never of heap
-// addresses or map iteration order — because searches compare encodings
-// produced by different workers' runs. The future cost of any event
-// sequence is a function of this state, which is what lets a search key
-// memoized subtree results on (machine state, model state, budget). The
-// search keys through ModelStateAppender; this text encoding is the
-// oracle its differential tests compare against.
-type ModelStateEncoder interface {
-	Accumulator
-	EncodeModelState(w io.Writer)
-}
-
 // ReusingForker is a ForkableAccumulator that can additionally fork into
 // the backing storage of a discarded accumulator: ForkReuse(spare) behaves
 // exactly like Fork but recycles spare's allocations when spare is a
@@ -129,11 +110,17 @@ type ReusingForker interface {
 	ForkReuse(spare Accumulator) Accumulator
 }
 
-// ModelStateAppender is the allocation-free counterpart of
-// ModelStateEncoder: AppendModelState appends the canonical pricing-state
-// encoding to dst and returns the extended buffer. The binary and the text
-// encodings must induce the same state partition — equal pricing states
-// append equal bytes, different states different bytes.
+// ModelStateAppender is an Accumulator that can append a canonical
+// encoding of its mutable pricing state to dst (for CC: the simulated
+// cache contents; for DSM: nothing, the rule is stateless) and return the
+// extended buffer. The contract mirrors memsim.StateAppender: equal
+// pricing states must append equal bytes, different states different
+// bytes, and the encoding must be engine-independent — a function of
+// machine addresses, process IDs and counters, never of heap addresses or
+// map iteration order — because searches compare encodings produced by
+// different workers' runs. The future cost of any event sequence is a
+// function of this state, which is what lets a search key memoized
+// subtree results on (machine state, model state, budget).
 type ModelStateAppender interface {
 	Accumulator
 	AppendModelState(dst []byte) []byte
@@ -177,13 +164,9 @@ func (a *dsmAccumulator) ForkReuse(spare Accumulator) Accumulator {
 	return sp
 }
 
-// EncodeModelState implements ModelStateEncoder. The DSM rule prices every
-// event from the owner mapping alone, so there is no mutable state to
-// encode.
-func (a *dsmAccumulator) EncodeModelState(io.Writer) {}
-
-// AppendModelState implements ModelStateAppender; like EncodeModelState it
-// appends nothing.
+// AppendModelState implements ModelStateAppender. The DSM rule prices
+// every event from the owner mapping alone, so there is no mutable state
+// to encode.
 func (a *dsmAccumulator) AppendModelState(dst []byte) []byte { return dst }
 
 // Fork implements ForkableAccumulator: the simulated cache state (sharer
@@ -226,48 +209,13 @@ func copyInto[T any](dst, src []T) []T {
 	return dst
 }
 
-// EncodeModelState implements ModelStateEncoder: cached copies in address
-// order (sharer sets in PID order), exclusive owners in address order, and
-// — only under the eviction ablation — each process's access count modulo
-// the eviction period (counts with equal residue price every future event
-// identically). Addresses with no sharers are canonical no-ops and are
-// skipped. The output is byte-for-byte the rendering the historical
-// map-based accumulator produced, so state keys survive the flat-slice
-// representation unchanged.
-func (a *ccAccumulator) EncodeModelState(w io.Writer) {
-	for addr := 0; addr < a.numAddrs(); addr++ {
-		row := a.row(memsim.Addr(addr))
-		if rowEmpty(row) {
-			continue
-		}
-		fmt.Fprintf(w, "s%d:", addr)
-		for p := 0; p < a.n; p++ {
-			if row[p/64]&(1<<(p%64)) != 0 {
-				fmt.Fprintf(w, "%d,", p)
-			}
-		}
-		io.WriteString(w, ";")
-	}
-	for addr := 0; addr < a.numAddrs(); addr++ {
-		if a.exclusive[addr] >= 0 {
-			fmt.Fprintf(w, "x%d=%d;", addr, a.exclusive[addr])
-		}
-	}
-	if a.cfg.EvictEvery > 0 {
-		for p := 0; p < a.n; p++ {
-			if r := int(a.accessCount[p]) % a.cfg.EvictEvery; r != 0 {
-				fmt.Fprintf(w, "e%d=%d;", p, r)
-			}
-		}
-	}
-}
-
-// AppendModelState implements ModelStateAppender: the binary counterpart
-// of EncodeModelState over the same canonical state (nonempty sharer sets,
-// exclusive owners, eviction residues), so the two encodings induce the
-// same partition. Every section is count-prefixed and entries are in
-// ascending address/PID order, keeping the encoding self-delimiting and
-// engine-independent.
+// AppendModelState implements ModelStateAppender: cached copies in
+// address order (sharer sets in PID order), exclusive owners in address
+// order, and — only under the eviction ablation — each process's access
+// count modulo the eviction period (counts with equal residue price every
+// future event identically). Addresses with no sharers are canonical
+// no-ops and are skipped. Every section is count-prefixed, keeping the
+// encoding self-delimiting.
 func (a *ccAccumulator) AppendModelState(dst []byte) []byte {
 	nonempty := 0
 	for addr := 0; addr < a.numAddrs(); addr++ {
@@ -336,15 +284,13 @@ func rowEmpty(row []uint64) bool {
 }
 
 // Compile-time checks: both accumulators support forking (with storage
-// reuse) and canonical state encoding (text and binary), the capabilities
+// reuse) and canonical state encoding, the capabilities
 // cost-directed search requires.
 var (
 	_ ForkableAccumulator = (*dsmAccumulator)(nil)
 	_ ForkableAccumulator = (*ccAccumulator)(nil)
 	_ ReusingForker       = (*dsmAccumulator)(nil)
 	_ ReusingForker       = (*ccAccumulator)(nil)
-	_ ModelStateEncoder   = (*dsmAccumulator)(nil)
-	_ ModelStateEncoder   = (*ccAccumulator)(nil)
 	_ ModelStateAppender  = (*dsmAccumulator)(nil)
 	_ ModelStateAppender  = (*ccAccumulator)(nil)
 )

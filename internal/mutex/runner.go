@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/harness"
@@ -179,17 +178,8 @@ func (f *passageFrame) CloneResumable() memsim.Resumable {
 	return &c
 }
 
-// EncodeState implements memsim.StateEncoder: the lock sub-frames encode
+// AppendState implements memsim.StateAppender: the lock sub-frames encode
 // by content, never by pointer.
-func (f *passageFrame) EncodeState(w io.Writer) {
-	fmt.Fprintf(w, "%d,%v,%d,", f.pid, f.ok, f.pc)
-	memsim.EncodeFrameState(w, f.acq)
-	io.WriteString(w, ",")
-	memsim.EncodeFrameState(w, f.rel)
-}
-
-// AppendState implements memsim.StateAppender: the binary mirror of
-// EncodeState, both lock sub-frames by content.
 func (f *passageFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.pid))
 	if f.ok {

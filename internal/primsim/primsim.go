@@ -25,7 +25,6 @@ package primsim
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"repro/internal/memsim"
 	"repro/internal/mutex"
@@ -331,12 +330,4 @@ func (f *Frame) AppendState(dst []byte) []byte {
 		dst = binary.AppendVarint(dst, v)
 	}
 	return memsim.AppendFrameState(dst, f.section())
-}
-
-// EncodeState writes the text form of AppendState's state, for the
-// engines' reflective key oracles.
-func (f *Frame) EncodeState(w io.Writer) {
-	fmt.Fprintf(w, "%d,%d,%v,%d,%d,%d,%d,%d,%d,%d,%d,", f.op, f.pc, f.ok, f.pid,
-		f.w, f.ver, f.link, f.arg, f.arg2, f.val, f.seen)
-	memsim.EncodeFrameState(w, f.section())
 }

@@ -2,8 +2,6 @@ package queue
 
 import (
 	"encoding/binary"
-	"fmt"
-	"io"
 
 	"repro/internal/memsim"
 )
@@ -45,24 +43,15 @@ func (f *RegisterFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 // Return implements memsim.Resumable.
 func (f *RegisterFrame) Return() memsim.Value { return 0 }
 
-// EncodeState implements memsim.StateEncoder: the registry is identified
+// AppendState implements memsim.StateAppender: the registry is identified
 // by its (deterministic) tail address, never by pointer.
-func (f *RegisterFrame) EncodeState(w io.Writer) {
-	fmt.Fprintf(w, "r%d,%d,%d", f.reg.tail, f.v, f.pc)
-}
-
-// AppendState implements memsim.StateAppender: the binary mirror of
-// EncodeState, field for field.
 func (f *RegisterFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.reg.tail))
 	dst = binary.AppendVarint(dst, int64(f.v))
 	return binary.AppendUvarint(dst, uint64(f.pc))
 }
 
-var (
-	_ memsim.StateEncoder  = (*RegisterFrame)(nil)
-	_ memsim.StateAppender = (*RegisterFrame)(nil)
-)
+var _ memsim.StateAppender = (*RegisterFrame)(nil)
 
 // SnapshotFrame reads all currently registered values: the claimed length
 // first (clamped to the capacity), then each slot in order, busy-waiting
@@ -129,15 +118,9 @@ func (f *SnapshotFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 // Return implements memsim.Resumable.
 func (f *SnapshotFrame) Return() memsim.Value { return 0 }
 
-// EncodeState implements memsim.StateEncoder: only the below-cursor
+// AppendState implements memsim.StateAppender: only the below-cursor
 // prefix of the collected slice is state; the tail holds garbage from
 // sibling exploration branches.
-func (f *SnapshotFrame) EncodeState(w io.Writer) {
-	fmt.Fprintf(w, "s%d,%d,%d,%d,%v", f.reg.tail, f.n, f.j, f.pc, f.out[:f.j])
-}
-
-// AppendState implements memsim.StateAppender: the binary mirror of
-// EncodeState — same fields, same below-cursor prefix rule.
 func (f *SnapshotFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.reg.tail))
 	dst = binary.AppendVarint(dst, int64(f.n))
@@ -150,10 +133,7 @@ func (f *SnapshotFrame) AppendState(dst []byte) []byte {
 	return dst
 }
 
-var (
-	_ memsim.StateEncoder  = (*SnapshotFrame)(nil)
-	_ memsim.StateAppender = (*SnapshotFrame)(nil)
-)
+var _ memsim.StateAppender = (*SnapshotFrame)(nil)
 
 // Vals returns the snapshot, valid once Next has reported completion.
 // It aliases the frame's buffer.

@@ -3,7 +3,6 @@ package search
 import (
 	"fmt"
 	"hash/fnv"
-	"io"
 	"testing"
 
 	"repro/internal/engine"
@@ -13,11 +12,11 @@ import (
 )
 
 // Differential state-key tests for the search engine: the binary StateKey
-// and the legacy reflective stateKeyLegacy must partition the reachable
-// engine states identically, for every listed algorithm crossed with
-// every cost model (the model accumulator's state is part of the key, so
-// each model exercises a different encoder path — DSM's empty state, the
-// coherence models' flattened sharer/owner/residue sections).
+// and stateKeyLegacy must partition the reachable engine states
+// identically, for every listed algorithm crossed with every cost model
+// (the model accumulator's state is part of the key, so each model
+// exercises a different encoder path — DSM's empty state, the coherence
+// models' flattened sharer/owner/residue sections).
 
 func partitionConfig(alg signal.Algorithm, m model.Scorer) Config {
 	scripts := map[memsim.PID][]memsim.CallKind{
@@ -39,10 +38,13 @@ func partitionConfig(alg signal.Algorithm, m model.Scorer) Config {
 	}
 }
 
-// stateKeyLegacy is the original reflective fmt-walk state key, rebuilt
-// from the pricer's state: the oracle of the encoder-equivalence tests.
-// The binary StateKey must merge exactly the states this key merges, for
-// every algorithm and model.
+// stateKeyLegacy is the original fmt-rendered state key, rebuilt from the
+// pricer's state: the oracle of the encoder-equivalence tests. The binary
+// StateKey must merge exactly the states this key merges, for every
+// algorithm and model. It re-derives the key's framing on its own (memory
+// words, LL reservations, phases, call kinds, pending accesses, frame type
+// names); only the frame and model content comes from
+// memsim.AppendFrameState and AppendModelState.
 func stateKeyLegacy(e *pricer) [16]byte {
 	h := fnv.New128a()
 	mach := e.Machine()
@@ -72,13 +74,10 @@ func stateKeyLegacy(e *pricer) [16]byte {
 			fmt.Fprintf(h, "a%d,%d,%d,%d;", acc.Op, acc.Addr, acc.Arg1, acc.Arg2)
 		}
 		if f := e.Frame(p); f != nil {
-			io.WriteString(h, "f")
-			memsim.EncodeFrameState(h, f)
-			io.WriteString(h, ";")
+			fmt.Fprintf(h, "f%x;", memsim.AppendFrameState(nil, f))
 		}
 	}
-	io.WriteString(h, "m")
-	e.acc.(model.ModelStateEncoder).EncodeModelState(h)
+	fmt.Fprintf(h, "m%x", e.acc.(model.ModelStateAppender).AppendModelState(nil))
 	var key [16]byte
 	copy(key[:], h.Sum(nil))
 	return key

@@ -2,8 +2,6 @@ package signal
 
 import (
 	"encoding/binary"
-	"fmt"
-	"io"
 
 	"repro/internal/memsim"
 )
@@ -105,14 +103,8 @@ func (f *blockifiedWaitFrame) CloneResumable() memsim.Resumable {
 	return &c
 }
 
-// EncodeState implements memsim.StateEncoder: the in-flight poll frame
+// AppendState implements memsim.StateAppender: the in-flight poll frame
 // encodes by content, never by pointer.
-func (f *blockifiedWaitFrame) EncodeState(w io.Writer) {
-	fmt.Fprintf(w, "%d,", f.pid)
-	memsim.EncodeFrameState(w, f.cur)
-}
-
-// AppendState implements memsim.StateAppender.
 func (f *blockifiedWaitFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.pid))
 	return memsim.AppendFrameState(dst, f.cur)

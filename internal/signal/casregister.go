@@ -2,8 +2,6 @@ package signal
 
 import (
 	"encoding/binary"
-	"fmt"
-	"io"
 
 	"repro/internal/memsim"
 	"repro/internal/primsim"
@@ -207,14 +205,8 @@ func (f *casRWPollFrame) CopyResumableInto(dst memsim.Resumable) bool {
 	return true
 }
 
-// EncodeState implements memsim.StateEncoder: the emulated CAS encodes
+// AppendState implements memsim.StateAppender: the emulated CAS encodes
 // its lock section only in its phase.
-func (f *casRWPollFrame) EncodeState(w io.Writer) {
-	fmt.Fprintf(w, "%d,%d,%d,%d,", f.i, f.j, f.pc, f.ret)
-	f.cas.EncodeState(w)
-}
-
-// AppendState implements memsim.StateAppender.
 func (f *casRWPollFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.i))
 	dst = binary.AppendVarint(dst, int64(f.j))

@@ -2,8 +2,6 @@ package signal
 
 import (
 	"encoding/binary"
-	"fmt"
-	"io"
 
 	"repro/internal/memsim"
 	"repro/internal/primsim"
@@ -218,14 +216,8 @@ func (f *llscRWPollFrame) CopyResumableInto(dst memsim.Resumable) bool {
 	return true
 }
 
-// EncodeState implements memsim.StateEncoder: the emulated operation
+// AppendState implements memsim.StateAppender: the emulated operation
 // encodes its lock section only in its phase.
-func (f *llscRWPollFrame) EncodeState(w io.Writer) {
-	fmt.Fprintf(w, "%d,%d,%d,%d,", f.i, f.j, f.pc, f.ret)
-	f.op.EncodeState(w)
-}
-
-// AppendState implements memsim.StateAppender.
 func (f *llscRWPollFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.i))
 	dst = binary.AppendVarint(dst, int64(f.j))

@@ -2,8 +2,6 @@ package signal
 
 import (
 	"encoding/binary"
-	"fmt"
-	"io"
 
 	"repro/internal/memsim"
 	"repro/internal/queue"
@@ -146,7 +144,7 @@ func (f *writeFanFrame) Return() memsim.Value { return 0 }
 // appendAddrs length-prefixes an address slice into a binary frame
 // encoding; the slice is immutable deployment data, but its contents vary
 // per frame value (per-pid address rows), so the key must include them just
-// as the legacy element-wise walk does.
+// as the element-wise field walk does.
 func appendAddrs(dst []byte, addrs []memsim.Addr) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(addrs)))
 	for _, a := range addrs {
@@ -335,7 +333,7 @@ func (f *swWaitFrame) Return() memsim.Value { return 0 }
 func (f *swWaitFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
 
 func (f *swWaitFrame) AppendState(dst []byte) []byte {
-	// f.in is immutable deployment data: the legacy walk renders it as a
+	// f.in is immutable deployment data: the field walk renders it as a
 	// per-type constant, so the binary key rightly omits it.
 	dst = binary.AppendVarint(dst, int64(f.i))
 	return append(dst, f.pc)
@@ -512,15 +510,8 @@ func (f *registerPollFrame) CloneResumable() memsim.Resumable {
 	return &c
 }
 
-// EncodeState implements memsim.StateEncoder: the sub-frame encodes by
+// AppendState implements memsim.StateAppender: the sub-frame encodes by
 // content, never by pointer.
-func (f *registerPollFrame) EncodeState(w io.Writer) {
-	fmt.Fprintf(w, "%d,%d,%d,%d,%d,", f.fst, f.vi, f.s, f.pc, f.ret)
-	memsim.EncodeFrameState(w, f.sub)
-}
-
-// AppendState implements memsim.StateAppender: the binary mirror of
-// EncodeState, sub-frame by content.
 func (f *registerPollFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.fst))
 	dst = binary.AppendVarint(dst, int64(f.vi))
@@ -613,16 +604,9 @@ func (d *registrySignalFrame) copyFrom(f *registrySignalFrame) {
 	}
 }
 
-// EncodeState implements memsim.StateEncoder. vals is fully populated the
-// moment it is assigned (the snapshot sub-frame completed), so encoding
-// all of it is canonical; the sub-frame encodes by content.
-func (f *registrySignalFrame) EncodeState(w io.Writer) {
-	fmt.Fprintf(w, "%d,%d,%d,%v,", f.s, f.k, f.pc, f.vals)
-	memsim.EncodeFrameState(w, f.snap)
-}
-
-// AppendState implements memsim.StateAppender: the binary mirror of
-// EncodeState.
+// AppendState implements memsim.StateAppender. vals is fully populated
+// the moment it is assigned (the snapshot sub-frame completed), so
+// encoding all of it is canonical; the sub-frame encodes by content.
 func (f *registrySignalFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.s))
 	dst = binary.AppendVarint(dst, int64(f.k))
@@ -894,12 +878,6 @@ func (d *msSignalFrame) copyFrom(f *msSignalFrame) {
 	*d = *f
 	d.deliver = deliver
 	d.deliver.copyFrom(&f.deliver)
-}
-
-// EncodeState implements memsim.StateEncoder.
-func (f *msSignalFrame) EncodeState(w io.Writer) {
-	fmt.Fprintf(w, "%d,", f.pc)
-	f.deliver.EncodeState(w)
 }
 
 // AppendState implements memsim.StateAppender.

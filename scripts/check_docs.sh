@@ -5,7 +5,8 @@
 # comment ("// Package <name> ...") of at least three comment lines, so a
 # package can't silently regress to an undocumented stub, and that no Go
 # or Markdown file names an identifier of the retired goroutine-per-process
-# program form. Run from the repository root.
+# program form or of the retired text state encoders. Run from the
+# repository root.
 set -eu
 
 fail=0
@@ -26,7 +27,7 @@ for dir in internal/*/; do
     fi
 done
 
-retired='memsim\.Proc\b|memsim\.Program\b|StartCall|FromBlocking|WorkerPool|memsim\.Blocking\b|ForceBlocking|ResumableWorkload|CanResume'
+retired='memsim\.Proc\b|memsim\.Program\b|StartCall|FromBlocking|WorkerPool|memsim\.Blocking\b|ForceBlocking|ResumableWorkload|CanResume|StateEncoder|EncodeFrameState|EncodeModelState|encodeCanonical'
 # Go files everywhere; Markdown everywhere below the root, and at the root
 # the two documents that describe the current code. The other Markdown
 # files at the root are records and reference notes (the change log among
