@@ -347,6 +347,10 @@ func (f *accessFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *accessFrame) Return() memsim.Value { return f.val }
 
+func (f *accessFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
+
 // BenchmarkAblationCacheRule — design ablation: the Section 2 CC rule
 // (invalidate only on nontrivial operations) vs a strict rule that also
 // invalidates on failed CAS. Spinning readers next to a failing CAS jammer

@@ -153,6 +153,17 @@ func (f *holderFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *holderFrame) Return() memsim.Value { return f.sig.Return() }
 
+// CloneInto copies the frame with its lock section and Signal sub-frames,
+// which a shallow copy would share with the original.
+func (f *holderFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	d := memsim.CloneTarget[holderFrame](dst)
+	sec, sig := d.sec, d.sig
+	*d = *f
+	d.sec = memsim.CloneResumableInto(sec, f.sec)
+	d.sig = memsim.CloneResumableInto(sig, f.sig)
+	return d
+}
+
 // consumerFrame polls for the announcement, then takes the lock and reads
 // the resource:
 //
@@ -194,3 +205,13 @@ func (f *consumerFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 }
 
 func (f *consumerFrame) Return() memsim.Value { return f.v }
+
+// CloneInto copies the frame with its Poll and lock section sub-frames.
+func (f *consumerFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	d := memsim.CloneTarget[consumerFrame](dst)
+	poll, sec := d.poll, d.sec
+	*d = *f
+	d.poll = memsim.CloneResumableInto(poll, f.poll)
+	d.sec = memsim.CloneResumableInto(sec, f.sec)
+	return d
+}

@@ -65,6 +65,11 @@ func (f *ElectFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 // Return implements memsim.Resumable: the leader's ID.
 func (f *ElectFrame) Return() memsim.Value { return f.ret }
 
+// CloneInto implements memsim.Resumable.
+func (f *ElectFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
+
 // Splitter is Lamport's read/write splitter: at most one process "wins",
 // but processes may also lose or learn nothing — unlike Election, losers do
 // not learn the winner. It demonstrates what reads and writes alone buy:
@@ -142,6 +147,11 @@ func (f *SplitterFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 // Return implements memsim.Resumable: the SplitterOutcome.
 func (f *SplitterFrame) Return() memsim.Value { return memsim.Value(f.ret) }
+
+// CloneInto implements memsim.Resumable.
+func (f *SplitterFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 // AppendState appends f's canonical state for engine state keys.
 func (f *ElectFrame) AppendState(dst []byte) []byte {

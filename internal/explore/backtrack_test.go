@@ -194,6 +194,10 @@ type brokenSignalFrame struct {
 	pc uint8
 }
 
+func (f *brokenPollFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
+
 func (f *brokenSignalFrame) Next(memsim.Result) (memsim.Access, bool) {
 	if f.pc == 0 {
 		f.pc = 1
@@ -203,6 +207,10 @@ func (f *brokenSignalFrame) Next(memsim.Result) (memsim.Access, bool) {
 }
 
 func (f *brokenSignalFrame) Return() memsim.Value { return 0 }
+
+func (f *brokenSignalFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 // TestBacktrackDetectsViolation plants the broken resumable algorithm and
 // checks that both backtracking engines find the violation.
@@ -292,6 +300,10 @@ func TestDedupKeepsPrefixSensitiveViolations(t *testing.T) {
 			t.Errorf("engine %d missed the prefix-sensitive poll-false violation", engine)
 		}
 	}
+}
+
+func (f *deafPollFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
 }
 
 // TestDedupPrunesComposedFrames: algorithms whose frames hold sub-frames

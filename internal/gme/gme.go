@@ -110,8 +110,6 @@ type roomFrame struct {
 	pc       uint8
 }
 
-var _ memsim.ResumableCloner = (*roomFrame)(nil)
-
 // start makes f g's entry (exit false) or exit section for pid, keeping
 // f's lock-section storage: the GME entry frame runs Enter and then Exit
 // in one roomFrame.
@@ -182,18 +180,15 @@ func (f *roomFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *roomFrame) Return() memsim.Value { return 0 }
 
-// CloneResumable implements memsim.ResumableCloner: the lock sections
-// must be copied, not shared.
-func (f *roomFrame) CloneResumable() memsim.Resumable {
-	c := f.clone()
-	return &c
-}
-
-func (f *roomFrame) clone() roomFrame {
-	c := *f
-	c.acq = memsim.CloneResumable(f.acq)
-	c.rel = memsim.CloneResumable(f.rel)
-	return c
+// CloneInto implements memsim.Resumable: the lock sections are copied, not
+// shared, into dst's sections when the types line up.
+func (f *roomFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	d := memsim.CloneTarget[roomFrame](dst)
+	acq, rel := d.acq, d.rel
+	*d = *f
+	d.acq = memsim.CloneResumableInto(acq, f.acq)
+	d.rel = memsim.CloneResumableInto(rel, f.rel)
+	return d
 }
 
 // ErrBudget is returned when a GME run exhausts its step budget. It is the
@@ -327,8 +322,6 @@ type entryFrame struct {
 	pc        uint8
 }
 
-var _ memsim.ResumableCloner = (*entryFrame)(nil)
-
 func (f *entryFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 	probe := f.w.probes + memsim.Addr(f.session)
 	for {
@@ -382,12 +375,15 @@ func (f *entryFrame) Return() memsim.Value {
 	return f.mine
 }
 
-// CloneResumable implements memsim.ResumableCloner: the room's lock
-// sections must be copied, not shared.
-func (f *entryFrame) CloneResumable() memsim.Resumable {
-	c := *f
-	c.room = f.room.clone()
-	return &c
+// CloneInto implements memsim.Resumable: the room's lock sections are
+// copied, not shared, into dst's room when the types line up.
+func (f *entryFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	d := memsim.CloneTarget[entryFrame](dst)
+	room := d.room
+	*d = *f
+	d.room = room
+	f.room.CloneInto(&d.room)
+	return d
 }
 
 // Done implements harness.Workload.

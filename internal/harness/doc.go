@@ -18,7 +18,6 @@
 //
 // Every call is a memsim.Resumable frame that the controller advances
 // inline, one shared-memory access per step, so a run starts no
-// goroutine. Workloads that also implement SteppedWorkload receive a
-// callback after every applied step — the hook the semi-synchronous
-// runner uses to enforce Δ-deadlines.
+// goroutine. Scheduling disciplines beyond free choice, such as the
+// semi-synchronous Δ-deadlines, are sched.Scheduler wrappers.
 package harness

@@ -51,17 +51,6 @@ type Verifier interface {
 	Verify(m *memsim.Machine, truncated bool)
 }
 
-// Stepper applies one scheduling step among the ready processes.
-type Stepper func(ready []memsim.PID) error
-
-// SteppedWorkload is implemented by workloads that impose a scheduling
-// discipline beyond free choice among ready processes — e.g. the
-// semi-synchronous Δ-deadline runner. Stepper may return nil to keep the
-// harness default (pick applies one controller step per round).
-type SteppedWorkload interface {
-	Stepper(ctl *memsim.Controller, pick sched.Scheduler) Stepper
-}
-
 // Config describes one harness run.
 type Config struct {
 	// Workload is the workload under test (required).
@@ -252,11 +241,6 @@ func Run(cfg Config) (*Result, error) {
 			}
 			_, err := ctl.Step(pid)
 			return err
-		}
-	}
-	if sw, ok := w.(SteppedWorkload); ok {
-		if s := sw.Stepper(ctl, cfg.Scheduler); s != nil {
-			step = s
 		}
 	}
 

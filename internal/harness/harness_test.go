@@ -65,6 +65,8 @@ func (f *incFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *incFrame) Return() memsim.Value { return f.ret }
 
+func (f *incFrame) CloneInto(dst memsim.Resumable) memsim.Resumable { return memsim.CopyFrame(f, dst) }
+
 func (w *countWorkload) Done(pid memsim.PID, ret memsim.Value) {
 	w.done++
 	w.sum += ret
@@ -134,6 +136,8 @@ func (f *pingFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 }
 
 func (f *pingFrame) Return() memsim.Value { return f.v }
+
+func (f *pingFrame) CloneInto(dst memsim.Resumable) memsim.Resumable { return memsim.CopyFrame(f, dst) }
 
 func (w *pingWorkload) Done(memsim.PID, memsim.Value) {}
 
@@ -277,48 +281,6 @@ func TestScoreFallback(t *testing.T) {
 	}
 	if rep := res.Report(model.ModelDSM.Name()); rep == nil {
 		t.Fatal("Report by name found nothing")
-	}
-}
-
-// steppedWorkload forces lowest-pid-first scheduling via the Stepper hook.
-type steppedWorkload struct {
-	*countWorkload
-	hookUsed bool
-}
-
-func (w *steppedWorkload) Stepper(ctl *memsim.Controller, pick sched.Scheduler) Stepper {
-	return func(ready []memsim.PID) error {
-		w.hookUsed = true
-		_, err := ctl.Step(ready[0])
-		return err
-	}
-}
-
-func TestStepperHook(t *testing.T) {
-	w := &steppedWorkload{countWorkload: newCountWorkload(3, 2)}
-	var order []memsim.PID
-	res, err := Run(Config{
-		Workload:  w,
-		Scheduler: sched.NewRandom(1),
-		Sink: func(ev memsim.Event) {
-			if ev.Kind == memsim.EvAccess {
-				order = append(order, ev.PID)
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !w.hookUsed {
-		t.Fatal("SteppedWorkload hook was not used")
-	}
-	// Lowest-pid-first over single-access calls drains pid 0 first.
-	want := []memsim.PID{0, 0, 1, 1, 2, 2}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("step order = %v, want %v", order, want)
-	}
-	if res.Calls != 6 {
-		t.Fatalf("Calls = %d, want 6", res.Calls)
 	}
 }
 

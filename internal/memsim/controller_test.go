@@ -35,6 +35,8 @@ func (f *incFrame) Next(prev Result) (Access, bool) {
 
 func (f *incFrame) Return() Value { return f.ret }
 
+func (f *incFrame) CloneInto(dst Resumable) Resumable { return CopyFrame(f, dst) }
+
 // testProgram increments a shared word twice and returns its final value.
 func testProgram(a Addr) Resumable { return &incFrame{a: a, times: 2} }
 
@@ -53,6 +55,8 @@ func (f *spinFrame) Next(prev Result) (Access, bool) {
 }
 
 func (f *spinFrame) Return() Value { return 0 }
+
+func (f *spinFrame) CloneInto(dst Resumable) Resumable { return CopyFrame(f, dst) }
 
 func TestControllerStepGranularity(t *testing.T) {
 	m := NewMachine(2)

@@ -45,11 +45,14 @@
 // Frames must keep all mutable call-local state in their own fields,
 // reference only immutable deployment data (the instance, address tables)
 // through pointers, and write slices only append-at-index below a
-// frame-held cursor. Under that discipline CloneResumable's shallow copy
-// is an independent continuation point (frames holding sub-frames
-// implement ResumableCloner instead), and AppendFrameState can encode a
+// frame-held cursor. Under that discipline a shallow struct copy is an
+// independent continuation point, so a frame's CloneInto is the one-line
+// CopyFrame; frames holding sub-frames or buffers copy those themselves,
+// into the destination's storage. AppendFrameState can then encode a
 // frame's canonical state by content — identically across different
 // executions, which the engines' shared dedup and memo tables rely on.
 // Frames whose state the field walk cannot see (per-call allocations,
-// cursor-written slices) implement StateAppender.
+// cursor-written slices) implement StateAppender. internal/signal's
+// TestFrameStateIsBehavioural and TestFrameCopyDifferential check both
+// properties on every frame the algorithms mint.
 package memsim

@@ -30,6 +30,10 @@ type encSubFrame struct {
 func (f *encSubFrame) Next(memsim.Result) (memsim.Access, bool) { return memsim.Access{}, false }
 func (f *encSubFrame) Return() memsim.Value                     { return 0 }
 
+func (f *encSubFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
+
 // encCustomFrame carries a StateAppender, honored when reached through an
 // exported field or at top level.
 type encCustomFrame struct {
@@ -40,6 +44,11 @@ type encCustomFrame struct {
 
 func (f *encCustomFrame) Next(memsim.Result) (memsim.Access, bool) { return memsim.Access{}, false }
 func (f *encCustomFrame) Return() memsim.Value                     { return 0 }
+
+func (f *encCustomFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
+
 func (f *encCustomFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.X))
 	dst = binary.AppendUvarint(dst, uint64(len(f.Y)))
@@ -72,6 +81,10 @@ type encWalkFrame struct {
 
 func (f *encWalkFrame) Next(memsim.Result) (memsim.Access, bool) { return memsim.Access{}, false }
 func (f *encWalkFrame) Return() memsim.Value                     { return 0 }
+
+func (f *encWalkFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 func reflectEncoding(r memsim.Resumable) string {
 	return string(memsim.AppendFrameStateReflect(nil, r))

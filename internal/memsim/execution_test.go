@@ -48,6 +48,8 @@ func (f *testFrame) Next(prev Result) (Access, bool) { return f.step(f, prev) }
 
 func (f *testFrame) Return() Value { return f.ret }
 
+func (f *testFrame) CloneInto(dst Resumable) Resumable { return CopyFrame(f, dst) }
+
 // writeOnce is a frame that writes v to a and returns 0.
 func writeOnce(a Addr, v Value) *testFrame {
 	return &testFrame{step: func(f *testFrame, _ Result) (Access, bool) {

@@ -7,7 +7,7 @@ package memsim
 // alive across calls: a call end or a crash only marks the slot idle, the
 // next call start copies a pristine template into the retained storage,
 // and copying a whole set into another (snapshot and restore) reuses the
-// destination's storage through CloneResumableInto. Once every slot has
+// destination's storage through each frame's CloneInto. Once every slot has
 // held a frame of each type it runs, none of the three operations
 // allocates.
 

@@ -52,6 +52,8 @@ func (f *readFrame) Next(prev Result) (Access, bool) {
 
 func (f *readFrame) Return() Value { return f.ret }
 
+func (f *readFrame) CloneInto(dst Resumable) Resumable { return CopyFrame(f, dst) }
+
 // TestCloneResumableIndependence: a cloned frame resumes independently of
 // the original.
 func TestCloneResumableIndependence(t *testing.T) {
@@ -59,7 +61,7 @@ func TestCloneResumableIndependence(t *testing.T) {
 	if _, ok := f.Next(Result{}); !ok {
 		t.Fatal("frame should have a pending access")
 	}
-	c := CloneResumable(f).(*readFrame)
+	c := f.CloneInto(nil).(*readFrame)
 	if _, ok := f.Next(Result{Val: 10}); ok {
 		t.Fatal("original should have completed")
 	}

@@ -137,3 +137,7 @@ func (f *bakeryAcquireFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 }
 
 func (f *bakeryAcquireFrame) Return() memsim.Value { return 0 }
+
+func (f *bakeryAcquireFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}

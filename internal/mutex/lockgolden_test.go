@@ -78,9 +78,13 @@ func lockGoldenRows(t *testing.T) []string {
 	for _, timed := range []bool{true, false} {
 		for _, delta := range []int{2, 4} {
 			for seed := int64(1); seed <= 3; seed++ {
-				w := semisync.NewWorkload(3, delta, 2, timed)
+				var s sched.Scheduler = sched.NewRandom(seed)
+				if timed {
+					s = semisync.NewScheduler(delta, s)
+				}
+				w := semisync.NewWorkload(3, delta, 2)
 				rows = append(rows, goldenRow(t, fmt.Sprintf("fischer timed=%v delta=%d seed=%d", timed, delta, seed),
-					w, sched.NewRandom(seed), 2_000_000, func() []memsim.Event {
+					w, s, 2_000_000, func() []memsim.Event {
 						res, err := semisync.Run(semisync.RunConfig{N: 3, Delta: delta, Passages: 2, Timed: timed, Seed: seed})
 						if res == nil {
 							t.Fatal(err)
@@ -103,7 +107,7 @@ func runEvents(t *testing.T, res *harness.Result, err error) []memsim.Event {
 }
 
 // recorder keeps the machine a workload ran on, so a row can hash the
-// final memory, and passes the workload's optional harness hooks through.
+// final memory, and passes the workload's Verify through.
 type recorder struct {
 	harness.Workload
 	m *memsim.Machine
@@ -116,15 +120,6 @@ func (r *recorder) Verify(m *memsim.Machine, truncated bool) {
 	if v, ok := r.Workload.(harness.Verifier); ok {
 		v.Verify(m, truncated)
 	}
-}
-
-// Stepper implements harness.SteppedWorkload; nil keeps the harness
-// default.
-func (r *recorder) Stepper(ctl *memsim.Controller, pick sched.Scheduler) harness.Stepper {
-	if sw, ok := r.Workload.(harness.SteppedWorkload); ok {
-		return sw.Stepper(ctl, pick)
-	}
-	return nil
 }
 
 // goldenRow drives w on the harness (as the package's Run does) and

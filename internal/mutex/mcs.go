@@ -115,6 +115,10 @@ func (f *mcsAcquireFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *mcsAcquireFrame) Return() memsim.Value { return 0 }
 
+func (f *mcsAcquireFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
+
 type mcsReleaseFrame struct {
 	l  *mcsLock
 	i  int
@@ -151,3 +155,7 @@ func (f *mcsReleaseFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 }
 
 func (f *mcsReleaseFrame) Return() memsim.Value { return 0 }
+
+func (f *mcsReleaseFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}

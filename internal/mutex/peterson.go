@@ -151,6 +151,10 @@ func (f *petersonAcquireFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *petersonAcquireFrame) Return() memsim.Value { return 0 }
 
+func (f *petersonAcquireFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
+
 type petersonReleaseFrame struct {
 	k *petersonLock
 	i int
@@ -168,3 +172,7 @@ func (f *petersonReleaseFrame) Next(memsim.Result) (memsim.Access, bool) {
 }
 
 func (f *petersonReleaseFrame) Return() memsim.Value { return 0 }
+
+func (f *petersonReleaseFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}

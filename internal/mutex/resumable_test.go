@@ -105,6 +105,10 @@ func (f *forkingFrame) Return() memsim.Value {
 	return f.r.Return()
 }
 
+func (f *forkingFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
+
 // TestPassageFrameSolo drives a single-process passage frame to completion
 // through a bare controller, checking the resumable probe's verdict and
 // counter bookkeeping without any scheduler in the loop.

@@ -116,8 +116,6 @@ type passageFrame struct {
 	pc  uint8
 }
 
-var _ memsim.ResumableCloner = (*passageFrame)(nil)
-
 func (f *passageFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 	for {
 		switch f.pc {
@@ -169,13 +167,15 @@ func (f *passageFrame) Return() memsim.Value {
 	return 0
 }
 
-// CloneResumable implements memsim.ResumableCloner: the lock sub-frames
-// must be copied, not shared.
-func (f *passageFrame) CloneResumable() memsim.Resumable {
-	c := *f
-	c.acq = memsim.CloneResumable(f.acq)
-	c.rel = memsim.CloneResumable(f.rel)
-	return &c
+// CloneInto implements memsim.Resumable: the lock sub-frames are copied,
+// not shared, into dst's sub-frames when the types line up.
+func (f *passageFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	d := memsim.CloneTarget[passageFrame](dst)
+	acq, rel := d.acq, d.rel
+	*d = *f
+	d.acq = memsim.CloneResumableInto(acq, f.acq)
+	d.rel = memsim.CloneResumableInto(rel, f.rel)
+	return d
 }
 
 // AppendState implements memsim.StateAppender: the lock sub-frames encode
@@ -192,24 +192,7 @@ func (f *passageFrame) AppendState(dst []byte) []byte {
 	return memsim.AppendFrameState(dst, f.rel)
 }
 
-// CopyResumableInto implements memsim.ResumableCopier, recycling dst's
-// lock sub-frames when the types line up.
-func (f *passageFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*passageFrame)
-	if !ok {
-		return false
-	}
-	acq, rel := d.acq, d.rel
-	*d = *f
-	d.acq = memsim.CloneResumableInto(acq, f.acq)
-	d.rel = memsim.CloneResumableInto(rel, f.rel)
-	return true
-}
-
-var (
-	_ memsim.StateAppender   = (*passageFrame)(nil)
-	_ memsim.ResumableCopier = (*passageFrame)(nil)
-)
+var _ memsim.StateAppender = (*passageFrame)(nil)
 
 // Done implements harness.Workload's completion accounting.
 func (pr *CSProbe) Done(_ memsim.PID, ret memsim.Value) {

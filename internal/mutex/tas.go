@@ -50,6 +50,10 @@ func (f *tasAcquireFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *tasAcquireFrame) Return() memsim.Value { return 0 }
 
+func (f *tasAcquireFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
+
 // writeFrame performs one write — the release section of the simple locks.
 type writeFrame struct {
 	addr memsim.Addr
@@ -66,6 +70,10 @@ func (f *writeFrame) Next(memsim.Result) (memsim.Access, bool) {
 }
 
 func (f *writeFrame) Return() memsim.Value { return 0 }
+
+func (f *writeFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 // TTAS returns the test-and-test-and-set lock: spin reading the flag until
 // it appears free, then attempt TAS. In the CC model the read spin is
@@ -126,3 +134,7 @@ func (f *ttasAcquireFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 }
 
 func (f *ttasAcquireFrame) Return() memsim.Value { return 0 }
+
+func (f *ttasAcquireFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}

@@ -71,6 +71,10 @@ func (f *ticketAcquireFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *ticketAcquireFrame) Return() memsim.Value { return 0 }
 
+func (f *ticketAcquireFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
+
 type ticketReleaseFrame struct {
 	serving memsim.Addr
 	pc      uint8
@@ -90,6 +94,10 @@ func (f *ticketReleaseFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 }
 
 func (f *ticketReleaseFrame) Return() memsim.Value { return 0 }
+
+func (f *ticketReleaseFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 // Anderson returns Anderson's array-based queue lock [4]: Fetch-And-
 // Increment assigns each process a distinct slot of a Boolean array and
@@ -178,6 +186,10 @@ func (f *andersonAcquireFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *andersonAcquireFrame) Return() memsim.Value { return 0 }
 
+func (f *andersonAcquireFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
+
 type andersonReleaseFrame struct {
 	l   *andersonLock
 	pid memsim.PID
@@ -199,3 +211,7 @@ func (f *andersonReleaseFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 }
 
 func (f *andersonReleaseFrame) Return() memsim.Value { return 0 }
+
+func (f *andersonReleaseFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}

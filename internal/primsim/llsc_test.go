@@ -60,6 +60,8 @@ func (f *llscFrame) Return() memsim.Value {
 	return 0
 }
 
+func (f *llscFrame) CloneInto(dst memsim.Resumable) memsim.Resumable { return memsim.CopyFrame(f, dst) }
+
 // TestEmuLLSCAtMostOneWinner: with every process LL-ing value 0 and trying
 // SC, at most one SC succeeds, and the final value matches a winner.
 func TestEmuLLSCAtMostOneWinner(t *testing.T) {

@@ -286,19 +286,21 @@ func (f *Frame) Return() memsim.Value {
 	return 0
 }
 
-// CopyInto makes dst an independent copy of f, reusing dst's lock-section
+// CloneInto implements memsim.Resumable, reusing dst's lock-section
 // storage. A section f has not minted yet leaves dst's storage as it was:
 // outside its phase a section's content is never read.
-func (f *Frame) CopyInto(dst *Frame) {
-	acq, rel := dst.acq, dst.rel
-	*dst = *f
-	dst.acq, dst.rel = acq, rel
+func (f *Frame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	d := memsim.CloneTarget[Frame](dst)
+	acq, rel := d.acq, d.rel
+	*d = *f
+	d.acq, d.rel = acq, rel
 	if f.acq != nil {
-		dst.acq = memsim.CloneResumableInto(acq, f.acq)
+		d.acq = f.acq.CloneInto(acq)
 	}
 	if f.rel != nil {
-		dst.rel = memsim.CloneResumableInto(rel, f.rel)
+		d.rel = f.rel.CloneInto(rel)
 	}
+	return d
 }
 
 // section is the lock section in its phase, or nil: a section outside its

@@ -47,6 +47,8 @@ func (f *readFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *readFrame) Return() memsim.Value { return f.ret }
 
+func (f *readFrame) CloneInto(dst memsim.Resumable) memsim.Resumable { return memsim.CopyFrame(f, dst) }
+
 // race starts frames[pid] on every process, runs them to completion under
 // a seeded random schedule, and returns the processes whose call returned
 // 1.

@@ -137,7 +137,7 @@ func TestSnapshotCopiesOwnBuffer(t *testing.T) {
 		acc, _ := f.Next(prev)
 		prev = m.Apply(2, acc)
 	}
-	saved := memsim.CloneResumable(f)
+	saved := f.CloneInto(nil)
 	savedPrev := prev
 
 	// The sibling: restart f from a fresh frame and snapshot slot 0 = 5.

@@ -43,6 +43,11 @@ func (f *RegisterFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 // Return implements memsim.Resumable.
 func (f *RegisterFrame) Return() memsim.Value { return 0 }
 
+// CloneInto implements memsim.Resumable.
+func (f *RegisterFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
+
 // AppendState implements memsim.StateAppender: the registry is identified
 // by its (deterministic) tail address, never by pointer.
 func (f *RegisterFrame) AppendState(dst []byte) []byte {
@@ -62,9 +67,8 @@ var _ memsim.StateAppender = (*RegisterFrame)(nil)
 // signaling algorithm writes its global flag first).
 //
 // Each frame owns the buffer it collects into and reuses it for its next
-// snapshot, so a copy must not share it: CloneResumable and
-// CopyResumableInto (and CopyInto, for frames that embed one) copy the
-// collected values into the destination's own buffer.
+// snapshot, so a copy must not share it: CloneInto copies the collected
+// values into the destination's own buffer.
 type SnapshotFrame struct {
 	reg *Registry
 	n   int
@@ -139,31 +143,14 @@ var _ memsim.StateAppender = (*SnapshotFrame)(nil)
 // It aliases the frame's buffer.
 func (f *SnapshotFrame) Vals() []memsim.Value { return f.out }
 
-// CopyInto copies f into dst, reusing dst's buffer, and returns dst: a
-// new frame when dst is nil.
-func (f *SnapshotFrame) CopyInto(dst *SnapshotFrame) *SnapshotFrame {
-	if dst == nil {
-		dst = new(SnapshotFrame)
-	}
-	out := dst.out
-	*dst = *f
+// CloneInto implements memsim.Resumable, reusing dst's buffer.
+func (f *SnapshotFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	d := memsim.CloneTarget[SnapshotFrame](dst)
+	out := d.out
+	*d = *f
 	if cap(out) < len(f.out) {
 		out = make([]memsim.Value, 0, f.reg.cap)
 	}
-	dst.out = append(out[:0], f.out...)
-	return dst
+	d.out = append(out[:0], f.out...)
+	return d
 }
-
-// CloneResumable implements memsim.ResumableCloner.
-func (f *SnapshotFrame) CloneResumable() memsim.Resumable { return f.CopyInto(nil) }
-
-// CopyResumableInto implements memsim.ResumableCopier.
-func (f *SnapshotFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*SnapshotFrame)
-	if ok {
-		f.CopyInto(d)
-	}
-	return ok
-}
-
-var _ memsim.ResumableCopier = (*SnapshotFrame)(nil)

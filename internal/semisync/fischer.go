@@ -110,6 +110,10 @@ func (f *fischerAcquireFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *fischerAcquireFrame) Return() memsim.Value { return 0 }
 
+func (f *fischerAcquireFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
+
 // fischerReleaseFrame is the exit section: one write of NIL to X.
 type fischerReleaseFrame struct {
 	x    memsim.Addr
@@ -125,3 +129,7 @@ func (f *fischerReleaseFrame) Next(memsim.Result) (memsim.Access, bool) {
 }
 
 func (f *fischerReleaseFrame) Return() memsim.Value { return 0 }
+
+func (f *fischerReleaseFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}

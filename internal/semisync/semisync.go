@@ -6,12 +6,11 @@
 // needs Ω(log log N) [23] — the one known separation in the *opposite*
 // direction to this paper's, which is why Section 3 discusses it.
 //
-// The package provides a timed execution driver over internal/memsim (a
-// global clock plus the Δ-gap guarantee that a ready process is scheduled
-// before its deadline expires) and Fischer's timed lock, the canonical
-// knowledge-of-Δ mutex: correct in every Δ-respecting schedule and
-// incorrect under unrestricted asynchrony, which the tests demonstrate in
-// both directions. The O(1)-RMR DSM construction of [23] proper is out of
+// The package provides a timed scheduler (a global clock plus the Δ-gap
+// guarantee that a ready process is scheduled before its deadline
+// expires) and Fischer's timed lock, the canonical knowledge-of-Δ mutex:
+// correct in every Δ-respecting schedule and incorrect under unrestricted
+// asynchrony, which the tests demonstrate in both directions. The O(1)-RMR DSM construction of [23] proper is out of
 // scope (DESIGN.md §2); the runnable content here is the timing *model*
 // and the correctness boundary it creates.
 package semisync
@@ -27,76 +26,66 @@ import (
 	"repro/internal/sched"
 )
 
-// Runner drives processes over a controller under the semi-synchronous
-// contract: time advances one tick per applied step, and any process with
-// a pending access is scheduled at most Delta ticks after its previous
-// step (or after becoming pending). Subject to that constraint, the
-// tie-break scheduler chooses freely — so schedules remain adversarial
-// within the timing model.
-type Runner struct {
-	ctl   *memsim.Controller
+// Scheduler imposes the semi-synchronous contract on a tie-break
+// scheduler: time advances one tick per scheduled step, and any process
+// with a pending access is scheduled at most Delta ticks after its
+// previous step (or after becoming pending). Subject to that constraint,
+// the tie-break scheduler chooses freely — so schedules remain
+// adversarial within the timing model. The caller must apply every step
+// it picks, as the harness drive loop does.
+type Scheduler struct {
 	delta int
 	clock int
-	due   map[memsim.PID]int
+	due   []int // per pid: the tick its next step is due by; 0 while not pending
 	pick  sched.Scheduler
 }
 
-// NewRunner wraps ctl with the Δ-gap discipline.
-func NewRunner(ctl *memsim.Controller, delta int, pick sched.Scheduler) *Runner {
+var _ sched.Scheduler = (*Scheduler)(nil)
+
+// NewScheduler wraps the tie-break scheduler pick with the Δ-gap
+// discipline.
+func NewScheduler(delta int, pick sched.Scheduler) *Scheduler {
 	if pick == nil {
 		pick = sched.NewRandom(1)
 	}
 	if delta < 1 {
 		delta = 1
 	}
-	return &Runner{
-		ctl:   ctl,
-		delta: delta,
-		due:   make(map[memsim.PID]int),
-		pick:  pick,
-	}
+	return &Scheduler{delta: delta, pick: pick}
 }
 
-// Clock returns the current tick count.
-func (r *Runner) Clock() int { return r.clock }
-
-// Step schedules and applies one access among the ready processes,
-// honouring Δ-deadlines first. It reports whether any process was ready.
-func (r *Runner) Step(ready []memsim.PID) (bool, error) {
-	if len(ready) == 0 {
-		return false, nil
+// Next implements sched.Scheduler, honouring Δ-deadlines first.
+func (s *Scheduler) Next(ready []memsim.PID) memsim.PID {
+	// ready is sorted by pid, so its last pid bounds the deadline table.
+	if n := int(ready[len(ready)-1]) + 1; n > len(s.due) {
+		s.due = append(s.due, make([]int, n-len(s.due))...)
 	}
-	// Register deadlines for newly pending processes.
-	readySet := make(map[memsim.PID]bool, len(ready))
-	for _, p := range ready {
-		readySet[p] = true
-		if _, ok := r.due[p]; !ok {
-			r.due[p] = r.clock + r.delta
-		}
-	}
-	for p := range r.due {
-		if !readySet[p] {
-			delete(r.due, p) // no longer pending
+	// Register deadlines for newly pending processes (a deadline is at
+	// least Δ ≥ 1) and forget the processes no longer pending.
+	j := 0
+	for p := range s.due {
+		if j < len(ready) && ready[j] == memsim.PID(p) {
+			j++
+			if s.due[p] == 0 {
+				s.due[p] = s.clock + s.delta
+			}
+		} else {
+			s.due[p] = 0
 		}
 	}
 	// Most overdue process first; otherwise free choice.
 	chosen := memsim.PID(-1)
-	bestDue := 0
 	for _, p := range ready {
-		if d := r.due[p]; d <= r.clock && (chosen == -1 || d < bestDue) {
+		if d := s.due[p]; d <= s.clock && (chosen == -1 || d < s.due[chosen]) {
 			chosen = p
-			bestDue = d
 		}
 	}
 	if chosen == -1 {
-		chosen = r.pick.Next(ready)
+		chosen = s.pick.Next(ready)
 	}
-	if _, err := r.ctl.Step(chosen); err != nil {
-		return false, err
-	}
-	r.due[chosen] = r.clock + r.delta
-	r.clock++
-	return true, nil
+	s.due[chosen] = s.clock + s.delta
+	s.clock++
+	return chosen
 }
 
 // ErrBudget is returned when a semisync run exhausts its step budget. It
@@ -119,7 +108,7 @@ type RunConfig struct {
 	Delta int
 	// Passages per process.
 	Passages int
-	// Timed selects the Δ-respecting runner; false runs the same
+	// Timed selects the Δ-respecting Scheduler; false runs the same
 	// workload under an unrestricted random scheduler (Fischer's
 	// correctness assumption removed).
 	Timed bool
@@ -159,45 +148,20 @@ func (r *RunResult) PerPassage(cm model.CostModel) float64 {
 	return float64(rep.Total) / float64(r.Passages)
 }
 
-// Workload drives Fischer-guarded critical sections on the generic
-// streaming harness: it is the mutex passage workload (mutex.Workload,
-// instrumented with the shared mutex.CSProbe) over Fischer's lock. In
-// timed mode it imposes the Δ-gap discipline through the harness's
-// Stepper hook (the tie-break scheduler chooses freely within it);
-// untimed it exposes Fischer's lock to unrestricted asynchrony.
-type Workload struct {
-	*mutex.Workload
-	delta int
-	timed bool
-}
-
-var _ harness.SteppedWorkload = (*Workload)(nil)
-
 // NewWorkload returns the workload for n processes, each performing the
-// given number of passages under Fischer's lock with the given Δ. timed
-// selects the Δ-respecting schedule discipline.
-func NewWorkload(n, delta, passages int, timed bool) *Workload {
+// given number of passages under Fischer's lock with the given Δ: the
+// mutex passage workload (mutex.Workload, instrumented with the shared
+// mutex.CSProbe) over Fischer's lock. Run under a Scheduler it respects
+// the Δ-gap discipline; under any other scheduler it exposes Fischer's
+// lock to unrestricted asynchrony.
+func NewWorkload(n, delta, passages int) *mutex.Workload {
 	fischer := mutex.Algorithm{
 		Name: "fischer",
 		New: func(m *memsim.Machine, n int) (mutex.Lock, error) {
 			return NewFischer(m, n, delta), nil
 		},
 	}
-	return &Workload{Workload: mutex.NewWorkload(fischer, n, passages), delta: delta, timed: timed}
-}
-
-// Stepper implements harness.SteppedWorkload: in timed mode, steps are
-// applied through the Δ-deadline runner seeded with the harness scheduler
-// as tie-breaker; untimed, nil keeps the harness default (free choice).
-func (w *Workload) Stepper(ctl *memsim.Controller, pick sched.Scheduler) harness.Stepper {
-	if !w.timed {
-		return nil
-	}
-	r := NewRunner(ctl, w.delta, pick)
-	return func(ready []memsim.PID) error {
-		_, err := r.Step(ready)
-		return err
-	}
+	return mutex.NewWorkload(fischer, n, passages)
 }
 
 // Run drives N processes through Fischer-guarded critical sections on the
@@ -221,10 +185,14 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		cfg.MaxSteps = 2_000_000
 	}
 
-	w := NewWorkload(cfg.N, cfg.Delta, cfg.Passages, cfg.Timed)
+	var s sched.Scheduler = sched.NewRandom(cfg.Seed)
+	if cfg.Timed {
+		s = NewScheduler(cfg.Delta, s)
+	}
+	w := NewWorkload(cfg.N, cfg.Delta, cfg.Passages)
 	hres, err := harness.Run(harness.Config{
 		Workload:   w,
-		Scheduler:  sched.NewRandom(cfg.Seed),
+		Scheduler:  s,
 		MaxSteps:   cfg.MaxSteps,
 		Scorers:    cfg.Scorers,
 		KeepEvents: cfg.KeepEvents,

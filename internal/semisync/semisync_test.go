@@ -130,6 +130,8 @@ func (f *csFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *csFrame) Return() memsim.Value { return f.occ }
 
+func (f *csFrame) CloneInto(dst memsim.Resumable) memsim.Resumable { return memsim.CopyFrame(f, dst) }
+
 // TestFischerO1Writes: the lock issues a constant number of writes per
 // uncontended acquisition (the property the semi-synchronous literature
 // optimizes), and the delay itself is RMR-free in the DSM model.

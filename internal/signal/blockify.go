@@ -69,8 +69,6 @@ type blockifiedWaitFrame struct {
 	spare memsim.Resumable // the finished poll's storage, owned by this frame
 }
 
-var _ memsim.ResumableCloner = (*blockifiedWaitFrame)(nil)
-
 func (f *blockifiedWaitFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 	for {
 		if f.cur == nil {
@@ -95,12 +93,20 @@ func (f *blockifiedWaitFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *blockifiedWaitFrame) Return() memsim.Value { return 0 }
 
-// CloneResumable implements memsim.ResumableCloner.
-func (f *blockifiedWaitFrame) CloneResumable() memsim.Resumable {
-	c := *f
-	c.cur = memsim.CloneResumable(f.cur)
-	c.spare = nil
-	return &c
+// CloneInto implements memsim.Resumable, recycling dst's poll frame
+// storage (in flight or spare) when the types line up.
+func (f *blockifiedWaitFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	d := memsim.CloneTarget[blockifiedWaitFrame](dst)
+	store := d.cur
+	if store == nil {
+		store = d.spare
+	}
+	*d = *f
+	d.cur, d.spare = nil, store
+	if f.cur != nil {
+		d.cur, d.spare = f.cur.CloneInto(store), nil
+	}
+	return d
 }
 
 // AppendState implements memsim.StateAppender: the in-flight poll frame
@@ -110,26 +116,4 @@ func (f *blockifiedWaitFrame) AppendState(dst []byte) []byte {
 	return memsim.AppendFrameState(dst, f.cur)
 }
 
-// CopyResumableInto implements memsim.ResumableCopier, recycling dst's
-// poll frame storage (in flight or spare) when the types line up.
-func (f *blockifiedWaitFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*blockifiedWaitFrame)
-	if !ok {
-		return false
-	}
-	store := d.cur
-	if store == nil {
-		store = d.spare
-	}
-	*d = *f
-	d.cur, d.spare = nil, store
-	if f.cur != nil {
-		d.cur, d.spare = memsim.CloneResumableInto(store, f.cur), nil
-	}
-	return true
-}
-
-var (
-	_ memsim.StateAppender   = (*blockifiedWaitFrame)(nil)
-	_ memsim.ResumableCopier = (*blockifiedWaitFrame)(nil)
-)
+var _ memsim.StateAppender = (*blockifiedWaitFrame)(nil)

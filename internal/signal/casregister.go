@@ -183,26 +183,15 @@ func (f *casRWPollFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *casRWPollFrame) Return() memsim.Value { return f.ret }
 
-// CloneResumable implements memsim.ResumableCloner: the emulated CAS's
-// lock sections are copied, not shared.
-func (f *casRWPollFrame) CloneResumable() memsim.Resumable {
-	c := new(casRWPollFrame)
-	f.CopyResumableInto(c)
-	return c
-}
-
-// CopyResumableInto implements memsim.ResumableCopier, reusing dst's lock
-// section storage.
-func (f *casRWPollFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*casRWPollFrame)
-	if !ok {
-		return false
-	}
+// CloneInto implements memsim.Resumable: the emulated CAS's lock sections
+// are copied, not shared, into dst's lock section storage.
+func (f *casRWPollFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	d := memsim.CloneTarget[casRWPollFrame](dst)
 	cas := d.cas
 	*d = *f
-	f.cas.CopyInto(&cas)
 	d.cas = cas
-	return true
+	f.cas.CloneInto(&d.cas)
+	return d
 }
 
 // AppendState implements memsim.StateAppender: the emulated CAS encodes
@@ -215,7 +204,4 @@ func (f *casRWPollFrame) AppendState(dst []byte) []byte {
 	return f.cas.AppendState(dst)
 }
 
-var (
-	_ memsim.StateAppender   = (*casRWPollFrame)(nil)
-	_ memsim.ResumableCopier = (*casRWPollFrame)(nil)
-)
+var _ memsim.StateAppender = (*casRWPollFrame)(nil)

@@ -163,7 +163,9 @@ func (f *leaderWaitFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *leaderWaitFrame) Return() memsim.Value { return 0 }
 
-func (f *leaderWaitFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
+func (f *leaderWaitFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 func (f *leaderWaitFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.i))
@@ -172,15 +174,4 @@ func (f *leaderWaitFrame) AppendState(dst []byte) []byte {
 	return f.elect.AppendState(dst)
 }
 
-func (f *leaderWaitFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*leaderWaitFrame)
-	if ok {
-		*d = *f
-	}
-	return ok
-}
-
-var (
-	_ memsim.StateAppender   = (*leaderWaitFrame)(nil)
-	_ memsim.ResumableCopier = (*leaderWaitFrame)(nil)
-)
+var _ memsim.StateAppender = (*leaderWaitFrame)(nil)

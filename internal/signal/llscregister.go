@@ -194,26 +194,15 @@ func (f *llscRWPollFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *llscRWPollFrame) Return() memsim.Value { return f.ret }
 
-// CloneResumable implements memsim.ResumableCloner: the emulated
-// operation's lock sections are copied, not shared.
-func (f *llscRWPollFrame) CloneResumable() memsim.Resumable {
-	c := new(llscRWPollFrame)
-	f.CopyResumableInto(c)
-	return c
-}
-
-// CopyResumableInto implements memsim.ResumableCopier, reusing dst's lock
-// section storage.
-func (f *llscRWPollFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*llscRWPollFrame)
-	if !ok {
-		return false
-	}
+// CloneInto implements memsim.Resumable: the emulated operation's lock
+// sections are copied, not shared, into dst's lock section storage.
+func (f *llscRWPollFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	d := memsim.CloneTarget[llscRWPollFrame](dst)
 	op := d.op
 	*d = *f
-	f.op.CopyInto(&op)
 	d.op = op
-	return true
+	f.op.CloneInto(&d.op)
+	return d
 }
 
 // AppendState implements memsim.StateAppender: the emulated operation
@@ -259,24 +248,16 @@ func (f *llscRWSignalFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *llscRWSignalFrame) Return() memsim.Value { return 0 }
 
-func (f *llscRWSignalFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
+func (f *llscRWSignalFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 func (f *llscRWSignalFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.j))
 	return append(dst, f.pc)
 }
 
-func (f *llscRWSignalFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*llscRWSignalFrame)
-	if ok {
-		*d = *f
-	}
-	return ok
-}
-
 var (
-	_ memsim.StateAppender   = (*llscRWPollFrame)(nil)
-	_ memsim.ResumableCopier = (*llscRWPollFrame)(nil)
-	_ memsim.StateAppender   = (*llscRWSignalFrame)(nil)
-	_ memsim.ResumableCopier = (*llscRWSignalFrame)(nil)
+	_ memsim.StateAppender = (*llscRWPollFrame)(nil)
+	_ memsim.StateAppender = (*llscRWSignalFrame)(nil)
 )

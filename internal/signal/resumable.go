@@ -17,8 +17,9 @@ import (
 //
 // Frame discipline (see memsim.Resumable): all mutable call-local state
 // lives in frame fields; pointers reference only immutable deployment data
-// (instances, address slices); frames holding sub-frames implement
-// memsim.ResumableCloner so snapshots stay independent.
+// (instances, address slices). Most frames copy with memsim.CopyFrame;
+// frames holding sub-frames or buffers copy those in their CloneInto, so
+// snapshots stay independent.
 
 // readRetFrame reads one word and returns its value (flag Poll,
 // fixed-waiters Poll).
@@ -39,20 +40,14 @@ func (f *readRetFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *readRetFrame) Return() memsim.Value { return f.ret }
 
-func (f *readRetFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
+func (f *readRetFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 func (f *readRetFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.addr))
 	dst = append(dst, f.pc)
 	return binary.AppendVarint(dst, int64(f.ret))
-}
-
-func (f *readRetFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*readRetFrame)
-	if ok {
-		*d = *f
-	}
-	return ok
 }
 
 // writeOneFrame performs a single write and returns 0 (flag Signal).
@@ -72,20 +67,14 @@ func (f *writeOneFrame) Next(memsim.Result) (memsim.Access, bool) {
 
 func (f *writeOneFrame) Return() memsim.Value { return 0 }
 
-func (f *writeOneFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
+func (f *writeOneFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 func (f *writeOneFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.addr))
 	dst = binary.AppendVarint(dst, int64(f.val))
 	return append(dst, f.pc)
-}
-
-func (f *writeOneFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*writeOneFrame)
-	if ok {
-		*d = *f
-	}
-	return ok
 }
 
 // spinNonzeroFrame busy-waits until a word reads nonzero (flag Wait,
@@ -108,19 +97,13 @@ func (f *spinNonzeroFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *spinNonzeroFrame) Return() memsim.Value { return 0 }
 
-func (f *spinNonzeroFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
+func (f *spinNonzeroFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 func (f *spinNonzeroFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.addr))
 	return append(dst, f.pc)
-}
-
-func (f *spinNonzeroFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*spinNonzeroFrame)
-	if ok {
-		*d = *f
-	}
-	return ok
 }
 
 // writeFanFrame writes 1 to each address in order and returns 0
@@ -153,19 +136,13 @@ func appendAddrs(dst []byte, addrs []memsim.Addr) []byte {
 	return dst
 }
 
-func (f *writeFanFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
+func (f *writeFanFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 func (f *writeFanFrame) AppendState(dst []byte) []byte {
 	dst = appendAddrs(dst, f.addrs)
 	return binary.AppendVarint(dst, int64(f.j))
-}
-
-func (f *writeFanFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*writeFanFrame)
-	if ok {
-		*d = *f // addrs is shared immutable deployment data, like CloneResumable's shallow copy
-	}
-	return ok
 }
 
 // announcePollFrame is the shared first-call-announcement Poll shape of the
@@ -212,7 +189,9 @@ func (f *announcePollFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *announcePollFrame) Return() memsim.Value { return f.ret }
 
-func (f *announcePollFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
+func (f *announcePollFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 func (f *announcePollFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.fst))
@@ -222,14 +201,6 @@ func (f *announcePollFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.els))
 	dst = append(dst, f.pc)
 	return binary.AppendVarint(dst, int64(f.ret))
-}
-
-func (f *announcePollFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*announcePollFrame)
-	if ok {
-		*d = *f
-	}
-	return ok
 }
 
 // ---- flag (Section 5) ----
@@ -265,21 +236,15 @@ func (f *swSignalFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *swSignalFrame) Return() memsim.Value { return 0 }
 
-func (f *swSignalFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
+func (f *swSignalFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 func (f *swSignalFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.s))
 	dst = binary.AppendVarint(dst, int64(f.w))
 	dst = appendAddrs(dst, f.v)
 	return append(dst, f.pc)
-}
-
-func (f *swSignalFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*swSignalFrame)
-	if ok {
-		*d = *f
-	}
-	return ok
 }
 
 // swWaitFrame mirrors the single-waiter Wait: first-call announcement, a
@@ -330,21 +295,15 @@ func (f *swWaitFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *swWaitFrame) Return() memsim.Value { return 0 }
 
-func (f *swWaitFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
+func (f *swWaitFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 func (f *swWaitFrame) AppendState(dst []byte) []byte {
 	// f.in is immutable deployment data: the field walk renders it as a
 	// per-type constant, so the binary key rightly omits it.
 	dst = binary.AppendVarint(dst, int64(f.i))
 	return append(dst, f.pc)
-}
-
-func (f *swWaitFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*swWaitFrame)
-	if ok {
-		*d = *f
-	}
-	return ok
 }
 
 // ---- fixed waiters (Section 7) ----
@@ -383,19 +342,13 @@ func (f *ftSignalFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *ftSignalFrame) Return() memsim.Value { return 0 }
 
-func (f *ftSignalFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
+func (f *ftSignalFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 func (f *ftSignalFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.j))
 	return append(dst, f.pc)
-}
-
-func (f *ftSignalFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*ftSignalFrame)
-	if ok {
-		*d = *f
-	}
-	return ok
 }
 
 // ---- registered waiters (Section 7) ----
@@ -438,19 +391,13 @@ func (f *regSignalFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *regSignalFrame) Return() memsim.Value { return 0 }
 
-func (f *regSignalFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
+func (f *regSignalFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 func (f *regSignalFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.j))
 	return append(dst, f.pc)
-}
-
-func (f *regSignalFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*regSignalFrame)
-	if ok {
-		*d = *f
-	}
-	return ok
 }
 
 // ---- F&I queue (Section 7) ----
@@ -466,8 +413,6 @@ type registerPollFrame struct {
 	pc  uint8
 	ret memsim.Value
 }
-
-var _ memsim.ResumableCloner = (*registerPollFrame)(nil)
 
 func (f *registerPollFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 	switch f.pc {
@@ -499,15 +444,16 @@ func (f *registerPollFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *registerPollFrame) Return() memsim.Value { return f.ret }
 
-// CloneResumable implements memsim.ResumableCloner: the registration
-// sub-frame must be copied, not shared.
-func (f *registerPollFrame) CloneResumable() memsim.Resumable {
-	c := *f
+// CloneInto implements memsim.Resumable: the registration sub-frame is
+// copied, not shared, into dst's sub-frame storage when it has one.
+func (f *registerPollFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	d := memsim.CloneTarget[registerPollFrame](dst)
+	sub := d.sub
+	*d = *f
 	if f.sub != nil {
-		sub := *f.sub
-		c.sub = &sub
+		d.sub = f.sub.CloneInto(sub).(*queue.RegisterFrame)
 	}
-	return &c
+	return d
 }
 
 // AppendState implements memsim.StateAppender: the sub-frame encodes by
@@ -521,25 +467,6 @@ func (f *registerPollFrame) AppendState(dst []byte) []byte {
 	return memsim.AppendFrameState(dst, f.sub)
 }
 
-// CopyResumableInto implements memsim.ResumableCopier: the pooled-snapshot
-// fast path, reusing dst's registration sub-frame allocation.
-func (f *registerPollFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*registerPollFrame)
-	if !ok {
-		return false
-	}
-	sub := d.sub
-	*d = *f
-	if f.sub != nil {
-		if sub == nil {
-			sub = new(queue.RegisterFrame)
-		}
-		*sub = *f.sub
-		d.sub = sub
-	}
-	return true
-}
-
 // registrySignalFrame: S := true; snapshot the registry; flag every
 // registered waiter (queue Signal, and the elected branch's delivery logic).
 type registrySignalFrame struct {
@@ -550,8 +477,6 @@ type registrySignalFrame struct {
 	k    int
 	pc   uint8
 }
-
-var _ memsim.ResumableCloner = (*registrySignalFrame)(nil)
 
 func (f *registrySignalFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 	for {
@@ -583,25 +508,20 @@ func (f *registrySignalFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *registrySignalFrame) Return() memsim.Value { return 0 }
 
-// CloneResumable implements memsim.ResumableCloner.
-func (f *registrySignalFrame) CloneResumable() memsim.Resumable {
-	c := new(registrySignalFrame)
-	c.copyFrom(f)
-	return c
-}
-
-// copyFrom copies f into d, reusing d's snapshot sub-frame and its value
-// buffer. vals aliases the snapshot's buffer, so it is re-aliased to d's
-// copy.
-func (d *registrySignalFrame) copyFrom(f *registrySignalFrame) {
+// CloneInto implements memsim.Resumable, reusing dst's snapshot sub-frame
+// and its value buffer. vals aliases the snapshot's buffer, so it is
+// re-aliased to the copy's.
+func (f *registrySignalFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	d := memsim.CloneTarget[registrySignalFrame](dst)
 	snap := d.snap
 	*d = *f
 	if f.snap != nil {
-		d.snap = f.snap.CopyInto(snap)
+		d.snap = f.snap.CloneInto(snap).(*queue.SnapshotFrame)
 		if f.vals != nil {
 			d.vals = d.snap.Vals()
 		}
 	}
+	return d
 }
 
 // AppendState implements memsim.StateAppender. vals is fully populated
@@ -616,16 +536,6 @@ func (f *registrySignalFrame) AppendState(dst []byte) []byte {
 		dst = binary.AppendVarint(dst, int64(v))
 	}
 	return memsim.AppendFrameState(dst, f.snap)
-}
-
-// CopyResumableInto implements memsim.ResumableCopier, reusing dst's
-// snapshot sub-frame and its value buffer.
-func (f *registrySignalFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*registrySignalFrame)
-	if ok {
-		d.copyFrom(f)
-	}
-	return ok
 }
 
 // ---- CAS slot registration (Corollary 6.14 subject) ----
@@ -676,21 +586,15 @@ func (f *casPollFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *casPollFrame) Return() memsim.Value { return f.ret }
 
-func (f *casPollFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
+func (f *casPollFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 func (f *casPollFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.i))
 	dst = binary.AppendVarint(dst, int64(f.j))
 	dst = append(dst, f.pc)
 	return binary.AppendVarint(dst, int64(f.ret))
-}
-
-func (f *casPollFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*casPollFrame)
-	if ok {
-		*d = *f
-	}
-	return ok
 }
 
 // slotScanSignalFrame: S := true; scan the registered prefix of the slot
@@ -731,7 +635,9 @@ func (f *slotScanSignalFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *slotScanSignalFrame) Return() memsim.Value { return 0 }
 
-func (f *slotScanSignalFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
+func (f *slotScanSignalFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 func (f *slotScanSignalFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.s))
@@ -740,14 +646,6 @@ func (f *slotScanSignalFrame) AppendState(dst []byte) []byte {
 	dst = appendAddrs(dst, f.v)
 	dst = binary.AppendVarint(dst, int64(f.j))
 	return append(dst, f.pc)
-}
-
-func (f *slotScanSignalFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*slotScanSignalFrame)
-	if ok {
-		*d = *f
-	}
-	return ok
 }
 
 // ---- LL/SC slot registration (Corollary 6.14 subject) ----
@@ -805,21 +703,15 @@ func (f *llscPollFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *llscPollFrame) Return() memsim.Value { return f.ret }
 
-func (f *llscPollFrame) CloneResumable() memsim.Resumable { c := *f; return &c }
+func (f *llscPollFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	return memsim.CopyFrame(f, dst)
+}
 
 func (f *llscPollFrame) AppendState(dst []byte) []byte {
 	dst = binary.AppendVarint(dst, int64(f.i))
 	dst = binary.AppendVarint(dst, int64(f.j))
 	dst = append(dst, f.pc)
 	return binary.AppendVarint(dst, int64(f.ret))
-}
-
-func (f *llscPollFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*llscPollFrame)
-	if ok {
-		*d = *f
-	}
-	return ok
 }
 
 // ---- multi-signaler (Section 7, TAS election) ----
@@ -831,8 +723,6 @@ type msSignalFrame struct {
 	deliver registrySignalFrame
 	pc      uint8
 }
-
-var _ memsim.ResumableCloner = (*msSignalFrame)(nil)
 
 func (f *msSignalFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 	switch f.pc {
@@ -865,19 +755,14 @@ func (f *msSignalFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *msSignalFrame) Return() memsim.Value { return 0 }
 
-// CloneResumable implements memsim.ResumableCloner.
-func (f *msSignalFrame) CloneResumable() memsim.Resumable {
-	c := new(msSignalFrame)
-	c.copyFrom(f)
-	return c
-}
-
-// copyFrom copies f into d, reusing d's delivery storage.
-func (d *msSignalFrame) copyFrom(f *msSignalFrame) {
+// CloneInto implements memsim.Resumable, reusing dst's delivery storage.
+func (f *msSignalFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
+	d := memsim.CloneTarget[msSignalFrame](dst)
 	deliver := d.deliver
 	*d = *f
 	d.deliver = deliver
-	d.deliver.copyFrom(&f.deliver)
+	f.deliver.CloneInto(&d.deliver)
+	return d
 }
 
 // AppendState implements memsim.StateAppender.
@@ -886,46 +771,21 @@ func (f *msSignalFrame) AppendState(dst []byte) []byte {
 	return f.deliver.AppendState(dst)
 }
 
-// CopyResumableInto implements memsim.ResumableCopier.
-func (f *msSignalFrame) CopyResumableInto(dst memsim.Resumable) bool {
-	d, ok := dst.(*msSignalFrame)
-	if ok {
-		d.copyFrom(f)
-	}
-	return ok
-}
-
-// Static checks: every custom-encoded frame has the binary fast path and
-// the pooled copy path.
+// Static checks: every frame of this file has its own encoding.
 var (
-	_ memsim.StateAppender   = (*registerPollFrame)(nil)
-	_ memsim.ResumableCopier = (*registerPollFrame)(nil)
-	_ memsim.StateAppender   = (*registrySignalFrame)(nil)
-	_ memsim.ResumableCopier = (*registrySignalFrame)(nil)
-	_ memsim.StateAppender   = (*msSignalFrame)(nil)
-	_ memsim.ResumableCopier = (*msSignalFrame)(nil)
-	_ memsim.StateAppender   = (*readRetFrame)(nil)
-	_ memsim.ResumableCopier = (*readRetFrame)(nil)
-	_ memsim.StateAppender   = (*writeOneFrame)(nil)
-	_ memsim.ResumableCopier = (*writeOneFrame)(nil)
-	_ memsim.StateAppender   = (*spinNonzeroFrame)(nil)
-	_ memsim.ResumableCopier = (*spinNonzeroFrame)(nil)
-	_ memsim.StateAppender   = (*writeFanFrame)(nil)
-	_ memsim.ResumableCopier = (*writeFanFrame)(nil)
-	_ memsim.StateAppender   = (*announcePollFrame)(nil)
-	_ memsim.ResumableCopier = (*announcePollFrame)(nil)
-	_ memsim.StateAppender   = (*swSignalFrame)(nil)
-	_ memsim.ResumableCopier = (*swSignalFrame)(nil)
-	_ memsim.StateAppender   = (*swWaitFrame)(nil)
-	_ memsim.ResumableCopier = (*swWaitFrame)(nil)
-	_ memsim.StateAppender   = (*ftSignalFrame)(nil)
-	_ memsim.ResumableCopier = (*ftSignalFrame)(nil)
-	_ memsim.StateAppender   = (*regSignalFrame)(nil)
-	_ memsim.ResumableCopier = (*regSignalFrame)(nil)
-	_ memsim.StateAppender   = (*casPollFrame)(nil)
-	_ memsim.ResumableCopier = (*casPollFrame)(nil)
-	_ memsim.StateAppender   = (*slotScanSignalFrame)(nil)
-	_ memsim.ResumableCopier = (*slotScanSignalFrame)(nil)
-	_ memsim.StateAppender   = (*llscPollFrame)(nil)
-	_ memsim.ResumableCopier = (*llscPollFrame)(nil)
+	_ memsim.StateAppender = (*registerPollFrame)(nil)
+	_ memsim.StateAppender = (*registrySignalFrame)(nil)
+	_ memsim.StateAppender = (*msSignalFrame)(nil)
+	_ memsim.StateAppender = (*readRetFrame)(nil)
+	_ memsim.StateAppender = (*writeOneFrame)(nil)
+	_ memsim.StateAppender = (*spinNonzeroFrame)(nil)
+	_ memsim.StateAppender = (*writeFanFrame)(nil)
+	_ memsim.StateAppender = (*announcePollFrame)(nil)
+	_ memsim.StateAppender = (*swSignalFrame)(nil)
+	_ memsim.StateAppender = (*swWaitFrame)(nil)
+	_ memsim.StateAppender = (*ftSignalFrame)(nil)
+	_ memsim.StateAppender = (*regSignalFrame)(nil)
+	_ memsim.StateAppender = (*casPollFrame)(nil)
+	_ memsim.StateAppender = (*slotScanSignalFrame)(nil)
+	_ memsim.StateAppender = (*llscPollFrame)(nil)
 )
