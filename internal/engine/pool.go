@@ -69,11 +69,12 @@ func NewPool(kind checkpoint.Kind, workers int, reg *telemetry.Registry, meter *
 type tableSize interface {
 	Len() int
 	Bytes() int
+	ProbeMax() int
 }
 
-// WatchTable names the run's claim table, whose entries and bytes the
-// telemetry gauges report once per run (at the end of Drive) or per
-// committed unit.
+// WatchTable names the run's claim table, whose entries, bytes and
+// longest probe the telemetry gauges report once per run (at the end of
+// Drive) or per committed unit.
 func (p *Pool) WatchTable(t tableSize) { p.table = t }
 
 // Stop halts every worker at its next node.
@@ -265,7 +266,7 @@ func (w *Worker) commit(c *checkpoint.Counters, m *engineMetrics) {
 type engineMetrics struct {
 	nodes, paths, truncated, deduped, pruned, memoHits, memoMisses,
 	sleepPrunes, symMerges, faultBranches, poolHits, poolMisses *telemetry.Counter
-	undoDepth, maxDepth, tableEntries, tableBytes *telemetry.Gauge
+	undoDepth, maxDepth, tableEntries, tableBytes, tableProbeMax *telemetry.Gauge
 }
 
 // newEngineMetrics registers kind's engine families on reg; nil reg
@@ -287,6 +288,7 @@ func newEngineMetrics(reg *telemetry.Registry, kind checkpoint.Kind) *engineMetr
 		maxDepth:      reg.Gauge("repro_engine_max_depth"),
 		tableEntries:  reg.Gauge("repro_engine_table_entries"),
 		tableBytes:    reg.Gauge("repro_engine_table_bytes"),
+		tableProbeMax: reg.Gauge("repro_engine_table_probe_max"),
 	}
 	if kind == checkpoint.KindSearch {
 		m.pruned = reg.Counter("repro_engine_pruned_total")
@@ -319,11 +321,14 @@ func (m *engineMetrics) add(shard int, prev, cur *Tally, undoMax int) {
 	m.maxDepth.Max(int64(cur.MaxDepthReached))
 }
 
-// setTable sets the table gauges to t's size. No-op on nil m or t.
+// setTable sets the table gauges to t's size and longest probe. No-op
+// on nil m or t, so the slot walk of ProbeMax runs only with telemetry
+// on.
 func (m *engineMetrics) setTable(t tableSize) {
 	if m == nil || t == nil {
 		return
 	}
 	m.tableEntries.Set(int64(t.Len()))
 	m.tableBytes.Set(int64(t.Bytes()))
+	m.tableProbeMax.Set(int64(t.ProbeMax()))
 }

@@ -42,6 +42,14 @@ import (
 // the whole table shares; no slot array is ever discarded. Slot positions
 // are those of a single array grown by copying, so Export order does not
 // depend on the segmenting.
+//
+// Runs take their table from a TablePool and return it when done. Put
+// empties the table back to its fresh layout but keeps the zeroed
+// segments its last run grew, and a doubling that finds its segment
+// already allocated reuses it instead of making it. So each segment is
+// allocated once per process, not once per run, while every run still
+// sees exactly the table NewTable returns: the same slot positions, Export
+// order, Len and Bytes.
 type Table[V any] struct {
 	stripes [tableStripes]stripe[V]
 
@@ -79,7 +87,8 @@ type stripe[V any] struct {
 }
 
 // NewTable returns an empty table. Every stripe's first segment comes
-// from one allocation.
+// from one allocation. Runs take their table from a TablePool, which
+// calls NewTable only when it holds none.
 func NewTable[V any]() *Table[V] {
 	t := &Table[V]{}
 	first := make([]slot[V], tableStripes*segMin)
@@ -88,6 +97,45 @@ func NewTable[V any]() *Table[V] {
 		t.stripes[i].mask = segMin - 1
 	}
 	return t
+}
+
+// TablePool recycles tables across runs. The zero value is ready to use;
+// an engine keeps one per value type. A table idle in the pool is
+// released by the garbage collector like any sync.Pool item.
+type TablePool[V any] struct{ p sync.Pool }
+
+// Get returns an empty table: a recycled one when the pool holds one,
+// otherwise a new one.
+func (p *TablePool[V]) Get() *Table[V] {
+	if t, ok := p.p.Get().(*Table[V]); ok {
+		return t
+	}
+	return NewTable[V]()
+}
+
+// Put empties t and keeps it for the next Get. Call it once no worker
+// can touch t again; t must not be used after.
+func (p *TablePool[V]) Put(t *Table[V]) {
+	t.reset()
+	p.p.Put(t)
+}
+
+// reset empties t back to NewTable's layout. It clears the segments the
+// last run used and keeps them for grow to reuse, drops any segment
+// beyond them (one an earlier, larger run grew), so a pooled table holds
+// at most its last run's layout, and drops the scratch buffer, so Bytes
+// stays a function of the run.
+func (t *Table[V]) reset() {
+	for i := range t.stripes {
+		s := &t.stripes[i]
+		n := len(s.segments())
+		for _, seg := range s.segs[:n] {
+			clear(seg)
+		}
+		clear(s.segs[n:])
+		s.mask, s.used = segMin-1, 0
+	}
+	t.scratch = nil
 }
 
 func (t *Table[V]) stripe(state [16]byte) *stripe[V] {
@@ -175,6 +223,29 @@ func (t *Table[V]) Bytes() int {
 	slots += cap(t.scratch)
 	t.growMu.Unlock()
 	return slots * int(unsafe.Sizeof(slot[V]{}))
+}
+
+// ProbeMax is the longest distance from a live slot to its home index:
+// the most slots a probe for a claimed pair steps over before it finds
+// the pair. It walks every slot.
+func (t *Table[V]) ProbeMax() int {
+	var longest uint64
+	for i := range t.stripes {
+		s := &t.stripes[i]
+		s.mu.Lock()
+		var at uint64 // the logical index of the slot: segments are contiguous
+		for _, seg := range s.segments() {
+			for _, sl := range seg {
+				if sl.budget != 0 {
+					home := binary.LittleEndian.Uint64(sl.state[8:16]) & s.mask
+					longest = max(longest, (at-home)&s.mask)
+				}
+				at++
+			}
+		}
+		s.mu.Unlock()
+	}
+	return int(longest)
 }
 
 // Export drains the table into checkpoint entries; fill, when non-nil,
@@ -267,7 +338,10 @@ func (t *Table[V]) insert(s *stripe[V], sl *slot[V], state [16]byte, b int32, v 
 
 // grow doubles s: it stages the live slots in index order in the shared
 // scratch buffer, clears the segments, adds one segment as large as the
-// current capacity and re-inserts. Called with the stripe lock held.
+// current capacity and re-inserts. The added segment is one an earlier
+// run of a recycled table left allocated, when there is one: reset
+// cleared it and no probe of this run has reached it, so it is still
+// zero. Called with the stripe lock held.
 func (t *Table[V]) grow(s *stripe[V]) {
 	t.growMu.Lock()
 	defer t.growMu.Unlock()
@@ -285,7 +359,9 @@ func (t *Table[V]) grow(s *stripe[V]) {
 		}
 		clear(seg)
 	}
-	s.segs[len(segs)] = make([]slot[V], s.capacity())
+	if s.segs[len(segs)] == nil {
+		s.segs[len(segs)] = make([]slot[V], s.capacity())
+	}
 	s.mask = s.mask<<1 | 1
 	for _, o := range live {
 		*s.probe(o.state, o.budget) = o

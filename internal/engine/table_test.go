@@ -195,7 +195,9 @@ func TestTableBytesBound(t *testing.T) {
 }
 
 // TestTableGauges: a telemetry run of a pool that watches a table
-// reports its entries and bytes on the table gauges when Drive returns.
+// reports its entries, bytes and longest probe on the table gauges when
+// Drive returns. The longest probe is recounted here by stepping each
+// pair's probe from its home slot.
 func TestTableGauges(t *testing.T) {
 	reg := telemetry.New()
 	p := NewPool(checkpoint.KindExplore, 1, reg, nil)
@@ -207,12 +209,29 @@ func TestTableGauges(t *testing.T) {
 		}
 		return nil
 	})
+	probeMax := 0
+	for i := 0; i < 5000; i++ {
+		st := stateOf(i)
+		s := tab.stripe(st)
+		steps := 0
+		for j := binary.LittleEndian.Uint64(st[8:16]); ; j++ {
+			if sl := s.at(j & s.mask); sl.state == st && sl.budget == int32(i%2)+1 {
+				break
+			}
+			steps++
+		}
+		probeMax = max(probeMax, steps)
+	}
 	want := map[string]int64{
-		"repro_engine_table_entries": int64(tab.Len()),
-		"repro_engine_table_bytes":   int64(tab.Bytes()),
+		"repro_engine_table_entries":   int64(tab.Len()),
+		"repro_engine_table_bytes":     int64(tab.Bytes()),
+		"repro_engine_table_probe_max": int64(probeMax),
 	}
 	if want["repro_engine_table_entries"] != 5000 {
 		t.Fatalf("Len = %d, want 5000", tab.Len())
+	}
+	if probeMax == 0 || tab.ProbeMax() != probeMax {
+		t.Fatalf("ProbeMax = %d, recounted %d (want it above 0 for 5000 pairs)", tab.ProbeMax(), probeMax)
 	}
 	seen := 0
 	for _, m := range reg.Gather() {
@@ -226,6 +245,97 @@ func TestTableGauges(t *testing.T) {
 	if seen != len(want) {
 		t.Fatalf("gathered %d of the %d table gauges", seen, len(want))
 	}
+}
+
+// layout is the number of segments each stripe's capacity spans.
+func layout[V any](tab *Table[V]) (n [tableStripes]int) {
+	for i := range tab.stripes {
+		n[i] = len(tab.stripes[i].segments())
+	}
+	return n
+}
+
+// TestPutKeepsLastLayout: Put empties a table to NewTable's layout and
+// keeps exactly the segments its last run grew, all zero. After a large
+// run followed by a small one, the pooled table holds no segment beyond
+// the small run's layout, and no scratch buffer.
+func TestPutKeepsLastLayout(t *testing.T) {
+	var pool TablePool[int32]
+	tab := NewTable[int32]()
+	check := func(run string, want [tableStripes]int) {
+		t.Helper()
+		if tab.scratch != nil {
+			t.Fatalf("after the %s run: the pooled table keeps a scratch buffer of %d slots", run, cap(tab.scratch))
+		}
+		if tab.Len() != 0 || tab.Bytes() != NewTable[int32]().Bytes() {
+			t.Fatalf("after the %s run: Len %d, Bytes %d; want an empty table's", run, tab.Len(), tab.Bytes())
+		}
+		for i := range tab.stripes {
+			s := &tab.stripes[i]
+			for k, seg := range s.segs {
+				if (seg != nil) != (k < want[i]) {
+					t.Fatalf("after the %s run: stripe %d segment %d allocated = %v, want the %d segments of the run's layout", run, i, k, seg != nil, want[i])
+				}
+				for j := range seg {
+					if seg[j].budget != 0 {
+						t.Fatalf("after the %s run: stripe %d segment %d slot %d still holds a pair", run, i, k, j)
+					}
+				}
+			}
+		}
+	}
+	for i := 0; i < 100_000; i++ {
+		tab.Claim(stateOf(i), i%5, int32(i))
+	}
+	large := layout(tab)
+	// The pool is the test's own, so after Put the table is still only
+	// the test's to inspect and to use again.
+	pool.Put(tab)
+	check("large", large)
+	for i := 0; i < 3000; i++ {
+		tab.Claim(stateOf(i), i%5, int32(i))
+	}
+	small := layout(tab)
+	if small == large {
+		t.Fatal("the small run reached the large run's layout; the test needs fewer claims")
+	}
+	pool.Put(tab)
+	check("small", small)
+}
+
+// TestTablePoolConcurrent: goroutines sharing a pool each get an empty
+// table, fill it to a size of their own and put it back, round after
+// round, so tables pass between goroutines and between layouts.
+func TestTablePoolConcurrent(t *testing.T) {
+	const goroutines, rounds = 4, 20
+	var pool TablePool[int32]
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				tab := pool.Get()
+				if tab.Len() != 0 {
+					t.Errorf("goroutine %d round %d: got a table holding %d pairs", g, r, tab.Len())
+					return
+				}
+				n := 500 * (1 + (g+r)%5)
+				for i := 0; i < n; i++ {
+					if _, won := tab.Claim(stateOf(i), g, int32(r)); !won {
+						t.Errorf("goroutine %d round %d: fresh pair %d lost", g, r, i)
+						return
+					}
+				}
+				if tab.Len() != n {
+					t.Errorf("goroutine %d round %d: Len %d, want %d", g, r, tab.Len(), n)
+					return
+				}
+				pool.Put(tab)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestPreloadRejectsBudget: a budget the int32 slot cannot hold (or the
@@ -254,65 +364,87 @@ func fuzzState(k uint16) [16]byte {
 	return s
 }
 
-// FuzzTable runs random claim, lookup and locked-update sequences
-// against a map oracle, then checks Len, Bytes and an Export→Preload
-// round trip. Each op is five bytes: kind, key (two), budget and value.
-// The bulk op claims 64 consecutive keys, so short inputs still grow
-// stripes through several segments.
+// fuzzKey is a fuzzed pair: the key and the budget.
+type fuzzKey struct {
+	k uint16
+	b int
+}
+
+// fuzzOps runs a FuzzTable op sequence on tab against a map oracle and
+// returns the oracle. Each op is five bytes: kind, key (two), budget and
+// value. The bulk op claims 64 consecutive keys, so short inputs still
+// grow stripes through several segments.
+func fuzzOps(t *testing.T, tab *Table[int32], ops []byte) map[fuzzKey]int32 {
+	t.Helper()
+	oracle := map[fuzzKey]int32{}
+	claim := func(k uint16, b int, v int32) {
+		got, won := tab.Claim(fuzzState(k), b, v)
+		want, had := oracle[fuzzKey{k, b}]
+		switch {
+		case won == had:
+			t.Fatalf("claim (%d, %d): won = %v with the pair already claimed = %v", k, b, won, had)
+		case had && got != want:
+			t.Fatalf("claim (%d, %d) lost to %d, want %d", k, b, got, want)
+		case !had:
+			oracle[fuzzKey{k, b}] = v
+		}
+	}
+	for ; len(ops) >= 5; ops = ops[5:] {
+		k := binary.LittleEndian.Uint16(ops[1:3])
+		b, v := int(ops[3]%4), int32(ops[4])
+		switch ops[0] % 4 {
+		case 0:
+			claim(k, b, v)
+		case 1:
+			got, ok := tab.Lookup(fuzzState(k), b)
+			want, had := oracle[fuzzKey{k, b}]
+			if ok != had || got != want {
+				t.Fatalf("lookup (%d, %d) = %d, %v; want %d, %v", k, b, got, ok, want, had)
+			}
+		case 2:
+			st := fuzzState(k)
+			mu := tab.Mutex(st)
+			mu.Lock()
+			p := tab.FindLocked(st, b)
+			if _, had := oracle[fuzzKey{k, b}]; (p != nil) != had {
+				mu.Unlock()
+				t.Fatalf("find (%d, %d) = %v, want present %v", k, b, p != nil, had)
+			}
+			if p != nil {
+				*p = v
+				oracle[fuzzKey{k, b}] = v
+			}
+			mu.Unlock()
+		case 3:
+			for i := uint16(0); i < 64; i++ {
+				claim(k+i, b, v)
+			}
+		}
+	}
+	return oracle
+}
+
+// FuzzTable runs random claim, lookup and locked-update sequences (see
+// fuzzOps) against a map oracle, then checks Len, Bytes and an
+// Export→Preload round trip. Its reset arm then puts the table in a
+// pool, gets it back and replays the first half of the ops and then all
+// of them, each on the recycled table and on a NewTable: the two must
+// agree on Len, Bytes and Export order, entry for entry.
 func FuzzTable(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 3, 0, 1, 0, 1, 1, 2, 9, 0, 1, 2, 3})
 	f.Add([]byte{3, 0, 0, 1, 3, 64, 0, 1, 3, 128, 0, 1, 3, 192, 0, 2, 2, 5, 0, 1, 1, 70, 0, 1})
+	// Sixteen bulk claims, 1,024 pairs over three stripes: each grows
+	// through three doublings, the first half of the ops through two.
+	var grow []byte
+	for i := 0; i < 16; i++ {
+		grow = binary.LittleEndian.AppendUint16(append(grow, 3), uint16(64*i))
+		grow = append(grow, 0, byte(i))
+	}
+	f.Add(grow)
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		type key struct {
-			k uint16
-			b int
-		}
-		tab := NewTable[int32]()
-		oracle := map[key]int32{}
-		claim := func(k uint16, b int, v int32) {
-			got, won := tab.Claim(fuzzState(k), b, v)
-			want, had := oracle[key{k, b}]
-			switch {
-			case won == had:
-				t.Fatalf("claim (%d, %d): won = %v with the pair already claimed = %v", k, b, won, had)
-			case had && got != want:
-				t.Fatalf("claim (%d, %d) lost to %d, want %d", k, b, got, want)
-			case !had:
-				oracle[key{k, b}] = v
-			}
-		}
-		for ; len(ops) >= 5; ops = ops[5:] {
-			k := binary.LittleEndian.Uint16(ops[1:3])
-			b, v := int(ops[3]%4), int32(ops[4])
-			switch ops[0] % 4 {
-			case 0:
-				claim(k, b, v)
-			case 1:
-				got, ok := tab.Lookup(fuzzState(k), b)
-				want, had := oracle[key{k, b}]
-				if ok != had || got != want {
-					t.Fatalf("lookup (%d, %d) = %d, %v; want %d, %v", k, b, got, ok, want, had)
-				}
-			case 2:
-				st := fuzzState(k)
-				mu := tab.Mutex(st)
-				mu.Lock()
-				p := tab.FindLocked(st, b)
-				if _, had := oracle[key{k, b}]; (p != nil) != had {
-					mu.Unlock()
-					t.Fatalf("find (%d, %d) = %v, want present %v", k, b, p != nil, had)
-				}
-				if p != nil {
-					*p = v
-					oracle[key{k, b}] = v
-				}
-				mu.Unlock()
-			case 3:
-				for i := uint16(0); i < 64; i++ {
-					claim(k+i, b, v)
-				}
-			}
-		}
+		var pool TablePool[int32]
+		tab := pool.Get()
+		oracle := fuzzOps(t, tab, ops)
 		if tab.Len() != len(oracle) {
 			t.Fatalf("Len = %d, want %d", tab.Len(), len(oracle))
 		}
@@ -340,6 +472,28 @@ func FuzzTable(f *testing.F) {
 		for i := range src.Entries {
 			if again.Entries[i] != src.Entries[i] {
 				t.Fatalf("re-export entry %d = %+v, want %+v", i, again.Entries[i], src.Entries[i])
+			}
+		}
+
+		// The reset arm: a recycled table behaves as a fresh one.
+		for _, replay := range [][]byte{ops[:len(ops)/10*5], ops} {
+			pool.Put(tab)
+			tab = pool.Get()
+			fuzzOps(t, tab, replay)
+			fresh := NewTable[int32]()
+			fuzzOps(t, fresh, replay)
+			if tab.Len() != fresh.Len() || tab.Bytes() != fresh.Bytes() {
+				t.Fatalf("replaying %d ops: recycled Len %d, Bytes %d; fresh Len %d, Bytes %d",
+					len(replay)/5, tab.Len(), tab.Bytes(), fresh.Len(), fresh.Bytes())
+			}
+			got, want := tab.Export(fill), fresh.Export(fill)
+			if len(got) != len(want) {
+				t.Fatalf("replaying %d ops: recycled export holds %d entries, fresh %d", len(replay)/5, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("replaying %d ops: recycled export entry %d = %+v, fresh %+v", len(replay)/5, i, got[i], want[i])
+				}
 			}
 		}
 	})

@@ -86,6 +86,7 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 	d := engine.ClampShardDepth(ck.ShardDepth, cfg.MaxDepth)
 
 	s := newSearch(cfg, engine.NewPool(checkpoint.KindExplore, 1, nil, nil), dedup)
+	defer s.release()
 	w, err := newSearcher(s, 0, reduce)
 	if err != nil {
 		return nil, err

@@ -199,14 +199,27 @@ func engineOf(dedup, reduce bool) Engine {
 	return EngineBacktrack
 }
 
-// newSearch sets up the shared state of a backtracking run.
+// claimTables recycles claim tables across explorations.
+var claimTables engine.TablePool[struct{}]
+
+// newSearch sets up the shared state of a backtracking run, with a
+// claim table from claimTables when dedup is on; the caller returns it
+// with release once the run is done.
 func newSearch(cfg Config, pool *engine.Pool, dedup bool) *search {
 	s := &search{Pool: pool, cfg: cfg}
 	if dedup {
-		s.table = engine.NewTable[struct{}]()
+		s.table = claimTables.Get()
 		pool.WatchTable(s.table)
 	}
 	return s
+}
+
+// release returns the claim table, if any, to claimTables. Call it after
+// the last export and the gauges, once every worker has joined.
+func (s *search) release() {
+	if s.table != nil {
+		claimTables.Put(s.table)
+	}
 }
 
 // result folds merged counters into a Result.
@@ -228,6 +241,7 @@ func result(eng Engine, workers int, c checkpoint.Counters) *Result {
 // sequential DFS with no pool and no locks on the hot path). Results are identical for every worker count.
 func runBacktrack(cfg Config, dedup, reduce bool) (*Result, error) {
 	s := newSearch(cfg, engine.NewPool(checkpoint.KindExplore, cfg.Workers, cfg.Telemetry, nil), dedup || reduce)
+	defer s.release()
 	searchers := make([]*searcher, cfg.Workers)
 	for i := range searchers {
 		w, err := newSearcher(s, i, reduce)

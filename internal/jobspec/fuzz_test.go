@@ -22,6 +22,7 @@ func FuzzSpec(f *testing.F) {
 		`{"kind":"worstcase","model":"cc-wb","reduce":true,"faults":2,"faultKinds":"crash","faultVol":"owned"}`,
 		`{"kind":"worstcase","alg":"leader-blocking"}`,
 		`{"kind":"explore","waiters":9223372036854775807,"polls":9223372036854775807}`,
+		`{"kind":"worstcase","workers":1000000000}`,
 		`{"kind":"worstcase","mode":"walk","model":"tso"}`,
 		`{"kind":"nope"}`,
 	} {

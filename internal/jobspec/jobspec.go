@@ -58,8 +58,8 @@ type Spec struct {
 	// run EngineBacktrackDedupPOR, worstcase jobs set search Config.Reduce
 	// (exhaustive mode only; cost-safety is capability-gated by the model).
 	Reduce bool `json:"reduce,omitempty"`
-	// Workers overrides the worker count (0 = one per core). Results are
-	// identical for every value.
+	// Workers overrides the worker count (0 = one per core), at most
+	// maxWorkers. Results are identical for every value.
 	Workers int `json:"workers,omitempty"`
 	// Faults bounds the fault dimension of the schedule space: up to
 	// Faults crash/lost-CAS choice points per schedule. Zero (the
@@ -78,10 +78,14 @@ type Spec struct {
 
 // The largest workload shape a spec may ask for. A machine holds at most
 // 64 processes (waiters plus two), the width of the engines' process
-// masks; the poll cap keeps a spec's compiled scripts small.
+// masks; the poll cap keeps a spec's compiled scripts small. The worker
+// cap bounds what a run sets up per worker before any work (a pricer or
+// monitor each, and a goroutine), far above any core count a job gains
+// from.
 const (
 	maxWaiters = 62
 	maxPolls   = 1 << 16
+	maxWorkers = 256
 )
 
 // Normalize validates s and fills every defaulted field in place. It is
@@ -115,6 +119,9 @@ func (s *Spec) Normalize() error {
 		return errs.Failuref(errs.CodeInvalid,
 			"jobspec: at most %d waiters and %d polls per waiter, got %d and %d",
 			maxWaiters, maxPolls, s.Waiters, s.Polls)
+	}
+	if s.Workers > maxWorkers {
+		return errs.Failuref(errs.CodeInvalid, "jobspec: at most %d workers, got %d", maxWorkers, s.Workers)
 	}
 	if s.Depth <= 0 {
 		s.Depth = 10

@@ -46,6 +46,28 @@ func TestNormalizeRejects(t *testing.T) {
 	}
 }
 
+// TestWorkersCapped: a spec asking for more than 256 workers fails to
+// compile with an invalid-input Failure, so no run is set up and no
+// worker starts; 256 compiles.
+func TestWorkersCapped(t *testing.T) {
+	for _, kind := range []string{jobspec.KindExplore, jobspec.KindWorstcase} {
+		for _, workers := range []int{257, 1_000_000_000} {
+			s := jobspec.Spec{Kind: kind, Workers: workers}
+			_, eerr := s.ExploreConfig()
+			_, serr := s.SearchConfig()
+			for _, err := range []error{eerr, serr} {
+				if !errs.IsFailure(err) || errs.CodeOf(err) != errs.CodeInvalid {
+					t.Fatalf("%s spec with %d workers: got %v, want an invalid Failure", kind, workers, err)
+				}
+			}
+		}
+		s := jobspec.Spec{Kind: kind, Workers: 256}
+		if err := s.Normalize(); err != nil {
+			t.Fatalf("%s spec with 256 workers: %v", kind, err)
+		}
+	}
+}
+
 // TestScriptsShape: the canonical workload shape every surface shares.
 func TestScriptsShape(t *testing.T) {
 	s := &jobspec.Spec{Kind: jobspec.KindExplore, Waiters: 3, Polls: 2}

@@ -211,6 +211,10 @@ func TestErrorMapping(t *testing.T) {
 		jobspec.Spec{Kind: jobspec.KindExplore, Alg: "leader"}, nil); code != http.StatusBadRequest {
 		t.Fatalf("non-polling alg: status %d, want 400", code)
 	}
+	if code := postJSON(t, ts.URL+"/api/v1/jobs",
+		jobspec.Spec{Kind: jobspec.KindWorstcase, Workers: 1_000_000_000}, nil); code != http.StatusBadRequest {
+		t.Fatalf("a billion workers: status %d, want 400", code)
+	}
 	if code := getJSON(t, ts.URL+"/api/v1/jobs/j99", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown job: status %d, want 404", code)
 	}

@@ -100,8 +100,14 @@ type bnb struct {
 	rootSet  bool
 }
 
+// memoTables recycles memo tables across searches.
+var memoTables engine.TablePool[memo]
+
+// newBnb sets up a search on a table from memoTables. The caller puts
+// the table back after its last read: the witness descent, the final
+// export and the gauges.
 func newBnb(cfg Config) *bnb {
-	return &bnb{cfg: cfg, table: engine.NewTable[memo]()}
+	return &bnb{cfg: cfg, table: memoTables.Get()}
 }
 
 // arrive claims (state, budget) for a visit. won reports that the
@@ -463,6 +469,7 @@ func (w *hunter) reconstructWitness(rootCost int) ([]int, error) {
 // identical for every worker count.
 func runExhaustive(cfg Config) (*Result, error) {
 	s := newBnb(cfg)
+	defer memoTables.Put(s.table)
 	pool := engine.NewPool(checkpoint.KindSearch, cfg.Workers, cfg.Telemetry, cfg.Meter)
 	pool.WatchTable(s.table)
 	hunters := make([]*hunter, cfg.Workers)

@@ -36,9 +36,10 @@ type UnitResult struct {
 	Counters checkpoint.Counters `json:"counters"`
 }
 
-// ComputeUnit computes one unit against a fresh private table. The
-// prefix must name an internal node (ExpandUnits only emits those);
-// handing it a leaf is a coordinator bug.
+// ComputeUnit computes one unit against a private table, empty as a
+// fresh one: a worker computing many units recycles one table across
+// them. The prefix must name an internal node (ExpandUnits only emits
+// those); handing it a leaf is a coordinator bug.
 func ComputeUnit(cfg Config, prefix []int) (*UnitResult, error) {
 	cfg, err := normalize(cfg)
 	if err != nil {
@@ -47,7 +48,9 @@ func ComputeUnit(cfg Config, prefix []int) (*UnitResult, error) {
 	if cfg.Mode != ModeExhaustive {
 		return nil, errs.Failure(errs.CodeInvalid, "search: only exhaustive mode shards")
 	}
-	w, err := newHunter(newBnb(cfg), engine.NewPool(checkpoint.KindSearch, 1, nil, nil), 0)
+	s := newBnb(cfg)
+	defer memoTables.Put(s.table)
+	w, err := newHunter(s, engine.NewPool(checkpoint.KindSearch, 1, nil, nil), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -111,6 +114,7 @@ func MergeShardedState(cfg Config, entries []checkpoint.Entry, counters checkpoi
 		return nil, err
 	}
 	s := newBnb(cfg)
+	defer memoTables.Put(s.table)
 	if err := s.preload(entries); err != nil {
 		return nil, err
 	}
