@@ -53,8 +53,13 @@ import (
 type Table[V any] struct {
 	stripes [tableStripes]stripe[V]
 
-	growMu  sync.Mutex // guards scratch; taken under a stripe lock
+	growMu  sync.Mutex // guards scratch and scratchRun; taken under a stripe lock
 	scratch []slot[V]  // a growing stripe's live slots, reused by every stripe
+	// scratchRun is the capacity, in slots, the scratch buffer of a table
+	// new to this run would have grown to: what Bytes counts, so Bytes
+	// stays a function of the run while a recycled table keeps a larger
+	// buffer from an earlier run.
+	scratchRun int
 }
 
 // tableStripes only needs to comfortably exceed any plausible worker
@@ -121,10 +126,10 @@ func (p *TablePool[V]) Put(t *Table[V]) {
 }
 
 // reset empties t back to NewTable's layout. It clears the segments the
-// last run used and keeps them for grow to reuse, drops any segment
+// last run used and keeps them for grow to reuse, and drops any segment
 // beyond them (one an earlier, larger run grew), so a pooled table holds
-// at most its last run's layout, and drops the scratch buffer, so Bytes
-// stays a function of the run.
+// at most its last run's layout. The scratch buffer is cleared and kept;
+// the run's scratch count restarts at zero.
 func (t *Table[V]) reset() {
 	for i := range t.stripes {
 		s := &t.stripes[i]
@@ -135,7 +140,8 @@ func (t *Table[V]) reset() {
 		clear(s.segs[n:])
 		s.mask, s.used = segMin-1, 0
 	}
-	t.scratch = nil
+	clear(t.scratch[:cap(t.scratch)])
+	t.scratchRun = 0
 }
 
 func (t *Table[V]) stripe(state [16]byte) *stripe[V] {
@@ -209,8 +215,8 @@ func (t *Table[V]) Len() int {
 	return n
 }
 
-// Bytes is the table's slot storage: every allocated segment plus the
-// shared scratch buffer.
+// Bytes is the table's slot storage: every segment of the run's layout
+// plus the scratch buffer a table new to the run would hold.
 func (t *Table[V]) Bytes() int {
 	slots := 0
 	for i := range t.stripes {
@@ -220,7 +226,7 @@ func (t *Table[V]) Bytes() int {
 		s.mu.Unlock()
 	}
 	t.growMu.Lock()
-	slots += cap(t.scratch)
+	slots += t.scratchRun
 	t.growMu.Unlock()
 	return slots * int(unsafe.Sizeof(slot[V]{}))
 }
@@ -338,15 +344,19 @@ func (t *Table[V]) insert(s *stripe[V], sl *slot[V], state [16]byte, b int32, v 
 
 // grow doubles s: it stages the live slots in index order in the shared
 // scratch buffer, clears the segments, adds one segment as large as the
-// current capacity and re-inserts. The added segment is one an earlier
+// current capacity and re-inserts. The buffer is reallocated only when it
+// is too small, which a buffer kept from an earlier run may not be. The added segment is one an earlier
 // run of a recycled table left allocated, when there is one: reset
 // cleared it and no probe of this run has reached it, so it is still
 // zero. Called with the stripe lock held.
 func (t *Table[V]) grow(s *stripe[V]) {
 	t.growMu.Lock()
 	defer t.growMu.Unlock()
+	// Twice the capacity covers this doubling and the next one.
+	if t.scratchRun < s.used {
+		t.scratchRun = 2 * s.capacity()
+	}
 	if cap(t.scratch) < s.used {
-		// Twice the capacity covers this doubling and the next one.
 		t.scratch = make([]slot[V], 0, 2*s.capacity())
 	}
 	live := t.scratch[:0]

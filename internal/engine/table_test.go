@@ -258,14 +258,20 @@ func layout[V any](tab *Table[V]) (n [tableStripes]int) {
 // TestPutKeepsLastLayout: Put empties a table to NewTable's layout and
 // keeps exactly the segments its last run grew, all zero. After a large
 // run followed by a small one, the pooled table holds no segment beyond
-// the small run's layout, and no scratch buffer.
+// the small run's layout. The scratch buffer is kept for the next run,
+// all zero, and Bytes no longer counts it.
 func TestPutKeepsLastLayout(t *testing.T) {
 	var pool TablePool[int32]
 	tab := NewTable[int32]()
 	check := func(run string, want [tableStripes]int) {
 		t.Helper()
-		if tab.scratch != nil {
-			t.Fatalf("after the %s run: the pooled table keeps a scratch buffer of %d slots", run, cap(tab.scratch))
+		if tab.scratch == nil {
+			t.Fatalf("after the %s run: the pooled table dropped its scratch buffer", run)
+		}
+		for j, sl := range tab.scratch[:cap(tab.scratch)] {
+			if sl != (slot[int32]{}) {
+				t.Fatalf("after the %s run: scratch slot %d still holds a pair", run, j)
+			}
 		}
 		if tab.Len() != 0 || tab.Bytes() != NewTable[int32]().Bytes() {
 			t.Fatalf("after the %s run: Len %d, Bytes %d; want an empty table's", run, tab.Len(), tab.Bytes())
@@ -301,6 +307,30 @@ func TestPutKeepsLastLayout(t *testing.T) {
 	}
 	pool.Put(tab)
 	check("small", small)
+}
+
+// TestRecycledRunAllocatesNothing: a table emptied by Put's reset and
+// filled again to the same layout reuses both its segments and its
+// scratch buffer, so the second run allocates nothing, and its Bytes
+// still match a fresh table's after the same claims.
+func TestRecycledRunAllocatesNothing(t *testing.T) {
+	fill := func(tab *Table[int32]) {
+		for i := 0; i < 20_000; i++ {
+			tab.Claim(stateOf(i), i%5, int32(i))
+		}
+	}
+	fresh := NewTable[int32]()
+	fill(fresh)
+	tab := NewTable[int32]()
+	// AllocsPerRun fills the table once to warm up, then reports the
+	// mean over the measured refills.
+	if allocs := testing.AllocsPerRun(5, func() { tab.reset(); fill(tab) }); allocs != 0 {
+		t.Fatalf("a recycled run allocated %v times, want 0", allocs)
+	}
+	if tab.Bytes() != fresh.Bytes() || tab.Len() != fresh.Len() {
+		t.Fatalf("recycled table: Len %d, Bytes %d; fresh: Len %d, Bytes %d",
+			tab.Len(), tab.Bytes(), fresh.Len(), fresh.Bytes())
+	}
 }
 
 // TestTablePoolConcurrent: goroutines sharing a pool each get an empty

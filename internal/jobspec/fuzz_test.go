@@ -23,6 +23,8 @@ func FuzzSpec(f *testing.F) {
 		`{"kind":"worstcase","alg":"leader-blocking"}`,
 		`{"kind":"explore","waiters":9223372036854775807,"polls":9223372036854775807}`,
 		`{"kind":"worstcase","workers":1000000000}`,
+		`{"kind":"explore","depth":65}`,
+		`{"kind":"worstcase","mode":"sample","depth":64,"walks":65537}`,
 		`{"kind":"worstcase","mode":"walk","model":"tso"}`,
 		`{"kind":"nope"}`,
 	} {

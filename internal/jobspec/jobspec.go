@@ -39,7 +39,7 @@ type Spec struct {
 	// N = Waiters+2. Defaults 2 and 2.
 	Waiters int `json:"waiters,omitempty"`
 	Polls   int `json:"polls,omitempty"`
-	// Depth bounds the schedule depth; default 10.
+	// Depth bounds the schedule depth; default 10, at most maxDepth.
 	Depth int `json:"depth,omitempty"`
 	// Model is the worst-case cost model (dsm, cc, cc-wb, cc-dir-ideal);
 	// default "dsm". Worstcase only.
@@ -47,7 +47,8 @@ type Spec struct {
 	// Mode is "exhaustive" or "sample"; default "exhaustive". Worstcase
 	// only.
 	Mode string `json:"mode,omitempty"`
-	// Seed and Walks parameterize sample mode; defaults 1 and 512.
+	// Seed and Walks parameterize sample mode; defaults 1 and 512, at
+	// most maxWalks walks.
 	Seed  int64 `json:"seed,omitempty"`
 	Walks int   `json:"walks,omitempty"`
 	// Dedup selects the explorer engine; nil means true (backtracking
@@ -81,11 +82,18 @@ type Spec struct {
 // masks; the poll cap keeps a spec's compiled scripts small. The worker
 // cap bounds what a run sets up per worker before any work (a pricer or
 // monitor each, and a goroutine), far above any core count a job gains
-// from.
+// from. The depth cap bounds the schedule length, hence a sample walk's
+// steps and an exhaustive run's recursion; 64 is well past the deepest
+// exhaustive run that finishes (about 24) and admits sample runs at
+// depth 40. The walk cap bounds sample mode's per-walk result arrays,
+// which a run allocates up front, and its time: 65,536 walks of 64
+// choices each stay a few million steps.
 const (
 	maxWaiters = 62
 	maxPolls   = 1 << 16
 	maxWorkers = 256
+	maxDepth   = 64
+	maxWalks   = 1 << 16
 )
 
 // Normalize validates s and fills every defaulted field in place. It is
@@ -125,6 +133,9 @@ func (s *Spec) Normalize() error {
 	}
 	if s.Depth <= 0 {
 		s.Depth = 10
+	}
+	if s.Depth > maxDepth {
+		return errs.Failuref(errs.CodeInvalid, "jobspec: depth at most %d, got %d", maxDepth, s.Depth)
 	}
 	if s.Faults < 0 {
 		return errs.Failuref(errs.CodeInvalid, "jobspec: faults must be >= 0, got %d", s.Faults)
@@ -174,6 +185,9 @@ func (s *Spec) Normalize() error {
 		}
 		if s.Walks <= 0 {
 			s.Walks = 512
+		}
+		if s.Walks > maxWalks {
+			return errs.Failuref(errs.CodeInvalid, "jobspec: at most %d walks, got %d", maxWalks, s.Walks)
 		}
 	}
 	return nil

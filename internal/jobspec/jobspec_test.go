@@ -68,6 +68,34 @@ func TestWorkersCapped(t *testing.T) {
 	}
 }
 
+// TestDepthAndWalksCapped: a depth above 64, or more than 65,536 sample
+// walks, fails to compile with an invalid-input Failure; the caps
+// themselves compile.
+func TestDepthAndWalksCapped(t *testing.T) {
+	for _, kind := range []string{jobspec.KindExplore, jobspec.KindWorstcase} {
+		s := jobspec.Spec{Kind: kind, Depth: 64}
+		if err := s.Normalize(); err != nil {
+			t.Fatalf("%s spec at depth 64: %v", kind, err)
+		}
+		for _, depth := range []int{65, 1_000_000_000} {
+			s := jobspec.Spec{Kind: kind, Depth: depth}
+			if err := s.Normalize(); !errs.IsFailure(err) || errs.CodeOf(err) != errs.CodeInvalid {
+				t.Fatalf("%s spec at depth %d: got %v, want an invalid Failure", kind, depth, err)
+			}
+		}
+	}
+	s := jobspec.Spec{Kind: jobspec.KindWorstcase, Mode: "sample", Walks: 1 << 16}
+	if _, err := s.SearchConfig(); err != nil {
+		t.Fatalf("sample spec with 65536 walks: %v", err)
+	}
+	for _, walks := range []int{1<<16 + 1, 1_000_000_000} {
+		s := jobspec.Spec{Kind: jobspec.KindWorstcase, Mode: "sample", Walks: walks}
+		if _, err := s.SearchConfig(); !errs.IsFailure(err) || errs.CodeOf(err) != errs.CodeInvalid {
+			t.Fatalf("sample spec with %d walks: got %v, want an invalid Failure", walks, err)
+		}
+	}
+}
+
 // TestScriptsShape: the canonical workload shape every surface shares.
 func TestScriptsShape(t *testing.T) {
 	s := &jobspec.Spec{Kind: jobspec.KindExplore, Waiters: 3, Polls: 2}

@@ -1,7 +1,9 @@
 package lowerbound
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"sort"
 
 	"repro/internal/memsim"
@@ -44,9 +46,14 @@ type builder struct {
 	cfg  Config
 	n    int
 	exec *memsim.Execution
+	// led is exec's ledger: the running quantities the construction reads
+	// from the history, which exec retains only under VerifyErasures.
+	led *ledger
 	// spare is a second deployment that erase rewinds and replays onto;
-	// the two executions then trade places. Nil until the first erasure.
-	spare *memsim.Execution
+	// the two executions, and their ledgers, then trade places. Nil until
+	// the first erasure; certificate replays the final history onto it.
+	spare    *memsim.Execution
+	spareLed *ledger
 	// erasing marks, by PID, the victims of the erasure in progress.
 	erasing  []bool
 	active   map[memsim.PID]bool
@@ -63,15 +70,37 @@ type builder struct {
 
 const stabilityWindow = 6
 
+// newBuilder validates cfg, fills its defaults and deploys the live
+// execution.
 func newBuilder(cfg Config) (*builder, error) {
+	if cfg.Algorithm.New == nil {
+		return nil, errors.New("lowerbound: config requires an algorithm")
+	}
+	if cfg.N < 4 {
+		return nil, fmt.Errorf("lowerbound: need at least 4 processes, got %d", cfg.N)
+	}
+	if cfg.C < 1 {
+		cfg.C = 1
+	}
+	if cfg.Rounds == 0 {
+		cfg.Rounds = cfg.C
+	}
+	if cfg.SoloBudget == 0 {
+		cfg.SoloBudget = 64*cfg.N + 256
+	}
+	if cfg.Log == nil {
+		cfg.Log = io.Discard
+	}
 	exec, err := cfg.Algorithm.Deploy(cfg.N)
 	if err != nil {
 		return nil, err
 	}
+	exec.RetainEvents(cfg.VerifyErasures)
 	b := &builder{
 		cfg:      cfg,
 		n:        cfg.N,
 		exec:     exec,
+		led:      attachLedger(exec),
 		erasing:  make([]bool, cfg.N),
 		active:   make(map[memsim.PID]bool, cfg.N),
 		finished: make(map[memsim.PID]bool),
@@ -107,29 +136,6 @@ func (b *builder) isRemote(pid memsim.PID, a memsim.Addr) bool {
 	return b.exec.Machine().Owner(a) != pid
 }
 
-// rmrs returns per-process DSM RMR counts for the current history.
-func (b *builder) rmrs() []int {
-	_, per := dsmTotal(b.exec.Events(), b.exec.Machine().Owner, b.n)
-	return per
-}
-
-// total returns the current history's total DSM RMRs.
-func (b *builder) total() int {
-	t, _ := dsmTotal(b.exec.Events(), b.exec.Machine().Owner, b.n)
-	return t
-}
-
-// participants returns the set of processes that took at least one step.
-func (b *builder) participants() map[memsim.PID]bool {
-	parts := make(map[memsim.PID]bool)
-	for _, ev := range b.exec.Events() {
-		if ev.Kind == memsim.EvAccess {
-			parts[ev.PID] = true
-		}
-	}
-	return parts
-}
-
 // erase removes every process in victims from the history (Lemma 6.7): it
 // rewinds the spare execution to its deployment state, re-applies the
 // live schedule without the victims' actions, and makes the result the
@@ -156,22 +162,8 @@ func (b *builder) erase(victims ...memsim.PID) error {
 			b.erasing[v] = false
 		}
 	}()
-	if b.spare == nil {
-		spare, err := b.cfg.Algorithm.Deploy(b.n)
-		if err != nil {
-			return fmt.Errorf("erase replay: %w", err)
-		}
-		b.spare = spare
-	} else {
-		b.spare.Reset()
-	}
-	for i, a := range b.exec.Actions() {
-		if b.erasing[a.PID] {
-			continue
-		}
-		if err := b.spare.Apply(a); err != nil {
-			return fmt.Errorf("erase replay: replay action %d (%v p%d): %w", i, a.Kind, a.PID, err)
-		}
+	if err := b.replay(b.cfg.VerifyErasures); err != nil {
+		return fmt.Errorf("erase replay: %w", err)
 	}
 	if b.cfg.VerifyErasures {
 		if p, changed := b.survivorChanged(b.exec.Events(), b.spare.Events()); changed {
@@ -180,6 +172,34 @@ func (b *builder) erase(victims ...memsim.PID) error {
 		}
 	}
 	b.exec, b.spare = b.spare, b.exec
+	b.led, b.spareLed = b.spareLed, b.led
+	return nil
+}
+
+// replay rewinds the spare execution and its ledger to the deployment
+// state (deploying the spare on first use) and re-applies the live
+// schedule without the actions of the processes being erased. The spare
+// retains the replayed trace when retain is set.
+func (b *builder) replay(retain bool) error {
+	if b.spare == nil {
+		spare, err := b.cfg.Algorithm.Deploy(b.n)
+		if err != nil {
+			return err
+		}
+		b.spare, b.spareLed = spare, attachLedger(spare)
+	} else {
+		b.spare.Reset()
+		b.spareLed.reset()
+	}
+	b.spare.RetainEvents(retain)
+	for i, a := range b.exec.Actions() {
+		if b.erasing[a.PID] {
+			continue
+		}
+		if err := b.spare.Apply(a); err != nil {
+			return fmt.Errorf("replay action %d (%v p%d): %w", i, a.Kind, a.PID, err)
+		}
+	}
 	return nil
 }
 
@@ -213,19 +233,6 @@ func (b *builder) survivorChanged(before, after []memsim.Event) (memsim.PID, boo
 	return 0, false
 }
 
-// callHadRemote reports whether call callSeq of process p performed any
-// remote (DSM RMR) access in the current history.
-func (b *builder) callHadRemote(p memsim.PID, callSeq int) bool {
-	owner := b.exec.Machine().Owner
-	for _, ev := range b.exec.Events() {
-		if ev.Kind == memsim.EvAccess && ev.PID == p && ev.CallSeq == callSeq &&
-			owner(ev.Acc.Addr) != p {
-			return true
-		}
-	}
-	return false
-}
-
 // advance runs waiter p solo until it is parked at a pending remote access,
 // certified stable, or found to violate the specification. Local steps are
 // applied immediately (in the DSM model they commute with every other
@@ -247,7 +254,6 @@ func (b *builder) advance(p memsim.PID) (advStatus, error) {
 			}
 		}
 		if ret, done := b.exec.CallEnded(p); done {
-			callSeq := callSeqOfCurrent(b.exec, p)
 			if _, err := b.exec.Finish(p); err != nil {
 				return 0, err
 			}
@@ -255,7 +261,7 @@ func (b *builder) advance(p memsim.PID) (advStatus, error) {
 				b.violation = fmt.Sprintf("Poll by p%d returned true although no Signal call has begun", p)
 				return advSafety, nil
 			}
-			if b.callHadRemote(p, callSeq) {
+			if b.led.callRemote[p] {
 				b.zeroRuns[p] = 0
 				continue
 			}
@@ -282,17 +288,6 @@ func (b *builder) advance(p memsim.PID) (advStatus, error) {
 		}
 	}
 	return advStuck, nil
-}
-
-// callSeqOfCurrent returns the CallSeq of p's just-completed call.
-func callSeqOfCurrent(e *memsim.Execution, p memsim.PID) int {
-	events := e.Events()
-	for i := len(events) - 1; i >= 0; i-- {
-		if events[i].PID == p && events[i].Kind == memsim.EvCallStart {
-			return events[i].CallSeq
-		}
-	}
-	return 0
 }
 
 func sameValues(a, b []memsim.Value) bool {

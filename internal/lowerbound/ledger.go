@@ -1,0 +1,72 @@
+package lowerbound
+
+import (
+	"repro/internal/memsim"
+	"repro/internal/model"
+)
+
+// ledger keeps the running quantities of one execution's history that the
+// construction reads, so the execution need not retain its trace: per-
+// process DSM RMRs (the Lemma 6.11 counting), who participated (Par of
+// Definition 6.3), whether a Poll call went remote (stability,
+// Definition 6.8), and whose module was written (the fresh signaler of
+// Lemma 6.13). It observes its execution as an attached memsim.EventSink;
+// after a Reset of that execution the ledger must be reset too.
+type ledger struct {
+	owner func(memsim.Addr) memsim.PID
+	// rmrs counts each process's DSM RMRs (model.IsRemoteDSM).
+	rmrs []int
+	// participated marks the processes that performed an access.
+	participated []bool
+	// callRemote marks the processes whose current call (or last call,
+	// once it ended) performed a remote access; a call start clears it.
+	callRemote []bool
+	// written marks the modules a nontrivial operation wrote, and
+	// writtenByOther those written by a process other than their owner.
+	written        []bool
+	writtenByOther []bool
+}
+
+// attachLedger returns a zero ledger observing every later event of e.
+func attachLedger(e *memsim.Execution) *ledger {
+	n := e.N()
+	l := &ledger{
+		owner:          e.Machine().Owner,
+		rmrs:           make([]int, n),
+		participated:   make([]bool, n),
+		callRemote:     make([]bool, n),
+		written:        make([]bool, n),
+		writtenByOther: make([]bool, n),
+	}
+	e.Attach(l.observe)
+	return l
+}
+
+// observe folds one trace event into the ledger.
+func (l *ledger) observe(ev memsim.Event) {
+	switch ev.Kind {
+	case memsim.EvCallStart:
+		l.callRemote[ev.PID] = false
+	case memsim.EvAccess:
+		l.participated[ev.PID] = true
+		if model.IsRemoteDSM(ev.PID, ev.Acc.Addr, l.owner) {
+			l.rmrs[ev.PID]++
+			l.callRemote[ev.PID] = true
+		}
+		if q := l.owner(ev.Acc.Addr); ev.Res.Wrote && q != memsim.NoOwner {
+			l.written[q] = true
+			if ev.PID != q {
+				l.writtenByOther[q] = true
+			}
+		}
+	}
+}
+
+// reset empties the ledger, for an execution rewound with Reset.
+func (l *ledger) reset() {
+	clear(l.rmrs)
+	clear(l.participated)
+	clear(l.callRemote)
+	clear(l.written)
+	clear(l.writtenByOther)
+}

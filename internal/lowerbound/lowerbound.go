@@ -36,10 +36,21 @@
 //     erases that waiter just before the step. Either s pays one RMR per
 //     stable waiter, or some untouched stable waiter's next Poll() returns
 //     false after Signal() completed — a violation of Specification 4.1.
+//
+// The construction reads only running quantities of its history, never
+// the history itself: per-process DSM RMRs, who participated, whether the
+// current call went remote, and whose module was written. Each of the two
+// executions keeps them in a ledger attached as a memsim.EventSink, and
+// by default neither execution retains its trace; each keeps only the
+// action log that erasure and replay need. The certificate's trace is
+// made once, at the end, by replaying the final action log with
+// retention on. Config.VerifyErasures additionally makes both executions
+// retain their traces, so that every erasure can compare the survivors'
+// accesses and the certificate's replayed trace can be compared with the
+// live one.
 package lowerbound
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -112,8 +123,11 @@ type Config struct {
 	// ablation benchmark in DESIGN.md §5.
 	RollThreshold int
 	// VerifyErasures replays and compares survivor traces after every
-	// erasure (Lemma 6.7 as a runtime assertion). Slower; on by default
-	// in tests.
+	// erasure (Lemma 6.7 as a runtime assertion), and checks that the
+	// certificate's replayed trace equals the live one. With it set, both
+	// executions retain their whole traces; without it, neither retains
+	// any trace, and only the certificate's replay records one. The
+	// certificate is the same either way. Slower; on by default in tests.
 	VerifyErasures bool
 	// Log receives a human-readable construction narrative (nil
 	// discards).
@@ -198,33 +212,9 @@ func (c *Certificate) Exceeded() bool {
 
 // Run executes the adversary and returns its certificate.
 func Run(cfg Config) (*Certificate, error) {
-	if cfg.Algorithm.New == nil {
-		return nil, errors.New("lowerbound: config requires an algorithm")
-	}
-	if cfg.N < 4 {
-		return nil, fmt.Errorf("lowerbound: need at least 4 processes, got %d", cfg.N)
-	}
-	if cfg.C < 1 {
-		cfg.C = 1
-	}
-	if cfg.Rounds == 0 {
-		cfg.Rounds = cfg.C
-	}
-	if cfg.SoloBudget == 0 {
-		cfg.SoloBudget = 64*cfg.N + 256
-	}
-	if cfg.Log == nil {
-		cfg.Log = io.Discard
-	}
 	b, err := newBuilder(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return b.run()
-}
-
-// dsmTotal scores a trace's total RMRs under the DSM rule.
-func dsmTotal(events []memsim.Event, owner func(memsim.Addr) memsim.PID, n int) (total int, perProc []int) {
-	rep := model.ModelDSM.Score(events, owner, n)
-	return rep.Total, rep.PerProc
 }

@@ -3,6 +3,7 @@ package lowerbound
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/memsim"
 	"repro/internal/signal"
@@ -51,7 +52,7 @@ func (b *builder) part2() (*Certificate, error) {
 		return nil, err
 	}
 	if s == memsim.NoOwner {
-		return b.certificate(VerdictEvaded, memsim.NoOwner, stableCount, why), nil
+		return b.certificate(VerdictEvaded, memsim.NoOwner, stableCount, why)
 	}
 	stableCount = len(b.active) // chooseSignaler may have erased one waiter
 	b.logf("part 2: signaler p%d starts the goose chase", s)
@@ -59,7 +60,7 @@ func (b *builder) part2() (*Certificate, error) {
 	if err := b.exec.Start(s, memsim.CallSignal); err != nil {
 		if errors.Is(err, signal.ErrUnsupported) || errors.Is(err, signal.ErrWrongSignaler) {
 			return b.certificate(VerdictEvaded, memsim.NoOwner, stableCount,
-				fmt.Sprintf("cannot start Signal on p%d: %v", s, err)), nil
+				fmt.Sprintf("cannot start Signal on p%d: %v", s, err))
 		}
 		return nil, err
 	}
@@ -121,9 +122,11 @@ func (b *builder) part2() (*Certificate, error) {
 		}
 	}
 
-	per := b.rmrs()
-	cert := b.certificate(VerdictExceeded, s, stableCount,
-		fmt.Sprintf("goose chase: signaler p%d incurred %d RMRs against %d stable waiters", s, per[s], stableCount))
+	cert, err := b.certificate(VerdictExceeded, s, stableCount,
+		fmt.Sprintf("goose chase: signaler p%d incurred %d RMRs against %d stable waiters", s, b.led.rmrs[s], stableCount))
+	if err != nil {
+		return nil, err
+	}
 	if !cert.Exceeded() {
 		cert.Verdict = VerdictEvaded
 		cert.Detail = fmt.Sprintf(
@@ -141,11 +144,10 @@ func (b *builder) part2() (*Certificate, error) {
 // "for N large enough, some module is unwritten" argument of Lemma 6.13.
 // It returns NoOwner with an explanation when no candidate exists.
 func (b *builder) chooseSignaler() (memsim.PID, string, error) {
-	parts := b.participants()
-	writtenBy := b.moduleWriters()
+	led := b.led
 	if b.cfg.Algorithm.Variant.FixedSignaler {
 		s := memsim.PID(b.n - 1)
-		if parts[s] || b.active[s] || b.finished[s] {
+		if led.participated[s] || b.active[s] || b.finished[s] {
 			return memsim.NoOwner, fmt.Sprintf("designated signaler p%d already participates", s), nil
 		}
 		// The fixed-signaler variant is outside Theorem 6.2's scope; run
@@ -155,7 +157,7 @@ func (b *builder) chooseSignaler() (memsim.PID, string, error) {
 	}
 	for i := 0; i < b.n; i++ {
 		p := memsim.PID(i)
-		if parts[p] || b.active[p] || b.finished[p] || len(writtenBy[p]) > 0 {
+		if led.participated[p] || b.active[p] || b.finished[p] || led.written[p] {
 			continue
 		}
 		return p, "", nil
@@ -166,14 +168,7 @@ func (b *builder) chooseSignaler() (memsim.PID, string, error) {
 	actives := b.activeSorted()
 	for i := len(actives) - 1; i >= 0; i-- {
 		p := actives[i]
-		selfOnly := true
-		for w := range writtenBy[p] {
-			if w != p {
-				selfOnly = false
-				break
-			}
-		}
-		if !selfOnly {
+		if led.writtenByOther[p] {
 			continue
 		}
 		b.logf("part 2: erasing stable p%d to reuse it as a fresh signaler", p)
@@ -185,47 +180,38 @@ func (b *builder) chooseSignaler() (memsim.PID, string, error) {
 	return memsim.NoOwner, "every module was written by another process; increase N", nil
 }
 
-// moduleWriters maps each process to the set of processes whose nontrivial
-// operations hit its memory module.
-func (b *builder) moduleWriters() map[memsim.PID]map[memsim.PID]bool {
-	out := make(map[memsim.PID]map[memsim.PID]bool)
-	owner := b.exec.Machine().Owner
-	for _, ev := range b.exec.Events() {
-		if ev.Kind == memsim.EvAccess && ev.Res.Wrote {
-			if q := owner(ev.Acc.Addr); q != memsim.NoOwner {
-				if out[q] == nil {
-					out[q] = make(map[memsim.PID]bool)
-				}
-				out[q][ev.PID] = true
-			}
-		}
-	}
-	return out
-}
-
 // certSafety builds the safety-violation certificate, keeping the offending
 // history intact as evidence.
 func (b *builder) certSafety() (*Certificate, error) {
-	cert := b.certificate(VerdictSafety, memsim.NoOwner, 0, b.violation)
-	return cert, nil
+	return b.certificate(VerdictSafety, memsim.NoOwner, 0, b.violation)
 }
 
 // certNonTerminating builds the non-termination certificate.
 func (b *builder) certNonTerminating(detail string) (*Certificate, error) {
-	return b.certificate(VerdictNonTerminating, memsim.NoOwner, 0, detail), nil
+	return b.certificate(VerdictNonTerminating, memsim.NoOwner, 0, detail)
 }
 
 func (b *builder) certNonTerminatingSignaler(s memsim.PID, stableCount int) (*Certificate, error) {
-	cert := b.certificate(VerdictNonTerminating, s, stableCount, fmt.Sprintf(
+	return b.certificate(VerdictNonTerminating, s, stableCount, fmt.Sprintf(
 		"Signal by p%d did not finish within %d solo steps although every waiter is at a legal termination point",
 		s, b.cfg.SoloBudget))
-	return cert, nil
 }
 
-// certificate snapshots the current history into a Certificate.
-func (b *builder) certificate(v Verdict, s memsim.PID, stableCount int, detail string) *Certificate {
-	total, per := dsmTotal(b.exec.Events(), b.exec.Machine().Owner, b.n)
-	parts := b.participants()
+// certificate snapshots the current history into a Certificate. Its
+// counts come from the live ledger; its trace comes from replaying the
+// live schedule onto the spare execution with retention on, and the
+// certificate owns that trace (the builder is done with the spare). Under
+// VerifyErasures the live execution retains its trace too, and the replay
+// must reproduce it exactly.
+func (b *builder) certificate(v Verdict, s memsim.PID, stableCount int, detail string) (*Certificate, error) {
+	if err := b.replay(true); err != nil {
+		return nil, fmt.Errorf("certificate replay: %w", err)
+	}
+	events := b.spare.Events()
+	b.spare, b.spareLed = nil, nil
+	if b.cfg.VerifyErasures && !slices.Equal(events, b.exec.Events()) {
+		return nil, errors.New("lowerbound: the replayed certificate trace differs from the live trace")
+	}
 	// Self-audit: the construction must have kept the history regular
 	// (Definition 6.6). Active processes are "unfinished"; the signaler,
 	// if any, may legitimately see finished processes only.
@@ -238,17 +224,22 @@ func (b *builder) certificate(v Verdict, s memsim.PID, stableCount int, detail s
 		// runs after it — and it terminated by completing Signal.
 		finished[s] = true
 	}
-	rel := trace.Compute(b.exec.Events(), b.exec.Machine().Owner)
+	rel := trace.Compute(events, b.exec.Machine().Owner)
 	regular := len(trace.CheckRegular(rel, finished)) == 0
-	k := len(parts)
+	total, k := 0, 0
+	for p, r := range b.led.rmrs {
+		total += r
+		if b.led.participated[p] {
+			k++
+		}
+	}
 	sRMR := 0
 	if s != memsim.NoOwner {
-		sRMR = per[s]
-		if !parts[s] {
+		sRMR = b.led.rmrs[s]
+		if !b.led.participated[s] {
 			k++ // a signaler that took only call-boundary actions still counts
 		}
 	}
-	events := append([]memsim.Event(nil), b.exec.Events()...)
 	rounds := append([]RoundReport(nil), b.rounds...)
 	m := b.exec.Machine()
 	owners := make([]memsim.PID, m.Size())
@@ -269,5 +260,5 @@ func (b *builder) certificate(v Verdict, s memsim.PID, stableCount int, detail s
 		Events:        events,
 		Processes:     b.n,
 		Owners:        owners,
-	}
+	}, nil
 }

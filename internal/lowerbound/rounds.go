@@ -181,11 +181,12 @@ func (b *builder) applyWrites(round int, pending map[memsim.PID]memsim.Access) (
 		threshold = 2
 	}
 
-	// Roll-forward case: some variable draws at least ⌊√X⌋ writers.
+	// Roll-forward case: some variable draws at least ⌊√X⌋ writers. Ties
+	// go to the lowest address.
 	var hot memsim.Addr
 	hotCount := 0
 	for a, ps := range writersOf {
-		if len(ps) > hotCount {
+		if len(ps) > hotCount || len(ps) == hotCount && a < hot {
 			hot, hotCount = a, len(ps)
 		}
 	}
@@ -337,13 +338,13 @@ func (b *builder) eraseTargets(p memsim.PID, acc memsim.Access) error {
 // the Lemma 6.11 counting argument and catches algorithms with unbounded
 // worst-case RMRs, such as remote spinning.
 func (b *builder) tryEarlyExit() (*Certificate, error) {
-	per := b.rmrs()
+	per := b.led.rmrs
 	finTotal := 0
 	for p := range b.finished {
 		finTotal += per[p]
 	}
 	best := memsim.PID(-1)
-	for p := range b.active {
+	for _, p := range b.activeSorted() { // ties go to the lowest PID
 		if best == -1 || per[p] > per[best] {
 			best = p
 		}
@@ -370,7 +371,7 @@ func (b *builder) tryEarlyExit() (*Certificate, error) {
 	}
 	b.logf("early exit: k=%d total=%d > c*k=%d", k, total, b.cfg.C*k)
 	return b.certificate(VerdictExceeded, -1, 0,
-		fmt.Sprintf("per-round counting argument (Lemma 6.11 style): %d RMRs over %d participants", total, k)), nil
+		fmt.Sprintf("per-round counting argument (Lemma 6.11 style): %d RMRs over %d participants", total, k))
 }
 
 func sortedKeys(m map[memsim.PID]memsim.Access) []memsim.PID {

@@ -82,6 +82,7 @@ func probeCall(alg signal.Algorithm, n, bound int, kind memsim.CallKind, strat s
 	if err != nil {
 		return 0, err
 	}
+	exec.RetainEvents(false) // the probe counts steps and reads no trace
 	const interferenceBudget = 10_000
 
 	subject := memsim.PID(0)
