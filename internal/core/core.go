@@ -169,6 +169,7 @@ func Run(cfg Config) (*Result, error) {
 		p.Signalers = nil
 	}
 	w := signal.NewWorkload(cfg.Algorithm, cfg.N, p)
+	defer w.Release() // after the result has taken w.Returns()
 	// The online spec checker and any extra sink observe each event after
 	// the attached scorers; the trace itself is retained only on request.
 	spec := signal.NewSpecChecker()

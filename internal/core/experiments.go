@@ -323,15 +323,18 @@ func ExperimentE9(ns []int) (*Table, error) {
 		Title:  "Mutual-exclusion substrate: RMRs per passage (Section 3 context)",
 		Header: []string{"lock", "N", "RMR/passage(CC)", "RMR/passage(DSM)"},
 	}
+	// Every run is scheduled by seed 1, from one source rewound per run.
+	random := sched.NewRandom(1)
 	for _, alg := range mutex.All() {
 		for _, n := range ns {
+			random.Seed(1)
 			// Streaming path: both models price the run in a single pass
 			// and no trace is retained.
 			res, err := mutex.Run(mutex.RunConfig{
 				Lock:      alg,
 				N:         n,
 				Passages:  8,
-				Scheduler: sched.NewRandom(1),
+				Scheduler: random,
 				MaxSteps:  4_000_000,
 				Scorers:   []model.Scorer{model.ModelCC, model.ModelDSM},
 			})
@@ -440,12 +443,15 @@ func ExperimentE10(ns []int) (*Table, error) {
 		Title:  "Two-session GME substrate: RMRs per entry (Section 3 context, [8])",
 		Header: []string{"N", "entries", "RMR/entry(CC)", "RMR/entry(DSM)", "max same-session occupancy"},
 	}
+	// Every run is scheduled by seed 2, from one source rewound per run.
+	random := sched.NewRandom(2)
 	for _, n := range ns {
+		random.Seed(2)
 		res, err := gme.Run(gme.RunConfig{
 			N:         n,
 			Sessions:  2,
 			Entries:   6,
-			Scheduler: sched.NewRandom(2),
+			Scheduler: random,
 			MaxSteps:  4_000_000,
 			Scorers:   []model.Scorer{model.ModelCC, model.ModelDSM},
 		})

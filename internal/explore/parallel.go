@@ -42,6 +42,8 @@ type search struct {
 	*engine.Pool
 	cfg   Config
 	table *engine.Table[struct{}] // nil with dedup off
+	// machines are the workers' machines, released with the table.
+	machines []*memsim.Machine
 
 	mu   sync.Mutex
 	fail *failure // lexicographically least failure so far
@@ -90,6 +92,7 @@ func newSearcher(s *search, id int, reduce bool) (*searcher, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.machines = append(s.machines, e.Machine())
 	var red *engine.Reduction
 	if reduce {
 		red = engine.NewReduction(e.Core, true, true)
@@ -214,9 +217,13 @@ func newSearch(cfg Config, pool *engine.Pool, dedup bool) *search {
 	return s
 }
 
-// release returns the claim table, if any, to claimTables. Call it after
-// the last export and the gauges, once every worker has joined.
+// release returns the claim table, if any, to claimTables and the
+// workers' machines to memsim's pool. Call it after the last export and
+// the gauges, once every worker has joined.
 func (s *search) release() {
+	for _, m := range s.machines {
+		m.Release()
+	}
 	if s.table != nil {
 		claimTables.Put(s.table)
 	}

@@ -148,7 +148,10 @@ func scorerIs(s model.Scorer, cm model.CostModel) bool {
 }
 
 // OwnerFunc exposes the machine's module-ownership mapping, for callers
-// that annotate a retained trace themselves.
+// that annotate a retained trace themselves. It is nil unless
+// Config.KeepEvents was set: a run that keeps no trace returns its machine
+// to the pool NewMachine draws from when it ends, and only a retained
+// trace keeps the machine with the Result.
 func (r *Result) OwnerFunc() func(memsim.Addr) memsim.PID { return r.ownerFn }
 
 // N returns the number of processes in the run.
@@ -157,9 +160,13 @@ func (r *Result) N() int { return r.n }
 // Run drives cfg.Workload to completion (every process out of work), the
 // step budget, or an interrupt — whichever comes first. Attached Scorers
 // price every event as it is generated; with KeepEvents set the trace is
-// additionally retained. Run returns ErrBudget or ErrInterrupted (wrapped)
-// together with a valid truncated Result; all other errors indicate misuse
-// or workload bugs and come with a nil Result.
+// additionally retained, together with the machine OwnerFunc reads.
+// Without it the deployment's machine and controller are released for
+// reuse when Run returns, so a Workload must not read the machine after
+// the run (Verifier.Verify runs before the release). Run returns
+// ErrBudget or ErrInterrupted (wrapped) together with a valid truncated
+// Result; all other errors indicate misuse or workload bugs and come with
+// a nil Result.
 func Run(cfg Config) (*Result, error) {
 	w := cfg.Workload
 	if w == nil {
@@ -178,9 +185,14 @@ func Run(cfg Config) (*Result, error) {
 
 	m := memsim.NewMachine(n)
 	if err := w.Deploy(m); err != nil {
+		m.Release()
 		return nil, err
 	}
 	ctl := memsim.NewController(m)
+	if !cfg.KeepEvents {
+		defer m.Release()
+		defer ctl.Release()
+	}
 
 	// Streaming consumers observe each event as it is emitted; the trace
 	// itself is retained only on request.
@@ -244,7 +256,10 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	res := &Result{ownerFn: owner, n: n, scorers: cfg.Scorers}
+	res := &Result{n: n, scorers: cfg.Scorers}
+	if cfg.KeepEvents {
+		res.ownerFn = owner
+	}
 	harvest := func(pid memsim.PID) error {
 		if ret, ended := ctl.CallEnded(pid); ended {
 			if _, err := ctl.FinishCall(pid); err != nil {

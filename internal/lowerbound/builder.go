@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/memsim"
@@ -62,6 +63,9 @@ type builder struct {
 	// zeroRuns counts consecutive completed zero-RMR Poll calls per
 	// process, for the heuristic stability window.
 	zeroRuns map[memsim.PID]int
+	// module holds advance's module snapshots: the one taken when a Poll
+	// starts, followed by the one taken when it ends.
+	module   []memsim.Value
 	rounds   []RoundReport
 	lastCase string
 	// violation carries the first Specification 4.1 breach encountered.
@@ -115,6 +119,16 @@ func newBuilder(cfg Config) (*builder, error) {
 		b.active[pid] = true
 	}
 	return b, nil
+}
+
+// release returns both executions' storage for reuse; the certificate
+// keeps what it took from them (the trace and a copy of the owners).
+func (b *builder) release() {
+	b.exec.Release()
+	if b.spare != nil {
+		b.spare.Release()
+	}
+	b.exec, b.spare = nil, nil
 }
 
 func (b *builder) logf(format string, args ...any) {
@@ -243,12 +257,11 @@ func (b *builder) survivorChanged(before, after []memsim.Event) (memsim.PID, boo
 // local fixpoint, so every future solo call repeats it — Definition 6.8);
 // and heuristically, after stabilityWindow consecutive zero-RMR calls.
 func (b *builder) advance(p memsim.PID) (advStatus, error) {
-	var moduleAtStart []memsim.Value
-	haveStart := false
+	atStart := -1 // length of the start snapshot in b.module; -1 before the first start
 	for steps := 0; steps <= b.cfg.SoloBudget; steps++ {
 		if b.exec.Idle(p) {
-			moduleAtStart = b.exec.Machine().ModuleSnapshot(p)
-			haveStart = true
+			b.module = b.exec.Machine().AppendModule(b.module[:0], p)
+			atStart = len(b.module)
 			if err := b.exec.Start(p, memsim.CallPoll); err != nil {
 				return 0, err
 			}
@@ -265,9 +278,12 @@ func (b *builder) advance(p memsim.PID) (advStatus, error) {
 				b.zeroRuns[p] = 0
 				continue
 			}
-			if haveStart && sameValues(moduleAtStart, b.exec.Machine().ModuleSnapshot(p)) {
-				b.stable[p] = true // local fixpoint: provably stable
-				return advStable, nil
+			if atStart >= 0 {
+				b.module = b.exec.Machine().AppendModule(b.module[:atStart], p)
+				if slices.Equal(b.module[:atStart], b.module[atStart:]) {
+					b.stable[p] = true // local fixpoint: provably stable
+					return advStable, nil
+				}
 			}
 			b.zeroRuns[p]++
 			if b.zeroRuns[p] >= stabilityWindow {
@@ -288,18 +304,6 @@ func (b *builder) advance(p memsim.PID) (advStatus, error) {
 		}
 	}
 	return advStuck, nil
-}
-
-func sameValues(a, b []memsim.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // pendingTargets returns the active processes p's pending access would see

@@ -216,5 +216,6 @@ func Run(cfg Config) (*Certificate, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer b.release()
 	return b.run()
 }

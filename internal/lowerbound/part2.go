@@ -200,7 +200,7 @@ func (b *builder) certNonTerminatingSignaler(s memsim.PID, stableCount int) (*Ce
 // certificate snapshots the current history into a Certificate. Its
 // counts come from the live ledger; its trace comes from replaying the
 // live schedule onto the spare execution with retention on, and the
-// certificate owns that trace (the builder is done with the spare). Under
+// certificate owns that trace (the builder releases the spare). Under
 // VerifyErasures the live execution retains its trace too, and the replay
 // must reproduce it exactly.
 func (b *builder) certificate(v Verdict, s memsim.PID, stableCount int, detail string) (*Certificate, error) {
@@ -208,6 +208,7 @@ func (b *builder) certificate(v Verdict, s memsim.PID, stableCount int, detail s
 		return nil, fmt.Errorf("certificate replay: %w", err)
 	}
 	events := b.spare.Events()
+	b.spare.Release() // a released execution never recycles its retained trace
 	b.spare, b.spareLed = nil, nil
 	if b.cfg.VerifyErasures && !slices.Equal(events, b.exec.Events()) {
 		return nil, errors.New("lowerbound: the replayed certificate trace differs from the live trace")

@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"fmt"
+	"sync"
 )
 
 // procPhase is the controller's view of one process.
@@ -52,14 +53,39 @@ type Controller struct {
 	discard bool
 }
 
+// controllerPool recycles controllers across deployments (see Release).
+var controllerPool = sync.Pool{New: func() any { return new(Controller) }}
+
 // NewController returns a controller over m with no active calls. Event
 // retention is on: switch it off with RetainEvents(false) when attached
-// sinks are the only consumers.
+// sinks are the only consumers. Its storage may come from a released
+// controller; nothing of that controller's state is visible through the
+// result.
 func NewController(m *Machine) *Controller {
-	return &Controller{
-		mach:  m,
-		procs: make([]procState, m.N()),
+	c := controllerPool.Get().(*Controller)
+	c.mach = m
+	if n := m.N(); cap(c.procs) < n {
+		c.procs = make([]procState, n)
+	} else {
+		c.procs = c.procs[:n]
+		clear(c.procs)
 	}
+	c.events = nil
+	c.seq = 0
+	c.sinks = c.sinks[:0]
+	c.discard = false
+	return c
+}
+
+// Release returns c's storage for reuse by a later NewController. It does
+// not release c's machine. The retained trace is not recycled: a slice
+// Events returned stays valid and belongs to whoever took it. Nothing else
+// of c may be used afterwards.
+func (c *Controller) Release() {
+	clear(c.procs) // drop the frames
+	clear(c.sinks) // and the sinks' closures
+	c.mach, c.events = nil, nil
+	controllerPool.Put(c)
 }
 
 // Machine returns the underlying shared memory.

@@ -30,6 +30,11 @@
 // capability the paper's erasing/rolling-forward proof strategy requires,
 // and the explorer's reference enumeration.
 //
+// Deployments are recycled: NewMachine, NewController and NewExecution
+// draw their storage from pools that the Release methods fill, so a warm
+// deployment allocates only what its factory does. Release never recycles
+// a retained trace: a slice Events returned belongs to whoever took it.
+//
 // # Frames
 //
 // Every procedure call is a Resumable: an explicit state machine whose

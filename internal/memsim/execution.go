@@ -3,6 +3,7 @@ package memsim
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // CallKind names the procedures of a signaling-problem instance for the
@@ -99,29 +100,51 @@ type Factory func(m *Machine, n int) (Instance, error)
 // frame template copied into per-process storage that outlives the call,
 // so a long run (or a run rewound with Reset and re-applied) mints frames
 // once per (pid, kind) rather than once per call.
+//
+// An execution's storage outlives its deployment too: Release returns the
+// machine, the controller, the template and frame slots and the action
+// log's capacity to pools that later deployments draw from.
 type Execution struct {
 	mach    *Machine
 	ctl     *Controller
 	inst    Instance
 	n       int
 	actions []Action
-	tmpl    *FrameTemplates // nil until the first start
+	started bool // tmpl and frames are set up for inst
+	tmpl    FrameTemplates
 	frames  FrameSet
 }
+
+// executionPool recycles executions across deployments (see Release).
+var executionPool = sync.Pool{New: func() any { return new(Execution) }}
 
 // NewExecution deploys factory on a fresh machine for n processes.
 func NewExecution(factory Factory, n int) (*Execution, error) {
 	m := NewMachine(n)
 	inst, err := factory(m, n)
 	if err != nil {
+		m.Release()
 		return nil, fmt.Errorf("deploy instance: %w", err)
 	}
-	return &Execution{
-		mach: m,
-		ctl:  NewController(m),
-		inst: inst,
-		n:    n,
-	}, nil
+	e := executionPool.Get().(*Execution)
+	e.mach, e.ctl, e.inst, e.n = m, NewController(m), inst, n
+	e.actions = e.actions[:0]
+	e.started = false
+	return e, nil
+}
+
+// Release ends the deployment and returns its machine, controller, frame
+// storage and action log to pools for later deployments. Neither e nor
+// anything it returned may be used afterwards (Machine, Actions, an Owner
+// method value), with one exception: a trace taken from Events while
+// retention was on is never recycled and stays valid for its holder, as a
+// Certificate or a retained harness Result relies on.
+func (e *Execution) Release() {
+	e.ctl.Release()
+	e.mach.Release()
+	e.tmpl.reset(nil, 0)
+	e.mach, e.ctl, e.inst = nil, nil, nil
+	executionPool.Put(e)
 }
 
 // Reset rewinds the execution to its deployment state, as if the instance
@@ -135,9 +158,7 @@ func (e *Execution) Reset() {
 	e.ctl.Reset()
 	e.mach.Reset()
 	e.actions = e.actions[:0]
-	for p := range e.frames.live {
-		e.frames.Drop(PID(p))
-	}
+	clear(e.frames.live)
 }
 
 // N returns the number of processes.
@@ -183,16 +204,17 @@ func (e *Execution) CallEnded(pid PID) (Value, bool) { return e.ctl.CallEnded(pi
 // goroutine), starting from a copy of the (pid, kind) template in pid's
 // retained frame storage.
 func (e *Execution) Start(pid PID, kind CallKind) error {
-	if e.tmpl == nil {
-		e.tmpl = NewFrameTemplates(e.inst, e.n)
-		e.frames = NewFrameSet(e.n)
+	if !e.started {
+		e.tmpl.reset(e.inst, e.n)
+		e.frames.reset(e.n)
+		e.started = true
 	}
 	// pid's storage holds its in-flight frame while it is busy: refuse
 	// before the template copy would overwrite it.
 	if err := e.ctl.checkIdle(pid); err != nil {
 		return err
 	}
-	if err := e.frames.Start(e.tmpl, pid, kind); err != nil {
+	if err := e.frames.Start(&e.tmpl, pid, kind); err != nil {
 		return err
 	}
 	if err := e.ctl.StartResumable(pid, kind.String(), e.frames.Frame(pid)); err != nil {
@@ -249,7 +271,7 @@ func (e *Execution) Finish(pid PID) (Value, error) {
 // dropFrame idles pid's frame slot after its call ended or crashed; the
 // storage waits for pid's next start.
 func (e *Execution) dropFrame(pid PID) {
-	if e.tmpl != nil {
+	if e.started {
 		e.frames.Drop(pid)
 	}
 }

@@ -26,6 +26,17 @@ func NewFrameTemplates(inst Instance, n int) *FrameTemplates {
 	return &FrameTemplates{inst: inst, tmpl: make([][]Resumable, n)}
 }
 
+// reset drops t's templates and readies it for inst's n processes,
+// keeping the row storage. Rows past the length are always empty: they
+// were emptied when the length last covered them.
+func (t *FrameTemplates) reset(inst Instance, n int) {
+	for _, row := range t.tmpl {
+		clear(row)
+	}
+	t.inst = inst
+	t.tmpl = resize(t.tmpl, n)
+}
+
 // template returns the pristine frame for (p, kind), minting it once.
 // ResumableProgram errors are returned, not cached.
 func (t *FrameTemplates) template(p PID, kind CallKind) (Resumable, error) {
@@ -58,6 +69,24 @@ type FrameSet struct {
 // NewFrameSet returns n idle slots.
 func NewFrameSet(n int) FrameSet {
 	return FrameSet{live: make([]Resumable, n), store: make([]Resumable, n)}
+}
+
+// reset readies s as n idle slots, keeping the storage of an earlier
+// deployment: a kept frame is only ever copied into (see fill), so it
+// carries nothing of that deployment into this one.
+func (s *FrameSet) reset(n int) {
+	s.live = resize(s.live, n)
+	clear(s.live)
+	s.store = resize(s.store, n)
+}
+
+// resize returns s with length n, keeping its elements (those beyond its
+// length included, up to its capacity) and zero-extending past them.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
 // Frame returns p's in-flight frame, or nil while p is idle.

@@ -1,8 +1,11 @@
 package memsim
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sync"
 )
 
 // word is one shared-memory cell together with the bookkeeping needed for
@@ -38,24 +41,60 @@ type llink struct {
 // Machine is purely sequential state: it applies one atomic operation at a
 // time and performs no scheduling itself. Controller layers asynchronous
 // processes on top.
+//
+// A machine's storage outlives its deployment: NewMachine draws a machine
+// from a pool and Release returns it, so a recycled machine keeps the
+// capacity of its largest deployment and a warm deployment allocates
+// nothing here.
 type Machine struct {
 	n     int
 	words []word
-	owner []PID
-	names []string
-	links []llink
+	info  []wordInfo // per word, like words
+	// arrays holds the address ranges of the Alloc calls that allocated
+	// more than one word, in address order.
+	arrays []span
+	links  []llink
 }
 
+// wordInfo is what allocation fixed about a word: its module owner and
+// the base name its Alloc call gave. Element names such as Q[3] are
+// formatted only when Name asks.
+type wordInfo struct {
+	owner PID
+	name  string
+}
+
+// span is the address range [base, end) of one array allocation.
+type span struct{ base, end Addr }
+
+// machinePool recycles machines across deployments (see Release).
+var machinePool = sync.Pool{New: func() any { return new(Machine) }}
+
 // NewMachine returns a machine for n processes with an empty address space.
+// Its storage may come from a released machine; nothing of that machine's
+// state is visible through the result.
 func NewMachine(n int) *Machine {
 	if n < 1 {
 		n = 1
 	}
-	return &Machine{
-		n:     n,
-		links: make([]llink, n),
+	m := machinePool.Get().(*Machine)
+	m.n = n
+	m.words = m.words[:0]
+	m.info = m.info[:0]
+	m.arrays = m.arrays[:0]
+	if cap(m.links) < n {
+		m.links = make([]llink, n)
+	} else {
+		m.links = m.links[:n]
+		clear(m.links)
 	}
+	return m
 }
+
+// Release returns m's storage for reuse by a later NewMachine. Neither m
+// nor any closure over it (an Owner method value, say) may be used
+// afterwards: a later deployment overwrites it.
+func (m *Machine) Release() { machinePool.Put(m) }
 
 // N returns the number of processes the machine was sized for.
 func (m *Machine) N() int { return m.n }
@@ -65,8 +104,10 @@ func (m *Machine) Size() int { return len(m.words) }
 
 // Alloc allocates count consecutive words in owner's memory module (or in
 // no module if owner is NoOwner), initialized to init, and returns the
-// address of the first. The name is used in diagnostics; words get suffixes
-// name[0], name[1], ... when count > 1.
+// address of the first. The name is used in diagnostics: Name reports it
+// for a single word and as name[0], name[1], ... for the words of an array
+// (count > 1). Only the base name is stored; the element names are
+// formatted when Name is called.
 //
 // Allocation order is deterministic, so replaying a setup procedure yields
 // identical addresses — a property the lower-bound adversary relies on.
@@ -77,12 +118,10 @@ func (m *Machine) Alloc(owner PID, name string, count int, init Value) Addr {
 	base := Addr(len(m.words))
 	for i := 0; i < count; i++ {
 		m.words = append(m.words, word{val: init, init: init, lastWriter: NoOwner})
-		m.owner = append(m.owner, owner)
-		if count == 1 {
-			m.names = append(m.names, name)
-		} else {
-			m.names = append(m.names, fmt.Sprintf("%s[%d]", name, i))
-		}
+		m.info = append(m.info, wordInfo{owner, name})
+	}
+	if count > 1 {
+		m.arrays = append(m.arrays, span{base, base + Addr(count)})
 	}
 	return base
 }
@@ -110,18 +149,26 @@ func (m *Machine) Reset() {
 
 // Owner returns the module owner of addr (NoOwner for global words).
 func (m *Machine) Owner(a Addr) PID {
-	if int(a) < 0 || int(a) >= len(m.owner) {
+	if int(a) < 0 || int(a) >= len(m.info) {
 		return NoOwner
 	}
-	return m.owner[a]
+	return m.info[a].owner
 }
 
-// Name returns the debug name of addr.
+// Name returns the debug name of addr: the name its Alloc call gave, with
+// the element index appended for an array word (Q[3]), and a%d for an
+// address outside the allocated space.
 func (m *Machine) Name(a Addr) string {
-	if int(a) < 0 || int(a) >= len(m.names) {
+	if int(a) < 0 || int(a) >= len(m.words) {
 		return fmt.Sprintf("a%d", a)
 	}
-	return m.names[a]
+	i, _ := slices.BinarySearchFunc(m.arrays, a, func(s span, a Addr) int {
+		return cmp.Compare(s.end, a+1)
+	})
+	if i < len(m.arrays) && m.arrays[i].base <= a {
+		return fmt.Sprintf("%s[%d]", m.info[a].name, a-m.arrays[i].base)
+	}
+	return m.info[a].name
 }
 
 // Load returns the current value of addr without performing a simulated
@@ -229,7 +276,7 @@ func (m *Machine) Crash(pid PID, vol Volatility) {
 		return
 	}
 	for a := range m.words {
-		if m.owner[a] != pid {
+		if m.info[a].owner != pid {
 			continue
 		}
 		w := &m.words[a]
@@ -254,7 +301,7 @@ func (m *Machine) CrashLogged(pid PID, vol Volatility, undos []Undo) []Undo {
 		return undos
 	}
 	for a := range m.words {
-		if m.owner[a] != pid {
+		if m.info[a].owner != pid {
 			continue
 		}
 		w := &m.words[a]
@@ -325,15 +372,15 @@ func (m *Machine) Snapshot() []Value {
 	return vals
 }
 
-// ModuleSnapshot returns the values of all words in pid's module, in
-// address order. The lower-bound adversary uses it to detect that a waiter
-// has reached a local fixpoint (stability, Definition 6.8).
-func (m *Machine) ModuleSnapshot(pid PID) []Value {
-	var vals []Value
+// AppendModule appends the values of all words in pid's module to dst, in
+// address order, and returns the extended slice. The lower-bound
+// adversary compares two such snapshots in one buffer to detect that a
+// waiter has reached a local fixpoint (stability, Definition 6.8).
+func (m *Machine) AppendModule(dst []Value, pid PID) []Value {
 	for i := range m.words {
-		if m.owner[i] == pid {
-			vals = append(vals, m.words[i].val)
+		if m.info[i].owner == pid {
+			dst = append(dst, m.words[i].val)
 		}
 	}
-	return vals
+	return dst
 }

@@ -129,9 +129,14 @@ func TestModuleSnapshot(t *testing.T) {
 	m.Alloc(0, "a", 1, 1)
 	m.Alloc(1, "b", 1, 2)
 	m.Alloc(0, "c", 1, 3)
-	snap := m.ModuleSnapshot(0)
+	snap := m.AppendModule(nil, 0)
 	if len(snap) != 2 || snap[0] != 1 || snap[1] != 3 {
-		t.Fatalf("ModuleSnapshot(0) = %v, want [1 3]", snap)
+		t.Fatalf("AppendModule(nil, 0) = %v, want [1 3]", snap)
+	}
+	// Appending keeps what the buffer already held.
+	snap = m.AppendModule(snap[:1], 1)
+	if len(snap) != 2 || snap[0] != 1 || snap[1] != 2 {
+		t.Fatalf("AppendModule([1], 1) = %v, want [1 2]", snap)
 	}
 }
 
@@ -241,7 +246,7 @@ func TestMachineResetMatchesFreshMachine(t *testing.T) {
 		t.Fatalf("reset machine differs from a fresh one:\nwords %+v\nwant  %+v\nlinks %+v\nwant  %+v",
 			m.words, fresh.words, m.links, fresh.links)
 	}
-	if !reflect.DeepEqual(m.owner, fresh.owner) || !reflect.DeepEqual(m.names, fresh.names) {
+	if !reflect.DeepEqual(m.info, fresh.info) || !reflect.DeepEqual(m.arrays, fresh.arrays) {
 		t.Fatal("reset changed the address space")
 	}
 }

@@ -218,13 +218,32 @@ func (pr *CSProbe) MutualExclusion() bool { return !pr.violated }
 
 // Workload is the contended critical-section workload on the generic
 // streaming harness: every process repeatedly acquires the lock, runs the
-// CSProbe critical section, and releases. A Workload is bound to a single
-// run.
+// CSProbe critical section, and releases. Each passage starts from a copy
+// of pid's passage template in pid's retained frame storage, so a run
+// mints one passage frame per process, not one per passage. A Workload is
+// bound to a single run.
 type Workload struct {
 	CSProbe
 	alg       Algorithm
 	n         int
 	remaining []int
+
+	tmpl   *memsim.FrameTemplates
+	frames memsim.FrameSet
+}
+
+// passageInstance presents the probe's passages as a memsim.Instance with
+// one procedure, passageKind, so that passage frames live in FrameSet
+// storage like any instance's calls.
+type passageInstance struct{ pr *CSProbe }
+
+// passageKind is the call kind of passageInstance's one procedure.
+const passageKind memsim.CallKind = 0
+
+// ResumableProgram implements memsim.Instance: pid's passage, whatever the
+// kind.
+func (p passageInstance) ResumableProgram(pid memsim.PID, _ memsim.CallKind) (memsim.Resumable, error) {
+	return p.pr.PassageFrame(pid), nil
 }
 
 var (
@@ -252,16 +271,21 @@ func (w *Workload) Deploy(m *memsim.Machine) error {
 		return fmt.Errorf("deploy lock: %w", err)
 	}
 	w.DeployProbe(m, lock)
+	w.tmpl = memsim.NewFrameTemplates(passageInstance{&w.CSProbe}, w.n)
+	w.frames = memsim.NewFrameSet(w.n)
 	return nil
 }
 
-// Next implements harness.Workload.
+// Next implements harness.Workload: the passage starts from a copy of
+// pid's passage template in pid's retained frame storage.
 func (w *Workload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 	if w.remaining[pid] <= 0 {
 		return "", nil, false
 	}
 	w.remaining[pid]--
-	return "passage", w.PassageFrame(pid), true
+	// passageInstance mints every kind, so Start cannot fail.
+	_ = w.frames.Start(w.tmpl, pid, passageKind)
+	return "passage", w.frames.Frame(pid), true
 }
 
 // Run drives the contended workload on the streaming harness. Attached

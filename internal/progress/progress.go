@@ -41,14 +41,24 @@ type WaitFreeReport struct {
 // freedom killer — suspending another process k steps into its own call
 // and leaving it there while the probed call runs (a crashed process in
 // the paper's terminology).
+//
+// All strategies share one deployment, rewound with Execution.Reset
+// before each: a reset execution is indistinguishable from a fresh one.
 func CheckWaitFree(alg signal.Algorithm, n, bound int, kind memsim.CallKind) (*WaitFreeReport, error) {
 	rep := &WaitFreeReport{WaitFree: true}
 	strategies := []string{
 		"solo", "signal-first", "crowd-first", "signal-midway",
 		"stall-1", "stall-2", "stall-3", "stall-4", "stall-5", "stall-8",
 	}
+	exec, err := alg.Deploy(n)
+	if err != nil {
+		return nil, fmt.Errorf("strategy %q: %w", strategies[0], err)
+	}
+	defer exec.Release()
+	exec.RetainEvents(false) // the probes count steps and read no trace
 	for _, strat := range strategies {
-		steps, err := probeCall(alg, n, bound, kind, strat)
+		exec.Reset()
+		steps, err := probeCall(exec, n, bound, kind, strat)
 		if err != nil {
 			var exceeded *exceededError
 			if errors.As(err, &exceeded) {
@@ -76,13 +86,9 @@ func (e *exceededError) Error() string {
 	return fmt.Sprintf("call by p%d took more than %d own steps (bound %d)", e.pid, e.steps, e.bound)
 }
 
-// probeCall runs one strategy and returns the probed call's own-step count.
-func probeCall(alg signal.Algorithm, n, bound int, kind memsim.CallKind, strat string) (int, error) {
-	exec, err := alg.Deploy(n)
-	if err != nil {
-		return 0, err
-	}
-	exec.RetainEvents(false) // the probe counts steps and reads no trace
+// probeCall runs one strategy on exec, a deployment in its initial state,
+// and returns the probed call's own-step count.
+func probeCall(exec *memsim.Execution, n, bound int, kind memsim.CallKind, strat string) (int, error) {
 	const interferenceBudget = 10_000
 
 	subject := memsim.PID(0)
@@ -178,12 +184,15 @@ type TerminationReport struct {
 // A generous step budget separates starvation from slowness; algorithms
 // that busy-wait for events that do occur under fairness pass.
 func CheckTerminating(alg signal.Algorithm, n, maxSteps int, blocking bool) (*TerminationReport, error) {
-	schedulers := []sched.Scheduler{
-		sched.NewRoundRobin(),
-		sched.NewRandom(1),
-		sched.NewRandom(2),
-	}
-	for si, s := range schedulers {
+	// Round robin, then seeds 1 and 2 on one random source rewound to
+	// each (seed 0 stands for round robin).
+	random := sched.NewRandom(1)
+	for si, seed := range [...]int64{0, 1, 2} {
+		var s sched.Scheduler = sched.NewRoundRobin()
+		if seed != 0 {
+			random.Seed(seed)
+			s = random
+		}
 		ok, witness, err := terminationRun(alg, n, maxSteps, blocking, s)
 		if err != nil {
 			return nil, fmt.Errorf("scheduler %d: %w", si, err)
@@ -209,6 +218,7 @@ func terminationRun(alg signal.Algorithm, n, maxSteps int, blocking bool, s sche
 		Blocking:    blocking,
 		SignalAfter: n,
 	})
+	defer w.Release()
 	_, err := harness.Run(harness.Config{
 		Workload:  w,
 		Scheduler: s,

@@ -53,6 +53,11 @@ func NewRandom(seed int64) *Random {
 	return &Random{rng: rand.New(rand.NewSource(seed))}
 }
 
+// Seed rewinds s to the state NewRandom(seed) starts in, so a kept
+// scheduler replays the very sequence a new one would, without allocating
+// another source.
+func (s *Random) Seed(seed int64) { s.rng.Seed(seed) }
+
 // Next implements Scheduler.
 func (s *Random) Next(ready []memsim.PID) memsim.PID {
 	return ready[s.rng.Intn(len(ready))]

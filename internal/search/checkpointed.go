@@ -175,7 +175,7 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 	}
 	d := engine.ClampShardDepth(ck.ShardDepth, cfg.MaxDepth)
 	s := newBnb(cfg)
-	defer memoTables.Put(s.table)
+	defer s.release()
 	pool := engine.NewPool(checkpoint.KindSearch, 1, nil, cfg.Meter)
 	pool.WatchTable(s.table)
 	w, err := newHunter(s, pool, 0)

@@ -88,6 +88,8 @@ type pair struct {
 type bnb struct {
 	cfg   Config
 	table *engine.Table[memo]
+	// machines are the workers' machines, released with the table.
+	machines []*memsim.Machine
 
 	// waiters holds a channel per unpublished pair some worker blocks
 	// on, made only when a multi-worker claim actually blocks. Its lock
@@ -103,11 +105,20 @@ type bnb struct {
 // memoTables recycles memo tables across searches.
 var memoTables engine.TablePool[memo]
 
-// newBnb sets up a search on a table from memoTables. The caller puts
-// the table back after its last read: the witness descent, the final
-// export and the gauges.
+// newBnb sets up a search on a table from memoTables. The caller
+// releases the search after its last read of the table and the workers:
+// the witness descent, the final export and the gauges.
 func newBnb(cfg Config) *bnb {
 	return &bnb{cfg: cfg, table: memoTables.Get()}
+}
+
+// release returns the table to memoTables and the workers' machines to
+// memsim's pool.
+func (s *bnb) release() {
+	for _, m := range s.machines {
+		m.Release()
+	}
+	memoTables.Put(s.table)
 }
 
 // arrive claims (state, budget) for a visit. won reports that the
@@ -249,6 +260,7 @@ func newHunter(s *bnb, pool *engine.Pool, id int) (*hunter, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.machines = append(s.machines, e.Machine())
 	var red *engine.Reduction
 	if s.cfg.Reduce {
 		red = newReduction(e, s.cfg.Model)
@@ -469,7 +481,7 @@ func (w *hunter) reconstructWitness(rootCost int) ([]int, error) {
 // identical for every worker count.
 func runExhaustive(cfg Config) (*Result, error) {
 	s := newBnb(cfg)
-	defer memoTables.Put(s.table)
+	defer s.release()
 	pool := engine.NewPool(checkpoint.KindSearch, cfg.Workers, cfg.Telemetry, cfg.Meter)
 	pool.WatchTable(s.table)
 	hunters := make([]*hunter, cfg.Workers)

@@ -60,6 +60,7 @@ func drive(cfg Config, choose func(depth, n int) int) (*ReplayResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer exec.Release() // the result keeps the trace, which Release never recycles
 	acc := cfg.Model.Begin(cfg.N, exec.Machine().Owner)
 	exec.Attach(func(ev memsim.Event) { acc.Add(ev) })
 

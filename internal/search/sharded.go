@@ -49,7 +49,7 @@ func ComputeUnit(cfg Config, prefix []int) (*UnitResult, error) {
 		return nil, errs.Failure(errs.CodeInvalid, "search: only exhaustive mode shards")
 	}
 	s := newBnb(cfg)
-	defer memoTables.Put(s.table)
+	defer s.release()
 	w, err := newHunter(s, engine.NewPool(checkpoint.KindSearch, 1, nil, nil), 0)
 	if err != nil {
 		return nil, err
@@ -114,7 +114,7 @@ func MergeShardedState(cfg Config, entries []checkpoint.Entry, counters checkpoi
 		return nil, err
 	}
 	s := newBnb(cfg)
-	defer memoTables.Put(s.table)
+	defer s.release()
 	if err := s.preload(entries); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package signal
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/harness"
 	"repro/internal/memsim"
@@ -24,7 +25,8 @@ type Policy struct {
 // harness. Each call starts from a copy of its (pid, kind) frame template
 // in the process's retained frame storage. Observe must see every
 // event of the run (attach it as the harness sink): it counts the applied
-// accesses SignalAfter waits for. A Workload is bound to a single run.
+// accesses SignalAfter waits for. A Workload is bound to a single run;
+// Release returns its storage for later workloads once the run is over.
 type Workload struct {
 	alg    Algorithm
 	policy Policy
@@ -36,13 +38,31 @@ type Workload struct {
 	procs    []proc
 	steps    int
 	signaled bool
-	returns  map[memsim.PID][]memsim.Value
-	err      error
+	// log holds every completed call's return value in completion order
+	// (nil after Release); returns is built from it on demand (nil until
+	// then).
+	log     *returnLog
+	returns map[memsim.PID][]memsim.Value
+	err     error
 }
+
+// returnLog is the completed calls' (pid, value) pairs in completion
+// order. Its storage is recycled through logPool.
+type returnLog struct{ entries []pidValue }
+
+// pidValue is one completed call's return value and process.
+type pidValue struct {
+	pid memsim.PID
+	val memsim.Value
+}
+
+// logPool recycles return logs across workloads (see Release).
+var logPool = sync.Pool{New: func() any { return new(returnLog) }}
 
 // proc is one process's progress through the policy.
 type proc struct {
 	waiter, signaler bool
+	calls            int // completed calls
 	polls            int
 	waitDone         bool // the waiter makes no further call
 	signalStarted    bool
@@ -55,12 +75,13 @@ var _ harness.Workload = (*Workload)(nil)
 // PID p lists must lie in [0, n).
 func NewWorkload(alg Algorithm, n int, p Policy) *Workload {
 	w := &Workload{
-		alg:     alg,
-		policy:  p,
-		kind:    memsim.CallPoll,
-		procs:   make([]proc, n),
-		returns: make(map[memsim.PID][]memsim.Value, n),
+		alg:    alg,
+		policy: p,
+		kind:   memsim.CallPoll,
+		procs:  make([]proc, n),
+		log:    logPool.Get().(*returnLog),
 	}
+	w.log.entries = w.log.entries[:0]
 	if p.Blocking {
 		w.kind = memsim.CallWait
 	}
@@ -119,8 +140,10 @@ func (w *Workload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 
 // Done implements harness.Workload.
 func (w *Workload) Done(pid memsim.PID, ret memsim.Value) {
-	w.returns[pid] = append(w.returns[pid], ret)
+	w.log.entries = append(w.log.entries, pidValue{pid, ret})
+	w.returns = nil
 	pr := &w.procs[pid]
+	pr.calls++
 	if pr.signalStarted {
 		pr.signalDone, w.signaled = true, true
 		return
@@ -142,8 +165,36 @@ func (w *Workload) Observe(ev memsim.Event) {
 func (w *Workload) Err() error { return w.err }
 
 // Returns maps each process to the return values of its completed calls,
-// in order.
-func (w *Workload) Returns() map[memsim.PID][]memsim.Value { return w.returns }
+// in order. Processes with no completed call have no entry. The slices
+// share one backing array but are capped at their own length, so
+// appending to one never overwrites another.
+func (w *Workload) Returns() map[memsim.PID][]memsim.Value {
+	if w.returns != nil {
+		return w.returns
+	}
+	w.returns = make(map[memsim.PID][]memsim.Value, len(w.procs))
+	all := make([]memsim.Value, len(w.log.entries))
+	off := 0
+	for pid, pr := range w.procs {
+		if pr.calls > 0 {
+			w.returns[memsim.PID(pid)] = all[off : off : off+pr.calls]
+			off += pr.calls
+		}
+	}
+	for _, r := range w.log.entries {
+		w.returns[r.pid] = append(w.returns[r.pid], r.val)
+	}
+	return w.returns
+}
+
+// Release ends the workload once its run is over and returns the return
+// log's storage for reuse by later workloads. A map Returns built before
+// stays valid, since it copies the values out of the log; nothing else
+// of the workload may be used afterwards.
+func (w *Workload) Release() {
+	logPool.Put(w.log)
+	w.log = nil
+}
 
 // Signaled reports whether some Signal call completed.
 func (w *Workload) Signaled() bool { return w.signaled }
