@@ -3,9 +3,7 @@ package lowerbound
 import (
 	"errors"
 	"fmt"
-	"io"
 	"slices"
-	"sort"
 
 	"repro/internal/memsim"
 )
@@ -42,7 +40,8 @@ const (
 
 // builder is the adversary's working state: a replayable action history, a
 // live execution positioned at its end, and the Par/Fin/Act bookkeeping of
-// Definition 6.3.
+// Definition 6.3. Everything it reads is dense PID- or address-indexed
+// storage, sized once per run and reused across rounds.
 type builder struct {
 	cfg  Config
 	n    int
@@ -50,19 +49,39 @@ type builder struct {
 	// led is exec's ledger: the running quantities the construction reads
 	// from the history, which exec retains only under VerifyErasures.
 	led *ledger
-	// spare is a second deployment that erase rewinds and replays onto;
-	// the two executions, and their ledgers, then trade places. Nil until
-	// the first erasure; certificate replays the final history onto it.
-	spare    *memsim.Execution
-	spareLed *ledger
+	// before is, under VerifyErasures, the trace a replay is checked
+	// against.
+	before []memsim.Event
 	// erasing marks, by PID, the victims of the erasure in progress.
-	erasing  []bool
-	active   map[memsim.PID]bool
-	finished map[memsim.PID]bool
-	stable   map[memsim.PID]bool
+	erasing []bool
+	// active lists the active processes in ascending PID order; erase
+	// and rollForward remove processes from it in place. isActive,
+	// finished and stable are the process sets by PID.
+	active    []memsim.PID
+	isActive  []bool
+	finished  []bool
+	nfinished int
+	stable    []bool
 	// zeroRuns counts consecutive completed zero-RMR Poll calls per
 	// process, for the heuristic stability window.
-	zeroRuns map[memsim.PID]int
+	zeroRuns []int32
+	// The round's pending remote accesses: isPending marks, by PID, the
+	// processes parked at one and not yet applied or erased (npend of
+	// them), and pendAcc holds the access. Pending processes are active,
+	// so walking the active list visits them in ascending PID order.
+	pendAcc   []memsim.Access
+	isPending []bool
+	npend     int
+	// claimed and nwriters are applyWrites' per-address scratch: the
+	// addresses that already kept one RMW (or plain writer), and the
+	// plain-writer count per address. Both are zero between uses.
+	claimed  []bool
+	nwriters []int32
+	graph    *conflictGraph
+	// victims, writing and targets are scratch PID lists.
+	victims []memsim.PID
+	writing []memsim.PID
+	targets []memsim.PID
 	// module holds advance's module snapshots: the one taken when a Poll
 	// starts, followed by the one taken when it ends.
 	module   []memsim.Value
@@ -92,58 +111,60 @@ func newBuilder(cfg Config) (*builder, error) {
 	if cfg.SoloBudget == 0 {
 		cfg.SoloBudget = 64*cfg.N + 256
 	}
-	if cfg.Log == nil {
-		cfg.Log = io.Discard
-	}
 	exec, err := cfg.Algorithm.Deploy(cfg.N)
 	if err != nil {
 		return nil, err
 	}
 	exec.RetainEvents(cfg.VerifyErasures)
+	n, size := cfg.N, exec.Machine().Size()
 	b := &builder{
-		cfg:      cfg,
-		n:        cfg.N,
-		exec:     exec,
-		led:      attachLedger(exec),
-		erasing:  make([]bool, cfg.N),
-		active:   make(map[memsim.PID]bool, cfg.N),
-		finished: make(map[memsim.PID]bool),
-		stable:   make(map[memsim.PID]bool),
-		zeroRuns: make(map[memsim.PID]int),
+		cfg:       cfg,
+		n:         n,
+		exec:      exec,
+		led:       attachLedger(exec),
+		erasing:   make([]bool, n),
+		active:    make([]memsim.PID, 0, n),
+		isActive:  make([]bool, n),
+		finished:  make([]bool, n),
+		stable:    make([]bool, n),
+		zeroRuns:  make([]int32, n),
+		pendAcc:   make([]memsim.Access, n),
+		isPending: make([]bool, n),
+		claimed:   make([]bool, size),
+		nwriters:  make([]int32, size),
+		graph:     newConflictGraph(n),
+		victims:   make([]memsim.PID, 0, n),
 	}
-	for i := 0; i < cfg.N; i++ {
+	for i := 0; i < n; i++ {
 		pid := memsim.PID(i)
-		if cfg.Algorithm.Variant.FixedSignaler && pid == memsim.PID(cfg.N-1) {
+		if cfg.Algorithm.Variant.FixedSignaler && pid == memsim.PID(n-1) {
 			continue // reserve the designated signaler
 		}
-		b.active[pid] = true
+		b.active = append(b.active, pid)
+		b.isActive[pid] = true
 	}
 	return b, nil
 }
 
-// release returns both executions' storage for reuse; the certificate
-// keeps what it took from them (the trace and a copy of the owners).
+// release returns the execution's storage for reuse; the certificate
+// keeps what it took from it (the trace and a copy of the owners).
 func (b *builder) release() {
 	b.exec.Release()
-	if b.spare != nil {
-		b.spare.Release()
-	}
-	b.exec, b.spare = nil, nil
+	b.exec = nil
 }
 
+// logging reports whether the construction narrative goes anywhere;
+// callers test it before logf so that nothing is formatted otherwise.
+func (b *builder) logging() bool { return b.cfg.Log != nil }
+
+// logf writes one line of the narrative to Config.Log.
 func (b *builder) logf(format string, args ...any) {
 	fmt.Fprintf(b.cfg.Log, format+"\n", args...)
 }
 
-// activeSorted returns the active set in ascending PID order.
-func (b *builder) activeSorted() []memsim.PID {
-	out := make([]memsim.PID, 0, len(b.active))
-	for p := range b.active {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// activeSorted returns the active set in ascending PID order. The slice
+// is the builder's own list: erasures rewrite it in place.
+func (b *builder) activeSorted() []memsim.PID { return b.active }
 
 // isRemote applies the DSM RMR rule to a pending access.
 func (b *builder) isRemote(pid memsim.PID, a memsim.Addr) bool {
@@ -151,11 +172,11 @@ func (b *builder) isRemote(pid memsim.PID, a memsim.Addr) bool {
 }
 
 // erase removes every process in victims from the history (Lemma 6.7): it
-// rewinds the spare execution to its deployment state, re-applies the
-// live schedule without the victims' actions, and makes the result the
-// live execution. When VerifyErasures is set, it asserts that each
-// survivor's access sequence is unchanged — the runtime check that nobody
-// had seen the victims.
+// rewinds the live execution and its ledger to the deployment state and
+// re-applies the schedule without the victims' actions. When
+// VerifyErasures is set, it asserts that each survivor's access sequence
+// is unchanged — the runtime check that nobody had seen the victims.
+// victims may alias activeSorted's list.
 func (b *builder) erase(victims ...memsim.PID) error {
 	if len(victims) == 0 {
 		return nil
@@ -167,54 +188,85 @@ func (b *builder) erase(victims ...memsim.PID) error {
 	}
 	for _, v := range victims {
 		b.erasing[v] = true
-		delete(b.active, v)
-		delete(b.stable, v)
-		delete(b.zeroRuns, v)
+		b.isActive[v] = false
+		b.stable[v] = false
+		b.zeroRuns[v] = 0
 	}
-	defer func() {
-		for _, v := range victims {
-			b.erasing[v] = false
+	defer clear(b.erasing)
+	// victims is not read again: it may alias the list compacted here.
+	kept := b.active[:0]
+	for _, p := range b.active {
+		if !b.erasing[p] {
+			kept = append(kept, p)
 		}
-	}()
-	if err := b.replay(b.cfg.VerifyErasures); err != nil {
+	}
+	b.active = kept
+	if b.cfg.VerifyErasures {
+		b.before = append(b.before[:0], b.exec.Events()...)
+	}
+	if err := b.replay(); err != nil {
 		return fmt.Errorf("erase replay: %w", err)
 	}
 	if b.cfg.VerifyErasures {
-		if p, changed := b.survivorChanged(b.exec.Events(), b.spare.Events()); changed {
+		if p, changed := b.survivorChanged(b.before, b.exec.Events()); changed {
+			var erased []memsim.PID
+			for v, e := range b.erasing {
+				if e {
+					erased = append(erased, memsim.PID(v))
+				}
+			}
 			return fmt.Errorf("lowerbound: erasing %v changed survivor p%d's trace (algorithm saw an erased process)",
-				append([]memsim.PID(nil), victims...), p)
+				erased, p)
 		}
 	}
-	b.exec, b.spare = b.spare, b.exec
-	b.led, b.spareLed = b.spareLed, b.led
 	return nil
 }
 
-// replay rewinds the spare execution and its ledger to the deployment
-// state (deploying the spare on first use) and re-applies the live
-// schedule without the actions of the processes being erased. The spare
-// retains the replayed trace when retain is set.
-func (b *builder) replay(retain bool) error {
-	if b.spare == nil {
-		spare, err := b.cfg.Algorithm.Deploy(b.n)
-		if err != nil {
-			return err
-		}
-		b.spare, b.spareLed = spare, attachLedger(spare)
-	} else {
-		b.spare.Reset()
-		b.spareLed.reset()
-	}
-	b.spare.RetainEvents(retain)
-	for i, a := range b.exec.Actions() {
+// replay rewinds the live execution and its ledger to the deployment
+// state and re-applies the schedule without the actions of the processes
+// being erased. The schedule is filtered in place: Reset empties the
+// execution's action log but keeps its storage, and the k-th re-applied
+// action is logged at position k, never after the position it was read
+// from, so the loop reads no entry that the replay has overwritten.
+func (b *builder) replay() error {
+	sched := b.exec.Actions()
+	b.exec.Reset()
+	b.led.reset()
+	for i, a := range sched {
 		if b.erasing[a.PID] {
 			continue
 		}
-		if err := b.spare.Apply(a); err != nil {
+		if err := b.exec.Apply(a); err != nil {
 			return fmt.Errorf("replay action %d (%v p%d): %w", i, a.Kind, a.PID, err)
 		}
 	}
 	return nil
+}
+
+// certificateTrace replays the live schedule onto the rewound execution
+// and returns the trace the replay emits, which the ledger collects into
+// a slice made at its final length: every applied action emits exactly
+// one event. Under VerifyErasures the replay must reproduce the live
+// trace exactly.
+func (b *builder) certificateTrace() ([]memsim.Event, error) {
+	if b.cfg.VerifyErasures {
+		b.before = append(b.before[:0], b.exec.Events()...)
+	}
+	b.led.trace = make([]memsim.Event, 0, len(b.exec.Actions()))
+	b.led.record = true
+	err := b.replay()
+	events := b.led.trace
+	b.led.trace, b.led.record = nil, false
+	if err != nil {
+		return nil, err
+	}
+	if len(events) != cap(events) {
+		return nil, fmt.Errorf("lowerbound: %d actions replayed into %d events", cap(events), len(events))
+	}
+	if b.cfg.VerifyErasures && !slices.Equal(events, b.before) {
+		return nil, errors.New("lowerbound: the replayed certificate trace differs from the live trace")
+	}
+	return events, nil
 }
 
 // survivorChanged compares the history before an erasure with its replay
@@ -306,20 +358,19 @@ func (b *builder) advance(p memsim.PID) (advStatus, error) {
 	return advStuck, nil
 }
 
-// pendingTargets returns the active processes p's pending access would see
-// or touch (for regularity condition 1 and 2 edges).
-func (b *builder) pendingTargets(p memsim.PID, acc memsim.Access) []memsim.PID {
-	var out []memsim.PID
+// appendTargets appends to dst the active processes p's pending access
+// would see or touch (for regularity condition 1 and 2 edges).
+func (b *builder) appendTargets(dst []memsim.PID, p memsim.PID, acc memsim.Access) []memsim.PID {
 	m := b.exec.Machine()
-	if q := m.Owner(acc.Addr); q != memsim.NoOwner && q != p && b.active[q] {
-		out = append(out, q)
+	if q := m.Owner(acc.Addr); q != memsim.NoOwner && q != p && b.isActive[q] {
+		dst = append(dst, q)
 	}
 	if classify(acc.Op) != classWrite {
-		if w := m.LastWriter(acc.Addr); w != memsim.NoOwner && w != p && b.active[w] {
-			out = append(out, w)
+		if w := m.LastWriter(acc.Addr); w != memsim.NoOwner && w != p && b.isActive[w] {
+			dst = append(dst, w)
 		}
 	}
-	return out
+	return dst
 }
 
 // isqrt returns floor(sqrt(x)).

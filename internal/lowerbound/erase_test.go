@@ -1,15 +1,16 @@
 package lowerbound
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/memsim"
 	"repro/internal/signal"
 )
 
-// TestEraseAllocs: once the builder's spare execution has been deployed
-// and both executions have held the history, an erasure (rewind, replay
-// without the victim, survivor check, swap) allocates nothing.
+// TestEraseAllocs: once the builder's execution and its survivor-check
+// buffer have held the history, an erasure (rewind, replay without the
+// victim, survivor check) allocates nothing.
 func TestEraseAllocs(t *testing.T) {
 	const n = 64
 	b, err := newBuilder(Config{
@@ -39,7 +40,7 @@ func TestEraseAllocs(t *testing.T) {
 		}
 		victim++
 	}
-	// AllocsPerRun erases once to warm up (deploying the spare), then
+	// AllocsPerRun erases once to warm up (sizing the buffers), then
 	// reports the mean over the measured erasures, rounded down: an
 	// allocation in every erasure reads as at least 1, while a stray
 	// runtime allocation inside the window (a new OS thread when the
@@ -81,4 +82,54 @@ func TestSurvivorChanged(t *testing.T) {
 			t.Errorf("%s: survivorChanged = p%d, %v; want p%d, %v", c.name, p, changed, c.want, c.ok)
 		}
 	}
+}
+
+// TestActiveListAscending: erasures remove their victims from the active
+// list in place and keep it in ascending PID order, in step with the
+// isActive flags, whatever order the victims come in.
+func TestActiveListAscending(t *testing.T) {
+	const n = 16
+	b, err := newBuilder(Config{Algorithm: signal.FixedWaiters(), N: n, C: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.release()
+	for _, p := range b.activeSorted() {
+		if _, err := b.advance(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(erased map[memsim.PID]bool) {
+		t.Helper()
+		var want []memsim.PID
+		for p := memsim.PID(0); p < n; p++ {
+			if !erased[p] {
+				want = append(want, p)
+			}
+			if b.isActive[p] == erased[p] {
+				t.Fatalf("isActive[%d] = %v after erasing %v", p, b.isActive[p], erased)
+			}
+		}
+		if !slices.Equal(b.activeSorted(), want) {
+			t.Fatalf("active list %v, want %v", b.activeSorted(), want)
+		}
+	}
+	erased := map[memsim.PID]bool{}
+	for _, victims := range [][]memsim.PID{{0}, {9, 4}, {15, 1, 7}} {
+		if err := b.erase(victims...); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range victims {
+			erased[v] = true
+		}
+		check(erased)
+	}
+	// Victims may alias the active list itself.
+	if err := b.erase(b.activeSorted()[2:5]...); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []memsim.PID{5, 6, 8} {
+		erased[v] = true
+	}
+	check(erased)
 }

@@ -1,7 +1,7 @@
 package lowerbound
 
 import (
-	"sort"
+	"math/bits"
 
 	"repro/internal/memsim"
 )
@@ -12,87 +12,129 @@ import (
 // independent set of at least n/(d+1) vertices. The classic constructive
 // witness is the greedy minimum-degree algorithm implemented here, so the
 // code inherits the proof's quantitative guarantee.
+//
+// All storage is PID-indexed and sized once for the machine's n
+// processes; reset empties the graph for the next use without
+// allocating.
 type conflictGraph struct {
-	vertices []memsim.PID
-	adj      map[memsim.PID]map[memsim.PID]bool
+	vertices []memsim.PID // ascending
+	vertex   []bool       // by PID: in the vertex set
+	words    int          // uint64 words per adjacency row
+	adj      []uint64     // n rows: bit q of row p is the edge {p, q}
+	nedges   int
+	// chooseIndependentSet's state and result, by PID.
+	deg    []int32
+	alive  []bool
+	chosen []bool
+	remove []memsim.PID
 }
 
-func newConflictGraph(vertices []memsim.PID) *conflictGraph {
-	g := &conflictGraph{
-		vertices: append([]memsim.PID(nil), vertices...),
-		adj:      make(map[memsim.PID]map[memsim.PID]bool, len(vertices)),
+// newConflictGraph returns an empty graph over PIDs below n.
+func newConflictGraph(n int) *conflictGraph {
+	words := (n + 63) / 64
+	return &conflictGraph{
+		vertices: make([]memsim.PID, 0, n),
+		vertex:   make([]bool, n),
+		words:    words,
+		adj:      make([]uint64, n*words),
+		deg:      make([]int32, n),
+		alive:    make([]bool, n),
+		chosen:   make([]bool, n),
 	}
-	sort.Slice(g.vertices, func(i, j int) bool { return g.vertices[i] < g.vertices[j] })
+}
+
+// reset empties g and makes vertices, given in ascending order, its
+// vertex set.
+func (g *conflictGraph) reset(vertices []memsim.PID) {
 	for _, v := range g.vertices {
-		g.adj[v] = make(map[memsim.PID]bool)
+		g.vertex[v] = false
+		clear(g.row(v))
 	}
-	return g
+	g.vertices = append(g.vertices[:0], vertices...)
+	for _, v := range g.vertices {
+		g.vertex[v] = true
+	}
+	g.nedges = 0
+}
+
+func (g *conflictGraph) row(p memsim.PID) []uint64 {
+	return g.adj[int(p)*g.words : (int(p)+1)*g.words]
+}
+
+// has reports whether the edge {p, q} is present.
+func (g *conflictGraph) has(p, q memsim.PID) bool {
+	return g.row(p)[q/64]&(1<<(q%64)) != 0
 }
 
 // addEdge inserts an undirected edge; endpoints outside the vertex set are
 // ignored.
 func (g *conflictGraph) addEdge(p, q memsim.PID) {
-	if p == q {
+	if p == q || !g.isVertex(p) || !g.isVertex(q) || g.has(p, q) {
 		return
 	}
-	if _, ok := g.adj[p]; !ok {
-		return
-	}
-	if _, ok := g.adj[q]; !ok {
-		return
-	}
-	g.adj[p][q] = true
-	g.adj[q][p] = true
+	g.row(p)[q/64] |= 1 << (q % 64)
+	g.row(q)[p/64] |= 1 << (p % 64)
+	g.nedges++
+}
+
+func (g *conflictGraph) isVertex(p memsim.PID) bool {
+	return p >= 0 && int(p) < len(g.vertex) && g.vertex[p]
 }
 
 // edges returns the number of undirected edges.
-func (g *conflictGraph) edges() int {
-	total := 0
-	for _, nbrs := range g.adj {
-		total += len(nbrs)
+func (g *conflictGraph) edges() int { return g.nedges }
+
+// neighbours calls f for each neighbour of p, in ascending order.
+func (g *conflictGraph) neighbours(p memsim.PID, f func(q memsim.PID)) {
+	for i, w := range g.row(p) {
+		for ; w != 0; w &= w - 1 {
+			f(memsim.PID(i*64 + bits.TrailingZeros64(w)))
+		}
 	}
-	return total / 2
 }
 
-// independentSet returns a maximal independent set computed by repeatedly
+// chooseIndependentSet computes a maximal independent set by repeatedly
 // selecting a minimum-degree vertex and deleting its neighbourhood — the
 // greedy procedure achieving Turán's n/(d+1) bound. Ties break toward the
-// smallest PID so the construction stays deterministic.
-func (g *conflictGraph) independentSet() []memsim.PID {
-	deg := make(map[memsim.PID]int, len(g.vertices))
-	alive := make(map[memsim.PID]bool, len(g.vertices))
+// smallest PID so the construction stays deterministic. in reports
+// membership until the next call.
+func (g *conflictGraph) chooseIndependentSet() {
 	for _, v := range g.vertices {
-		deg[v] = len(g.adj[v])
-		alive[v] = true
+		deg := int32(0)
+		for _, w := range g.row(v) {
+			deg += int32(bits.OnesCount64(w))
+		}
+		g.deg[v], g.alive[v], g.chosen[v] = deg, true, false
 	}
-	var out []memsim.PID
-	for len(alive) > 0 {
+	for left := len(g.vertices); left > 0; {
 		best := memsim.PID(-1)
 		for _, v := range g.vertices {
-			if !alive[v] {
-				continue
-			}
-			if best == -1 || deg[v] < deg[best] {
+			if g.alive[v] && (best == -1 || g.deg[v] < g.deg[best]) {
 				best = v
 			}
 		}
-		out = append(out, best)
-		// Remove best and its neighbourhood.
-		remove := []memsim.PID{best}
-		for q := range g.adj[best] {
-			if alive[q] {
-				remove = append(remove, q)
+		g.chosen[best] = true
+		// Remove best and its neighbourhood, then update the degrees of
+		// the vertices left.
+		g.remove = append(g.remove[:0], best)
+		g.neighbours(best, func(q memsim.PID) {
+			if g.alive[q] {
+				g.remove = append(g.remove, q)
 			}
+		})
+		for _, v := range g.remove {
+			g.alive[v] = false
 		}
-		for _, v := range remove {
-			delete(alive, v)
-			for q := range g.adj[v] {
-				if alive[q] {
-					deg[q]--
+		left -= len(g.remove)
+		for _, v := range g.remove {
+			g.neighbours(v, func(q memsim.PID) {
+				if g.alive[q] {
+					g.deg[q]--
 				}
-			}
+			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
+
+// in reports whether vertex p is in the set chooseIndependentSet chose.
+func (g *conflictGraph) in(p memsim.PID) bool { return g.chosen[p] }

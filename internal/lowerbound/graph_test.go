@@ -2,17 +2,39 @@ package lowerbound
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/memsim"
 )
 
+// graphOver returns an empty conflict graph whose vertices are vertices,
+// over PIDs below n.
+func graphOver(n int, vertices ...memsim.PID) *conflictGraph {
+	g := newConflictGraph(n)
+	g.reset(vertices)
+	return g
+}
+
+// independentSet runs the greedy choice on g and returns the chosen
+// vertices in ascending order.
+func independentSet(g *conflictGraph) []memsim.PID {
+	g.chooseIndependentSet()
+	var out []memsim.PID
+	for _, v := range g.vertices {
+		if g.in(v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 func TestConflictGraphIndependentSetBasic(t *testing.T) {
-	g := newConflictGraph([]memsim.PID{0, 1, 2, 3})
+	g := graphOver(4, 0, 1, 2, 3)
 	g.addEdge(0, 1)
 	g.addEdge(2, 3)
-	is := g.independentSet()
+	is := independentSet(g)
 	if len(is) != 2 {
 		t.Fatalf("independent set %v, want size 2", is)
 	}
@@ -26,13 +48,14 @@ func TestConflictGraphIndependentSetBasic(t *testing.T) {
 }
 
 func TestConflictGraphIgnoresForeignEdges(t *testing.T) {
-	g := newConflictGraph([]memsim.PID{0, 1})
-	g.addEdge(0, 7) // 7 is not a vertex
+	g := graphOver(4, 0, 1)
+	g.addEdge(0, 3) // 3 is not a vertex
+	g.addEdge(0, 7) // 7 is not a PID of the graph
 	g.addEdge(0, 0) // self loop
 	if g.edges() != 0 {
 		t.Fatalf("edges = %d, want 0", g.edges())
 	}
-	if got := g.independentSet(); len(got) != 2 {
+	if got := independentSet(g); len(got) != 2 {
 		t.Fatalf("independent set %v, want both vertices", got)
 	}
 }
@@ -48,20 +71,20 @@ func TestConflictGraphQuick(t *testing.T) {
 		for i := range vertices {
 			vertices[i] = memsim.PID(i)
 		}
-		g := newConflictGraph(vertices)
+		g := graphOver(n, vertices...)
 		edges := rng.Intn(2 * n)
 		for e := 0; e < edges; e++ {
 			g.addEdge(memsim.PID(rng.Intn(n)), memsim.PID(rng.Intn(n)))
 		}
-		is := g.independentSet()
+		is := independentSet(g)
 		inSet := map[memsim.PID]bool{}
 		for _, p := range is {
 			inSet[p] = true
 		}
 		// Independence.
 		for _, p := range is {
-			for q := range g.adj[p] {
-				if inSet[q] {
+			for _, q := range is {
+				if g.has(p, q) {
 					return false
 				}
 			}
@@ -74,6 +97,30 @@ func TestConflictGraphQuick(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConflictGraphTieBreak: the greedy choice takes the lowest PID among
+// the minimum-degree vertices, and a reset graph forgets its old edges.
+func TestConflictGraphTieBreak(t *testing.T) {
+	g := graphOver(8, 1, 2, 3, 5, 6)
+	g.addEdge(1, 2) // degrees: 1, 2, 3 and 5 have 1; 6 has 0
+	g.addEdge(3, 5)
+	if got := independentSet(g); !slices.Equal(got, []memsim.PID{1, 3, 6}) {
+		t.Fatalf("independent set %v, want [1 3 6]", got)
+	}
+	for p, want := range map[memsim.PID]bool{1: true, 2: false, 3: true, 5: false, 6: true} {
+		if g.in(p) != want {
+			t.Errorf("in(%d) = %v, want %v", p, g.in(p), want)
+		}
+	}
+	g.reset([]memsim.PID{2, 3, 5})
+	g.addEdge(3, 5)
+	if g.edges() != 1 || g.has(1, 2) || g.has(2, 1) {
+		t.Fatalf("reset graph kept old edges: %d edges", g.edges())
+	}
+	if got := independentSet(g); !slices.Equal(got, []memsim.PID{2, 3}) {
+		t.Fatalf("independent set %v, want [2 3]", got)
 	}
 }
 

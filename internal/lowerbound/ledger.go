@@ -25,6 +25,10 @@ type ledger struct {
 	// writtenByOther those written by a process other than their owner.
 	written        []bool
 	writtenByOther []bool
+	// trace collects every event while record is set (the certificate's
+	// replay).
+	trace  []memsim.Event
+	record bool
 }
 
 // attachLedger returns a zero ledger observing every later event of e.
@@ -44,6 +48,9 @@ func attachLedger(e *memsim.Execution) *ledger {
 
 // observe folds one trace event into the ledger.
 func (l *ledger) observe(ev memsim.Event) {
+	if l.record {
+		l.trace = append(l.trace, ev)
+	}
 	switch ev.Kind {
 	case memsim.EvCallStart:
 		l.callRemote[ev.PID] = false

@@ -21,11 +21,11 @@
 //     break regularity (Definition 6.6) are resolved by erasing an
 //     independent set complement of a conflict graph (Turán's theorem), and
 //     same-variable write pile-ups are resolved by rolling one process
-//     forward. Erasure is literal: the adversary rewinds a second
-//     deployment of the algorithm to its initial state (memsim
+//     forward. Erasure is literal: the adversary rewinds its one
+//     deployment of the algorithm to the initial state (memsim
 //     Execution.Reset) and replays the schedule onto it without the
 //     erased processes' actions, asserting that the survivors' traces are
-//     unchanged (Lemma 6.7); the replay then becomes the live history.
+//     unchanged (Lemma 6.7); the replay is the new live history.
 //   - Stability (Definition 6.8) is certified constructively: a Poll call
 //     that performs no remote access and leaves the process's memory module
 //     exactly as it found it is a local fixpoint, so the process will never
@@ -39,13 +39,19 @@
 //
 // The construction reads only running quantities of its history, never
 // the history itself: per-process DSM RMRs, who participated, whether the
-// current call went remote, and whose module was written. Each of the two
-// executions keeps them in a ledger attached as a memsim.EventSink, and
-// by default neither execution retains its trace; each keeps only the
-// action log that erasure and replay need. The certificate's trace is
-// made once, at the end, by replaying the final action log with
-// retention on. Config.VerifyErasures additionally makes both executions
-// retain their traces, so that every erasure can compare the survivors'
+// current call went remote, and whose module was written. The execution
+// keeps them in a ledger attached as a memsim.EventSink, and by default
+// retains no trace; it keeps only the action log that erasure and replay
+// need. The rest of the adversary's bookkeeping — the active, finished
+// and stable sets, the round's pending accesses, the conflict graph, the
+// per-variable writer counts — is dense PID- or address-indexed storage
+// sized once per run, and the active set is a list kept in ascending PID
+// order, so no round builds a map or sorts. The certificate's trace is
+// made once, at the end, by replaying the final action log while the
+// ledger collects the events into a slice of exactly the log's length
+// (every action emits one event); the regularity audit (internal/trace)
+// runs on it. Config.VerifyErasures additionally makes the execution
+// retain its trace, so that every erasure can compare the survivors'
 // accesses and the certificate's replayed trace can be compared with the
 // live one.
 package lowerbound
@@ -124,13 +130,13 @@ type Config struct {
 	RollThreshold int
 	// VerifyErasures replays and compares survivor traces after every
 	// erasure (Lemma 6.7 as a runtime assertion), and checks that the
-	// certificate's replayed trace equals the live one. With it set, both
-	// executions retain their whole traces; without it, neither retains
-	// any trace, and only the certificate's replay records one. The
-	// certificate is the same either way. Slower; on by default in tests.
+	// certificate's replayed trace equals the live one. With it set, the
+	// execution retains its whole trace; without it, it retains none, and
+	// only the certificate's replay records one. The certificate is the
+	// same either way. Slower; on by default in tests.
 	VerifyErasures bool
-	// Log receives a human-readable construction narrative (nil
-	// discards).
+	// Log receives a human-readable construction narrative. With it nil,
+	// nothing is formatted.
 	Log io.Writer
 }
 

@@ -17,8 +17,8 @@ import (
 func (b *builder) part2() (*Certificate, error) {
 	// Census: classify the remaining actives and erase the unstable ones
 	// (Lemma 6.12 keeps only stable processes).
-	var unstable []memsim.PID
-	for _, p := range b.activeSorted() {
+	unstable := b.victims[:0]
+	for _, p := range b.active {
 		if b.stable[p] {
 			continue
 		}
@@ -36,14 +36,19 @@ func (b *builder) part2() (*Certificate, error) {
 			return b.certNonTerminating(fmt.Sprintf("Poll by p%d did not finish within the solo budget", p))
 		}
 	}
+	b.victims = unstable
 	if len(unstable) > 0 {
-		b.logf("part 2: erasing %d unstable actives", len(unstable))
+		if b.logging() {
+			b.logf("part 2: erasing %d unstable actives", len(unstable))
+		}
 		if err := b.erase(unstable...); err != nil {
 			return nil, err
 		}
 	}
 	stableCount := len(b.active)
-	b.logf("part 2: %d stable waiters, %d finished", stableCount, len(b.finished))
+	if b.logging() {
+		b.logf("part 2: %d stable waiters, %d finished", stableCount, b.nfinished)
+	}
 
 	// At this point every stable waiter is idle between calls — a legal
 	// termination point, so running s solo is a fair continuation.
@@ -55,7 +60,9 @@ func (b *builder) part2() (*Certificate, error) {
 		return b.certificate(VerdictEvaded, memsim.NoOwner, stableCount, why)
 	}
 	stableCount = len(b.active) // chooseSignaler may have erased one waiter
-	b.logf("part 2: signaler p%d starts the goose chase", s)
+	if b.logging() {
+		b.logf("part 2: signaler p%d starts the goose chase", s)
+	}
 
 	if err := b.exec.Start(s, memsim.CallSignal); err != nil {
 		if errors.Is(err, signal.ErrUnsupported) || errors.Is(err, signal.ErrWrongSignaler) {
@@ -94,7 +101,7 @@ func (b *builder) part2() (*Certificate, error) {
 	// Safety audit (the contradiction branch of Lemma 6.13): any stable
 	// waiter s never touched must still return false from Poll() even
 	// though Signal() has completed.
-	for _, p := range b.activeSorted() {
+	for _, p := range b.active {
 		ret, err := b.exec.Invoke(p, memsim.CallPoll, b.cfg.SoloBudget)
 		if err != nil {
 			return b.certNonTerminating(fmt.Sprintf("post-signal Poll by p%d: %v", p, err))
@@ -114,9 +121,10 @@ func (b *builder) part2() (*Certificate, error) {
 	// Erase any remaining stable waiters: they are invisible to s and to
 	// the finished processes, so the survivors' history is unchanged and
 	// the participant count drops to s plus the finished processes.
-	leftovers := b.activeSorted()
-	if len(leftovers) > 0 {
-		b.logf("part 2: erasing %d untouched stable waiters after audit", len(leftovers))
+	if leftovers := b.active; len(leftovers) > 0 {
+		if b.logging() {
+			b.logf("part 2: erasing %d untouched stable waiters after audit", len(leftovers))
+		}
 		if err := b.erase(leftovers...); err != nil {
 			return nil, err
 		}
@@ -147,7 +155,7 @@ func (b *builder) chooseSignaler() (memsim.PID, string, error) {
 	led := b.led
 	if b.cfg.Algorithm.Variant.FixedSignaler {
 		s := memsim.PID(b.n - 1)
-		if led.participated[s] || b.active[s] || b.finished[s] {
+		if led.participated[s] || b.isActive[s] || b.finished[s] {
 			return memsim.NoOwner, fmt.Sprintf("designated signaler p%d already participates", s), nil
 		}
 		// The fixed-signaler variant is outside Theorem 6.2's scope; run
@@ -157,7 +165,7 @@ func (b *builder) chooseSignaler() (memsim.PID, string, error) {
 	}
 	for i := 0; i < b.n; i++ {
 		p := memsim.PID(i)
-		if led.participated[p] || b.active[p] || b.finished[p] || led.written[p] {
+		if led.participated[p] || b.isActive[p] || b.finished[p] || led.written[p] {
 			continue
 		}
 		return p, "", nil
@@ -165,13 +173,14 @@ func (b *builder) chooseSignaler() (memsim.PID, string, error) {
 	// Free up a PID: an active stable waiter whose module nobody else
 	// wrote becomes fresh once erased. Prefer the highest PID so waiter
 	// indices stay dense.
-	actives := b.activeSorted()
-	for i := len(actives) - 1; i >= 0; i-- {
-		p := actives[i]
+	for i := len(b.active) - 1; i >= 0; i-- {
+		p := b.active[i]
 		if led.writtenByOther[p] {
 			continue
 		}
-		b.logf("part 2: erasing stable p%d to reuse it as a fresh signaler", p)
+		if b.logging() {
+			b.logf("part 2: erasing stable p%d to reuse it as a fresh signaler", p)
+		}
 		if err := b.erase(p); err != nil {
 			return memsim.NoOwner, "", err
 		}
@@ -198,34 +207,23 @@ func (b *builder) certNonTerminatingSignaler(s memsim.PID, stableCount int) (*Ce
 }
 
 // certificate snapshots the current history into a Certificate. Its
-// counts come from the live ledger; its trace comes from replaying the
-// live schedule onto the spare execution with retention on, and the
-// certificate owns that trace (the builder releases the spare). Under
-// VerifyErasures the live execution retains its trace too, and the replay
-// must reproduce it exactly.
+// counts come from the live ledger and its trace from replaying the live
+// schedule (certificateTrace); the certificate owns that trace.
 func (b *builder) certificate(v Verdict, s memsim.PID, stableCount int, detail string) (*Certificate, error) {
-	if err := b.replay(true); err != nil {
+	events, err := b.certificateTrace()
+	if err != nil {
 		return nil, fmt.Errorf("certificate replay: %w", err)
-	}
-	events := b.spare.Events()
-	b.spare.Release() // a released execution never recycles its retained trace
-	b.spare, b.spareLed = nil, nil
-	if b.cfg.VerifyErasures && !slices.Equal(events, b.exec.Events()) {
-		return nil, errors.New("lowerbound: the replayed certificate trace differs from the live trace")
 	}
 	// Self-audit: the construction must have kept the history regular
 	// (Definition 6.6). Active processes are "unfinished"; the signaler,
 	// if any, may legitimately see finished processes only.
-	finished := make(map[memsim.PID]bool, len(b.finished))
-	for p := range b.finished {
-		finished[p] = true
-	}
+	finished := slices.Clone(b.finished)
 	if s != memsim.NoOwner {
 		// The signaler is allowed to be "seen" conceptually — nobody
 		// runs after it — and it terminated by completing Signal.
 		finished[s] = true
 	}
-	rel := trace.Compute(events, b.exec.Machine().Owner)
+	rel := trace.Compute(events, b.exec.Machine().Owner, b.n)
 	regular := len(trace.CheckRegular(rel, finished)) == 0
 	total, k := 0, 0
 	for p, r := range b.led.rmrs {

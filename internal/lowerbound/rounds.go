@@ -2,7 +2,7 @@ package lowerbound
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/memsim"
 )
@@ -42,8 +42,8 @@ func (b *builder) round(i int) (*Certificate, error) {
 	erasedBefore := len(b.active)
 
 	// Step 1: run every active process to its next RMR or to stability.
-	pending := make(map[memsim.PID]memsim.Access)
-	for _, p := range b.activeSorted() {
+	b.clearPending()
+	for _, p := range b.active {
 		if b.stable[p] {
 			continue
 		}
@@ -54,7 +54,7 @@ func (b *builder) round(i int) (*Certificate, error) {
 		switch status {
 		case advUnstable:
 			acc, _ := b.exec.Pending(p)
-			pending[p] = acc
+			b.addPending(p, acc)
 		case advStable:
 			// parked idle; nothing to do
 		case advSafety:
@@ -64,48 +64,44 @@ func (b *builder) round(i int) (*Certificate, error) {
 		}
 	}
 
-	if len(pending) == 0 {
+	if b.npend == 0 {
 		b.lastCase = "all-stable"
 	} else {
 		// Step 2: resolve sees/touches conflicts (regularity conditions
 		// 1-2) by keeping an independent set of the conflict graph.
-		g := newConflictGraph(b.activeSorted())
-		for p, acc := range pending {
-			for _, q := range b.pendingTargets(p, acc) {
+		g := b.graph
+		g.reset(b.active)
+		for _, p := range b.active {
+			if !b.isPending[p] {
+				continue
+			}
+			b.targets = b.appendTargets(b.targets[:0], p, b.pendAcc[p])
+			for _, q := range b.targets {
 				g.addEdge(p, q)
 			}
 		}
 		if g.edges() > 0 {
-			keep := g.independentSet()
-			keepSet := make(map[memsim.PID]bool, len(keep))
-			for _, p := range keep {
-				keepSet[p] = true
+			victims := b.outsideIndependentSet()
+			if b.logging() {
+				b.logf("round %d: sees/touches conflicts: erasing %d of %d active", i, len(victims), erasedBefore)
 			}
-			var victims []memsim.PID
-			for _, p := range b.activeSorted() {
-				if !keepSet[p] {
-					victims = append(victims, p)
-					delete(pending, p)
-				}
-			}
-			b.logf("round %d: sees/touches conflicts: erasing %d of %d active", i, len(victims), erasedBefore)
 			if err := b.erase(victims...); err != nil {
 				return nil, err
 			}
 		}
 
 		// Step 3: apply pending reads (they cannot break regularity now).
-		for _, p := range sortedKeys(pending) {
-			if classify(pending[p].Op) == classRead {
+		for _, p := range b.active {
+			if b.isPending[p] && classify(b.pendAcc[p].Op) == classRead {
 				if _, err := b.exec.Step(p); err != nil {
 					return nil, err
 				}
-				delete(pending, p)
+				b.dropPending(p)
 			}
 		}
 
 		// Step 4: handle pending writes and RMWs.
-		if cert, err := b.applyWrites(i, pending); err != nil || cert != nil {
+		if cert, err := b.applyWrites(i); err != nil || cert != nil {
 			return cert, err
 		}
 	}
@@ -118,8 +114,8 @@ func (b *builder) round(i int) (*Certificate, error) {
 
 	report.Active = len(b.active)
 	report.Erased = erasedBefore - len(b.active)
-	report.Finished = len(b.finished)
-	for p := range b.active {
+	report.Finished = b.nfinished
+	for _, p := range b.active {
 		if b.stable[p] {
 			report.Stable++
 		}
@@ -129,14 +125,77 @@ func (b *builder) round(i int) (*Certificate, error) {
 	}
 	b.lastCase = ""
 	b.rounds = append(b.rounds, report)
-	b.logf("round %d: active=%d stable=%d finished=%d", i, report.Active, report.Stable, report.Finished)
+	if b.logging() {
+		b.logf("round %d: active=%d stable=%d finished=%d", i, report.Active, report.Stable, report.Finished)
+	}
 	return nil, nil
+}
+
+// clearPending empties the round's pending set.
+func (b *builder) clearPending() {
+	clear(b.isPending)
+	b.npend = 0
+}
+
+// addPending records p's pending access.
+func (b *builder) addPending(p memsim.PID, acc memsim.Access) {
+	b.pendAcc[p], b.isPending[p] = acc, true
+	b.npend++
+}
+
+// dropPending removes p from the pending set (applied or erased).
+func (b *builder) dropPending(p memsim.PID) {
+	if b.isPending[p] {
+		b.isPending[p] = false
+		b.npend--
+	}
+}
+
+// outsideIndependentSet chooses the conflict graph's independent set and
+// returns, in ascending order, the active processes outside it, which
+// leave the pending set; the caller erases them.
+func (b *builder) outsideIndependentSet() []memsim.PID {
+	g := b.graph
+	g.chooseIndependentSet()
+	b.victims = b.victims[:0]
+	for _, p := range b.active {
+		if !g.in(p) {
+			b.victims = append(b.victims, p)
+			b.dropPending(p)
+		}
+	}
+	return b.victims
+}
+
+// keepOnePerAddress keeps, for each address, the lowest-PID pending access
+// of class c and drops the others from the pending set, returning them in
+// ascending order.
+func (b *builder) keepOnePerAddress(c opClass) []memsim.PID {
+	b.victims = b.victims[:0]
+	for _, p := range b.active {
+		acc := b.pendAcc[p]
+		if !b.isPending[p] || classify(acc.Op) != c {
+			continue
+		}
+		if b.claimed[acc.Addr] {
+			b.victims = append(b.victims, p)
+			b.dropPending(p)
+		} else {
+			b.claimed[acc.Addr] = true
+		}
+	}
+	for _, p := range b.active {
+		if b.isPending[p] {
+			b.claimed[b.pendAcc[p].Addr] = false
+		}
+	}
+	return b.victims
 }
 
 // applyWrites implements the roll-forward and erasing cases of Section 6.2
 // for the pending non-read accesses.
-func (b *builder) applyWrites(round int, pending map[memsim.PID]memsim.Access) (*Certificate, error) {
-	if len(pending) == 0 {
+func (b *builder) applyWrites(round int) (*Certificate, error) {
+	if b.npend == 0 {
 		return nil, nil
 	}
 
@@ -144,35 +203,22 @@ func (b *builder) applyWrites(round int, pending map[memsim.PID]memsim.Access) (
 	// same variable would make the later see the earlier. Keep only the
 	// lowest-PID RMW per variable (a conservative extension of the paper's
 	// read/write treatment; see package comment).
-	rmwByAddr := make(map[memsim.Addr][]memsim.PID)
-	for p, acc := range pending {
-		if classify(acc.Op) == classRMW {
-			rmwByAddr[acc.Addr] = append(rmwByAddr[acc.Addr], p)
+	if rmwVictims := b.keepOnePerAddress(classRMW); len(rmwVictims) > 0 {
+		if b.logging() {
+			b.logf("round %d: same-variable RMW pile-up: erasing %d", round, len(rmwVictims))
 		}
-	}
-	var rmwVictims []memsim.PID
-	for _, ps := range rmwByAddr {
-		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-		for _, p := range ps[1:] {
-			rmwVictims = append(rmwVictims, p)
-			delete(pending, p)
-		}
-	}
-	if len(rmwVictims) > 0 {
-		b.logf("round %d: same-variable RMW pile-up: erasing %d", round, len(rmwVictims))
 		if err := b.erase(rmwVictims...); err != nil {
 			return nil, err
 		}
 	}
 
-	// Partition plain writes by target variable.
-	writersOf := make(map[memsim.Addr][]memsim.PID)
-	for p, acc := range pending {
-		if classify(acc.Op) == classWrite {
-			writersOf[acc.Addr] = append(writersOf[acc.Addr], p)
+	// Count the plain writers of each variable.
+	for _, p := range b.active {
+		if acc := b.pendAcc[p]; b.isPending[p] && classify(acc.Op) == classWrite {
+			b.nwriters[acc.Addr]++
 		}
 	}
-	unstable := len(pending)
+	unstable := b.npend
 	threshold := b.cfg.RollThreshold
 	if threshold == 0 {
 		threshold = isqrt(unstable)
@@ -185,27 +231,38 @@ func (b *builder) applyWrites(round int, pending map[memsim.PID]memsim.Access) (
 	// go to the lowest address.
 	var hot memsim.Addr
 	hotCount := 0
-	for a, ps := range writersOf {
-		if len(ps) > hotCount || len(ps) == hotCount && a < hot {
-			hot, hotCount = a, len(ps)
+	for _, p := range b.active {
+		acc := b.pendAcc[p]
+		if !b.isPending[p] || classify(acc.Op) != classWrite {
+			continue
+		}
+		if c := int(b.nwriters[acc.Addr]); c > hotCount || c == hotCount && acc.Addr < hot {
+			hot, hotCount = acc.Addr, c
+		}
+	}
+	for _, p := range b.active {
+		if b.isPending[p] {
+			b.nwriters[b.pendAcc[p].Addr] = 0
 		}
 	}
 	if hotCount >= threshold {
 		b.lastCase = "roll-forward"
-		writers := writersOf[hot]
-		sort.Slice(writers, func(i, j int) bool { return writers[i] < writers[j] })
-		keep := make(map[memsim.PID]bool, len(writers))
-		for _, p := range writers {
-			keep[p] = true
-		}
-		var victims []memsim.PID
-		for p := range pending {
-			if !keep[p] {
+		writers, victims := b.writing[:0], b.victims[:0]
+		for _, p := range b.active {
+			if !b.isPending[p] {
+				continue
+			}
+			if acc := b.pendAcc[p]; classify(acc.Op) == classWrite && acc.Addr == hot {
+				writers = append(writers, p)
+			} else {
 				victims = append(victims, p)
 			}
 		}
-		b.logf("round %d: roll-forward on %s: %d writers, erasing %d other unstable",
-			round, b.exec.Machine().Name(hot), hotCount, len(victims))
+		b.writing, b.victims = writers, victims
+		if b.logging() {
+			b.logf("round %d: roll-forward on %s: %d writers, erasing %d other unstable",
+				round, b.exec.Machine().Name(hot), hotCount, len(victims))
+		}
 		if err := b.erase(victims...); err != nil {
 			return nil, err
 		}
@@ -225,52 +282,40 @@ func (b *builder) applyWrites(round int, pending map[memsim.PID]memsim.Access) (
 	// writer per variable, then resolve "writes a variable previously
 	// written by an active process" conflicts via an independent set.
 	b.lastCase = "erase"
-	var victims []memsim.PID
-	for _, ps := range writersOf {
-		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-		for _, p := range ps[1:] {
-			victims = append(victims, p)
-			delete(pending, p)
+	if victims := b.keepOnePerAddress(classWrite); len(victims) > 0 {
+		if b.logging() {
+			b.logf("round %d: erasing case: %d duplicate writers erased", round, len(victims))
 		}
-	}
-	if len(victims) > 0 {
-		b.logf("round %d: erasing case: %d duplicate writers erased", round, len(victims))
 		if err := b.erase(victims...); err != nil {
 			return nil, err
 		}
 	}
 
-	g := newConflictGraph(b.activeSorted())
-	edges := 0
+	g := b.graph
+	g.reset(b.active)
 	m := b.exec.Machine()
-	for p, acc := range pending {
-		if classify(acc.Op) == classRead {
+	for _, p := range b.active {
+		acc := b.pendAcc[p]
+		if !b.isPending[p] || classify(acc.Op) == classRead {
 			continue
 		}
-		if w := m.LastWriter(acc.Addr); w != memsim.NoOwner && w != p && b.active[w] {
+		if w := m.LastWriter(acc.Addr); w != memsim.NoOwner && w != p && b.isActive[w] {
 			g.addEdge(p, w)
-			edges++
 		}
 	}
-	if edges > 0 {
-		keep := g.independentSet()
-		keepSet := make(map[memsim.PID]bool, len(keep))
-		for _, p := range keep {
-			keepSet[p] = true
+	if g.edges() > 0 {
+		victims := b.outsideIndependentSet()
+		if b.logging() {
+			b.logf("round %d: prior-writer conflicts: erasing %d", round, len(victims))
 		}
-		victims = victims[:0]
-		for _, p := range b.activeSorted() {
-			if !keepSet[p] {
-				victims = append(victims, p)
-				delete(pending, p)
-			}
-		}
-		b.logf("round %d: prior-writer conflicts: erasing %d", round, len(victims))
 		if err := b.erase(victims...); err != nil {
 			return nil, err
 		}
 	}
-	for _, p := range sortedKeys(pending) {
+	for _, p := range b.active {
+		if !b.isPending[p] {
+			continue
+		}
 		if _, err := b.exec.Step(p); err != nil {
 			return nil, err
 		}
@@ -282,7 +327,9 @@ func (b *builder) applyWrites(round int, pending map[memsim.PID]memsim.Access) (
 // every active process r is about to see or touch. If r's RMR bill exceeds
 // c·(round+1), the early-exit certificate applies immediately.
 func (b *builder) rollForward(round int, r memsim.PID) (*Certificate, error) {
-	b.logf("round %d: rolling forward p%d", round, r)
+	if b.logging() {
+		b.logf("round %d: rolling forward p%d", round, r)
+	}
 	for steps := 0; steps <= b.cfg.SoloBudget; steps++ {
 		if ret, done := b.exec.CallEnded(r); done {
 			if _, err := b.exec.Finish(r); err != nil {
@@ -292,9 +339,10 @@ func (b *builder) rollForward(round int, r memsim.PID) (*Certificate, error) {
 				b.violation = fmt.Sprintf("Poll by p%d returned true although no Signal call has begun", r)
 				return b.certSafety()
 			}
-			delete(b.active, r)
-			delete(b.stable, r)
+			b.active = slices.DeleteFunc(b.active, func(p memsim.PID) bool { return p == r })
+			b.isActive[r], b.stable[r] = false, false
 			b.finished[r] = true
+			b.nfinished++
 			return b.tryEarlyExit()
 		}
 		acc, ok := b.exec.Pending(r)
@@ -316,18 +364,19 @@ func (b *builder) rollForward(round int, r memsim.PID) (*Certificate, error) {
 // erased writer may expose an older active writer underneath).
 func (b *builder) eraseTargets(p memsim.PID, acc memsim.Access) error {
 	for {
-		targets := b.pendingTargets(p, acc)
-		if len(targets) == 0 {
+		b.targets = b.appendTargets(b.targets[:0], p, acc)
+		if len(b.targets) == 0 {
 			return nil
 		}
-		if err := b.erase(targets[0]); err != nil {
+		q := b.targets[0]
+		if err := b.erase(q); err != nil {
 			return err
 		}
 		// Determinism check: erasure must not change p's pending access.
 		acc2, ok := b.exec.Pending(p)
 		if !ok || acc2 != acc {
 			return fmt.Errorf("lowerbound: erasing p%d changed p%d's pending access (%v -> %v)",
-				targets[0], p, acc, acc2)
+				q, p, acc, acc2)
 		}
 	}
 }
@@ -340,16 +389,18 @@ func (b *builder) eraseTargets(p memsim.PID, acc memsim.Access) error {
 func (b *builder) tryEarlyExit() (*Certificate, error) {
 	per := b.led.rmrs
 	finTotal := 0
-	for p := range b.finished {
-		finTotal += per[p]
+	for p, fin := range b.finished {
+		if fin {
+			finTotal += per[p]
+		}
 	}
 	best := memsim.PID(-1)
-	for _, p := range b.activeSorted() { // ties go to the lowest PID
+	for _, p := range b.active { // ties go to the lowest PID
 		if best == -1 || per[p] > per[best] {
 			best = p
 		}
 	}
-	k := len(b.finished)
+	k := b.nfinished
 	total := finTotal
 	if best != -1 {
 		k++
@@ -359,26 +410,19 @@ func (b *builder) tryEarlyExit() (*Certificate, error) {
 		return nil, nil
 	}
 	// Build the witnessing history: erase every other active process.
-	var victims []memsim.PID
-	for p := range b.active {
+	victims := b.victims[:0]
+	for _, p := range b.active {
 		if p != best {
 			victims = append(victims, p)
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
+	b.victims = victims
 	if err := b.erase(victims...); err != nil {
 		return nil, err
 	}
-	b.logf("early exit: k=%d total=%d > c*k=%d", k, total, b.cfg.C*k)
+	if b.logging() {
+		b.logf("early exit: k=%d total=%d > c*k=%d", k, total, b.cfg.C*k)
+	}
 	return b.certificate(VerdictExceeded, -1, 0,
 		fmt.Sprintf("per-round counting argument (Lemma 6.11 style): %d RMRs over %d participants", total, k))
-}
-
-func sortedKeys(m map[memsim.PID]memsim.Access) []memsim.PID {
-	out := make([]memsim.PID, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

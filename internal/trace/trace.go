@@ -7,7 +7,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/memsim"
 )
@@ -16,59 +19,106 @@ import (
 // (memsim.NoOwner for global words).
 type OwnerFunc func(memsim.Addr) memsim.PID
 
-// Relations captures who communicated with whom in a trace.
+// Relations captures who communicated with whom in a trace. It is dense:
+// the process relations are PID-indexed bit rows and the write history is
+// address-indexed.
 type Relations struct {
-	// Sees[p][q] holds if p read a value last written by q (Def. 6.4).
-	Sees map[memsim.PID]map[memsim.PID]bool
-	// Touches[p][q] holds if p accessed a word in q's module (Def. 6.5).
-	Touches map[memsim.PID]map[memsim.PID]bool
-	// LastWriter maps each written address to the process whose
-	// nontrivial operation wrote it last.
-	LastWriter map[memsim.Addr]memsim.PID
-	// Writers maps each written address to the set of processes that
-	// overwrote it.
-	Writers map[memsim.Addr]map[memsim.PID]bool
-	// Participants is the set of processes that took at least one step.
-	Participants map[memsim.PID]bool
+	n     int // processes: PIDs 0..n-1
+	words int // uint64 words per relation row
+	// sees and touches hold n rows of words bits each: bit q of row p is
+	// set if p sees q (Definition 6.4) or touches q (Definition 6.5).
+	sees, touches []uint64
+	// participants marks the processes that took at least one step.
+	participants []bool
+	// lastWriter holds, per address, the process whose nontrivial
+	// operation wrote it last (memsim.NoOwner if none did), and
+	// multiWriter whether two or more processes overwrote it.
+	lastWriter  []memsim.PID
+	multiWriter []bool
 }
 
-// Compute scans events and returns the communication relations.
-func Compute(events []memsim.Event, owner OwnerFunc) *Relations {
+// Compute scans the events of a history of n processes and returns the
+// communication relations.
+func Compute(events []memsim.Event, owner OwnerFunc, n int) *Relations {
+	size := 0
+	for _, ev := range events {
+		if ev.Kind == memsim.EvAccess && int(ev.Acc.Addr) >= size {
+			size = int(ev.Acc.Addr) + 1
+		}
+	}
+	words := (n + 63) / 64
 	r := &Relations{
-		Sees:         make(map[memsim.PID]map[memsim.PID]bool),
-		Touches:      make(map[memsim.PID]map[memsim.PID]bool),
-		LastWriter:   make(map[memsim.Addr]memsim.PID),
-		Writers:      make(map[memsim.Addr]map[memsim.PID]bool),
-		Participants: make(map[memsim.PID]bool),
+		n:            n,
+		words:        words,
+		sees:         make([]uint64, n*words),
+		touches:      make([]uint64, n*words),
+		participants: make([]bool, n),
+		lastWriter:   make([]memsim.PID, size),
+		multiWriter:  make([]bool, size),
+	}
+	for a := range r.lastWriter {
+		r.lastWriter[a] = memsim.NoOwner
 	}
 	for _, ev := range events {
 		if ev.Kind != memsim.EvAccess {
 			continue
 		}
 		p := ev.PID
-		r.Participants[p] = true
+		r.participants[p] = true
 		a := ev.Acc.Addr
 		if own := owner(a); own != memsim.NoOwner && own != p {
-			addRel(r.Touches, p, own)
+			r.set(r.touches, p, own)
 		}
 		// Reads observe the last writer; RMW operations also return the
 		// old value, hence also "see" its writer.
-		if readsValue(ev.Acc.Op) {
-			if w, ok := r.LastWriter[a]; ok && w != p {
-				addRel(r.Sees, p, w)
-			}
+		w := r.lastWriter[a]
+		if readsValue(ev.Acc.Op) && w != memsim.NoOwner && w != p {
+			r.set(r.sees, p, w)
 		}
 		if ev.Res.Wrote {
-			r.LastWriter[a] = p
-			ws := r.Writers[a]
-			if ws == nil {
-				ws = make(map[memsim.PID]bool)
-				r.Writers[a] = ws
+			if w != memsim.NoOwner && w != p {
+				r.multiWriter[a] = true
 			}
-			ws[p] = true
+			r.lastWriter[a] = p
 		}
 	}
 	return r
+}
+
+func (r *Relations) set(rel []uint64, p, q memsim.PID) {
+	rel[int(p)*r.words+int(q)/64] |= 1 << (uint(q) % 64)
+}
+
+func (r *Relations) has(rel []uint64, p, q memsim.PID) bool {
+	if p < 0 || int(p) >= r.n || q < 0 || int(q) >= r.n {
+		return false
+	}
+	return rel[int(p)*r.words+int(q)/64]&(1<<(uint(q)%64)) != 0
+}
+
+// Sees reports whether p read a value last written by q (Def. 6.4).
+func (r *Relations) Sees(p, q memsim.PID) bool { return r.has(r.sees, p, q) }
+
+// Touches reports whether p accessed a word in q's module (Def. 6.5).
+func (r *Relations) Touches(p, q memsim.PID) bool { return r.has(r.touches, p, q) }
+
+// Participant reports whether p took at least one step.
+func (r *Relations) Participant(p memsim.PID) bool {
+	return p >= 0 && int(p) < r.n && r.participants[p]
+}
+
+// LastWriter returns the process whose nontrivial operation wrote a last,
+// and false if no process wrote it.
+func (r *Relations) LastWriter(a memsim.Addr) (memsim.PID, bool) {
+	if a < 0 || int(a) >= len(r.lastWriter) || r.lastWriter[a] == memsim.NoOwner {
+		return memsim.NoOwner, false
+	}
+	return r.lastWriter[a], true
+}
+
+// MultiWriter reports whether two or more processes overwrote a.
+func (r *Relations) MultiWriter(a memsim.Addr) bool {
+	return a >= 0 && int(a) < len(r.multiWriter) && r.multiWriter[a]
 }
 
 // readsValue reports whether the op's semantics expose the previous value
@@ -86,15 +136,6 @@ func readsValue(op memsim.Op) bool {
 	default:
 		return false
 	}
-}
-
-func addRel(m map[memsim.PID]map[memsim.PID]bool, p, q memsim.PID) {
-	s := m[p]
-	if s == nil {
-		s = make(map[memsim.PID]bool)
-		m[p] = s
-	}
-	s[q] = true
 }
 
 // Violation describes one failed regularity condition of Definition 6.6.
@@ -117,36 +158,38 @@ func (v Violation) String() string {
 }
 
 // CheckRegular verifies the three conditions of Definition 6.6 against the
-// relations of a trace, given the set of finished processes. All three
-// conditions quantify over participating processes only ("for any distinct
-// p, q ∈ Par(H)"), so accessing the memory module of a process that never
-// took a step is not a violation. It returns all violations found (nil
-// means the history is regular).
-func CheckRegular(r *Relations, finished map[memsim.PID]bool) []Violation {
+// relations of a trace, given the finished processes by PID (PIDs past
+// its end are unfinished). All three conditions quantify over
+// participating processes only ("for any distinct p, q ∈ Par(H)"), so
+// accessing the memory module of a process that never took a step is not
+// a violation. It returns all violations found, sorted by (Cond, P, Q,
+// Addr); nil means the history is regular.
+func CheckRegular(r *Relations, finished []bool) []Violation {
+	unfinished := func(q memsim.PID) bool {
+		return r.participants[q] && (int(q) >= len(finished) || !finished[q])
+	}
 	var out []Violation
-	for p, qs := range r.Sees {
-		for q := range qs {
-			if p != q && r.Participants[q] && !finished[q] {
-				out = append(out, Violation{Cond: 1, P: p, Q: q})
+	for cond, rel := range [2][]uint64{r.sees, r.touches} {
+		for p := 0; p < r.n; p++ {
+			for i, w := range rel[p*r.words : (p+1)*r.words] {
+				for ; w != 0; w &= w - 1 {
+					q := memsim.PID(i*64 + bits.TrailingZeros64(w))
+					if int(q) != p && unfinished(q) {
+						out = append(out, Violation{Cond: cond + 1, P: memsim.PID(p), Q: q})
+					}
+				}
 			}
 		}
 	}
-	for p, qs := range r.Touches {
-		for q := range qs {
-			if p != q && r.Participants[q] && !finished[q] {
-				out = append(out, Violation{Cond: 2, P: p, Q: q})
-			}
+	for a, multi := range r.multiWriter {
+		if last := r.lastWriter[a]; multi && (int(last) >= len(finished) || !finished[last]) {
+			out = append(out, Violation{Cond: 3, P: last, Addr: memsim.Addr(a)})
 		}
 	}
-	for a, ws := range r.Writers {
-		if len(ws) <= 1 {
-			continue
-		}
-		last := r.LastWriter[a]
-		if !finished[last] {
-			out = append(out, Violation{Cond: 3, P: last, Addr: a})
-		}
-	}
+	slices.SortFunc(out, func(x, y Violation) int {
+		return cmp.Or(cmp.Compare(x.Cond, y.Cond), cmp.Compare(x.P, y.P),
+			cmp.Compare(x.Q, y.Q), cmp.Compare(x.Addr, y.Addr))
+	})
 	return out
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"repro/internal/memsim"
@@ -26,20 +27,30 @@ func ownerFixed(m map[memsim.Addr]memsim.PID) OwnerFunc {
 	}
 }
 
+// related reports whether rel(p, q) holds for any of the n processes q.
+func related(rel func(p, q memsim.PID) bool, p memsim.PID, n int) bool {
+	for q := 0; q < n; q++ {
+		if rel(p, memsim.PID(q)) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestSeesRelation(t *testing.T) {
 	events := []memsim.Event{
 		access(0, memsim.OpWrite, 5, true),
 		access(1, memsim.OpRead, 5, false), // p1 sees p0
 		access(2, memsim.OpRead, 6, false), // reads initial value: sees nobody
 	}
-	r := Compute(events, ownerFixed(nil))
-	if !r.Sees[1][0] {
+	r := Compute(events, ownerFixed(nil), 3)
+	if !r.Sees(1, 0) {
 		t.Fatal("p1 should see p0")
 	}
-	if len(r.Sees[2]) != 0 {
+	if related(r.Sees, 2, 3) {
 		t.Fatal("p2 should see nobody")
 	}
-	if len(r.Sees[0]) != 0 {
+	if related(r.Sees, 0, 3) {
 		t.Fatal("p0 should see nobody")
 	}
 }
@@ -50,11 +61,11 @@ func TestSeesThroughRMW(t *testing.T) {
 		access(1, memsim.OpFetchAdd, 3, true), // FAA returns p0's value: sees p0
 		access(2, memsim.OpFetchAdd, 3, true), // sees p1
 	}
-	r := Compute(events, ownerFixed(nil))
-	if !r.Sees[1][0] || !r.Sees[2][1] {
-		t.Fatalf("RMW chain sees: %v", r.Sees)
+	r := Compute(events, ownerFixed(nil), 3)
+	if !r.Sees(1, 0) || !r.Sees(2, 1) {
+		t.Fatalf("RMW chain sees: p1->p0 %v, p2->p1 %v", r.Sees(1, 0), r.Sees(2, 1))
 	}
-	if r.Sees[2][0] {
+	if r.Sees(2, 0) {
 		t.Fatal("p2 should not see p0 directly (p1 overwrote)")
 	}
 }
@@ -66,12 +77,12 @@ func TestTouchesRelation(t *testing.T) {
 		access(2, memsim.OpWrite, 7, true), // own module: no touch
 		access(1, memsim.OpRead, 9, false), // global: no touch
 	}
-	r := Compute(events, owner)
-	if !r.Touches[0][2] {
+	r := Compute(events, owner, 3)
+	if !r.Touches(0, 2) {
 		t.Fatal("p0 should touch p2")
 	}
-	if len(r.Touches[2]) != 0 || len(r.Touches[1]) != 0 {
-		t.Fatalf("unexpected touches: %v", r.Touches)
+	if related(r.Touches, 2, 3) || related(r.Touches, 1, 3) {
+		t.Fatalf("unexpected touches: p1 %v, p2 %v", related(r.Touches, 1, 3), related(r.Touches, 2, 3))
 	}
 }
 
@@ -86,24 +97,81 @@ func TestCheckRegular(t *testing.T) {
 	}
 	// Definition 6.6 quantifies over Par(H): while p2 takes no step,
 	// touching its module is legal, so only conditions 1 and 3 trip.
-	r := Compute(events, owner)
-	vs := CheckRegular(r, map[memsim.PID]bool{})
+	r := Compute(events, owner, 5)
+	vs := CheckRegular(r, nil)
 	if len(vs) != 2 {
 		t.Fatalf("violations = %v, want 2 (touching a non-participant is legal)", vs)
 	}
 
 	// Once p2 participates, the touch becomes a violation too.
 	events = append(events, access(2, memsim.OpWrite, 9, true))
-	r = Compute(events, owner)
-	vs = CheckRegular(r, map[memsim.PID]bool{})
+	r = Compute(events, owner, 5)
+	vs = CheckRegular(r, nil)
 	if len(vs) != 3 {
 		t.Fatalf("violations = %v, want 3", vs)
 	}
 
 	// Finishing p0, p2 and p4 restores regularity.
-	vs = CheckRegular(r, map[memsim.PID]bool{0: true, 2: true, 4: true})
+	vs = CheckRegular(r, []bool{0: true, 2: true, 4: true})
 	if len(vs) != 0 {
 		t.Fatalf("violations after finishing = %v, want none", vs)
+	}
+}
+
+// TestCheckRegularOrder: CheckRegular lists the violations of all three
+// conditions sorted by (Cond, P, Q, Addr), identically on every call.
+func TestCheckRegularOrder(t *testing.T) {
+	owner := ownerFixed(map[memsim.Addr]memsim.PID{10: 0, 11: 3, 12: 5})
+	events := []memsim.Event{
+		access(0, memsim.OpWrite, 5, true),
+		access(4, memsim.OpWrite, 6, true),
+		access(3, memsim.OpRead, 6, false),    // p3 sees p4
+		access(1, memsim.OpRead, 5, false),    // p1 sees p0
+		access(5, memsim.OpFetchAdd, 5, true), // p5 sees p0; a5 multi-writer
+		access(2, memsim.OpRead, 5, false),    // p2 sees p5
+		access(4, memsim.OpRead, 12, false),   // p4 touches p5
+		access(2, memsim.OpRead, 10, false),   // p2 touches p0
+		access(1, memsim.OpRead, 11, false),   // p1 touches p3
+		access(2, memsim.OpWrite, 20, true),
+		access(5, memsim.OpWrite, 20, true), // a20 multi-writer, p5 last
+		access(3, memsim.OpWrite, 21, true),
+		access(1, memsim.OpWrite, 21, true), // a21 multi-writer, p1 last
+	}
+	want := []Violation{
+		{Cond: 1, P: 1, Q: 0}, {Cond: 1, P: 2, Q: 5}, {Cond: 1, P: 3, Q: 4}, {Cond: 1, P: 5, Q: 0},
+		{Cond: 2, P: 1, Q: 3}, {Cond: 2, P: 2, Q: 0}, {Cond: 2, P: 4, Q: 5},
+		{Cond: 3, P: 1, Addr: 21}, {Cond: 3, P: 5, Addr: 5}, {Cond: 3, P: 5, Addr: 20},
+	}
+	r := Compute(events, owner, 6)
+	for i := 0; i < 50; i++ {
+		if got := CheckRegular(r, nil); !slices.Equal(got, want) {
+			t.Fatalf("call %d: violations\n%v\nwant\n%v", i, got, want)
+		}
+	}
+}
+
+// TestWriteHistory: LastWriter and MultiWriter follow the nontrivial
+// writes only.
+func TestWriteHistory(t *testing.T) {
+	events := []memsim.Event{
+		access(0, memsim.OpWrite, 1, true),
+		access(0, memsim.OpWrite, 1, true),
+		access(1, memsim.OpCAS, 2, false), // failed CAS: no write
+		access(1, memsim.OpWrite, 3, true),
+		access(2, memsim.OpWrite, 3, true),
+	}
+	r := Compute(events, ownerFixed(nil), 3)
+	for _, c := range []struct {
+		a     memsim.Addr
+		w     memsim.PID
+		ok    bool
+		multi bool
+	}{{1, 0, true, false}, {2, memsim.NoOwner, false, false}, {3, 2, true, true}, {9, memsim.NoOwner, false, false}} {
+		w, ok := r.LastWriter(c.a)
+		if w != c.w || ok != c.ok || r.MultiWriter(c.a) != c.multi {
+			t.Errorf("a%d: LastWriter = p%d, %v, MultiWriter = %v; want p%d, %v, %v",
+				c.a, w, ok, r.MultiWriter(c.a), c.w, c.ok, c.multi)
+		}
 	}
 }
 
@@ -147,9 +215,9 @@ func TestParticipants(t *testing.T) {
 		access(0, memsim.OpRead, 1, false),
 		{Kind: memsim.EvCallStart, PID: 3, Proc: "Poll"}, // call start alone is not a step
 	}
-	r := Compute(events, ownerFixed(nil))
-	if !r.Participants[0] || r.Participants[3] {
-		t.Fatalf("participants = %v", r.Participants)
+	r := Compute(events, ownerFixed(nil), 4)
+	if !r.Participant(0) || r.Participant(3) {
+		t.Fatalf("participants: p0 %v, p3 %v", r.Participant(0), r.Participant(3))
 	}
 }
 
