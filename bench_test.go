@@ -568,7 +568,7 @@ func BenchmarkEngineStep(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg := lockBase
 			cfg.Scheduler = sched.NewRandom(1)
-			res, err := mutex.RunStreaming(cfg)
+			res, err := mutex.Run(cfg)
 			if err != nil && !errors.Is(err, mutex.ErrBudget) {
 				b.Fatal(err)
 			}
@@ -662,7 +662,9 @@ func BenchmarkScoringAllocs(b *testing.B) {
 	b.Run("lock-retained", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res := runLock(b, lockBase) // unpriced: legacy trace retention
+			cfg := lockBase
+			cfg.KeepEvents = true
+			res := runLock(b, cfg)
 			for _, cm := range standard {
 				if res.Score(cm) == nil {
 					b.Fatal("batch score failed")

@@ -5,15 +5,24 @@
 //
 // Usage:
 //
-//	experiments            # every table
-//	experiments -id E7     # one table
+//	experiments               # every table
+//	experiments -id E3,E7     # only these tables, in suite order
+//
+// The suite runs on GOMAXPROCS workers. Each experiment is an independent
+// deterministic simulation, so the output is identical whatever the
+// worker count; only wall-clock time changes. Ctrl-C cancels between
+// experiments, after printing the tables that completed.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"runtime"
+	"strings"
 
 	"repro/internal/core"
 )
@@ -27,24 +36,23 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	id := fs.String("id", "", "only the table with this ID (e.g. E7)")
+	idFlag := fs.String("id", "", "comma-separated table IDs, case-insensitive (default: all)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tables, err := core.Experiments()
-	if err != nil {
-		return err
-	}
-	printed := 0
-	for _, t := range tables {
-		if *id != "" && t.ID != *id {
-			continue
+	var ids []string
+	for _, id := range strings.Split(*idFlag, ",") {
+		if id = strings.ToUpper(strings.TrimSpace(id)); id != "" {
+			ids = append(ids, id)
 		}
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	// On error or Ctrl-C the suite still hands back every table that
+	// completed: print those before reporting the failure.
+	tables, err := core.ExperimentsContext(ctx, runtime.GOMAXPROCS(0), ids...)
+	for _, t := range tables {
 		fmt.Fprint(out, t.Text())
-		printed++
 	}
-	if *id != "" && printed == 0 {
-		return fmt.Errorf("no table with ID %q", *id)
-	}
-	return nil
+	return err
 }

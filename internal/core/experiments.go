@@ -4,10 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/gme"
 	"repro/internal/lowerbound"
@@ -18,6 +17,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/semisync"
 	"repro/internal/signal"
+	"repro/internal/worksteal"
 )
 
 // Table is one regenerated experiment: the rows a paper table or figure
@@ -350,7 +350,8 @@ func ExperimentE9(ns []int) (*Table, error) {
 	return t, nil
 }
 
-// Experiments runs the whole suite with default parameters, in order.
+// Experiments runs the whole suite with default parameters, in order, on
+// the caller's goroutine.
 func Experiments() ([]*Table, error) {
 	return ExperimentsContext(context.Background(), 1)
 }
@@ -358,47 +359,31 @@ func Experiments() ([]*Table, error) {
 // ExperimentsContext runs the suite on up to workers goroutines (each
 // experiment is an independent deterministic simulation, so the tables are
 // identical whatever the worker count) and honors ctx cancellation between
-// experiments. It returns the completed tables in suite order; on error or
-// cancellation the successfully completed prefix-independent tables are
-// still returned together with the first error.
-func ExperimentsContext(ctx context.Context, workers int) ([]*Table, error) {
-	steps := experimentSteps()
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(steps) {
-		workers = len(steps)
+// experiments. Listing ids runs only those tables; an ID the suite does not
+// have is rejected before anything runs, and a step whose table carries
+// an ID other than its own is an error. It returns the completed tables
+// in suite order; like the sequential suite it starts no experiment after
+// the first error, and on error or cancellation it still returns the
+// tables that completed, together with the first error or ctx.Err().
+func ExperimentsContext(ctx context.Context, workers int, ids ...string) ([]*Table, error) {
+	steps := slices.DeleteFunc(experimentSteps(), func(st experimentStep) bool {
+		return len(ids) > 0 && !slices.Contains(ids, st.id)
+	})
+	for _, id := range ids {
+		if !slices.ContainsFunc(steps, func(st experimentStep) bool { return st.id == id }) {
+			return nil, fmt.Errorf("no experiment with ID %q", id)
+		}
 	}
 	tables := make([]*Table, len(steps))
 	errs := make([]error, len(steps))
-	var failed atomic.Bool
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				tables[i], errs[i] = steps[i]()
-				if errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := range steps {
-		if failed.Load() {
-			break // like the sequential suite, stop at the first error
+	worksteal.Each(ctx, workers, len(steps), func(i int) bool {
+		tables[i], errs[i] = steps[i].run()
+		if errs[i] == nil && tables[i].ID != steps[i].id {
+			errs[i] = fmt.Errorf("experiment step %s made table %s", steps[i].id, tables[i].ID)
+			tables[i] = nil
 		}
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(jobs)
-	wg.Wait()
+		return errs[i] != nil
+	})
 
 	var out []*Table
 	var firstErr error
@@ -416,21 +401,27 @@ dispatch:
 	return out, firstErr
 }
 
-func experimentSteps() []func() (*Table, error) {
-	return []func() (*Table, error){
-		func() (*Table, error) { return ExperimentE1([]int{4, 8, 16, 32, 64, 128, 256}) },
-		func() (*Table, error) { return ExperimentE2([]int{4, 16, 64, 256}) },
-		func() (*Table, error) { return ExperimentE3([]int{1, 2, 3, 4}) },
-		func() (*Table, error) { return ExperimentE3Growth(2, []int{16, 32, 64, 128, 256}) },
-		func() (*Table, error) { return ExperimentE4(3) },
-		func() (*Table, error) { return ExperimentE5([]int{4, 16, 64, 256}) },
-		func() (*Table, error) { return ExperimentE6([]int{8, 16, 32, 64}) },
-		func() (*Table, error) { return ExperimentE7([]int{2, 4, 8, 16, 32}) },
-		func() (*Table, error) { return ExperimentE8([]int{4, 8, 16, 32}) },
-		func() (*Table, error) { return ExperimentE9([]int{2, 4, 8, 16}) },
-		func() (*Table, error) { return ExperimentE10([]int{2, 4, 8, 16}) },
-		func() (*Table, error) { return ExperimentE11([]int{2, 4, 8, 16}) },
-		func() (*Table, error) { return ExperimentE12() },
+// experimentStep is one table of the suite, with its ID.
+type experimentStep struct {
+	id  string
+	run func() (*Table, error)
+}
+
+func experimentSteps() []experimentStep {
+	return []experimentStep{
+		{"E1", func() (*Table, error) { return ExperimentE1([]int{4, 8, 16, 32, 64, 128, 256}) }},
+		{"E2", func() (*Table, error) { return ExperimentE2([]int{4, 16, 64, 256}) }},
+		{"E3", func() (*Table, error) { return ExperimentE3([]int{1, 2, 3, 4}) }},
+		{"E3G", func() (*Table, error) { return ExperimentE3Growth(2, []int{16, 32, 64, 128, 256}) }},
+		{"E4", func() (*Table, error) { return ExperimentE4(3) }},
+		{"E5", func() (*Table, error) { return ExperimentE5([]int{4, 16, 64, 256}) }},
+		{"E6", func() (*Table, error) { return ExperimentE6([]int{8, 16, 32, 64}) }},
+		{"E7", func() (*Table, error) { return ExperimentE7([]int{2, 4, 8, 16, 32}) }},
+		{"E8", func() (*Table, error) { return ExperimentE8([]int{4, 8, 16, 32}) }},
+		{"E9", func() (*Table, error) { return ExperimentE9([]int{2, 4, 8, 16}) }},
+		{"E10", func() (*Table, error) { return ExperimentE10([]int{2, 4, 8, 16}) }},
+		{"E11", func() (*Table, error) { return ExperimentE11([]int{2, 4, 8, 16}) }},
+		{"E12", ExperimentE12},
 	}
 }
 

@@ -1,15 +1,17 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"os"
 	"strings"
 	"testing"
 )
 
-// renderTables concatenates every experiment table's stable textual form.
-func renderTables(t *testing.T) string {
+// renderTables concatenates the stable textual form of every table a
+// suite run returned.
+func renderTables(t *testing.T, tables []*Table, err error) string {
 	t.Helper()
-	tables, err := Experiments()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,5 +61,30 @@ func TestExperimentTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite")
 	}
-	diffLines(t, renderTables(t), readGolden(t), "resumable engine")
+	tables, err := Experiments()
+	diffLines(t, renderTables(t, tables, err), readGolden(t), "resumable engine")
+}
+
+// TestExperimentsParallelGolden: the suite on four workers renders the
+// same bytes as the sequential suite — each experiment is an independent
+// deterministic simulation, and tables come back in suite order.
+func TestExperimentsParallelGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment suite")
+	}
+	tables, err := ExperimentsContext(context.Background(), 4)
+	diffLines(t, renderTables(t, tables, err), readGolden(t), "four workers")
+}
+
+// TestExperimentsCancelled: a context cancelled before the suite starts
+// runs no experiment and reports the context's error.
+func TestExperimentsCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		tables, err := ExperimentsContext(ctx, workers)
+		if len(tables) != 0 || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: %d tables, err %v; want none and context.Canceled", workers, len(tables), err)
+		}
+	}
 }

@@ -203,8 +203,8 @@ var ErrInterrupted = harness.ErrInterrupted
 // Entries critical sections, alternating between Sessions session IDs
 // (process i uses session i mod Sessions). Scorers, KeepEvents, Sink and
 // Interrupt mirror mutex.RunConfig: attached scorers price the run in a
-// single pass, and unpriced runs without KeepEvents retain the trace for
-// after-the-fact scoring (the legacy behavior).
+// single pass, and only KeepEvents retains the trace for after-the-fact
+// scoring.
 type RunConfig struct {
 	N          int
 	Sessions   int
@@ -405,13 +405,10 @@ func (w *Workload) SessionSafe() bool { return !w.violated }
 // MaxConcurrent returns the largest same-session occupancy observed.
 func (w *Workload) MaxConcurrent() int { return w.maxConcurrent }
 
-// Run drives the workload on the streaming harness (unpriced runs without
-// KeepEvents retain the trace, the legacy behavior). It returns ErrBudget
-// or ErrInterrupted (wrapped) together with a valid truncated RunResult.
+// Run drives the workload on the streaming harness, applying cfg exactly
+// as given. It returns ErrBudget or ErrInterrupted (wrapped) together with
+// a valid truncated RunResult.
 func Run(cfg RunConfig) (*RunResult, error) {
-	if !cfg.KeepEvents && len(cfg.Scorers) == 0 {
-		cfg.KeepEvents = true // legacy: unpriced runs keep the trace scoreable
-	}
 	if cfg.N < 1 || cfg.Sessions < 1 {
 		return nil, fmt.Errorf("gme: need processes and sessions, got N=%d S=%d", cfg.N, cfg.Sessions)
 	}

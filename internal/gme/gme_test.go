@@ -56,10 +56,11 @@ func TestConcurrencyWithinSession(t *testing.T) {
 
 func TestTwoSessionContrast(t *testing.T) {
 	res, err := Run(RunConfig{
-		N:         8,
-		Sessions:  2,
-		Entries:   6,
-		Scheduler: sched.NewRandom(4),
+		N:          8,
+		Sessions:   2,
+		Entries:    6,
+		Scheduler:  sched.NewRandom(4),
+		KeepEvents: true,
 	})
 	if err != nil && !errors.Is(err, ErrBudget) {
 		t.Fatal(err)
@@ -98,6 +99,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 	}
 	legacy, err := Run(RunConfig{
 		N: 6, Sessions: 2, Entries: 4, Scheduler: sched.NewRandom(5),
+		KeepEvents: true,
 	})
 	if err != nil && !errors.Is(err, ErrBudget) {
 		t.Fatal(err)
@@ -117,6 +119,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 func TestPerEntryNaN(t *testing.T) {
 	res, err := Run(RunConfig{
 		N: 4, Sessions: 2, Entries: 2, Scheduler: sched.NewRandom(1), MaxSteps: 2,
+		KeepEvents: true,
 	})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)

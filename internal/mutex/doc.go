@@ -23,8 +23,8 @@
 // completion accounting) embedded by this package's Workload, which the
 // semi-synchronous workload reuses over Fischer's lock.
 //
-// Run and RunStreaming drive a contended passage workload on the generic
-// harness (internal/harness): Run without KeepEvents retains the trace for
-// after-the-fact Score, matching the legacy behavior; RunStreaming applies
-// the config exactly as given, so a scoring-only run retains O(1) events.
+// Run drives a contended passage workload on the generic harness
+// (internal/harness) and applies its config exactly as given: attached
+// Scorers price the run in a single pass with O(1) retained events, and
+// only KeepEvents retains the trace for an after-the-fact Score.
 package mutex

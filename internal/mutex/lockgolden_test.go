@@ -53,7 +53,7 @@ func lockGoldenRows(t *testing.T) []string {
 				w := mutex.NewWorkload(alg, n, 3)
 				rows = append(rows, goldenRow(t, fmt.Sprintf("%s n=%d seed=%d", alg.Name, n, seed),
 					w, sched.NewRandom(seed), 1_000_000, func() []memsim.Event {
-						res, err := mutex.Run(mutex.RunConfig{Lock: alg, N: n, Passages: 3, Scheduler: sched.NewRandom(seed)})
+						res, err := mutex.Run(mutex.RunConfig{Lock: alg, N: n, Passages: 3, Scheduler: sched.NewRandom(seed), KeepEvents: true})
 						if res == nil {
 							t.Fatal(err)
 						}
@@ -67,7 +67,7 @@ func lockGoldenRows(t *testing.T) []string {
 			w := gme.NewWorkload(n, 2, 2)
 			rows = append(rows, goldenRow(t, fmt.Sprintf("gme n=%d sessions=2 seed=%d", n, seed),
 				w, sched.NewRandom(seed), 2_000_000, func() []memsim.Event {
-					res, err := gme.Run(gme.RunConfig{N: n, Sessions: 2, Entries: 2, Scheduler: sched.NewRandom(seed)})
+					res, err := gme.Run(gme.RunConfig{N: n, Sessions: 2, Entries: 2, Scheduler: sched.NewRandom(seed), KeepEvents: true})
 					if res == nil {
 						t.Fatal(err)
 					}
@@ -85,7 +85,7 @@ func lockGoldenRows(t *testing.T) []string {
 				w := semisync.NewWorkload(3, delta, 2)
 				rows = append(rows, goldenRow(t, fmt.Sprintf("fischer timed=%v delta=%d seed=%d", timed, delta, seed),
 					w, s, 2_000_000, func() []memsim.Event {
-						res, err := semisync.Run(semisync.RunConfig{N: 3, Delta: delta, Passages: 2, Timed: timed, Seed: seed})
+						res, err := semisync.Run(semisync.RunConfig{N: 3, Delta: delta, Passages: 2, Timed: timed, Seed: seed, KeepEvents: true})
 						if res == nil {
 							t.Fatal(err)
 						}

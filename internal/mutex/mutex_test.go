@@ -34,7 +34,7 @@ func TestAllLocksMutualExclusion(t *testing.T) {
 }
 
 func TestMCSLocalSpinBothModels(t *testing.T) {
-	res, err := Run(RunConfig{Lock: MCS(), N: 8, Passages: 10, Scheduler: sched.NewRandom(7)})
+	res, err := Run(RunConfig{Lock: MCS(), N: 8, Passages: 10, Scheduler: sched.NewRandom(7), KeepEvents: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -50,11 +50,11 @@ func TestMCSLocalSpinBothModels(t *testing.T) {
 }
 
 func TestTASUnboundedVsMCS(t *testing.T) {
-	tas, err := Run(RunConfig{Lock: TAS(), N: 8, Passages: 10, Scheduler: sched.NewRandom(3)})
+	tas, err := Run(RunConfig{Lock: TAS(), N: 8, Passages: 10, Scheduler: sched.NewRandom(3), KeepEvents: true})
 	if err != nil {
 		t.Fatalf("TAS run: %v", err)
 	}
-	mcs, err := Run(RunConfig{Lock: MCS(), N: 8, Passages: 10, Scheduler: sched.NewRandom(3)})
+	mcs, err := Run(RunConfig{Lock: MCS(), N: 8, Passages: 10, Scheduler: sched.NewRandom(3), KeepEvents: true})
 	if err != nil {
 		t.Fatalf("MCS run: %v", err)
 	}

@@ -37,9 +37,9 @@ type RunConfig struct {
 	// This is the single-pass scoring path — with KeepEvents off, a run
 	// under any number of models retains no trace at all.
 	Scorers []model.Scorer
-	// KeepEvents retains the full execution trace in RunResult.Events.
-	// When neither KeepEvents nor Scorers is set, Run keeps the trace
-	// anyway (the legacy behavior) so RunResult.Score stays usable.
+	// KeepEvents retains the full execution trace in RunResult.Events, so
+	// RunResult.Score can price models that were not attached. Without it
+	// (and without Scorers) a run is unpriced and retains nothing.
 	KeepEvents bool
 	// Sink, when non-nil, additionally observes every trace event.
 	Sink memsim.EventSink
@@ -288,25 +288,12 @@ func (w *Workload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 	return "passage", w.frames.Frame(pid), true
 }
 
-// Run drives the contended workload on the streaming harness. Attached
-// Scorers price every event in a single pass; unpriced runs without
-// KeepEvents retain the full trace for after-the-fact scoring, exactly as
-// before the harness existed (use RunStreaming to opt out of that
-// fallback). Run returns ErrBudget or ErrInterrupted (wrapped) together
-// with a valid truncated RunResult.
+// Run drives the contended workload on the streaming harness, applying
+// cfg exactly as given: attached Scorers price every event in a single
+// pass, and only KeepEvents retains the trace for after-the-fact scoring.
+// Run returns ErrBudget or ErrInterrupted (wrapped) together with a valid
+// truncated RunResult.
 func Run(cfg RunConfig) (*RunResult, error) {
-	if !cfg.KeepEvents && len(cfg.Scorers) == 0 {
-		cfg.KeepEvents = true // legacy: unpriced runs keep the trace scoreable
-	}
-	return RunStreaming(cfg)
-}
-
-// RunStreaming drives the contended workload applying cfg exactly as
-// given: no legacy trace-retention fallback, so an unpriced run without
-// KeepEvents retains nothing at all. The Runner facade uses it so a
-// zero-policy runner stays trace-free and unpriced, as on the signaling
-// path.
-func RunStreaming(cfg RunConfig) (*RunResult, error) {
 	if cfg.Lock.New == nil {
 		return nil, errors.New("mutex: config requires a lock")
 	}

@@ -17,6 +17,7 @@ func passageEndSteps(t *testing.T, alg Algorithm, n, passages int, seed int64) [
 	t.Helper()
 	full, err := Run(RunConfig{
 		Lock: alg, N: n, Passages: passages, Scheduler: sched.NewRandom(seed),
+		KeepEvents: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +100,7 @@ func TestInterruptedRunHarvestsFinalPassage(t *testing.T) {
 func TestPerPassageNaNOnZeroPassages(t *testing.T) {
 	res, err := Run(RunConfig{
 		Lock: MCS(), N: 4, Passages: 4, Scheduler: sched.NewRandom(1), MaxSteps: 2,
+		KeepEvents: true,
 	})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
@@ -143,6 +145,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 			}
 			legacy := cfg
 			legacy.Scheduler = sched.NewRandom(3)
+			legacy.KeepEvents = true
 			lres, err := Run(legacy)
 			if err != nil && !errors.Is(err, ErrBudget) {
 				t.Fatal(err)

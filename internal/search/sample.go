@@ -1,11 +1,12 @@
 package search
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/worksteal"
 )
 
 // Sample mode: Walks independent uniformly-random schedules, each driven
@@ -52,26 +53,10 @@ func runWalk(cfg Config, i int) (walkOut, error) {
 func runSample(cfg Config) (*Result, error) {
 	outs := make([]walkOut, cfg.Walks)
 	errs := make([]error, cfg.Walks)
-	workers := cfg.Workers
-	if workers > cfg.Walks {
-		workers = cfg.Walks
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= cfg.Walks {
-					return
-				}
-				outs[i], errs[i] = runWalk(cfg, i)
-			}
-		}()
-	}
-	wg.Wait()
+	worksteal.Each(context.Background(), cfg.Workers, cfg.Walks, func(i int) bool {
+		outs[i], errs[i] = runWalk(cfg, i)
+		return false
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

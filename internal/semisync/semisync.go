@@ -98,9 +98,8 @@ var ErrInterrupted = harness.ErrInterrupted
 
 // RunConfig describes a timed mutual-exclusion workload using Fischer's
 // lock. Scorers, KeepEvents, Sink and Interrupt mirror mutex.RunConfig:
-// attached scorers price the run in a single pass, and unpriced runs
-// without KeepEvents retain the trace for after-the-fact scoring (the
-// legacy behavior).
+// attached scorers price the run in a single pass, and only KeepEvents
+// retains the trace for after-the-fact scoring.
 type RunConfig struct {
 	// N is the number of competing processes.
 	N int
@@ -118,7 +117,8 @@ type RunConfig struct {
 	MaxSteps int
 	// Scorers attaches streaming cost models (single-pass pricing).
 	Scorers []model.Scorer
-	// KeepEvents retains the full execution trace in RunResult.Events.
+	// KeepEvents retains the full execution trace in RunResult.Events, so
+	// RunResult.Score can price models that were not attached.
 	KeepEvents bool
 	// Sink, when non-nil, additionally observes every trace event.
 	Sink memsim.EventSink
@@ -165,13 +165,9 @@ func NewWorkload(n, delta, passages int) *mutex.Workload {
 }
 
 // Run drives N processes through Fischer-guarded critical sections on the
-// streaming harness (unpriced runs without KeepEvents retain the trace,
-// the legacy behavior). It returns ErrBudget or ErrInterrupted (wrapped)
-// together with a valid truncated RunResult.
+// streaming harness, applying cfg exactly as given. It returns ErrBudget
+// or ErrInterrupted (wrapped) together with a valid truncated RunResult.
 func Run(cfg RunConfig) (*RunResult, error) {
-	if !cfg.KeepEvents && len(cfg.Scorers) == 0 {
-		cfg.KeepEvents = true // legacy: unpriced runs keep the trace scoreable
-	}
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("semisync: need processes, got %d", cfg.N)
 	}

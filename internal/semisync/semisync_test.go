@@ -136,7 +136,7 @@ func (f *csFrame) CloneInto(dst memsim.Resumable) memsim.Resumable { return mems
 // uncontended acquisition (the property the semi-synchronous literature
 // optimizes), and the delay itself is RMR-free in the DSM model.
 func TestFischerO1Writes(t *testing.T) {
-	res, err := Run(RunConfig{N: 1, Delta: 6, Passages: 4, Timed: true, Seed: 1})
+	res, err := Run(RunConfig{N: 1, Delta: 6, Passages: 4, Timed: true, Seed: 1, KeepEvents: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestFischerO1Writes(t *testing.T) {
 	if perPassage > 10 {
 		t.Fatalf("DSM RMRs per solo passage = %.1f, want small constant", perPassage)
 	}
-	resBig, err := Run(RunConfig{N: 1, Delta: 60, Passages: 4, Timed: true, Seed: 1})
+	resBig, err := Run(RunConfig{N: 1, Delta: 60, Passages: 4, Timed: true, Seed: 1, KeepEvents: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +172,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 		stream := cfg
 		stream.Scorers = scorers
 		sres, serr := Run(stream)
+		cfg.KeepEvents = true
 		lres, lerr := Run(cfg)
 		if serr != nil && !errors.Is(serr, ErrBudget) {
 			t.Fatal(serr)

@@ -7,10 +7,14 @@
 // shallowest, largest — prefix at the top, and the pool loop spins down
 // with exponential idle backoff once every deque is empty and no worker
 // holds a task (tasks are only created by a worker holding one, so that
-// condition is stable).
+// condition is stable). Each is the flat counterpart for a fixed list of
+// independent jobs: a bounded pool that hands out job indices from one
+// counter, shared by the suite runner, the Runner facade's batches and
+// the searcher's random walks.
 package worksteal
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -173,4 +177,37 @@ func (f *Frontier) steal(id int) (Task, bool) {
 		}
 	}
 	return nil, false
+}
+
+// Each calls run(i) for every i in [0, n) on up to workers goroutines,
+// handing out indices in increasing order from one atomic counter.
+// workers is clamped to [1, n]; the caller's goroutine is one of the
+// workers, so a single worker runs everything on the caller. Dispatch
+// stops once ctx is done or a run returns true; runs already under way
+// finish before Each returns, and unstarted indices are never run.
+func Each(ctx context.Context, workers, n int, run func(i int) (stop bool)) {
+	workers = max(1, min(workers, n))
+	var next atomic.Int64
+	var stopped atomic.Bool
+	loop := func() {
+		for !stopped.Load() && ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if run(i) {
+				stopped.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			loop()
+		}()
+	}
+	loop()
+	wg.Wait()
 }

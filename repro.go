@@ -52,7 +52,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/lowerbound"
@@ -61,6 +60,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/search"
 	"repro/internal/signal"
+	"repro/internal/worksteal"
 )
 
 // Re-exported core types: a Config describes one simulated history of the
@@ -274,7 +274,7 @@ func (r *Runner) RunMany(ctx context.Context, cfgs []Config) ([]*Result, error) 
 	}
 	results := make([]*Result, len(cfgs))
 	errs := make([]error, len(cfgs))
-	runPool(ctx, r.workers, len(cfgs), func(i int) {
+	worksteal.Each(ctx, r.workers, len(cfgs), func(i int) bool {
 		res, err := r.runOne(ctx, cfgs[i])
 		// A config's own interrupt is a deliberate truncation, like a
 		// budget stop; ctx cancellation surfaces as ctx.Err() and leaves
@@ -283,41 +283,12 @@ func (r *Runner) RunMany(ctx context.Context, cfgs []Config) ([]*Result, error) 
 			results[i] = res
 		}
 		errs[i] = err
+		return false
 	})
 	if err := ctx.Err(); err != nil {
 		return results, err
 	}
 	return results, firstHardError(errs)
-}
-
-// runPool dispatches job indices 0..n-1 to a pool of workers goroutines,
-// stopping dispatch early once ctx is cancelled. It is the worker-pool
-// pattern shared by RunMany and SweepLocks.
-func runPool(ctx context.Context, workers, n int, run func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				run(i)
-			}
-		}()
-	}
-dispatch:
-	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(jobs)
-	wg.Wait()
 }
 
 // firstHardError returns the first error that is not a deliberate
@@ -357,16 +328,15 @@ func (r *Runner) applyLock(cfg LockConfig) LockConfig {
 	return cfg
 }
 
-// runLock executes one lock workload under ctx. It uses the exact
-// (streaming) semantics: the legacy unpriced-run trace retention of the
-// package-level mutex.Run does not apply, so a zero-policy runner stays
-// trace-free and unpriced, as on the signaling path.
+// runLock executes one lock workload under ctx. mutex.Run applies the
+// config exactly, so a zero-policy runner stays trace-free and unpriced,
+// as on the signaling path.
 func (r *Runner) runLock(ctx context.Context, cfg LockConfig) (*LockResult, error) {
 	cfg = r.applyLock(cfg)
 	interrupt, cleanup := mergeInterrupt(ctx, cfg.Interrupt)
 	defer cleanup()
 	cfg.Interrupt = interrupt
-	res, err := mutex.RunStreaming(cfg)
+	res, err := mutex.Run(cfg)
 	if err != nil && errors.Is(err, ErrInterrupted) && ctx.Err() != nil {
 		return res, ctx.Err()
 	}
@@ -463,12 +433,13 @@ func (r *Runner) SweepLocks(ctx context.Context, sw LockSweep) ([]LockCell, erro
 		}
 	}
 	errs := make([]error, len(cells))
-	runPool(ctx, r.workers, len(cells), func(i int) {
+	worksteal.Each(ctx, r.workers, len(cells), func(i int) bool {
 		res, err := r.runLock(ctx, cfgs[i])
 		if err == nil || errors.Is(err, ErrBudget) || errors.Is(err, ErrInterrupted) {
 			cells[i].Result = res
 		}
 		errs[i] = err
+		return false
 	})
 	if err := ctx.Err(); err != nil {
 		return cells, err

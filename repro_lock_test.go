@@ -34,6 +34,7 @@ func TestRunLockStreamingMatchesLegacy(t *testing.T) {
 			}
 			legacy, err := mutex.Run(mutex.RunConfig{
 				Lock: alg, N: 5, Passages: 4, Scheduler: sched.NewRandom(2),
+				KeepEvents: true,
 			})
 			if err != nil && !errors.Is(err, ErrBudget) {
 				t.Fatal(err)
@@ -186,8 +187,7 @@ func TestSweepLocksCancellation(t *testing.T) {
 
 // TestRunLockZeroPolicyTraceFree: a runner with no models and no trace
 // policy runs locks trace-free and unpriced, exactly like the signaling
-// path — the legacy retention fallback of package-level mutex.Run does
-// not leak through the facade.
+// path.
 func TestRunLockZeroPolicyTraceFree(t *testing.T) {
 	r := NewRunner()
 	res, err := r.RunLock(LockConfig{
@@ -207,15 +207,5 @@ func TestRunLockZeroPolicyTraceFree(t *testing.T) {
 	}
 	if pp := res.PerPassage(CC); !math.IsNaN(pp) {
 		t.Fatalf("unpriced run PerPassage = %v, want NaN", pp)
-	}
-	// The package-level entry point keeps the legacy fallback.
-	legacy, err := mutex.Run(mutex.RunConfig{
-		Lock: mutex.MCS(), N: 3, Passages: 2, Scheduler: sched.NewRandom(1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Events == nil {
-		t.Fatal("legacy mutex.Run lost its trace-retaining default")
 	}
 }
