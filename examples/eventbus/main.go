@@ -35,6 +35,7 @@ func main() {
 		signalers[i] = memsim.PID(consumers + i)
 	}
 
+	returns := signal.Returns{}
 	res, err := core.Run(core.Config{
 		Algorithm:   signal.MultiSignaler(),
 		N:           n,
@@ -44,6 +45,7 @@ func main() {
 		SignalAfter: 3 * consumers,
 		Scheduler:   sched.NewRandom(42),
 		Scorers:     []model.Scorer{model.ModelDSM},
+		Sink:        returns.Observe,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -54,12 +56,12 @@ func main() {
 
 	fmt.Printf("%d consumers, %d racing producers, %d steps\n", consumers, producers, res.Steps)
 	for _, s := range signalers {
-		fmt.Printf("producer p%d: Signal completed (%d call)\n", s, len(res.Returns[s]))
+		fmt.Printf("producer p%d: Signal completed (%d call)\n", s, len(returns[s]))
 	}
 	delivered := 0
 	var order []int
 	for _, w := range waiters {
-		rets := res.Returns[w]
+		rets := returns[w]
 		if len(rets) > 0 && rets[len(rets)-1] == 1 {
 			delivered++
 			order = append(order, int(w))

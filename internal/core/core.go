@@ -76,7 +76,8 @@ type Config struct {
 	// individual events (tracedump, replay debugging) switch it on.
 	KeepEvents bool
 	// Sink, when non-nil, additionally observes every trace event as it
-	// is generated (after any attached scorers).
+	// is generated (after any attached scorers). A signal.Returns's
+	// Observe collects each process's return values.
 	Sink memsim.EventSink
 	// Interrupt, when non-nil, is polled between steps; once it is closed
 	// (or receives), the run stops and returns ErrInterrupted with the
@@ -137,9 +138,6 @@ func checkPIDs(n int, role string, pids []memsim.PID) error {
 // count and the truncation flags.
 type Result struct {
 	*harness.Result
-	// Returns maps each process to the return values of its completed
-	// calls, in order.
-	Returns map[memsim.PID][]memsim.Value
 	// Signaled reports whether the Signal call completed.
 	Signaled bool
 	// Violations are breaches of Specification 4.1 (empty for correct
@@ -169,7 +167,7 @@ func Run(cfg Config) (*Result, error) {
 		p.Signalers = nil
 	}
 	w := signal.NewWorkload(cfg.Algorithm, cfg.N, p)
-	defer w.Release() // after the result has taken w.Returns()
+	defer w.Release()
 	// The online spec checker and any extra sink observe each event after
 	// the attached scorers; the trace itself is retained only on request.
 	spec := signal.NewSpecChecker()
@@ -197,7 +195,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	return &Result{
 		Result:     hres,
-		Returns:    w.Returns(),
 		Signaled:   w.Signaled(),
 		Violations: spec.Violations(),
 	}, err

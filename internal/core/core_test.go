@@ -13,12 +13,14 @@ import (
 )
 
 func TestRunFlagRoundRobin(t *testing.T) {
+	returns := signal.Returns{}
 	res, err := Run(Config{
 		Algorithm:   signal.Flag(),
 		N:           4,
 		MaxPolls:    100,
 		SignalAfter: 60,
 		Scorers:     []model.Scorer{model.ModelCC, model.ModelDSM},
+		Sink:        returns.Observe,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -31,7 +33,10 @@ func TestRunFlagRoundRobin(t *testing.T) {
 	}
 	// Every waiter must eventually observe the signal under round-robin:
 	// its last poll returns true.
-	for pid, rets := range res.Returns {
+	if len(returns) != 4 {
+		t.Fatalf("returns of %d processes, want 4: %v", len(returns), returns)
+	}
+	for pid, rets := range returns {
 		if int(pid) == 3 {
 			continue // signaler
 		}
@@ -85,6 +90,7 @@ func TestRunAllAlgorithmsRandomSchedules(t *testing.T) {
 // delivery).
 func TestMultiSignalerRace(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
+		returns := signal.Returns{}
 		res, err := Run(Config{
 			Algorithm:   signal.MultiSignaler(),
 			N:           8,
@@ -93,6 +99,7 @@ func TestMultiSignalerRace(t *testing.T) {
 			MaxPolls:    200,
 			SignalAfter: 12,
 			Scheduler:   sched.NewRandom(seed),
+			Sink:        returns.Observe,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -106,8 +113,8 @@ func TestMultiSignalerRace(t *testing.T) {
 		// All three Signal calls must have completed (losers wait for
 		// the winner, then return).
 		for _, s := range []memsim.PID{5, 6, 7} {
-			if len(res.Returns[s]) != 1 {
-				t.Fatalf("seed %d: signaler %d returns %v", seed, s, res.Returns[s])
+			if len(returns[s]) != 1 {
+				t.Fatalf("seed %d: signaler %d returns %v", seed, s, returns[s])
 			}
 		}
 	}
@@ -348,6 +355,7 @@ func TestInterruptHarvestsFinalStep(t *testing.T) {
 	// Re-run identically, interrupting exactly when that step is applied.
 	interrupt := make(chan struct{})
 	seen := 0
+	returns := signal.Returns{}
 	res, err := Run(Config{
 		Algorithm:   signal.Flag(),
 		N:           3,
@@ -355,6 +363,7 @@ func TestInterruptHarvestsFinalStep(t *testing.T) {
 		SignalAfter: 2,
 		Scheduler:   sched.NewRoundRobin(),
 		Sink: func(ev memsim.Event) {
+			returns.Observe(ev)
 			if ev.Kind == memsim.EvAccess {
 				seen++
 				if seen == signalEnd {
@@ -373,7 +382,7 @@ func TestInterruptHarvestsFinalStep(t *testing.T) {
 	if !res.Signaled {
 		t.Fatal("Signal completed on the final step before the interrupt but was not harvested")
 	}
-	if got := len(res.Returns[memsim.PID(2)]); got == 0 {
+	if got := len(returns[memsim.PID(2)]); got == 0 {
 		t.Fatal("signaler's return was dropped")
 	}
 }

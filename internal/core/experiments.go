@@ -325,6 +325,7 @@ func ExperimentE9(ns []int) (*Table, error) {
 	}
 	// Every run is scheduled by seed 1, from one source rewound per run.
 	random := sched.NewRandom(1)
+	defer random.Release()
 	for _, alg := range mutex.All() {
 		for _, n := range ns {
 			random.Seed(1)
@@ -436,6 +437,7 @@ func ExperimentE10(ns []int) (*Table, error) {
 	}
 	// Every run is scheduled by seed 2, from one source rewound per run.
 	random := sched.NewRandom(2)
+	defer random.Release()
 	for _, n := range ns {
 		random.Seed(2)
 		res, err := gme.Run(gme.RunConfig{

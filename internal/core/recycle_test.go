@@ -5,10 +5,13 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/gme"
 	"repro/internal/lowerbound"
 	"repro/internal/memsim"
 	"repro/internal/model"
+	"repro/internal/mutex"
 	"repro/internal/progress"
+	"repro/internal/semisync"
 	"repro/internal/signal"
 )
 
@@ -34,11 +37,12 @@ func addrSpan(evs []memsim.Event) int {
 
 // TestReleasedStorageNotShared checks that what a run hands out survives
 // the recycling of its deployment. An adversary certificate's trace and
-// owners, and a KeepEvents result's trace, OwnerFunc and Returns (whose
-// workload's return log is recycled too), are compared with deep copies
-// after 20 more deployments have drawn machines, controllers, executions
-// and return logs from the pools, most of them retaining a trace of their
-// own.
+// owners, a KeepEvents result's trace and OwnerFunc with the return values
+// collected from its event stream, and a KeepEvents lock result's trace
+// and passage count (whose workload is recycled too) are compared with
+// deep copies after 20 more deployments have drawn machines, controllers,
+// executions, workloads, frame storage and PRNG sources from the pools,
+// many of them retaining a trace of their own.
 func TestReleasedStorageNotShared(t *testing.T) {
 	cert, err := lowerbound.Run(lowerbound.Config{Algorithm: signal.FixedWaiters(), N: 16, C: 2})
 	if err != nil {
@@ -46,12 +50,14 @@ func TestReleasedStorageNotShared(t *testing.T) {
 	}
 	certEvents, certOwners := slices.Clone(cert.Events), slices.Clone(cert.Owners)
 
+	returns := signal.Returns{}
 	res, err := Run(Config{
 		Algorithm:   signal.QueueSignal(),
 		N:           6,
 		MaxPolls:    4,
 		SignalAfter: 12,
 		KeepEvents:  true,
+		Sink:        returns.Observe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,10 +65,17 @@ func TestReleasedStorageNotShared(t *testing.T) {
 	span := addrSpan(res.Events)
 	resEvents, resOwners := slices.Clone(res.Events), ownersOf(res.OwnerFunc(), span)
 	resReturns := map[memsim.PID][]memsim.Value{}
-	for pid, rets := range res.Returns {
+	for pid, rets := range returns {
 		resReturns[pid] = slices.Clone(rets)
 	}
-	if len(certEvents) == 0 || len(resEvents) == 0 || span == 0 || len(resReturns) == 0 {
+
+	lock, err := mutex.Run(mutex.RunConfig{Lock: mutex.MCS(), N: 4, Passages: 3, KeepEvents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lockEvents, lockPassages := slices.Clone(lock.Events), lock.Passages
+	if len(certEvents) == 0 || len(resEvents) == 0 || span == 0 || len(resReturns) == 0 ||
+		len(lockEvents) == 0 || lockPassages == 0 {
 		t.Fatal("nothing retained to check")
 	}
 
@@ -71,7 +84,7 @@ func TestReleasedStorageNotShared(t *testing.T) {
 		alg := algs[i%len(algs)]
 		n := 4 + i
 		var err error
-		switch i % 4 {
+		switch i % 7 {
 		case 0: // an adversary run: two executions, one replayed with retention
 			_, err = lowerbound.Run(lowerbound.Config{Algorithm: alg, N: n, C: 2})
 		case 1: // a harness run that keeps its trace
@@ -81,6 +94,14 @@ func TestReleasedStorageNotShared(t *testing.T) {
 				Scorers: []model.Scorer{model.ModelDSM}})
 		case 3: // one deployment reset between probes, then released
 			_, err = progress.CheckWaitFree(alg, n, 4*n, memsim.CallPoll)
+		case 4: // a lock run, keeping its trace on every other turn
+			_, err = mutex.Run(mutex.RunConfig{Lock: mutex.All()[i%len(mutex.All())], N: n, Passages: 2,
+				KeepEvents: i%2 == 0, Scorers: []model.Scorer{model.ModelCC}})
+		case 5: // a GME run on its default scheduler
+			_, err = gme.Run(gme.RunConfig{N: n, Sessions: 2, Entries: 2, KeepEvents: i%2 == 0})
+		case 6: // a timed Fischer run on its own seeded scheduler
+			_, err = semisync.Run(semisync.RunConfig{N: n, Delta: 3, Passages: 2, Timed: true, Seed: int64(i),
+				Scorers: []model.Scorer{model.ModelDSM}})
 		}
 		if err != nil {
 			t.Fatalf("deployment %d (%s, n=%d): %v", i, alg.Name, n, err)
@@ -99,7 +120,49 @@ func TestReleasedStorageNotShared(t *testing.T) {
 	if got := ownersOf(res.OwnerFunc(), span); !reflect.DeepEqual(got, resOwners) {
 		t.Errorf("the KeepEvents result's OwnerFunc changed: %v, was %v", got, resOwners)
 	}
-	if !reflect.DeepEqual(res.Returns, resReturns) {
-		t.Errorf("a later run overwrote the result's Returns: %v, was %v", res.Returns, resReturns)
+	if !reflect.DeepEqual(map[memsim.PID][]memsim.Value(returns), resReturns) {
+		t.Errorf("a later run overwrote the collected returns: %v, was %v", returns, resReturns)
+	}
+	if !reflect.DeepEqual(lock.Events, lockEvents) || lock.Passages != lockPassages {
+		t.Error("a later deployment overwrote the KeepEvents lock result")
+	}
+}
+
+// TestWarmRunAllocs pins the allocations of a warm signaling run and a
+// warm lock run. Their workloads, frame storage, machines, controllers and
+// PRNG sources come from pools, so what is left is mostly the instance
+// and its frame templates, the scorers' accumulators and the result; a
+// run that stops recycling one of the pooled parts exceeds its pin.
+func TestWarmRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	scorers := []model.Scorer{model.ModelCC, model.ModelDSM}
+	runs := []struct {
+		name string
+		pin  float64
+		run  func() error
+	}{
+		{"core.Run fixed-waiters n=16", 49, func() error {
+			_, err := Run(Config{Algorithm: signal.FixedWaiters(), N: 16, MaxPolls: 4, SignalAfter: 16, Scorers: scorers})
+			return err
+		}},
+		{"mutex.Run mcs n=8 on the default scheduler", 51, func() error {
+			_, err := mutex.Run(mutex.RunConfig{Lock: mutex.MCS(), N: 8, Passages: 4, Scorers: scorers})
+			return err
+		}},
+	}
+	for _, r := range runs {
+		run := func() {
+			if err := r.run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the pools
+		got := testing.AllocsPerRun(50, run)
+		t.Logf("a warm %s allocates %.0f times (pin %.0f)", r.name, got, r.pin)
+		if got > r.pin {
+			t.Errorf("a warm %s allocates %.0f times, pinned at %.0f", r.name, got, r.pin)
+		}
 	}
 }

@@ -204,7 +204,8 @@ var ErrInterrupted = harness.ErrInterrupted
 // (process i uses session i mod Sessions). Scorers, KeepEvents, Sink and
 // Interrupt mirror mutex.RunConfig: attached scorers price the run in a
 // single pass, and only KeepEvents retains the trace for after-the-fact
-// scoring.
+// scoring. A nil Scheduler means the harness default, seeded random
+// (seed 1).
 type RunConfig struct {
 	N          int
 	Sessions   int
@@ -247,10 +248,13 @@ func (r *RunResult) PerEntry(cm model.CostModel) float64 {
 // It detects session-safety violations with per-session occupancy probes:
 // on entry each occupant increments its session's probe counter and then
 // checks the other sessions' counters, which must be zero while it is
-// inside.
+// inside. Each process's entries restart one kept entry frame, whose room
+// keeps its lock sections, so a run mints one entry frame per process,
+// not one per entry.
 type Workload struct {
 	n, sessions int
 	remaining   []int
+	frames      []entryFrame // per process; restarted by each entry
 
 	room          *RoomLock
 	probes        memsim.Addr
@@ -264,7 +268,7 @@ var _ harness.Workload = (*Workload)(nil)
 // NewWorkload returns the workload for n processes, each performing entries
 // critical sections over the given number of sessions.
 func NewWorkload(n, sessions, entries int) *Workload {
-	w := &Workload{n: n, sessions: sessions, remaining: make([]int, n)}
+	w := &Workload{n: n, sessions: sessions, remaining: make([]int, n), frames: make([]entryFrame, n)}
 	for i := range w.remaining {
 		w.remaining[i] = entries
 	}
@@ -285,13 +289,16 @@ func (w *Workload) Deploy(m *memsim.Machine) error {
 	return nil
 }
 
-// Next implements harness.Workload.
+// Next implements harness.Workload: the entry restarts pid's kept entry
+// frame, keeping its room's lock-section storage.
 func (w *Workload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 	if w.remaining[pid] <= 0 {
 		return "", nil, false
 	}
 	w.remaining[pid]--
-	return "gme", &entryFrame{w: w, pid: pid, session: memsim.Value(int(pid) % w.sessions)}, true
+	f := &w.frames[pid]
+	*f = entryFrame{w: w, pid: pid, session: memsim.Value(int(pid) % w.sessions), room: f.room}
+	return "gme", f, true
 }
 
 // Entry frame program counters.
@@ -417,9 +424,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 2_000_000
-	}
-	if cfg.Scheduler == nil {
-		cfg.Scheduler = sched.NewRandom(1)
 	}
 
 	w := NewWorkload(cfg.N, cfg.Sessions, cfg.Entries)

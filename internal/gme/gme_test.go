@@ -67,7 +67,7 @@ func TestTwoSessionContrast(t *testing.T) {
 	}
 	cc := res.PerEntry(model.ModelCC)
 	dsm := res.PerEntry(model.ModelDSM)
-	if cc <= 0 || dsm <= 0 {
+	if math.IsNaN(cc) || math.IsNaN(dsm) || cc <= 0 || dsm <= 0 {
 		t.Fatalf("per-entry costs CC=%f DSM=%f", cc, dsm)
 	}
 	t.Logf("two-session GME: %.2f CC vs %.2f DSM RMRs per entry", cc, dsm)

@@ -24,8 +24,9 @@ var ErrInterrupted = errors.New("harness: run interrupted")
 // each performing a sequence of procedure calls over shared state. The
 // harness calls Deploy once, then repeatedly asks Next for each idle
 // process's next call and reports every completed call to Done. A Workload
-// is bound to a single run and carries that run's accounting; it is not
-// reused.
+// is bound to a single run and carries that run's accounting; the harness
+// never reuses it (a workload type may recycle its storage once the run is
+// over and its accounting read).
 type Workload interface {
 	// N is the number of processes.
 	N() int
@@ -180,7 +181,9 @@ func Run(cfg Config) (*Result, error) {
 		cfg.MaxSteps = 1_000_000
 	}
 	if cfg.Scheduler == nil {
-		cfg.Scheduler = sched.NewRandom(1)
+		random := sched.NewRandom(1)
+		defer random.Release()
+		cfg.Scheduler = random
 	}
 
 	m := memsim.NewMachine(n)

@@ -110,9 +110,8 @@ type Execution struct {
 	inst    Instance
 	n       int
 	actions []Action
-	started bool // tmpl and frames are set up for inst
-	tmpl    FrameTemplates
-	frames  FrameSet
+	started bool // frames is set up for inst
+	frames  Frames
 }
 
 // executionPool recycles executions across deployments (see Release).
@@ -142,7 +141,7 @@ func NewExecution(factory Factory, n int) (*Execution, error) {
 func (e *Execution) Release() {
 	e.ctl.Release()
 	e.mach.Release()
-	e.tmpl.reset(nil, 0)
+	e.frames.Reset(nil, 0)
 	e.mach, e.ctl, e.inst = nil, nil, nil
 	executionPool.Put(e)
 }
@@ -158,7 +157,7 @@ func (e *Execution) Reset() {
 	e.ctl.Reset()
 	e.mach.Reset()
 	e.actions = e.actions[:0]
-	clear(e.frames.live)
+	e.frames.DropAll()
 }
 
 // N returns the number of processes.
@@ -205,8 +204,7 @@ func (e *Execution) CallEnded(pid PID) (Value, bool) { return e.ctl.CallEnded(pi
 // retained frame storage.
 func (e *Execution) Start(pid PID, kind CallKind) error {
 	if !e.started {
-		e.tmpl.reset(e.inst, e.n)
-		e.frames.reset(e.n)
+		e.frames.Reset(e.inst, e.n)
 		e.started = true
 	}
 	// pid's storage holds its in-flight frame while it is busy: refuse
@@ -214,7 +212,7 @@ func (e *Execution) Start(pid PID, kind CallKind) error {
 	if err := e.ctl.checkIdle(pid); err != nil {
 		return err
 	}
-	if err := e.frames.Start(&e.tmpl, pid, kind); err != nil {
+	if err := e.frames.Start(pid, kind); err != nil {
 		return err
 	}
 	if err := e.ctl.StartResumable(pid, kind.String(), e.frames.Frame(pid)); err != nil {

@@ -56,6 +56,38 @@ func (t *FrameTemplates) template(p PID, kind CallKind) (Resumable, error) {
 	return r, nil
 }
 
+// Frames is a deployment's frame storage: the (pid, kind) templates of its
+// instance and the per-process slots its calls run in. Reset readies it
+// for the next deployment and keeps the storage of the last, so an owner
+// that outlives its deployments (a pooled Execution or harness workload)
+// grows no template row or slot once warm, and a call copies into the
+// storage of the slot's last frame whenever that frame has its type.
+type Frames struct {
+	tmpl FrameTemplates
+	set  FrameSet
+}
+
+// Reset readies f for inst's n processes, every slot idle and no template
+// minted. Reset(nil, 0) drops every template, so that a pooled owner
+// keeps no instance alive.
+func (f *Frames) Reset(inst Instance, n int) {
+	f.tmpl.reset(inst, n)
+	f.set.reset(n)
+}
+
+// Start begins a call of kind on p: the (p, kind) template, minted on
+// first use, is copied into p's slot, which becomes p's live frame.
+func (f *Frames) Start(p PID, kind CallKind) error { return f.set.Start(&f.tmpl, p, kind) }
+
+// Frame returns p's in-flight frame, or nil while p is idle.
+func (f *Frames) Frame(p PID) Resumable { return f.set.live[p] }
+
+// Drop idles p's slot after its call completed or crashed.
+func (f *Frames) Drop(p PID) { f.set.Drop(p) }
+
+// DropAll idles every slot.
+func (f *Frames) DropAll() { clear(f.set.live) }
+
 // FrameSet is one per-process set of frame slots: an engine's live frames
 // or one node snapshot's copies of them. A slot is nil while its process
 // is idle. Its storage outlives the call, so the next start or copy into

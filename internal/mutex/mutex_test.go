@@ -2,6 +2,7 @@ package mutex
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/model"
@@ -40,6 +41,9 @@ func TestMCSLocalSpinBothModels(t *testing.T) {
 	}
 	perPassCC := res.PerPassage(model.ModelCC)
 	perPassDSM := res.PerPassage(model.ModelDSM)
+	if math.IsNaN(perPassCC) || math.IsNaN(perPassDSM) {
+		t.Fatalf("MCS RMRs/passage unpriced: CC %v, DSM %v", perPassCC, perPassDSM)
+	}
 	// MCS performs a constant number of RMRs per passage in both models.
 	if perPassCC > 10 {
 		t.Errorf("MCS CC RMRs/passage = %.1f, want O(1)", perPassCC)
@@ -58,9 +62,12 @@ func TestTASUnboundedVsMCS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MCS run: %v", err)
 	}
-	if tas.PerPassage(model.ModelDSM) <= mcs.PerPassage(model.ModelDSM) {
-		t.Errorf("TAS should spend more DSM RMRs/passage (%.1f) than MCS (%.1f)",
-			tas.PerPassage(model.ModelDSM), mcs.PerPassage(model.ModelDSM))
+	tasDSM, mcsDSM := tas.PerPassage(model.ModelDSM), mcs.PerPassage(model.ModelDSM)
+	if math.IsNaN(tasDSM) || math.IsNaN(mcsDSM) {
+		t.Fatalf("DSM RMRs/passage unpriced: TAS %v, MCS %v", tasDSM, mcsDSM)
+	}
+	if tasDSM <= mcsDSM {
+		t.Errorf("TAS should spend more DSM RMRs/passage (%.1f) than MCS (%.1f)", tasDSM, mcsDSM)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/harness"
 	"repro/internal/memsim"
@@ -28,7 +30,8 @@ type RunConfig struct {
 	N int
 	// Passages is the number of critical-section passages per process.
 	Passages int
-	// Scheduler orders steps; nil means seeded random (seed 1).
+	// Scheduler orders steps; nil means the harness default, seeded
+	// random (seed 1).
 	Scheduler sched.Scheduler
 	// MaxSteps bounds total shared-memory accesses (default 1e6).
 	MaxSteps int
@@ -221,19 +224,22 @@ func (pr *CSProbe) MutualExclusion() bool { return !pr.violated }
 // CSProbe critical section, and releases. Each passage starts from a copy
 // of pid's passage template in pid's retained frame storage, so a run
 // mints one passage frame per process, not one per passage. A Workload is
-// bound to a single run.
+// bound to a single run; Release returns it, frame storage included, to
+// the pool NewWorkload draws from once the run is over.
 type Workload struct {
 	CSProbe
 	alg       Algorithm
 	n         int
 	remaining []int
 
-	tmpl   *memsim.FrameTemplates
-	frames memsim.FrameSet
+	frames memsim.Frames
 }
 
+// workloadPool recycles workloads and their storage (see Release).
+var workloadPool = sync.Pool{New: func() any { return new(Workload) }}
+
 // passageInstance presents the probe's passages as a memsim.Instance with
-// one procedure, passageKind, so that passage frames live in FrameSet
+// one procedure, passageKind, so that passage frames live in memsim.Frames
 // storage like any instance's calls.
 type passageInstance struct{ pr *CSProbe }
 
@@ -254,11 +260,22 @@ var (
 // NewWorkload returns the workload for n processes, each performing the
 // given number of passages under alg.
 func NewWorkload(alg Algorithm, n, passages int) *Workload {
-	w := &Workload{alg: alg, n: n, remaining: make([]int, n)}
-	for i := range w.remaining {
-		w.remaining[i] = passages
+	w := workloadPool.Get().(*Workload)
+	remaining := slices.Grow(w.remaining[:0], n)[:n]
+	for i := range remaining {
+		remaining[i] = passages
 	}
+	*w = Workload{alg: alg, n: n, remaining: remaining, frames: w.frames}
 	return w
+}
+
+// Release ends the workload once its run is over and returns it to the
+// pool NewWorkload draws from. Nothing of the workload may be used
+// afterwards.
+func (w *Workload) Release() {
+	w.frames.Reset(nil, 0)
+	w.CSProbe, w.alg = CSProbe{}, Algorithm{}
+	workloadPool.Put(w)
 }
 
 // N implements harness.Workload.
@@ -271,8 +288,7 @@ func (w *Workload) Deploy(m *memsim.Machine) error {
 		return fmt.Errorf("deploy lock: %w", err)
 	}
 	w.DeployProbe(m, lock)
-	w.tmpl = memsim.NewFrameTemplates(passageInstance{&w.CSProbe}, w.n)
-	w.frames = memsim.NewFrameSet(w.n)
+	w.frames.Reset(passageInstance{&w.CSProbe}, w.n)
 	return nil
 }
 
@@ -284,7 +300,7 @@ func (w *Workload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 	}
 	w.remaining[pid]--
 	// passageInstance mints every kind, so Start cannot fail.
-	_ = w.frames.Start(w.tmpl, pid, passageKind)
+	_ = w.frames.Start(pid, passageKind)
 	return "passage", w.frames.Frame(pid), true
 }
 
@@ -306,11 +322,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 1_000_000
 	}
-	if cfg.Scheduler == nil {
-		cfg.Scheduler = sched.NewRandom(1)
-	}
 
 	w := NewWorkload(cfg.Lock, cfg.N, cfg.Passages)
+	defer w.Release()
 	hres, err := harness.Run(harness.Config{
 		Workload:   w,
 		Scheduler:  cfg.Scheduler,

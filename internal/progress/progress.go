@@ -187,6 +187,7 @@ func CheckTerminating(alg signal.Algorithm, n, maxSteps int, blocking bool) (*Te
 	// Round robin, then seeds 1 and 2 on one random source rewound to
 	// each (seed 0 stands for round robin).
 	random := sched.NewRandom(1)
+	defer random.Release()
 	for si, seed := range [...]int64{0, 1, 2} {
 		var s sched.Scheduler = sched.NewRoundRobin()
 		if seed != 0 {

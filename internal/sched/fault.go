@@ -29,7 +29,8 @@ type FaultScheduler interface {
 // policy's enabled kinds. A decision consumes budget even when the driver
 // downgrades it (an illegal lost CAS becomes a plain step), so a run
 // injects at most Policy.Max faults. The whole decision stream is a pure
-// function of (inner scheduler, policy, rate, seed).
+// function of (inner scheduler, policy, rate, seed). Its source comes from
+// the pool Random draws from; Release returns it.
 type FaultInjecting struct {
 	inner Scheduler
 	fp    memsim.FaultPolicy
@@ -43,8 +44,12 @@ var _ FaultScheduler = (*FaultInjecting)(nil)
 // NewFaultInjecting returns a seeded fault-injecting wrapper around inner.
 // rate is the per-scheduling-point fault probability in [0, 1].
 func NewFaultInjecting(inner Scheduler, fp memsim.FaultPolicy, rate float64, seed int64) *FaultInjecting {
-	return &FaultInjecting{inner: inner, fp: fp, rate: rate, rng: rand.New(rand.NewSource(seed))}
+	return &FaultInjecting{inner: inner, fp: fp, rate: rate, rng: seeded(seed)}
 }
+
+// Release returns s's own source to the pool; the inner scheduler belongs
+// to the caller and is left alone. s may not be used afterwards.
+func (s *FaultInjecting) Release() { release(&s.rng) }
 
 // Next implements Scheduler by delegating to the inner scheduler, so a
 // FaultInjecting handed to a fault-unaware driver degrades to its inner

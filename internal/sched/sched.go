@@ -7,9 +7,22 @@ package sched
 
 import (
 	"math/rand"
+	"sync"
 
 	"repro/internal/memsim"
 )
+
+// sources recycles the schedulers' PRNG sources, about 5 KB each.
+var sources = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seeded returns a pooled source seeded with seed. Seeding rewinds a
+// source completely, so it replays the sequence of a new source of that
+// seed whatever it produced before.
+func seeded(seed int64) *rand.Rand {
+	r := sources.Get().(*rand.Rand)
+	r.Seed(seed)
+	return r
+}
 
 // Scheduler picks the next process to step among those that are ready.
 // ready is never empty and is sorted by PID. Callers reuse its storage
@@ -41,7 +54,8 @@ func (s *RoundRobin) Next(ready []memsim.PID) memsim.PID {
 }
 
 // Random picks uniformly at random with a fixed seed, yielding
-// deterministic yet adversarially unstructured interleavings.
+// deterministic yet adversarially unstructured interleavings. Its source
+// comes from a pool; Release returns it once the scheduler is done.
 type Random struct {
 	rng *rand.Rand
 }
@@ -49,9 +63,7 @@ type Random struct {
 var _ Scheduler = (*Random)(nil)
 
 // NewRandom returns a seeded random scheduler.
-func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(rand.NewSource(seed))}
-}
+func NewRandom(seed int64) *Random { return &Random{rng: seeded(seed)} }
 
 // Seed rewinds s to the state NewRandom(seed) starts in, so a kept
 // scheduler replays the very sequence a new one would, without allocating
@@ -61,6 +73,16 @@ func (s *Random) Seed(seed int64) { s.rng.Seed(seed) }
 // Next implements Scheduler.
 func (s *Random) Next(ready []memsim.PID) memsim.PID {
 	return ready[s.rng.Intn(len(ready))]
+}
+
+// Release returns s's source to the pool NewRandom draws from. s may not
+// be used afterwards.
+func (s *Random) Release() { release(&s.rng) }
+
+// release returns *rng to the source pool and clears it.
+func release(rng **rand.Rand) {
+	sources.Put(*rng)
+	*rng = nil
 }
 
 // Scripted replays a fixed PID sequence, falling back to the first ready
@@ -96,7 +118,8 @@ func (s *Scripted) Next(ready []memsim.PID) memsim.PID {
 
 // Biased favours one process with the given probability and otherwise
 // defers to the random scheduler. It is useful for stressing races such as
-// "waiters register while the signaler is signaling" (Section 7).
+// "waiters register while the signaler is signaling" (Section 7). Like
+// Random it draws its source from a pool and Release returns it.
 type Biased struct {
 	pid  memsim.PID
 	prob float64
@@ -108,8 +131,11 @@ var _ Scheduler = (*Biased)(nil)
 // NewBiased returns a scheduler that steps pid with probability prob
 // whenever it is ready.
 func NewBiased(pid memsim.PID, prob float64, seed int64) *Biased {
-	return &Biased{pid: pid, prob: prob, rng: rand.New(rand.NewSource(seed))}
+	return &Biased{pid: pid, prob: prob, rng: seeded(seed)}
 }
+
+// Release returns s's source to the pool. s may not be used afterwards.
+func (s *Biased) Release() { release(&s.rng) }
 
 // Next implements Scheduler.
 func (s *Biased) Next(ready []memsim.PID) memsim.PID {

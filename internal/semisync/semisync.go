@@ -181,11 +181,14 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		cfg.MaxSteps = 2_000_000
 	}
 
-	var s sched.Scheduler = sched.NewRandom(cfg.Seed)
+	random := sched.NewRandom(cfg.Seed)
+	defer random.Release()
+	var s sched.Scheduler = random
 	if cfg.Timed {
 		s = NewScheduler(cfg.Delta, s)
 	}
 	w := NewWorkload(cfg.N, cfg.Delta, cfg.Passages)
+	defer w.Release()
 	hres, err := harness.Run(harness.Config{
 		Workload:   w,
 		Scheduler:  s,

@@ -2,6 +2,7 @@ package signal
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/harness"
@@ -26,43 +27,28 @@ type Policy struct {
 // in the process's retained frame storage. Observe must see every
 // event of the run (attach it as the harness sink): it counts the applied
 // accesses SignalAfter waits for. A Workload is bound to a single run;
-// Release returns its storage for later workloads once the run is over.
+// Release returns it, frame storage included, to the pool NewWorkload
+// draws from once the run is over. The calls' return values are in the
+// run's event stream: attach a Returns to collect them.
 type Workload struct {
 	alg    Algorithm
 	policy Policy
 	kind   memsim.CallKind // the waiters' call
 
-	tmpl   *memsim.FrameTemplates
-	frames memsim.FrameSet
+	frames memsim.Frames
 
 	procs    []proc
 	steps    int
 	signaled bool
-	// log holds every completed call's return value in completion order
-	// (nil after Release); returns is built from it on demand (nil until
-	// then).
-	log     *returnLog
-	returns map[memsim.PID][]memsim.Value
-	err     error
+	err      error
 }
 
-// returnLog is the completed calls' (pid, value) pairs in completion
-// order. Its storage is recycled through logPool.
-type returnLog struct{ entries []pidValue }
-
-// pidValue is one completed call's return value and process.
-type pidValue struct {
-	pid memsim.PID
-	val memsim.Value
-}
-
-// logPool recycles return logs across workloads (see Release).
-var logPool = sync.Pool{New: func() any { return new(returnLog) }}
+// workloadPool recycles workloads and their storage (see Release).
+var workloadPool = sync.Pool{New: func() any { return new(Workload) }}
 
 // proc is one process's progress through the policy.
 type proc struct {
 	waiter, signaler bool
-	calls            int // completed calls
 	polls            int
 	waitDone         bool // the waiter makes no further call
 	signalStarted    bool
@@ -74,14 +60,10 @@ var _ harness.Workload = (*Workload)(nil)
 // NewWorkload returns the workload of alg for n processes under p. Every
 // PID p lists must lie in [0, n).
 func NewWorkload(alg Algorithm, n int, p Policy) *Workload {
-	w := &Workload{
-		alg:    alg,
-		policy: p,
-		kind:   memsim.CallPoll,
-		procs:  make([]proc, n),
-		log:    logPool.Get().(*returnLog),
-	}
-	w.log.entries = w.log.entries[:0]
+	w := workloadPool.Get().(*Workload)
+	procs := slices.Grow(w.procs[:0], n)[:n]
+	clear(procs)
+	*w = Workload{alg: alg, policy: p, kind: memsim.CallPoll, frames: w.frames, procs: procs}
 	if p.Blocking {
 		w.kind = memsim.CallWait
 	}
@@ -103,8 +85,7 @@ func (w *Workload) Deploy(m *memsim.Machine) error {
 	if err != nil {
 		return fmt.Errorf("deploy instance: %w", err)
 	}
-	w.tmpl = memsim.NewFrameTemplates(inst, w.N())
-	w.frames = memsim.NewFrameSet(w.N())
+	w.frames.Reset(inst, w.N())
 	return nil
 }
 
@@ -131,7 +112,7 @@ func (w *Workload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 	if !ok {
 		return "", nil, false
 	}
-	if err := w.frames.Start(w.tmpl, pid, kind); err != nil {
+	if err := w.frames.Start(pid, kind); err != nil {
 		w.err = err
 		return "", nil, false
 	}
@@ -140,10 +121,7 @@ func (w *Workload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 
 // Done implements harness.Workload.
 func (w *Workload) Done(pid memsim.PID, ret memsim.Value) {
-	w.log.entries = append(w.log.entries, pidValue{pid, ret})
-	w.returns = nil
 	pr := &w.procs[pid]
-	pr.calls++
 	if pr.signalStarted {
 		pr.signalDone, w.signaled = true, true
 		return
@@ -164,36 +142,13 @@ func (w *Workload) Observe(ev memsim.Event) {
 // Err returns the error of a call the algorithm could not start, if any.
 func (w *Workload) Err() error { return w.err }
 
-// Returns maps each process to the return values of its completed calls,
-// in order. Processes with no completed call have no entry. The slices
-// share one backing array but are capped at their own length, so
-// appending to one never overwrites another.
-func (w *Workload) Returns() map[memsim.PID][]memsim.Value {
-	if w.returns != nil {
-		return w.returns
-	}
-	w.returns = make(map[memsim.PID][]memsim.Value, len(w.procs))
-	all := make([]memsim.Value, len(w.log.entries))
-	off := 0
-	for pid, pr := range w.procs {
-		if pr.calls > 0 {
-			w.returns[memsim.PID(pid)] = all[off : off : off+pr.calls]
-			off += pr.calls
-		}
-	}
-	for _, r := range w.log.entries {
-		w.returns[r.pid] = append(w.returns[r.pid], r.val)
-	}
-	return w.returns
-}
-
-// Release ends the workload once its run is over and returns the return
-// log's storage for reuse by later workloads. A map Returns built before
-// stays valid, since it copies the values out of the log; nothing else
-// of the workload may be used afterwards.
+// Release ends the workload once its run is over and returns it to the
+// pool NewWorkload draws from. Nothing of the workload may be used
+// afterwards.
 func (w *Workload) Release() {
-	logPool.Put(w.log)
-	w.log = nil
+	w.frames.Reset(nil, 0)
+	w.alg, w.policy = Algorithm{}, Policy{}
+	workloadPool.Put(w)
 }
 
 // Signaled reports whether some Signal call completed.
@@ -204,4 +159,16 @@ func (w *Workload) Signaled() bool { return w.signaled }
 func (w *Workload) Finished(pid memsim.PID) bool {
 	pr := w.procs[pid]
 	return (!pr.waiter || pr.waitDone) && (!pr.signaler || pr.signalDone)
+}
+
+// Returns collects each process's call return values, in completion
+// order, from a run's event stream: attach Observe as the run's sink (or
+// call it from one). Processes with no completed call have no entry.
+type Returns map[memsim.PID][]memsim.Value
+
+// Observe records the return value of each completed call.
+func (r Returns) Observe(ev memsim.Event) {
+	if ev.Kind == memsim.EvCallEnd {
+		r[ev.PID] = append(r[ev.PID], ev.Ret)
+	}
 }

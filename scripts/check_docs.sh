@@ -8,9 +8,10 @@
 # program form, of the retired text state encoders, of the retired frame
 # copy interfaces, of the retired harness stepping hook, of the lower-
 # bound adversary's retired trace rescans, second deployment and per-round
-# maps, of the retired per-call module snapshot, or of the duplicate
+# maps, of the retired per-call module snapshot, of the duplicate
 # suite command, lock run function and worker pool that were folded
-# away. Run from the repository root.
+# away, or of the signaling workload's retired return log. Run from the
+# repository root.
 set -eu
 
 fail=0
@@ -31,7 +32,7 @@ for dir in internal/*/; do
     fi
 done
 
-retired='memsim\.Proc\b|memsim\.Program\b|StartCall|FromBlocking|WorkerPool|memsim\.Blocking\b|ForceBlocking|ResumableWorkload|CanResume|StateEncoder|EncodeFrameState|EncodeModelState|encodeCanonical|ResumableCloner|ResumableCopier|CloneResumable\b|SteppedWorkload|dsmTotal|callSeqOfCurrent|moduleWriters|callHadRemote|\.ModuleSnapshot\b|spareLed|sortedKeys|pendingTargets|b\.spare\b|\.Sees\[|\.Touches\[|rmrbench|\bRunStreaming\b|runPool'
+retired='memsim\.Proc\b|memsim\.Program\b|StartCall|FromBlocking|WorkerPool|memsim\.Blocking\b|ForceBlocking|ResumableWorkload|CanResume|StateEncoder|EncodeFrameState|EncodeModelState|encodeCanonical|ResumableCloner|ResumableCopier|CloneResumable\b|SteppedWorkload|dsmTotal|callSeqOfCurrent|moduleWriters|callHadRemote|\.ModuleSnapshot\b|spareLed|sortedKeys|pendingTargets|b\.spare\b|\.Sees\[|\.Touches\[|rmrbench|\bRunStreaming\b|runPool|returnLog|logPool|Workload\)\.Returns'
 # Go files everywhere; Markdown everywhere below the root, and at the root
 # the two documents that describe the current code. The other Markdown
 # files at the root are records and reference notes (the change log among
