@@ -56,7 +56,17 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	var err error
+	if spec, ok := os.LookupEnv(workerEnv); ok {
+		// A shard worker: its coordinator owns the terminal's interrupt,
+		// so the unit in hand finishes and the coordinator stops between
+		// units.
+		osignal.Ignore(os.Interrupt)
+		err = runWorker(spec, os.Stdin, os.Stdout)
+	} else {
+		err = run(os.Args[1:], os.Stdout, os.Stderr)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "worstcase:", err)
 		if errs.IsInterrupt(err) {
 			os.Exit(3) // interrupted, snapshot intact: resume with -resume
@@ -93,8 +103,6 @@ func run(args []string, out, errOut io.Writer) error {
 	stopAfter := fs.Int("stop-after", 0,
 		"deterministically interrupt after this many committed units (testing; exits 3)")
 	shards := fs.Int("shards", 0, "shard the exhaustive search across this many worker OS processes")
-	shardWorker := fs.Bool("shard-worker", false,
-		"internal: serve shard-unit requests as JSON lines on stdin/stdout")
 	progressEvery := fs.Duration("progress", 0,
 		"emit states/sec + checkpoint-age lines to stderr at this interval (0 = off)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -135,12 +143,6 @@ func run(args []string, out, errOut io.Writer) error {
 	cfg, err := spec.SearchConfig()
 	if err != nil {
 		return err
-	}
-
-	if *shardWorker {
-		// Worker processes speak only the unit protocol on stdout; the
-		// coordinator owns all reporting.
-		return serveShardUnits(cfg, os.Stdin, out)
 	}
 
 	var meter *telemetry.Meter
@@ -185,26 +187,19 @@ func run(args []string, out, errOut io.Writer) error {
 
 	start := time.Now()
 	var res *search.Result
+	ck := search.Checkpoint{
+		Path:       *ckPath,
+		Tag:        spec.Alg,
+		ShardDepth: *shardDepth,
+		Resume:     *resume,
+		StopAfter:  *stopAfter,
+		Interrupt:  interrupt,
+	}
 	switch {
 	case *shards > 1:
-		res, err = runCoordinator(cfg, spec, shardOpts{
-			shards:     *shards,
-			shardDepth: *shardDepth,
-			checkpoint: *ckPath,
-			resume:     *resume,
-			stopAfter:  *stopAfter,
-			interrupt:  interrupt,
-			meter:      meter,
-		}, errOut)
+		res, err = runShards(cfg, spec, ck, *shards, errOut)
 	case *ckPath != "":
-		res, err = search.RunCheckpointed(cfg, search.Checkpoint{
-			Path:       *ckPath,
-			Tag:        spec.Alg,
-			ShardDepth: *shardDepth,
-			Resume:     *resume,
-			StopAfter:  *stopAfter,
-			Interrupt:  interrupt,
-		})
+		res, err = search.RunCheckpointed(cfg, ck)
 	default:
 		res, err = search.Run(cfg)
 	}

@@ -2,30 +2,32 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/errs"
 	"repro/internal/jobspec"
+	"repro/internal/leakcheck"
+	"repro/internal/search"
 )
 
-// TestMain doubles as the shard-worker entry point: runCoordinator
-// re-executes os.Executable(), which under `go test` is this test binary.
-// The env hook routes such a re-execution into run() before the testing
-// package touches the command line.
+// TestMain doubles as the shard worker entry point: the -shards
+// coordinator re-executes os.Executable(), which under `go test` is this
+// test binary. The worker environment variable routes such a
+// re-execution into runWorker before the testing package touches the
+// command line.
 func TestMain(m *testing.M) {
-	if os.Getenv(workerEnv) == "1" {
-		var args []string
-		if err := json.Unmarshal([]byte(os.Getenv(workerArgsEnv)), &args); err != nil {
-			fmt.Fprintln(os.Stderr, "worstcase:", err)
-			os.Exit(1)
-		}
-		if err := run(args, os.Stdout, os.Stderr); err != nil {
+	if spec, ok := os.LookupEnv(workerEnv); ok {
+		if err := runWorker(spec, os.Stdin, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "worstcase:", err)
 			os.Exit(1)
 		}
@@ -278,5 +280,132 @@ func TestShardedRejectsUnsharded(t *testing.T) {
 		io.Discard, io.Discard)
 	if !errs.IsFailure(err) || errs.CodeOf(err) != errs.CodeConflict {
 		t.Fatalf("sharded resume of an unsharded snapshot returned %v, want a conflict Failure", err)
+	}
+}
+
+// TestShardedCompilesFullSpec: shard workers compile the coordinator's
+// whole job spec, so fault and reduction flags reach them. For each flag
+// set and shard count, the worst-cost and witness lines equal the
+// unsharded run's, and the -json document equals an in-process
+// search.RunSharded of the same spec on ComputeUnit workers.
+func TestShardedCompilesFullSpec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	base := []string{"-alg", "flag", "-n", "2", "-depth", "8"}
+	for _, tc := range []struct {
+		extra []string
+		spec  jobspec.Spec // the same job, for the in-process run
+	}{
+		{[]string{"-faults", "1"}, jobspec.Spec{Faults: 1}},
+		{[]string{"-reduce"}, jobspec.Spec{Reduce: true}},
+		{[]string{"-faults", "1", "-fault-kinds", "crash", "-fault-vol", "owned"},
+			jobspec.Spec{Faults: 1, FaultKinds: "crash", FaultVol: "owned"}},
+	} {
+		args := append(append([]string(nil), base...), tc.extra...)
+		plain := strings.SplitN(mustRun(t, args...), "\n", 3)
+		spec := tc.spec
+		spec.Kind, spec.Alg, spec.Waiters, spec.Depth = jobspec.KindWorstcase, "flag", 2, 8
+		cfg, err := spec.SearchConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{2, 3} {
+			t.Run(fmt.Sprintf("%v/shards=%d", tc.extra, shards), func(t *testing.T) {
+				sharded := append(append([]string(nil), args...), "-shards", fmt.Sprint(shards))
+				lines := strings.SplitN(mustRun(t, sharded...), "\n", 3)
+				for i := 0; i < 2; i++ {
+					if lines[i] != plain[i] {
+						t.Fatalf("sharded line %d drifted:\n got: %s\nwant: %s", i, lines[i], plain[i])
+					}
+				}
+				res, err := search.RunSharded(cfg, search.Checkpoint{Tag: spec.Alg}, shards,
+					func(_ int, prefix []int) (*search.UnitResult, error) { return search.ComputeUnit(cfg, prefix) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := json.Marshal(jobspec.NewWorstcaseDoc(&spec, res))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := mustRun(t, append(sharded, "-json")...)
+				if got != string(want)+"\n" {
+					t.Fatalf("-json drifted from the in-process sharded run:\n got: %s\nwant: %s", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestShardWorkerKilled: a worker process killed mid-run fails the run
+// with an unavailable Failure naming the unit. No goroutine and no child
+// process is left, and the snapshot resumes to the output of an
+// uninterrupted sharded run.
+func TestShardWorkerKilled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	base := []string{"-alg", "flag", "-n", "2", "-depth", "10", "-shards", "2"}
+	full := mustRun(t, base...)
+	spec := jobspec.Spec{Kind: jobspec.KindWorstcase, Alg: "flag", Waiters: 2, Depth: 10}
+	cfg, err := spec.SearchConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := filepath.Join(t.TempDir(), "run.rpck")
+	procs, err := newShardProcs(spec, 2, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	calls := 0
+	var victim []int
+	compute := func(i int, prefix []int) (*search.UnitResult, error) {
+		mu.Lock()
+		calls++
+		w := procs.procs[i] // only goroutine i touches worker i
+		kill := victim == nil && calls >= 3 && w != nil
+		if kill {
+			victim = prefix
+		}
+		mu.Unlock()
+		if kill {
+			// Freeze the worker so the unit sent next gets no reply, then
+			// kill it while the coordinator waits for that reply.
+			if err := syscall.Kill(w.cmd.Process.Pid, syscall.SIGSTOP); err != nil {
+				t.Error(err)
+			}
+			go func() {
+				time.Sleep(20 * time.Millisecond)
+				w.cmd.Process.Kill()
+			}()
+		}
+		return procs.compute(i, prefix)
+	}
+	probe := leakcheck.Run(func() {
+		_, err = search.RunSharded(cfg, search.Checkpoint{Path: ck, Tag: "flag"}, 2, compute)
+	})
+	if !errs.IsFailure(err) || errs.CodeOf(err) != errs.CodeUnavailable || !strings.Contains(err.Error(), fmt.Sprint(victim)) {
+		t.Fatalf("run with a killed worker returned %v, want an unavailable Failure naming unit %v", err, victim)
+	}
+	t.Logf("killed worker: %v", err)
+	procs.close(true)
+	if n, stacks := probe.Settle(5 * time.Second); n != 0 {
+		t.Fatalf("%d goroutines leaked:\n%s", n, stacks)
+	}
+	for i, w := range procs.procs {
+		if w == nil {
+			continue
+		}
+		if w.cmd.ProcessState == nil {
+			t.Fatalf("worker %d was never reaped", i)
+		}
+		if err := syscall.Kill(w.cmd.Process.Pid, 0); !errors.Is(err, syscall.ESRCH) {
+			t.Fatalf("worker %d (pid %d) still exists: %v", i, w.cmd.Process.Pid, err)
+		}
+	}
+	got := mustRun(t, append(append([]string(nil), base...), "-checkpoint", ck, "-resume")...)
+	if got != full {
+		t.Fatalf("resumed sharded stdout drifted:\n got:\n%s want:\n%s", got, full)
 	}
 }

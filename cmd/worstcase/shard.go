@@ -1,67 +1,77 @@
 package main
 
-// Cross-process sharding: -shards N re-executes this binary N times with
-// -shard-worker, feeds each worker unit prefixes as JSON lines on stdin,
-// and reads one search.UnitResult JSON line back per unit. Workers are
-// pure functions of (flag set, prefix) — see internal/search/sharded.go —
-// so the merged result is deterministic for any shard count and any
-// assignment of units to workers. With -checkpoint the coordinator
-// snapshots its accumulated (entries, counters, done set) after every
-// completed unit, so a killed coordinator resumes without recomputing
-// finished units; in-flight worker units are simply recomputed.
+// Cross-process sharding: -shards N runs search.RunSharded with one
+// worker process per shard. Each worker is this binary re-executed with
+// the coordinator's normalized job spec in the workerEnv variable; it
+// compiles the spec exactly as the coordinator did, reads unit prefixes
+// as JSON lines on stdin and writes one reply line per request. The
+// unit loop, the snapshots, -stop-after and the interrupt all belong to
+// RunSharded; this file only starts, feeds and reaps the processes.
 
 import (
+	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
-	"strconv"
-	"sync"
 
-	"repro/internal/checkpoint"
 	"repro/internal/errs"
 	"repro/internal/jobspec"
 	"repro/internal/search"
-	"repro/internal/telemetry"
 )
 
-// The env hooks that let the coordinator re-execute itself as a worker
-// even when "itself" is a test binary: main_test.go's TestMain runs
-// run(workerArgs) and exits when workerEnv is set, before the testing
-// package ever parses flags.
-const (
-	workerEnv     = "GO_WORSTCASE_WORKER"
-	workerArgsEnv = "GO_WORSTCASE_ARGS"
-)
+// workerEnv carries the job spec, as JSON, into a worker process. Its
+// presence is what makes a process a worker: main and, under `go test`,
+// TestMain route such a process into runWorker before anything parses
+// the command line.
+const workerEnv = "GO_WORSTCASE_WORKER"
+
+// maxRequestBytes bounds one request line: a unit prefix holds at most
+// 64 small choice indices.
+const maxRequestBytes = 64 << 10
 
 // unitRequest is one line of the coordinator-to-worker stream.
 type unitRequest struct {
 	Prefix []int `json:"prefix"`
 }
 
-// unitReply is one line of the worker-to-coordinator stream.
+// unitReply is one line of the worker-to-coordinator stream: exactly one
+// of Result and Error is set.
 type unitReply struct {
 	Result *search.UnitResult `json:"result,omitempty"`
 	Error  string             `json:"error,omitempty"`
 }
 
-// serveShardUnits is the -shard-worker loop: compute every requested unit
-// against a fresh private table until stdin closes.
+// runWorker is a worker process: compile the spec, then serve units
+// until stdin closes.
+func runWorker(specJSON string, in io.Reader, out io.Writer) error {
+	var spec jobspec.Spec
+	if err := json.Unmarshal([]byte(specJSON), &spec); err != nil {
+		return errs.Failuref(errs.CodeInvalid, "shard worker: job spec: %v", err)
+	}
+	cfg, err := spec.SearchConfig()
+	if err != nil {
+		return err
+	}
+	return serveShardUnits(cfg, in, out)
+}
+
+// serveShardUnits answers every request line with one reply line: the
+// unit's result, or an error for a line that is no request or names no
+// unit. It returns at the end of the input, or with an error when a line
+// exceeds maxRequestBytes (after replying to it) or a reply cannot be
+// written.
 func serveShardUnits(cfg search.Config, in io.Reader, out io.Writer) error {
-	dec := json.NewDecoder(in)
+	sc := bufio.NewScanner(in)
+	sc.Buffer(nil, maxRequestBytes)
 	enc := json.NewEncoder(out)
-	for {
-		var req unitRequest
-		if err := dec.Decode(&req); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return fmt.Errorf("shard worker: read request: %w", err)
-		}
+	for sc.Scan() {
 		var rep unitReply
-		if res, err := search.ComputeUnit(cfg, req.Prefix); err != nil {
+		var req unitRequest
+		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
+			rep.Error = fmt.Sprintf("shard worker: bad request: %v", err)
+		} else if res, err := search.ComputeUnit(cfg, req.Prefix); err != nil {
 			rep.Error = err.Error()
 		} else {
 			rep.Result = res
@@ -70,281 +80,117 @@ func serveShardUnits(cfg search.Config, in io.Reader, out io.Writer) error {
 			return fmt.Errorf("shard worker: write reply: %w", err)
 		}
 	}
+	if err := sc.Err(); err != nil {
+		err = fmt.Errorf("shard worker: read request: %w", err)
+		enc.Encode(unitReply{Error: err.Error()})
+		return err
+	}
+	return nil
 }
 
-// shardOpts carries the coordinator's flag settings.
-type shardOpts struct {
-	shards     int
-	shardDepth int
-	checkpoint string
-	resume     bool
-	stopAfter  int
-	interrupt  <-chan struct{}
-	meter      *telemetry.Meter
+// shardProcs is a coordinator's worker processes, each started on its
+// first unit, so a run with fewer pending units than shards starts
+// fewer processes. Worker i only ever runs on RunSharded's goroutine i.
+type shardProcs struct {
+	spec   []byte
+	errOut io.Writer
+	procs  []*shardProc
 }
 
-// shardWorker is one live worker process and its two JSON streams.
-type shardWorker struct {
+// shardProc is one live worker process and its two JSON streams.
+type shardProc struct {
 	cmd *exec.Cmd
 	in  io.WriteCloser
 	enc *json.Encoder
 	dec *json.Decoder
 }
 
-func startShardWorker(spec jobspec.Spec, errOut io.Writer) (*shardWorker, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("shard coordinator: %w", err)
-	}
-	argv := []string{
-		"-alg", spec.Alg, "-model", spec.Model,
-		"-n", strconv.Itoa(spec.Waiters), "-polls", strconv.Itoa(spec.Polls),
-		"-depth", strconv.Itoa(spec.Depth), "-mode", spec.Mode,
-		"-shard-worker",
-	}
-	blob, err := json.Marshal(argv)
+func newShardProcs(spec jobspec.Spec, shards int, errOut io.Writer) (*shardProcs, error) {
+	blob, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
 	}
-	cmd := exec.Command(exe, argv...)
-	cmd.Env = append(os.Environ(), workerEnv+"=1", workerArgsEnv+"="+string(blob))
-	cmd.Stderr = errOut
-	in, err := cmd.StdinPipe()
-	if err != nil {
-		return nil, fmt.Errorf("shard coordinator: %w", err)
-	}
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, fmt.Errorf("shard coordinator: %w", err)
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("shard coordinator: start worker: %w", err)
-	}
-	return &shardWorker{cmd: cmd, in: in, enc: json.NewEncoder(in), dec: json.NewDecoder(out)}, nil
+	return &shardProcs{spec: blob, errOut: errOut, procs: make([]*shardProc, shards)}, nil
 }
 
-// compute round-trips one unit through the worker.
-func (w *shardWorker) compute(prefix []int) (*search.UnitResult, error) {
+// compute round-trips one unit through worker i, starting it if need
+// be. A worker that cannot be started or stops answering is
+// errs.CodeUnavailable; an error the worker reports is errs.CodeInvalid.
+func (p *shardProcs) compute(i int, prefix []int) (*search.UnitResult, error) {
+	w := p.procs[i]
+	if w == nil {
+		var err error
+		if w, err = p.start(); err != nil {
+			return nil, errs.Wrap(err, errs.ClassFailure, errs.CodeUnavailable, fmt.Sprintf("shard worker %d: start", i))
+		}
+		p.procs[i] = w
+	}
 	if err := w.enc.Encode(unitRequest{Prefix: prefix}); err != nil {
-		return nil, fmt.Errorf("send unit: %w", err)
+		return nil, errs.Wrap(err, errs.ClassFailure, errs.CodeUnavailable, fmt.Sprintf("shard worker %d: send unit", i))
 	}
 	var rep unitReply
 	if err := w.dec.Decode(&rep); err != nil {
-		return nil, fmt.Errorf("read unit result: %w", err)
+		return nil, errs.Wrap(err, errs.ClassFailure, errs.CodeUnavailable, fmt.Sprintf("shard worker %d exited mid-unit", i))
 	}
 	if rep.Error != "" {
-		return nil, errors.New(rep.Error)
-	}
-	if rep.Result == nil {
-		return nil, errors.New("worker sent neither result nor error")
+		return nil, errs.Failuref(errs.CodeInvalid, "shard worker %d: %s", i, rep.Error)
 	}
 	return rep.Result, nil
 }
 
-// shutdown closes the worker's stdin (ending its loop) and reaps it.
-func (w *shardWorker) shutdown() error {
-	w.in.Close()
-	return w.cmd.Wait()
-}
-
-// kill tears a worker down without waiting for a clean exit.
-func (w *shardWorker) kill() {
-	w.in.Close()
-	w.cmd.Process.Kill()
-	w.cmd.Wait()
-}
-
-type unitOutcome struct {
-	idx int
-	res *search.UnitResult
-	err error
-}
-
-// runCoordinator shards the exhaustive search across worker processes and
-// merges their unit results into the single-process answer.
-func runCoordinator(cfg search.Config, spec jobspec.Spec, opts shardOpts, errOut io.Writer) (*search.Result, error) {
-	d, err := search.EffectiveShardDepth(cfg, opts.shardDepth)
+func (p *shardProcs) start() (*shardProc, error) {
+	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
 	}
-	units, err := search.ExpandUnits(cfg, d)
+	cmd := exec.Command(exe)
+	cmd.Env = append(os.Environ(), workerEnv+"="+string(p.spec))
+	cmd.Stderr = p.errOut
+	in, err := cmd.StdinPipe()
 	if err != nil {
 		return nil, err
 	}
-	fp := search.Fingerprint(spec.Alg, cfg, d, true)
-
-	counters := checkpoint.Counters{}
-	var doneList []uint32
-	var entries []checkpoint.Entry
-	doneSet := map[uint32]bool{}
-	if opts.resume {
-		if opts.checkpoint == "" {
-			return nil, errs.Failure(errs.CodeInvalid, "-resume requires -checkpoint")
-		}
-		snap, err := checkpoint.Read(opts.checkpoint)
-		if err != nil {
-			return nil, err
-		}
-		if snap.Kind != checkpoint.KindSearch {
-			return nil, errs.Failuref(errs.CodeConflict,
-				"snapshot %s belongs to %s, not a search", opts.checkpoint, snap.Kind)
-		}
-		if snap.Fingerprint != fp {
-			return nil, errs.Failuref(errs.CodeConflict,
-				"snapshot %s was written by a different configuration (%s, want %s)",
-				opts.checkpoint, snap.Fingerprint, fp)
-		}
-		if !unitsEqual(snap.Units, units) {
-			return nil, errs.Defectf("snapshot %s unit list disagrees with re-derivation", opts.checkpoint)
-		}
-		counters = snap.Counters
-		doneList = snap.Done
-		doneSet = snap.DoneSet()
-		entries = snap.Entries
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, err
 	}
-
-	var pending []int
-	for i := range units {
-		if !doneSet[uint32(i)] {
-			pending = append(pending, i)
-		}
+	if err := cmd.Start(); err != nil {
+		return nil, err
 	}
-
-	writeSnap := func() error {
-		if opts.checkpoint == "" {
-			return nil
-		}
-		snap := &checkpoint.Snapshot{
-			Kind:        checkpoint.KindSearch,
-			Fingerprint: fp,
-			ShardDepth:  d,
-			Units:       units,
-			Done:        doneList,
-			Counters:    counters,
-			Entries:     append([]checkpoint.Entry(nil), entries...),
-		}
-		snap.SortEntries()
-		if err := checkpoint.Write(opts.checkpoint, snap); err != nil {
-			return err
-		}
-		if opts.meter != nil {
-			opts.meter.Checkpointed()
-		}
-		return nil
-	}
-
-	if len(pending) > 0 {
-		nw := opts.shards
-		if nw > len(pending) {
-			nw = len(pending)
-		}
-		var workers []*shardWorker
-		for i := 0; i < nw; i++ {
-			w, err := startShardWorker(spec, errOut)
-			if err != nil {
-				for _, started := range workers {
-					started.kill()
-				}
-				return nil, err
-			}
-			workers = append(workers, w)
-		}
-
-		feed := make(chan int)
-		results := make(chan unitOutcome, nw)
-		stopFeed := make(chan struct{})
-		var stopOnce sync.Once
-		stop := func() { stopOnce.Do(func() { close(stopFeed) }) }
-		var wg sync.WaitGroup
-		for _, w := range workers {
-			wg.Add(1)
-			go func(w *shardWorker) {
-				defer wg.Done()
-				for idx := range feed {
-					res, err := w.compute(units[idx])
-					results <- unitOutcome{idx: idx, res: res, err: err}
-					if err != nil {
-						return // a broken stream cannot carry further units
-					}
-				}
-			}(w)
-		}
-		go func() {
-			defer close(feed)
-			for _, idx := range pending {
-				select {
-				case feed <- idx:
-				case <-stopFeed:
-					return
-				}
-			}
-		}()
-		go func() { wg.Wait(); close(results) }()
-
-		completed := 0
-		interrupted := false
-		var failure error
-		for out := range results {
-			if out.err != nil {
-				if failure == nil {
-					failure = fmt.Errorf("shard unit %v: %w", units[out.idx], out.err)
-				}
-				stop()
-				continue // keep draining in-flight results
-			}
-			counters.Add(out.res.Counters)
-			entries = append(entries, out.res.Entry)
-			doneList = append(doneList, uint32(out.idx))
-			completed++
-			if err := writeSnap(); err != nil {
-				if failure == nil {
-					failure = err
-				}
-				stop()
-				continue
-			}
-			if opts.stopAfter > 0 && completed >= opts.stopAfter {
-				interrupted = true
-				stop()
-			}
-			select {
-			case <-opts.interrupt:
-				interrupted = true
-				stop()
-			default:
-			}
-		}
-		stop()
-		for _, w := range workers {
-			if err := w.shutdown(); err != nil && failure == nil && !interrupted {
-				failure = fmt.Errorf("shard worker exit: %w", err)
-			}
-		}
-		if failure != nil {
-			return nil, failure
-		}
-		if interrupted {
-			return nil, errs.Interrupted(fmt.Sprintf(
-				"stopped after %d units this run; completed work is snapshotted", completed))
-		}
-	}
-
-	return search.MergeShardedState(cfg, entries, counters)
+	return &shardProc{cmd: cmd, in: in, enc: json.NewEncoder(in), dec: json.NewDecoder(out)}, nil
 }
 
-func unitsEqual(a, b [][]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
+// close ends every started worker and reaps it: closing stdin ends a
+// healthy worker's loop; after a failed run (failed true) the workers
+// are killed as well, since a broken stream may leave one mid-reply.
+// It reports the first worker that exited badly from a run that had not
+// failed.
+func (p *shardProcs) close(failed bool) error {
+	var first error
+	for i, w := range p.procs {
+		if w == nil {
+			continue
 		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
+		w.in.Close()
+		if failed {
+			w.cmd.Process.Kill()
+		}
+		if err := w.cmd.Wait(); err != nil && !failed && first == nil {
+			first = errs.Wrap(err, errs.ClassFailure, errs.CodeUnavailable, fmt.Sprintf("shard worker %d exit", i))
 		}
 	}
-	return true
+	return first
+}
+
+// runShards runs the search on shards worker processes and reaps them.
+func runShards(cfg search.Config, spec jobspec.Spec, ck search.Checkpoint, shards int, errOut io.Writer) (*search.Result, error) {
+	procs, err := newShardProcs(spec, shards, errOut)
+	if err != nil {
+		return nil, err
+	}
+	res, err := search.RunSharded(cfg, ck, shards, procs.compute)
+	if cerr := procs.close(err != nil); err == nil {
+		err = cerr
+	}
+	return res, err
 }

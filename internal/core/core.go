@@ -2,7 +2,8 @@
 // signaling algorithm on the simulator, drives waiters and a signaler under
 // a scheduler, scores the resulting trace under the RMR cost models of both
 // architectures, and checks Specification 4.1 — everything needed to
-// regenerate the paper's claims (see DESIGN.md's experiment index). Run is
+// regenerate the paper's claims (each ExperimentEn in experiments.go names
+// the claim its table regenerates). Run is
 // a thin layer over the generic harness: it validates its Config, builds
 // the signal.Workload call policy and attaches the online spec checker;
 // harness.Run owns the drive loop, the budget and the scoring pipeline.

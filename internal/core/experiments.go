@@ -21,7 +21,8 @@ import (
 )
 
 // Table is one regenerated experiment: the rows a paper table or figure
-// series would hold. DESIGN.md §4 maps experiment IDs to paper claims.
+// series would hold. Each ExperimentEn's comment names the paper claim
+// its table regenerates.
 type Table struct {
 	ID     string
 	Title  string

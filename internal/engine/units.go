@@ -30,7 +30,9 @@ import (
 
 // Checkpoint configures a durable run.
 type Checkpoint struct {
-	// Path is the snapshot file (required).
+	// Path is the snapshot file. Empty runs the units without writing
+	// one (a sharded run that keeps nothing on disk); Resume then has
+	// nothing to read.
 	Path string
 	// Tag folds a caller-side identity — typically the algorithm name,
 	// which the Factory hides — into the fingerprint.
@@ -38,9 +40,6 @@ type Checkpoint struct {
 	// ShardDepth is the unit prefix depth. Zero means 3; the value is
 	// clamped to MaxDepth-1.
 	ShardDepth int
-	// Every writes a snapshot after every Every committed units (zero
-	// means 1, i.e. after each unit).
-	Every int
 	// Resume loads the snapshot at Path instead of starting fresh; the
 	// snapshot's kind and fingerprint must match.
 	Resume bool
@@ -113,7 +112,8 @@ type Durable struct {
 }
 
 // RunUnits drives a checkpointed run and returns the counters committed
-// so far — every counter, Finish's included, when err is nil. An
+// so far — every counter, Finish's included, when err is nil. It writes
+// a snapshot after every committed unit, unless ck.Path is empty. An
 // interruption (ck.Interrupt, ck.StopAfter, or a pool stopped by its
 // engine) returns an error classified as errs.ClassInterrupt;
 // everything already committed is on disk.
@@ -147,6 +147,9 @@ func RunUnits(ck Checkpoint, d Durable) (counters checkpoint.Counters, err error
 	var done []uint32
 	doneSet := map[uint32]bool{}
 	if ck.Resume {
+		if ck.Path == "" {
+			return counters, errs.Failure(errs.CodeInvalid, name+": resume requires a snapshot path")
+		}
 		snap, err := checkpoint.Read(ck.Path)
 		if err != nil {
 			return counters, err
@@ -185,6 +188,9 @@ func RunUnits(ck Checkpoint, d Durable) (counters checkpoint.Counters, err error
 	}
 
 	write := func() error {
+		if ck.Path == "" {
+			return nil
+		}
 		snap := &checkpoint.Snapshot{
 			Kind:        d.Kind,
 			Fingerprint: d.Fingerprint,
@@ -215,8 +221,7 @@ func RunUnits(ck Checkpoint, d Durable) (counters checkpoint.Counters, err error
 		}
 	}
 
-	every := max(ck.Every, 1)
-	committed, unsnapped := 0, 0
+	committed := 0
 	for ui := range units {
 		if doneSet[uint32(ui)] {
 			continue
@@ -233,25 +238,11 @@ func RunUnits(ck Checkpoint, d Durable) (counters checkpoint.Counters, err error
 		w.commit(&counters, em)
 		unitNs.Observe(0, time.Since(start).Nanoseconds())
 		done = append(done, uint32(ui))
-		committed++
-		if unsnapped++; unsnapped >= every {
-			if err := write(); err != nil {
-				return counters, err
-			}
-			unsnapped = 0
-		}
-		if ck.StopAfter > 0 && committed >= ck.StopAfter {
-			if unsnapped > 0 {
-				if err := write(); err != nil {
-					return counters, err
-				}
-			}
-			return counters, errs.Interrupted(fmt.Sprintf("%s: stopped after %d units as requested", name, committed))
-		}
-	}
-	if unsnapped > 0 {
 		if err := write(); err != nil {
 			return counters, err
+		}
+		if committed++; ck.StopAfter > 0 && committed >= ck.StopAfter {
+			return counters, errs.Interrupted(fmt.Sprintf("%s: stopped after %d units as requested", name, committed))
 		}
 	}
 	if d.Finish != nil {

@@ -11,7 +11,7 @@
 // Keane–Moir [20]): a state word holds the current session and an
 // occupancy count, both manipulated under an MCS lock. It is terminating
 // and session-safe but not local-spin-optimal; reproducing [8]'s O(log N)
-// CC algorithm and Ω(N) DSM bound is out of scope (DESIGN.md §2) — the
+// CC algorithm and Ω(N) DSM bound is out of scope for this reproduction — the
 // measured CC-vs-DSM contrast of even this simple algorithm illustrates
 // the asymmetry the paper discusses.
 package gme

@@ -126,7 +126,8 @@ type Config struct {
 	SoloBudget int
 	// RollThreshold overrides the ⌊√X⌋ same-variable writer threshold of
 	// the roll-forward case (0 keeps the paper's value). Exposed for the
-	// ablation benchmark in DESIGN.md §5.
+	// ablation benchmark BenchmarkAblationRollForward in the root
+	// bench_test.go.
 	RollThreshold int
 	// VerifyErasures replays and compares survivor traces after every
 	// erasure (Lemma 6.7 as a runtime assertion), and checks that the

@@ -137,7 +137,8 @@ type CC struct {
 	// StrictInvalidate makes every non-read operation invalidate remote
 	// copies, even trivial ones (failed CAS/SC). The paper's Section 2
 	// definition invalidates only on nontrivial operations; this knob
-	// exists for the cache-rule ablation (DESIGN.md §5).
+	// exists for the cache-rule ablation (BenchmarkAblationCacheRule in the
+	// root bench_test.go).
 	StrictInvalidate bool
 	// EvictEvery, when positive, spuriously evicts a process's entire
 	// cache every EvictEvery of its own accesses — the Section 8 caveat

@@ -13,8 +13,7 @@
 // model. The corollary's logic only needs the emulation to (a) use reads
 // and writes exclusively and (b) make *every* operation incur RMRs — the
 // property the paper itself highlights ("in such implementations every
-// operation incurs RMRs") — and both are preserved. DESIGN.md records the
-// substitution.
+// operation incurs RMRs") — and both are preserved.
 //
 // Every emulated operation is a resumable Frame that composes the lock's
 // acquire and release sections (mutex.SectionRestarter); callers embed a

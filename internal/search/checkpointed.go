@@ -36,7 +36,7 @@ import (
 // Checkpoint configures a durable run.
 type Checkpoint = engine.Checkpoint
 
-// Fingerprint renders the configuration identity a snapshot is bound to.
+// fingerprint renders the configuration identity a snapshot is bound to.
 // Everything that determines the search space is included — algorithm
 // tag, process count, scripts, depth bound, model, shard depth — and the
 // sharded (fresh-table-per-unit) counter regime is marked distinctly so
@@ -44,7 +44,7 @@ type Checkpoint = engine.Checkpoint
 // reduced run (Config.Reduce with a capable model) is likewise marked:
 // its memo entries key (state, sleep) pairs and may hold the blocked
 // sentinel, so they must never seed an unreduced table or vice versa.
-func Fingerprint(tag string, cfg Config, shardDepth int, sharded bool) string {
+func fingerprint(tag string, cfg Config, shardDepth int, sharded bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "search|%s|n=%d|depth=%d|model=%s|shard=%d|scripts=",
 		tag, cfg.N, cfg.MaxDepth, cfg.Model.Name(), shardDepth)
@@ -80,30 +80,11 @@ func reduceEffective(cfg Config) bool {
 		(model.OrderInvariantCost(cfg.Model) || model.PermutationInvariantCost(cfg.Model))
 }
 
-// EffectiveShardDepth reports the unit depth a run with this config and
-// requested depth actually uses — what a coordinator must fingerprint.
-func EffectiveShardDepth(cfg Config, d int) (int, error) {
-	cfg, err := normalize(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return engine.ClampShardDepth(d, cfg.MaxDepth), nil
-}
-
-// ExpandUnits enumerates the units of cfg at shardDepth: the choice
+// expandUnits enumerates the units of cfg at shard depth d: the choice
 // prefixes of every internal tree node at exactly that depth, in
 // lexicographic order. Leaves above the shard depth carry no unit (the
 // spine pass scores them). The enumeration is a pure expansion — no
-// table, no counters — so coordinator and workers can re-derive the
-// identical list independently.
-func ExpandUnits(cfg Config, shardDepth int) ([][]int, error) {
-	cfg, err := normalize(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return expandUnits(cfg, engine.ClampShardDepth(shardDepth, cfg.MaxDepth))
-}
-
+// table, no counters — so a resumed run re-derives the identical list.
 func expandUnits(cfg Config, d int) ([][]int, error) {
 	e, err := newPricer(cfg)
 	if err != nil {
@@ -162,16 +143,24 @@ func expandUnits(cfg Config, d int) ([][]int, error) {
 // deterministic ck.StopAfter) returns an error classified as
 // errs.ClassInterrupt; everything already committed is on disk.
 func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
+	if ck.Path == "" {
+		return nil, errs.Failure(errs.CodeInvalid, "search: checkpoint requires a path")
+	}
+	return runDurable(cfg, ck, nil)
+}
+
+// runDurable is the searcher's side of engine.RunUnits. With f nil each
+// unit is a prefetch task against the shared table; otherwise f's
+// workers compute the units and each commit preloads a unit's root
+// entry. Either way the spine pass finishes the run.
+func runDurable(cfg Config, ck Checkpoint, f *fanout) (*Result, error) {
 	cfg, err := normalize(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Mode != ModeExhaustive {
 		return nil, errs.Failure(errs.CodeInvalid,
-			"search: only exhaustive mode checkpoints (sample walks are cheap to rerun)")
-	}
-	if ck.Path == "" {
-		return nil, errs.Failure(errs.CodeInvalid, "search: checkpoint requires a path")
+			"search: only exhaustive mode checkpoints or shards (sample walks are cheap to rerun)")
 	}
 	d := engine.ClampShardDepth(ck.ShardDepth, cfg.MaxDepth)
 	s := newBnb(cfg)
@@ -182,9 +171,13 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	unit := w.runTask
+	if f != nil {
+		unit = f.unit(w)
+	}
 	counters, err := engine.RunUnits(ck, engine.Durable{
 		Kind:        checkpoint.KindSearch,
-		Fingerprint: Fingerprint(ck.Tag, cfg, d, false),
+		Fingerprint: fingerprint(ck.Tag, cfg, d, f != nil),
 		ShardDepth:  d,
 		Telemetry:   cfg.Telemetry,
 		Worker:      &w.Worker,
@@ -194,13 +187,18 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 		// and checks the snapshot's list against its own.
 		Plan: func(resumed *checkpoint.Snapshot) ([][]int, error) {
 			units, err := expandUnits(cfg, d)
-			if err == nil && resumed != nil && !slices.EqualFunc(resumed.Units, units, slices.Equal[[]int]) {
+			if err != nil {
+				return nil, err
+			}
+			if resumed != nil && !slices.EqualFunc(resumed.Units, units, slices.Equal[[]int]) {
 				return nil, errs.Defectf("search: snapshot %s unit list disagrees with re-derivation", ck.Path)
 			}
-			return units, err
+			if f != nil {
+				f.start(units, resumed)
+			}
+			return units, nil
 		},
-		// Each unit is a prefetch task against the shared table.
-		Unit: w.runTask,
+		Unit: unit,
 		// The spine pass: compute the tree above the shard depth from the
 		// root, adopting the memoized units.
 		Finish: func() error { return w.runTask(nil) },

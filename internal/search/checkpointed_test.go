@@ -2,7 +2,7 @@ package search_test
 
 // Durability properties of the checkpointed search: an uninterrupted
 // checkpointed run, a killed-and-resumed run (at every kill point), and
-// a cross-process-style sharded merge must all reproduce the plain
+// a sharded run on in-process workers must all reproduce the plain
 // in-memory engine's Result — for the witness fields exactly in all
 // regimes, and byte-for-byte (counters included) in the shared-table
 // checkpointed regime, on every seed config under both DSM and CC.
@@ -111,10 +111,17 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// inProcess is RunSharded's compute on ComputeUnit: every worker in
+// this process.
+func inProcess(cfg search.Config) func(int, []int) (*search.UnitResult, error) {
+	return func(_ int, prefix []int) (*search.UnitResult, error) { return search.ComputeUnit(cfg, prefix) }
+}
+
 // TestShardedMatchesPlain: computing every unit against a private table
 // (the cross-process regime) and merging yields the plain WorstCost and
 // lexicographically least Witness; the merged counter regime is itself
-// deterministic under permutation of the unit results.
+// deterministic for any worker count and so any assignment of units to
+// workers.
 func TestShardedMatchesPlain(t *testing.T) {
 	for _, name := range []string{"flag-2proc", "multi-signaler"} {
 		cfg := seedConfigs()[name]
@@ -127,22 +134,9 @@ func TestShardedMatchesPlain(t *testing.T) {
 				if err != nil {
 					t.Fatalf("plain run: %v", err)
 				}
-				units, err := search.ExpandUnits(cfg, 3)
+				merged, err := search.RunSharded(cfg, search.Checkpoint{}, 1, inProcess(cfg))
 				if err != nil {
-					t.Fatalf("expand: %v", err)
-				}
-				if len(units) == 0 {
-					t.Fatal("no units")
-				}
-				results := make([]*search.UnitResult, len(units))
-				for i, u := range units {
-					if results[i], err = search.ComputeUnit(cfg, u); err != nil {
-						t.Fatalf("unit %v: %v", u, err)
-					}
-				}
-				merged, err := search.MergeUnits(cfg, results)
-				if err != nil {
-					t.Fatalf("merge: %v", err)
+					t.Fatalf("sharded run: %v", err)
 				}
 				if merged.WorstCost != want.WorstCost || !reflect.DeepEqual(merged.Witness, want.Witness) {
 					t.Fatalf("sharded answer (%d, %v) != plain (%d, %v)",
@@ -152,17 +146,16 @@ func TestShardedMatchesPlain(t *testing.T) {
 					t.Fatalf("sharded schedule diverges: %v vs %v", merged.Schedule, want.Schedule)
 				}
 
-				// Any assignment of units to workers hands MergeUnits the
-				// same multiset; a permutation must not move any field.
-				rev := make([]*search.UnitResult, len(results))
-				for i := range results {
-					rev[i] = results[len(results)-1-i]
+				// More workers hand the units out in another order, and
+				// with 64 every unit gets a worker of its own; no field
+				// may move.
+				for _, workers := range []int{3, 64} {
+					again, err := search.RunSharded(cfg, search.Checkpoint{}, workers, inProcess(cfg))
+					if err != nil {
+						t.Fatalf("%d workers: %v", workers, err)
+					}
+					assertByteIdentical(t, merged, again)
 				}
-				merged2, err := search.MergeUnits(cfg, rev)
-				if err != nil {
-					t.Fatalf("merge permuted: %v", err)
-				}
-				assertByteIdentical(t, merged, merged2)
 			})
 		}
 	}
@@ -191,7 +184,7 @@ func TestResumeRejectsMismatch(t *testing.T) {
 }
 
 // TestCraftedCostRejected: a memo cost outside [-1, MaxInt32] from
-// outside bytes — a .rpck snapshot entry or a shard merge entry — fails
+// outside bytes — a .rpck snapshot entry or a shard worker's entry — fails
 // with CodeInvalid instead of being truncated into the table's int32
 // slot.
 func TestCraftedCostRejected(t *testing.T) {
@@ -218,9 +211,15 @@ func TestCraftedCostRejected(t *testing.T) {
 		if errs.CodeOf(err) != errs.CodeInvalid {
 			t.Fatalf("resume with cost %d: %v, want a %s failure", cost, err, errs.CodeInvalid)
 		}
-		_, err = search.MergeShardedState(cfg, crafted.Entries, checkpoint.Counters{})
+		_, err = search.RunSharded(cfg, search.Checkpoint{}, 2, func(_ int, prefix []int) (*search.UnitResult, error) {
+			res, err := search.ComputeUnit(cfg, prefix)
+			if err == nil {
+				res.Entry.Cost = cost
+			}
+			return res, err
+		})
 		if errs.CodeOf(err) != errs.CodeInvalid {
-			t.Fatalf("merge with cost %d: %v, want a %s failure", cost, err, errs.CodeInvalid)
+			t.Fatalf("shard entry with cost %d: %v, want a %s failure", cost, err, errs.CodeInvalid)
 		}
 	}
 }

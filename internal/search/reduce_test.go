@@ -221,7 +221,7 @@ func TestReduceCheckpointedMatchesPlain(t *testing.T) {
 
 // TestReduceShardedMatchesPlain: computing every unit of a reduced
 // search against a private table and merging yields the reduced plain
-// answer (cost, witness, schedule), independent of unit order.
+// answer (cost, witness, schedule), independent of the worker count.
 func TestReduceShardedMatchesPlain(t *testing.T) {
 	for _, name := range []string{"flag-2proc", "multi-signaler", "flag-3w"} {
 		cfg := reduceConfigs()[name]
@@ -235,22 +235,9 @@ func TestReduceShardedMatchesPlain(t *testing.T) {
 				if err != nil {
 					t.Fatalf("plain reduced run: %v", err)
 				}
-				units, err := search.ExpandUnits(cfg, 3)
+				merged, err := search.RunSharded(cfg, search.Checkpoint{}, 1, inProcess(cfg))
 				if err != nil {
-					t.Fatalf("expand: %v", err)
-				}
-				if len(units) == 0 {
-					t.Fatal("no units")
-				}
-				results := make([]*search.UnitResult, len(units))
-				for i, u := range units {
-					if results[i], err = search.ComputeUnit(cfg, u); err != nil {
-						t.Fatalf("unit %v: %v", u, err)
-					}
-				}
-				merged, err := search.MergeUnits(cfg, results)
-				if err != nil {
-					t.Fatalf("merge: %v", err)
+					t.Fatalf("sharded run: %v", err)
 				}
 				if merged.WorstCost != want.WorstCost || !reflect.DeepEqual(merged.Witness, want.Witness) {
 					t.Fatalf("sharded reduced answer (%d, %v) != plain (%d, %v)",
@@ -259,15 +246,13 @@ func TestReduceShardedMatchesPlain(t *testing.T) {
 				if !reflect.DeepEqual(merged.Schedule, want.Schedule) {
 					t.Fatalf("sharded schedule diverges: %v vs %v", merged.Schedule, want.Schedule)
 				}
-				rev := make([]*search.UnitResult, len(results))
-				for i := range results {
-					rev[i] = results[len(results)-1-i]
+				for _, workers := range []int{3, 64} {
+					again, err := search.RunSharded(cfg, search.Checkpoint{}, workers, inProcess(cfg))
+					if err != nil {
+						t.Fatalf("%d workers: %v", workers, err)
+					}
+					assertByteIdentical(t, merged, again)
 				}
-				merged2, err := search.MergeUnits(cfg, rev)
-				if err != nil {
-					t.Fatalf("merge permuted: %v", err)
-				}
-				assertByteIdentical(t, merged, merged2)
 			})
 		}
 	}

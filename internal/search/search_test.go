@@ -350,7 +350,7 @@ func TestRejectsOutOfRangeScriptPID(t *testing.T) {
 		check("reduced", err)
 		_, err = search.RunCheckpointed(cfg, search.Checkpoint{Path: filepath.Join(t.TempDir(), "run.rpck")})
 		check("checkpointed", err)
-		_, err = search.ExpandUnits(cfg, 2)
-		check("ExpandUnits", err)
+		_, err = search.RunSharded(cfg, search.Checkpoint{}, 1, inProcess(cfg))
+		check("sharded", err)
 	}
 }

@@ -11,7 +11,7 @@
 // expires) and Fischer's timed lock, the canonical knowledge-of-Δ mutex:
 // correct in every Δ-respecting schedule and incorrect under unrestricted
 // asynchrony, which the tests demonstrate in both directions. The O(1)-RMR DSM construction of [23] proper is out of
-// scope (DESIGN.md §2); the runnable content here is the timing *model*
+// scope; the runnable content here is the timing *model*
 // and the correctness boundary it creates.
 package semisync
 

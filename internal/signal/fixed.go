@@ -61,7 +61,7 @@ func (in *fixedWaitersInstance) ResumableProgram(pid memsim.PID, kind memsim.Cal
 // The participation flags Present[0..N-2] live in the signaler's memory
 // module so the signaler's busy-wait is local; this requires the signaler
 // (process N-1 by convention) to be fixed in advance, a restriction the
-// paper leaves implicit and DESIGN.md documents. The resulting solution is
+// paper leaves implicit. The resulting solution is
 // terminating but not wait-free: Signal() blocks until every fixed waiter
 // has begun participating.
 func FixedWaitersTerminating() Algorithm {

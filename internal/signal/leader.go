@@ -29,7 +29,7 @@ import (
 // followers that register during propagation: a follower that the scan
 // misses necessarily reads Done = true. Followers and signalers incur O(1)
 // RMRs worst-case; the leader incurs O(N) (the paper's read/write-only
-// O(1)-per-process construction via [12] is out of scope; see DESIGN.md).
+// O(1)-per-process construction via [12] is out of scope here).
 func LeaderBlocking() Algorithm {
 	return Algorithm{
 		Name:       "leader-blocking",

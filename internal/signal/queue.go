@@ -21,7 +21,7 @@ import (
 // The busy-wait on Q[j] only spans the window between a waiter's FAA and
 // its slot write; the solution is terminating (the paper's full version
 // uses an O(1)-RMR queue from the F&I mutual-exclusion literature — see
-// internal/queue and DESIGN.md for the substitution note).
+// internal/queue's package comment for the registry that stands in for it).
 func QueueSignal() Algorithm {
 	return Algorithm{
 		Name:       "queue",

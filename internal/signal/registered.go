@@ -18,7 +18,7 @@ import (
 //
 // Waiters incur O(1) RMRs worst-case; the signaler incurs O(k) RMRs when k
 // waiters have registered (the paper cites [12] for a full O(1)-per-process
-// version; DESIGN.md records this simplification). Amortized complexity is
+// version; this package keeps the simpler O(k) signaler). Amortized complexity is
 // O(1) because each signaler RMR targets a registered — hence participating
 // — waiter.
 func RegisteredWaiters() Algorithm {

@@ -10,7 +10,9 @@
 # bound adversary's retired trace rescans, second deployment and per-round
 # maps, of the retired per-call module snapshot, of the duplicate
 # suite command, lock run function and worker pool that were folded
-# away, or of the signaling workload's retired return log. Run from the
+# away, of the signaling workload's retired return log, or of the
+# second copy of the unit loop the -shards coordinator used to keep; and
+# that every *.md file a Go or Markdown file names exists. Run from the
 # repository root.
 set -eu
 
@@ -32,7 +34,7 @@ for dir in internal/*/; do
     fi
 done
 
-retired='memsim\.Proc\b|memsim\.Program\b|StartCall|FromBlocking|WorkerPool|memsim\.Blocking\b|ForceBlocking|ResumableWorkload|CanResume|StateEncoder|EncodeFrameState|EncodeModelState|encodeCanonical|ResumableCloner|ResumableCopier|CloneResumable\b|SteppedWorkload|dsmTotal|callSeqOfCurrent|moduleWriters|callHadRemote|\.ModuleSnapshot\b|spareLed|sortedKeys|pendingTargets|b\.spare\b|\.Sees\[|\.Touches\[|rmrbench|\bRunStreaming\b|runPool|returnLog|logPool|Workload\)\.Returns'
+retired='memsim\.Proc\b|memsim\.Program\b|StartCall|FromBlocking|WorkerPool|memsim\.Blocking\b|ForceBlocking|ResumableWorkload|CanResume|StateEncoder|EncodeFrameState|EncodeModelState|encodeCanonical|ResumableCloner|ResumableCopier|CloneResumable\b|SteppedWorkload|dsmTotal|callSeqOfCurrent|moduleWriters|callHadRemote|\.ModuleSnapshot\b|spareLed|sortedKeys|pendingTargets|b\.spare\b|\.Sees\[|\.Touches\[|rmrbench|\bRunStreaming\b|runPool|returnLog|logPool|Workload\)\.Returns|runCoordinator|shardOpts|unitOutcome|unitsEqual|workerArgsEnv|MergeUnits|MergeShardedState|EffectiveShardDepth'
 # Go files everywhere; Markdown everywhere below the root, and at the root
 # the two documents that describe the current code. The other Markdown
 # files at the root are records and reference notes (the change log among
@@ -45,8 +47,21 @@ if [ -n "$stale" ]; then
     fail=1
 fi
 
+# A named Markdown file must exist, from the repository root or from the
+# naming file's directory.
+missing=$(grep -rnoE --include='*.go' --include='*.md' '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' $scan |
+    while IFS=: read -r file line name; do
+        [ -e "$name" ] || [ -e "$(dirname "$file")/$name" ] || echo "$file:$line: $name"
+    done)
+if [ -n "$missing" ]; then
+    echo "FAIL: Markdown files named but missing:" >&2
+    echo "$missing" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 echo "retired identifiers: none named"
+echo "named Markdown files: all present"
 echo "package comments ok ($(ls -d internal/*/ | wc -l | tr -d ' ') packages)"
