@@ -130,6 +130,7 @@ func ExperimentE3(cs []int) (*Table, error) {
 			}
 			t.AddRow(alg.Name, itoa(c), itoa(n), cert.Verdict.String(), itoa(cert.K),
 				itoa(cert.TotalRMRs), itoa(c*cert.K), itoa(cert.SignalerRMRs), itoa(cert.StableWaiters))
+			cert.Release() // the table keeps only the row
 		}
 	}
 	return t, nil
@@ -156,6 +157,7 @@ func ExperimentE4(c int) (*Table, error) {
 		}
 		t.AddRow(alg.Name, alg.Primitives, itoa(c), cert.Verdict.String(),
 			itoa(cert.K), itoa(cert.TotalRMRs), itoa(c*cert.K))
+		cert.Release()
 	}
 	return t, nil
 }
@@ -512,6 +514,7 @@ func ExperimentE3Growth(c int, ns []int) (*Table, error) {
 		}
 		t.AddRow(itoa(n), itoa(cert.K), itoa(cert.TotalRMRs), itoa(c*cert.K),
 			ftoa(float64(cert.TotalRMRs)/float64(c*cert.K)))
+		cert.Release()
 	}
 	return t, nil
 }

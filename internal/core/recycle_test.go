@@ -42,13 +42,16 @@ func addrSpan(evs []memsim.Event) int {
 // and passage count (whose workload is recycled too) are compared with
 // deep copies after 20 more deployments have drawn machines, controllers,
 // executions, workloads, frame storage and PRNG sources from the pools,
-// many of them retaining a trace of their own.
+// many of them retaining a trace of their own. The certificate's trace,
+// owners and rounds are then compared again after 12 adversary runs
+// whose certificates are released at once.
 func TestReleasedStorageNotShared(t *testing.T) {
 	cert, err := lowerbound.Run(lowerbound.Config{Algorithm: signal.FixedWaiters(), N: 16, C: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	certEvents, certOwners := slices.Clone(cert.Events), slices.Clone(cert.Owners)
+	certRounds := slices.Clone(cert.Rounds)
 
 	returns := signal.Returns{}
 	res, err := Run(Config{
@@ -126,6 +129,34 @@ func TestReleasedStorageNotShared(t *testing.T) {
 	if !reflect.DeepEqual(lock.Events, lockEvents) || lock.Passages != lockPassages {
 		t.Error("a later deployment overwrote the KeepEvents lock result")
 	}
+
+	// Certificates released between later runs hand their trace, owners
+	// and rounds to the certificates after them, never to one that was
+	// kept: 12 more adversary runs of varied size, each released at once,
+	// with a harness run between them.
+	if len(certRounds) == 0 {
+		t.Fatal("the kept certificate has no rounds to check")
+	}
+	for i := 0; i < 12; i++ {
+		alg := algs[i%len(algs)]
+		released, err := lowerbound.Run(lowerbound.Config{Algorithm: alg, N: 8 + 12*(i%5), C: 1 + i%3})
+		if err != nil {
+			t.Fatalf("adversary run %d (%s): %v", i, alg.Name, err)
+		}
+		released.Release()
+		if _, err := Run(Config{Algorithm: alg, N: 4 + i, MaxPolls: 3, SignalAfter: 4 + i, KeepEvents: i%2 == 0}); err != nil {
+			t.Fatalf("harness run %d (%s): %v", i, alg.Name, err)
+		}
+	}
+	if !reflect.DeepEqual(cert.Events, certEvents) {
+		t.Error("a released certificate's successor overwrote the kept certificate's trace")
+	}
+	if !reflect.DeepEqual(cert.Owners, certOwners) {
+		t.Error("a released certificate's successor overwrote the kept certificate's owners")
+	}
+	if !reflect.DeepEqual(cert.Rounds, certRounds) {
+		t.Error("a later run overwrote the kept certificate's rounds")
+	}
 }
 
 // TestWarmRunAllocs pins the allocations of a warm signaling run and a
@@ -143,11 +174,11 @@ func TestWarmRunAllocs(t *testing.T) {
 		pin  float64
 		run  func() error
 	}{
-		{"core.Run fixed-waiters n=16", 49, func() error {
+		{"core.Run fixed-waiters n=16", 46, func() error {
 			_, err := Run(Config{Algorithm: signal.FixedWaiters(), N: 16, MaxPolls: 4, SignalAfter: 16, Scorers: scorers})
 			return err
 		}},
-		{"mutex.Run mcs n=8 on the default scheduler", 51, func() error {
+		{"mutex.Run mcs n=8 on the default scheduler", 48, func() error {
 			_, err := mutex.Run(mutex.RunConfig{Lock: mutex.MCS(), N: 8, Passages: 4, Scorers: scorers})
 			return err
 		}},

@@ -100,9 +100,6 @@ type Durable struct {
 	// Plan returns the unit list. A fresh run passes nil; a resumed run
 	// passes its snapshot, whose unit list the engine adopts or checks.
 	Plan func(resumed *checkpoint.Snapshot) ([][]int, error)
-	// PersistPlan snapshots right after a fresh plan: the plan counted
-	// work that only the snapshot records (the explorer's shallow pass).
-	PersistPlan bool
 	// Unit runs one unit, given its prefix.
 	Unit func(prefix worksteal.Task) error
 	// Finish, when non-nil, runs after the last unit commits; its
@@ -112,8 +109,11 @@ type Durable struct {
 }
 
 // RunUnits drives a checkpointed run and returns the counters committed
-// so far — every counter, Finish's included, when err is nil. It writes
-// a snapshot after every committed unit, unless ck.Path is empty. An
+// so far — every counter, Finish's included, when err is nil. Unless
+// ck.Path is empty, it writes a snapshot once a fresh run has planned
+// its units, before the first unit, and after every committed unit. The
+// plan runs to its end even if ck.Interrupt fires meanwhile, so an
+// interrupted fresh run always leaves a snapshot to resume from. An
 // interruption (ck.Interrupt, ck.StopAfter, or a pool stopped by its
 // engine) returns an error classified as errs.ClassInterrupt;
 // everything already committed is on disk.
@@ -131,18 +131,6 @@ func RunUnits(ck Checkpoint, d Durable) (counters checkpoint.Counters, err error
 		}
 		return err
 	}
-	if ck.Interrupt != nil {
-		finished := make(chan struct{})
-		defer close(finished)
-		go func() {
-			select {
-			case <-ck.Interrupt:
-				w.Pool.Stop()
-			case <-finished:
-			}
-		}()
-	}
-
 	var units [][]int
 	var done []uint32
 	doneSet := map[uint32]bool{}
@@ -215,9 +203,35 @@ func RunUnits(ck Checkpoint, d Durable) (counters checkpoint.Counters, err error
 		}
 		return nil
 	}
-	if !ck.Resume && d.PersistPlan {
+	if !ck.Resume {
+		// The plan may have counted work that only the snapshot records
+		// (the explorer's shallow pass), and a run interrupted before its
+		// first commit must leave something to resume from.
 		if err := write(); err != nil {
 			return counters, err
+		}
+	}
+
+	// From here an interrupt stops the pool, and with it the unit in
+	// progress; between units it is also checked directly, so an
+	// interrupt that fired before the first unit stops the run before it.
+	if ck.Interrupt != nil {
+		finished := make(chan struct{})
+		defer close(finished)
+		go func() {
+			select {
+			case <-ck.Interrupt:
+				w.Pool.Stop()
+			case <-finished:
+			}
+		}()
+	}
+	stopped := func() bool {
+		select {
+		case <-ck.Interrupt:
+			return true
+		default:
+			return w.Pool.Stopped()
 		}
 	}
 
@@ -226,7 +240,7 @@ func RunUnits(ck Checkpoint, d Durable) (counters checkpoint.Counters, err error
 		if doneSet[uint32(ui)] {
 			continue
 		}
-		if w.Pool.Stopped() {
+		if stopped() {
 			return counters, errs.Interrupted(name + ": interrupted between units")
 		}
 		start := time.Now()

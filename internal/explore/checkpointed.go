@@ -98,9 +98,8 @@ func RunCheckpointed(cfg Config, ck Checkpoint) (*Result, error) {
 		Telemetry:   cfg.Telemetry,
 		Worker:      &w.Worker,
 		// The shallow pass: everything above (and at) the shard depth is
-		// counted and claimed now, once; the snapshot written right after
-		// it is the only record of it a resumed run ever needs.
-		PersistPlan: true,
+		// counted and claimed now, once; the snapshot RunUnits writes
+		// right after it is the only record of it a resumed run needs.
 		Plan: func(resumed *checkpoint.Snapshot) ([][]int, error) {
 			if resumed != nil {
 				return resumed.Units, nil

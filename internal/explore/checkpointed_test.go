@@ -6,10 +6,12 @@ package explore
 // on every seed config.
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/errs"
 )
 
@@ -83,6 +85,41 @@ func TestKillResumeExplore(t *testing.T) {
 				t.Fatalf("kill/resume diverged after %d kills:\n got %+v\nwant %+v", kills, got, want)
 			}
 		})
+	}
+}
+
+// TestInterruptBeforeFirstCommitExplore: a fresh run whose interrupt
+// fired before it started still finishes its shallow pass and snapshots
+// it, then stops with an Interrupt before the first unit; resuming that
+// snapshot yields the uninterrupted run's Result, byte for byte.
+func TestInterruptBeforeFirstCommitExplore(t *testing.T) {
+	cfg := seedConfigs()["flag-2proc"]
+	cfg.Engine = EngineBacktrackDedup
+	want, err := RunCheckpointed(cfg, Checkpoint{Path: filepath.Join(t.TempDir(), "whole.rpck"), Tag: "flag"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.rpck")
+	interrupt := make(chan struct{})
+	close(interrupt)
+	if _, err := RunCheckpointed(cfg, Checkpoint{Path: path, Tag: "flag", Interrupt: interrupt}); !errs.IsInterrupt(err) {
+		t.Fatalf("interrupted run returned %v, want an Interrupt", err)
+	}
+	snap, err := checkpoint.Read(path)
+	if err != nil {
+		t.Fatalf("no snapshot to resume: %v", err)
+	}
+	if len(snap.Done) != 0 || len(snap.Units) == 0 {
+		t.Fatalf("snapshot has %d units, %d committed; want a plan and no commit", len(snap.Units), len(snap.Done))
+	}
+	got, err := RunCheckpointed(cfg, Checkpoint{Path: path, Tag: "flag", Resume: true})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	wb, _ := json.Marshal(want)
+	gb, _ := json.Marshal(got)
+	if !reflect.DeepEqual(want, got) || string(wb) != string(gb) {
+		t.Fatalf("resumed result %s, uninterrupted %s", gb, wb)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 
 	"repro/internal/memsim"
 	"repro/internal/model"
@@ -158,6 +159,37 @@ func (r *Result) OwnerFunc() func(memsim.Addr) memsim.PID { return r.ownerFn }
 // N returns the number of processes in the run.
 func (r *Result) N() int { return r.n }
 
+// scratch is the storage a Run needs only while it runs, recycled
+// through scratchPool: the ready list, the accumulators being fed, and
+// feed, the one event sink that feeds them and then Config.Sink.
+type scratch struct {
+	ready []memsim.PID
+	accs  []model.Accumulator
+	sink  memsim.EventSink
+	feed  memsim.EventSink
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	sc := new(scratch)
+	sc.feed = func(ev memsim.Event) {
+		for _, a := range sc.accs {
+			a.Add(ev)
+		}
+		if sc.sink != nil {
+			sc.sink(ev)
+		}
+	}
+	return sc
+}}
+
+// release empties sc, dropping its hold on the run's accumulators and
+// sink, and returns it to the pool.
+func (sc *scratch) release() {
+	clear(sc.accs)
+	sc.accs, sc.sink = sc.accs[:0], nil
+	scratchPool.Put(sc)
+}
+
 // Run drives cfg.Workload to completion (every process out of work), the
 // step budget, or an interrupt — whichever comes first. Attached Scorers
 // price every event as it is generated; with KeepEvents set the trace is
@@ -201,19 +233,15 @@ func Run(cfg Config) (*Result, error) {
 	// itself is retained only on request.
 	ctl.RetainEvents(cfg.KeepEvents)
 	owner := m.Owner
-	accs := make([]model.Accumulator, len(cfg.Scorers))
-	for i, s := range cfg.Scorers {
-		accs[i] = s.Begin(n, owner)
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	for _, s := range cfg.Scorers {
+		sc.accs = append(sc.accs, s.Begin(n, owner))
 	}
+	accs := sc.accs
 	if len(accs) > 0 || cfg.Sink != nil {
-		ctl.Attach(func(ev memsim.Event) {
-			for _, a := range accs {
-				a.Add(ev)
-			}
-			if cfg.Sink != nil {
-				cfg.Sink(ev)
-			}
-		})
+		sc.sink = cfg.Sink
+		ctl.Attach(sc.feed)
 	}
 
 	// The telemetry counters no-op on a nil registry (nil handles).
@@ -275,7 +303,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil
 	}
 
-	ready := make([]memsim.PID, 0, n)
+	ready := sc.ready[:0]
 	for {
 		if cfg.Interrupt != nil {
 			select {
@@ -315,6 +343,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		res.Steps++
 	}
+	sc.ready = ready
 	// Harvest once more: a call that completed on the final applied step
 	// is collected even when the loop broke before the top-of-loop
 	// harvest could run (the interrupt check fires first, and budget

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/memsim"
+	"repro/internal/trace"
 )
 
 // opClass partitions operations for the Part 1 write handling.
@@ -41,14 +43,14 @@ const (
 // builder is the adversary's working state: a replayable action history, a
 // live execution positioned at its end, and the Par/Fin/Act bookkeeping of
 // Definition 6.3. Everything it reads is dense PID- or address-indexed
-// storage, sized once per run and reused across rounds.
+// storage, reused across rounds, and across runs through builderPool.
 type builder struct {
 	cfg  Config
 	n    int
 	exec *memsim.Execution
 	// led is exec's ledger: the running quantities the construction reads
 	// from the history, which exec retains only under VerifyErasures.
-	led *ledger
+	led ledger
 	// before is, under VerifyErasures, the trace a replay is checked
 	// against.
 	before []memsim.Event
@@ -77,7 +79,7 @@ type builder struct {
 	// plain-writer count per address. Both are zero between uses.
 	claimed  []bool
 	nwriters []int32
-	graph    *conflictGraph
+	graph    conflictGraph
 	// victims, writing and targets are scratch PID lists.
 	victims []memsim.PID
 	writing []memsim.PID
@@ -89,12 +91,19 @@ type builder struct {
 	lastCase string
 	// violation carries the first Specification 4.1 breach encountered.
 	violation string
+	// rel and fin are the certificate's regularity audit: the relations
+	// of its trace and the finished set it is checked against.
+	rel trace.Relations
+	fin []bool
 }
+
+// builderPool recycles builders, with all their storage, across runs.
+var builderPool = sync.Pool{New: func() any { return new(builder) }}
 
 const stabilityWindow = 6
 
 // newBuilder validates cfg, fills its defaults and deploys the live
-// execution.
+// execution, on a builder drawn from builderPool.
 func newBuilder(cfg Config) (*builder, error) {
 	if cfg.Algorithm.New == nil {
 		return nil, errors.New("lowerbound: config requires an algorithm")
@@ -117,24 +126,26 @@ func newBuilder(cfg Config) (*builder, error) {
 	}
 	exec.RetainEvents(cfg.VerifyErasures)
 	n, size := cfg.N, exec.Machine().Size()
-	b := &builder{
-		cfg:       cfg,
-		n:         n,
-		exec:      exec,
-		led:       attachLedger(exec),
-		erasing:   make([]bool, n),
-		active:    make([]memsim.PID, 0, n),
-		isActive:  make([]bool, n),
-		finished:  make([]bool, n),
-		stable:    make([]bool, n),
-		zeroRuns:  make([]int32, n),
-		pendAcc:   make([]memsim.Access, n),
-		isPending: make([]bool, n),
-		claimed:   make([]bool, size),
-		nwriters:  make([]int32, size),
-		graph:     newConflictGraph(n),
-		victims:   make([]memsim.PID, 0, n),
-	}
+	b := builderPool.Get().(*builder)
+	b.cfg, b.n, b.exec = cfg, n, exec
+	b.led.attach(exec)
+	b.before = b.before[:0]
+	b.erasing = zeroed(b.erasing, n)
+	b.active = b.active[:0]
+	b.isActive = zeroed(b.isActive, n)
+	b.finished = zeroed(b.finished, n)
+	b.nfinished = 0
+	b.stable = zeroed(b.stable, n)
+	b.zeroRuns = zeroed(b.zeroRuns, n)
+	b.pendAcc = zeroed(b.pendAcc, n)
+	b.isPending = zeroed(b.isPending, n)
+	b.npend = 0
+	b.claimed = zeroed(b.claimed, size)
+	b.nwriters = zeroed(b.nwriters, size)
+	b.graph.init(n)
+	b.victims, b.writing, b.targets = b.victims[:0], b.writing[:0], b.targets[:0]
+	b.rounds = b.rounds[:0]
+	b.lastCase, b.violation = "", ""
 	for i := 0; i < n; i++ {
 		pid := memsim.PID(i)
 		if cfg.Algorithm.Variant.FixedSignaler && pid == memsim.PID(n-1) {
@@ -146,11 +157,26 @@ func newBuilder(cfg Config) (*builder, error) {
 	return b, nil
 }
 
-// release returns the execution's storage for reuse; the certificate
-// keeps what it took from it (the trace and a copy of the owners).
+// zeroed returns s resliced to length n with every element zero, growing
+// it only when its capacity is short.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// release returns the execution's storage, and then the builder's, for
+// reuse. Nothing the certificate holds is either's: its trace, owners
+// and rounds come from the certificate storage pool (see
+// Certificate.Release).
 func (b *builder) release() {
 	b.exec.Release()
-	b.exec = nil
+	b.exec, b.led.owner = nil, nil
+	b.cfg = Config{} // holds the algorithm and the log writer
+	builderPool.Put(b)
 }
 
 // logging reports whether the construction narrative goes anywhere;
@@ -245,14 +271,16 @@ func (b *builder) replay() error {
 
 // certificateTrace replays the live schedule onto the rewound execution
 // and returns the trace the replay emits, which the ledger collects into
-// a slice made at its final length: every applied action emits exactly
-// one event. Under VerifyErasures the replay must reproduce the live
-// trace exactly.
-func (b *builder) certificateTrace() ([]memsim.Event, error) {
+// buf: every applied action emits exactly one event, so the trace fills
+// buf, grown first if it is short, to exactly the log's length, and
+// keeps its capacity. Under VerifyErasures the replay must reproduce the
+// live trace exactly.
+func (b *builder) certificateTrace(buf []memsim.Event) ([]memsim.Event, error) {
 	if b.cfg.VerifyErasures {
 		b.before = append(b.before[:0], b.exec.Events()...)
 	}
-	b.led.trace = make([]memsim.Event, 0, len(b.exec.Actions()))
+	k := len(b.exec.Actions())
+	b.led.trace = reserve(buf, k)
 	b.led.record = true
 	err := b.replay()
 	events := b.led.trace
@@ -260,13 +288,22 @@ func (b *builder) certificateTrace() ([]memsim.Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(events) != cap(events) {
-		return nil, fmt.Errorf("lowerbound: %d actions replayed into %d events", cap(events), len(events))
+	if len(events) != k {
+		return nil, fmt.Errorf("lowerbound: %d actions replayed into %d events", k, len(events))
 	}
 	if b.cfg.VerifyErasures && !slices.Equal(events, b.before) {
 		return nil, errors.New("lowerbound: the replayed certificate trace differs from the live trace")
 	}
 	return events, nil
+}
+
+// reserve returns buf emptied, with room for n elements: buf itself when
+// its capacity is enough, a new slice otherwise. It is never nil.
+func reserve[T any](buf []T, n int) []T {
+	if buf == nil || cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
 }
 
 // survivorChanged compares the history before an erasure with its replay

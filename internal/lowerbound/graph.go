@@ -13,9 +13,9 @@ import (
 // witness is the greedy minimum-degree algorithm implemented here, so the
 // code inherits the proof's quantitative guarantee.
 //
-// All storage is PID-indexed and sized once for the machine's n
-// processes; reset empties the graph for the next use without
-// allocating.
+// All storage is PID-indexed and sized by init for the machine's n
+// processes, reusing what a previous run left; reset empties the graph
+// for the next use without allocating.
 type conflictGraph struct {
 	vertices []memsim.PID // ascending
 	vertex   []bool       // by PID: in the vertex set
@@ -31,16 +31,21 @@ type conflictGraph struct {
 
 // newConflictGraph returns an empty graph over PIDs below n.
 func newConflictGraph(n int) *conflictGraph {
-	words := (n + 63) / 64
-	return &conflictGraph{
-		vertices: make([]memsim.PID, 0, n),
-		vertex:   make([]bool, n),
-		words:    words,
-		adj:      make([]uint64, n*words),
-		deg:      make([]int32, n),
-		alive:    make([]bool, n),
-		chosen:   make([]bool, n),
-	}
+	g := new(conflictGraph)
+	g.init(n)
+	return g
+}
+
+// init empties g, with no vertices, over PIDs below n.
+func (g *conflictGraph) init(n int) {
+	g.words = (n + 63) / 64
+	g.vertices = reserve(g.vertices, n)
+	g.vertex = zeroed(g.vertex, n)
+	g.adj = zeroed(g.adj, n*g.words)
+	g.nedges = 0
+	g.deg = zeroed(g.deg, n)
+	g.alive = zeroed(g.alive, n)
+	g.chosen = zeroed(g.chosen, n)
 }
 
 // reset empties g and makes vertices, given in ascending order, its

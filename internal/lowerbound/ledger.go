@@ -11,7 +11,8 @@ import (
 // Definition 6.3), whether a Poll call went remote (stability,
 // Definition 6.8), and whose module was written (the fresh signaler of
 // Lemma 6.13). It observes its execution as an attached memsim.EventSink;
-// after a Reset of that execution the ledger must be reset too.
+// after a Reset of that execution the ledger must be reset too. A ledger
+// is reused across executions: attach sizes it for the next one.
 type ledger struct {
 	owner func(memsim.Addr) memsim.PID
 	// rmrs counts each process's DSM RMRs (model.IsRemoteDSM).
@@ -29,21 +30,24 @@ type ledger struct {
 	// replay).
 	trace  []memsim.Event
 	record bool
+	// sink is observe as an EventSink, made once per ledger.
+	sink memsim.EventSink
 }
 
-// attachLedger returns a zero ledger observing every later event of e.
-func attachLedger(e *memsim.Execution) *ledger {
+// attach zeroes l, sized for e's processes, and makes it observe every
+// later event of e.
+func (l *ledger) attach(e *memsim.Execution) {
 	n := e.N()
-	l := &ledger{
-		owner:          e.Machine().Owner,
-		rmrs:           make([]int, n),
-		participated:   make([]bool, n),
-		callRemote:     make([]bool, n),
-		written:        make([]bool, n),
-		writtenByOther: make([]bool, n),
+	l.owner = e.Machine().Owner
+	l.rmrs = zeroed(l.rmrs, n)
+	l.participated = zeroed(l.participated, n)
+	l.callRemote = zeroed(l.callRemote, n)
+	l.written = zeroed(l.written, n)
+	l.writtenByOther = zeroed(l.writtenByOther, n)
+	if l.sink == nil {
+		l.sink = l.observe
 	}
-	e.Attach(l.observe)
-	return l
+	e.Attach(l.sink)
 }
 
 // observe folds one trace event into the ledger.

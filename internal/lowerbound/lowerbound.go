@@ -45,20 +45,25 @@
 // need. The rest of the adversary's bookkeeping — the active, finished
 // and stable sets, the round's pending accesses, the conflict graph, the
 // per-variable writer counts — is dense PID- or address-indexed storage
-// sized once per run, and the active set is a list kept in ascending PID
-// order, so no round builds a map or sorts. The certificate's trace is
-// made once, at the end, by replaying the final action log while the
-// ledger collects the events into a slice of exactly the log's length
-// (every action emits one event); the regularity audit (internal/trace)
-// runs on it. Config.VerifyErasures additionally makes the execution
-// retain its trace, so that every erasure can compare the survivors'
-// accesses and the certificate's replayed trace can be compared with the
-// live one.
+// drawn from a pool, with the builder that holds it, and the active set
+// is a list kept in ascending PID order, so no round builds a map or
+// sorts. The certificate's trace is made once, at the end, by replaying
+// the final action log while the ledger collects the events into a slice
+// of exactly the log's length (every action emits one event); the
+// regularity audit (internal/trace) runs on it in relations the builder
+// keeps. The trace, owners and rounds are the certificate's own until
+// Certificate.Release hands them to a later certificate, so a warm run
+// whose caller releases its certificate allocates little more than the
+// certificate's header. Config.VerifyErasures additionally makes the
+// execution retain its trace, so that every erasure can compare the
+// survivors' accesses and the certificate's replayed trace can be
+// compared with the live one.
 package lowerbound
 
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/memsim"
 	"repro/internal/model"
@@ -184,6 +189,37 @@ type Certificate struct {
 	// the history under any cost model.
 	Processes int
 	Owners    []memsim.PID
+
+	// store backs Events, Owners and Rounds until Release.
+	store *certStore
+}
+
+// certStore is the reusable backing of a certificate's Events, Owners and
+// Rounds. Its slices are kept at length zero and full capacity, so that
+// certificates compare (reflect.DeepEqual) by what they hold, not by what
+// their storage held before.
+type certStore struct {
+	events []memsim.Event
+	owners []memsim.PID
+	rounds []RoundReport
+}
+
+// certStorePool hands released certificate storage to later certificates.
+var certStorePool = sync.Pool{New: func() any { return new(certStore) }}
+
+// Release hands the certificate's Events, Owners and Rounds to a later
+// certificate for reuse and sets the three fields to nil; the others stay
+// readable. A caller that reads only the counts releases the certificate
+// once it has read them. A caller that keeps the certificate never calls
+// Release: its storage is then shared with nothing. After Release,
+// nothing taken from the three fields may be used. A second Release does
+// nothing.
+func (c *Certificate) Release() {
+	if c.store == nil {
+		return
+	}
+	certStorePool.Put(c.store)
+	c.store, c.Events, c.Owners, c.Rounds = nil, nil, nil, nil
 }
 
 // OwnerFunc returns the history's module-ownership mapping in the form

@@ -3,7 +3,6 @@ package lowerbound
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/memsim"
 	"repro/internal/signal"
@@ -152,7 +151,7 @@ func (b *builder) part2() (*Certificate, error) {
 // "for N large enough, some module is unwritten" argument of Lemma 6.13.
 // It returns NoOwner with an explanation when no candidate exists.
 func (b *builder) chooseSignaler() (memsim.PID, string, error) {
-	led := b.led
+	led := &b.led
 	if b.cfg.Algorithm.Variant.FixedSignaler {
 		s := memsim.PID(b.n - 1)
 		if led.participated[s] || b.isActive[s] || b.finished[s] {
@@ -208,23 +207,28 @@ func (b *builder) certNonTerminatingSignaler(s memsim.PID, stableCount int) (*Ce
 
 // certificate snapshots the current history into a Certificate. Its
 // counts come from the live ledger and its trace from replaying the live
-// schedule (certificateTrace); the certificate owns that trace.
+// schedule (certificateTrace); its trace, owners and rounds are stored in
+// a certStore that only the certificate holds, until its Release.
 func (b *builder) certificate(v Verdict, s memsim.PID, stableCount int, detail string) (*Certificate, error) {
-	events, err := b.certificateTrace()
+	st := certStorePool.Get().(*certStore)
+	events, err := b.certificateTrace(st.events)
 	if err != nil {
+		certStorePool.Put(st)
 		return nil, fmt.Errorf("certificate replay: %w", err)
 	}
+	events = keep(&st.events, events)
 	// Self-audit: the construction must have kept the history regular
 	// (Definition 6.6). Active processes are "unfinished"; the signaler,
 	// if any, may legitimately see finished processes only.
-	finished := slices.Clone(b.finished)
+	b.fin = append(b.fin[:0], b.finished...)
 	if s != memsim.NoOwner {
 		// The signaler is allowed to be "seen" conceptually — nobody
 		// runs after it — and it terminated by completing Signal.
-		finished[s] = true
+		b.fin[s] = true
 	}
-	rel := trace.Compute(events, b.exec.Machine().Owner, b.n)
-	regular := len(trace.CheckRegular(rel, finished)) == 0
+	m := b.exec.Machine()
+	b.rel.Compute(events, m.Owner, b.n)
+	regular := len(trace.CheckRegular(&b.rel, b.fin)) == 0
 	total, k := 0, 0
 	for p, r := range b.led.rmrs {
 		total += r
@@ -239,12 +243,15 @@ func (b *builder) certificate(v Verdict, s memsim.PID, stableCount int, detail s
 			k++ // a signaler that took only call-boundary actions still counts
 		}
 	}
-	rounds := append([]RoundReport(nil), b.rounds...)
-	m := b.exec.Machine()
-	owners := make([]memsim.PID, m.Size())
-	for a := range owners {
-		owners[a] = m.Owner(memsim.Addr(a))
+	var rounds []RoundReport // nil when Part 1 ran no round
+	if len(b.rounds) > 0 {
+		rounds = keep(&st.rounds, append(reserve(st.rounds, len(b.rounds)), b.rounds...))
 	}
+	owners := reserve(st.owners, m.Size())
+	for a := range m.Size() {
+		owners = append(owners, m.Owner(memsim.Addr(a)))
+	}
+	owners = keep(&st.owners, owners)
 	return &Certificate{
 		Verdict:       v,
 		C:             b.cfg.C,
@@ -259,5 +266,14 @@ func (b *builder) certificate(v Verdict, s memsim.PID, stableCount int, detail s
 		Events:        events,
 		Processes:     b.n,
 		Owners:        owners,
+		store:         st,
 	}, nil
+}
+
+// keep stores buf's backing array, emptied, in *spare and returns buf cut
+// to its length, so that appending to the result never writes into the
+// spare capacity.
+func keep[T any](spare *[]T, buf []T) []T {
+	*spare = buf[:0]
+	return buf[:len(buf):len(buf)]
 }

@@ -69,7 +69,7 @@ func (b *builder) round(i int) (*Certificate, error) {
 	} else {
 		// Step 2: resolve sees/touches conflicts (regularity conditions
 		// 1-2) by keeping an independent set of the conflict graph.
-		g := b.graph
+		g := &b.graph
 		g.reset(b.active)
 		for _, p := range b.active {
 			if !b.isPending[p] {
@@ -155,7 +155,7 @@ func (b *builder) dropPending(p memsim.PID) {
 // returns, in ascending order, the active processes outside it, which
 // leave the pending set; the caller erases them.
 func (b *builder) outsideIndependentSet() []memsim.PID {
-	g := b.graph
+	g := &b.graph
 	g.chooseIndependentSet()
 	b.victims = b.victims[:0]
 	for _, p := range b.active {
@@ -291,7 +291,7 @@ func (b *builder) applyWrites(round int) (*Certificate, error) {
 		}
 	}
 
-	g := b.graph
+	g := &b.graph
 	g.reset(b.active)
 	m := b.exec.Machine()
 	for _, p := range b.active {

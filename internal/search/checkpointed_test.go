@@ -111,6 +111,43 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestInterruptBeforeFirstCommit: a fresh run whose interrupt fired
+// before it started stops with an Interrupt before the first unit and
+// leaves its plan snapshot; resuming that snapshot yields the
+// uninterrupted run's Result, byte for byte.
+func TestInterruptBeforeFirstCommit(t *testing.T) {
+	cfg := seedConfigs()["flag-2proc"]
+	want, err := search.RunCheckpointed(cfg, search.Checkpoint{Path: filepath.Join(t.TempDir(), "whole.rpck"), Tag: "flag"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.rpck")
+	interrupt := make(chan struct{})
+	close(interrupt)
+	if _, err := search.RunCheckpointed(cfg, search.Checkpoint{Path: path, Tag: "flag", Interrupt: interrupt}); !errs.IsInterrupt(err) {
+		t.Fatalf("interrupted run returned %v, want an Interrupt", err)
+	}
+	assertPlanOnly(t, path)
+	got, err := search.RunCheckpointed(cfg, search.Checkpoint{Path: path, Tag: "flag", Resume: true})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	assertByteIdentical(t, want, got)
+}
+
+// assertPlanOnly fails t unless the snapshot at path holds a unit plan
+// and no committed unit.
+func assertPlanOnly(t *testing.T, path string) {
+	t.Helper()
+	snap, err := checkpoint.Read(path)
+	if err != nil {
+		t.Fatalf("no snapshot to resume: %v", err)
+	}
+	if len(snap.Done) != 0 || len(snap.Units) == 0 {
+		t.Fatalf("snapshot has %d units, %d committed; want a plan and no commit", len(snap.Units), len(snap.Done))
+	}
+}
+
 // inProcess is RunSharded's compute on ComputeUnit: every worker in
 // this process.
 func inProcess(cfg search.Config) func(int, []int) (*search.UnitResult, error) {

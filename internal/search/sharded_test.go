@@ -146,6 +146,34 @@ func TestShardedInterrupt(t *testing.T) {
 	assertByteIdentical(t, want, res)
 }
 
+// TestShardedInterruptBeforeFirstCommit: a fresh sharded run whose
+// interrupt fired before it started stops with an Interrupt before the
+// first commit, joins its goroutines and leaves its plan snapshot;
+// resuming that snapshot yields the uninterrupted run's Result.
+func TestShardedInterruptBeforeFirstCommit(t *testing.T) {
+	cfg := seedConfigs()["flag-2proc"]
+	want, err := search.RunSharded(cfg, search.Checkpoint{}, 2, inProcess(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.rpck")
+	interrupt := make(chan struct{})
+	close(interrupt)
+	ck := search.Checkpoint{Path: path, Tag: "flag", Interrupt: interrupt}
+	probe := leakcheck.Run(func() { _, err = search.RunSharded(cfg, ck, 2, inProcess(cfg)) })
+	settled(t, probe)
+	if !errs.IsInterrupt(err) {
+		t.Fatalf("interrupted run returned %v, want an Interrupt", err)
+	}
+	assertPlanOnly(t, path)
+	ck.Interrupt, ck.Resume = nil, true
+	res, err := search.RunSharded(cfg, ck, 2, inProcess(cfg))
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	assertByteIdentical(t, want, res)
+}
+
 // TestShardedSnapshotDeterministic: units commit in plan order, so the
 // snapshot after k commits is the same file for any worker count.
 func TestShardedSnapshotDeterministic(t *testing.T) {

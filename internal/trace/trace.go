@@ -37,9 +37,12 @@ type Relations struct {
 	multiWriter []bool
 }
 
-// Compute scans the events of a history of n processes and returns the
-// communication relations.
-func Compute(events []memsim.Event, owner OwnerFunc, n int) *Relations {
+// Compute scans the events of a history of n processes into r and
+// replaces what r held. r's storage is reused when it is large enough,
+// so a caller that audits many histories keeps one Relations and
+// allocates only when a history outgrows it. The zero Relations is ready
+// to use.
+func (r *Relations) Compute(events []memsim.Event, owner OwnerFunc, n int) {
 	size := 0
 	for _, ev := range events {
 		if ev.Kind == memsim.EvAccess && int(ev.Acc.Addr) >= size {
@@ -47,15 +50,12 @@ func Compute(events []memsim.Event, owner OwnerFunc, n int) *Relations {
 		}
 	}
 	words := (n + 63) / 64
-	r := &Relations{
-		n:            n,
-		words:        words,
-		sees:         make([]uint64, n*words),
-		touches:      make([]uint64, n*words),
-		participants: make([]bool, n),
-		lastWriter:   make([]memsim.PID, size),
-		multiWriter:  make([]bool, size),
-	}
+	r.n, r.words = n, words
+	r.sees = zeroed(r.sees, n*words)
+	r.touches = zeroed(r.touches, n*words)
+	r.participants = zeroed(r.participants, n)
+	r.lastWriter = zeroed(r.lastWriter, size)
+	r.multiWriter = zeroed(r.multiWriter, size)
 	for a := range r.lastWriter {
 		r.lastWriter[a] = memsim.NoOwner
 	}
@@ -82,43 +82,21 @@ func Compute(events []memsim.Event, owner OwnerFunc, n int) *Relations {
 			r.lastWriter[a] = p
 		}
 	}
-	return r
+}
+
+// zeroed returns s resliced to length n with every element zero, growing
+// it only when its capacity is short.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (r *Relations) set(rel []uint64, p, q memsim.PID) {
 	rel[int(p)*r.words+int(q)/64] |= 1 << (uint(q) % 64)
-}
-
-func (r *Relations) has(rel []uint64, p, q memsim.PID) bool {
-	if p < 0 || int(p) >= r.n || q < 0 || int(q) >= r.n {
-		return false
-	}
-	return rel[int(p)*r.words+int(q)/64]&(1<<(uint(q)%64)) != 0
-}
-
-// Sees reports whether p read a value last written by q (Def. 6.4).
-func (r *Relations) Sees(p, q memsim.PID) bool { return r.has(r.sees, p, q) }
-
-// Touches reports whether p accessed a word in q's module (Def. 6.5).
-func (r *Relations) Touches(p, q memsim.PID) bool { return r.has(r.touches, p, q) }
-
-// Participant reports whether p took at least one step.
-func (r *Relations) Participant(p memsim.PID) bool {
-	return p >= 0 && int(p) < r.n && r.participants[p]
-}
-
-// LastWriter returns the process whose nontrivial operation wrote a last,
-// and false if no process wrote it.
-func (r *Relations) LastWriter(a memsim.Addr) (memsim.PID, bool) {
-	if a < 0 || int(a) >= len(r.lastWriter) || r.lastWriter[a] == memsim.NoOwner {
-		return memsim.NoOwner, false
-	}
-	return r.lastWriter[a], true
-}
-
-// MultiWriter reports whether two or more processes overwrote a.
-func (r *Relations) MultiWriter(a memsim.Addr) bool {
-	return a >= 0 && int(a) < len(r.multiWriter) && r.multiWriter[a]
 }
 
 // readsValue reports whether the op's semantics expose the previous value
@@ -225,16 +203,4 @@ func Calls(events []memsim.Event) []Call {
 		}
 	}
 	return out
-}
-
-// StepsByProcess returns the number of shared-memory accesses each process
-// performed.
-func StepsByProcess(events []memsim.Event, n int) []int {
-	steps := make([]int, n)
-	for _, ev := range events {
-		if ev.Kind == memsim.EvAccess && int(ev.PID) < n {
-			steps[ev.PID]++
-		}
-	}
-	return steps
 }

@@ -43,7 +43,7 @@ func TestSeesRelation(t *testing.T) {
 		access(1, memsim.OpRead, 5, false), // p1 sees p0
 		access(2, memsim.OpRead, 6, false), // reads initial value: sees nobody
 	}
-	r := Compute(events, ownerFixed(nil), 3)
+	r := compute(events, ownerFixed(nil), 3)
 	if !r.Sees(1, 0) {
 		t.Fatal("p1 should see p0")
 	}
@@ -61,7 +61,7 @@ func TestSeesThroughRMW(t *testing.T) {
 		access(1, memsim.OpFetchAdd, 3, true), // FAA returns p0's value: sees p0
 		access(2, memsim.OpFetchAdd, 3, true), // sees p1
 	}
-	r := Compute(events, ownerFixed(nil), 3)
+	r := compute(events, ownerFixed(nil), 3)
 	if !r.Sees(1, 0) || !r.Sees(2, 1) {
 		t.Fatalf("RMW chain sees: p1->p0 %v, p2->p1 %v", r.Sees(1, 0), r.Sees(2, 1))
 	}
@@ -77,7 +77,7 @@ func TestTouchesRelation(t *testing.T) {
 		access(2, memsim.OpWrite, 7, true), // own module: no touch
 		access(1, memsim.OpRead, 9, false), // global: no touch
 	}
-	r := Compute(events, owner, 3)
+	r := compute(events, owner, 3)
 	if !r.Touches(0, 2) {
 		t.Fatal("p0 should touch p2")
 	}
@@ -97,7 +97,7 @@ func TestCheckRegular(t *testing.T) {
 	}
 	// Definition 6.6 quantifies over Par(H): while p2 takes no step,
 	// touching its module is legal, so only conditions 1 and 3 trip.
-	r := Compute(events, owner, 5)
+	r := compute(events, owner, 5)
 	vs := CheckRegular(r, nil)
 	if len(vs) != 2 {
 		t.Fatalf("violations = %v, want 2 (touching a non-participant is legal)", vs)
@@ -105,7 +105,7 @@ func TestCheckRegular(t *testing.T) {
 
 	// Once p2 participates, the touch becomes a violation too.
 	events = append(events, access(2, memsim.OpWrite, 9, true))
-	r = Compute(events, owner, 5)
+	r = compute(events, owner, 5)
 	vs = CheckRegular(r, nil)
 	if len(vs) != 3 {
 		t.Fatalf("violations = %v, want 3", vs)
@@ -142,7 +142,7 @@ func TestCheckRegularOrder(t *testing.T) {
 		{Cond: 2, P: 1, Q: 3}, {Cond: 2, P: 2, Q: 0}, {Cond: 2, P: 4, Q: 5},
 		{Cond: 3, P: 1, Addr: 21}, {Cond: 3, P: 5, Addr: 5}, {Cond: 3, P: 5, Addr: 20},
 	}
-	r := Compute(events, owner, 6)
+	r := compute(events, owner, 6)
 	for i := 0; i < 50; i++ {
 		if got := CheckRegular(r, nil); !slices.Equal(got, want) {
 			t.Fatalf("call %d: violations\n%v\nwant\n%v", i, got, want)
@@ -160,7 +160,7 @@ func TestWriteHistory(t *testing.T) {
 		access(1, memsim.OpWrite, 3, true),
 		access(2, memsim.OpWrite, 3, true),
 	}
-	r := Compute(events, ownerFixed(nil), 3)
+	r := compute(events, ownerFixed(nil), 3)
 	for _, c := range []struct {
 		a     memsim.Addr
 		w     memsim.PID
@@ -215,7 +215,7 @@ func TestParticipants(t *testing.T) {
 		access(0, memsim.OpRead, 1, false),
 		{Kind: memsim.EvCallStart, PID: 3, Proc: "Poll"}, // call start alone is not a step
 	}
-	r := Compute(events, ownerFixed(nil), 4)
+	r := compute(events, ownerFixed(nil), 4)
 	if !r.Participant(0) || r.Participant(3) {
 		t.Fatalf("participants: p0 %v, p3 %v", r.Participant(0), r.Participant(3))
 	}
