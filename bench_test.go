@@ -309,17 +309,17 @@ type jammerInstance struct {
 	b memsim.Addr
 }
 
-// ResumableProgram: process 0's Poll is one CAS(B, 99, 100), which always
+// ProgramInto: process 0's Poll is one CAS(B, 99, 100), which always
 // fails (B is never 99); everyone else's Poll reads B; Signal writes 1.
-func (in jammerInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+func (in jammerInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	switch kind {
 	case memsim.CallPoll:
 		if pid == 0 {
-			return &accessFrame{acc: memsim.AccCAS(in.b, 99, 100), ret: false}, nil
+			return memsim.BuildFrame(dst, accessFrame{acc: memsim.AccCAS(in.b, 99, 100), ret: false}), nil
 		}
-		return &accessFrame{acc: memsim.AccRead(in.b), ret: true}, nil
+		return memsim.BuildFrame(dst, accessFrame{acc: memsim.AccRead(in.b), ret: true}), nil
 	case memsim.CallSignal:
-		return &accessFrame{acc: memsim.AccWrite(in.b, 1)}, nil
+		return memsim.BuildFrame(dst, accessFrame{acc: memsim.AccWrite(in.b, 1)}), nil
 	default:
 		return nil, memsim.ErrNoProgram
 	}

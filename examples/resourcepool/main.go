@@ -88,7 +88,7 @@ func (w *pool) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 			return "", nil, false
 		}
 		w.released = true
-		sig, err := w.inst.ResumableProgram(pid, memsim.CallSignal)
+		sig, err := w.inst.ProgramInto(nil, pid, memsim.CallSignal)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func (w *pool) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 	if _, ok := w.got[pid]; ok {
 		return "", nil, false
 	}
-	poll, err := w.inst.ResumableProgram(pid, memsim.CallPoll)
+	poll, err := w.inst.ProgramInto(nil, pid, memsim.CallPoll)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func (f *holderFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 	for {
 		switch f.pc {
 		case 0:
-			f.sec, prev, f.pc = f.w.lock.AcquireFrame(holder), memsim.Result{}, 1
+			f.sec, prev, f.pc = f.w.lock.AcquireFrame(f.sec, holder), memsim.Result{}, 1
 		case 1:
 			if acc, ok := f.sec.Next(prev); ok {
 				return acc, true
@@ -139,7 +139,7 @@ func (f *holderFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 			f.pc = 2
 			return memsim.AccWrite(f.w.resource, 42), true // produce
 		case 2:
-			f.sec, prev, f.pc = f.w.lock.ReleaseFrame(holder), memsim.Result{}, 3
+			f.sec, prev, f.pc = f.w.lock.ReleaseFrame(f.sec, holder), memsim.Result{}, 3
 		case 3:
 			if acc, ok := f.sec.Next(prev); ok {
 				return acc, true
@@ -188,7 +188,7 @@ func (f *consumerFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 			if f.poll.Return() == 0 {
 				return memsim.Access{}, false
 			}
-			f.sec, prev, f.pc = f.w.lock.AcquireFrame(f.pid), memsim.Result{}, 1
+			f.sec, prev, f.pc = f.w.lock.AcquireFrame(f.sec, f.pid), memsim.Result{}, 1
 		case 1:
 			if acc, ok := f.sec.Next(prev); ok {
 				return acc, true
@@ -197,7 +197,7 @@ func (f *consumerFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 			return memsim.AccRead(f.w.resource), true
 		case 2:
 			f.v = prev.Val
-			f.sec, prev, f.pc = f.w.lock.ReleaseFrame(f.pid), memsim.Result{}, 3
+			f.sec, prev, f.pc = f.w.lock.ReleaseFrame(f.sec, f.pid), memsim.Result{}, 3
 		default:
 			return f.sec.Next(prev)
 		}

@@ -12,6 +12,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/harness"
 	"repro/internal/memsim"
@@ -100,19 +102,18 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("core: need at least 2 processes, got %d", c.N)
 	}
 	if c.Waiters == nil {
-		c.Waiters = make([]memsim.PID, 0, c.N-1)
-		for i := 0; i < c.N-1; i++ {
-			c.Waiters = append(c.Waiters, memsim.PID(i))
-		}
+		c.Waiters = pidRange(0, c.N-1)
 		c.Signaler = memsim.PID(c.N - 1)
-	}
-	if c.Signalers == nil {
-		c.Signalers = []memsim.PID{c.Signaler}
 	}
 	if err := checkPIDs(c.N, "waiter", c.Waiters); err != nil {
 		return err
 	}
-	if err := checkPIDs(c.N, "signaler", c.Signalers); err != nil {
+	if c.Signalers == nil {
+		if err := checkPID(c.N, "signaler", c.Signaler); err != nil {
+			return err
+		}
+		c.Signalers = pidRange(int(c.Signaler), int(c.Signaler)+1)
+	} else if err := checkPIDs(c.N, "signaler", c.Signalers); err != nil {
 		return err
 	}
 	if c.MaxSteps == 0 {
@@ -127,11 +128,50 @@ func (c *Config) normalize() error {
 // checkPIDs rejects the first of pids outside the machine's processes.
 func checkPIDs(n int, role string, pids []memsim.PID) error {
 	for _, p := range pids {
-		if int(p) < 0 || int(p) >= n {
-			return fmt.Errorf("core: %s p%d outside the machine's processes [0, %d)", role, p, n)
+		if err := checkPID(n, role, p); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// checkPID rejects p if it lies outside the machine's processes.
+func checkPID(n int, role string, p memsim.PID) error {
+	if int(p) < 0 || int(p) >= n {
+		return fmt.Errorf("core: %s p%d outside the machine's processes [0, %d)", role, p, n)
+	}
+	return nil
+}
+
+// pidTable holds the PIDs 0, 1, 2, ... in order. It is never written
+// once stored: a longer table replaces it, and slices of an older one
+// stay valid.
+var (
+	pidTable   atomic.Pointer[[]memsim.PID]
+	pidTableMu sync.Mutex
+)
+
+// pidRange returns the PIDs lo..hi-1 as a capacity-capped slice of the
+// shared pidTable: it costs no allocation once the table is long enough,
+// and a caller's append copies instead of writing into the table.
+func pidRange(lo, hi int) []memsim.PID {
+	if t := pidTable.Load(); t != nil && len(*t) >= hi {
+		return (*t)[lo:hi:hi]
+	}
+	pidTableMu.Lock()
+	defer pidTableMu.Unlock()
+	var pids []memsim.PID
+	if t := pidTable.Load(); t != nil {
+		pids = *t
+	}
+	if len(pids) < hi {
+		pids = make([]memsim.PID, max(hi, 64, 2*len(pids)))
+		for i := range pids {
+			pids[i] = memsim.PID(i)
+		}
+		pidTable.Store(&pids)
+	}
+	return pids[lo:hi:hi]
 }
 
 // Result is the outcome of a simulated history. The embedded harness
@@ -171,7 +211,7 @@ func Run(cfg Config) (*Result, error) {
 	defer w.Release()
 	// The online spec checker and any extra sink observe each event after
 	// the attached scorers; the trace itself is retained only on request.
-	spec := signal.NewSpecChecker()
+	spec := w.Spec()
 	hres, err := harness.Run(harness.Config{
 		Workload:   w,
 		Scheduler:  cfg.Scheduler,

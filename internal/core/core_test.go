@@ -217,6 +217,55 @@ func TestRunRejectsOutOfRangePIDs(t *testing.T) {
 	}
 }
 
+// TestNormalizedDefaultsNotShared: the default Waiters and Signalers are
+// the processes 0..N-2 and N-1, in order, and cost no allocation once
+// warm; they share read-only storage, so a caller's append to one
+// normalized config's slices must not show in another's.
+func TestNormalizedDefaultsNotShared(t *testing.T) {
+	normalized := func(n int, signaler memsim.PID) Config {
+		t.Helper()
+		c := Config{Algorithm: signal.Flag(), N: n, Scheduler: sched.NewRoundRobin()}
+		if signaler >= 0 {
+			c.Waiters, c.Signaler = []memsim.PID{0}, signaler
+		}
+		if err := c.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	a, b := normalized(5, -1), normalized(5, -1)
+	if !reflect.DeepEqual(a.Waiters, []memsim.PID{0, 1, 2, 3}) || !reflect.DeepEqual(a.Signalers, []memsim.PID{4}) {
+		t.Fatalf("defaults: waiters %v, signalers %v", a.Waiters, a.Signalers)
+	}
+	if s := normalized(5, 2).Signalers; !reflect.DeepEqual(s, []memsim.PID{2}) {
+		t.Fatalf("signalers of Signaler 2 = %v", s)
+	}
+	// A run of more processes than any before it still gets its defaults.
+	if w := normalized(300, -1).Waiters; len(w) != 299 || w[298] != 298 {
+		t.Fatalf("300-process defaults end %v", w[len(w)-1])
+	}
+	_ = append(a.Waiters, 99)
+	_ = append(a.Signalers, 99)
+	c := normalized(5, -1)
+	for _, got := range []Config{b, c} {
+		if !reflect.DeepEqual(got.Waiters, []memsim.PID{0, 1, 2, 3}) || !reflect.DeepEqual(got.Signalers, []memsim.PID{4}) {
+			t.Fatalf("an append to another config's slices wrote into these: waiters %v, signalers %v", got.Waiters, got.Signalers)
+		}
+	}
+	if w := normalized(6, -1).Waiters; !reflect.DeepEqual(w, []memsim.PID{0, 1, 2, 3, 4}) {
+		t.Fatalf("an append wrote into the shared table: waiters %v", w)
+	}
+	rr := sched.NewRoundRobin()
+	if n := testing.AllocsPerRun(100, func() {
+		c := Config{Algorithm: signal.Flag(), N: 16, Scheduler: rr}
+		if err := c.normalize(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("normalizing the defaults allocates %v times, want 0", n)
+	}
+}
+
 // TestRunBudgetTruncation: with no signaler and unbounded polls the run
 // must stop at the step budget and report truncation.
 func TestRunBudgetTruncation(t *testing.T) {

@@ -160,10 +160,11 @@ func TestReleasedStorageNotShared(t *testing.T) {
 }
 
 // TestWarmRunAllocs pins the allocations of a warm signaling run and a
-// warm lock run. Their workloads, frame storage, machines, controllers and
-// PRNG sources come from pools, so what is left is mostly the instance
-// and its frame templates, the scorers' accumulators and the result; a
-// run that stops recycling one of the pooled parts exceeds its pin.
+// warm lock run. Their workloads, frame storage (every call is built in a
+// slot a pooled workload kept), spec checker, machines, controllers and
+// PRNG sources come from pools, so what is left is mostly the instance,
+// the scorers' accumulators and the result; a run that stops recycling
+// one of the pooled parts exceeds its pin.
 func TestWarmRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random")
@@ -174,11 +175,11 @@ func TestWarmRunAllocs(t *testing.T) {
 		pin  float64
 		run  func() error
 	}{
-		{"core.Run fixed-waiters n=16", 46, func() error {
+		{"core.Run fixed-waiters n=16", 23, func() error {
 			_, err := Run(Config{Algorithm: signal.FixedWaiters(), N: 16, MaxPolls: 4, SignalAfter: 16, Scorers: scorers})
 			return err
 		}},
-		{"mutex.Run mcs n=8 on the default scheduler", 48, func() error {
+		{"mutex.Run mcs n=8 on the default scheduler", 24, func() error {
 			_, err := mutex.Run(mutex.RunConfig{Lock: mutex.MCS(), N: 8, Passages: 4, Scorers: scorers})
 			return err
 		}},

@@ -142,7 +142,6 @@ type Core struct {
 	inst     memsim.Instance
 	n        int
 	scripts  [][]memsim.CallKind // dense per-pid view of Config.Scripts; nil = unscripted
-	tmpl     *memsim.FrameTemplates
 	frames   memsim.FrameSet
 	phase    []Phase
 	pending  []memsim.Access
@@ -191,7 +190,6 @@ func New(cfg Config, policy func(*Core) (Policy, error)) (*Core, error) {
 		inst:     inst,
 		n:        cfg.N,
 		scripts:  denseScripts(cfg.N, cfg.Scripts),
-		tmpl:     memsim.NewFrameTemplates(inst, cfg.N),
 		frames:   memsim.NewFrameSet(cfg.N),
 		phase:    make([]Phase, cfg.N),
 		pending:  make([]memsim.Access, cfg.N),
@@ -379,7 +377,7 @@ func (e *Core) Apply(c Choice, idx int) error {
 		e.faultsUsed++
 	case c.Start:
 		kind := e.scripts[p][e.progress[p]]
-		if err := e.frames.Start(e.tmpl, p, kind); err != nil {
+		if err := e.frames.Start(e.inst, p, kind); err != nil {
 			return fmt.Errorf("%s: start %v on p%d: %w", e.name, kind, p, err)
 		}
 		e.progress[p]++

@@ -163,12 +163,12 @@ type brokenInstance struct {
 	b memsim.Addr
 }
 
-func (in brokenInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+func (in brokenInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	switch kind {
 	case memsim.CallPoll:
-		return &brokenPollFrame{b: in.b}, nil
+		return memsim.BuildFrame(dst, brokenPollFrame{b: in.b}), nil
 	case memsim.CallSignal:
-		return &brokenSignalFrame{b: in.b}, nil
+		return memsim.BuildFrame(dst, brokenSignalFrame{b: in.b}), nil
 	default:
 		return nil, memsim.ErrNoProgram
 	}
@@ -245,12 +245,12 @@ type deafPollInstance struct {
 	b memsim.Addr
 }
 
-func (in deafPollInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+func (in deafPollInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	switch kind {
 	case memsim.CallPoll:
-		return &deafPollFrame{b: in.b}, nil
+		return memsim.BuildFrame(dst, deafPollFrame{b: in.b}), nil
 	case memsim.CallSignal:
-		return &brokenSignalFrame{b: in.b}, nil
+		return memsim.BuildFrame(dst, brokenSignalFrame{b: in.b}), nil
 	default:
 		return nil, memsim.ErrNoProgram
 	}

@@ -17,6 +17,7 @@
 package gme
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -29,21 +30,23 @@ import (
 
 // GME is a deployed group-mutual-exclusion object. Its sections are
 // resumable frames that a larger frame drives inside one procedure call.
+// Like mutex.Lock's, both constructors build the section in dst's storage
+// when dst is a section frame of the same type, and fresh otherwise.
 type GME interface {
 	// Enter returns pid's entry section for the given session: it
 	// busy-waits (in simulated steps) until pid may occupy the resource
 	// under that session.
-	Enter(pid memsim.PID, session memsim.Value) memsim.Resumable
+	Enter(dst memsim.Resumable, pid memsim.PID, session memsim.Value) memsim.Resumable
 	// Exit returns pid's exit section, relinquishing its occupancy of
 	// the session.
-	Exit(pid memsim.PID, session memsim.Value) memsim.Resumable
+	Exit(dst memsim.Resumable, pid memsim.PID, session memsim.Value) memsim.Resumable
 }
 
 // RoomLock is the mutex-guarded GME: session state and occupancy count are
 // read and updated inside short critical sections of an MCS lock; entry
 // for a conflicting session busy-waits by re-acquiring.
 type RoomLock struct {
-	lock    mutex.SectionRestarter
+	lock    mutex.Lock
 	session memsim.Addr // current session or Nil
 	count   memsim.Addr // occupants of the current session
 }
@@ -57,7 +60,7 @@ func NewRoomLock(m *memsim.Machine, n int) (*RoomLock, error) {
 		return nil, fmt.Errorf("deploy inner lock: %w", err)
 	}
 	return &RoomLock{
-		lock:    lk.(mutex.SectionRestarter),
+		lock:    lk,
 		session: m.Alloc(memsim.NoOwner, "gme.session", 1, memsim.Nil),
 		count:   m.Alloc(memsim.NoOwner, "gme.count", 1, 0),
 	}, nil
@@ -70,8 +73,10 @@ func NewRoomLock(m *memsim.Machine, n int) (*RoomLock, error) {
 //	  if cur = NIL or cur = s { write(session, s); write(count, read(count)+1) }
 //	  release
 //	until the room was entered
-func (g *RoomLock) Enter(pid memsim.PID, session memsim.Value) memsim.Resumable {
-	return &roomFrame{g: g, pid: pid, session: session}
+func (g *RoomLock) Enter(dst memsim.Resumable, pid memsim.PID, session memsim.Value) memsim.Resumable {
+	d := memsim.CloneTarget[roomFrame](dst)
+	d.start(g, pid, session, false)
+	return d
 }
 
 // Exit implements GME:
@@ -79,8 +84,10 @@ func (g *RoomLock) Enter(pid memsim.PID, session memsim.Value) memsim.Resumable 
 //	acquire; c := read(count)-1; write(count, c)
 //	if c = 0 { write(session, NIL) }
 //	release
-func (g *RoomLock) Exit(pid memsim.PID, session memsim.Value) memsim.Resumable {
-	return &roomFrame{g: g, pid: pid, session: session, exit: true}
+func (g *RoomLock) Exit(dst memsim.Resumable, pid memsim.PID, session memsim.Value) memsim.Resumable {
+	d := memsim.CloneTarget[roomFrame](dst)
+	d.start(g, pid, session, true)
+	return d
 }
 
 // Room frame program counters: the acquire section, the accesses under
@@ -97,8 +104,8 @@ const (
 )
 
 // roomFrame is RoomLock's entry or exit section. Its lock sections are
-// minted by the first attempt and restarted in place by every later one
-// (mutex.SectionRestarter), so retries allocate nothing.
+// minted by the first attempt and rebuilt in place by every later one
+// (mutex.Lock takes the storage to reuse), so retries allocate nothing.
 type roomFrame struct {
 	g        *RoomLock
 	pid      memsim.PID
@@ -121,9 +128,7 @@ func (f *roomFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 	for {
 		switch f.pc {
 		case roomLock:
-			if !f.g.lock.Restart(f.acq, f.pid, true) {
-				f.acq = f.g.lock.AcquireFrame(f.pid)
-			}
+			f.acq = f.g.lock.AcquireFrame(f.acq, f.pid)
 			prev = memsim.Result{}
 			f.pc = roomAcquire
 		case roomAcquire:
@@ -161,9 +166,7 @@ func (f *roomFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 				return memsim.AccWrite(f.g.session, memsim.Nil), true
 			}
 		case roomRelease:
-			if !f.g.lock.Restart(f.rel, f.pid, false) {
-				f.rel = f.g.lock.ReleaseFrame(f.pid)
-			}
+			f.rel = f.g.lock.ReleaseFrame(f.rel, f.pid)
 			prev = memsim.Result{}
 			f.pc = roomReleasing
 		default:
@@ -190,6 +193,38 @@ func (f *roomFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
 	d.rel = memsim.CloneResumableInto(rel, f.rel)
 	return d
 }
+
+// section is the lock section in its phase, or nil: a section outside its
+// phase is rebuilt before it runs again, so its content is not state.
+func (f *roomFrame) section() memsim.Resumable {
+	switch f.pc {
+	case roomAcquire:
+		return f.acq
+	case roomReleasing:
+		return f.rel
+	}
+	return nil
+}
+
+// AppendState implements memsim.StateAppender: the lock section in its
+// phase encodes by content, so a room built in storage that kept its
+// sections encodes as a fresh one.
+func (f *roomFrame) AppendState(dst []byte) []byte {
+	dst = binary.AppendVarint(dst, int64(f.pid))
+	dst = binary.AppendVarint(dst, int64(f.session))
+	dst = binary.AppendVarint(dst, int64(f.count))
+	dst = append(dst, f.pc)
+	for _, b := range [...]bool{f.exit, f.entered} {
+		if b {
+			dst = append(dst, 1)
+		} else {
+			dst = append(dst, 0)
+		}
+	}
+	return memsim.AppendFrameState(dst, f.section())
+}
+
+var _ memsim.StateAppender = (*roomFrame)(nil)
 
 // ErrBudget is returned when a GME run exhausts its step budget. It is the
 // shared harness sentinel.

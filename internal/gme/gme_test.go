@@ -171,15 +171,15 @@ func TestRoomSectionsExclude(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	start(0, g.Enter(0, 0))
+	start(0, g.Enter(nil, 0, 0))
 	if !drive(0, 100) {
 		t.Fatal("p0 did not enter the empty room")
 	}
-	start(1, g.Enter(1, 1))
+	start(1, g.Enter(nil, 1, 1))
 	if drive(1, 200) {
 		t.Fatal("p1 entered session 1 while p0 occupies session 0")
 	}
-	start(0, g.Exit(0, 0))
+	start(0, g.Exit(nil, 0, 0))
 	if !drive(0, 400) {
 		t.Fatal("p0 did not leave")
 	}

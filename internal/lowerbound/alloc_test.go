@@ -5,7 +5,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/memsim"
 	"repro/internal/signal"
 )
 
@@ -19,10 +18,10 @@ func measure(f func()) (allocs, bytes uint64) {
 }
 
 // TestAdversaryRunAllocs: a warm Run whose certificate is released
-// allocates what a warm deployment of the algorithm allocates (one frame
-// template per process, minted by the instance), the certificate's header
-// and detail, and a small constant that does not grow with n or with the
-// trace. The builder with its bookkeeping and the regularity audit's
+// allocates what a warm deployment of the algorithm allocates, the
+// certificate's header and detail, and a small constant that does not
+// grow with n or with the trace. Every call starts in the pooled
+// execution's retained frame storage, so a warm run builds no frame. The builder with its bookkeeping and the regularity audit's
 // relations come from the builder pool, and the trace, owners and rounds
 // from the storage released certificates return. Each size is measured
 // right after a run of the other, so storage that served a small
@@ -35,21 +34,10 @@ func TestAdversaryRunAllocs(t *testing.T) {
 	// not found on another's first Get.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	alg := signal.FixedWaiters()
-	// The reference: a deployment of the algorithm that mints the frame
-	// templates a run mints, a Poll for every process and the signaler's
-	// Signal.
+	// The reference: a deployment of the algorithm alone.
 	deploy := func(n int) {
 		exec, err := alg.Deploy(n)
 		if err != nil {
-			t.Fatal(err)
-		}
-		inst := exec.Instance()
-		for p := range n {
-			if _, err := inst.ResumableProgram(memsim.PID(p), memsim.CallPoll); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := inst.ResumableProgram(memsim.PID(n-1), memsim.CallSignal); err != nil {
 			t.Fatal(err)
 		}
 		exec.Release()
@@ -80,7 +68,7 @@ func TestAdversaryRunAllocs(t *testing.T) {
 		events := len(cert.Events)
 		header := uint64(unsafe.Sizeof(*cert)) + uint64(len(cert.Detail))
 		cert.Release()
-		t.Logf("n=%d: a warm Run allocates %d times, %d bytes, for %d events; a warm deployment with its templates %d times, %d bytes",
+		t.Logf("n=%d: a warm Run allocates %d times, %d bytes, for %d events; a warm deployment %d times, %d bytes",
 			n, allocs, bytes, events, deployAllocs, deployBytes)
 		// The certificate header, its detail string, the ledger's owner
 		// method value and what formatting the detail takes.

@@ -41,9 +41,10 @@
 // Next(prev Result) (Access, bool) the controller dispatches inline, one
 // shared-memory access per call, with no goroutine and no channel
 // operation per step. Call-local state lives in a plain copyable struct
-// (a "frame"). An Instance mints its procedures in this form, and larger
-// procedures (lock passages, the GME room, the examples) compose by
-// driving sub-frames from their own Next.
+// (a "frame"). An Instance builds its procedures in this form, in storage
+// the caller passes (ProgramInto), and larger procedures (lock passages,
+// the GME room, the examples) compose by driving sub-frames from their own
+// Next.
 //
 // # Frame discipline
 //
@@ -53,8 +54,12 @@
 // frame-held cursor. Under that discipline a shallow struct copy is an
 // independent continuation point, so a frame's CloneInto is the one-line
 // CopyFrame; frames holding sub-frames or buffers copy those themselves,
-// into the destination's storage. AppendFrameState can then encode a
-// frame's canonical state by content — identically across different
+// into the destination's storage. A call starts the same way: ProgramInto
+// writes the pristine frame whole into the caller's storage (BuildFrame),
+// and a frame with sub-frames or buffers sets their storage aside and
+// rebuilds them in place, so no start mints a frame the storage already
+// holds and none reads what the storage held. AppendFrameState can then
+// encode a frame's canonical state by content — identically across different
 // executions, which the engines' shared dedup and memo tables rely on.
 // Frames whose state the field walk cannot see (per-call allocations,
 // cursor-written slices) implement StateAppender. internal/signal's

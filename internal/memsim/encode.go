@@ -87,7 +87,7 @@ func AppendFrameState(dst []byte, r Resumable) []byte {
 // engines' top-level state keys only. There the scheduler fields that
 // precede the frame bytes — pid, phase, call kind (search) or script
 // progress (explore) — already determine the frame's concrete type for a
-// fixed configuration (ResumableProgram returns one type per (pid, kind)),
+// fixed configuration (ProgramInto returns one type per (pid, kind)),
 // so the name is ~20 hashed-and-copied bytes per frame per node carrying
 // zero information. Sub-frames inside a frame's own AppendState must keep
 // using AppendFrameState: a field like the blockified waiter's in-flight

@@ -74,36 +74,46 @@ type Action struct {
 // rewinds the machine: the rewound run sees the same instance a fresh
 // deployment would have built.
 type Instance interface {
-	// ResumableProgram returns one invocation of the given procedure by
-	// pid as a resumable frame. It returns an error if the procedure is
-	// not supported (e.g. Wait on a polling-only algorithm).
+	// ProgramInto returns one invocation of the given procedure by pid as
+	// a resumable frame in its pristine state, built in dst's storage
+	// when dst is a frame of the returned type and fresh otherwise (nil
+	// included). It returns an error, leaving dst as it was, if the
+	// procedure is not supported (e.g. Wait on a polling-only
+	// algorithm). dst must be a frame the caller owns exclusively and
+	// no longer runs; whatever it held, including sub-frame and buffer
+	// storage, is overwritten or set aside for reuse, never read as state.
 	//
 	// On a deployed instance the result must be a pure function of
-	// (pid, kind): every call returns a fresh frame in the same state,
-	// whatever the machine holds and however many frames were minted
-	// before. The engines rely on this: they mint one template per
-	// (pid, kind) (FrameTemplates) and start every later call from a copy
-	// of it, and they never snapshot the instance.
-	ResumableProgram(pid PID, kind CallKind) (Resumable, error)
+	// (pid, kind): every call returns a frame in the same state,
+	// whatever dst held, whatever the machine holds and however many
+	// frames were built before. The engines rely on this: they start
+	// every call in the slot's retained storage (FrameSet.Start), and
+	// they never snapshot the instance.
+	ProgramInto(dst Resumable, pid PID, kind CallKind) (Resumable, error)
 }
 
-// ResumableInstance is another name for Instance: every instance is
-// resumable.
-type ResumableInstance = Instance
+// ResumableInstance is an Instance that also mints fresh frames with
+// ResumableProgram(pid, kind), the same as ProgramInto(nil, pid, kind).
+// Every algorithm's instance implements it; the engines and runners call
+// ProgramInto.
+type ResumableInstance interface {
+	Instance
+	ResumableProgram(pid PID, kind CallKind) (Resumable, error)
+}
 
 // Factory builds a fresh instance of an algorithm for n processes on
 // machine m, allocating all shared variables. It must be deterministic.
 type Factory func(m *Machine, n int) (Instance, error)
 
 // Execution binds a machine, controller and instance and keeps the action
-// log that makes the run replayable. Calls start from a cached (pid, kind)
-// frame template copied into per-process storage that outlives the call,
-// so a long run (or a run rewound with Reset and re-applied) mints frames
-// once per (pid, kind) rather than once per call.
+// log that makes the run replayable. Each call is built by the instance
+// in per-process storage that outlives the call (Frames), so a long run
+// (or a run rewound with Reset and re-applied) allocates a frame only
+// when a process starts a call of another frame type than its last.
 //
 // An execution's storage outlives its deployment too: Release returns the
-// machine, the controller, the template and frame slots and the action
-// log's capacity to pools that later deployments draw from.
+// machine, the controller, the frame slots and the action log's capacity
+// to pools that later deployments draw from.
 type Execution struct {
 	mach    *Machine
 	ctl     *Controller
@@ -149,8 +159,8 @@ func (e *Execution) Release() {
 // Reset rewinds the execution to its deployment state, as if the instance
 // had just been deployed: the machine's words hold their initial values,
 // every call is aborted, and the trace and action log are empty. The
-// deployed instance, its frame templates and all storage are kept, which
-// is sound because an instance holds only deployment data (see Instance).
+// deployed instance and all storage are kept, which is sound because an
+// instance holds only deployment data (see Instance).
 // Replaying a schedule onto a reset execution produces exactly the trace
 // Replay produces on a fresh deployment.
 func (e *Execution) Reset() {
@@ -200,15 +210,15 @@ func (e *Execution) Pending(pid PID) (Access, bool) { return e.ctl.Pending(pid) 
 func (e *Execution) CallEnded(pid PID) (Value, bool) { return e.ctl.CallEnded(pid) }
 
 // Start begins a call of the given kind on pid. The call runs inline (no
-// goroutine), starting from a copy of the (pid, kind) template in pid's
-// retained frame storage.
+// goroutine), in the pristine frame the instance builds in pid's retained
+// frame storage.
 func (e *Execution) Start(pid PID, kind CallKind) error {
 	if !e.started {
 		e.frames.Reset(e.inst, e.n)
 		e.started = true
 	}
 	// pid's storage holds its in-flight frame while it is busy: refuse
-	// before the template copy would overwrite it.
+	// before the new call is built over it.
 	if err := e.ctl.checkIdle(pid); err != nil {
 		return err
 	}

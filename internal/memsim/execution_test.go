@@ -15,7 +15,7 @@ func counterFactory(m *Machine, n int) (Instance, error) {
 
 type counterInstance struct{ c, f Addr }
 
-func (in counterInstance) ResumableProgram(pid PID, kind CallKind) (Resumable, error) {
+func (in counterInstance) ProgramInto(dst Resumable, pid PID, kind CallKind) (Resumable, error) {
 	switch kind {
 	case CallPoll: // v := read(c); write(c, v+1); return v+1
 		return &testFrame{step: func(f *testFrame, prev Result) (Access, bool) {
@@ -149,8 +149,8 @@ func TestRunCallBudget(t *testing.T) {
 
 type spinInstance struct{ a Addr }
 
-// ResumableProgram spins until a reads nonzero.
-func (in spinInstance) ResumableProgram(pid PID, kind CallKind) (Resumable, error) {
+// ProgramInto spins until a reads nonzero.
+func (in spinInstance) ProgramInto(dst Resumable, pid PID, kind CallKind) (Resumable, error) {
 	return &testFrame{step: func(f *testFrame, prev Result) (Access, bool) {
 		f.pc++
 		return AccRead(in.a), f.pc == 1 || prev.Val == 0
@@ -177,7 +177,7 @@ func TestRefusedStartKeepsInFlightFrame(t *testing.T) {
 	if len(e.Actions()) != 1 {
 		t.Fatalf("refused start was logged: %v", e.Actions())
 	}
-	// A template copy over the in-flight frame would rewind it to its
+	// A start built over the in-flight frame would rewind it to its
 	// first access; the intact frame completes on this step.
 	if _, err := e.Step(0); err != nil {
 		t.Fatal(err)

@@ -65,9 +65,9 @@ type crashProbeInstance struct {
 	owned, shared Addr
 }
 
-// ResumableProgram: write(owned, 7); write(shared, 9); read(shared);
+// ProgramInto: write(owned, 7); write(shared, 9); read(shared);
 // return 1.
-func (in crashProbeInstance) ResumableProgram(pid PID, kind CallKind) (Resumable, error) {
+func (in crashProbeInstance) ProgramInto(dst Resumable, pid PID, kind CallKind) (Resumable, error) {
 	return &testFrame{step: func(f *testFrame, _ Result) (Access, bool) {
 		switch f.pc++; f.pc {
 		case 1:
@@ -151,8 +151,8 @@ type casProbeInstance struct {
 	slot Addr
 }
 
-// ResumableProgram: return CAS(slot, 0, pid+1).
-func (in casProbeInstance) ResumableProgram(pid PID, kind CallKind) (Resumable, error) {
+// ProgramInto: return CAS(slot, 0, pid+1).
+func (in casProbeInstance) ProgramInto(dst Resumable, pid PID, kind CallKind) (Resumable, error) {
 	return &testFrame{step: func(f *testFrame, prev Result) (Access, bool) {
 		f.pc++
 		if f.pc == 1 {

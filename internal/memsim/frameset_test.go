@@ -2,31 +2,33 @@ package memsim
 
 import "testing"
 
-// readInstance mints a readFrame of address pid for Poll and counts how
-// often it is asked; every other kind is unsupported.
+// readInstance builds a readFrame of address pid for Poll and counts the
+// frames it had to allocate; every other kind is unsupported.
 type readInstance struct{ minted int }
 
-func (in *readInstance) ResumableProgram(pid PID, kind CallKind) (Resumable, error) {
+func (in *readInstance) ProgramInto(dst Resumable, pid PID, kind CallKind) (Resumable, error) {
 	if kind != CallPoll {
 		return nil, ErrNoProgram
 	}
-	in.minted++
-	return &readFrame{addr: Addr(pid)}, nil
+	if _, ok := dst.(*readFrame); !ok {
+		in.minted++
+	}
+	return BuildFrame(dst, readFrame{addr: Addr(pid)}), nil
 }
 
-// TestFrameSetRecyclesStorage: a call start copies the (pid, kind)
-// template into the slot's retained storage, a drop only idles the slot,
-// and copies between sets reuse the destination's storage and never alias
-// the source's frames. Once warm, none of it allocates.
+// TestFrameSetRecyclesStorage: a call start builds the pristine frame in
+// the slot's retained storage, a refused start leaves the slot as it was,
+// a drop only idles the slot, and copies between sets reuse the
+// destination's storage and never alias the source's frames. Once warm,
+// none of it allocates.
 func TestFrameSetRecyclesStorage(t *testing.T) {
 	in := &readInstance{}
-	tmpl := NewFrameTemplates(in, 2)
 	eng, snap := NewFrameSet(2), NewFrameSet(2)
 
-	if err := eng.Start(tmpl, 1, CallSignal); err == nil {
+	if err := eng.Start(in, 1, CallSignal); err == nil {
 		t.Fatal("unsupported kind started")
 	}
-	if err := eng.Start(tmpl, 1, CallPoll); err != nil {
+	if err := eng.Start(in, 1, CallPoll); err != nil {
 		t.Fatal(err)
 	}
 	first := eng.Frame(1)
@@ -49,7 +51,7 @@ func TestFrameSetRecyclesStorage(t *testing.T) {
 	}
 
 	// The next call starts pristine in the same storage.
-	if err := eng.Start(tmpl, 1, CallPoll); err != nil {
+	if err := eng.Start(in, 1, CallPoll); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Frame(1) != first {
@@ -59,7 +61,15 @@ func TestFrameSetRecyclesStorage(t *testing.T) {
 		t.Fatalf("restarted frame = %+v, want pristine", *f)
 	}
 	if in.minted != 1 {
-		t.Fatalf("ResumableProgram minted %d frames, want 1 template", in.minted)
+		t.Fatalf("ProgramInto allocated %d frames, want 1", in.minted)
+	}
+	// A refused start leaves the idle slot's storage for the next one.
+	eng.Drop(1)
+	if err := eng.Start(in, 1, CallWait); err == nil || eng.Frame(1) != nil {
+		t.Fatal("unsupported kind started, or made the slot live")
+	}
+	if err := eng.Start(in, 1, CallPoll); err != nil || eng.Frame(1) != first {
+		t.Fatalf("start after a refused one did not reuse the slot's storage: %v", err)
 	}
 
 	// Restoring the snapshot resumes the copied, mid-call state.
@@ -75,7 +85,7 @@ func TestFrameSetRecyclesStorage(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		eng.Drop(1)
 		snap.CopyFrom(&eng)
-		if err := eng.Start(tmpl, 1, CallPoll); err != nil {
+		if err := eng.Start(in, 1, CallPoll); err != nil {
 			t.Fatal(err)
 		}
 		snap.CopyFrom(&eng)

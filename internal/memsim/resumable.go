@@ -60,6 +60,18 @@ func CloneTarget[T any, P interface {
 	return P(new(T))
 }
 
+// BuildFrame is the ProgramInto of a frame whose pristine state is the
+// value v and whose shallow copy is independent: v is written whole into
+// dst when dst is a non-nil P, and into a new frame otherwise.
+func BuildFrame[T any, P interface {
+	*T
+	Resumable
+}](dst Resumable, v T) P {
+	d := CloneTarget[T, P](dst)
+	*d = v
+	return d
+}
+
 // CloneResumableInto is src.CloneInto(dst), with a nil src copied as nil.
 func CloneResumableInto(dst, src Resumable) Resumable {
 	if src == nil {

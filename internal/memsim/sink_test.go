@@ -8,10 +8,10 @@ import (
 // sinkInstance is a two-process toy: Poll reads a word, Signal writes it.
 type sinkInstance struct{ a Addr }
 
-func (in sinkInstance) ResumableProgram(pid PID, kind CallKind) (Resumable, error) {
+func (in sinkInstance) ProgramInto(dst Resumable, pid PID, kind CallKind) (Resumable, error) {
 	switch kind {
 	case CallPoll:
-		return &readFrame{addr: in.a}, nil
+		return BuildFrame(dst, readFrame{addr: in.a}), nil
 	case CallSignal:
 		return writeOnce(in.a, 1), nil
 	default:

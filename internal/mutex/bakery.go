@@ -51,13 +51,13 @@ var _ Lock = (*bakeryLock)(nil)
 //	  await choosing[j] = 0
 //	  await number[j] = 0 or (number[j], j) > (number[i], i)
 //	}
-func (l *bakeryLock) AcquireFrame(pid memsim.PID) memsim.Resumable {
-	return &bakeryAcquireFrame{l: l, i: int(pid)}
+func (l *bakeryLock) AcquireFrame(dst memsim.Resumable, pid memsim.PID) memsim.Resumable {
+	return memsim.BuildFrame(dst, bakeryAcquireFrame{l: l, i: int(pid)})
 }
 
 // ReleaseFrame implements Lock.
-func (l *bakeryLock) ReleaseFrame(pid memsim.PID) memsim.Resumable {
-	return &writeFrame{addr: l.number[pid], val: 0}
+func (l *bakeryLock) ReleaseFrame(dst memsim.Resumable, pid memsim.PID) memsim.Resumable {
+	return memsim.BuildFrame(dst, writeFrame{addr: l.number[pid], val: 0})
 }
 
 type bakeryAcquireFrame struct {

@@ -37,7 +37,7 @@ type mcsLock struct {
 	locked []memsim.Addr // locked[i]: i's spin flag (in i's module)
 }
 
-var _ SectionRestarter = (*mcsLock)(nil)
+var _ Lock = (*mcsLock)(nil)
 
 // AcquireFrame implements Lock: enqueue with F&S, link behind the
 // predecessor, spin locally on the own node's flag.
@@ -45,8 +45,8 @@ var _ SectionRestarter = (*mcsLock)(nil)
 //	next[i] := NIL; locked[i] := 1
 //	pred := FAS(tail, i)
 //	if pred != NIL { next[pred] := i; await locked[i] = 0 }
-func (l *mcsLock) AcquireFrame(pid memsim.PID) memsim.Resumable {
-	return &mcsAcquireFrame{l: l, i: int(pid)}
+func (l *mcsLock) AcquireFrame(dst memsim.Resumable, pid memsim.PID) memsim.Resumable {
+	return memsim.BuildFrame(dst, mcsAcquireFrame{l: l, i: int(pid)})
 }
 
 // ReleaseFrame implements Lock: hand over to the successor,
@@ -58,25 +58,8 @@ func (l *mcsLock) AcquireFrame(pid memsim.PID) memsim.Resumable {
 //	  await (succ := next[i]) != NIL   // a successor is enqueueing
 //	}
 //	locked[succ] := 0
-func (l *mcsLock) ReleaseFrame(pid memsim.PID) memsim.Resumable {
-	return &mcsReleaseFrame{l: l, i: int(pid)}
-}
-
-// Restart implements SectionRestarter.
-func (l *mcsLock) Restart(f memsim.Resumable, pid memsim.PID, acquire bool) bool {
-	switch s := f.(type) {
-	case *mcsAcquireFrame:
-		if acquire {
-			*s = mcsAcquireFrame{l: l, i: int(pid)}
-			return true
-		}
-	case *mcsReleaseFrame:
-		if !acquire {
-			*s = mcsReleaseFrame{l: l, i: int(pid)}
-			return true
-		}
-	}
-	return false
+func (l *mcsLock) ReleaseFrame(dst memsim.Resumable, pid memsim.PID) memsim.Resumable {
+	return memsim.BuildFrame(dst, mcsReleaseFrame{l: l, i: int(pid)})
 }
 
 type mcsAcquireFrame struct {

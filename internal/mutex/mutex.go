@@ -11,23 +11,21 @@ import (
 // procedure call: the acquire section busy-waits (in simulated steps)
 // until the calling process holds the lock, and the release section
 // relinquishes it.
+//
+// Both constructors take the storage to reuse, as memsim.Instance's
+// ProgramInto does: the pristine section is built in dst when dst is a
+// section frame of the same type (built for any process, by any lock of
+// the kind), and fresh otherwise (nil included). Frames that run many
+// critical sections (a passage restarted per call, the emulated
+// primitives of internal/primsim, the GME room) pass their last section
+// back, so a warm section allocates nothing.
 type Lock interface {
-	// AcquireFrame returns the acquire section for pid.
-	AcquireFrame(pid memsim.PID) memsim.Resumable
-	// ReleaseFrame returns the release section for pid.
-	ReleaseFrame(pid memsim.PID) memsim.Resumable
-}
-
-// SectionRestarter is a Lock whose section frames restart in place:
-// Restart turns f, a section frame of this lock's kind (minted for any
-// process, by any lock of the kind), into pid's fresh acquire section
-// (acquire) or release section of this lock, without allocating. It
-// reports false when f is of another kind. Frames that run many critical
-// sections (the primitive emulations of internal/primsim) keep one frame
-// per section this way.
-type SectionRestarter interface {
-	Lock
-	Restart(f memsim.Resumable, pid memsim.PID, acquire bool) bool
+	// AcquireFrame returns the acquire section for pid, built in dst's
+	// storage when it can be.
+	AcquireFrame(dst memsim.Resumable, pid memsim.PID) memsim.Resumable
+	// ReleaseFrame returns the release section for pid, built in dst's
+	// storage when it can be.
+	ReleaseFrame(dst memsim.Resumable, pid memsim.PID) memsim.Resumable
 }
 
 // Algorithm is a named lock construction.

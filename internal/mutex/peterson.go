@@ -72,34 +72,17 @@ func (k *petersonLock) node(i, l int) int {
 //	for each level l, node n, side s = bit l of i:
 //	  flag[n][s] := 1; turn[n] := s
 //	  await flag[n][1-s] != 1 or turn[n] != s
-func (k *petersonLock) AcquireFrame(pid memsim.PID) memsim.Resumable {
-	return &petersonAcquireFrame{k: k, i: int(pid)}
+func (k *petersonLock) AcquireFrame(dst memsim.Resumable, pid memsim.PID) memsim.Resumable {
+	return memsim.BuildFrame(dst, petersonAcquireFrame{k: k, i: int(pid)})
 }
 
 // ReleaseFrame implements Lock: descend, clearing each node flag
 // (flag[n][s] := 0 from the root down).
-func (k *petersonLock) ReleaseFrame(pid memsim.PID) memsim.Resumable {
-	return &petersonReleaseFrame{k: k, i: int(pid), l: k.height - 1}
+func (k *petersonLock) ReleaseFrame(dst memsim.Resumable, pid memsim.PID) memsim.Resumable {
+	return memsim.BuildFrame(dst, petersonReleaseFrame{k: k, i: int(pid), l: k.height - 1})
 }
 
-// Restart implements SectionRestarter.
-func (k *petersonLock) Restart(f memsim.Resumable, pid memsim.PID, acquire bool) bool {
-	switch s := f.(type) {
-	case *petersonAcquireFrame:
-		if acquire {
-			*s = petersonAcquireFrame{k: k, i: int(pid)}
-			return true
-		}
-	case *petersonReleaseFrame:
-		if !acquire {
-			*s = petersonReleaseFrame{k: k, i: int(pid), l: k.height - 1}
-			return true
-		}
-	}
-	return false
-}
-
-var _ SectionRestarter = (*petersonLock)(nil)
+var _ Lock = (*petersonLock)(nil)
 
 type petersonAcquireFrame struct {
 	k  *petersonLock

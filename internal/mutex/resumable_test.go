@@ -121,7 +121,7 @@ func TestPassageFrameSolo(t *testing.T) {
 	var pr CSProbe
 	pr.DeployProbe(m, lock)
 	ctl := memsim.NewController(m)
-	frame := pr.PassageFrame(0)
+	frame := pr.PassageFrame(nil, 0)
 	if err := ctl.StartResumable(0, "passage", frame); err != nil {
 		t.Fatal(err)
 	}

@@ -99,14 +99,17 @@ func (pr *CSProbe) DeployProbe(m *memsim.Machine, lock Lock) {
 // PassageFrame returns pid's next critical-section passage: the lock's
 // acquire section, stamp and re-read the owner word, increment the
 // unprotected counter, the release section. It returns 1 if the passage
-// observed exclusive occupancy.
-func (pr *CSProbe) PassageFrame(pid memsim.PID) memsim.Resumable {
-	return &passageFrame{
+// observed exclusive occupancy. The passage is built in dst when dst is a
+// passage frame, its lock sections in dst's sections, and fresh otherwise.
+func (pr *CSProbe) PassageFrame(dst memsim.Resumable, pid memsim.PID) memsim.Resumable {
+	d := memsim.CloneTarget[passageFrame](dst)
+	*d = passageFrame{
 		pr:  pr,
 		pid: pid,
-		acq: pr.lock.AcquireFrame(pid),
-		rel: pr.lock.ReleaseFrame(pid),
+		acq: pr.lock.AcquireFrame(d.acq, pid),
+		rel: pr.lock.ReleaseFrame(d.rel, pid),
 	}
+	return d
 }
 
 // passageFrame is the CSProbe passage; see PassageFrame.
@@ -221,11 +224,11 @@ func (pr *CSProbe) MutualExclusion() bool { return !pr.violated }
 
 // Workload is the contended critical-section workload on the generic
 // streaming harness: every process repeatedly acquires the lock, runs the
-// CSProbe critical section, and releases. Each passage starts from a copy
-// of pid's passage template in pid's retained frame storage, so a run
-// mints one passage frame per process, not one per passage. A Workload is
-// bound to a single run; Release returns it, frame storage included, to
-// the pool NewWorkload draws from once the run is over.
+// CSProbe critical section, and releases. Each passage is built in pid's
+// retained frame storage, so a run mints at most one passage frame per
+// process, not one per passage, and a warm pooled workload none. A
+// Workload is bound to a single run; Release returns it, frame storage
+// included, to the pool NewWorkload draws from once the run is over.
 type Workload struct {
 	CSProbe
 	alg       Algorithm
@@ -246,10 +249,10 @@ type passageInstance struct{ pr *CSProbe }
 // passageKind is the call kind of passageInstance's one procedure.
 const passageKind memsim.CallKind = 0
 
-// ResumableProgram implements memsim.Instance: pid's passage, whatever the
+// ProgramInto implements memsim.Instance: pid's passage, whatever the
 // kind.
-func (p passageInstance) ResumableProgram(pid memsim.PID, _ memsim.CallKind) (memsim.Resumable, error) {
-	return p.pr.PassageFrame(pid), nil
+func (p passageInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, _ memsim.CallKind) (memsim.Resumable, error) {
+	return p.pr.PassageFrame(dst, pid), nil
 }
 
 var (
@@ -292,8 +295,8 @@ func (w *Workload) Deploy(m *memsim.Machine) error {
 	return nil
 }
 
-// Next implements harness.Workload: the passage starts from a copy of
-// pid's passage template in pid's retained frame storage.
+// Next implements harness.Workload: the passage is built in pid's
+// retained frame storage.
 func (w *Workload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 	if w.remaining[pid] <= 0 {
 		return "", nil, false

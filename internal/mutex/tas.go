@@ -26,13 +26,13 @@ type tasLock struct {
 var _ Lock = (*tasLock)(nil)
 
 // AcquireFrame implements Lock: loop on TAS(flag) until it wins.
-func (l *tasLock) AcquireFrame(memsim.PID) memsim.Resumable {
-	return &tasAcquireFrame{flag: l.flag}
+func (l *tasLock) AcquireFrame(dst memsim.Resumable, _ memsim.PID) memsim.Resumable {
+	return memsim.BuildFrame(dst, tasAcquireFrame{flag: l.flag})
 }
 
 // ReleaseFrame implements Lock.
-func (l *tasLock) ReleaseFrame(memsim.PID) memsim.Resumable {
-	return &writeFrame{addr: l.flag, val: 0}
+func (l *tasLock) ReleaseFrame(dst memsim.Resumable, _ memsim.PID) memsim.Resumable {
+	return memsim.BuildFrame(dst, writeFrame{addr: l.flag, val: 0})
 }
 
 type tasAcquireFrame struct {
@@ -99,13 +99,13 @@ var _ Lock = (*ttasLock)(nil)
 
 // AcquireFrame implements Lock: read-spin until the flag appears
 // free, then attempt TAS; on failure, back to the read spin.
-func (l *ttasLock) AcquireFrame(memsim.PID) memsim.Resumable {
-	return &ttasAcquireFrame{flag: l.flag}
+func (l *ttasLock) AcquireFrame(dst memsim.Resumable, _ memsim.PID) memsim.Resumable {
+	return memsim.BuildFrame(dst, ttasAcquireFrame{flag: l.flag})
 }
 
 // ReleaseFrame implements Lock.
-func (l *ttasLock) ReleaseFrame(memsim.PID) memsim.Resumable {
-	return &writeFrame{addr: l.flag, val: 0}
+func (l *ttasLock) ReleaseFrame(dst memsim.Resumable, _ memsim.PID) memsim.Resumable {
+	return memsim.BuildFrame(dst, writeFrame{addr: l.flag, val: 0})
 }
 
 type ttasAcquireFrame struct {

@@ -33,16 +33,16 @@ var _ Lock = (*ticketLock)(nil)
 // AcquireFrame implements Lock: F&I a ticket, spin on now-serving.
 //
 //	t := FAI(next); await serving = t
-func (l *ticketLock) AcquireFrame(memsim.PID) memsim.Resumable {
-	return &ticketAcquireFrame{next: l.next, serving: l.serving}
+func (l *ticketLock) AcquireFrame(dst memsim.Resumable, _ memsim.PID) memsim.Resumable {
+	return memsim.BuildFrame(dst, ticketAcquireFrame{next: l.next, serving: l.serving})
 }
 
 // ReleaseFrame implements Lock: read then advance now-serving (only the
 // holder writes it, so read-then-write is atomic enough).
 //
 //	serving := serving + 1
-func (l *ticketLock) ReleaseFrame(memsim.PID) memsim.Resumable {
-	return &ticketReleaseFrame{serving: l.serving}
+func (l *ticketLock) ReleaseFrame(dst memsim.Resumable, _ memsim.PID) memsim.Resumable {
+	return memsim.BuildFrame(dst, ticketReleaseFrame{serving: l.serving})
 }
 
 type ticketAcquireFrame struct {
@@ -142,16 +142,16 @@ var _ Lock = (*andersonLock)(nil)
 //
 //	slot := FAI(next) mod n; mySlot[i] := slot
 //	await slots[slot] != 0; slots[slot] := 0
-func (l *andersonLock) AcquireFrame(pid memsim.PID) memsim.Resumable {
-	return &andersonAcquireFrame{l: l, pid: pid}
+func (l *andersonLock) AcquireFrame(dst memsim.Resumable, pid memsim.PID) memsim.Resumable {
+	return memsim.BuildFrame(dst, andersonAcquireFrame{l: l, pid: pid})
 }
 
 // ReleaseFrame implements Lock: read the remembered slot, grant
 // the next one.
 //
 //	slots[(mySlot[i] + 1) mod n] := 1
-func (l *andersonLock) ReleaseFrame(pid memsim.PID) memsim.Resumable {
-	return &andersonReleaseFrame{l: l, pid: pid}
+func (l *andersonLock) ReleaseFrame(dst memsim.Resumable, pid memsim.PID) memsim.Resumable {
+	return memsim.BuildFrame(dst, andersonReleaseFrame{l: l, pid: pid})
 }
 
 type andersonAcquireFrame struct {

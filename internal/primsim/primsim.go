@@ -16,9 +16,10 @@
 // operation incurs RMRs") — and both are preserved.
 //
 // Every emulated operation is a resumable Frame that composes the lock's
-// acquire and release sections (mutex.SectionRestarter); callers embed a
-// Frame in their own frame and drive it. An emulated read is one atomic
-// read of the word's address and needs no frame.
+// acquire and release sections, rebuilt in the Frame's own storage
+// (mutex.Lock); callers embed a Frame in their own frame and drive it. An
+// emulated read is one atomic read of the word's address and needs no
+// frame.
 package primsim
 
 import (
@@ -31,12 +32,12 @@ import (
 
 // newEmuLock deploys the read/write tournament lock of one emulated
 // object.
-func newEmuLock(m *memsim.Machine, n int) (mutex.SectionRestarter, error) {
+func newEmuLock(m *memsim.Machine, n int) (mutex.Lock, error) {
 	lk, err := mutex.PetersonTournament().New(m, n)
 	if err != nil {
 		return nil, fmt.Errorf("deploy emulation lock: %w", err)
 	}
-	return lk.(mutex.SectionRestarter), nil
+	return lk, nil
 }
 
 // EmuCASArray is a fixed-size array of emulated CAS words sharing one
@@ -44,7 +45,7 @@ func newEmuLock(m *memsim.Machine, n int) (mutex.SectionRestarter, error) {
 // linear. Sharing the lock is safe (coarser atomicity than per-word locks)
 // and mirrors footnote-level freedom in the transformation.
 type EmuCASArray struct {
-	lock mutex.SectionRestarter
+	lock mutex.Lock
 	base memsim.Addr
 	size int
 }
@@ -90,7 +91,7 @@ func (e *EmuCASArray) CAS(f *Frame, pid memsim.PID, j int, old, new memsim.Value
 // calling process's own memory module; SC succeeds only if the version is
 // unchanged.
 type EmuLLSC struct {
-	lock mutex.SectionRestarter
+	lock mutex.Lock
 	val  memsim.Addr
 	ver  memsim.Addr
 	// link[i] holds process i's linked version (in i's module); Nil
@@ -169,11 +170,12 @@ const (
 // Frame runs emulated operations: an operation (EmuCASArray.CAS,
 // EmuLLSC.LL, EmuLLSC.SC) starts in it, and Next drives it like any frame.
 // It is a value the caller embeds in its own frame; the zero value is
-// ready. Its lock sections are minted by the first operation and restarted
-// in place by every later one (mutex.SectionRestarter), so operations
-// allocate nothing once the frame's storage is warm.
+// ready. Its lock sections are minted by the first operation and rebuilt
+// in place by every later one (mutex.Lock's AcquireFrame and ReleaseFrame
+// take the storage to reuse), so operations allocate nothing once the
+// frame's storage is warm.
 type Frame struct {
-	lock     mutex.SectionRestarter
+	lock     mutex.Lock
 	pid      memsim.PID
 	acq, rel memsim.Resumable // lock sections; live only in their phase
 	op, pc   uint8
@@ -189,7 +191,12 @@ type Frame struct {
 
 var _ memsim.Resumable = (*Frame)(nil)
 
-func (f *Frame) start(l mutex.SectionRestarter, pid memsim.PID, op, pc uint8) {
+// Pristine returns the zero Frame, ready for an operation, that keeps f's
+// lock-section storage: a frame that starts a call in storage holding f
+// builds its Frame with it, so the call's operations reuse that storage.
+func (f *Frame) Pristine() Frame { return Frame{acq: f.acq, rel: f.rel} }
+
+func (f *Frame) start(l mutex.Lock, pid memsim.PID, op, pc uint8) {
 	f.lock, f.pid, f.op, f.pc = l, pid, op, pc
 	f.val, f.seen, f.ok = 0, 0, false
 }
@@ -210,9 +217,7 @@ func (f *Frame) Next(prev memsim.Result) (memsim.Access, bool) {
 			}
 			return memsim.AccWrite(f.link, memsim.Nil), true
 		case pcLock: // enter the acquire section
-			if !f.lock.Restart(f.acq, f.pid, true) {
-				f.acq = f.lock.AcquireFrame(f.pid)
-			}
+			f.acq = f.lock.AcquireFrame(f.acq, f.pid)
 			prev = memsim.Result{}
 			f.pc = pcAcquire
 		case pcAcquire:
@@ -251,9 +256,7 @@ func (f *Frame) Next(prev memsim.Result) (memsim.Access, bool) {
 			f.pc = pcRelease
 			return memsim.AccWrite(f.ver, f.val+1), true
 		case pcRelease: // enter the release section
-			if !f.lock.Restart(f.rel, f.pid, false) {
-				f.rel = f.lock.ReleaseFrame(f.pid)
-			}
+			f.rel = f.lock.ReleaseFrame(f.rel, f.pid)
 			prev = memsim.Result{}
 			f.pc = pcReleasing
 		case pcReleasing:

@@ -19,7 +19,7 @@ func runConcurrentRegistrations(t *testing.T, n int, seed int64) ([]memsim.Value
 
 	for i := 0; i < n; i++ {
 		pid := memsim.PID(i)
-		if err := ctl.StartResumable(pid, "register", reg.RegisterResumable(memsim.Value(pid))); err != nil {
+		if err := ctl.StartResumable(pid, "register", reg.RegisterResumable(nil, memsim.Value(pid))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func runConcurrentRegistrations(t *testing.T, n int, seed int64) ([]memsim.Value
 	}
 
 	reader := memsim.PID(n)
-	snapshot := reg.SnapshotResumable()
+	snapshot := reg.SnapshotResumable(nil)
 	if err := ctl.StartResumable(reader, "snapshot", snapshot); err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +128,10 @@ func runFrame(m *memsim.Machine, pid memsim.PID, f memsim.Resumable, prev memsim
 func TestSnapshotCopiesOwnBuffer(t *testing.T) {
 	m := memsim.NewMachine(3)
 	reg := NewRegistry(m, 2, "R")
-	runFrame(m, 0, reg.RegisterResumable(7), memsim.Result{})
-	runFrame(m, 1, reg.RegisterResumable(9), memsim.Result{})
+	runFrame(m, 0, reg.RegisterResumable(nil, 7), memsim.Result{})
+	runFrame(m, 1, reg.RegisterResumable(nil, 9), memsim.Result{})
 
-	f := reg.SnapshotResumable()
+	f := reg.SnapshotResumable(nil)
 	var prev memsim.Result
 	for i := 0; i < 3; i++ { // read tail, read slot 0, issue the read of slot 1
 		acc, _ := f.Next(prev)
@@ -140,9 +140,9 @@ func TestSnapshotCopiesOwnBuffer(t *testing.T) {
 	saved := f.CloneInto(nil)
 	savedPrev := prev
 
-	// The sibling: restart f from a fresh frame and snapshot slot 0 = 5.
+	// The sibling: restart f in place and snapshot slot 0 = 5.
 	m.Apply(0, memsim.AccWrite(reg.slot, 5))
-	if got := memsim.CloneResumableInto(f, reg.SnapshotResumable()); got != memsim.Resumable(f) {
+	if got := reg.SnapshotResumable(f); got != f {
 		t.Fatal("restart did not reuse the frame")
 	}
 	runFrame(m, 2, f, memsim.Result{})

@@ -21,9 +21,10 @@ type RegisterFrame struct {
 
 var _ memsim.Resumable = (*RegisterFrame)(nil)
 
-// RegisterResumable returns a frame that appends v to the registry.
-func (r *Registry) RegisterResumable(v memsim.Value) *RegisterFrame {
-	return &RegisterFrame{reg: r, v: v}
+// RegisterResumable returns a frame that appends v to the registry,
+// built in dst when dst is non-nil and fresh otherwise.
+func (r *Registry) RegisterResumable(dst *RegisterFrame, v memsim.Value) *RegisterFrame {
+	return memsim.BuildFrame(dst, RegisterFrame{reg: r, v: v})
 }
 
 // Next implements memsim.Resumable.
@@ -79,9 +80,15 @@ type SnapshotFrame struct {
 
 var _ memsim.Resumable = (*SnapshotFrame)(nil)
 
-// SnapshotResumable returns a frame that snapshots the registry.
-func (r *Registry) SnapshotResumable() *SnapshotFrame {
-	return &SnapshotFrame{reg: r}
+// SnapshotResumable returns a frame that snapshots the registry, built
+// in dst when dst is non-nil and fresh otherwise. dst's value buffer is
+// kept for the new snapshot to collect into.
+func (r *Registry) SnapshotResumable(dst *SnapshotFrame) *SnapshotFrame {
+	if dst == nil {
+		return &SnapshotFrame{reg: r}
+	}
+	*dst = SnapshotFrame{reg: r, out: dst.out[:0]}
+	return dst
 }
 
 // Next implements memsim.Resumable.

@@ -49,13 +49,13 @@ func NewFischer(m *memsim.Machine, n, delta int) *Fischer {
 }
 
 // AcquireFrame implements mutex.Lock.
-func (l *Fischer) AcquireFrame(pid memsim.PID) memsim.Resumable {
-	return &fischerAcquireFrame{l: l, me: memsim.Value(pid), scratch: l.scratch[pid]}
+func (l *Fischer) AcquireFrame(dst memsim.Resumable, pid memsim.PID) memsim.Resumable {
+	return memsim.BuildFrame(dst, fischerAcquireFrame{l: l, me: memsim.Value(pid), scratch: l.scratch[pid]})
 }
 
 // ReleaseFrame implements mutex.Lock: X := NIL.
-func (l *Fischer) ReleaseFrame(memsim.PID) memsim.Resumable {
-	return &fischerReleaseFrame{x: l.x}
+func (l *Fischer) ReleaseFrame(dst memsim.Resumable, _ memsim.PID) memsim.Resumable {
+	return memsim.BuildFrame(dst, fischerReleaseFrame{x: l.x})
 }
 
 // Fischer acquire frame program counters.

@@ -101,7 +101,7 @@ func (f *csFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 	for {
 		switch f.pc {
 		case 0:
-			f.sec, prev, f.pc = f.lock.AcquireFrame(f.pid), memsim.Result{}, 1
+			f.sec, prev, f.pc = f.lock.AcquireFrame(nil, f.pid), memsim.Result{}, 1
 		case 1:
 			if acc, ok := f.sec.Next(prev); ok {
 				return acc, true
@@ -121,7 +121,7 @@ func (f *csFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 			f.pc = 6
 			return memsim.AccWrite(f.inCS, prev.Val-1), true
 		case 6:
-			f.sec, prev, f.pc = f.lock.ReleaseFrame(f.pid), memsim.Result{}, 7
+			f.sec, prev, f.pc = f.lock.ReleaseFrame(nil, f.pid), memsim.Result{}, 7
 		default:
 			return f.sec.Next(prev)
 		}

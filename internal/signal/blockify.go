@@ -39,32 +39,42 @@ type blockifiedInstance struct {
 	polling bool // the inner algorithm has Poll
 }
 
-// ResumableProgram implements memsim.Instance: Poll and Signal delegate to
-// the inner algorithm; Wait repeats the inner Poll within one call.
+// ProgramInto implements memsim.Instance: Poll and Signal delegate to the
+// inner algorithm; Wait repeats the inner Poll within one call, and keeps
+// dst's poll storage for its first poll.
 //
 //	Wait() by p_i: while !Poll() {}
-func (b *blockifiedInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+func (b *blockifiedInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	if kind != memsim.CallWait {
-		return b.inner.ResumableProgram(pid, kind)
+		return b.inner.ProgramInto(dst, pid, kind)
 	}
 	if !b.polling {
 		return nil, ErrUnsupported
 	}
-	return &blockifiedWaitFrame{inner: b.inner, pid: pid}, nil
+	d := memsim.CloneTarget[blockifiedWaitFrame](dst)
+	spare := d.cur
+	if spare == nil {
+		spare = d.spare
+	}
+	*d = blockifiedWaitFrame{inner: b.inner, pid: pid, spare: spare}
+	return d, nil
+}
+
+// ResumableProgram implements memsim.ResumableInstance.
+func (b *blockifiedInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+	return b.ProgramInto(nil, pid, kind)
 }
 
 // blockifiedWaitFrame executes poll frame after poll frame until one
-// returns nonzero. The inner Poll frame is minted once, as a template
-// that never runs, and each poll restarts it into storage the frame
-// keeps, so a spinning Wait allocates nothing after its first poll.
-// Restarting from a template is minting afresh because ResumableProgram
-// is a pure function of (pid, kind): per-call state transitions
-// (first-call registration) occur exactly once overall — the instance's
-// memory, not the call, carries that state.
+// returns nonzero. Each poll is built by the inner instance in storage
+// the frame keeps, so a spinning Wait allocates nothing after its first
+// poll. Building a fresh poll is minting afresh because ProgramInto is a
+// pure function of (pid, kind): per-call state transitions (first-call
+// registration) occur exactly once overall — the instance's memory, not
+// the call, carries that state.
 type blockifiedWaitFrame struct {
 	inner memsim.Instance
 	pid   memsim.PID
-	tmpl  memsim.Resumable // the pristine Poll frame; shared by clones, never run
 	cur   memsim.Resumable // the running poll; nil between polls
 	spare memsim.Resumable // the finished poll's storage, owned by this frame
 }
@@ -72,11 +82,9 @@ type blockifiedWaitFrame struct {
 func (f *blockifiedWaitFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 	for {
 		if f.cur == nil {
-			if f.tmpl == nil {
-				// The inner algorithm has Poll (ResumableProgram checked).
-				f.tmpl, _ = f.inner.ResumableProgram(f.pid, memsim.CallPoll)
-			}
-			f.cur, f.spare = memsim.CloneResumableInto(f.spare, f.tmpl), nil
+			// The inner algorithm has Poll (ProgramInto checked).
+			f.cur, _ = f.inner.ProgramInto(f.spare, f.pid, memsim.CallPoll)
+			f.spare = nil
 			prev = memsim.Result{} // fresh frame: first Next sees zero
 		}
 		if acc, ok := f.cur.Next(prev); ok {

@@ -107,7 +107,7 @@ func TestBlockifiedRejectsNonPolling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.Instance().ResumableProgram(0, memsim.CallPoll); !errors.Is(err, ErrUnsupported) {
+	if _, err := exec.Instance().ProgramInto(nil, 0, memsim.CallPoll); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("Poll on non-polling base: err = %v, want ErrUnsupported", err)
 	}
 }
@@ -136,7 +136,7 @@ func TestBlockifiedWaitPollAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wait, err := inst.ResumableProgram(0, memsim.CallWait)
+	wait, err := inst.ProgramInto(nil, 0, memsim.CallWait)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestBlockifiedWaitPollAllocs(t *testing.T) {
 		}
 		prev = m.Apply(0, acc)
 	}
-	// Registration, then a few polls to mint the template and storage.
+	// Registration, then a few polls to mint the poll storage.
 	for i := 0; i < 20; i++ {
 		step()
 	}

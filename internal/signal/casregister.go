@@ -55,19 +55,24 @@ type casRegisterInstance struct {
 	fst []memsim.Addr
 }
 
-var _ memsim.Instance = (*casRegisterInstance)(nil)
+var _ memsim.ResumableInstance = (*casRegisterInstance)(nil)
 
-// ResumableProgram implements memsim.Instance.
-func (in *casRegisterInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+// ProgramInto implements memsim.Instance.
+func (in *casRegisterInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	i := int(pid)
 	switch kind {
 	case memsim.CallPoll:
-		return &casPollFrame{in: in, i: i}, nil
+		return memsim.BuildFrame(dst, casPollFrame{in: in, i: i}), nil
 	case memsim.CallSignal:
-		return &slotScanSignalFrame{s: in.s, q: in.q, n: in.n, v: in.v}, nil
+		return memsim.BuildFrame(dst, slotScanSignalFrame{s: in.s, q: in.q, n: in.n, v: in.v}), nil
 	default:
 		return nil, ErrUnsupported
 	}
+}
+
+// ResumableProgram implements memsim.ResumableInstance.
+func (in *casRegisterInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+	return in.ProgramInto(nil, pid, kind)
 }
 
 // CASRegisterRW returns the Corollary 6.14 transformation of CASRegister:
@@ -113,20 +118,27 @@ type casRegisterRWInstance struct {
 	fst []memsim.Addr
 }
 
-var _ memsim.Instance = (*casRegisterRWInstance)(nil)
+var _ memsim.ResumableInstance = (*casRegisterRWInstance)(nil)
 
-// ResumableProgram implements memsim.Instance. An emulated read is one
-// atomic read of the word, so Signal is cas-register's slot scan over the
-// emulated array.
-func (in *casRegisterRWInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+// ProgramInto implements memsim.Instance. An emulated read is one atomic
+// read of the word, so Signal is cas-register's slot scan over the
+// emulated array. Poll keeps dst's emulated-CAS storage.
+func (in *casRegisterRWInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	switch kind {
 	case memsim.CallPoll:
-		return &casRWPollFrame{in: in, i: int(pid)}, nil
+		d := memsim.CloneTarget[casRWPollFrame](dst)
+		*d = casRWPollFrame{in: in, i: int(pid), cas: d.cas.Pristine()}
+		return d, nil
 	case memsim.CallSignal:
-		return &slotScanSignalFrame{s: in.s, q: in.q.Addr(0), n: in.n, v: in.v}, nil
+		return memsim.BuildFrame(dst, slotScanSignalFrame{s: in.s, q: in.q.Addr(0), n: in.n, v: in.v}), nil
 	default:
 		return nil, ErrUnsupported
 	}
+}
+
+// ResumableProgram implements memsim.ResumableInstance.
+func (in *casRegisterRWInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+	return in.ProgramInto(nil, pid, kind)
 }
 
 // casRWPollFrame is cas-register's Poll with every CAS run as the

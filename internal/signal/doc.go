@@ -9,9 +9,10 @@
 //
 // Algorithms are catalogued as Algorithm values (name, problem Variant,
 // deployment factory); All enumerates them and ByName resolves CLI names.
-// Each algorithm exists once, as frames: its instance's ResumableProgram
-// mints memsim.Resumable frames, the one program form every engine runs,
-// and the frames' doc comments carry the paper's pseudocode. Frames shared
+// Each algorithm exists once, as frames: its instance's ProgramInto
+// builds memsim.Resumable frames in the caller's storage, the one program
+// form every engine runs, and the frames' doc comments carry the paper's
+// pseudocode. Frames shared
 // by several algorithms live in resumable.go; the read/write
 // transformations compose primsim's emulated CAS and LL/SC frames, and
 // leader-blocking composes election's. Callers that compose calls (the

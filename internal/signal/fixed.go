@@ -36,21 +36,26 @@ type fixedWaitersInstance struct {
 	v []memsim.Addr
 }
 
-var _ memsim.Instance = (*fixedWaitersInstance)(nil)
+var _ memsim.ResumableInstance = (*fixedWaitersInstance)(nil)
 
-// ResumableProgram implements memsim.Instance.
-func (in *fixedWaitersInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+// ProgramInto implements memsim.Instance.
+func (in *fixedWaitersInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	i := int(pid)
 	switch kind {
 	case memsim.CallPoll:
-		return &readRetFrame{addr: in.v[i]}, nil
+		return memsim.BuildFrame(dst, readRetFrame{addr: in.v[i]}), nil
 	case memsim.CallSignal:
-		return &writeFanFrame{addrs: in.v[:len(in.v)-1]}, nil
+		return memsim.BuildFrame(dst, writeFanFrame{addrs: in.v[:len(in.v)-1]}), nil
 	case memsim.CallWait:
-		return &spinNonzeroFrame{addr: in.v[i]}, nil
+		return memsim.BuildFrame(dst, spinNonzeroFrame{addr: in.v[i]}), nil
 	default:
 		return nil, ErrUnsupported
 	}
+}
+
+// ResumableProgram implements memsim.ResumableInstance.
+func (in *fixedWaitersInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+	return in.ProgramInto(nil, pid, kind)
 }
 
 // FixedWaitersTerminating returns the terminating refinement sketched in
@@ -96,23 +101,28 @@ type fixedTermInstance struct {
 	first   []memsim.Addr
 }
 
-var _ memsim.Instance = (*fixedTermInstance)(nil)
+var _ memsim.ResumableInstance = (*fixedTermInstance)(nil)
 
-// ResumableProgram implements memsim.Instance.
-func (in *fixedTermInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+// ProgramInto implements memsim.Instance.
+func (in *fixedTermInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	i := int(pid)
 	switch kind {
 	case memsim.CallPoll:
-		return &announcePollFrame{
+		return memsim.BuildFrame(dst, announcePollFrame{
 			fst: in.first[i], ann: in.present[i], annVal: 1,
 			then: in.v[i], els: in.v[i],
-		}, nil
+		}), nil
 	case memsim.CallSignal:
 		if pid != in.sig {
 			return nil, ErrWrongSignaler
 		}
-		return &ftSignalFrame{in: in}, nil
+		return memsim.BuildFrame(dst, ftSignalFrame{in: in}), nil
 	default:
 		return nil, ErrUnsupported
 	}
+}
+
+// ResumableProgram implements memsim.ResumableInstance.
+func (in *fixedTermInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+	return in.ProgramInto(nil, pid, kind)
 }

@@ -31,18 +31,23 @@ type flagInstance struct {
 	n int
 }
 
-var _ memsim.Instance = (*flagInstance)(nil)
+var _ memsim.ResumableInstance = (*flagInstance)(nil)
 
-// ResumableProgram implements memsim.Instance.
-func (in *flagInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+// ProgramInto implements memsim.Instance.
+func (in *flagInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	switch kind {
 	case memsim.CallPoll:
-		return &readRetFrame{addr: in.b}, nil
+		return memsim.BuildFrame(dst, readRetFrame{addr: in.b}), nil
 	case memsim.CallSignal:
-		return &writeOneFrame{addr: in.b, val: 1}, nil
+		return memsim.BuildFrame(dst, writeOneFrame{addr: in.b, val: 1}), nil
 	case memsim.CallWait:
-		return &spinNonzeroFrame{addr: in.b}, nil
+		return memsim.BuildFrame(dst, spinNonzeroFrame{addr: in.b}), nil
 	default:
 		return nil, ErrUnsupported
 	}
+}
+
+// ResumableProgram implements memsim.ResumableInstance.
+func (in *flagInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+	return in.ProgramInto(nil, pid, kind)
 }

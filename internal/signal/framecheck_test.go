@@ -88,7 +88,7 @@ func (w *scriptWorkload) Next(p memsim.PID) (string, memsim.Resumable, bool) {
 	}
 	w.current[p] = script[w.progress[p]]
 	w.progress[p]++
-	f, err := w.inst.ResumableProgram(p, w.current[p])
+	f, err := w.inst.ProgramInto(nil, p, w.current[p])
 	if err != nil {
 		panic(err)
 	}

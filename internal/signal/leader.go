@@ -66,19 +66,24 @@ type leaderInstance struct {
 	f     []memsim.Addr
 }
 
-var _ memsim.Instance = (*leaderInstance)(nil)
+var _ memsim.ResumableInstance = (*leaderInstance)(nil)
 
-// ResumableProgram implements memsim.Instance. Signal is the
-// single-waiter Signal against the elected leader's announcement.
-func (in *leaderInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+// ProgramInto implements memsim.Instance. Signal is the single-waiter
+// Signal against the elected leader's announcement.
+func (in *leaderInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	switch kind {
 	case memsim.CallWait:
-		return &leaderWaitFrame{in: in, i: int(pid), elect: in.elect.Elect(pid)}, nil
+		return memsim.BuildFrame(dst, leaderWaitFrame{in: in, i: int(pid), elect: in.elect.Elect(pid)}), nil
 	case memsim.CallSignal:
-		return &swSignalFrame{s: in.s, w: in.w, v: in.v}, nil
+		return memsim.BuildFrame(dst, swSignalFrame{s: in.s, w: in.w, v: in.v}), nil
 	default:
 		return nil, ErrUnsupported
 	}
+}
+
+// ResumableProgram implements memsim.ResumableInstance.
+func (in *leaderInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+	return in.ProgramInto(nil, pid, kind)
 }
 
 // leaderWaitFrame is LeaderBlocking's Wait: the election step (an

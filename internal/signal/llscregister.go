@@ -54,19 +54,24 @@ type llscRegisterInstance struct {
 	fst []memsim.Addr
 }
 
-var _ memsim.Instance = (*llscRegisterInstance)(nil)
+var _ memsim.ResumableInstance = (*llscRegisterInstance)(nil)
 
-// ResumableProgram implements memsim.Instance.
-func (in *llscRegisterInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+// ProgramInto implements memsim.Instance.
+func (in *llscRegisterInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	i := int(pid)
 	switch kind {
 	case memsim.CallPoll:
-		return &llscPollFrame{in: in, i: i}, nil
+		return memsim.BuildFrame(dst, llscPollFrame{in: in, i: i}), nil
 	case memsim.CallSignal:
-		return &slotScanSignalFrame{s: in.s, q: in.q, n: in.n, v: in.v}, nil
+		return memsim.BuildFrame(dst, slotScanSignalFrame{s: in.s, q: in.q, n: in.n, v: in.v}), nil
 	default:
 		return nil, ErrUnsupported
 	}
+}
+
+// ResumableProgram implements memsim.ResumableInstance.
+func (in *llscRegisterInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+	return in.ProgramInto(nil, pid, kind)
 }
 
 // LLSCRegisterRW returns the Corollary 6.14 transformation of LLSCRegister:
@@ -112,18 +117,26 @@ type llscRegisterRWInstance struct {
 	fst []memsim.Addr
 }
 
-var _ memsim.Instance = (*llscRegisterRWInstance)(nil)
+var _ memsim.ResumableInstance = (*llscRegisterRWInstance)(nil)
 
-// ResumableProgram implements memsim.Instance.
-func (in *llscRegisterRWInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+// ProgramInto implements memsim.Instance. Poll keeps dst's emulated
+// LL/SC storage.
+func (in *llscRegisterRWInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	switch kind {
 	case memsim.CallPoll:
-		return &llscRWPollFrame{in: in, i: int(pid)}, nil
+		d := memsim.CloneTarget[llscRWPollFrame](dst)
+		*d = llscRWPollFrame{in: in, i: int(pid), op: d.op.Pristine()}
+		return d, nil
 	case memsim.CallSignal:
-		return &llscRWSignalFrame{in: in}, nil
+		return memsim.BuildFrame(dst, llscRWSignalFrame{in: in}), nil
 	default:
 		return nil, ErrUnsupported
 	}
+}
+
+// ResumableProgram implements memsim.ResumableInstance.
+func (in *llscRegisterRWInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+	return in.ProgramInto(nil, pid, kind)
 }
 
 // llscRWPollFrame is llsc-register's Poll with LL and SC run as the

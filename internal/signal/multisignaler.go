@@ -55,22 +55,24 @@ type multiSignalerInstance struct {
 	fst   []memsim.Addr
 }
 
-var _ memsim.Instance = (*multiSignalerInstance)(nil)
+var _ memsim.ResumableInstance = (*multiSignalerInstance)(nil)
 
-// ResumableProgram implements memsim.Instance.
-func (in *multiSignalerInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+// ProgramInto implements memsim.Instance.
+func (in *multiSignalerInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	i := int(pid)
 	switch kind {
 	case memsim.CallPoll:
-		return &registerPollFrame{
-			fst: in.fst[i], vi: in.v[i], s: in.s,
-			sub: in.reg.RegisterResumable(memsim.Value(i)),
-		}, nil
+		return registerPollInto(dst, in.fst[i], in.v[i], in.s, in.reg, memsim.Value(i)), nil
 	case memsim.CallSignal:
-		return &msSignalFrame{in: in, deliver: registrySignalFrame{
-			s: in.s, v: in.v, snap: in.reg.SnapshotResumable(),
-		}}, nil
+		d := memsim.CloneTarget[msSignalFrame](dst)
+		*d = msSignalFrame{in: in, deliver: *registrySignalInto(&d.deliver, in.s, in.v, in.reg)}
+		return d, nil
 	default:
 		return nil, ErrUnsupported
 	}
+}
+
+// ResumableProgram implements memsim.ResumableInstance.
+func (in *multiSignalerInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+	return in.ProgramInto(nil, pid, kind)
 }

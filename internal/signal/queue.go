@@ -52,20 +52,22 @@ type queueInstance struct {
 	fst []memsim.Addr
 }
 
-var _ memsim.Instance = (*queueInstance)(nil)
+var _ memsim.ResumableInstance = (*queueInstance)(nil)
 
-// ResumableProgram implements memsim.Instance.
-func (in *queueInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+// ProgramInto implements memsim.Instance.
+func (in *queueInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	i := int(pid)
 	switch kind {
 	case memsim.CallPoll:
-		return &registerPollFrame{
-			fst: in.fst[i], vi: in.v[i], s: in.s,
-			sub: in.reg.RegisterResumable(memsim.Value(i)),
-		}, nil
+		return registerPollInto(dst, in.fst[i], in.v[i], in.s, in.reg, memsim.Value(i)), nil
 	case memsim.CallSignal:
-		return &registrySignalFrame{s: in.s, v: in.v, snap: in.reg.SnapshotResumable()}, nil
+		return registrySignalInto(dst, in.s, in.v, in.reg), nil
 	default:
 		return nil, ErrUnsupported
 	}
+}
+
+// ResumableProgram implements memsim.ResumableInstance.
+func (in *queueInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+	return in.ProgramInto(nil, pid, kind)
 }

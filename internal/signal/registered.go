@@ -55,23 +55,28 @@ type registeredInstance struct {
 	fst []memsim.Addr
 }
 
-var _ memsim.Instance = (*registeredInstance)(nil)
+var _ memsim.ResumableInstance = (*registeredInstance)(nil)
 
-// ResumableProgram implements memsim.Instance.
-func (in *registeredInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+// ProgramInto implements memsim.Instance.
+func (in *registeredInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	i := int(pid)
 	switch kind {
 	case memsim.CallPoll:
-		return &announcePollFrame{
+		return memsim.BuildFrame(dst, announcePollFrame{
 			fst: in.fst[i], ann: in.r[i], annVal: 1,
 			then: in.s, els: in.v[i],
-		}, nil
+		}), nil
 	case memsim.CallSignal:
 		if pid != in.sig {
 			return nil, ErrWrongSignaler
 		}
-		return &regSignalFrame{in: in}, nil
+		return memsim.BuildFrame(dst, regSignalFrame{in: in}), nil
 	default:
 		return nil, ErrUnsupported
 	}
+}
+
+// ResumableProgram implements memsim.ResumableInstance.
+func (in *registeredInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+	return in.ProgramInto(nil, pid, kind)
 }

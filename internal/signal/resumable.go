@@ -10,16 +10,17 @@ import (
 // This file holds the frames of the flag, single-waiter, fixed-waiters,
 // registered-waiters, queue, CAS and LL/SC registration and multi-signaler
 // algorithms, several of which share a frame type; each algorithm's
-// ResumableProgram, in its own file, picks them. A frame is an explicit
+// ProgramInto, in its own file, picks them. A frame is an explicit
 // state machine (a memsim.Resumable) that the controller dispatches inline
 // with zero goroutines and zero channel operations. framegolden_test.go
 // pins the traces they produce.
 //
 // Frame discipline (see memsim.Resumable): all mutable call-local state
 // lives in frame fields; pointers reference only immutable deployment data
-// (instances, address slices). Most frames copy with memsim.CopyFrame;
-// frames holding sub-frames or buffers copy those in their CloneInto, so
-// snapshots stay independent.
+// (instances, address slices). Most frames copy with memsim.CopyFrame and
+// start with memsim.BuildFrame; frames holding sub-frames or buffers copy
+// those in their CloneInto, so snapshots stay independent, and rebuild
+// them in place when a call starts in their storage.
 
 // readRetFrame reads one word and returns its value (flag Poll,
 // fixed-waiters Poll).
@@ -444,6 +445,14 @@ func (f *registerPollFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 
 func (f *registerPollFrame) Return() memsim.Value { return f.ret }
 
+// registerPollInto builds the pristine registering Poll of value v in
+// dst, keeping dst's registration sub-frame when it has one.
+func registerPollInto(dst memsim.Resumable, fst, vi, s memsim.Addr, reg *queue.Registry, v memsim.Value) *registerPollFrame {
+	d := memsim.CloneTarget[registerPollFrame](dst)
+	*d = registerPollFrame{fst: fst, vi: vi, s: s, sub: reg.RegisterResumable(d.sub, v)}
+	return d
+}
+
 // CloneInto implements memsim.Resumable: the registration sub-frame is
 // copied, not shared, into dst's sub-frame storage when it has one.
 func (f *registerPollFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
@@ -507,6 +516,14 @@ func (f *registrySignalFrame) Next(prev memsim.Result) (memsim.Access, bool) {
 }
 
 func (f *registrySignalFrame) Return() memsim.Value { return 0 }
+
+// registrySignalInto builds the pristine registry Signal in dst, keeping
+// dst's snapshot sub-frame and its value buffer when it has them.
+func registrySignalInto(dst memsim.Resumable, s memsim.Addr, v []memsim.Addr, reg *queue.Registry) *registrySignalFrame {
+	d := memsim.CloneTarget[registrySignalFrame](dst)
+	*d = registrySignalFrame{s: s, v: v, snap: reg.SnapshotResumable(d.snap)}
+	return d
+}
 
 // CloneInto implements memsim.Resumable, reusing dst's snapshot sub-frame
 // and its value buffer. vals aliases the snapshot's buffer, so it is

@@ -20,16 +20,16 @@ type driver interface {
 	Events() []memsim.Event
 }
 
-// freshRun starts every call from a frame the instance mints anew
-// (ResumableProgram) on a bare Controller, where a memsim.Execution
-// copies it from a cached template into retained storage.
+// freshRun starts every call in a frame the instance mints anew
+// (ProgramInto with no storage) on a bare Controller, where a
+// memsim.Execution builds it in retained storage.
 type freshRun struct {
 	*memsim.Controller
 	inst memsim.Instance
 }
 
 func (r freshRun) Start(p memsim.PID, kind memsim.CallKind) error {
-	f, err := r.inst.ResumableProgram(p, kind)
+	f, err := r.inst.ProgramInto(nil, p, kind)
 	if err != nil {
 		return err
 	}

@@ -44,14 +44,14 @@ func TestProgramSupportMatchesVariant(t *testing.T) {
 			t.Fatalf("%s: deploy: %v", a.Name, err)
 		}
 		inst := exec.Instance()
-		_, pollErr := inst.ResumableProgram(0, memsim.CallPoll)
+		_, pollErr := inst.ProgramInto(nil, 0, memsim.CallPoll)
 		if a.Variant.Polling && pollErr != nil {
 			t.Errorf("%s: declared polling but Poll failed: %v", a.Name, pollErr)
 		}
 		if !a.Variant.Polling && pollErr == nil {
 			t.Errorf("%s: Poll supported but not declared", a.Name)
 		}
-		_, waitErr := inst.ResumableProgram(0, memsim.CallWait)
+		_, waitErr := inst.ProgramInto(nil, 0, memsim.CallWait)
 		if a.Variant.Blocking && waitErr != nil {
 			t.Errorf("%s: declared blocking but Wait failed: %v", a.Name, waitErr)
 		}
@@ -70,10 +70,10 @@ func TestFixedSignalerEnforced(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: deploy: %v", a.Name, err)
 		}
-		if _, err := exec.Instance().ResumableProgram(0, memsim.CallSignal); err == nil {
+		if _, err := exec.Instance().ProgramInto(nil, 0, memsim.CallSignal); err == nil {
 			t.Errorf("%s: Signal by a non-designated process should fail", a.Name)
 		}
-		if _, err := exec.Instance().ResumableProgram(3, memsim.CallSignal); err != nil {
+		if _, err := exec.Instance().ProgramInto(nil, 3, memsim.CallSignal); err != nil {
 			t.Errorf("%s: Signal by the designated process failed: %v", a.Name, err)
 		}
 	}

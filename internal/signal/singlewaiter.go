@@ -44,22 +44,27 @@ type singleWaiterInstance struct {
 	first []memsim.Addr
 }
 
-var _ memsim.Instance = (*singleWaiterInstance)(nil)
+var _ memsim.ResumableInstance = (*singleWaiterInstance)(nil)
 
-// ResumableProgram implements memsim.Instance.
-func (in *singleWaiterInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+// ProgramInto implements memsim.Instance.
+func (in *singleWaiterInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
 	i := int(pid)
 	switch kind {
 	case memsim.CallPoll:
-		return &announcePollFrame{
+		return memsim.BuildFrame(dst, announcePollFrame{
 			fst: in.first[i], ann: in.w, annVal: memsim.Value(i),
 			then: in.s, els: in.v[i],
-		}, nil
+		}), nil
 	case memsim.CallSignal:
-		return &swSignalFrame{s: in.s, w: in.w, v: in.v}, nil
+		return memsim.BuildFrame(dst, swSignalFrame{s: in.s, w: in.w, v: in.v}), nil
 	case memsim.CallWait:
-		return &swWaitFrame{in: in, i: i}, nil
+		return memsim.BuildFrame(dst, swWaitFrame{in: in, i: i}), nil
 	default:
 		return nil, ErrUnsupported
 	}
+}
+
+// ResumableProgram implements memsim.ResumableInstance.
+func (in *singleWaiterInstance) ResumableProgram(pid memsim.PID, kind memsim.CallKind) (memsim.Resumable, error) {
+	return in.ProgramInto(nil, pid, kind)
 }

@@ -2,6 +2,7 @@ package signal
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/memsim"
 )
@@ -42,7 +43,22 @@ type SpecChecker struct {
 
 // NewSpecChecker returns a checker that has observed no events.
 func NewSpecChecker() *SpecChecker {
-	return &SpecChecker{firstSignalStart: -1, firstSignalEnd: -1}
+	c := new(SpecChecker)
+	c.Reset(0)
+	return c
+}
+
+// Reset makes c a checker that has observed no events, with its open-call
+// table sized once for processes 0..n-1: Observe then grows nothing for
+// them. The table's storage is kept; a Violations slice returned before
+// the reset is not, and stays with its holder.
+func (c *SpecChecker) Reset(n int) {
+	more := c.more[:0]
+	if k := n - len(c.inline); k > 0 {
+		more = slices.Grow(more, k)[:k]
+		clear(more)
+	}
+	*c = SpecChecker{firstSignalStart: -1, firstSignalEnd: -1, more: more}
 }
 
 // openEntry returns p's entry in the open-call table, growing the table

@@ -23,19 +23,20 @@ type Policy struct {
 }
 
 // Workload runs an Algorithm under a Policy on the generic streaming
-// harness. Each call starts from a copy of its (pid, kind) frame template
-// in the process's retained frame storage. Observe must see every
-// event of the run (attach it as the harness sink): it counts the applied
-// accesses SignalAfter waits for. A Workload is bound to a single run;
-// Release returns it, frame storage included, to the pool NewWorkload
-// draws from once the run is over. The calls' return values are in the
-// run's event stream: attach a Returns to collect them.
+// harness. Each call is built by the instance in the process's retained
+// frame storage. Observe must see every event of the run (attach it as
+// the harness sink): it counts the applied accesses SignalAfter waits
+// for. A Workload is bound to a single run; Release returns it, frame
+// storage and spec checker included, to the pool NewWorkload draws from
+// once the run is over. The calls' return values are in the run's event
+// stream: attach a Returns to collect them.
 type Workload struct {
 	alg    Algorithm
 	policy Policy
 	kind   memsim.CallKind // the waiters' call
 
 	frames memsim.Frames
+	spec   SpecChecker
 
 	procs    []proc
 	steps    int
@@ -63,7 +64,8 @@ func NewWorkload(alg Algorithm, n int, p Policy) *Workload {
 	w := workloadPool.Get().(*Workload)
 	procs := slices.Grow(w.procs[:0], n)[:n]
 	clear(procs)
-	*w = Workload{alg: alg, policy: p, kind: memsim.CallPoll, frames: w.frames, procs: procs}
+	*w = Workload{alg: alg, policy: p, kind: memsim.CallPoll, frames: w.frames, spec: w.spec, procs: procs}
+	w.spec.Reset(n)
 	if p.Blocking {
 		w.kind = memsim.CallWait
 	}
@@ -104,9 +106,9 @@ func (w *Workload) nextKind(pid memsim.PID) (memsim.CallKind, bool) {
 	return 0, false
 }
 
-// Next implements harness.Workload: the call starts from a copy of the
-// (pid, kind) template in pid's retained frame storage. A procedure the
-// algorithm does not provide ends the run's calls; Err reports it.
+// Next implements harness.Workload: the call is built in pid's retained
+// frame storage. A procedure the algorithm does not provide ends the
+// run's calls; Err reports it.
 func (w *Workload) Next(pid memsim.PID) (string, memsim.Resumable, bool) {
 	kind, ok := w.nextKind(pid)
 	if !ok {
@@ -138,6 +140,11 @@ func (w *Workload) Observe(ev memsim.Event) {
 		w.steps++
 	}
 }
+
+// Spec returns the run's Specification 4.1 checker, reset for its
+// processes: attach its Observe to the run's sink. It is the workload's
+// and goes with Release, but the Violations it returned stay valid.
+func (w *Workload) Spec() *SpecChecker { return &w.spec }
 
 // Err returns the error of a call the algorithm could not start, if any.
 func (w *Workload) Err() error { return w.err }

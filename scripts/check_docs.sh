@@ -12,8 +12,10 @@
 # suite command, lock run function and worker pool that were folded
 # away, of the signaling workload's retired return log, of the
 # second copy of the unit loop the -shards coordinator used to keep, of
-# the durable loop's retired plan-snapshot switch, or of the adversary's
-# per-run ledger constructor; and
+# the durable loop's retired plan-snapshot switch, of the adversary's
+# per-run ledger constructor, or of the retired frame template cache and
+# lock-section restarter (calls and sections are built in their storage);
+# and
 # that every *.md file a Go or Markdown file names exists. Run from the
 # repository root.
 set -eu
@@ -36,7 +38,7 @@ for dir in internal/*/; do
     fi
 done
 
-retired='memsim\.Proc\b|memsim\.Program\b|StartCall|FromBlocking|WorkerPool|memsim\.Blocking\b|ForceBlocking|ResumableWorkload|CanResume|StateEncoder|EncodeFrameState|EncodeModelState|encodeCanonical|ResumableCloner|ResumableCopier|CloneResumable\b|SteppedWorkload|dsmTotal|callSeqOfCurrent|moduleWriters|callHadRemote|\.ModuleSnapshot\b|spareLed|sortedKeys|pendingTargets|b\.spare\b|\.Sees\[|\.Touches\[|rmrbench|\bRunStreaming\b|runPool|returnLog|logPool|Workload\)\.Returns|runCoordinator|shardOpts|unitOutcome|unitsEqual|workerArgsEnv|MergeUnits|MergeShardedState|EffectiveShardDepth|PersistPlan|attachLedger'
+retired='memsim\.Proc\b|memsim\.Program\b|StartCall|FromBlocking|WorkerPool|memsim\.Blocking\b|ForceBlocking|ResumableWorkload|CanResume|StateEncoder|EncodeFrameState|EncodeModelState|encodeCanonical|ResumableCloner|ResumableCopier|CloneResumable\b|SteppedWorkload|dsmTotal|callSeqOfCurrent|moduleWriters|callHadRemote|\.ModuleSnapshot\b|spareLed|sortedKeys|pendingTargets|b\.spare\b|\.Sees\[|\.Touches\[|rmrbench|\bRunStreaming\b|runPool|returnLog|logPool|Workload\)\.Returns|runCoordinator|shardOpts|unitOutcome|unitsEqual|workerArgsEnv|MergeUnits|MergeShardedState|EffectiveShardDepth|PersistPlan|attachLedger|\bFrameTemplates\b|NewFrameTemplates|SectionRestarter'
 # Go files everywhere; Markdown everywhere below the root, and at the root
 # the two documents that describe the current code. The other Markdown
 # files at the root are records and reference notes (the change log among
