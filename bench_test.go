@@ -321,7 +321,7 @@ func (in jammerInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind 
 	case memsim.CallSignal:
 		return memsim.BuildFrame(dst, accessFrame{acc: memsim.AccWrite(in.b, 1)}), nil
 	default:
-		return nil, memsim.ErrNoProgram
+		return nil, signal.ErrUnsupported
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/lowerbound"
 	"repro/internal/memsim"
+	"repro/internal/model"
 	"repro/internal/signal"
 )
 
@@ -48,10 +49,15 @@ func TestRunUnknownAlgorithm(t *testing.T) {
 // rescoreCase renders a certificate's RMR accounting in one canonical
 // string — the shared helper of the batch/streaming cross-check below.
 // The adversary prices its history through the batch model.Score during
-// construction; re-pricing the same events through the streaming
-// accumulator path must reproduce every number byte-identically.
+// construction; re-pricing the same events event by event through the
+// streaming DSM accumulator, the single-pass scoring path of the run
+// pipeline, must reproduce every number byte-identically.
 func rescoreCase(cert *lowerbound.Certificate) (batch, streaming string) {
-	rep := cert.RescoreStreaming()
+	acc := model.ModelDSM.Begin(cert.Processes, cert.OwnerFunc())
+	for _, ev := range cert.Events {
+		acc.Add(ev)
+	}
+	rep := model.FinalReport(acc)
 	// SignalerRMRs is recorded only by certificates built around a goose
 	// chase (on a safety verdict the field is deliberately left 0 and the
 	// signaler attached for reporting alone), so the per-process

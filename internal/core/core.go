@@ -211,7 +211,8 @@ func Run(cfg Config) (*Result, error) {
 	defer w.Release()
 	// The online spec checker and any extra sink observe each event after
 	// the attached scorers; the trace itself is retained only on request.
-	spec := w.Spec()
+	// The closure reads a local copy of cfg.Sink, so cfg stays on the stack.
+	spec, sink := w.Spec(), cfg.Sink
 	hres, err := harness.Run(harness.Config{
 		Workload:   w,
 		Scheduler:  cfg.Scheduler,
@@ -221,8 +222,8 @@ func Run(cfg Config) (*Result, error) {
 		Sink: func(ev memsim.Event) {
 			w.Observe(ev)
 			spec.Observe(ev)
-			if cfg.Sink != nil {
-				cfg.Sink(ev)
+			if sink != nil {
+				sink(ev)
 			}
 		},
 		Interrupt: cfg.Interrupt,

@@ -175,7 +175,7 @@ func TestWarmRunAllocs(t *testing.T) {
 		pin  float64
 		run  func() error
 	}{
-		{"core.Run fixed-waiters n=16", 23, func() error {
+		{"core.Run fixed-waiters n=16", 22, func() error {
 			_, err := Run(Config{Algorithm: signal.FixedWaiters(), N: 16, MaxPolls: 4, SignalAfter: 16, Scorers: scorers})
 			return err
 		}},

@@ -1,10 +1,9 @@
-// Package election implements the leader-election substrates Section 7
-// invokes: "leader election can be solved ... in one step per process using
-// virtually any read-modify-write primitive", and with reads and writes
-// only via splitter-style constructions. The blocking signaling solution
-// (signal.LeaderBlocking) reduces "many waiters" to "single waiter" through
-// exactly such an election. Both substrates run as resumable frames that
-// callers embed in their own frames.
+// Package election implements the leader election Section 7 invokes:
+// "leader election can be solved ... in one step per process using
+// virtually any read-modify-write primitive". The blocking signaling
+// solution (signal.LeaderBlocking) reduces "many waiters" to "single
+// waiter" through exactly such an election, a CAS one that runs as a
+// resumable frame callers embed in their own frames.
 package election
 
 import (
@@ -67,89 +66,6 @@ func (f *ElectFrame) Return() memsim.Value { return f.ret }
 
 // CloneInto implements memsim.Resumable.
 func (f *ElectFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
-	return memsim.CopyFrame(f, dst)
-}
-
-// Splitter is Lamport's read/write splitter: at most one process "wins",
-// but processes may also lose or learn nothing — unlike Election, losers do
-// not learn the winner. It demonstrates what reads and writes alone buy:
-// safety (at most one winner) without the naming guarantee the blocking
-// reduction needs, which is why LeaderBlocking uses the CAS election.
-type Splitter struct {
-	x memsim.Addr // candidate ID
-	y memsim.Addr // door flag
-}
-
-// SplitterOutcome classifies a splitter traversal.
-type SplitterOutcome uint8
-
-// Splitter outcomes.
-const (
-	// SplitWin means the process acquired the splitter exclusively.
-	SplitWin SplitterOutcome = iota + 1
-	// SplitLose means some other process may have won.
-	SplitLose
-)
-
-// NewSplitter allocates a splitter on m.
-func NewSplitter(m *memsim.Machine, name string) *Splitter {
-	return &Splitter{
-		x: m.Alloc(memsim.NoOwner, name+".x", 1, memsim.Nil),
-		y: m.Alloc(memsim.NoOwner, name+".y", 1, 0),
-	}
-}
-
-// Run returns pid's splitter traversal, which returns its
-// SplitterOutcome. At most one process can win.
-//
-//	X := p; if Y { lose }; Y := true; if X = p { win } else { lose }
-func (s *Splitter) Run(pid memsim.PID) *SplitterFrame {
-	return &SplitterFrame{s: s, me: memsim.Value(pid)}
-}
-
-// SplitterFrame is the resumable form of one splitter traversal.
-type SplitterFrame struct {
-	s   *Splitter
-	me  memsim.Value
-	pc  uint8
-	ret SplitterOutcome
-}
-
-var _ memsim.Resumable = (*SplitterFrame)(nil)
-
-// Next implements memsim.Resumable.
-func (f *SplitterFrame) Next(prev memsim.Result) (memsim.Access, bool) {
-	switch f.pc {
-	case 0:
-		f.pc = 1
-		return memsim.AccWrite(f.s.x, f.me), true
-	case 1:
-		f.pc = 2
-		return memsim.AccRead(f.s.y), true
-	case 2: // door read: closed means lose
-		if prev.Val != 0 {
-			f.pc, f.ret = 5, SplitLose
-			return memsim.Access{}, false
-		}
-		f.pc = 3
-		return memsim.AccWrite(f.s.y, 1), true
-	case 3:
-		f.pc = 4
-		return memsim.AccRead(f.s.x), true
-	case 4:
-		f.pc, f.ret = 5, SplitLose
-		if prev.Val == f.me {
-			f.ret = SplitWin
-		}
-	}
-	return memsim.Access{}, false
-}
-
-// Return implements memsim.Resumable: the SplitterOutcome.
-func (f *SplitterFrame) Return() memsim.Value { return memsim.Value(f.ret) }
-
-// CloneInto implements memsim.Resumable.
-func (f *SplitterFrame) CloneInto(dst memsim.Resumable) memsim.Resumable {
 	return memsim.CopyFrame(f, dst)
 }
 

@@ -65,62 +65,3 @@ func TestElectionAgreement(t *testing.T) {
 		}
 	}
 }
-
-func runSplitter(t *testing.T, n int, seed int64) map[memsim.PID]SplitterOutcome {
-	t.Helper()
-	m := memsim.NewMachine(n)
-	s := NewSplitter(m, "S")
-	ctl := memsim.NewController(m)
-
-	results := make(map[memsim.PID]SplitterOutcome, n)
-	for i := 0; i < n; i++ {
-		pid := memsim.PID(i)
-		if err := ctl.StartResumable(pid, "split", s.Run(pid)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	for {
-		var ready []memsim.PID
-		for i := 0; i < n; i++ {
-			pid := memsim.PID(i)
-			if ret, done := ctl.CallEnded(pid); done {
-				if _, err := ctl.FinishCall(pid); err != nil {
-					t.Fatal(err)
-				}
-				results[pid] = SplitterOutcome(ret)
-			}
-			if _, ok := ctl.Pending(pid); ok {
-				ready = append(ready, pid)
-			}
-		}
-		if len(ready) == 0 {
-			break
-		}
-		if _, err := ctl.Step(ready[rng.Intn(len(ready))]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return results
-}
-
-// TestSplitterAtMostOneWinner: the read/write splitter admits at most one
-// winner under every schedule tried (and a solo run always wins).
-func TestSplitterAtMostOneWinner(t *testing.T) {
-	for seed := int64(1); seed <= 30; seed++ {
-		results := runSplitter(t, 5, seed)
-		winners := 0
-		for _, o := range results {
-			if o == SplitWin {
-				winners++
-			}
-		}
-		if winners > 1 {
-			t.Fatalf("seed %d: %d winners", seed, winners)
-		}
-	}
-	solo := runSplitter(t, 1, 1)
-	if solo[0] != SplitWin {
-		t.Fatal("solo splitter traversal must win")
-	}
-}

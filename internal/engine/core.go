@@ -250,7 +250,9 @@ func (e *Core) Frame(p memsim.PID) memsim.Resumable { return e.frames.Frame(p) }
 // Faults is the fault policy in force.
 func (e *Core) Faults() memsim.FaultPolicy { return e.fp }
 
-// FaultsUsed is the number of faults the current path injected.
+// FaultsUsed is the number of faults the current path injected. It is a
+// test oracle: the state-key partition tests of explore and search fold it
+// into their reference key.
 func (e *Core) FaultsUsed() int { return e.faultsUsed }
 
 // Path is the applied choice indices from the root, valid until the next
@@ -258,7 +260,8 @@ func (e *Core) FaultsUsed() int { return e.faultsUsed }
 func (e *Core) Path() []int { return e.path }
 
 // KeyBytes is the encoding the last state key hashed, valid until the
-// next key computation.
+// next key computation. It is a test oracle: the key-digest and partition
+// tests of explore and search read it.
 func (e *Core) KeyBytes() []byte { return e.keyBuf }
 
 // PoolStats reports the snapshot pool's reuse (telemetry only).

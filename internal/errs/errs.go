@@ -72,12 +72,6 @@ func (e *Error) Error() string {
 // Unwrap exposes the cause to errors.Is/As.
 func (e *Error) Unwrap() error { return e.cause }
 
-// Class reports the taxonomy class.
-func (e *Error) Class() Class { return e.class }
-
-// Code reports the machine-readable code ("" when none was attached).
-func (e *Error) Code() string { return e.code }
-
 // Failure codes used across the repository. Free-form codes are allowed;
 // these are the ones HTTPStatus maps specially.
 const (
@@ -156,11 +150,10 @@ func CodeOf(err error) string {
 	return ""
 }
 
-// IsFailure reports whether err classifies as an expected error.
+// IsFailure reports whether err classifies as an expected error. It is a
+// test oracle: the tests of checkpoint, jobspec, search and cmd/worstcase
+// assert their typed failures through it.
 func IsFailure(err error) bool { return Classify(err) == ClassFailure }
-
-// IsDefect reports whether err classifies as a programmer bug.
-func IsDefect(err error) bool { return Classify(err) == ClassDefect }
 
 // IsInterrupt reports whether err classifies as a cancellation.
 func IsInterrupt(err error) bool { return Classify(err) == ClassInterrupt }

@@ -170,7 +170,7 @@ func (in brokenInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kind 
 	case memsim.CallSignal:
 		return memsim.BuildFrame(dst, brokenSignalFrame{b: in.b}), nil
 	default:
-		return nil, memsim.ErrNoProgram
+		return nil, signal.ErrUnsupported
 	}
 }
 
@@ -252,7 +252,7 @@ func (in deafPollInstance) ProgramInto(dst memsim.Resumable, pid memsim.PID, kin
 	case memsim.CallSignal:
 		return memsim.BuildFrame(dst, brokenSignalFrame{b: in.b}), nil
 	default:
-		return nil, memsim.ErrNoProgram
+		return nil, signal.ErrUnsupported
 	}
 }
 

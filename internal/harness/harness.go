@@ -258,35 +258,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil
 	}
 
-	step := func(ready []memsim.PID) error {
-		_, err := ctl.Step(cfg.Scheduler.Next(ready))
-		return err
-	}
-	if fs, ok := cfg.Scheduler.(sched.FaultScheduler); ok {
-		// A fault-aware scheduler may crash the chosen process or drop its
-		// CAS response instead of stepping it. The crashed call vanishes
-		// without a Done report (it never completed); the process is idle
-		// next round and Next mints its following call. Illegal lost-CAS
-		// decisions (the pending access is not a CAS, or it would fail
-		// anyway) downgrade to ordinary steps.
-		step = func(ready []memsim.PID) error {
-			pid, kind := fs.NextFault(ready)
-			switch kind {
-			case memsim.FaultCrash:
-				_, err := ctl.Crash(pid, fs.Vol())
-				return err
-			case memsim.FaultLostCAS:
-				if acc, ok := ctl.Pending(pid); ok && acc.Op == memsim.OpCAS &&
-					m.Load(acc.Addr) == acc.Arg1 {
-					_, err := ctl.StepLostCAS(pid)
-					return err
-				}
-			}
-			_, err := ctl.Step(pid)
-			return err
-		}
-	}
-
 	res := &Result{n: n, scorers: cfg.Scorers}
 	if cfg.KeepEvents {
 		res.ownerFn = owner
@@ -338,7 +309,7 @@ func Run(cfg Config) (*Result, error) {
 			exhausted.Inc(0)
 			break
 		}
-		if err := step(ready); err != nil {
+		if _, err := ctl.Step(cfg.Scheduler.Next(ready)); err != nil {
 			return nil, err
 		}
 		res.Steps++

@@ -66,7 +66,6 @@ import (
 	"sync"
 
 	"repro/internal/memsim"
-	"repro/internal/model"
 	"repro/internal/signal"
 )
 
@@ -232,20 +231,6 @@ func (c *Certificate) OwnerFunc() func(memsim.Addr) memsim.PID {
 		}
 		return c.Owners[int(a)]
 	}
-}
-
-// RescoreStreaming re-prices the certificate's history event by event
-// through the streaming DSM accumulator — the single-pass scoring path of
-// the run pipeline — and returns the resulting report. The adversary
-// computes TotalRMRs through the batch model.Score during construction;
-// the two paths must agree exactly, which the cmd/adversary cross-check
-// test enforces for every attackable algorithm.
-func (c *Certificate) RescoreStreaming() *model.Report {
-	acc := model.ModelDSM.Begin(c.Processes, c.OwnerFunc())
-	for _, ev := range c.Events {
-		acc.Add(ev)
-	}
-	return model.FinalReport(acc)
 }
 
 // Exceeded reports whether the certificate witnesses TotalRMRs > C·K.

@@ -90,11 +90,11 @@ func AppendFrameState(dst []byte, r Resumable) []byte {
 // fixed configuration (ProgramInto returns one type per (pid, kind)),
 // so the name is ~20 hashed-and-copied bytes per frame per node carrying
 // zero information. Sub-frames inside a frame's own AppendState must keep
-// using AppendFrameState: a field like the blockified waiter's in-flight
-// frame changes type from state to state, and only the name separates
-// same-bytes states of different types there. The per-algorithm partition
-// suites exercise the engine keys end to end against an oracle framing
-// that keeps the names.
+// using AppendFrameState: a sub-frame field may change type from state to
+// state (the in-flight poll of signal's test-only blockified waiter does),
+// and only the name separates same-bytes states of different types there.
+// The per-algorithm partition suites exercise the engine keys end to end
+// against an oracle framing that keeps the names.
 func AppendKeyFrameState(dst []byte, r Resumable) []byte {
 	if r == nil {
 		return append(dst, tagNil)

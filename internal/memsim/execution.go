@@ -1,7 +1,6 @@
 package memsim
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 )
@@ -30,10 +29,6 @@ func (k CallKind) String() string {
 		return fmt.Sprintf("call(%d)", uint8(k))
 	}
 }
-
-// ErrNoProgram is returned by Instance implementations for unsupported
-// procedures.
-var ErrNoProgram = errors.New("memsim: no program for this call kind")
 
 // ActionKind classifies schedule actions.
 type ActionKind uint8

@@ -31,7 +31,7 @@ func (in counterInstance) ProgramInto(dst Resumable, pid PID, kind CallKind) (Re
 	case CallSignal:
 		return writeOnce(in.f, 1), nil
 	default:
-		return nil, ErrNoProgram
+		return nil, errNoProgram
 	}
 }
 

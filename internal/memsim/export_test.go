@@ -1,6 +1,13 @@
 package memsim
 
-import "reflect"
+import (
+	"errors"
+	"reflect"
+)
+
+// errNoProgram is what the package's test instances return for a call
+// kind they have no program for.
+var errNoProgram = errors.New("memsim: no program for this call kind")
 
 // AppendFrameStateReflect is AppendFrameState with the planned field walk
 // replaced by the reflective one (appendCanonicalValue): the oracle of the

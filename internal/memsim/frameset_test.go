@@ -8,7 +8,7 @@ type readInstance struct{ minted int }
 
 func (in *readInstance) ProgramInto(dst Resumable, pid PID, kind CallKind) (Resumable, error) {
 	if kind != CallPoll {
-		return nil, ErrNoProgram
+		return nil, errNoProgram
 	}
 	if _, ok := dst.(*readFrame); !ok {
 		in.minted++

@@ -22,9 +22,6 @@ type word struct {
 	// overwrote the word, or NoOwner if the word still holds its initial
 	// value.
 	lastWriter PID
-	// writers counts distinct nontrivial operations (not distinct
-	// processes); used by regularity analysis.
-	writes int
 }
 
 // llink is a process's load-linked reservation.
@@ -179,10 +176,6 @@ func (m *Machine) Load(a Addr) Value { return m.words[a].val }
 // LastWriter returns the process whose nontrivial operation most recently
 // overwrote addr, or NoOwner if the word was never overwritten.
 func (m *Machine) LastWriter(a Addr) PID { return m.words[a].lastWriter }
-
-// WriteCount returns how many nontrivial operations have been applied to
-// addr.
-func (m *Machine) WriteCount(a Addr) int { return m.words[a].writes }
 
 // Apply performs the atomic operation acc on behalf of pid and returns its
 // result. It panics on malformed accesses (out-of-range address or unknown
@@ -359,7 +352,6 @@ func (m *Machine) overwrite(pid PID, a Addr, v Value) {
 	w.val = v
 	w.ver++
 	w.lastWriter = pid
-	w.writes++
 }
 
 // Snapshot returns a copy of all word values, for fixpoint detection and

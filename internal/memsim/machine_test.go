@@ -22,9 +22,6 @@ func TestMachineReadWrite(t *testing.T) {
 	if m.LastWriter(a) != 1 {
 		t.Fatalf("LastWriter = %d, want 1", m.LastWriter(a))
 	}
-	if m.WriteCount(a) != 1 {
-		t.Fatalf("WriteCount = %d, want 1", m.WriteCount(a))
-	}
 }
 
 func TestMachineCAS(t *testing.T) {

@@ -6,8 +6,8 @@ package memsim
 // plain method call, and the call's entire local state lives in a plain
 // struct (a "frame") that can be copied, which is what the backtracking
 // explorer's undo machinery relies on. Procedures compose by driving
-// sub-frames from their own Next (lock sections inside a passage, Poll
-// inside a blockified Wait).
+// sub-frames from their own Next (lock sections inside a passage, the
+// election inside leader-blocking's Wait).
 //
 // Protocol: the controller calls Next with the result of the previously
 // granted access (the zero Result on the first invocation). Next returns

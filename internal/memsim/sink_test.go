@@ -15,7 +15,7 @@ func (in sinkInstance) ProgramInto(dst Resumable, pid PID, kind CallKind) (Resum
 	case CallSignal:
 		return writeOnce(in.a, 1), nil
 	default:
-		return nil, ErrNoProgram
+		return nil, errNoProgram
 	}
 }
 

@@ -62,9 +62,8 @@ type SymGroup struct {
 // them. Built once per engine; nil means no usable symmetry.
 type Symmetry struct {
 	groups []SymGroup
-	// memberOf[p] / memberIx[p]: p's group and index within it, or -1.
+	// memberOf[p]: p's group, or -1.
 	memberOf []int32
-	memberIx []int32
 	// roleOf[a] / roleMem[a] / roleCol[a]: the group, member index and row
 	// column owning address a, or -1 when a is not a role address.
 	roleOf  []int32
@@ -89,13 +88,12 @@ func BuildSymmetry(m *Machine, inst Instance, n int, scripted func(PID) bool, sa
 	}
 	sym := &Symmetry{
 		memberOf: make([]int32, n),
-		memberIx: make([]int32, n),
 		roleOf:   make([]int32, m.Size()),
 		roleMem:  make([]int32, m.Size()),
 		roleCol:  make([]int32, m.Size()),
 	}
 	for i := range sym.memberOf {
-		sym.memberOf[i], sym.memberIx[i] = -1, -1
+		sym.memberOf[i] = -1
 	}
 	for i := range sym.roleOf {
 		sym.roleOf[i], sym.roleMem[i], sym.roleCol[i] = -1, -1, -1
@@ -145,7 +143,6 @@ func BuildSymmetry(m *Machine, inst Instance, n int, scripted func(PID) bool, sa
 					return nil
 				}
 				sym.memberOf[c.pid] = gi
-				sym.memberIx[c.pid] = int32(mi)
 				for k, a := range c.row {
 					if int(a) < 0 || int(a) >= m.Size() || sym.roleOf[a] >= 0 {
 						return nil
@@ -187,9 +184,6 @@ func (s *Symmetry) Groups() []SymGroup { return s.groups }
 
 // MemberGroup returns the group index p belongs to, or -1.
 func (s *Symmetry) MemberGroup(p PID) int { return int(s.memberOf[p]) }
-
-// MemberIndex returns p's index within its group, or -1.
-func (s *Symmetry) MemberIndex(p PID) int { return int(s.memberIx[p]) }
 
 // RoleAddr reports the (group, member, column) coordinates of a role address,
 // or ok=false for ordinary addresses.

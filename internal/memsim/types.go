@@ -64,12 +64,6 @@ func (o Op) String() string {
 	}
 }
 
-// IsComparison reports whether the operation is a comparison primitive in
-// the sense of Corollary 6.14 (CAS or LL/SC).
-func (o Op) IsComparison() bool {
-	return o == OpCAS || o == OpLL || o == OpSC
-}
-
 // Access describes one pending or applied atomic operation.
 type Access struct {
 	Op   Op

@@ -28,19 +28,6 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-func TestOpIsComparison(t *testing.T) {
-	for _, op := range []Op{OpCAS, OpLL, OpSC} {
-		if !op.IsComparison() {
-			t.Errorf("%v should be a comparison primitive", op)
-		}
-	}
-	for _, op := range []Op{OpRead, OpWrite, OpFetchAdd, OpFetchStore, OpTestAndSet} {
-		if op.IsComparison() {
-			t.Errorf("%v should not be a comparison primitive", op)
-		}
-	}
-}
-
 func TestAccessString(t *testing.T) {
 	cases := map[string]Access{
 		"read a3":       {Op: OpRead, Addr: 3},

@@ -64,8 +64,10 @@ type Cost struct {
 }
 
 // Annotator is a cost model that can price a trace event by event
-// (implemented by both DSM and CC); cmd/tracedump and fine-grained tests
-// build on it.
+// (implemented by both DSM and CC). It is a test oracle:
+// TestAccumulatorMatchesBatch finds through it the models whose per-event
+// batch costs it compares with the accumulator's. Production code calls
+// the concrete Annotate methods.
 type Annotator interface {
 	CostModel
 	Annotate(events []memsim.Event, owner func(memsim.Addr) memsim.PID, n int) []Cost

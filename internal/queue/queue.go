@@ -32,6 +32,3 @@ func NewRegistry(m *memsim.Machine, capacity int, name string) *Registry {
 		cap:  capacity,
 	}
 }
-
-// Cap returns the registry's capacity.
-func (r *Registry) Cap() int { return r.cap }

@@ -100,11 +100,11 @@ func TestRegistryO1RMRInsertion(t *testing.T) {
 
 func TestRegistryCap(t *testing.T) {
 	m := memsim.NewMachine(1)
-	if got := NewRegistry(m, 0, "R").Cap(); got != 1 {
-		t.Fatalf("Cap = %d, want clamped 1", got)
+	if got := NewRegistry(m, 0, "R").cap; got != 1 {
+		t.Fatalf("cap = %d, want clamped 1", got)
 	}
-	if got := NewRegistry(m, 7, "S").Cap(); got != 7 {
-		t.Fatalf("Cap = %d, want 7", got)
+	if got := NewRegistry(m, 7, "S").cap; got != 7 {
+		t.Fatalf("cap = %d, want 7", got)
 	}
 }
 

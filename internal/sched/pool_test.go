@@ -13,7 +13,7 @@ import (
 func TestPooledSourceReplaysFresh(t *testing.T) {
 	ready := pids(0, 1, 2, 3, 4, 5, 6)
 	for seed := int64(1); seed <= 4; seed++ {
-		used := NewBiased(2, 0.3, seed+100)
+		used := NewRandom(seed + 100)
 		for i := 0; i < 37; i++ {
 			used.Next(ready)
 		}

@@ -1,8 +1,8 @@
 // Package sched provides schedulers for driving simulated executions:
-// deterministic round-robin, seeded pseudo-random (the workhorse for
-// randomized safety testing), and scripted schedules. Fairness in the
-// paper's sense — every participating process keeps taking steps — holds
-// for both round-robin and random scheduling over non-terminated processes.
+// deterministic round-robin and seeded pseudo-random (the workhorse for
+// randomized safety testing). Fairness in the paper's sense — every
+// participating process keeps taking steps — holds for both over
+// non-terminated processes.
 package sched
 
 import (
@@ -77,72 +77,7 @@ func (s *Random) Next(ready []memsim.PID) memsim.PID {
 
 // Release returns s's source to the pool NewRandom draws from. s may not
 // be used afterwards.
-func (s *Random) Release() { release(&s.rng) }
-
-// release returns *rng to the source pool and clears it.
-func release(rng **rand.Rand) {
-	sources.Put(*rng)
-	*rng = nil
-}
-
-// Scripted replays a fixed PID sequence, falling back to the first ready
-// process when the scripted PID is not ready or the script is exhausted.
-// It is used to reproduce specific interleavings found by search.
-type Scripted struct {
-	seq []memsim.PID
-	pos int
-}
-
-var _ Scheduler = (*Scripted)(nil)
-
-// NewScripted returns a scheduler that follows seq.
-func NewScripted(seq []memsim.PID) *Scripted {
-	cp := make([]memsim.PID, len(seq))
-	copy(cp, seq)
-	return &Scripted{seq: cp}
-}
-
-// Next implements Scheduler.
-func (s *Scripted) Next(ready []memsim.PID) memsim.PID {
-	for s.pos < len(s.seq) {
-		pid := s.seq[s.pos]
-		s.pos++
-		for _, r := range ready {
-			if r == pid {
-				return pid
-			}
-		}
-	}
-	return ready[0]
-}
-
-// Biased favours one process with the given probability and otherwise
-// defers to the random scheduler. It is useful for stressing races such as
-// "waiters register while the signaler is signaling" (Section 7). Like
-// Random it draws its source from a pool and Release returns it.
-type Biased struct {
-	pid  memsim.PID
-	prob float64
-	rng  *rand.Rand
-}
-
-var _ Scheduler = (*Biased)(nil)
-
-// NewBiased returns a scheduler that steps pid with probability prob
-// whenever it is ready.
-func NewBiased(pid memsim.PID, prob float64, seed int64) *Biased {
-	return &Biased{pid: pid, prob: prob, rng: seeded(seed)}
-}
-
-// Release returns s's source to the pool. s may not be used afterwards.
-func (s *Biased) Release() { release(&s.rng) }
-
-// Next implements Scheduler.
-func (s *Biased) Next(ready []memsim.PID) memsim.PID {
-	for _, r := range ready {
-		if r == s.pid && s.rng.Float64() < s.prob {
-			return r
-		}
-	}
-	return ready[s.rng.Intn(len(ready))]
+func (s *Random) Release() {
+	sources.Put(s.rng)
+	s.rng = nil
 }

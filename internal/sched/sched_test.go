@@ -66,36 +66,3 @@ func TestRandomIsFairOverReady(t *testing.T) {
 		}
 	}
 }
-
-func TestScripted(t *testing.T) {
-	s := NewScripted(pids(2, 0, 2))
-	ready := pids(0, 1, 2)
-	if p := s.Next(ready); p != 2 {
-		t.Fatalf("got %d, want scripted 2", p)
-	}
-	if p := s.Next(ready); p != 0 {
-		t.Fatalf("got %d, want scripted 0", p)
-	}
-	// Scripted PID not ready: falls through to the next entry, then to
-	// the first ready process once exhausted.
-	if p := s.Next(pids(0, 1)); p != 0 {
-		t.Fatalf("got %d, want fallback 0", p)
-	}
-	if p := s.Next(ready); p != 0 {
-		t.Fatalf("exhausted script: got %d, want 0", p)
-	}
-}
-
-func TestBiasedPrefersTarget(t *testing.T) {
-	s := NewBiased(1, 1.0, 3)
-	ready := pids(0, 1, 2)
-	for i := 0; i < 20; i++ {
-		if p := s.Next(ready); p != 1 {
-			t.Fatalf("prob=1 biased scheduler picked %d", p)
-		}
-	}
-	// Target not ready: still makes progress.
-	if p := s.Next(pids(0, 2)); p != 0 && p != 2 {
-		t.Fatalf("fallback pick = %d", p)
-	}
-}

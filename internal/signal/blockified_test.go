@@ -6,10 +6,11 @@ import (
 	"repro/internal/memsim"
 )
 
-// Blockified derives a blocking-semantics solution from a polling one,
-// exactly as Section 7 prescribes: "the blocking solution can be achieved
-// easily by implementing Wait() via repeated execution of the code for
-// Poll()". The wrapper leaves Poll and Signal untouched and synthesizes
+// Blockified is a test oracle: the frame golden and the frame, reset and
+// template suites run every polling algorithm through it. It derives a
+// blocking-semantics solution from a polling one, exactly as Section 7
+// prescribes: "the blocking solution can be achieved easily by
+// implementing Wait() via repeated execution of the code for Poll()". The wrapper leaves Poll and Signal untouched and synthesizes
 // Wait as an unbounded sequence of poll bodies executed within one call.
 // An algorithm without Poll has nothing to repeat: its blockified Wait is
 // unsupported (ErrUnsupported).

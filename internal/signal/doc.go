@@ -4,8 +4,9 @@
 // algorithms of Section 7 (single-waiter, fixed-waiters and its
 // terminating refinement, registered-waiters, the F&I queue, CAS and
 // LL/SC registration, the multi-signaler variant), plus the read/write
-// emulations the lower-bound adversary defeats and a Blockified wrapper
-// that derives Wait from Poll.
+// emulations the lower-bound adversary defeats. Blockified, which derives
+// Wait from Poll, is a test oracle: it lives in the package's tests, where
+// the frame golden and the frame, reset and template suites run it.
 //
 // Algorithms are catalogued as Algorithm values (name, problem Variant,
 // deployment factory); All enumerates them and ByName resolves CLI names.

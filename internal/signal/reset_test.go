@@ -173,7 +173,7 @@ func executionDiff(got, want *memsim.Execution) string {
 			return fmt.Sprintf("word %s = %d, want %d", wm.Name(addr), gs[a], ws[a])
 		case gm.Owner(addr) != wm.Owner(addr):
 			return fmt.Sprintf("word %s owned by p%d, want p%d", wm.Name(addr), gm.Owner(addr), wm.Owner(addr))
-		case gm.LastWriter(addr) != wm.LastWriter(addr) || gm.WriteCount(addr) != wm.WriteCount(addr):
+		case gm.LastWriter(addr) != wm.LastWriter(addr):
 			return fmt.Sprintf("word %s writer history differs", wm.Name(addr))
 		}
 	}

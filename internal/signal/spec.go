@@ -41,13 +41,6 @@ type SpecChecker struct {
 	out    []SpecViolation
 }
 
-// NewSpecChecker returns a checker that has observed no events.
-func NewSpecChecker() *SpecChecker {
-	c := new(SpecChecker)
-	c.Reset(0)
-	return c
-}
-
 // Reset makes c a checker that has observed no events, with its open-call
 // table sized once for processes 0..n-1: Observe then grows nothing for
 // them. The table's storage is kept; a Violations slice returned before

@@ -85,7 +85,8 @@ func TestSpecCheckerReset(t *testing.T) {
 	if len(want) != 1 || want[0].PID != 11 {
 		t.Fatalf("fresh checker found %v, want one poll-false by p11", want)
 	}
-	c := NewSpecChecker()
+	c := new(SpecChecker)
+	c.Reset(0)
 	for _, ev := range fiveProcessTrace() {
 		c.Observe(ev)
 	}

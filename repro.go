@@ -28,14 +28,10 @@
 // each config gets its own scheduler state), so RunMany's results do not
 // depend on the worker count.
 //
-// # Legacy path
+// A runner built WithTrace(true) also retains the full trace, and
+// Result.Score then prices it after the fact under any cost model, attached
+// or not. Beside the Runner, the package exports:
 //
-// The package-level Run retains the full trace and Result.Score prices it
-// after the fact, exactly as before this API existed; prefer a Runner for
-// anything measured or batched.
-//
-//   - Run simulates a signaling-problem history (internal/core) and Score
-//     prices it under a cost model;
 //   - Adversary runs the Section 6 lower-bound construction
 //     (internal/lowerbound) against any algorithm;
 //   - Algorithms lists every signaling algorithm in the repository
@@ -445,18 +441,6 @@ func (r *Runner) SweepLocks(ctx context.Context, sw LockSweep) ([]LockCell, erro
 		return cells, err
 	}
 	return cells, firstHardError(errs)
-}
-
-// Run simulates one history of the signaling problem on the legacy
-// trace-retaining path: unless the config attaches Scorers or sets
-// KeepEvents itself, the full trace is kept so that Result.Score can price
-// it under any model after the fact. New code should use a Runner, which
-// prices runs in a single pass without retaining events.
-func Run(cfg Config) (*Result, error) {
-	if !cfg.KeepEvents && len(cfg.Scorers) == 0 {
-		cfg.KeepEvents = true
-	}
-	return core.Run(cfg)
 }
 
 // Adversary executes the Section 6 lower-bound construction and returns

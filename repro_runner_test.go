@@ -53,7 +53,7 @@ func TestRunnerStreamingMatchesLegacy(t *testing.T) {
 		t.Fatalf("got %d reports, want 4", len(res.Reports))
 	}
 
-	legacy, err := Run(cfg)
+	legacy, err := NewRunner(WithTrace(true)).Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ func TestFacadeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{Algorithm: alg, N: 8, MaxPolls: 32, SignalAfter: 40})
+	res, err := NewRunner(WithTrace(true)).Run(Config{Algorithm: alg, N: 8, MaxPolls: 32, SignalAfter: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
