@@ -74,8 +74,10 @@ func TestExportedIdentifiersHaveCallers(t *testing.T) {
 }
 
 // TestUnusedExportsReportsOnlyUncalled runs the scan over a small package
-// with one used exported func, one unused one and one allow-listed method:
-// exactly the unused func is reported.
+// with one used exported func, one unused one, one allow-listed method,
+// methods called through a selector, an interface and a composite-literal
+// key, and an uncalled method named like a type the package uses: exactly
+// the unused func and the uncalled method are reported.
 func TestUnusedExportsReportsOnlyUncalled(t *testing.T) {
 	src := map[string]string{
 		"a.go": `package demo
@@ -87,10 +89,30 @@ func (code) Code() string { return "c" }
 func Used() int { return 1 }
 
 func Unused() int { return Used() }
+
+type Class int
+
+type Error struct{ class Class }
+
+func (e *Error) Class() Class { return e.class }
+
+func (e *Error) Selected() Class { return e.class }
+
+func (e *Error) Declared() Class { return e.class }
+
+func (e *Error) Keyed() Class { return e.class }
 `,
 		"b.go": `package demo
 
 var _ = Used()
+
+var _ = (&Error{}).Selected()
+
+type declarer interface{ Declared() Class }
+
+type table struct{ Keyed func() Class }
+
+var _ = table{Keyed: nil}
 `,
 	}
 	fset := token.NewFileSet()
@@ -103,35 +125,41 @@ var _ = Used()
 		files[name] = f
 	}
 	allow := map[string]string{"demo.(code).Code": "reached through an interface"}
-	if got, want := unusedExports(files, files, allow), []string{"demo.Unused (a.go)"}; !slices.Equal(got, want) {
+	if got, want := unusedExports(files, files, allow), []string{"demo.(*Error).Class (a.go)", "demo.Unused (a.go)"}; !slices.Equal(got, want) {
 		t.Fatalf("reported %q, want %q", got, want)
 	}
-	if got, want := unusedExports(files, files, nil), []string{"demo.(code).Code (a.go)", "demo.Unused (a.go)"}; !slices.Equal(got, want) {
+	if got, want := unusedExports(files, files, nil), []string{"demo.(*Error).Class (a.go)", "demo.(code).Code (a.go)", "demo.Unused (a.go)"}; !slices.Equal(got, want) {
 		t.Fatalf("without the allow-list: reported %q, want %q", got, want)
 	}
 }
 
 // unusedExports returns, sorted, the exported top-level funcs, methods,
 // types, vars and consts of the files in decl that no file of use names,
-// less the keys of allow. Both maps are keyed by path. A use is any
-// identifier of that name other than a top-level declaration's own, so the
-// scan can only over-count uses: it never reports an identifier that is
-// named. An identifier is reported as pkg.Name, or pkg.(Recv).Name for a
-// method, followed by its file.
+// less the keys of allow. Both maps are keyed by path. A use of a func,
+// type, var or const is any identifier of its name other than a top-level
+// declaration's own. A method is reached only through a selector (x.M or
+// T.M), so a use of one is a selector of its name, an interface method of
+// its name (a call through the interface) or a composite-literal key of
+// its name (a method value stored in a field so named): an identifier
+// that merely shares the name, such as a type's, is no use. Either way
+// the scan can only over-count uses: it never reports an identifier that
+// is used. An identifier is reported as pkg.Name, or pkg.(Recv).Name for
+// a method, followed by its file.
 func unusedExports(decl, use map[string]*ast.File, allow map[string]string) []string {
 	type export struct {
-		key  string
-		id   *ast.Ident
-		path string
+		key    string
+		id     *ast.Ident
+		path   string
+		method bool
 	}
 	var exports []export
 	declared := map[*ast.Ident]bool{}
 	for path, f := range decl {
 		pkg := f.Name.Name
-		add := func(key string, id *ast.Ident) {
+		add := func(key string, id *ast.Ident, method bool) {
 			declared[id] = true
 			if id.IsExported() {
-				exports = append(exports, export{pkg + "." + key, id, filepath.ToSlash(path)})
+				exports = append(exports, export{pkg + "." + key, id, filepath.ToSlash(path), method})
 			}
 		}
 		for _, d := range f.Decls {
@@ -141,33 +169,56 @@ func unusedExports(decl, use map[string]*ast.File, allow map[string]string) []st
 				if d.Recv != nil {
 					key = "(" + recvName(d.Recv.List[0].Type) + ")." + key
 				}
-				add(key, d.Name)
+				add(key, d.Name, d.Recv != nil)
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
-						add(s.Name.Name, s.Name)
+						add(s.Name.Name, s.Name, false)
 					case *ast.ValueSpec:
 						for _, id := range s.Names {
-							add(id.Name, id)
+							add(id.Name, id, false)
 						}
 					}
 				}
 			}
 		}
 	}
-	named := map[string]bool{}
+	named, selected := map[string]bool{}, map[string]bool{}
 	for _, f := range use {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				named[id.Name] = true
+			switch n := n.(type) {
+			case *ast.Ident:
+				if !declared[n] {
+					named[n.Name] = true
+				}
+			case *ast.SelectorExpr:
+				selected[n.Sel.Name] = true
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, id := range m.Names {
+						selected[id.Name] = true
+					}
+				}
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							selected[id.Name] = true
+						}
+					}
+				}
 			}
 			return true
 		})
 	}
 	var out []string
 	for _, e := range exports {
-		if _, ok := allow[e.key]; !ok && !named[e.id.Name] {
+		used := named[e.id.Name]
+		if e.method {
+			used = selected[e.id.Name]
+		}
+		if _, ok := allow[e.key]; !ok && !used {
 			out = append(out, e.key+" ("+e.path+")")
 		}
 	}

@@ -38,11 +38,13 @@ func addrSpan(evs []memsim.Event) int {
 // TestReleasedStorageNotShared checks that what a run hands out survives
 // the recycling of its deployment. An adversary certificate's trace and
 // owners, a KeepEvents result's trace and OwnerFunc with the return values
-// collected from its event stream, and a KeepEvents lock result's trace
-// and passage count (whose workload is recycled too) are compared with
-// deep copies after 20 more deployments have drawn machines, controllers,
-// executions, workloads, frame storage and PRNG sources from the pools,
-// many of them retaining a trace of their own. The certificate's trace,
+// collected from its event stream, a KeepEvents lock result's trace and
+// passage count (whose workload is recycled too), and a streaming
+// result's reports (whose accumulators the next run with scorers reopens)
+// are compared with deep copies after 20 more deployments have drawn
+// machines, controllers, executions, workloads, frame storage, set-aside
+// frames, accumulators and PRNG sources from the pools, many of them
+// retaining a trace of their own. The certificate's trace,
 // owners and rounds are then compared again after 12 adversary runs
 // whose certificates are released at once.
 func TestReleasedStorageNotShared(t *testing.T) {
@@ -77,8 +79,24 @@ func TestReleasedStorageNotShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	lockEvents, lockPassages := slices.Clone(lock.Events), lock.Passages
+
+	scorers := []model.Scorer{model.ModelCC, model.ModelDSM}
+	stream, err := Run(Config{Algorithm: signal.FixedWaiters(), N: 6, MaxPolls: 4, SignalAfter: 6, Scorers: scorers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamReports := make([]model.Report, len(stream.Reports))
+	for i, r := range stream.Reports {
+		streamReports[i] = *r
+		streamReports[i].PerProc = slices.Clone(r.PerProc)
+	}
+	// The next run with the same scorers opens its accumulators in the
+	// storage of stream's.
+	if _, err := Run(Config{Algorithm: signal.QueueSignal(), N: 9, MaxPolls: 3, SignalAfter: 9, Scorers: scorers}); err != nil {
+		t.Fatal(err)
+	}
 	if len(certEvents) == 0 || len(resEvents) == 0 || span == 0 || len(resReturns) == 0 ||
-		len(lockEvents) == 0 || lockPassages == 0 {
+		len(lockEvents) == 0 || lockPassages == 0 || len(streamReports) != len(scorers) || streamReports[0].Total == 0 {
 		t.Fatal("nothing retained to check")
 	}
 
@@ -129,6 +147,11 @@ func TestReleasedStorageNotShared(t *testing.T) {
 	if !reflect.DeepEqual(lock.Events, lockEvents) || lock.Passages != lockPassages {
 		t.Error("a later deployment overwrote the KeepEvents lock result")
 	}
+	for i, r := range stream.Reports {
+		if !reflect.DeepEqual(*r, streamReports[i]) {
+			t.Errorf("a later run overwrote the streaming result's %s report: %+v, was %+v", scorers[i].Name(), *r, streamReports[i])
+		}
+	}
 
 	// Certificates released between later runs hand their trace, owners
 	// and rounds to the certificates after them, never to one that was
@@ -159,12 +182,13 @@ func TestReleasedStorageNotShared(t *testing.T) {
 	}
 }
 
-// TestWarmRunAllocs pins the allocations of a warm signaling run and a
-// warm lock run. Their workloads, frame storage (every call is built in a
-// slot a pooled workload kept), spec checker, machines, controllers and
-// PRNG sources come from pools, so what is left is mostly the instance,
-// the scorers' accumulators and the result; a run that stops recycling
-// one of the pooled parts exceeds its pin.
+// TestWarmRunAllocs pins the allocations of a warm signaling run, a warm
+// lock run and a pair of lock runs whose locks differ. Their workloads,
+// frame storage (every call is built in a slot a pooled workload kept, or
+// in a frame of its type set aside by another run), spec checker,
+// machines, controllers, accumulators and PRNG sources come from pools,
+// so what is left is mostly the instance and the result; a run that
+// stops recycling one of the pooled parts exceeds its pin.
 func TestWarmRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random")
@@ -175,13 +199,23 @@ func TestWarmRunAllocs(t *testing.T) {
 		pin  float64
 		run  func() error
 	}{
-		{"core.Run fixed-waiters n=16", 22, func() error {
+		{"core.Run fixed-waiters n=16", 9, func() error {
 			_, err := Run(Config{Algorithm: signal.FixedWaiters(), N: 16, MaxPolls: 4, SignalAfter: 16, Scorers: scorers})
 			return err
 		}},
-		{"mutex.Run mcs n=8 on the default scheduler", 24, func() error {
+		{"mutex.Run mcs n=8 on the default scheduler", 9, func() error {
 			_, err := mutex.Run(mutex.RunConfig{Lock: mutex.MCS(), N: 8, Passages: 4, Scorers: scorers})
 			return err
+		}},
+		// Each run finds its slots holding the other lock's passage
+		// sections and sets them aside.
+		{"mutex.Run alternating tas and mcs n=8", 16, func() error {
+			for _, lock := range []mutex.Algorithm{mutex.TAS(), mutex.MCS()} {
+				if _, err := mutex.Run(mutex.RunConfig{Lock: lock, N: 8, Passages: 4, Scorers: scorers}); err != nil {
+					return err
+				}
+			}
+			return nil
 		}},
 	}
 	for _, r := range runs {

@@ -161,7 +161,10 @@ func (r *Result) N() int { return r.n }
 
 // scratch is the storage a Run needs only while it runs, recycled
 // through scratchPool: the ready list, the accumulators being fed, and
-// feed, the one event sink that feeds them and then Config.Sink.
+// feed, the one event sink that feeds them and then Config.Sink. The
+// accumulators outlive their run: the next run that draws sc opens its
+// own in their storage (model.ReusingScorer), which is why a Result's
+// reports are copies.
 type scratch struct {
 	ready []memsim.PID
 	accs  []model.Accumulator
@@ -182,12 +185,55 @@ var scratchPool = sync.Pool{New: func() any {
 	return sc
 }}
 
-// release empties sc, dropping its hold on the run's accumulators and
-// sink, and returns it to the pool.
+// release drops sc's hold on the run's sink and returns it to the pool,
+// its accumulators kept as the next run's spares.
 func (sc *scratch) release() {
-	clear(sc.accs)
-	sc.accs, sc.sink = sc.accs[:0], nil
+	sc.sink = nil
 	scratchPool.Put(sc)
+}
+
+// begin opens the accumulators of scorers for a run of n processes, each
+// in the storage of the accumulator the last run of sc fed at the same
+// position when its scorer can reuse it.
+func (sc *scratch) begin(scorers []model.Scorer, n int, owner func(memsim.Addr) memsim.PID) []model.Accumulator {
+	spares := sc.accs
+	sc.accs = sc.accs[:0]
+	for i, s := range scorers {
+		// Appending at i overwrites spares[i], which is read first.
+		var a model.Accumulator
+		if r, ok := s.(model.ReusingScorer); ok && i < len(spares) {
+			a = r.BeginReuse(spares[i], n, owner)
+		} else {
+			a = s.Begin(n, owner)
+		}
+		sc.accs = append(sc.accs, a)
+	}
+	if len(spares) > len(sc.accs) {
+		clear(spares[len(sc.accs):]) // spares no scorer took
+	}
+	return sc.accs
+}
+
+// finalReports copies the final reports of accs into storage the caller
+// owns: one Report per accumulator and one backing array for all their
+// PerProc counts, so no report aliases an accumulator a later run
+// reuses.
+func finalReports(accs []model.Accumulator) []*model.Report {
+	out := make([]*model.Report, len(accs))
+	reps := make([]model.Report, len(accs))
+	procs := 0
+	for i, a := range accs {
+		reps[i] = *model.FinalReport(a)
+		procs += len(reps[i].PerProc)
+	}
+	perProc := make([]int, 0, procs)
+	for i := range reps {
+		from := len(perProc)
+		perProc = append(perProc, reps[i].PerProc...)
+		reps[i].PerProc = perProc[from:len(perProc):len(perProc)]
+		out[i] = &reps[i]
+	}
+	return out
 }
 
 // Run drives cfg.Workload to completion (every process out of work), the
@@ -232,13 +278,10 @@ func Run(cfg Config) (*Result, error) {
 	// Streaming consumers observe each event as it is emitted; the trace
 	// itself is retained only on request.
 	ctl.RetainEvents(cfg.KeepEvents)
-	owner := m.Owner
+	owner := m.OwnerFunc()
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
-	for _, s := range cfg.Scorers {
-		sc.accs = append(sc.accs, s.Begin(n, owner))
-	}
-	accs := sc.accs
+	accs := sc.begin(cfg.Scorers, n, owner)
 	if len(accs) > 0 || cfg.Sink != nil {
 		sc.sink = cfg.Sink
 		ctl.Attach(sc.feed)
@@ -331,10 +374,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.KeepEvents {
 		res.Events = ctl.Events()
 	}
-	res.Reports = make([]*model.Report, len(accs))
-	for i, a := range accs {
-		res.Reports[i] = model.FinalReport(a)
-	}
+	res.Reports = finalReports(accs)
 	if res.Interrupted {
 		return res, fmt.Errorf("%w after %d steps", ErrInterrupted, res.Steps)
 	}

@@ -38,7 +38,7 @@ type ledger struct {
 // later event of e.
 func (l *ledger) attach(e *memsim.Execution) {
 	n := e.N()
-	l.owner = e.Machine().Owner
+	l.owner = e.Machine().OwnerFunc()
 	l.rmrs = zeroed(l.rmrs, n)
 	l.participated = zeroed(l.participated, n)
 	l.callRemote = zeroed(l.callRemote, n)

@@ -227,7 +227,7 @@ func (b *builder) certificate(v Verdict, s memsim.PID, stableCount int, detail s
 		b.fin[s] = true
 	}
 	m := b.exec.Machine()
-	b.rel.Compute(events, m.Owner, b.n)
+	b.rel.Compute(events, m.OwnerFunc(), b.n)
 	regular := len(trace.CheckRegular(&b.rel, b.fin)) == 0
 	total, k := 0, 0
 	for p, r := range b.led.rmrs {

@@ -58,7 +58,9 @@
 // writes the pristine frame whole into the caller's storage (BuildFrame),
 // and a frame with sub-frames or buffers sets their storage aside and
 // rebuilds them in place, so no start mints a frame the storage already
-// holds and none reads what the storage held. AppendFrameState can then
+// holds and none reads what the storage held. Storage of another type is
+// not dropped: CloneTarget sets it aside in its type's pool, whence a
+// later start or copy of that type takes it. AppendFrameState can then
 // encode a frame's canonical state by content — identically across different
 // executions, which the engines' shared dedup and memo tables rely on.
 // Frames whose state the field walk cannot see (per-call allocations,

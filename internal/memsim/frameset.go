@@ -8,15 +8,19 @@ package memsim
 // next call start builds the pristine frame in the retained storage
 // (Instance.ProgramInto), and copying a whole set into another (snapshot
 // and restore) reuses the destination's storage through each frame's
-// CloneInto. Once every slot has held a frame of each type it runs, none
-// of the three operations allocates.
+// CloneInto. A slot whose frame has another type than the call or copy
+// it receives sets that frame aside in its type's pool and takes one of
+// the right type from there (CloneTarget), so once each frame type has
+// been seen in as many slots at a time as it runs in, none of the three
+// operations allocates, however often a slot changes type.
 
 // Frames is a deployment's frame storage: its instance and the
 // per-process slots its calls run in. Reset readies it for the next
 // deployment and keeps the slots of the last, so an owner that outlives
 // its deployments (a pooled Execution or harness workload) grows no slot
 // once warm, and a call is built in the storage of the slot's last frame
-// whenever that frame has its type. A kept frame may still point at an
+// whenever that frame has its type, and in a set-aside frame of its type
+// otherwise. A kept frame may still point at an
 // earlier deployment's instance, but nothing reads it before ProgramInto
 // has overwritten it whole.
 type Frames struct {

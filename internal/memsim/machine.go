@@ -51,6 +51,9 @@ type Machine struct {
 	// more than one word, in address order.
 	arrays []span
 	links  []llink
+	// owner is the method value m.Owner, bound once when the pool made m
+	// (see OwnerFunc).
+	owner func(Addr) PID
 }
 
 // wordInfo is what allocation fixed about a word: its module owner and
@@ -65,7 +68,11 @@ type wordInfo struct {
 type span struct{ base, end Addr }
 
 // machinePool recycles machines across deployments (see Release).
-var machinePool = sync.Pool{New: func() any { return new(Machine) }}
+var machinePool = sync.Pool{New: func() any {
+	m := new(Machine)
+	m.owner = m.Owner
+	return m
+}}
 
 // NewMachine returns a machine for n processes with an empty address space.
 // Its storage may come from a released machine; nothing of that machine's
@@ -151,6 +158,12 @@ func (m *Machine) Owner(a Addr) PID {
 	}
 	return m.info[a].owner
 }
+
+// OwnerFunc returns m.Owner as a func value. It is the same value for
+// every deployment the machine serves, bound when the machine was made, so
+// handing the ownership mapping to a cost model allocates nothing. Like
+// m, it may not be used after Release.
+func (m *Machine) OwnerFunc() func(Addr) PID { return m.owner }
 
 // Name returns the debug name of addr: the name its Alloc call gave, with
 // the element index appended for an array word (Q[3]), and a%d for an

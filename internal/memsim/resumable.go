@@ -1,5 +1,10 @@
 package memsim
 
+import (
+	"reflect"
+	"sync"
+)
+
 // Resumable is the program representation of every procedure call: an
 // explicit state machine that the Controller dispatches inline. Each
 // Next is one scheduling point (one shared-memory access), advanced by a
@@ -28,10 +33,11 @@ type Resumable interface {
 	// CloneInto returns an independent copy of the frame. When dst is a
 	// frame of the same concrete type, the copy is made in dst, reusing
 	// its sub-frame and buffer storage, and dst is returned; for any other
-	// dst, nil included, the copy is fresh. dst must be a frame the caller
-	// owns exclusively, never the receiver or one of its sub-frames.
-	// Frames whose shallow copy is independent implement it with
-	// CopyFrame.
+	// dst, nil included, the copy is made in storage no one else holds
+	// (see CloneTarget). dst must be a frame the caller owns exclusively,
+	// never the receiver or one of its sub-frames, and the caller gives it
+	// up: it keeps the result in dst's place. Frames whose shallow copy is
+	// independent implement it with CopyFrame.
 	CloneInto(dst Resumable) Resumable
 }
 
@@ -48,21 +54,50 @@ func CopyFrame[T any, P interface {
 	return d
 }
 
-// CloneTarget is where a CloneInto copies to: dst itself when it is a
-// non-nil P, and a new zero frame otherwise.
+// CloneTarget is where a CloneInto or a ProgramInto writes its frame: dst
+// itself when it is a non-nil P, and otherwise a frame from P's pool, or a
+// new zero frame when that pool is empty. A non-nil dst of another type is
+// set aside in its own type's pool, so an owner whose slots alternate
+// between frame types (a pooled workload that runs one algorithm after
+// another, an engine snapshot whose process has moved to another call)
+// stops allocating once each type has been seen. A pooled frame is stale:
+// the caller writes it whole, as BuildFrame and every CloneInto do, and
+// gives up dst (x = f(x)), which another owner may now hold.
 func CloneTarget[T any, P interface {
 	*T
 	Resumable
 }](dst Resumable) P {
-	if d, ok := dst.(P); ok && d != nil {
+	d, ok := dst.(P)
+	if ok && d != nil {
+		return d
+	}
+	if !ok && dst != nil {
+		if v := reflect.ValueOf(dst); v.Kind() == reflect.Pointer && !v.IsNil() {
+			framePool(v.Type()).Put(dst)
+		}
+	}
+	if d, _ := framePool(reflect.TypeFor[P]()).Get().(P); d != nil {
 		return d
 	}
 	return P(new(T))
 }
 
+// framePools holds one *sync.Pool of set-aside frames per frame pointer
+// type; see CloneTarget.
+var framePools sync.Map
+
+// framePool returns the pool of frames of type t.
+func framePool(t reflect.Type) *sync.Pool {
+	if p, ok := framePools.Load(t); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := framePools.LoadOrStore(t, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
 // BuildFrame is the ProgramInto of a frame whose pristine state is the
 // value v and whose shallow copy is independent: v is written whole into
-// dst when dst is a non-nil P, and into a new frame otherwise.
+// the frame CloneTarget picks for dst.
 func BuildFrame[T any, P interface {
 	*T
 	Resumable

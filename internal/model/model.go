@@ -152,21 +152,23 @@ type CC struct {
 
 var _ CostModel = CC{}
 
+// ccNames are the CC model names, indexed by WriteBack and then by Msg
+// (an unset or unknown Msg adds no suffix).
+var ccNames = [2][4]string{
+	{"CC-WT", "CC-WT/bus", "CC-WT/dir-ideal", "CC-WT/dir-limited"},
+	{"CC-WB", "CC-WB/bus", "CC-WB/dir-ideal", "CC-WB/dir-limited"},
+}
+
 // Name implements CostModel.
 func (c CC) Name() string {
-	name := "CC-WT"
+	wb, msg := 0, int(c.Msg)
 	if c.WriteBack {
-		name = "CC-WB"
+		wb = 1
 	}
-	switch c.Msg {
-	case MsgBus:
-		name += "/bus"
-	case MsgDirectoryIdeal:
-		name += "/dir-ideal"
-	case MsgDirectoryLimited:
-		name += "/dir-limited"
+	if msg >= len(ccNames[wb]) {
+		msg = 0
 	}
-	return name
+	return ccNames[wb][msg]
 }
 
 // Score implements CostModel.

@@ -165,6 +165,24 @@ func TestModelNames(t *testing.T) {
 	if CCDirLimited(4).Name() != "CC-WT/dir-limited" {
 		t.Fatal(CCDirLimited(4).Name())
 	}
+	// Every knob combination: the protocol, then the message model's
+	// suffix (none when it is unset or unknown).
+	suffix := map[MsgModel]string{MsgBus: "/bus", MsgDirectoryIdeal: "/dir-ideal", MsgDirectoryLimited: "/dir-limited"}
+	for _, wb := range []bool{false, true} {
+		for msg := MsgModel(0); msg <= MsgDirectoryLimited+1; msg++ {
+			want := "CC-WT"
+			if wb {
+				want = "CC-WB"
+			}
+			want += suffix[msg]
+			if got := (CC{WriteBack: wb, Msg: msg, Limit: 3, EvictEvery: 2}).Name(); got != want {
+				t.Errorf("CC{WriteBack: %v, Msg: %d}.Name() = %q, want %q", wb, msg, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = ModelCCDirIdeal.Name() }); n != 0 {
+		t.Errorf("CC.Name allocates %v times, want 0", n)
+	}
 }
 
 // TestCCInvariantsQuick checks, over random event streams, the Section 8

@@ -47,8 +47,21 @@ type reportState struct {
 	rep Report
 }
 
-func newReportState(name string, n int) reportState {
-	return reportState{rep: Report{Model: name, PerProc: make([]int, n)}}
+// reset zeroes s for a new run of n processes under the model name,
+// keeping PerProc's backing array when it is large enough.
+func (s *reportState) reset(name string, n int) {
+	s.rep = Report{Model: name, PerProc: zeroed(s.rep.PerProc, n)}
+}
+
+// zeroed returns s resized to n zero elements, reusing its backing array
+// when its capacity suffices.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // fold charges cost to pid.
@@ -108,6 +121,19 @@ type ForkableAccumulator interface {
 type ReusingForker interface {
 	ForkableAccumulator
 	ForkReuse(spare Accumulator) Accumulator
+}
+
+// ReusingScorer is a Scorer that can open an accumulator in the storage of
+// a finished one: BeginReuse(spare, n, owner) behaves exactly like
+// Begin(n, owner) but resets spare's report and cache state in place,
+// keeping their backing arrays, when spare is an accumulator of the same
+// kind; for any other spare, nil included, it is Begin. spare must not be
+// used by the caller afterwards, nor any report FinalReport took from it.
+// A forward run that keeps the last run's accumulators (internal/harness)
+// passes them back as spares, so a warm run allocates no accumulator.
+type ReusingScorer interface {
+	Scorer
+	BeginReuse(spare Accumulator, n int, owner func(memsim.Addr) memsim.PID) Accumulator
 }
 
 // ModelStateAppender is an Accumulator that can append a canonical
@@ -291,6 +317,8 @@ var (
 	_ ForkableAccumulator = (*ccAccumulator)(nil)
 	_ ReusingForker       = (*dsmAccumulator)(nil)
 	_ ReusingForker       = (*ccAccumulator)(nil)
+	_ ReusingScorer       = DSM{}
+	_ ReusingScorer       = CC{}
 	_ ModelStateAppender  = (*dsmAccumulator)(nil)
 	_ ModelStateAppender  = (*ccAccumulator)(nil)
 )
@@ -304,10 +332,18 @@ type dsmAccumulator struct {
 
 // Begin implements Scorer.
 func (d DSM) Begin(n int, owner func(memsim.Addr) memsim.PID) Accumulator {
-	return &dsmAccumulator{
-		reportState: newReportState(d.Name(), n),
-		owner:       owner,
+	return d.BeginReuse(nil, n, owner)
+}
+
+// BeginReuse implements ReusingScorer.
+func (d DSM) BeginReuse(spare Accumulator, n int, owner func(memsim.Addr) memsim.PID) Accumulator {
+	a, ok := spare.(*dsmAccumulator)
+	if !ok || a == nil {
+		a = &dsmAccumulator{}
 	}
+	a.reset(d.Name(), n)
+	a.owner = owner
+	return a
 }
 
 // Add implements Accumulator.
@@ -345,16 +381,29 @@ type ccAccumulator struct {
 
 // Begin implements Scorer.
 func (c CC) Begin(n int, owner func(memsim.Addr) memsim.PID) Accumulator {
-	acc := &ccAccumulator{
-		reportState: newReportState(c.Name(), n),
-		cfg:         c,
-		n:           n,
-		words:       (n + 63) / 64,
+	return c.BeginReuse(nil, n, owner)
+}
+
+// BeginReuse implements ReusingScorer: the report and the per-address
+// rows start empty in spare's backing arrays, so the rows a run caches
+// grow into the capacity the last run left.
+func (c CC) BeginReuse(spare Accumulator, n int, owner func(memsim.Addr) memsim.PID) Accumulator {
+	a, ok := spare.(*ccAccumulator)
+	if !ok || a == nil {
+		a = &ccAccumulator{}
 	}
+	a.reset(c.Name(), n)
+	a.cfg = c
+	a.n = n
+	a.words = (n + 63) / 64
+	a.sharers = a.sharers[:0]
+	a.exclusive = a.exclusive[:0]
 	if c.EvictEvery > 0 {
-		acc.accessCount = make([]int32, n)
+		a.accessCount = zeroed(a.accessCount, n)
+	} else {
+		a.accessCount = nil
 	}
-	return acc
+	return a
 }
 
 func (a *ccAccumulator) numAddrs() int { return len(a.exclusive) }

@@ -123,6 +123,50 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestBeginReuseMatchesBegin: an accumulator opened in a finished one's
+// storage prices every event, encodes its state and reports exactly like
+// one opened fresh, whatever model, size and trace the spare last served,
+// and it is the spare itself whenever the spare is of its kind.
+func TestBeginReuseMatchesBegin(t *testing.T) {
+	traces := randomTraces(t)
+	vs := variants()
+	var spare model.Accumulator
+	for i, tr := range traces {
+		for j, v := range vs {
+			r, ok := v.(model.ReusingScorer)
+			if !ok {
+				t.Fatalf("%s: %T does not implement ReusingScorer", v.Name(), v)
+			}
+			prev := spare
+			reused := r.BeginReuse(spare, tr.n, tr.owner)
+			fresh := v.Begin(tr.n, tr.owner)
+			if reflect.TypeOf(prev) == reflect.TypeOf(fresh) && reused != prev {
+				t.Fatalf("%s/%s: BeginReuse did not reuse a spare of its kind", v.Name(), tr.name)
+			}
+			if got, want := encodeState(t, reused), encodeState(t, fresh); got != want {
+				t.Fatalf("%s/%s: reused accumulator starts in state %q, want %q", v.Name(), tr.name, got, want)
+			}
+			for k, ev := range tr.events {
+				if cr, cf := reused.Add(ev), fresh.Add(ev); cr != cf {
+					t.Fatalf("%s/%s: event %d costs %+v in reused storage, %+v fresh", v.Name(), tr.name, k, cr, cf)
+				}
+			}
+			if got, want := encodeState(t, reused), encodeState(t, fresh); got != want {
+				t.Fatalf("%s/%s: reused accumulator ends in state %q, want %q", v.Name(), tr.name, got, want)
+			}
+			if got, want := model.FinalReport(reused), model.FinalReport(fresh); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s: reused report %+v, fresh %+v", v.Name(), tr.name, got, want)
+			}
+			// The next scorer reuses this run's storage; every few runs it
+			// gets none, or a spare of the other kind.
+			spare = reused
+			if (i+j)%5 == 0 {
+				spare = nil
+			}
+		}
+	}
+}
+
 // TestAccumulatorMidRunReport: Report must be a consistent snapshot at any
 // prefix — equal to a batch score of that prefix — and must not alias
 // accumulator state.

@@ -31,7 +31,7 @@ func newPricer(cfg Config) (*pricer, error) {
 	core, err := engine.New(engine.Config{
 		Name: "search", Factory: cfg.Factory, N: cfg.N, Scripts: cfg.Scripts, Faults: cfg.Faults,
 	}, func(e *engine.Core) (engine.Policy, error) {
-		x.acc = cfg.Model.Begin(cfg.N, e.Machine().Owner)
+		x.acc = cfg.Model.Begin(cfg.N, e.Machine().OwnerFunc())
 		if _, ok := x.acc.(model.ForkableAccumulator); !ok {
 			return nil, fmt.Errorf("search: %s accumulator %T cannot fork; exhaustive search needs model.ForkableAccumulator (use ModeSample)",
 				cfg.Model.Name(), x.acc)

@@ -61,7 +61,7 @@ func drive(cfg Config, choose func(depth, n int) int) (*ReplayResult, error) {
 		return nil, err
 	}
 	defer exec.Release() // the result keeps the trace, which Release never recycles
-	acc := cfg.Model.Begin(cfg.N, exec.Machine().Owner)
+	acc := cfg.Model.Begin(cfg.N, exec.Machine().OwnerFunc())
 	exec.Attach(func(ev memsim.Event) { acc.Add(ev) })
 
 	res := &ReplayResult{}

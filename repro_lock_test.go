@@ -12,10 +12,10 @@ import (
 	"repro/internal/sched"
 )
 
-// TestRunLockStreamingMatchesLegacy: the facade's single-pass lock reports
-// must equal what the legacy trace-retaining path computes after the fact,
-// for every lock and every standard model.
-func TestRunLockStreamingMatchesLegacy(t *testing.T) {
+// TestRunLockStreamingMatchesRetainedTrace: the facade's single-pass lock
+// reports must equal what a run that retains its trace computes after the
+// fact, for every lock and every standard model.
+func TestRunLockStreamingMatchesRetainedTrace(t *testing.T) {
 	r := NewRunner(WithModels(StandardModels()...))
 	for _, alg := range Locks() {
 		alg := alg
@@ -32,23 +32,23 @@ func TestRunLockStreamingMatchesLegacy(t *testing.T) {
 			if len(res.Reports) != 4 {
 				t.Fatalf("got %d reports, want 4", len(res.Reports))
 			}
-			legacy, err := mutex.Run(mutex.RunConfig{
+			retained, err := mutex.Run(mutex.RunConfig{
 				Lock: alg, N: 5, Passages: 4, Scheduler: sched.NewRandom(2),
 				KeepEvents: true,
 			})
 			if err != nil && !errors.Is(err, ErrBudget) {
 				t.Fatal(err)
 			}
-			if legacy.Events == nil {
-				t.Fatal("legacy mutex.Run retained no events")
+			if retained.Events == nil {
+				t.Fatal("the KeepEvents mutex.Run retained no events")
 			}
-			if res.Passages != legacy.Passages || res.MutualExclusion != legacy.MutualExclusion {
-				t.Fatalf("streaming (%d, %v) and legacy (%d, %v) runs diverged",
-					res.Passages, res.MutualExclusion, legacy.Passages, legacy.MutualExclusion)
+			if res.Passages != retained.Passages || res.MutualExclusion != retained.MutualExclusion {
+				t.Fatalf("streaming (%d, %v) and trace-retaining (%d, %v) runs diverged",
+					res.Passages, res.MutualExclusion, retained.Passages, retained.MutualExclusion)
 			}
 			for i, m := range StandardModels() {
-				if got, want := res.Reports[i], legacy.Score(m); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: streaming %+v != legacy batch %+v", m.Name(), got, want)
+				if got, want := res.Reports[i], retained.Score(m); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: streaming %+v != batch score of the retained trace %+v", m.Name(), got, want)
 				}
 			}
 		})

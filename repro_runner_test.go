@@ -32,9 +32,10 @@ func batchConfigs(t testing.TB, count int) []Config {
 	return cfgs
 }
 
-// TestRunnerStreamingMatchesLegacy: the Runner's single-pass reports must
-// equal what the legacy trace-retaining path computes after the fact.
-func TestRunnerStreamingMatchesLegacy(t *testing.T) {
+// TestRunnerStreamingMatchesRetainedTrace: the Runner's single-pass
+// reports must equal what a run that retains its trace computes after the
+// fact.
+func TestRunnerStreamingMatchesRetainedTrace(t *testing.T) {
 	alg, err := AlgorithmByName("flag")
 	if err != nil {
 		t.Fatal(err)
@@ -53,16 +54,16 @@ func TestRunnerStreamingMatchesLegacy(t *testing.T) {
 		t.Fatalf("got %d reports, want 4", len(res.Reports))
 	}
 
-	legacy, err := NewRunner(WithTrace(true)).Run(cfg)
+	retained, err := NewRunner(WithTrace(true)).Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Events == nil {
-		t.Fatal("legacy Run retained no events")
+	if retained.Events == nil {
+		t.Fatal("the WithTrace run retained no events")
 	}
 	for i, m := range StandardModels() {
-		if got, want := res.Reports[i], legacy.Score(m); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: streaming %+v != legacy batch %+v", m.Name(), got, want)
+		if got, want := res.Reports[i], retained.Score(m); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: streaming %+v != batch score of the retained trace %+v", m.Name(), got, want)
 		}
 	}
 }
