@@ -119,9 +119,6 @@ func (c *Config) normalize() error {
 	if c.MaxSteps == 0 {
 		c.MaxSteps = 200_000
 	}
-	if c.Scheduler == nil {
-		c.Scheduler = sched.NewRoundRobin()
-	}
 	return nil
 }
 
@@ -196,6 +193,11 @@ type Result struct {
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
+	}
+	if cfg.Scheduler == nil {
+		rr := sched.NewRoundRobin()
+		defer rr.Release()
+		cfg.Scheduler = rr
 	}
 	p := signal.Policy{
 		Waiters:     cfg.Waiters,

@@ -186,9 +186,10 @@ func TestReleasedStorageNotShared(t *testing.T) {
 // lock run and a pair of lock runs whose locks differ. Their workloads,
 // frame storage (every call is built in a slot a pooled workload kept, or
 // in a frame of its type set aside by another run), spec checker,
-// machines, controllers, accumulators and PRNG sources come from pools,
-// so what is left is mostly the instance and the result; a run that
-// stops recycling one of the pooled parts exceeds its pin.
+// machines, controllers, accumulators, PRNG sources and the default
+// round-robin scheduler come from pools, so what is left is mostly the
+// instance and the result; a run that stops recycling one of the pooled
+// parts exceeds its pin.
 func TestWarmRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random")
@@ -199,7 +200,7 @@ func TestWarmRunAllocs(t *testing.T) {
 		pin  float64
 		run  func() error
 	}{
-		{"core.Run fixed-waiters n=16", 9, func() error {
+		{"core.Run fixed-waiters n=16", 8, func() error {
 			_, err := Run(Config{Algorithm: signal.FixedWaiters(), N: 16, MaxPolls: 4, SignalAfter: 16, Scorers: scorers})
 			return err
 		}},

@@ -25,6 +25,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/memsim"
 )
@@ -86,8 +87,10 @@ type Policy interface {
 
 	// SaveState copies the policy's per-path state into spare — a value
 	// an earlier SaveState returned, or nil on a fresh snapshot — and
-	// returns it. RestoreState copies a saved value back; the value stays
-	// valid for further restores.
+	// returns it. A recycled core's marks may hand it a value another
+	// policy (or the same policy over another model) saved, which it
+	// must treat as nil. RestoreState copies a saved value back; the
+	// value stays valid for further restores.
 	SaveState(spare any) any
 	RestoreState(saved any)
 
@@ -159,57 +162,108 @@ type Core struct {
 	fp         memsim.FaultPolicy
 	faultsUsed int
 
-	// Hot-path scratch, all core-owned and reused node to node: the
-	// state-key build buffer, per-depth settle buffers, and the free list
-	// of released node snapshots. See "hot-path memory discipline" in
-	// docs/ARCHITECTURE.md.
+	// Hot-path scratch, all core-owned and reused node to node and run to
+	// run: the state-key build buffer, per-depth settle buffers, every
+	// node snapshot the core has made (marks) and the free list of those
+	// not in use. See "hot-path memory discipline" in docs/ARCHITECTURE.md.
 	keyBuf     []byte
 	choiceBufs [][]Choice
-	markPool   []*Mark
+	marks      []*Mark
+	free       []*Mark
 
 	// Telemetry-only statistics of the scratch structures above: pool
-	// reuse and the undo-log high-water mark, sampled at Save. Never read
-	// by the walk itself.
-	poolHits   int
-	poolMisses int
-	undoMax    int
+	// reuse this run, the marks in use (the misses are their peak), and
+	// the undo-log high-water mark, sampled at Save. Never read by the
+	// walk itself.
+	poolHits    int
+	poolMisses  int
+	outstanding int
+	undoMax     int
 }
 
+// cores recycles cores across runs: New takes one, Recycle puts it back.
+var cores = sync.Pool{New: func() any { return new(Core) }}
+
 // New deploys cfg's instance on a fresh machine and attaches the policy
-// that policy builds for the new core. cfg.Scripts must have passed
-// CheckScripts (the engines check it once, at their run entry).
-func New(cfg Config, policy func(*Core) (Policy, error)) (*Core, error) {
-	m := memsim.NewMachine(cfg.N)
-	inst, err := cfg.Factory(m, cfg.N)
+// that policy builds for the core. The core comes from a pool, so its
+// snapshots, buffers and frame storage may be an earlier run's, and
+// policy receives that run's policy as spare to rebuild in place: nil
+// on a new core, and possibly another engine's policy. cfg.Scripts must
+// have passed CheckScripts (the engines check it once, at their run
+// entry). Recycle returns the core once the run is done with it.
+func New(cfg Config, policy func(e *Core, spare Policy) (Policy, error)) (*Core, error) {
+	e := cores.Get().(*Core)
+	e.reset(cfg)
+	inst, err := cfg.Factory(e.mach, cfg.N)
 	if err != nil {
+		e.Recycle()
 		return nil, fmt.Errorf("deploy instance: %w", err)
 	}
-	e := &Core{
-		name:     cfg.Name,
-		mach:     m,
-		inst:     inst,
-		n:        cfg.N,
-		scripts:  denseScripts(cfg.N, cfg.Scripts),
-		frames:   memsim.NewFrameSet(cfg.N),
-		phase:    make([]Phase, cfg.N),
-		pending:  make([]memsim.Access, cfg.N),
-		rets:     make([]memsim.Value, cfg.N),
-		kinds:    make([]memsim.CallKind, cfg.N),
-		progress: make([]int, cfg.N),
-		fp:       cfg.Faults,
-	}
-	if e.pol, err = policy(e); err != nil {
+	e.inst = inst
+	pol, err := policy(e, e.pol)
+	if err != nil {
+		e.Recycle()
 		return nil, err
 	}
+	e.pol = pol
 	return e, nil
 }
 
+// reset readies the core for cfg on a new machine, every process idle at
+// the root. It keeps the buffers and the marks, all of which go back on
+// the free list; only the marks' per-process storage depends on N, so
+// the marks are dropped when N changes. A kept mark may hold frames of
+// an earlier deployment and another policy's saved state: Save
+// overwrites its frames whole and hands its policy value to SaveState
+// as a spare, which a policy treats as nil unless it is its own kind.
+func (e *Core) reset(cfg Config) {
+	if cfg.N != e.n {
+		e.marks, e.free = nil, nil
+	}
+	e.name, e.n = cfg.Name, cfg.N
+	e.mach = memsim.NewMachine(cfg.N)
+	e.scripts = denseScripts(e.scripts, cfg.N, cfg.Scripts)
+	e.frames.Reset(cfg.N)
+	e.phase = zeroed(e.phase, cfg.N)
+	e.pending = zeroed(e.pending, cfg.N)
+	e.rets = zeroed(e.rets, cfg.N)
+	e.kinds = zeroed(e.kinds, cfg.N)
+	e.progress = zeroed(e.progress, cfg.N)
+	e.undos, e.path = e.undos[:0], e.path[:0]
+	e.fp, e.faultsUsed = cfg.Faults, 0
+	e.free = append(e.free[:0], e.marks...)
+	e.poolHits, e.poolMisses, e.outstanding, e.undoMax = 0, 0, 0, 0
+}
+
+// Recycle returns the core and its machine to the pool New draws from.
+// Neither the core, its policy, its marks nor its machine may be used
+// afterwards. (Release, by contrast, returns one mark to the core.)
+func (e *Core) Recycle() {
+	if e.mach == nil {
+		panic("engine: core recycled twice")
+	}
+	e.mach.Release()
+	e.mach, e.inst = nil, nil
+	cores.Put(e)
+}
+
+// zeroed returns s resliced to n zero elements, growing it only when its
+// capacity is short.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // denseScripts flattens the per-pid script map (PIDs already checked)
-// into a pid-indexed slice so the settle/apply/key hot loops index
-// instead of hashing. A nil row means the pid is unscripted; a
+// into dst, resliced to n: a pid-indexed slice, so the settle/apply/key
+// hot loops index instead of hashing. A nil row means the pid is unscripted; a
 // present-but-empty script stays non-nil (scripted, nothing to run).
-func denseScripts(n int, scripts map[memsim.PID][]memsim.CallKind) [][]memsim.CallKind {
-	dense := make([][]memsim.CallKind, n)
+func denseScripts(dst [][]memsim.CallKind, n int, scripts map[memsim.PID][]memsim.CallKind) [][]memsim.CallKind {
+	dense := zeroed(dst, n)
 	for p, s := range scripts {
 		if s == nil {
 			s = []memsim.CallKind{}
@@ -264,7 +318,11 @@ func (e *Core) Path() []int { return e.path }
 // tests of explore and search read it.
 func (e *Core) KeyBytes() []byte { return e.keyBuf }
 
-// PoolStats reports the snapshot pool's reuse (telemetry only).
+// PoolStats reports the snapshot pool's reuse this run (telemetry only).
+// A Save that raises the number of outstanding marks above this run's
+// peak counts a miss, every other Save a hit: the count a new core
+// gives, where exactly those Saves find the free list empty, so the
+// counts are a function of the walk however warm the core is.
 func (e *Core) PoolStats() (hits, misses int) { return e.poolHits, e.poolMisses }
 
 // UndoMax is the undo log's high-water mark, sampled at Save (telemetry
@@ -423,13 +481,16 @@ func (e *Core) Save() *Mark {
 	if len(e.undos) > e.undoMax {
 		e.undoMax = len(e.undos)
 	}
-	var m *Mark
-	if n := len(e.markPool); n > 0 {
-		e.poolHits++
-		m = e.markPool[n-1]
-		e.markPool = e.markPool[:n-1]
-	} else {
+	if e.outstanding++; e.outstanding > e.poolMisses {
 		e.poolMisses++
+	} else {
+		e.poolHits++
+	}
+	var m *Mark
+	if n := len(e.free); n > 0 {
+		m = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
 		m = &Mark{
 			frames:   memsim.NewFrameSet(e.n),
 			phase:    make([]Phase, e.n),
@@ -438,6 +499,7 @@ func (e *Core) Save() *Mark {
 			kinds:    make([]memsim.CallKind, e.n),
 			progress: make([]int, e.n),
 		}
+		e.marks = append(e.marks, m)
 	}
 	copy(m.phase, e.phase)
 	copy(m.pending, e.pending)
@@ -449,7 +511,9 @@ func (e *Core) Save() *Mark {
 	m.faultsUsed = e.faultsUsed
 	m.pol = e.pol.SaveState(m.pol)
 	// Mark-owned frames never alias core-owned frames, so further core
-	// steps cannot disturb the snapshot.
+	// steps cannot disturb the snapshot. The copy overwrites every slot
+	// whole, so frames a recycled mark kept from an earlier deployment
+	// are never read.
 	m.frames.CopyFrom(&e.frames)
 	return m
 }
@@ -457,7 +521,8 @@ func (e *Core) Save() *Mark {
 // Release returns a mark to the free list once no sibling will restore
 // from it again.
 func (e *Core) Release(m *Mark) {
-	e.markPool = append(e.markPool, m)
+	e.free = append(e.free, m)
+	e.outstanding--
 }
 
 // Restore winds the core back to m: machine undos revert in reverse

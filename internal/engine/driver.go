@@ -13,6 +13,7 @@ type Driver struct {
 	progress map[memsim.PID]int
 	kinds    map[memsim.PID]memsim.CallKind
 	faults   int
+	choices  []Choice // Settle's result, reused by the next Settle
 }
 
 // NewDriver drives exec through the given scripts under fault policy fp.
@@ -29,9 +30,10 @@ func NewDriver(exec *memsim.Execution, scripts map[memsim.PID][]memsim.CallKind,
 // Settle collects completed calls (eagerly, with the poll-stop rule) and
 // returns the open scheduling choices in Core.Settle's order: per PID a
 // pending step or a call start, then the fault choice points — PID
-// order, crash before lost CAS.
+// order, crash before lost CAS. The slice is the driver's own buffer,
+// valid until the next Settle.
 func (d *Driver) Settle() ([]Choice, error) {
-	var choices []Choice
+	choices := d.choices[:0]
 	for pid := 0; pid < d.Exec.N(); pid++ {
 		p := memsim.PID(pid)
 		script, ok := d.scripts[p]
@@ -56,6 +58,7 @@ func (d *Driver) Settle() ([]Choice, error) {
 		}
 	}
 	if !d.fp.Enabled() || d.faults >= d.fp.Max {
+		d.choices = choices
 		return choices, nil
 	}
 	for pid := 0; pid < d.Exec.N(); pid++ {
@@ -74,6 +77,7 @@ func (d *Driver) Settle() ([]Choice, error) {
 			choices = append(choices, Choice{PID: p, Fault: memsim.FaultLostCAS})
 		}
 	}
+	d.choices = choices
 	return choices, nil
 }
 

@@ -60,25 +60,48 @@ type monitorMark struct {
 	procs                []monProc
 }
 
+// newMonitor takes a core from the engine's pool and attaches a
+// monitor, the one the core's last run used when it was a monitor: its
+// event log, descriptions and per-process state are reset in place.
+// Recycle returns the core.
 func newMonitor(cfg Config) (*monitor, error) {
-	x := &monitor{
-		procs: make([]monProc, cfg.N),
-		descs: make([][4]string, cfg.N),
-	}
-	for pid := range x.descs {
-		x.descs[pid] = [4]string{
-			fmt.Sprintf("p%d", pid), fmt.Sprintf("p%d+", pid),
-			fmt.Sprintf("p%d!", pid), fmt.Sprintf("p%d?", pid),
-		}
-	}
-	core, err := engine.New(engine.Config{
+	var x *monitor
+	_, err := engine.New(engine.Config{
 		Name: "explore", Factory: cfg.Factory, N: cfg.N, Scripts: cfg.Scripts, Faults: cfg.Faults,
-	}, func(*engine.Core) (engine.Policy, error) { return x, nil })
+	}, func(e *engine.Core, spare engine.Policy) (engine.Policy, error) {
+		x, _ = spare.(*monitor)
+		if x == nil {
+			x = new(monitor)
+		}
+		x.reset(e, cfg.N)
+		return x, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	x.Core = core
 	return x, nil
+}
+
+// reset readies x for a run of n processes on e, keeping its storage.
+// The descriptions depend on the PID alone, so only missing ones are
+// made.
+func (x *monitor) reset(e *engine.Core, n int) {
+	x.Core = e
+	x.events, x.seq, x.desc = x.events[:0], 0, x.desc[:0]
+	x.sigStarted, x.sigEnded = false, false
+	if cap(x.procs) < n {
+		x.procs = make([]monProc, n)
+	} else {
+		x.procs = x.procs[:n]
+		clear(x.procs)
+	}
+	for pid := len(x.descs); pid < n; pid++ {
+		x.descs = append(x.descs, [4]string{
+			fmt.Sprintf("p%d", pid), fmt.Sprintf("p%d+", pid),
+			fmt.Sprintf("p%d!", pid), fmt.Sprintf("p%d?", pid),
+		})
+	}
+	x.descs = x.descs[:n]
 }
 
 func (x *monitor) emit(ev memsim.Event) {
@@ -131,6 +154,9 @@ func (x *monitor) Crashed(p memsim.PID) {
 	x.desc = append(x.desc, x.descs[p][2])
 }
 
+// SaveState records the monitor's state in spare when it is a
+// monitorMark; any other spare (a search accumulator, in a recycled
+// core) counts as none.
 func (x *monitor) SaveState(spare any) any {
 	m, _ := spare.(*monitorMark)
 	if m == nil {

@@ -42,8 +42,8 @@ type search struct {
 	*engine.Pool
 	cfg   Config
 	table *engine.Table[struct{}] // nil with dedup off
-	// machines are the workers' machines, released with the table.
-	machines []*memsim.Machine
+	// cores are the workers' cores, recycled with the table.
+	cores []*engine.Core
 
 	mu   sync.Mutex
 	fail *failure // lexicographically least failure so far
@@ -92,7 +92,7 @@ func newSearcher(s *search, id int, reduce bool) (*searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.machines = append(s.machines, e.Machine())
+	s.cores = append(s.cores, e.Core)
 	var red *engine.Reduction
 	if reduce {
 		red = engine.NewReduction(e.Core, true, true)
@@ -218,11 +218,11 @@ func newSearch(cfg Config, pool *engine.Pool, dedup bool) *search {
 }
 
 // release returns the claim table, if any, to claimTables and the
-// workers' machines to memsim's pool. Call it after the last export and
-// the gauges, once every worker has joined.
+// workers' cores, with their machines, to the engine's pool. Call it
+// after the last export and the gauges, once every worker has joined.
 func (s *search) release() {
-	for _, m := range s.machines {
-		m.Release()
+	for _, c := range s.cores {
+		c.Recycle()
 	}
 	if s.table != nil {
 		claimTables.Put(s.table)

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/memsim"
@@ -83,7 +84,7 @@ func replayPath(cfg Config, path []int) (*memsim.Execution, [][]engine.Choice, b
 		if idx >= len(choices) {
 			return nil, nil, false, fmt.Errorf("explore: choice %d out of range at depth %d", idx, depth)
 		}
-		choiceSets = append(choiceSets, choices)
+		choiceSets = append(choiceSets, slices.Clone(choices)) // the driver reuses choices
 		if err := drv.Apply(choices[idx]); err != nil {
 			return nil, nil, false, err
 		}

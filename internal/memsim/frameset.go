@@ -33,7 +33,7 @@ type Frames struct {
 // beyond the idle slots' storage.
 func (f *Frames) Reset(inst Instance, n int) {
 	f.inst = inst
-	f.set.reset(n)
+	f.set.Reset(n)
 }
 
 // Start begins a call of kind on p: the instance builds the call's
@@ -64,10 +64,10 @@ func NewFrameSet(n int) FrameSet {
 	return FrameSet{live: make([]Resumable, n), store: make([]Resumable, n)}
 }
 
-// reset readies s as n idle slots, keeping the storage of an earlier
+// Reset readies s as n idle slots, keeping the storage of an earlier
 // deployment: a kept frame is only ever built or copied into whole (see
 // Start and fill), so it carries nothing of that deployment into this one.
-func (s *FrameSet) reset(n int) {
+func (s *FrameSet) Reset(n int) {
 	s.live = resize(s.live, n)
 	clear(s.live)
 	s.store = resize(s.store, n)

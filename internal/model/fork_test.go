@@ -132,3 +132,30 @@ func TestAppendModelStateCanonical(t *testing.T) {
 		}
 	}
 }
+
+// TestForkReuseFromEmptyAllocs: a CC fork of an accumulator that has
+// cached nothing, into a spare whose rows have grown, keeps the spare's
+// backing arrays, so caching the same addresses again allocates nothing.
+// A search that restores a node saved before the path's first caching
+// write runs exactly this cycle.
+func TestForkReuseFromEmptyAllocs(t *testing.T) {
+	owner := func(memsim.Addr) memsim.PID { return 0 }
+	empty := model.ModelCC.Begin(4, owner).(model.ReusingForker)
+	spare := model.ModelCC.Begin(4, owner)
+	fill := func(a model.Accumulator) {
+		for addr := range memsim.Addr(64) {
+			a.Add(memsim.Event{Kind: memsim.EvAccess, PID: 1, Acc: memsim.Access{Op: memsim.OpRead, Addr: addr}})
+		}
+	}
+	fill(spare)
+	if raceEnabled {
+		t.Skip("the race build allocates every grown row")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		spare = empty.ForkReuse(spare)
+		fill(spare)
+	})
+	if allocs != 0 {
+		t.Fatalf("fork from an empty accumulator and refill: %.1f allocations, want 0", allocs)
+	}
+}

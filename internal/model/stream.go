@@ -221,11 +221,9 @@ func (a *ccAccumulator) ForkReuse(spare Accumulator) Accumulator {
 }
 
 // copyInto copies src into dst's backing array, growing dst only when its
-// capacity is insufficient. A nil src yields a nil slice.
+// capacity is insufficient. An empty src, nil included, empties dst and
+// keeps its backing array for the rows a later caching write grows.
 func copyInto[T any](dst, src []T) []T {
-	if src == nil {
-		return nil
-	}
 	if cap(dst) < len(src) {
 		dst = make([]T, len(src))
 	} else {
@@ -376,7 +374,7 @@ type ccAccumulator struct {
 	words       int
 	sharers     []uint64
 	exclusive   []int32
-	accessCount []int32 // per-PID, nil unless EvictEvery > 0
+	accessCount []int32 // per-PID, empty unless EvictEvery > 0
 }
 
 // Begin implements Scorer.
@@ -401,7 +399,7 @@ func (c CC) BeginReuse(spare Accumulator, n int, owner func(memsim.Addr) memsim.
 	if c.EvictEvery > 0 {
 		a.accessCount = zeroed(a.accessCount, n)
 	} else {
-		a.accessCount = nil
+		a.accessCount = a.accessCount[:0]
 	}
 	return a
 }

@@ -188,8 +188,10 @@ func CheckTerminating(alg signal.Algorithm, n, maxSteps int, blocking bool) (*Te
 	// each (seed 0 stands for round robin).
 	random := sched.NewRandom(1)
 	defer random.Release()
+	rr := sched.NewRoundRobin()
+	defer rr.Release()
 	for si, seed := range [...]int64{0, 1, 2} {
-		var s sched.Scheduler = sched.NewRoundRobin()
+		var s sched.Scheduler = rr
 		if seed != 0 {
 			random.Seed(seed)
 			s = random

@@ -46,3 +46,32 @@ func TestNewRandomReleaseAllocs(t *testing.T) {
 		t.Fatalf("a warm NewRandom+Release allocates %v times, want 0", n)
 	}
 }
+
+// TestNewRoundRobinReleaseAllocs checks that a warm NewRoundRobin and
+// Release allocate nothing, and that a recycled round-robin scheduler
+// starts its cycle over at the lowest ready PID.
+func TestNewRoundRobinReleaseAllocs(t *testing.T) {
+	ready := pids(0, 1, 2)
+	used := NewRoundRobin()
+	used.Next(ready)
+	used.Next(ready)
+	used.Release()
+	s := NewRoundRobin()
+	if p := s.Next(ready); p != 0 {
+		t.Fatalf("a recycled scheduler's first pick is p%d, want p0", p)
+	}
+	s.Release()
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	var sink memsim.PID
+	cycle := func() {
+		s := NewRoundRobin()
+		sink += s.Next(ready)
+		s.Release()
+	}
+	cycle() // warm the pool
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a warm NewRoundRobin+Release allocates %v times, want 0", n)
+	}
+}

@@ -38,8 +38,20 @@ type RoundRobin struct {
 
 var _ Scheduler = (*RoundRobin)(nil)
 
-// NewRoundRobin returns a round-robin scheduler.
-func NewRoundRobin() *RoundRobin { return &RoundRobin{last: -1} }
+// roundRobins recycles round-robin schedulers (see Release).
+var roundRobins = sync.Pool{New: func() any { return new(RoundRobin) }}
+
+// NewRoundRobin returns a round-robin scheduler at the start of its
+// cycle. It comes from a pool; Release returns it once it is done.
+func NewRoundRobin() *RoundRobin {
+	s := roundRobins.Get().(*RoundRobin)
+	s.last = -1
+	return s
+}
+
+// Release returns s to the pool NewRoundRobin draws from. s may not be
+// used afterwards.
+func (s *RoundRobin) Release() { roundRobins.Put(s) }
 
 // Next implements Scheduler.
 func (s *RoundRobin) Next(ready []memsim.PID) memsim.PID {

@@ -90,6 +90,7 @@ func expandUnits(cfg Config, d int) ([][]int, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer e.Recycle()
 	// The expansion mirrors the reduced tree exactly: a slept child is
 	// never a unit root (the search never walks it), so the unit list —
 	// like everything else — is a pure function of the configuration.

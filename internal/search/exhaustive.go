@@ -88,8 +88,8 @@ type pair struct {
 type bnb struct {
 	cfg   Config
 	table *engine.Table[memo]
-	// machines are the workers' machines, released with the table.
-	machines []*memsim.Machine
+	// cores are the workers' cores, recycled with the table.
+	cores []*engine.Core
 
 	// waiters holds a channel per unpublished pair some worker blocks
 	// on, made only when a multi-worker claim actually blocks. Its lock
@@ -112,11 +112,11 @@ func newBnb(cfg Config) *bnb {
 	return &bnb{cfg: cfg, table: memoTables.Get()}
 }
 
-// release returns the table to memoTables and the workers' machines to
-// memsim's pool.
+// release returns the table to memoTables and the workers' cores, with
+// their machines, to the engine's pool.
 func (s *bnb) release() {
-	for _, m := range s.machines {
-		m.Release()
+	for _, c := range s.cores {
+		c.Recycle()
 	}
 	memoTables.Put(s.table)
 }
@@ -260,7 +260,7 @@ func newHunter(s *bnb, pool *engine.Pool, id int) (*hunter, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.machines = append(s.machines, e.Machine())
+	s.cores = append(s.cores, e.Core)
 	var red *engine.Reduction
 	if s.cfg.Reduce {
 		red = newReduction(e, s.cfg.Model)

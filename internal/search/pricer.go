@@ -26,12 +26,20 @@ type pricer struct {
 	step int
 }
 
+// newPricer takes a core from the engine's pool and attaches a pricer,
+// the one the core's last run used when it was a pricer: its live
+// accumulator reopens in place. Recycle returns the core.
 func newPricer(cfg Config) (*pricer, error) {
-	x := &pricer{}
-	core, err := engine.New(engine.Config{
+	var x *pricer
+	_, err := engine.New(engine.Config{
 		Name: "search", Factory: cfg.Factory, N: cfg.N, Scripts: cfg.Scripts, Faults: cfg.Faults,
-	}, func(e *engine.Core) (engine.Policy, error) {
-		x.acc = cfg.Model.Begin(cfg.N, e.Machine().OwnerFunc())
+	}, func(e *engine.Core, spare engine.Policy) (engine.Policy, error) {
+		x, _ = spare.(*pricer)
+		if x == nil {
+			x = new(pricer)
+		}
+		x.Core, x.step = e, 0
+		x.acc = begin(cfg.Model, x.acc, cfg.N, e.Machine().OwnerFunc())
 		if _, ok := x.acc.(model.ForkableAccumulator); !ok {
 			return nil, fmt.Errorf("search: %s accumulator %T cannot fork; exhaustive search needs model.ForkableAccumulator (use ModeSample)",
 				cfg.Model.Name(), x.acc)
@@ -45,8 +53,16 @@ func newPricer(cfg Config) (*pricer, error) {
 	if err != nil {
 		return nil, err
 	}
-	x.Core = core
 	return x, nil
+}
+
+// begin opens s's accumulator in spare's storage when the model can
+// (both architecture models can; a spare of another model is ignored).
+func begin(s model.Scorer, spare model.Accumulator, n int, owner func(memsim.Addr) memsim.PID) model.Accumulator {
+	if r, ok := s.(model.ReusingScorer); ok {
+		return r.BeginReuse(spare, n, owner)
+	}
+	return s.Begin(n, owner)
 }
 
 // Started: a call start performs no access and costs nothing.
@@ -80,7 +96,9 @@ func forkAcc(src, spare model.Accumulator) model.Accumulator {
 }
 
 // SaveState forks the accumulator into the mark's value, recycling the
-// mark's previous fork.
+// mark's previous fork. A spare that is no accumulator (an explorer's
+// mark state, in a recycled core) counts as none, and one of another
+// model is ignored by the fork.
 func (x *pricer) SaveState(spare any) any {
 	old, _ := spare.(model.Accumulator)
 	return forkAcc(x.acc, old)

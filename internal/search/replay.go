@@ -36,7 +36,7 @@ type ReplayResult struct {
 // reported worst cost against it, and the property tests compare it to
 // brute-force enumeration.
 func Replay(cfg Config, witness []int) (*ReplayResult, error) {
-	return drive(cfg, func(depth int, n int) int {
+	return drive(cfg, len(witness), func(depth int, n int) int {
 		if depth < len(witness) {
 			return witness[depth]
 		}
@@ -48,8 +48,10 @@ func Replay(cfg Config, witness []int) (*ReplayResult, error) {
 // index at each depth (given the choice-set size). It mirrors the search
 // engine's settle semantics exactly: completed calls harvest eagerly, a
 // Poll returning true ends its process's script, and choices order by
-// PID with a pending step before a call start.
-func drive(cfg Config, choose func(depth, n int) int) (*ReplayResult, error) {
+// PID with a pending step before a call start. size is the expected
+// history length, for which the result's per-depth slices are made up
+// front (0 when unknown: they grow with the history).
+func drive(cfg Config, size int, choose func(depth, n int) int) (*ReplayResult, error) {
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 12
 	}
@@ -65,6 +67,11 @@ func drive(cfg Config, choose func(depth, n int) int) (*ReplayResult, error) {
 	exec.Attach(func(ev memsim.Event) { acc.Add(ev) })
 
 	res := &ReplayResult{}
+	if size = min(size, cfg.MaxDepth); size > 0 {
+		res.Path = make([]int, 0, size)
+		res.Schedule = make([]string, 0, size)
+		res.ChoiceCounts = make([]int, 0, size)
+	}
 	drv := engine.NewDriver(exec, cfg.Scripts, cfg.Faults)
 	for depth := 0; ; depth++ {
 		choices, err := drv.Settle()

@@ -37,7 +37,7 @@ type walkOut struct {
 // bound) and prices it.
 func runWalk(cfg Config, i int) (walkOut, error) {
 	rng := rand.New(rand.NewSource(walkSeed(cfg.Seed, i)))
-	rep, err := drive(cfg, func(_, n int) int { return rng.Intn(n) })
+	rep, err := drive(cfg, 0, func(_, n int) int { return rng.Intn(n) })
 	if err != nil {
 		return walkOut{}, err
 	}
